@@ -39,12 +39,14 @@ from .distance import (
     Classification,
     GradientEstimate,
     NearestResult,
+    Survey,
     distance,
     grad_distance_fd,
     grid_sweep,
     nearest_points,
     project,
     reconstruct_nearest,
+    survey,
     write_grid_csv,
 )
 from .fields import (
@@ -98,6 +100,7 @@ __all__ = [
     "SkeletonSegment",
     "SlopeLattice",
     "SubgradientBox",
+    "Survey",
     "Window",
     "ambiguous_cell_fraction",
     "asplund_field",
@@ -128,6 +131,7 @@ __all__ = [
     "strong_convexity_probe",
     "strongify",
     "subgradient_box",
+    "survey",
     "voronoi_medial_axis_2d",
     "write_grid_csv",
     "write_overlay_svg",

@@ -103,6 +103,7 @@ def _cmd_cover(config: ScenarioConfig, raw: dict, args) -> int:
             config.window,
             config.grid_resolution,
             tie_tolerance=config.tie_tolerance,
+            separation=config.separation,
             jump_fraction=config.jump_fraction,
             refine_tol=config.refine_tol,
         )
@@ -147,6 +148,7 @@ def _cmd_verify(config: ScenarioConfig, raw: dict, args) -> int:
         config.lattice,
         coverage_tolerance=config.coverage_tolerance,
         tie_tolerance=config.tie_tolerance,
+        separation=config.separation,
         jump_fraction=config.jump_fraction,
         refine_tol=config.refine_tol,
         partial_step=config.partial_step,

@@ -340,19 +340,21 @@ def sampled_hessian_bound(
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
     hess = np.empty((pts.shape[0], n, n))
-    f0 = np.asarray(field(pts), dtype=float)
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = step
-        hess[:, i, i] = (field(pts + ei) - 2.0 * f0 + field(pts - ei)) / step**2
-        for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = step
-            mixed = (
-                field(pts + ei + ej) - field(pts + ei - ej) - field(pts - ei + ej) + field(pts - ei - ej)
-            ) / (4.0 * step**2)
-            hess[:, i, j] = mixed
-            hess[:, j, i] = mixed
+    # Non-finite samples are reported below as an error, not as warnings.
+    with np.errstate(invalid="ignore", over="ignore"):
+        f0 = np.asarray(field(pts), dtype=float)
+        for i in range(n):
+            ei = np.zeros(n)
+            ei[i] = step
+            hess[:, i, i] = (field(pts + ei) - 2.0 * f0 + field(pts - ei)) / step**2
+            for j in range(i + 1, n):
+                ej = np.zeros(n)
+                ej[j] = step
+                mixed = (
+                    field(pts + ei + ej) - field(pts + ei - ej) - field(pts - ei + ej) + field(pts - ei - ej)
+                ) / (4.0 * step**2)
+                hess[:, i, j] = mixed
+                hess[:, j, i] = mixed
     if not np.all(np.isfinite(hess)):
         raise ValueError("non-finite second differences while sampling the Hessian")
     eigs = np.linalg.eigvalsh(hess)

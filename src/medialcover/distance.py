@@ -1,9 +1,18 @@
 """Distance field of a closed set: evaluation, classification, reconstruction.
 
-``distance`` and ``project`` are batch-aware and vectorized over query
-points.  ``nearest_points`` performs the full tie-aware query on a single
-point and classifies it as lying in the set, having a unique nearest point,
-or being ambiguous (two or more genuinely separated nearest points).
+Every batch query runs on the set's packed capsule rows (see
+:mod:`medialcover.geometry`).  ``distance`` and ``project`` are vectorized
+over query points.  ``survey`` is the one kernel behind the grid sweep and
+the ambiguity detector: per query point it returns the distance, one nearest
+point, and the classification as lying in the set, having a unique nearest
+point, or being ambiguous.  It measures every row; only query points with
+two or more rows within ``tie_tolerance`` of the minimum, or at the exact
+centre of a shell, get projections onto those rows, and such a point is
+ambiguous when one tied projection lies more than ``separation`` from the
+first.
+
+``nearest_points`` is the scalar reference for the same rule: it asks each
+primitive on its own for its nearest points and keeps the separated ones.
 
 ``grad_distance_fd`` estimates the gradient of the distance field by central
 finite differences and reports whether the field looks differentiable at the
@@ -26,8 +35,10 @@ __all__ = [
     "NearestResult",
     "GradientEstimate",
     "GridSweep",
+    "Survey",
     "distance",
     "project",
+    "survey",
     "nearest_points",
     "grad_distance_fd",
     "reconstruct_nearest",
@@ -76,25 +87,69 @@ class GradientEstimate:
     agreement_residual: float
 
 
-def distance(spec: ClosedSetSpec, x) -> float | np.ndarray:
-    """dist(x, E): minimum over the set's primitives.  Vectorized over points."""
+def _as_batch(x) -> tuple[np.ndarray, bool]:
     arr = np.asarray(x, dtype=float)
     single = arr.ndim == 1
-    pts = arr[None, :] if single else arr
-    d = np.min(np.stack([p.distance(pts) for p in spec.primitives]), axis=0)
+    return (arr[None, :] if single else arr), single
+
+
+def distance(spec: ClosedSetSpec, x) -> float | np.ndarray:
+    """dist(x, E): minimum over the set's packed rows.  Vectorized over points."""
+    pts, single = _as_batch(x)
+    d = spec.row_distances(pts).min(axis=0)
     return float(d[0]) if single else d
 
 
 def project(spec: ClosedSetSpec, x) -> np.ndarray:
-    """One representative nearest point per query point (argmin over primitives)."""
-    arr = np.asarray(x, dtype=float)
-    single = arr.ndim == 1
-    pts = arr[None, :] if single else arr
-    dists = np.stack([p.distance(pts) for p in spec.primitives])
-    projs = np.stack([p.project(pts) for p in spec.primitives])
-    best = dists.argmin(axis=0)
-    out = projs[best, np.arange(pts.shape[0])]
+    """One representative nearest point per query point (the first nearest row)."""
+    pts, single = _as_batch(x)
+    out = spec.project_rows(pts, spec.row_distances(pts).argmin(axis=0))
     return out[0] if single else out
+
+
+@dataclass(frozen=True)
+class Survey:
+    """Distance, one nearest point and the classification of each query point."""
+
+    distance: np.ndarray
+    projection: np.ndarray
+    in_set: np.ndarray
+    ambiguous: np.ndarray
+
+    def classifications(self) -> list[Classification]:
+        codes = np.where(self.in_set, 0, np.where(self.ambiguous, 2, 1))
+        return [_BY_CODE[c] for c in codes.tolist()]
+
+
+_BY_CODE = (Classification.IN_SET, Classification.UNIQUE, Classification.AMBIGUOUS)
+
+
+def survey(
+    spec: ClosedSetSpec,
+    pts: np.ndarray,
+    tie_tolerance: float = DEFAULT_TIE_TOLERANCE,
+    separation: float = DEFAULT_SEPARATION,
+) -> Survey:
+    """Classify a batch of query points (N, n) by the rule of :func:`nearest_points`."""
+    table = spec.row_distances(pts)
+    best = table.argmin(axis=0)
+    d = table.min(axis=0)
+    in_set = d <= tie_tolerance
+    tied = table <= d + tie_tolerance
+    centre = np.zeros_like(tied)
+    for k in np.flatnonzero(spec.radii):
+        centre[k] = np.all(pts == spec.starts[k], axis=1)
+    check = np.flatnonzero(((tied.sum(axis=0) >= 2) | (tied & centre).any(axis=0)) & ~in_set)
+    ambiguous = np.zeros(len(d), dtype=bool)
+    if len(check):
+        # (query, row) pairs in query order, rows ascending within each query.
+        query, rows = np.nonzero(tied[:, check].T)
+        cands = spec.project_rows(pts[check[query]], rows)
+        first = np.flatnonzero(np.r_[True, query[1:] != query[:-1]])
+        ref = np.repeat(cands[first], np.diff(np.r_[first, len(query)]), axis=0)
+        apart = np.linalg.norm(cands - ref, axis=1) > separation
+        ambiguous[check] = np.logical_or.reduceat(apart | centre[rows, check[query]], first)
+    return Survey(distance=d, projection=spec.project_rows(pts, best), in_set=in_set, ambiguous=ambiguous)
 
 
 def nearest_points(
@@ -144,8 +199,8 @@ def nearest_points(
     )
 
 
-def _fd_tables(spec: ClosedSetSpec, pts: np.ndarray, step: float):
-    """Per-axis one-sided and central differences of the distance field.
+def _fd_tables(spec: ClosedSetSpec, pts: np.ndarray, d0: np.ndarray, step: float):
+    """Per-axis one-sided and central differences of the distance field around ``d0``.
 
     Returns (central_h, central_h2, onesided_gap) arrays of shape (N, n).
     """
@@ -154,7 +209,6 @@ def _fd_tables(spec: ClosedSetSpec, pts: np.ndarray, step: float):
     central_h = np.empty((N, n))
     central_h2 = np.empty((N, n))
     gap = np.empty((N, n))
-    d0 = distance(spec, pts)
     for i in range(n):
         e = np.zeros(n)
         e[i] = 1.0
@@ -180,9 +234,10 @@ def grad_distance_fd(
     if step <= 0:
         raise ValueError("step must be positive")
     x = np.asarray(x, dtype=float)
-    if float(distance(spec, x)) <= tie_tolerance:
+    d0 = distance(spec, x[None, :])
+    if float(d0[0]) <= tie_tolerance:
         raise ValueError("gradient of the distance field is undefined on the set itself")
-    c1, c2, gap = _fd_tables(spec, x[None, :], step)
+    c1, c2, gap = _fd_tables(spec, x[None, :], d0, step)
     vector = c2[0]
     residual = float(max(gap[0].max(), np.abs(c1[0] - c2[0]).max()))
     ok = residual <= 10.0 * step and float(np.linalg.norm(vector)) <= 1.0 + 10.0 * step
@@ -226,35 +281,17 @@ def grid_sweep(
     if resolution < 2:
         raise ValueError("grid resolution must be at least 2")
     pts = window.grid_points(resolution)
-    d = distance(spec, pts)
-    c1, c2, gap = _fd_tables(spec, pts, step)
+    surveyed = survey(spec, pts, tie_tolerance, separation)
+    d, in_set = surveyed.distance, surveyed.in_set
+    c1, c2, gap = _fd_tables(spec, pts, d, step)
     residual = np.maximum(gap.max(axis=1), np.abs(c1 - c2).max(axis=1))
     norms = np.linalg.norm(c2, axis=1)
-    in_set = d <= tie_tolerance
     diff = (residual <= 10.0 * step) & (norms <= 1.0 + 10.0 * step) & ~in_set
-
-    # Ambiguity at grid nodes: a cross-primitive near-tie or an intra-primitive
-    # tie candidate; confirmed by the full scalar query.
-    per = np.stack([p.distance(pts) for p in spec.primitives])
-    ranked = np.sort(per, axis=0)
-    cross_tie = (ranked[1] - ranked[0]) <= tie_tolerance if per.shape[0] > 1 else np.zeros(len(pts), bool)
-    intra_tie = np.zeros(len(pts), dtype=bool)
-    for p in spec.primitives:
-        intra_tie |= p.tie_candidate(pts, tie_tolerance) & (p.distance(pts) <= d + tie_tolerance)
-    candidates = (cross_tie | intra_tie) & ~in_set
-
-    classes = [Classification.UNIQUE] * len(pts)
-    for k in np.flatnonzero(in_set):
-        classes[k] = Classification.IN_SET
-    for k in np.flatnonzero(candidates):
-        res = nearest_points(spec, pts[k], tie_tolerance, separation)
-        classes[k] = res.classification
-
     grads = np.where(in_set[:, None], np.nan, c2)
     return GridSweep(
         points=pts,
         values=d,
-        classifications=classes,
+        classifications=surveyed.classifications(),
         gradients=grads,
         differentiable=diff,
         resolution=resolution,

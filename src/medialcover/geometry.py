@@ -1,9 +1,23 @@
-"""Closed-set descriptions and exact per-primitive nearest-point queries.
+"""Closed-set descriptions, packed into one capsule form for vectorized queries.
 
 A closed set is declared as a finite union of primitives: points, segments,
-polygon boundary loops, and circle/sphere shells.  Each primitive answers
-exact Euclidean distance and nearest-point queries in closed form, both for
-single points and for batched arrays of query points.
+polygon boundary loops, and circle/sphere shells.  A polygon loop is only an
+input form: :class:`ClosedSetSpec` expands it into its edge segments when the
+set is built, so every query sees the same set whether a loop was written as
+a polygon or as its edges.
+
+The spec packs its primitives once into capsule rows: a start A, a direction
+D (zero for points and shells) and a radius R (zero for points and segments).
+The distance from x to a row is | |x - foot| - R |, where foot = A + t D is
+the nearest point of the segment A + [0, 1] D.  ``row_distances`` evaluates
+every row for a batch of query points and ``project_rows`` returns the
+nearest point of one chosen row per query point; the distance field, its
+projection and the tie classification in :mod:`medialcover.distance` are all
+built on these two.
+
+The per-primitive ``distance``, ``project`` and ``nearest`` methods answer
+the same questions one primitive at a time; they are the reference the
+packed form is checked against and the query behind ``nearest_points``.
 
 All coordinates are double precision.  Instances are frozen and their arrays
 are marked read-only, so they are safe to share across threads.
@@ -12,7 +26,7 @@ are marked read-only, so they are safe to share across threads.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -72,10 +86,6 @@ class Point:
         x, _ = _batch(x, self.dimension)
         return np.broadcast_to(self.coords, x.shape).copy()
 
-    def tie_candidate(self, x: np.ndarray, tol: float) -> np.ndarray:
-        x, _ = _batch(x, self.dimension)
-        return np.zeros(x.shape[0], dtype=bool)
-
     def nearest(self, x: np.ndarray) -> tuple[list[np.ndarray], bool]:
         return [self.coords.copy()], False
 
@@ -115,10 +125,6 @@ class Segment:
         t = self._params(x)
         return self.a + t[:, None] * (self.b - self.a)
 
-    def tie_candidate(self, x: np.ndarray, tol: float) -> np.ndarray:
-        x, _ = _batch(x, self.dimension)
-        return np.zeros(x.shape[0], dtype=bool)
-
     def nearest(self, x: np.ndarray) -> tuple[list[np.ndarray], bool]:
         # A segment is convex, so the nearest point is always unique.
         return [self.project(x)[0]], False
@@ -126,7 +132,10 @@ class Segment:
 
 @dataclass(frozen=True)
 class PolygonBoundary:
-    """The closed boundary curve of a polygon (the 1-D edge loop, not the filled region)."""
+    """The closed boundary curve of a polygon (the 1-D edge loop, not the filled region).
+
+    An input form only: a :class:`ClosedSetSpec` replaces it by its :meth:`edges`.
+    """
 
     vertices: np.ndarray
 
@@ -144,45 +153,10 @@ class PolygonBoundary:
     def dimension(self) -> int:
         return self.vertices.shape[1]
 
-    def _edges(self) -> list[Segment]:
+    def edges(self) -> tuple[Segment, ...]:
+        """The closed loop as segments: vertex k to vertex k+1, the last back to the first."""
         m = self.vertices.shape[0]
-        return [Segment(self.vertices[i], self.vertices[(i + 1) % m]) for i in range(m)]
-
-    def _edge_table(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Distances (m, N) and projections (m, N, n) onto every edge."""
-        edges = self._edges()
-        dists = np.stack([e.distance(x) for e in edges])
-        projs = np.stack([e.project(x) for e in edges])
-        return dists, projs
-
-    def distance(self, x: np.ndarray) -> np.ndarray:
-        x, _ = _batch(x, self.dimension)
-        dists, _ = self._edge_table(x)
-        return dists.min(axis=0)
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        x, _ = _batch(x, self.dimension)
-        dists, projs = self._edge_table(x)
-        best = dists.argmin(axis=0)
-        return projs[best, np.arange(x.shape[0])]
-
-    def tie_candidate(self, x: np.ndarray, tol: float) -> np.ndarray:
-        x, _ = _batch(x, self.dimension)
-        dists, _ = self._edge_table(x)
-        ranked = np.sort(dists, axis=0)
-        return (ranked[1] - ranked[0]) <= tol
-
-    def nearest(self, x: np.ndarray) -> tuple[list[np.ndarray], bool]:
-        x1, _ = _batch(x, self.dimension)
-        dists, projs = self._edge_table(x1)
-        dmin = dists[:, 0].min()
-        eps = 1e-12 * (1.0 + dmin)
-        points: list[np.ndarray] = []
-        for k in np.flatnonzero(dists[:, 0] <= dmin + eps):
-            cand = projs[k, 0]
-            if all(np.linalg.norm(cand - p) > eps for p in points):
-                points.append(cand)
-        return points, False
+        return tuple(Segment(self.vertices[i], self.vertices[(i + 1) % m]) for i in range(m))
 
 
 @dataclass(frozen=True)
@@ -232,12 +206,6 @@ class Ball:
         out[degenerate] = self._witness()
         return out
 
-    def tie_candidate(self, x: np.ndarray, tol: float) -> np.ndarray:
-        x, _ = _batch(x, self.dimension)
-        if self.radius == 0.0:
-            return np.zeros(x.shape[0], dtype=bool)
-        return np.linalg.norm(x - self.center, axis=1) <= tol
-
     def nearest(self, x: np.ndarray) -> tuple[list[np.ndarray], bool]:
         if self.radius == 0.0:
             return [self.center.copy()], False
@@ -251,15 +219,27 @@ class Ball:
 
 Primitive = Union[Point, Segment, PolygonBoundary, Ball]
 
-_PRIMITIVE_NAMES = {Point: "point", Segment: "segment", PolygonBoundary: "polygon", Ball: "ball"}
+# Large batches go through ``row_distances`` in blocks whose (n, M, block)
+# temporaries hold about 2**14 doubles, so a grid sweep needs no more
+# transient memory than one (M, N) table of distances.
+_BLOCK_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
 class ClosedSetSpec:
-    """A nonempty closed set, given as a finite union of primitives."""
+    """A nonempty closed set, given as a finite union of points, segments and shells.
 
-    primitives: tuple[Primitive, ...]
+    Polygon loops passed in are replaced by their edge segments, in place, so
+    ``primitives`` never holds a :class:`PolygonBoundary`.  The primitives are
+    also packed as capsule rows, one per primitive and in the same order:
+    ``starts`` (M, n), ``directions`` (M, n) and ``radii`` (M,).
+    """
+
+    primitives: tuple[Point | Segment | Ball, ...]
     dimension: int
+    starts: np.ndarray = field(init=False, repr=False, compare=False)
+    directions: np.ndarray = field(init=False, repr=False, compare=False)
+    radii: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __init__(self, primitives, dimension: int):
         primitives = tuple(primitives)
@@ -268,6 +248,7 @@ class ClosedSetSpec:
         dimension = int(dimension)
         if dimension not in (1, 2, 3):
             raise ValueError(f"dimension must be 1, 2 or 3, got {dimension}")
+        expanded: list[Point | Segment | Ball] = []
         for k, p in enumerate(primitives):
             if not isinstance(p, (Point, Segment, PolygonBoundary, Ball)):
                 raise ValueError(f"primitives[{k}]: not a supported primitive: {p!r}")
@@ -275,10 +256,91 @@ class ClosedSetSpec:
                 raise ValueError(
                     f"primitives[{k}]: dimension {p.dimension} does not match set dimension {dimension}"
                 )
-            if isinstance(p, PolygonBoundary) and dimension < 2:
-                raise ValueError(f"primitives[{k}]: polygon boundary needs dimension >= 2")
-        object.__setattr__(self, "primitives", primitives)
+            if isinstance(p, PolygonBoundary):
+                if dimension < 2:
+                    raise ValueError(f"primitives[{k}]: polygon boundary needs dimension >= 2")
+                expanded.extend(p.edges())
+            else:
+                expanded.append(p)
+        object.__setattr__(self, "primitives", tuple(expanded))
         object.__setattr__(self, "dimension", dimension)
+        self._pack()
+
+    def _pack(self) -> None:
+        m, n = len(self.primitives), self.dimension
+        starts, directions, radii = np.empty((m, n)), np.zeros((m, n)), np.zeros(m)
+        for k, p in enumerate(self.primitives):
+            if isinstance(p, Point):
+                starts[k] = p.coords
+            elif isinstance(p, Segment):
+                starts[k] = p.a
+                directions[k] = p.b - p.a
+            else:
+                starts[k] = p.center
+                radii[k] = p.radius
+        lengths2 = np.add.reduce(directions * directions, axis=1)
+        lengths2[lengths2 == 0.0] = 1.0  # t = 0 / 1 on rows without a direction
+        packed = {
+            "starts": starts,
+            "directions": directions,
+            "radii": radii,
+            # Coordinate-major (n, M, 1) copies for row_distances.
+            "_starts_t": np.ascontiguousarray(starts.T[:, :, None]),
+            "_directions_t": np.ascontiguousarray(directions.T[:, :, None]),
+            "_lengths2": lengths2,
+        }
+        for name, arr in packed.items():
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "_has_segments", bool(np.any(directions)))
+        object.__setattr__(self, "_has_shells", bool(np.any(radii)))
+        object.__setattr__(self, "_block", max(1, _BLOCK_ELEMENTS // (m * n)))
+
+    def row_distances(self, pts: np.ndarray) -> np.ndarray:
+        """Distances (M, N) from each of N query points (N, n) to each packed row."""
+        count = pts.shape[0]
+        if count <= self._block:
+            return self._row_block(pts)
+        out = np.empty((len(self.primitives), count))
+        for lo in range(0, count, self._block):
+            out[:, lo : lo + self._block] = self._row_block(pts[lo : lo + self._block])
+        return out
+
+    def _row_block(self, pts: np.ndarray) -> np.ndarray:
+        diff = pts.T[:, None, :] - self._starts_t  # (n, M, N): x - A
+        if self._has_segments:
+            t = np.add.reduce(diff * self._directions_t, axis=0)
+            t /= self._lengths2[:, None]
+            np.clip(t, 0.0, 1.0, out=t)
+            diff -= t * self._directions_t  # x - (A + t D)
+        diff *= diff
+        rho = np.sqrt(np.add.reduce(diff, axis=0))
+        if self._has_shells:
+            rho -= self.radii[:, None]
+            np.abs(rho, out=rho)
+        return rho
+
+    def project_rows(self, pts: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The nearest point of row ``rows[k]`` to ``pts[k]``, as a (K, n) array.
+
+        At the exact centre of a shell every shell point is nearest; the
+        witness centre + R e_1 stands for all of them, as in :meth:`Ball.project`.
+        """
+        foot = self.starts[rows]
+        if self._has_segments:
+            d = self.directions[rows]
+            t = np.add.reduce((pts - foot) * d, axis=1) / self._lengths2[rows]
+            np.clip(t, 0.0, 1.0, out=t)
+            foot += t[:, None] * d
+        if self._has_shells:
+            r = self.radii[rows]
+            u = pts - foot
+            rho = np.sqrt(np.add.reduce(u * u, axis=1))
+            radial = (r > 0.0) & (rho > 0.0)
+            foot[radial] += (r[radial] / rho[radial])[:, None] * u[radial]
+            centre = (r > 0.0) & (rho == 0.0)
+            foot[centre, 0] += r[centre]
+        return foot
 
     @classmethod
     def from_dict(cls, data: dict) -> "ClosedSetSpec":
@@ -325,8 +387,6 @@ class ClosedSetSpec:
                 out.append({"type": "point", "coords": p.coords.tolist()})
             elif isinstance(p, Segment):
                 out.append({"type": "segment", "a": p.a.tolist(), "b": p.b.tolist()})
-            elif isinstance(p, PolygonBoundary):
-                out.append({"type": "polygon", "vertices": p.vertices.tolist()})
             else:
                 out.append({"type": "ball", "center": p.center.tolist(), "radius": p.radius})
         return {"dimension": self.dimension, "primitives": out}

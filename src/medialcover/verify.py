@@ -1,12 +1,14 @@
 """End-to-end certification that detected ambiguous points are covered.
 
-``detect_ambiguous`` sweeps a window grid, flags edges whose endpoints
-project to genuinely different branches of the set, and localizes each
-branch crossing by bisection.  ``certify_cover`` then runs every detected
-sample through the convex-lift pipeline: derivative-gap witness, covering
-graph, vertical deviation, and the marginal-value identities.  Samples whose
-derivative gap is too small for the slope lattice are reported as unresolved
-rather than failed.
+``detect_ambiguous`` surveys a window grid with the packed kernel of
+:func:`medialcover.distance.survey` (polygon loops are already edge segments
+there), keeps the grid nodes it classifies as ambiguous, flags edges whose
+endpoints project to genuinely different branches of the set, and localizes
+each branch crossing by bisection on the kernel's projections.
+``certify_cover`` then runs every detected sample through the convex-lift
+pipeline: derivative-gap witness, covering graph, vertical deviation, and
+the marginal-value identities.  Samples whose derivative gap is too small
+for the slope lattice are reported as unresolved rather than failed.
 
 ``estimate_measure`` is a desk-scale box-counting proxy for the
 (n-1)-dimensional measure of the detected locus.
@@ -22,14 +24,9 @@ import numpy as np
 
 from .convex import SlopeLattice, nondiff_witness, DEFAULT_PARTIAL_STEP
 from .cover import CcGraph
-from .distance import (
-    Classification,
-    DEFAULT_SEPARATION,
-    DEFAULT_TIE_TOLERANCE,
-    nearest_points,
-)
+from .distance import DEFAULT_SEPARATION, DEFAULT_TIE_TOLERANCE, project, survey
 from .fields import ScalarField, asplund_field, strongify
-from .geometry import Ball, ClosedSetSpec, Point, PolygonBoundary, Segment, Window
+from .geometry import Ball, ClosedSetSpec, Point, Segment, Window
 
 __all__ = [
     "detect_ambiguous",
@@ -53,17 +50,8 @@ DEFAULT_REFINE_TOL = 1e-8
 DEFAULT_COVERAGE_TOL = 1e-6
 
 
-def _survey(spec: ClosedSetSpec, pts: np.ndarray):
-    """Per-primitive distance stack plus the pointwise minimum and its projection."""
-    dists = np.stack([p.distance(pts) for p in spec.primitives])
-    projs = np.stack([p.project(pts) for p in spec.primitives])
-    best = dists.argmin(axis=0)
-    sel = np.arange(pts.shape[0])
-    return dists, dists[best, sel], projs[best, sel]
-
-
-def _flagged_edges(spec, window, resolution, jump_fraction, tie_tolerance, separation_factor):
-    """Grid survey returning direct-ambiguous nodes and branch-crossing edges.
+def _flagged_edges(spec, window, resolution, jump_fraction, tie_tolerance, separation, separation_factor):
+    """Grid survey returning directly ambiguous nodes and branch-crossing edges.
 
     An edge is a branch crossing when each endpoint's projection is clearly
     suboptimal for the other endpoint (more than ``jump_fraction`` edge
@@ -75,27 +63,13 @@ def _flagged_edges(spec, window, resolution, jump_fraction, tie_tolerance, separ
     n = spec.dimension
     axes = window.axes(resolution)
     pts = window.grid_points(resolution)
-    dists, d, proj = _survey(spec, pts)
+    surveyed = survey(spec, pts, tie_tolerance, separation)
+    direct = pts[surveyed.ambiguous]
 
     shape = (resolution,) * n
-    D = d.reshape(shape)
-    P = proj.reshape(shape + (n,))
+    D = surveyed.distance.reshape(shape)
+    P = surveyed.projection.reshape(shape + (n,))
     X = pts.reshape(shape + (n,))
-
-    # Direct hits: grid nodes that are themselves ambiguous under the scalar query.
-    if dists.shape[0] > 1:
-        ranked = np.sort(dists, axis=0)
-        cross_tie = (ranked[1] - ranked[0]) <= tie_tolerance
-    else:
-        cross_tie = np.zeros(pts.shape[0], dtype=bool)
-    intra_tie = np.zeros(pts.shape[0], dtype=bool)
-    for k, p in enumerate(spec.primitives):
-        intra_tie |= p.tie_candidate(pts, tie_tolerance) & (dists[k] <= d + tie_tolerance)
-    direct = []
-    for idx in np.flatnonzero((cross_tie | intra_tie) & (d > tie_tolerance)):
-        res = nearest_points(spec, pts[idx], tie_tolerance)
-        if res.classification is Classification.AMBIGUOUS:
-            direct.append(pts[idx])
 
     edges = []  # (a, b, proj_a, proj_b) stacked per axis
     for k in range(n):
@@ -137,10 +111,7 @@ def _refine_edges(spec, edges, refine_tol, max_iterations=64):
             if np.max(np.linalg.norm(b - a, axis=1)) <= refine_tol:
                 break
             mid = 0.5 * (a + b)
-            dists = np.stack([p.distance(mid) for p in spec.primitives])
-            projs = np.stack([p.project(mid) for p in spec.primitives])
-            best = dists.argmin(axis=0)
-            pm = projs[best, np.arange(mid.shape[0])]
+            pm = project(spec, mid)
             on_a_branch = np.linalg.norm(pm - pa, axis=1) <= np.linalg.norm(pm - pb, axis=1)
             a[on_a_branch] = mid[on_a_branch]
             pa[on_a_branch] = pm[on_a_branch]
@@ -156,6 +127,7 @@ def detect_ambiguous(
     resolution: int,
     *,
     tie_tolerance: float = DEFAULT_TIE_TOLERANCE,
+    separation: float = DEFAULT_SEPARATION,
     jump_fraction: float = DEFAULT_JUMP_FRACTION,
     separation_factor: float = DEFAULT_SEPARATION_FACTOR,
     refine_tol: float = DEFAULT_REFINE_TOL,
@@ -168,9 +140,11 @@ def detect_ambiguous(
     """
     if resolution < 8:
         raise ValueError("grid resolution must be at least 8 per axis")
-    direct, edges = _flagged_edges(spec, window, resolution, jump_fraction, tie_tolerance, separation_factor)
+    direct, edges = _flagged_edges(
+        spec, window, resolution, jump_fraction, tie_tolerance, separation, separation_factor
+    )
     refined = _refine_edges(spec, edges, refine_tol)
-    chunks = ([np.asarray(direct)] if direct else []) + [r for r in refined if len(r)]
+    chunks = [c for c in (direct, *refined) if len(c)]
     if not chunks:
         return np.empty((0, spec.dimension))
     return np.vstack(chunks)
@@ -189,7 +163,9 @@ def ambiguous_cell_fraction(
     if resolution < 8:
         raise ValueError("grid resolution must be at least 8 per axis")
     n = spec.dimension
-    _, edges = _flagged_edges(spec, window, resolution, jump_fraction, tie_tolerance, separation_factor)
+    _, edges = _flagged_edges(
+        spec, window, resolution, jump_fraction, tie_tolerance, DEFAULT_SEPARATION, separation_factor
+    )
     cells = np.zeros((resolution - 1,) * n, dtype=bool)
     for axis, coords, *_ in edges:
         for node in coords:
@@ -267,6 +243,7 @@ def certify_cover(
     *,
     coverage_tolerance: float = DEFAULT_COVERAGE_TOL,
     tie_tolerance: float = DEFAULT_TIE_TOLERANCE,
+    separation: float = DEFAULT_SEPARATION,
     jump_fraction: float = DEFAULT_JUMP_FRACTION,
     separation_factor: float = DEFAULT_SEPARATION_FACTOR,
     refine_tol: float = DEFAULT_REFINE_TOL,
@@ -290,6 +267,7 @@ def certify_cover(
         window,
         resolution,
         tie_tolerance=tie_tolerance,
+        separation=separation,
         jump_fraction=jump_fraction,
         separation_factor=separation_factor,
         refine_tol=refine_tol,
@@ -448,9 +426,6 @@ def write_overlay_svg(
         elif isinstance(p, Segment):
             (x1, y1), (x2, y2) = to_px(p.a), to_px(p.b)
             parts.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="black" stroke-width="2"/>')
-        elif isinstance(p, PolygonBoundary):
-            pts = " ".join(",".join(to_px(v)) for v in p.vertices)
-            parts.append(f'<polygon points="{pts}" fill="none" stroke="black" stroke-width="2"/>')
         elif isinstance(p, Ball):
             cx, cy = to_px(p.center)
             r = p.radius / span[0] * size

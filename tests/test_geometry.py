@@ -5,9 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from medialcover import Ball, ClosedSetSpec, Point, PolygonBoundary, Segment, Window
+from medialcover import (
+    Ball,
+    Classification,
+    ClosedSetSpec,
+    Point,
+    PolygonBoundary,
+    Segment,
+    Window,
+    distance,
+    nearest_points,
+    project,
+    survey,
+)
 
 UNIT_SQUARE = PolygonBoundary([[0, 0], [1, 0], [1, 1], [0, 1]])
+# A polygon is answered through the set it expands into: its four edges.
+SQUARE_SET = ClosedSetSpec([UNIT_SQUARE], 2)
 
 
 def test_point_distance():
@@ -62,22 +76,41 @@ def test_ball_center_query_flags_infinite_set():
 
 
 def test_polygon_distance_and_corner_projection():
-    assert UNIT_SQUARE.distance(np.array([0.5, -1.0]))[0] == pytest.approx(1.0)
-    assert UNIT_SQUARE.distance(np.array([2.0, 2.0]))[0] == pytest.approx(np.sqrt(2))
+    assert distance(SQUARE_SET, [0.5, -1.0]) == pytest.approx(1.0)
+    assert distance(SQUARE_SET, [2.0, 2.0]) == pytest.approx(np.sqrt(2))
+    assert np.allclose(project(SQUARE_SET, [2.0, 2.0]), [1.0, 1.0])
 
 
 def test_polygon_center_has_four_nearest_points():
-    pts, infinite = UNIT_SQUARE.nearest(np.array([0.5, 0.5]))
-    assert not infinite
-    assert len(pts) == 4
-    for p in pts:
+    res = nearest_points(SQUARE_SET, [0.5, 0.5])
+    assert not res.infinite_set
+    assert len(res.nearest) == 4
+    for p in res.nearest:
         assert np.linalg.norm(p - [0.5, 0.5]) == pytest.approx(0.5)
 
 
 def test_polygon_tie_candidate_on_diagonal():
     x = np.array([[0.5, 0.5], [0.5, -0.9]])
-    flags = UNIT_SQUARE.tie_candidate(x, 1e-9)
-    assert flags.tolist() == [True, False]
+    assert survey(SQUARE_SET, x).ambiguous.tolist() == [True, False]
+
+
+def test_polygon_loop_expands_into_its_edges():
+    assert [type(p) for p in SQUARE_SET.primitives] == [Segment] * 4
+    assert [p.b.tolist() for p in SQUARE_SET.primitives] == [[1, 0], [1, 1], [0, 1], [0, 0]]
+    assert SQUARE_SET.starts.tolist() == [[0, 0], [1, 0], [1, 1], [0, 1]]
+    assert SQUARE_SET.directions.tolist() == [[1, 0], [0, 1], [-1, 0], [0, -1]]
+    assert SQUARE_SET.radii.tolist() == [0, 0, 0, 0]
+    doc = {"dimension": 2, "primitives": [{"type": "polygon", "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}]}
+    assert ClosedSetSpec.from_dict(doc).to_dict() == SQUARE_SET.to_dict()
+
+
+@pytest.mark.parametrize("t", [0.1, 0.25, 0.4, 0.6, 0.9])
+def test_unit_square_diagonals_are_ambiguous(t):
+    # A 1e-10 offset keeps the two edge distances within the tie tolerance.
+    for x in ([t, t], [t, t + 1e-10], [t, 1.0 - t], [t + 1e-10, 1.0 - t]):
+        assert nearest_points(SQUARE_SET, x).classification is Classification.AMBIGUOUS
+    # Outside the loop both edges at a corner end in the same vertex.
+    assert nearest_points(SQUARE_SET, [1.0 + t, 1.0 + t]).classification is Classification.UNIQUE
 
 
 @pytest.mark.parametrize(
@@ -90,10 +123,11 @@ def test_polygon_tie_candidate_on_diagonal():
     ],
 )
 def test_nearest_points_attain_the_distance(primitive):
+    spec = ClosedSetSpec([primitive], 2)
     rng = np.random.default_rng(42)
     for x in rng.uniform(-2, 2, size=(50, 2)):
-        d = primitive.distance(x[None, :])[0]
-        pts, _ = primitive.nearest(x)
+        d = distance(spec, x)
+        pts = nearest_points(spec, x).nearest
         best = min(np.linalg.norm(x - p) for p in pts)
         assert abs(best - d) <= 1e-12 * (1 + d)
         for p in pts:
@@ -105,11 +139,12 @@ def test_nearest_points_attain_the_distance(primitive):
     [Point([0.3, -0.7]), Segment([-1, -1], [1, 0.5]), Ball([0.2, 0.1], 0.8), UNIT_SQUARE],
 )
 def test_primitive_distance_is_one_lipschitz(primitive):
+    spec = ClosedSetSpec([primitive], 2)
     rng = np.random.default_rng(7)
     x = rng.uniform(-3, 3, size=(10_000, 2))
     y = rng.uniform(-3, 3, size=(10_000, 2))
-    dx = primitive.distance(x)
-    dy = primitive.distance(y)
+    dx = distance(spec, x)
+    dy = distance(spec, y)
     assert np.all(np.abs(dx - dy) <= np.linalg.norm(x - y, axis=1) + 1e-12)
 
 
