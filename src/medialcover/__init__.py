@@ -29,11 +29,8 @@ from .cover import (
     CcGraph,
     CoverFamily,
     FamilyBudgetError,
-    build_cover_graph,
     cover_family_to_dict,
     enumerate_cover,
-    family_deviation,
-    graph_deviation,
 )
 from .distance import (
     Classification,
@@ -60,19 +57,10 @@ from .fields import (
 from .geometry import Ball, ClosedSetSpec, Point, PolygonBoundary, Primitive, Segment, Window
 from .verify import (
     CoverageReport,
-    MeasureEstimate,
-    ambiguous_cell_fraction,
     certify_cover,
     detect_ambiguous,
-    estimate_measure,
     write_overlay_svg,
     write_samples_csv,
-)
-from .voronoi import (
-    SkeletonSegment,
-    sample_skeleton,
-    skeleton_total_length,
-    voronoi_medial_axis_2d,
 )
 
 __all__ = [
@@ -87,7 +75,6 @@ __all__ = [
     "CoverageReport",
     "FamilyBudgetError",
     "GradientEstimate",
-    "MeasureEstimate",
     "NearestResult",
     "NondiffWitness",
     "OneSidedGradient",
@@ -97,14 +84,11 @@ __all__ = [
     "ProbeReport",
     "ScalarField",
     "Segment",
-    "SkeletonSegment",
     "SlopeLattice",
     "SubgradientBox",
     "Survey",
     "Window",
-    "ambiguous_cell_fraction",
     "asplund_field",
-    "build_cover_graph",
     "cc_decompose_c2",
     "certify_cover",
     "convexity_probe",
@@ -112,10 +96,7 @@ __all__ = [
     "detect_ambiguous",
     "distance",
     "enumerate_cover",
-    "estimate_measure",
-    "family_deviation",
     "grad_distance_fd",
-    "graph_deviation",
     "grid_sweep",
     "marginal_inf",
     "named_field",
@@ -125,14 +106,11 @@ __all__ = [
     "project",
     "quadratic_sine_blend",
     "reconstruct_nearest",
-    "sample_skeleton",
-    "skeleton_total_length",
     "squared_norm",
     "strong_convexity_probe",
     "strongify",
     "subgradient_box",
     "survey",
-    "voronoi_medial_axis_2d",
     "write_grid_csv",
     "write_overlay_svg",
     "write_samples_csv",

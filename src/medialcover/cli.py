@@ -141,6 +141,9 @@ def _rest_grid(window: Window, resolution: int, dimension: int) -> np.ndarray:
 def _cmd_verify(config: ScenarioConfig, raw: dict, args) -> int:
     if config.set_spec is None:
         raise ConfigError("set: the verify command needs a set description")
+    svg_path = args.svg or config.outputs.get("svg")
+    if svg_path and config.dimension != 2:
+        raise ConfigError(f"svg: the SVG overlay needs a 2-D set, got dimension {config.dimension}")
     report = certify_cover(
         config.set_spec,
         config.window,
@@ -162,9 +165,8 @@ def _cmd_verify(config: ScenarioConfig, raw: dict, args) -> int:
     csv_path = args.csv or config.outputs.get("csv")
     if csv_path:
         write_samples_csv(np.asarray(points) if points else np.empty((0, config.dimension)), csv_path)
-    svg_path = args.svg or config.outputs.get("svg")
     if svg_path:
-        write_overlay_svg(config.set_spec, config.window, np.asarray(points) if points else [], None, svg_path)
+        write_overlay_svg(config.set_spec, config.window, np.asarray(points) if points else [], svg_path)
 
     if not report.passed:
         return EXIT_COVERAGE

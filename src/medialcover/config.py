@@ -52,7 +52,8 @@ def _require(condition: bool, name: str, message: str) -> None:
 
 
 def _get_number(data: dict, name: str, default, *, positive=False, minimum=None):
-    value = data.get(name, default)
+    """Read a number from ``data``; ``name`` is its dotted path, such as ``lattice.step``."""
+    value = data.get(name.rsplit(".", 1)[-1], default)
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"{name}: expected a number, got {value!r}")
     if positive and value <= 0:
@@ -117,8 +118,8 @@ def parse_config(data: dict, base_dir: Path | None = None) -> ScenarioConfig:
     lattice_data = data.get("lattice", {})
     if not isinstance(lattice_data, dict):
         raise ConfigError("lattice: expected an object with 'step' and 'bound'")
-    step = _get_number(lattice_data, "step", 0.125, positive=True)
-    bound = _get_number(lattice_data, "bound", 64.0, positive=True)
+    step = _get_number(lattice_data, "lattice.step", 0.125, positive=True)
+    bound = _get_number(lattice_data, "lattice.bound", 64.0, positive=True)
     try:
         lattice = SlopeLattice(step=float(step), bound=float(bound))
     except ValueError as exc:
@@ -127,13 +128,13 @@ def parse_config(data: dict, base_dir: Path | None = None) -> ScenarioConfig:
     tol = data.get("tolerances", {})
     if not isinstance(tol, dict):
         raise ConfigError("tolerances: expected an object")
-    tie = _get_number(tol, "tie", 1e-9, positive=True)
-    separation = _get_number(tol, "separation", 1e-6, positive=True)
-    coverage = _get_number(tol, "coverage", 1e-6, positive=True)
-    fd_step = _get_number(tol, "fd_step", 1e-5, positive=True)
-    partial_step = _get_number(tol, "partial_step", 1e-4, positive=True)
-    refine = _get_number(tol, "refine", 1e-8, positive=True)
-    jump_fraction = _get_number(tol, "jump_fraction", 0.25, positive=True)
+    tie = _get_number(tol, "tolerances.tie", 1e-9, positive=True)
+    separation = _get_number(tol, "tolerances.separation", 1e-6, positive=True)
+    coverage = _get_number(tol, "tolerances.coverage", 1e-6, positive=True)
+    fd_step = _get_number(tol, "tolerances.fd_step", 1e-5, positive=True)
+    partial_step = _get_number(tol, "tolerances.partial_step", 1e-4, positive=True)
+    refine = _get_number(tol, "tolerances.refine", 1e-8, positive=True)
+    jump_fraction = _get_number(tol, "tolerances.jump_fraction", 0.25, positive=True)
 
     cover = data.get("cover", {})
     if not isinstance(cover, dict):
@@ -141,14 +142,14 @@ def parse_config(data: dict, base_dir: Path | None = None) -> ScenarioConfig:
     axes = cover.get("axes", list(range(dimension)))
     if not isinstance(axes, list) or not all(isinstance(a, int) and 0 <= a < dimension for a in axes):
         raise ConfigError(f"cover.axes: expected a list of axis indices in [0, {dimension - 1}]")
-    cap = _get_number(cover, "cap", 64, minimum=1)
-    rest_resolution = _get_number(cover, "rest_resolution", 9, minimum=1)
+    cap = _get_number(cover, "cover.cap", 64, minimum=1)
+    rest_resolution = _get_number(cover, "cover.rest_resolution", 9, minimum=1)
 
     decompose = data.get("decompose", {})
     if not isinstance(decompose, dict):
         raise ConfigError("decompose: expected an object")
-    radius = _get_number(decompose, "radius", 1.0, positive=True)
-    dec_samples = _get_number(decompose, "samples", 1000, minimum=1)
+    radius = _get_number(decompose, "decompose.radius", 1.0, positive=True)
+    dec_samples = _get_number(decompose, "decompose.samples", 1000, minimum=1)
 
     seed = data.get("seed", 0)
     _require(isinstance(seed, int) and not isinstance(seed, bool), "seed", "must be an integer")

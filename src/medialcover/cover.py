@@ -6,14 +6,15 @@ graph  { x : x_i = (g_alpha(x_rest) - g_beta(x_rest)) / (beta - alpha) }
 point whose one-sided derivative gap along axis i brackets [alpha, beta].
 The evaluator is a difference of two convex functions of x_rest.
 
-Marginal values are memoized per graph and query node, since verification
-sweeps hit the same nodes repeatedly.
+Graphs of one family share their marginal rows: over a rest grid,
+:func:`cover_family_to_dict` computes g_s once per (axis, slope) and every
+graph with that slope reads it.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,10 +25,7 @@ __all__ = [
     "FamilyBudgetError",
     "CcGraph",
     "CoverFamily",
-    "build_cover_graph",
     "enumerate_cover",
-    "graph_deviation",
-    "family_deviation",
     "cover_family_to_dict",
 ]
 
@@ -36,12 +34,12 @@ class FamilyBudgetError(ValueError):
     """Requested cover family exceeds the configured combination budget."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class CcGraph:
     """One covering graph in the direction of ``axis``.
 
     ``bias`` is a fault-injection hook used by the negative-control test: it
-    shifts every evaluator output and must be 0 in normal operation.
+    shifts every graph value and must be 0 in normal operation.
     """
 
     axis: int
@@ -50,7 +48,6 @@ class CcGraph:
     base: ScalarField
     xtol: float = 1e-7
     bias: float = 0.0
-    _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if not self.alpha < self.beta:
@@ -63,21 +60,15 @@ class CcGraph:
         return f"axis{self.axis}:{self.alpha:g}:{self.beta:g}"
 
     def marginal_values(self, x_rest) -> tuple[float, float]:
-        """Memoized (g_alpha, g_beta) at one x_rest node."""
-        x_rest = np.atleast_1d(np.asarray(x_rest, dtype=float))
-        node = tuple(x_rest.tolist())
-        hit = self._cache.get(node)
-        if hit is None:
-            hit = (
-                marginal_inf(self.base, self.axis, self.alpha, x_rest, xtol=self.xtol),
-                marginal_inf(self.base, self.axis, self.beta, x_rest, xtol=self.xtol),
-            )
-            self._cache[node] = hit
-        return hit
+        """(g_alpha, g_beta) at one x_rest node."""
+        return (
+            marginal_inf(self.base, self.axis, self.alpha, x_rest, xtol=self.xtol),
+            marginal_inf(self.base, self.axis, self.beta, x_rest, xtol=self.xtol),
+        )
 
-    def evaluate(self, x_rest) -> float:
-        va, vb = self.marginal_values(x_rest)
-        return (va - vb) / (self.beta - self.alpha) + self.bias
+    def value(self, value_alpha: float, value_beta: float) -> float:
+        """The graph coordinate x_axis from the two marginal values at a node."""
+        return (value_alpha - value_beta) / (self.beta - self.alpha) + self.bias
 
 
 @dataclass(frozen=True)
@@ -88,23 +79,6 @@ class CoverFamily:
     provenance: str
     lattice: SlopeLattice
     axes: tuple[int, ...]
-
-
-def build_cover_graph(
-    base: ScalarField,
-    axis: int,
-    alpha: float,
-    beta: float,
-    lattice: SlopeLattice | None = None,
-    xtol: float = 1e-7,
-) -> CcGraph:
-    """Construct one covering graph; validates the slope pair against the lattice if given."""
-    if lattice is not None:
-        for name, value in (("alpha", alpha), ("beta", beta)):
-            k = value / lattice.step
-            if abs(k - round(k)) > 1e-9 or abs(value) > lattice.bound + 1e-9:
-                raise ValueError(f"{name}={value} is not on the configured slope lattice")
-    return CcGraph(axis=axis, alpha=float(alpha), beta=float(beta), base=base, xtol=xtol)
 
 
 def enumerate_cover(
@@ -131,36 +105,20 @@ def enumerate_cover(
     return CoverFamily(graphs=tuple(graphs), provenance=base.tag, lattice=lattice, axes=axes)
 
 
-def _split(x: np.ndarray, axis: int) -> tuple[float, np.ndarray]:
-    x = np.asarray(x, dtype=float)
-    rest = np.delete(x, axis)
-    return float(x[axis]), rest
-
-
-def graph_deviation(graph: CcGraph, x) -> float:
-    """Vertical deviation |x_axis - g(x_rest)| in the graph direction."""
-    coord, rest = _split(x, graph.axis)
-    return abs(coord - graph.evaluate(rest))
-
-
-def family_deviation(family: CoverFamily, x) -> tuple[float, int]:
-    """Minimum deviation over the family and the first graph index attaining it."""
-    if not family.graphs:
-        raise ValueError("cover family is empty")
-    best = np.inf
-    best_idx = 0
-    for idx, graph in enumerate(family.graphs):
-        dev = graph_deviation(graph, x)
-        if dev < best:
-            best, best_idx = dev, idx
-    return float(best), best_idx
-
-
 def cover_family_to_dict(family: CoverFamily, rest_nodes: np.ndarray) -> list[dict]:
     """Serialize each graph with its values over the given x_rest nodes."""
     rest_nodes = np.atleast_2d(np.asarray(rest_nodes, dtype=float))
+    rows: dict[tuple, list[float]] = {}
+
+    def row(graph: CcGraph, slope: float) -> list[float]:
+        key = (graph.base, graph.axis, slope, graph.xtol)
+        if key not in rows:
+            rows[key] = [marginal_inf(graph.base, graph.axis, slope, node, xtol=graph.xtol) for node in rest_nodes]
+        return rows[key]
+
     out = []
     for graph in family.graphs:
-        grid = [[*node.tolist(), graph.evaluate(node)] for node in rest_nodes]
+        pairs = zip(rest_nodes, row(graph, graph.alpha), row(graph, graph.beta))
+        grid = [[*node.tolist(), graph.value(va, vb)] for node, va, vb in pairs]
         out.append({"axis": graph.axis, "alpha": graph.alpha, "beta": graph.beta, "grid": grid})
     return out

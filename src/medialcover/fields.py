@@ -9,7 +9,7 @@ modulus 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -53,9 +53,6 @@ class ScalarField:
         if arr.ndim == 1:
             return float(out)
         return np.asarray(out, dtype=float)
-
-    def with_tag(self, tag: str) -> "ScalarField":
-        return replace(self, tag=tag)
 
 
 def _sq(x: np.ndarray) -> np.ndarray:

@@ -9,15 +9,11 @@ each branch crossing by bisection on the kernel's projections.
 pipeline: derivative-gap witness, covering graph, vertical deviation, and
 the marginal-value identities.  Samples whose derivative gap is too small
 for the slope lattice are reported as unresolved rather than failed.
-
-``estimate_measure`` is a desk-scale box-counting proxy for the
-(n-1)-dimensional measure of the detected locus.
 """
 
 from __future__ import annotations
 
 import csv
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,12 +26,9 @@ from .geometry import Ball, ClosedSetSpec, Point, Segment, Window
 
 __all__ = [
     "detect_ambiguous",
-    "ambiguous_cell_fraction",
     "SampleRecord",
     "CoverageReport",
     "certify_cover",
-    "MeasureEstimate",
-    "estimate_measure",
     "write_samples_csv",
     "write_overlay_svg",
     "DEFAULT_JUMP_FRACTION",
@@ -91,8 +84,6 @@ def _flagged_edges(spec, window, resolution, jump_fraction, tie_tolerance, separ
         if mask.any():
             edges.append(
                 (
-                    k,
-                    np.argwhere(flag),
                     xa.reshape(-1, n)[mask],
                     xb.reshape(-1, n)[mask],
                     pa.reshape(-1, n)[mask],
@@ -105,7 +96,7 @@ def _flagged_edges(spec, window, resolution, jump_fraction, tie_tolerance, separ
 def _refine_edges(spec, edges, refine_tol, max_iterations=64):
     """Lockstep bisection of all flagged edges down to ``refine_tol``."""
     refined = []
-    for _, _, a, b, pa, pb in edges:
+    for a, b, pa, pb in edges:
         a, b, pa, pb = a.copy(), b.copy(), pa.copy(), pb.copy()
         for _ in range(max_iterations):
             if np.max(np.linalg.norm(b - a, axis=1)) <= refine_tol:
@@ -148,36 +139,6 @@ def detect_ambiguous(
     if not chunks:
         return np.empty((0, spec.dimension))
     return np.vstack(chunks)
-
-
-def ambiguous_cell_fraction(
-    spec: ClosedSetSpec,
-    window: Window,
-    resolution: int,
-    *,
-    tie_tolerance: float = DEFAULT_TIE_TOLERANCE,
-    jump_fraction: float = DEFAULT_JUMP_FRACTION,
-    separation_factor: float = DEFAULT_SEPARATION_FACTOR,
-) -> float:
-    """Fraction of grid cells touched by a branch-crossing edge."""
-    if resolution < 8:
-        raise ValueError("grid resolution must be at least 8 per axis")
-    n = spec.dimension
-    _, edges = _flagged_edges(
-        spec, window, resolution, jump_fraction, tie_tolerance, DEFAULT_SEPARATION, separation_factor
-    )
-    cells = np.zeros((resolution - 1,) * n, dtype=bool)
-    for axis, coords, *_ in edges:
-        for node in coords:
-            base = list(node)
-            other_axes = [d for d in range(n) if d != axis]
-            for offsets in itertools.product((0, -1), repeat=len(other_axes)):
-                cell = base.copy()
-                for d, off in zip(other_axes, offsets):
-                    cell[d] += off
-                if all(0 <= cell[d] <= resolution - 2 for d in range(n)):
-                    cells[tuple(cell)] = True
-    return float(cells.sum()) / cells.size
 
 
 @dataclass(frozen=True)
@@ -255,7 +216,7 @@ def certify_cover(
 
     Pipeline per detected sample: estimate the one-sided derivative gap of
     the strongly convex lift |x|^2 - d^2 + |x|^2, pick a lattice slope pair
-    inside the gap, build (or reuse) the corresponding covering graph, and
+    inside the gap, build the corresponding covering graph, and
     record the vertical deviation plus the two marginal-value identities.
     Samples without a resolvable gap are reported as unresolved.
 
@@ -273,7 +234,6 @@ def certify_cover(
         refine_tol=refine_tol,
     )
     lift = strongify(asplund_field(spec))
-    graphs: dict[tuple[int, float, float], CcGraph] = {}
     records: list[SampleRecord] = []
     unresolved: list[np.ndarray] = []
     for point in samples:
@@ -281,22 +241,16 @@ def certify_cover(
         if witness is None:
             unresolved.append(point)
             continue
-        key = (witness.axis, witness.alpha, witness.beta)
-        graph = graphs.get(key)
-        if graph is None:
-            graph = CcGraph(
-                axis=witness.axis,
-                alpha=witness.alpha,
-                beta=witness.beta,
-                base=lift,
-                xtol=marginal_xtol,
-                bias=fault_offset,
-            )
-            graphs[key] = graph
+        graph = CcGraph(
+            axis=witness.axis,
+            alpha=witness.alpha,
+            beta=witness.beta,
+            base=lift,
+            xtol=marginal_xtol,
+            bias=fault_offset,
+        )
         coord = float(point[witness.axis])
-        rest = np.delete(point, witness.axis)
-        value_alpha, value_beta = graph.marginal_values(rest)
-        graph_value = (value_alpha - value_beta) / (witness.beta - witness.alpha) + graph.bias
+        value_alpha, value_beta = graph.marginal_values(np.delete(point, witness.axis))
         lift_value = float(lift(point))
         records.append(
             SampleRecord(
@@ -304,7 +258,7 @@ def certify_cover(
                 axis=witness.axis,
                 alpha=witness.alpha,
                 beta=witness.beta,
-                deviation=abs(coord - graph_value),
+                deviation=abs(coord - graph.value(value_alpha, value_beta)),
                 graph_key=graph.key,
                 residual_alpha=abs(value_alpha - (lift_value - witness.alpha * coord)),
                 residual_beta=abs(value_beta - (lift_value - witness.beta * coord)),
@@ -324,67 +278,6 @@ def certify_cover(
     )
 
 
-@dataclass(frozen=True)
-class MeasureEstimate:
-    """Box-counting proxy count(eps) * eps^(n-1) over a shrinking size sweep."""
-
-    probe_dimension: int
-    sizes: tuple[float, ...]
-    counts: tuple[int, ...]
-    proxies: tuple[float, ...]
-    measure: float
-    finite_flag: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "probe_dimension": self.probe_dimension,
-            "sizes": list(self.sizes),
-            "counts": list(self.counts),
-            "proxies": list(self.proxies),
-            "measure": self.measure,
-            "finite_flag": self.finite_flag,
-        }
-
-
-def estimate_measure(points, window: Window, sizes) -> MeasureEstimate:
-    """Box-count the point cloud over a decreasing sweep of box sizes.
-
-    The proxy stabilizing within 20% across the two finest sizes indicates a
-    finite (n-1)-dimensional measure; a box count that stopped growing under
-    refinement indicates a measure-zero locus, which is finite trivially.
-    """
-    sizes = [float(s) for s in sizes]
-    if not sizes or any(s <= 0 for s in sizes):
-        raise ValueError("sizes must be positive")
-    if any(b >= a for a, b in zip(sizes, sizes[1:])):
-        raise ValueError("sizes must be strictly decreasing")
-    pts = np.asarray(points, dtype=float)
-    n = window.dimension
-    counts = []
-    for eps in sizes:
-        if pts.size == 0:
-            counts.append(0)
-            continue
-        idx = np.floor((pts - window.lower) / eps).astype(int)
-        counts.append(int(np.unique(idx, axis=0).shape[0]))
-    proxies = [c * eps ** (n - 1) for c, eps in zip(counts, sizes)]
-    if len(sizes) < 2:
-        finite = True
-    else:
-        a, b = proxies[-2], proxies[-1]
-        stabilized = abs(b - a) <= 0.2 * max(a, b, 1e-300)
-        collapsed = counts[-1] <= counts[-2]
-        finite = stabilized or collapsed
-    return MeasureEstimate(
-        probe_dimension=n - 1,
-        sizes=tuple(sizes),
-        counts=tuple(counts),
-        proxies=tuple(proxies),
-        measure=proxies[-1],
-        finite_flag=finite,
-    )
-
-
 def write_samples_csv(points, path) -> None:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     with open(path, "w", newline="") as fh:
@@ -400,11 +293,10 @@ def write_overlay_svg(
     spec: ClosedSetSpec,
     window: Window,
     samples,
-    segments=None,
     path=None,
     size: int = 640,
 ) -> str:
-    """Render the set, detected samples, and optional skeleton segments as SVG."""
+    """Render the set and the detected samples as SVG."""
     if spec.dimension != 2:
         raise ValueError("SVG overlay is only available in two dimensions")
     lo, span = window.lower, window.extent
@@ -430,9 +322,6 @@ def write_overlay_svg(
             cx, cy = to_px(p.center)
             r = p.radius / span[0] * size
             parts.append(f'<circle cx="{cx}" cy="{cy}" r="{r:.2f}" fill="none" stroke="black" stroke-width="2"/>')
-    for seg in segments or []:
-        (x1, y1), (x2, y2) = to_px(seg.start), to_px(seg.end)
-        parts.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="#2060c0" stroke-width="1.5"/>')
     for p in np.atleast_2d(np.asarray(samples, dtype=float)) if len(np.atleast_1d(samples)) else []:
         cx, cy = to_px(p)
         parts.append(f'<circle cx="{cx}" cy="{cy}" r="1.5" fill="#c03030"/>')

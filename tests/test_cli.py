@@ -63,3 +63,19 @@ def test_verify_honours_the_separation_tolerance(tmp_path, capsys):
     (tight_code, tight), (loose_code, loose) = reports
     assert tight_code == 1 and tight["unresolved"] == 17
     assert loose_code == 0 and loose["unresolved"] == 0 and loose["samples"] == 0
+
+
+@pytest.mark.parametrize("via", ["flag", "outputs"])
+def test_verify_svg_on_a_3d_set_is_a_config_error(via, tmp_path, capsys):
+    ball = {"dimension": 3, "primitives": [{"type": "ball", "center": [0.0, 0.0, 0.0], "radius": 1.0}]}
+    report, svg = tmp_path / "report.json", tmp_path / "overlay.svg"
+    document = {"set": ball, "grid_resolution": 8}
+    argv = ["--output", str(report)]
+    if via == "flag":
+        argv += ["--svg", str(svg)]
+    else:
+        document["outputs"] = {"svg": str(svg)}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(document))
+    assert main(["verify", str(config), *argv]) == 2
+    assert not report.exists() and not svg.exists()

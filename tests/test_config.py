@@ -1,0 +1,43 @@
+"""Malformed scenario configs: each names its offending field and exits 2."""
+
+import json
+
+import pytest
+
+from medialcover.cli import EXIT_CONFIG, main
+from medialcover.config import ConfigError, parse_config
+
+TWO_POINTS = {"dimension": 2, "primitives": [{"type": "point", "coords": [-1.0, 0.0]}, {"type": "point", "coords": [1.0, 0.0]}]}
+
+MALFORMED = [
+    ("dimension", {"dimension": 3}),
+    ("window", {"window": {"lower": [-2, -2, -2], "upper": [2, 2, 2]}}),
+    ("window", {"window": {"lower": [-2, 1], "upper": [2, 1]}}),
+    ("window", {"window": {"lower": [2, -2], "upper": [-2, 2]}}),
+    ("grid_resolution", {"grid_resolution": 7}),
+    ("grid_resolution", {"grid_resolution": 16.5}),
+    ("lattice.step", {"lattice": {"step": 0}}),
+    ("lattice.step", {"lattice": {"step": -0.5}}),
+    ("tolerances.tie", {"tolerances": {"tie": 0.0}}),
+    ("tolerances.tie", {"tolerances": {"tie": -1e-9}}),
+    ("cover.axes", {"cover": {"axes": [2]}}),
+    ("seed", {"seed": True}),
+    ("outputs", {"outputs": {"report": 3}}),
+    ("field", {"field": 3}),
+]
+
+
+@pytest.mark.parametrize("name, patch", MALFORMED, ids=[f"{name}-{k}" for k, (name, _) in enumerate(MALFORMED)])
+def test_malformed_config_names_its_field(name, patch):
+    with pytest.raises(ConfigError) as info:
+        parse_config({"set": TWO_POINTS, **patch})
+    assert str(info.value).startswith(f"{name}:")
+
+
+def test_malformed_config_exits_2_through_main(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"set": TWO_POINTS, "tolerances": {"tie": 0.0}}))
+    report = tmp_path / "report.json"
+    assert main(["verify", str(config), "--output", str(report)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: tolerances.tie:")
+    assert not report.exists()

@@ -1,0 +1,49 @@
+"""Covering-graph families: enumeration order, budget, and serialized values."""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from medialcover.convex import SlopeLattice, marginal_inf
+from medialcover.cover import CcGraph, FamilyBudgetError, cover_family_to_dict, enumerate_cover
+from medialcover.fields import asplund_field, strongify
+from medialcover.geometry import ClosedSetSpec, Point
+
+LIFT = strongify(asplund_field(ClosedSetSpec([Point([-1.0, 0.0]), Point([1.0, 0.0])], 2)))
+LATTICE = SlopeLattice(step=1.0, bound=2.0)
+
+
+def test_grid_values_are_the_graph_formula_on_direct_marginal_infima():
+    family = enumerate_cover(LIFT, (0, 1), LATTICE, cap=64)
+    rest_nodes = np.linspace(-2.0, 2.0, 5)[:, None]
+    entries = cover_family_to_dict(family, rest_nodes)
+    assert len(entries) == len(family.graphs)
+    for graph, entry in zip(family.graphs, entries):
+        assert (entry["axis"], entry["alpha"], entry["beta"]) == (graph.axis, graph.alpha, graph.beta)
+        for node, (coord, value) in zip(rest_nodes, entry["grid"]):
+            va = marginal_inf(LIFT, graph.axis, graph.alpha, node)
+            vb = marginal_inf(LIFT, graph.axis, graph.beta, node)
+            assert coord == node[0]
+            assert value == (va - vb) / (graph.beta - graph.alpha)
+
+
+def test_enumeration_is_axis_major_then_alpha_then_beta():
+    family = enumerate_cover(LIFT, (1, 0), LATTICE, cap=64)
+    slopes = LATTICE.points().tolist()
+    expected = [(a, lo, hi) for a in (1, 0) for lo, hi in itertools.combinations(slopes, 2)]
+    assert [(g.axis, g.alpha, g.beta) for g in family.graphs] == expected
+    assert family.axes == (1, 0)
+
+
+def test_family_one_graph_over_the_cap_is_refused():
+    total = 2 * LATTICE.pair_count()
+    assert len(enumerate_cover(LIFT, (0, 1), LATTICE, cap=total).graphs) == total
+    with pytest.raises(FamilyBudgetError):
+        enumerate_cover(LIFT, (0, 1), LATTICE, cap=total - 1)
+
+
+@pytest.mark.parametrize("axis, alpha, beta", [(0, 1.0, 1.0), (0, 2.0, 1.0), (-1, 0.0, 1.0), (2, 0.0, 1.0)])
+def test_graph_rejects_bad_slopes_and_axes(axis, alpha, beta):
+    with pytest.raises(ValueError):
+        CcGraph(axis=axis, alpha=alpha, beta=beta, base=LIFT)
