@@ -20,7 +20,9 @@ from .convex import (
     cc_decompose_c2,
     convexity_probe,
     marginal_inf,
+    marginal_inf_rows,
     nondiff_witness,
+    nondiff_witnesses,
     one_sided_partials,
     strong_convexity_probe,
     subgradient_box,
@@ -99,9 +101,11 @@ __all__ = [
     "grad_distance_fd",
     "grid_sweep",
     "marginal_inf",
+    "marginal_inf_rows",
     "named_field",
     "nearest_points",
     "nondiff_witness",
+    "nondiff_witnesses",
     "one_sided_partials",
     "project",
     "quadratic_sine_blend",

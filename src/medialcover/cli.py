@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, ScenarioConfig, config_digest, load_config
-from .convex import cc_decompose_c2, convexity_probe, nondiff_witness
+from .convex import cc_decompose_c2, convexity_probe, nondiff_witnesses
 from .cover import FamilyBudgetError, cover_family_to_dict, enumerate_cover
 from .distance import Classification, grid_sweep, write_grid_csv
 from .fields import asplund_field, named_field, strongify
@@ -108,8 +108,7 @@ def _cmd_cover(config: ScenarioConfig, raw: dict, args) -> int:
             refine_tol=config.refine_tol,
         )
         index = {(g.axis, g.alpha, g.beta): k for k, g in enumerate(family.graphs)}
-        for point in samples:
-            witness = nondiff_witness(lift, point, config.lattice, step=config.partial_step)
+        for witness in nondiff_witnesses(lift, samples, config.lattice, step=config.partial_step):
             if witness is not None:
                 k = index.get((witness.axis, witness.alpha, witness.beta))
                 if k is not None:

@@ -10,7 +10,9 @@ Numerical conventions
 ---------------------
 * One-sided partials use secants at t = +-h, +-h/2, +-h/4 and Richardson
   extrapolation, clipped into the monotone bracket [s(-h/4), s(h/4)] that
-  convexity guarantees.
+  convexity guarantees.  One batched routine does this arithmetic for K
+  points and every axis in two field calls; the single-point functions are
+  its batch of one.
 * A non-differentiability witness needs a derivative gap of at least two
   lattice steps; the chosen pair is the widest one whose members sit at
   least half a lattice step inside the estimated gap, which makes the
@@ -18,6 +20,11 @@ Numerical conventions
 * Marginal infima expand a symmetric bracket by doubling until both ends
   exceed the center value (guaranteed by strong convexity), then run
   golden-section search to an absolute coordinate resolution.
+  :func:`marginal_inf_rows` runs R such searches in lockstep, one field
+  call per step for the rows still open: each row doubles its own bracket
+  and stops on its own (b - a) > xtol test, so it takes exactly the steps
+  of the scalar :func:`marginal_inf` and returns the same float.  The
+  scalar search stays as the reference and for single queries.
 """
 
 from __future__ import annotations
@@ -41,7 +48,9 @@ __all__ = [
     "one_sided_partials",
     "subgradient_box",
     "nondiff_witness",
+    "nondiff_witnesses",
     "marginal_inf",
+    "marginal_inf_rows",
     "convexity_probe",
     "strong_convexity_probe",
     "radial_cutoff",
@@ -53,6 +62,9 @@ __all__ = [
 DEFAULT_PARTIAL_STEP = 1e-4
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Marginal-infimum bracket: half-width at the start, doublings before giving up.
+_INITIAL_HALFWIDTH = 1.0
+_MAX_DOUBLINGS = 60
 
 
 class CoercivityError(RuntimeError):
@@ -127,6 +139,34 @@ class NondiffWitness:
     plus: float
 
 
+def _one_sided(field: ScalarField, points: np.ndarray, axes, step: float) -> tuple[np.ndarray, np.ndarray]:
+    """(minus, plus) partials, each (K, len(axes)), at the K rows of ``points``.
+
+    The arithmetic of :func:`one_sided_partials`, in two field calls: one for
+    the K base values, one for the 6 * len(axes) * K shifted points.
+    """
+    if step <= 0:
+        raise ValueError("step must be positive")
+    count, n = points.shape
+    units = np.eye(n)[list(axes)]  # (A, n)
+    ts = np.array([sign * step / div for sign in (1.0, -1.0) for div in (1, 2, 4)])  # h, h/2, h/4, -h, ...
+    offsets = ts[None, :, None] * units[:, None, :]  # (A, 6, n): t * e
+    f0 = field(points)
+    shifted = field((points[:, None, None, :] + offsets).reshape(-1, n)).reshape(count, len(units), 6)
+    s = (shifted - f0[:, None, None]) / ts
+    # Eliminates the O(t) and O(t^2) terms of the secant expansion.
+    plus = (8.0 * s[..., 2] - 6.0 * s[..., 1] + s[..., 0]) / 3.0
+    minus = (8.0 * s[..., 5] - 6.0 * s[..., 4] + s[..., 3]) / 3.0
+    sp_h4, sm_h4 = s[..., 2], s[..., 5]
+    monotone = sm_h4 <= sp_h4  # skip the clip for non-convex diagnostics
+
+    def clip(v):
+        v = np.where(monotone & (sm_h4 > v), sm_h4, v)
+        return np.where(monotone & (sp_h4 < v), sp_h4, v)
+
+    return clip(minus), clip(plus)
+
+
 def one_sided_partials(field: ScalarField, x, axis: int, step: float = DEFAULT_PARTIAL_STEP) -> OneSidedGradient:
     """Estimate the left and right partial derivatives along ``axis``.
 
@@ -134,29 +174,8 @@ def one_sided_partials(field: ScalarField, x, axis: int, step: float = DEFAULT_P
     t, so the samples bracket the one-sided limits; the extrapolated values
     are clipped back into that bracket.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    x = np.asarray(x, dtype=float)
-    e = np.zeros(field.dimension)
-    e[axis] = 1.0
-    f0 = float(field(x))
-
-    def secant(t: float) -> float:
-        return (float(field(x + t * e)) - f0) / t
-
-    def extrapolate(sign: float) -> tuple[float, float]:
-        s_h = secant(sign * step)
-        s_h2 = secant(sign * step / 2)
-        s_h4 = secant(sign * step / 4)
-        # Eliminates the O(t) and O(t^2) terms of the secant expansion.
-        return (8.0 * s_h4 - 6.0 * s_h2 + s_h) / 3.0, s_h4
-
-    plus, sp_h4 = extrapolate(1.0)
-    minus, sm_h4 = extrapolate(-1.0)
-    if sm_h4 <= sp_h4:  # monotone bracket; skip for non-convex diagnostics
-        plus = min(max(plus, sm_h4), sp_h4)
-        minus = min(max(minus, sm_h4), sp_h4)
-    return OneSidedGradient(axis=axis, minus=minus, plus=plus, step=step)
+    minus, plus = _one_sided(field, np.asarray(x, dtype=float)[None], [axis], step)
+    return OneSidedGradient(axis=axis, minus=float(minus[0, 0]), plus=float(plus[0, 0]), step=step)
 
 
 def subgradient_box(field: ScalarField, x, step: float = DEFAULT_PARTIAL_STEP) -> SubgradientBox:
@@ -166,11 +185,45 @@ def subgradient_box(field: ScalarField, x, step: float = DEFAULT_PARTIAL_STEP) -
     inequality f(x + t e_i) >= f(x) + s t holds for all t when the field is
     convex.
     """
-    rows = []
-    for axis in range(field.dimension):
-        g = one_sided_partials(field, x, axis, step)
-        rows.append((g.minus, g.plus))
-    return SubgradientBox(intervals=np.asarray(rows, dtype=float))
+    minus, plus = _one_sided(field, np.asarray(x, dtype=float)[None], range(field.dimension), step)
+    return SubgradientBox(intervals=np.stack([minus[0], plus[0]], axis=1))
+
+
+def _witnesses(
+    field: ScalarField, points: np.ndarray, lattice: SlopeLattice, step: float, margin: float | None
+) -> list[NondiffWitness | None]:
+    """The witness of each row of ``points``; the rule is :func:`nondiff_witness`'s."""
+    if not len(points):
+        return []
+    if margin is None:
+        margin = lattice.step / 2.0
+    k_max = lattice.max_index
+    minus, plus = _one_sided(field, points, range(field.dimension), step)
+    lo = np.maximum(np.ceil((minus + margin) / lattice.step - 1e-12), -k_max)
+    hi = np.minimum(np.floor((plus - margin) / lattice.step + 1e-12), k_max)
+    resolved = hi > lo
+    witnesses: list[NondiffWitness | None] = []
+    for r, axis in enumerate(np.argmax(resolved, axis=1).tolist()):
+        if not resolved[r, axis]:
+            witnesses.append(None)
+            continue
+        witnesses.append(
+            NondiffWitness(
+                axis=axis,
+                alpha=int(lo[r, axis]) * lattice.step,
+                beta=int(hi[r, axis]) * lattice.step,
+                minus=float(minus[r, axis]),
+                plus=float(plus[r, axis]),
+            )
+        )
+    return witnesses
+
+
+def nondiff_witnesses(
+    field: ScalarField, points, lattice: SlopeLattice, step: float = DEFAULT_PARTIAL_STEP
+) -> list[NondiffWitness | None]:
+    """:func:`nondiff_witness` at each row of a (K, n) batch, in two field calls."""
+    return _witnesses(field, np.asarray(points, dtype=float), lattice, step, None)
 
 
 def nondiff_witness(
@@ -186,24 +239,7 @@ def nondiff_witness(
     (default: half a lattice step) inside [minus, plus], or None when no axis
     has a gap of at least two lattice steps.
     """
-    if margin is None:
-        margin = lattice.step / 2.0
-    k_max = lattice.max_index
-    for axis in range(field.dimension):
-        g = one_sided_partials(field, x, axis, step)
-        lo = math.ceil((g.minus + margin) / lattice.step - 1e-12)
-        hi = math.floor((g.plus - margin) / lattice.step + 1e-12)
-        lo = max(lo, -k_max)
-        hi = min(hi, k_max)
-        if hi > lo:
-            return NondiffWitness(
-                axis=axis,
-                alpha=lo * lattice.step,
-                beta=hi * lattice.step,
-                minus=g.minus,
-                plus=g.plus,
-            )
-    return None
+    return _witnesses(field, np.asarray(x, dtype=float)[None], lattice, step, margin)[0]
 
 
 def _golden_min(phi, a: float, b: float, xtol: float) -> float:
@@ -230,8 +266,8 @@ def marginal_inf(
     x_rest,
     *,
     xtol: float = 1e-7,
-    initial_halfwidth: float = 1.0,
-    max_doublings: int = 60,
+    initial_halfwidth: float = _INITIAL_HALFWIDTH,
+    max_doublings: int = _MAX_DOUBLINGS,
 ) -> float:
     """inf over the ``axis`` coordinate of  field(x) - slope * x_axis.
 
@@ -267,6 +303,77 @@ def marginal_inf(
         half *= 2.0
         fa, fb = phi(-half), phi(half)
     return _golden_min(phi, -half, half, xtol)
+
+
+def marginal_inf_rows(
+    field: ScalarField,
+    axes,
+    slopes,
+    points,
+    *,
+    xtol: float = 1e-7,
+) -> np.ndarray:
+    """:func:`marginal_inf` for R rows at once, one field call per search step.
+
+    Row r is the infimum over t of  field(points[r] with coordinate
+    ``axes[r]`` set to t) - slopes[r] * t; the ``axes[r]`` coordinate of
+    ``points[r]`` is ignored.  Every row doubles its own bracket and stops
+    its own golden-section search, taking the same steps as the scalar
+    search at its default bracket, so each value equals the scalar one.
+    """
+    points = np.array(points, dtype=float)
+    axes = np.asarray(axes, dtype=int)
+    slopes = np.asarray(slopes, dtype=float)
+    if points.ndim != 2 or axes.shape != slopes.shape or axes.shape != points.shape[:1]:
+        raise ValueError(
+            f"need (R, n) points with R axes and R slopes, got {points.shape}, {axes.shape}, {slopes.shape}"
+        )
+    rows = np.arange(len(points))
+    if not rows.size:
+        return np.empty(0)
+
+    def phi(idx: np.ndarray, t: np.ndarray) -> np.ndarray:
+        x = points[idx]
+        x[np.arange(len(idx)), axes[idx]] = t
+        return field(x) - slopes[idx] * t
+
+    def phi_rows(idx: np.ndarray, *ts: np.ndarray) -> list[np.ndarray]:
+        """phi at several abscissae per row of ``idx``, in one field call."""
+        return np.split(phi(np.tile(idx, len(ts)), np.concatenate(ts)), len(ts))
+
+    half = np.full(len(rows), _INITIAL_HALFWIDTH)
+    f_center, fa, fb = phi_rows(rows, np.zeros(len(rows)), -half, half)
+    open_rows = rows[~((fa > f_center) & (fb > f_center))]
+    doublings = 0
+    while open_rows.size:
+        doublings += 1
+        if doublings > _MAX_DOUBLINGS:
+            r = open_rows[0]
+            raise CoercivityError(
+                f"bracket for axis {int(axes[r])}, slope {float(slopes[r])} still open after {_MAX_DOUBLINGS} "
+                "doublings; the field does not look strongly convex"
+            )
+        half[open_rows] *= 2.0
+        fa[open_rows], fb[open_rows] = phi_rows(open_rows, -half[open_rows], half[open_rows])
+        still = ~((fa[open_rows] > f_center[open_rows]) & (fb[open_rows] > f_center[open_rows]))
+        open_rows = open_rows[still]
+
+    a, b = -half, half
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = phi_rows(rows, c, d)
+    active = rows[(b - a) > xtol]
+    while active.size:
+        left = fc[active] <= fd[active]
+        lo, hi = active[left], active[~left]
+        b[lo], d[lo], fd[lo] = d[lo], c[lo], fc[lo]
+        c[lo] = b[lo] - _INVPHI * (b[lo] - a[lo])
+        a[hi], c[hi], fc[hi] = c[hi], d[hi], fd[hi]
+        d[hi] = a[hi] + _INVPHI * (b[hi] - a[hi])
+        f = phi(np.concatenate([lo, hi]), np.concatenate([c[lo], d[hi]]))
+        fc[lo], fd[hi] = f[: len(lo)], f[len(lo) :]
+        active = active[(b[active] - a[active]) > xtol]
+    return np.where(fd < fc, fd, fc)  # min(fc, fd) as the scalar search takes it, signed zeros included
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,10 @@ point whose one-sided derivative gap along axis i brackets [alpha, beta].
 The evaluator is a difference of two convex functions of x_rest.
 
 Graphs of one family share their marginal rows: over a rest grid,
-:func:`cover_family_to_dict` computes g_s once per (axis, slope) and every
-graph with that slope reads it.
+:func:`cover_family_to_dict` computes g_s once per (axis, slope), all of
+them in one batched search (:func:`medialcover.convex.marginal_inf_rows`),
+and every graph with that slope reads its row.  ``CcGraph.marginal_values``
+keeps the scalar search for single nodes.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import SlopeLattice, marginal_inf
+from .convex import SlopeLattice, marginal_inf, marginal_inf_rows
 from .fields import ScalarField
 
 __all__ = [
@@ -108,17 +110,25 @@ def enumerate_cover(
 def cover_family_to_dict(family: CoverFamily, rest_nodes: np.ndarray) -> list[dict]:
     """Serialize each graph with its values over the given x_rest nodes."""
     rest_nodes = np.atleast_2d(np.asarray(rest_nodes, dtype=float))
+    # (axis, slope) keys in first-use order, per (base, xtol) search setting
+    groups: dict[tuple, dict[tuple[int, float], None]] = {}
+    for graph in family.graphs:
+        keys = groups.setdefault((graph.base, graph.xtol), {})
+        for slope in (graph.alpha, graph.beta):
+            keys[graph.axis, slope] = None
+    count = len(rest_nodes)
     rows: dict[tuple, list[float]] = {}
-
-    def row(graph: CcGraph, slope: float) -> list[float]:
-        key = (graph.base, graph.axis, slope, graph.xtol)
-        if key not in rows:
-            rows[key] = [marginal_inf(graph.base, graph.axis, slope, node, xtol=graph.xtol) for node in rest_nodes]
-        return rows[key]
+    for (base, xtol), keys in groups.items():
+        points = np.concatenate([np.insert(rest_nodes, axis, 0.0, axis=1) for axis, _ in keys])
+        axes = np.repeat([axis for axis, _ in keys], count)
+        slopes = np.repeat([slope for _, slope in keys], count)
+        values = marginal_inf_rows(base, axes, slopes, points, xtol=xtol).reshape(len(keys), count).tolist()
+        rows.update(((base, xtol, *key), row) for key, row in zip(keys, values))
 
     out = []
     for graph in family.graphs:
-        pairs = zip(rest_nodes, row(graph, graph.alpha), row(graph, graph.beta))
+        setting = (graph.base, graph.xtol, graph.axis)
+        pairs = zip(rest_nodes, rows[(*setting, graph.alpha)], rows[(*setting, graph.beta)])
         grid = [[*node.tolist(), graph.value(va, vb)] for node, va, vb in pairs]
         out.append({"axis": graph.axis, "alpha": graph.alpha, "beta": graph.beta, "grid": grid})
     return out

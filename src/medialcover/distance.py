@@ -43,6 +43,7 @@ __all__ = [
     "grad_distance_fd",
     "reconstruct_nearest",
     "grid_sweep",
+    "write_csv",
     "write_grid_csv",
     "DEFAULT_TIE_TOLERANCE",
     "DEFAULT_SEPARATION",
@@ -298,17 +299,41 @@ def grid_sweep(
     )
 
 
+CSV_BLOCK_ROWS = 1024
+
+
+def write_csv(path, header: list[str], count: int, block) -> None:
+    """Write ``header`` and ``count`` rows as CSV with CRLF line ends.
+
+    ``block(lo, hi)`` returns rows ``lo`` to ``hi - 1`` as lists of strings
+    and Python floats; build them with ``.tolist()``, because the csv module
+    writes a float as its ``repr`` and the repr of a NumPy scalar names its
+    type.  Rows are formatted ``CSV_BLOCK_ROWS`` at a time, so the text of
+    the whole table is never held in memory.  An empty table is an empty
+    file, without the header.
+    """
+    with open(path, "w", newline="") as fh:
+        if not count:
+            return
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for lo in range(0, count, CSV_BLOCK_ROWS):
+            writer.writerows(block(lo, min(lo + CSV_BLOCK_ROWS, count)))
+
+
 def write_grid_csv(sweep: GridSweep, path) -> None:
     n = sweep.points.shape[1]
     header = [f"x{i + 1}" for i in range(n)] + ["d", "classification"]
     header += [f"grad_{i + 1}" for i in range(n)] + ["differentiable_flag"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k in range(sweep.points.shape[0]):
-            row = [repr(v) for v in sweep.points[k]]
-            row.append(repr(float(sweep.values[k])))
-            row.append(sweep.classifications[k].value)
-            row.extend(repr(v) for v in sweep.gradients[k])
-            row.append("true" if sweep.differentiable[k] else "false")
-            writer.writerow(row)
+
+    def block(lo: int, hi: int) -> list[list]:
+        columns = zip(
+            sweep.points[lo:hi].tolist(),
+            sweep.values[lo:hi].tolist(),
+            sweep.classifications[lo:hi],
+            sweep.gradients[lo:hi].tolist(),
+            sweep.differentiable[lo:hi].tolist(),
+        )
+        return [[*x, d, c.value, *g, "true" if flag else "false"] for x, d, c, g, flag in columns]
+
+    write_csv(path, header, len(sweep.points), block)

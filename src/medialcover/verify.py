@@ -13,14 +13,13 @@ for the slope lattice are reported as unresolved rather than failed.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import SlopeLattice, nondiff_witness, DEFAULT_PARTIAL_STEP
+from .convex import SlopeLattice, nondiff_witnesses, DEFAULT_PARTIAL_STEP
 from .cover import CcGraph
-from .distance import DEFAULT_SEPARATION, DEFAULT_TIE_TOLERANCE, project, survey
+from .distance import DEFAULT_SEPARATION, DEFAULT_TIE_TOLERANCE, project, survey, write_csv
 from .fields import ScalarField, asplund_field, strongify
 from .geometry import Ball, ClosedSetSpec, Point, Segment, Window
 
@@ -236,8 +235,7 @@ def certify_cover(
     lift = strongify(asplund_field(spec))
     records: list[SampleRecord] = []
     unresolved: list[np.ndarray] = []
-    for point in samples:
-        witness = nondiff_witness(lift, point, lattice, step=partial_step)
+    for point, witness in zip(samples, nondiff_witnesses(lift, samples, lattice, step=partial_step)):
         if witness is None:
             unresolved.append(point)
             continue
@@ -280,13 +278,8 @@ def certify_cover(
 
 def write_samples_csv(points, path) -> None:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if pts.size == 0:
-            return
-        writer.writerow([f"x{i + 1}" for i in range(pts.shape[1])])
-        for row in pts:
-            writer.writerow([repr(v) for v in row])
+    header = [f"x{i + 1}" for i in range(pts.shape[1])]
+    write_csv(path, header, len(pts) if pts.size else 0, lambda lo, hi: pts[lo:hi].tolist())
 
 
 def write_overlay_svg(

@@ -1,11 +1,16 @@
 """Every scenario fixture through the command line: exit codes and repeatable reports."""
 
+import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from medialcover.cli import main
+from medialcover.config import load_config
+from medialcover.distance import CSV_BLOCK_ROWS, grid_sweep
+from medialcover.verify import write_samples_csv
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -39,6 +44,71 @@ def test_fixture_exit_code_and_repeatable_report(command, fixture, expected, tmp
     assert code == expected
     assert (outputs[0] is not None) == (expected in (0, 1))
     assert run(command, fixture, tmp_path) == (code, outputs)
+
+
+# sha256 of the report bytes; a change that moves one float of a report fails here.
+GOLDEN = {
+    ("verify", "verify_two_point"): "cdf0cc116aba729f91e2286ec480d82c80e19ba3a4a8cf8ce52a36ca83475c20",
+    ("verify", "verify_circle"): "41a81f7b76b923f325a3a12c11e0d22a817b6e349117e9e49e40aec8afc2b10b",
+    ("verify", "verify_two_point_corrupt"): "4f58976d16c5ddf309280c0601171b4c6987197f1f5ab1add15abfc4e999a021",
+    ("cover", "cover_two_point"): "9fd6f25d84666c6d4538c9436a46e6516cdcef65147a2c4c398e5c6b640806a4",
+    ("cover", "cover_sq_norm"): "163f731c983d361c478831e3d6149a12dc03bd5abb951c0be379b658d214097e",
+}
+
+
+@pytest.mark.parametrize("command, fixture", list(GOLDEN), ids=[f for _, f in GOLDEN])
+def test_report_bytes_match_their_golden_digest(command, fixture, tmp_path, capsys):
+    _, (report, _) = run(command, fixture, tmp_path)
+    assert hashlib.sha256(report).hexdigest() == GOLDEN[command, fixture]
+
+
+def csv_table(data: bytes) -> tuple[list[str], list[list[str]]]:
+    """Header and cells of a CSV whose every line ends in CRLF."""
+    lines = data.split(b"\r\n")
+    assert lines[-1] == b"" and all(b"\n" not in line for line in lines)
+    header, *rows = [line.decode().split(",") for line in lines[:-1]]
+    return header, rows
+
+
+def test_analyze_csv_cells_parse_back_to_the_sweep(tmp_path, capsys):
+    code, (_, table) = run("analyze", "analyze_two_point", tmp_path)
+    assert code == 0
+    config, _ = load_config(FIXTURES / "analyze_two_point.json")
+    sweep = grid_sweep(
+        config.set_spec,
+        config.window,
+        config.grid_resolution,
+        step=config.fd_step,
+        tie_tolerance=config.tie_tolerance,
+        separation=config.separation,
+    )
+    header, rows = csv_table(table)
+    assert header == ["x1", "x2", "d", "classification", "grad_1", "grad_2", "differentiable_flag"]
+    cells = np.array([[float(c) for c in row[:3] + row[4:6]] for row in rows])
+    expected = np.column_stack([sweep.points, sweep.values, sweep.gradients])
+    assert np.array_equal(cells, expected, equal_nan=True)
+    assert [row[3] for row in rows] == [c.value for c in sweep.classifications]
+    assert [row[6] == "true" for row in rows] == sweep.differentiable.tolist()
+
+
+def test_samples_csv_is_written_in_blocks_of_plain_floats(tmp_path):
+    points = np.random.default_rng(0).normal(size=(2 * CSV_BLOCK_ROWS + 5, 3))
+    path = tmp_path / "samples.csv"
+    write_samples_csv(points, path)
+    header, rows = csv_table(path.read_bytes())
+    assert header == ["x1", "x2", "x3"]
+    assert np.array_equal(np.array([[float(c) for c in row] for row in rows]), points)
+    write_samples_csv(np.empty((0, 3)), path)
+    assert path.read_bytes() == b""
+
+
+def test_cover_of_a_1d_field_has_one_value_per_graph(tmp_path, capsys):
+    config, report = tmp_path / "abs.json", tmp_path / "report.json"
+    config.write_text(json.dumps({"dimension": 1, "field": "abs", "lattice": {"step": 0.5, "bound": 1.0}}))
+    assert main(["cover", str(config), "--output", str(report)]) == 0
+    graphs = json.loads(report.read_text())["graphs"]
+    assert len(graphs) == 10
+    assert all(len(g["grid"]) == 1 and len(g["grid"][0]) == 1 and np.isfinite(g["grid"][0][0]) for g in graphs)
 
 
 def test_analyze_writes_its_csv_where_asked(tmp_path, capsys):

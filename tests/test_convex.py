@@ -1,10 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
 from medialcover import (
+    Ball,
     ClosedSetSpec,
     CoercivityError,
+    NondiffWitness,
     Point,
+    Segment,
     ScalarField,
     SlopeLattice,
     Window,
@@ -12,8 +17,10 @@ from medialcover import (
     cc_decompose_c2,
     convexity_probe,
     marginal_inf,
+    marginal_inf_rows,
     named_field,
     nondiff_witness,
+    nondiff_witnesses,
     one_sided_partials,
     strong_convexity_probe,
     strongify,
@@ -26,6 +33,21 @@ WINDOW1 = Window([-2], [2])
 TWO_POINTS = ClosedSetSpec([Point([-1, 0]), Point([1, 0])], 2)
 # strongly convex lift of the two-point set: 2|x1| + |x|^2 - 1
 LIFT = strongify(asplund_field(TWO_POINTS))
+
+
+# a sphere shell, a point and a segment, as in the benchmark's 3-D workload
+SHELLS = ClosedSetSpec(
+    [Ball([0.0, 0.0, 0.0], 1.0), Point([-1.4, -1.3, -1.5]), Segment([1.0, 1.6, 1.3], [1.6, 1.0, 1.4])], 3
+)
+SHELLS_LIFT = strongify(asplund_field(SHELLS))
+# kinks on the planes x1 = 0, x2 = 1 and x3 = -1
+KINKS = strongify(
+    ScalarField(
+        lambda x: 2.0 * np.abs(x[..., 0]) + 3.0 * np.abs(x[..., 1] - 1.0) + 4.0 * np.abs(x[..., 2] + 1.0),
+        3,
+        tag="kinks",
+    )
+)
 
 
 def kinked_1d() -> ScalarField:
@@ -119,6 +141,123 @@ class TestWitness:
         w = nondiff_witness(LIFT, [0.0, 0.5], SlopeLattice(step=0.5, bound=1.0))
         assert w is not None
         assert (w.alpha, w.beta) == (-1.0, 1.0)
+
+
+def reference_partials(field, x, axis, step=1e-4):
+    """The scalar loop of secants that the batched partials replaced: (minus, plus)."""
+    x = np.asarray(x, dtype=float)
+    e = np.zeros(field.dimension)
+    e[axis] = 1.0
+    f0 = float(field(x))
+
+    def secant(t):
+        return (float(field(x + t * e)) - f0) / t
+
+    ends = []
+    for sign in (1.0, -1.0):
+        s_h, s_h2, s_h4 = secant(sign * step), secant(sign * step / 2), secant(sign * step / 4)
+        ends.append(((8.0 * s_h4 - 6.0 * s_h2 + s_h) / 3.0, s_h4))
+    (plus, sp_h4), (minus, sm_h4) = ends
+    if sm_h4 <= sp_h4:
+        plus = min(max(plus, sm_h4), sp_h4)
+        minus = min(max(minus, sm_h4), sp_h4)
+    return minus, plus
+
+
+def reference_witness(field, x, lattice, step=1e-4):
+    """The per-axis witness loop that the batched witness search replaced."""
+    margin = lattice.step / 2.0
+    for axis in range(field.dimension):
+        minus, plus = reference_partials(field, x, axis, step)
+        lo = max(math.ceil((minus + margin) / lattice.step - 1e-12), -lattice.max_index)
+        hi = min(math.floor((plus - margin) / lattice.step + 1e-12), lattice.max_index)
+        if hi > lo:
+            return NondiffWitness(axis, lo * lattice.step, hi * lattice.step, minus, plus)
+    return None
+
+
+class TestBatchedWitnesses:
+    POINTS = [
+        [0.0, 0.0, 0.0],  # kinks on all three axes: the first one wins
+        [0.5, 1.0, 0.0],
+        [0.5, 0.5, -1.0],
+        [0.5, 0.5, 0.5],  # smooth
+        [0.3, 1.0, -1.0],
+        [-0.7, 0.2, 1.1],  # smooth
+        [0.4, 0.6, -1.0],
+        [3e-5, 0.5, 0.5],  # a kink inside the secant steps: the clip binds, no witness
+        [0.5, 1.0 - 6e-5, -1.0 + 2e-5],
+    ]
+
+    def test_batch_mixes_gaps_on_every_axis_with_none(self):
+        lattice = SlopeLattice(0.5, 4.0)
+        batch = nondiff_witnesses(KINKS, self.POINTS, lattice)
+        assert [w.axis if w else None for w in batch] == [0, 1, 2, None, 1, None, 2, None, None]
+        assert batch == [nondiff_witness(KINKS, p, lattice) for p in self.POINTS]
+        assert batch == [reference_witness(KINKS, p, lattice) for p in self.POINTS]
+
+    @pytest.mark.parametrize("lattice", [SlopeLattice(0.125, 64.0), SlopeLattice(1.0, 1.0)])
+    def test_batch_equals_the_per_axis_loop_on_a_3d_lift(self, lattice):
+        from medialcover import detect_ambiguous
+
+        samples = detect_ambiguous(SHELLS, Window([-2.0] * 3, [2.0] * 3), 12)
+        smooth = np.random.default_rng(5).uniform(-2.0, 2.0, size=(20, 3))
+        points = np.vstack([samples, smooth])
+        batch = nondiff_witnesses(SHELLS_LIFT, points, lattice)
+        assert batch == [reference_witness(SHELLS_LIFT, p, lattice) for p in points]
+        assert None in batch and any(batch)
+
+    @pytest.mark.parametrize(
+        "field", [KINKS, ScalarField(lambda x: -np.sum(x * x, axis=-1), 3, tag="concave")], ids=["kinks", "concave"]
+    )
+    def test_partials_equal_the_scalar_loop(self, field):
+        for x in self.POINTS:
+            box = subgradient_box(field, x)
+            for axis in range(3):
+                g = one_sided_partials(field, x, axis)
+                assert (g.minus, g.plus) == reference_partials(field, x, axis)
+                assert tuple(box.intervals[axis]) == (g.minus, g.plus)
+
+    def test_empty_batch(self):
+        assert nondiff_witnesses(KINKS, np.empty((0, 3)), SlopeLattice(0.5, 4.0)) == []
+
+
+def mixed_rows(dimension, count, seed):
+    """Random points, axes and slopes up to +-40, so rows double their brackets unequally."""
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(-2.0, 2.0, size=(count, dimension))
+    axes = rng.integers(0, dimension, size=count)
+    slopes = rng.choice([-40.0, -17.5, -3.0, -0.125, 0.0, 0.5, 2.0, 9.25, 40.0], size=count)
+    return axes, slopes, points
+
+
+class TestMarginalInfRows:
+    @pytest.mark.parametrize(
+        "field",
+        [SHELLS_LIFT, LIFT, strongify(named_field("blend:3", 3))],
+        ids=["shells3d", "two_point", "blend"],
+    )
+    @pytest.mark.parametrize("options", [{}, {"xtol": 1e-9}], ids=["default", "tight"])
+    def test_rows_equal_scalar_marginal_inf(self, field, options):
+        axes, slopes, points = mixed_rows(field.dimension, 48, seed=field.dimension)
+        values = marginal_inf_rows(field, axes, slopes, points, **options)
+        assert values.shape == (48,)
+        for value, axis, slope, point in zip(values.tolist(), axes.tolist(), slopes.tolist(), points):
+            assert value == marginal_inf(field, axis, slope, np.delete(point, axis), **options)
+
+    def test_one_open_row_fails_the_batch_and_is_named(self):
+        # |x2| - 2 x2 has no minimum; every other row is coercive
+        half_open = ScalarField(lambda x: x[..., 0] ** 2 + np.abs(x[..., 1]), 2, tag="half-open")
+        axes, slopes = [0, 1, 0, 1], [3.0, 0.5, -2.0, 2.0]
+        with pytest.raises(CoercivityError, match=r"axis 1, slope 2\.0 still open after 60 doublings"):
+            marginal_inf_rows(half_open, axes, slopes, np.zeros((4, 2)))
+        values = marginal_inf_rows(half_open, axes[:3], slopes[:3], np.zeros((3, 2)))
+        assert values.tolist() == [marginal_inf(half_open, a, s, [0.0]) for a, s in zip(axes[:3], slopes[:3])]
+
+    def test_shapes_are_validated(self):
+        with pytest.raises(ValueError, match="R axes"):
+            marginal_inf_rows(LIFT, [0, 1], [0.0], np.zeros((2, 2)))
+        assert marginal_inf_rows(LIFT, [], [], np.empty((0, 2))).shape == (0,)
 
 
 class TestMarginalInf:

@@ -6,26 +6,31 @@ import numpy as np
 import pytest
 
 from medialcover.convex import SlopeLattice, marginal_inf
-from medialcover.cover import CcGraph, FamilyBudgetError, cover_family_to_dict, enumerate_cover
+from medialcover.cover import CcGraph, CoverFamily, FamilyBudgetError, cover_family_to_dict, enumerate_cover
 from medialcover.fields import asplund_field, strongify
-from medialcover.geometry import ClosedSetSpec, Point
+from medialcover.geometry import Ball, ClosedSetSpec, Point, Window
 
 LIFT = strongify(asplund_field(ClosedSetSpec([Point([-1.0, 0.0]), Point([1.0, 0.0])], 2)))
 LATTICE = SlopeLattice(step=1.0, bound=2.0)
+LIFT_3D = strongify(asplund_field(ClosedSetSpec([Ball([0.0, 0.0, 0.0], 1.0), Point([-1.4, -1.3, -1.5])], 3)))
 
 
 def test_grid_values_are_the_graph_formula_on_direct_marginal_infima():
-    family = enumerate_cover(LIFT, (0, 1), LATTICE, cap=64)
-    rest_nodes = np.linspace(-2.0, 2.0, 5)[:, None]
-    entries = cover_family_to_dict(family, rest_nodes)
-    assert len(entries) == len(family.graphs)
-    for graph, entry in zip(family.graphs, entries):
-        assert (entry["axis"], entry["alpha"], entry["beta"]) == (graph.axis, graph.alpha, graph.beta)
-        for node, (coord, value) in zip(rest_nodes, entry["grid"]):
-            va = marginal_inf(LIFT, graph.axis, graph.alpha, node)
-            vb = marginal_inf(LIFT, graph.axis, graph.beta, node)
-            assert coord == node[0]
-            assert value == (va - vb) / (graph.beta - graph.alpha)
+    cases = [
+        (LIFT, (0, 1), LATTICE, np.linspace(-2.0, 2.0, 5)[:, None]),
+        (LIFT_3D, (0, 1, 2), SlopeLattice(step=1.0, bound=1.0), Window([-2.0, -2.0], [2.0, 2.0]).grid_points(3)),
+    ]
+    for lift, axes, lattice, rest_nodes in cases:
+        family = enumerate_cover(lift, axes, lattice, cap=64)
+        entries = cover_family_to_dict(family, rest_nodes)
+        assert len(entries) == len(family.graphs)
+        for graph, entry in zip(family.graphs, entries):
+            assert (entry["axis"], entry["alpha"], entry["beta"]) == (graph.axis, graph.alpha, graph.beta)
+            for node, (*coords, value) in zip(rest_nodes, entry["grid"]):
+                va = marginal_inf(lift, graph.axis, graph.alpha, node)
+                vb = marginal_inf(lift, graph.axis, graph.beta, node)
+                assert coords == node.tolist()
+                assert value == (va - vb) / (graph.beta - graph.alpha)
 
 
 def test_enumeration_is_axis_major_then_alpha_then_beta():
@@ -47,3 +52,15 @@ def test_family_one_graph_over_the_cap_is_refused():
 def test_graph_rejects_bad_slopes_and_axes(axis, alpha, beta):
     with pytest.raises(ValueError):
         CcGraph(axis=axis, alpha=alpha, beta=beta, base=LIFT)
+
+
+def test_a_family_that_mixes_search_settings_reads_each_graphs_own_rows():
+    family = enumerate_cover(LIFT, (0,), LATTICE, cap=64)
+    first = family.graphs[0]
+    # the same slopes at a tighter xtol must not reuse the first graph's rows
+    tight = CcGraph(axis=0, alpha=first.alpha, beta=first.beta, base=LIFT, xtol=1e-9)
+    mixed = CoverFamily(graphs=(first, tight), provenance=family.provenance, lattice=LATTICE, axes=(0,))
+    rest_nodes = np.linspace(-2.0, 2.0, 5)[:, None]
+    for graph, entry in zip(mixed.graphs, cover_family_to_dict(mixed, rest_nodes)):
+        assert [value for _, value in entry["grid"]] == [graph.value(*graph.marginal_values(n)) for n in rest_nodes]
+    assert cover_family_to_dict(CoverFamily((), "empty", LATTICE, ()), np.zeros((1, 1))) == []
