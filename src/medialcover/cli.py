@@ -79,9 +79,7 @@ def _cmd_analyze(config: ScenarioConfig, raw: dict, args) -> int:
     )
     csv_path = args.csv or config.outputs.get("csv", "analyze_grid.csv")
     write_grid_csv(sweep, csv_path)
-    tally = {cls.value: 0 for cls in Classification}
-    for cls in sweep.classifications:
-        tally[cls.value] += 1
+    tally = {cls.value: sweep.classifications.count(cls) for cls in Classification}
     summary = _envelope(raw, args.seed if args.seed is not None else config.seed)
     summary.update({"command": "analyze", "rows": len(sweep.classifications), "classification_counts": tally, "csv": str(csv_path)})
     _emit_json(summary, args.output)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -52,10 +53,15 @@ def _require(condition: bool, name: str, message: str) -> None:
 
 
 def _get_number(data: dict, name: str, default, *, positive=False, minimum=None):
-    """Read a number from ``data``; ``name`` is its dotted path, such as ``lattice.step``."""
+    """Read a finite number from ``data``; ``name`` is its dotted path, such as ``lattice.step``.
+
+    Python's ``json`` parses ``NaN`` and ``Infinity``; they are refused here.
+    """
     value = data.get(name.rsplit(".", 1)[-1], default)
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"{name}: expected a number, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{name}: must be finite, got {value}")
     if positive and value <= 0:
         raise ConfigError(f"{name}: must be > 0, got {value}")
     if minimum is not None and value < minimum:

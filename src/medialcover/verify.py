@@ -279,7 +279,11 @@ def certify_cover(
 def write_samples_csv(points, path) -> None:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     header = [f"x{i + 1}" for i in range(pts.shape[1])]
-    write_csv(path, header, len(pts) if pts.size else 0, lambda lo, hi: pts[lo:hi].tolist())
+
+    def columns(lo: int, hi: int) -> list[list[str]]:
+        return [list(map(repr, col)) for col in pts[lo:hi].T.tolist()]
+
+    write_csv(path, header, len(pts) if pts.size else 0, columns)
 
 
 def write_overlay_svg(

@@ -62,6 +62,19 @@ def test_report_bytes_match_their_golden_digest(command, fixture, tmp_path, caps
     assert hashlib.sha256(report).hexdigest() == GOLDEN[command, fixture]
 
 
+# sha256 of the CSV bytes, computed with the writer that used the csv module.
+GOLDEN_CSV = {
+    ("analyze", "analyze_two_point"): "13a3056377497cabbd726f4becc178807b6211d368552f42fe8ee93612325ca6",
+    ("verify", "verify_two_point"): "e08d01a408cec091cf9f729974e3debb276cfad51b1b5ac92878f331e25da0e2",
+}
+
+
+@pytest.mark.parametrize("command, fixture", list(GOLDEN_CSV), ids=[f for _, f in GOLDEN_CSV])
+def test_csv_bytes_match_their_golden_digest(command, fixture, tmp_path, capsys):
+    _, (_, table) = run(command, fixture, tmp_path)
+    assert hashlib.sha256(table).hexdigest() == GOLDEN_CSV[command, fixture]
+
+
 def csv_table(data: bytes) -> tuple[list[str], list[list[str]]]:
     """Header and cells of a CSV whose every line ends in CRLF."""
     lines = data.split(b"\r\n")

@@ -41,3 +41,21 @@ def test_malformed_config_exits_2_through_main(tmp_path, capsys):
     assert main(["verify", str(config), "--output", str(report)]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error: tolerances.tie:")
     assert not report.exists()
+
+
+# Python's json parses NaN and Infinity, so these are written as raw JSON text.
+NON_FINITE = [
+    ("lattice.step", '"lattice": {"step": NaN}'),
+    ("cover.cap", '"cover": {"cap": Infinity}'),
+    ("tolerances.tie", '"tolerances": {"tie": NaN}'),
+]
+
+
+@pytest.mark.parametrize("name, member", NON_FINITE, ids=[name for name, _ in NON_FINITE])
+def test_non_finite_number_exits_2_through_main(name, member, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(f'{{"set": {json.dumps(TWO_POINTS)}, "grid_resolution": 17, {member}}}')
+    report, table = tmp_path / "report.json", tmp_path / "grid.csv"
+    assert main(["analyze", str(config), "--output", str(report), "--csv", str(table)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: {name}: must be finite, got ")
+    assert not report.exists() and not table.exists()

@@ -1,0 +1,97 @@
+"""The columnar CSV writer against a ``csv.writer`` oracle, and its memory bound."""
+
+import csv
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from medialcover.distance import CSV_BLOCK_ROWS, Classification, grid_sweep, write_grid_csv
+from medialcover.geometry import Ball, ClosedSetSpec, Point, Segment, Window
+from medialcover.verify import write_samples_csv
+
+
+def oracle_write_csv(path, header, count, rows) -> None:
+    """The writer built on the csv module: a float cell is its ``repr``."""
+    with open(path, "w", newline="") as fh:
+        if count:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+
+
+def oracle_grid_csv(sweep, path) -> None:
+    n = sweep.points.shape[1]
+    header = [f"x{i + 1}" for i in range(n)] + ["d", "classification"]
+    header += [f"grad_{i + 1}" for i in range(n)] + ["differentiable_flag"]
+    columns = zip(
+        sweep.points.tolist(),
+        sweep.values.tolist(),
+        sweep.classifications,
+        sweep.gradients.tolist(),
+        sweep.differentiable.tolist(),
+    )
+    rows = [[*x, d, c.value, *g, "true" if flag else "false"] for x, d, c, g, flag in columns]
+    oracle_write_csv(path, header, len(sweep.points), rows)
+
+
+def oracle_samples_csv(points, path) -> None:
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    header = [f"x{i + 1}" for i in range(pts.shape[1])]
+    oracle_write_csv(path, header, len(pts) if pts.size else 0, pts.tolist())
+
+
+# Each set has a segment along a grid line, so some nodes lie in the set and
+# their gradients are NaN, and a shell.  The 2-D and 3-D row counts (33**2 =
+# 1,089 and 11**3 = 1,331) are not multiples of the block size.
+SWEEPS = {
+    "1d": (ClosedSetSpec([Ball([0.0], 1.0), Segment([1.5], [1.8]), Point([-1.7])], 1), 41),
+    "2d": (ClosedSetSpec([Ball([0.5, 0.5], 0.75), Segment([-1.0, 0.0], [1.0, 0.0]), Point([-1.3, 1.1])], 2), 33),
+    "3d": (
+        ClosedSetSpec([Ball([0.0, 0.0, 0.0], 1.0), Segment([-2.0, 0.0, 2.0], [2.0, 0.0, 2.0]), Point([1.5, 1.5, 1.5])], 3),
+        11,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(SWEEPS))
+def test_grid_csv_equals_the_csv_module_oracle(name, tmp_path):
+    spec, resolution = SWEEPS[name]
+    sweep = grid_sweep(spec, Window([-2.0] * spec.dimension, [2.0] * spec.dimension), resolution)
+    assert Classification.IN_SET in sweep.classifications and Classification.AMBIGUOUS in sweep.classifications
+    assert np.isnan(sweep.gradients).any() and len(sweep.points) % CSV_BLOCK_ROWS
+    ours, oracle = tmp_path / "ours.csv", tmp_path / "oracle.csv"
+    write_grid_csv(sweep, ours)
+    oracle_grid_csv(sweep, oracle)
+    assert ours.read_bytes() == oracle.read_bytes()
+
+
+def test_samples_csv_equals_the_csv_module_oracle(tmp_path):
+    rng = np.random.default_rng(7)
+    points = rng.normal(size=(2 * CSV_BLOCK_ROWS + 300, 3)) * 10.0 ** rng.integers(-12, 12, size=(1, 3))
+    points[::5, 0] = -0.0
+    points[1::5, 1] = 0.0
+    points[2, :] = [1e-300, -1e22, 5e-324]
+    ours, oracle = tmp_path / "ours.csv", tmp_path / "oracle.csv"
+    written = []
+    for pts in (points, points[:, :1], np.empty((0, 2))):
+        write_samples_csv(pts, ours)
+        oracle_samples_csv(pts, oracle)
+        written.append(ours.read_bytes())
+        assert written[-1] == oracle.read_bytes()
+    assert b"\r\n-0.0," in written[0] and written[-1] == b""
+
+
+def test_grid_csv_holds_one_block_in_memory(tmp_path):
+    # 40**3 = 64,000 rows, about 9 MB of text.  A writer that builds whole-table
+    # index or string arrays peaks at several MB.
+    spec = ClosedSetSpec([Ball([0.0, 0.0, 0.0], 1.0), Point([1.5, 1.5, 1.5])], 3)
+    sweep = grid_sweep(spec, Window([-2.0] * 3, [2.0] * 3), 40)
+    path = tmp_path / "grid.csv"
+    tracemalloc.start()
+    try:
+        write_grid_csv(sweep, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 10
