@@ -13,19 +13,12 @@ from .convex import (
     CcDecomposition,
     CoercivityError,
     NondiffWitness,
-    OneSidedGradient,
     ProbeReport,
     SlopeLattice,
-    SubgradientBox,
     cc_decompose_c2,
     convexity_probe,
-    marginal_inf,
     marginal_inf_rows,
-    nondiff_witness,
     nondiff_witnesses,
-    one_sided_partials,
-    strong_convexity_probe,
-    subgradient_box,
 )
 from .cover import (
     CcGraph,
@@ -36,15 +29,12 @@ from .cover import (
 )
 from .distance import (
     Classification,
-    GradientEstimate,
     NearestResult,
     Survey,
     distance,
-    grad_distance_fd,
     grid_sweep,
     nearest_points,
     project,
-    reconstruct_nearest,
     survey,
     write_grid_csv,
 )
@@ -76,10 +66,8 @@ __all__ = [
     "CoverFamily",
     "CoverageReport",
     "FamilyBudgetError",
-    "GradientEstimate",
     "NearestResult",
     "NondiffWitness",
-    "OneSidedGradient",
     "Point",
     "PolygonBoundary",
     "Primitive",
@@ -87,7 +75,6 @@ __all__ = [
     "ScalarField",
     "Segment",
     "SlopeLattice",
-    "SubgradientBox",
     "Survey",
     "Window",
     "asplund_field",
@@ -98,22 +85,15 @@ __all__ = [
     "detect_ambiguous",
     "distance",
     "enumerate_cover",
-    "grad_distance_fd",
     "grid_sweep",
-    "marginal_inf",
     "marginal_inf_rows",
     "named_field",
     "nearest_points",
-    "nondiff_witness",
     "nondiff_witnesses",
-    "one_sided_partials",
     "project",
     "quadratic_sine_blend",
-    "reconstruct_nearest",
     "squared_norm",
-    "strong_convexity_probe",
     "strongify",
-    "subgradient_box",
     "survey",
     "write_grid_csv",
     "write_overlay_svg",

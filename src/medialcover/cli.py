@@ -89,7 +89,7 @@ def _cmd_analyze(config: ScenarioConfig, raw: dict, args) -> int:
 def _cmd_cover(config: ScenarioConfig, raw: dict, args) -> int:
     base = _base_field(config)
     lift = strongify(base)
-    family = enumerate_cover(lift, config.cover_axes or range(config.dimension), config.lattice, config.cover_cap)
+    family = enumerate_cover(lift, config.cover_axes, config.lattice, config.cover_cap)
 
     rest_nodes = _rest_grid(config.window, config.cover_rest_resolution, config.dimension)
     graphs = cover_family_to_dict(family, rest_nodes)

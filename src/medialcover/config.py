@@ -69,6 +69,13 @@ def _get_number(data: dict, name: str, default, *, positive=False, minimum=None)
     return value
 
 
+def _get_count(data: dict, name: str, default: int, minimum: int) -> int:
+    """Read a whole number of at least ``minimum``: ``16.0`` is read as 16, ``16.5`` is refused."""
+    value = _get_number(data, name, default, minimum=minimum)
+    _require(float(value).is_integer(), name, "must be an integer")
+    return int(value)
+
+
 def _load_set(entry, base_dir: Path) -> ClosedSetSpec:
     if isinstance(entry, str):
         path = Path(entry)
@@ -118,8 +125,7 @@ def parse_config(data: dict, base_dir: Path | None = None) -> ScenarioConfig:
         raise ConfigError(f"window: {exc}") from None
     _require(window.dimension == dimension, "window", f"dimension {window.dimension} != {dimension}")
 
-    resolution = _get_number(data, "grid_resolution", 64, minimum=8)
-    _require(float(resolution).is_integer(), "grid_resolution", "must be an integer")
+    resolution = _get_count(data, "grid_resolution", 64, minimum=8)
 
     lattice_data = data.get("lattice", {})
     if not isinstance(lattice_data, dict):
@@ -146,16 +152,16 @@ def parse_config(data: dict, base_dir: Path | None = None) -> ScenarioConfig:
     if not isinstance(cover, dict):
         raise ConfigError("cover: expected an object")
     axes = cover.get("axes", list(range(dimension)))
-    if not isinstance(axes, list) or not all(isinstance(a, int) and 0 <= a < dimension for a in axes):
-        raise ConfigError(f"cover.axes: expected a list of axis indices in [0, {dimension - 1}]")
-    cap = _get_number(cover, "cover.cap", 64, minimum=1)
-    rest_resolution = _get_number(cover, "cover.rest_resolution", 9, minimum=1)
+    if not isinstance(axes, list) or not axes or not all(isinstance(a, int) and 0 <= a < dimension for a in axes):
+        raise ConfigError(f"cover.axes: expected a non-empty list of axis indices in [0, {dimension - 1}]")
+    cap = _get_count(cover, "cover.cap", 64, minimum=1)
+    rest_resolution = _get_count(cover, "cover.rest_resolution", 9, minimum=1)
 
     decompose = data.get("decompose", {})
     if not isinstance(decompose, dict):
         raise ConfigError("decompose: expected an object")
     radius = _get_number(decompose, "decompose.radius", 1.0, positive=True)
-    dec_samples = _get_number(decompose, "decompose.samples", 1000, minimum=1)
+    dec_samples = _get_count(decompose, "decompose.samples", 1000, minimum=1)
 
     seed = data.get("seed", 0)
     _require(isinstance(seed, int) and not isinstance(seed, bool), "seed", "must be an integer")
@@ -169,7 +175,7 @@ def parse_config(data: dict, base_dir: Path | None = None) -> ScenarioConfig:
     return ScenarioConfig(
         dimension=dimension,
         window=window,
-        grid_resolution=int(resolution),
+        grid_resolution=resolution,
         lattice=lattice,
         set_spec=set_spec,
         field_name=field_name,
@@ -181,10 +187,10 @@ def parse_config(data: dict, base_dir: Path | None = None) -> ScenarioConfig:
         refine_tol=float(refine),
         jump_fraction=float(jump_fraction),
         cover_axes=tuple(axes),
-        cover_cap=int(cap),
-        cover_rest_resolution=int(rest_resolution),
+        cover_cap=cap,
+        cover_rest_resolution=rest_resolution,
         decompose_radius=float(radius),
-        decompose_samples=int(dec_samples),
+        decompose_samples=dec_samples,
         fault_offset=float(fault_offset),
         seed=int(seed),
         outputs=dict(outputs),

@@ -3,28 +3,26 @@
 This module estimates one-sided partial derivatives of convex fields by
 monotone secant extrapolation, detects non-differentiability witnesses on a
 lattice of candidate slopes, computes marginal infima of strongly convex
-fields by bracketed golden-section search, and provides randomized convexity
-and strong-convexity probes plus the C^2 difference-of-convex decomposition.
+fields by bracketed golden-section search, and provides a randomized
+convexity probe plus the C^2 difference-of-convex decomposition.
 
 Numerical conventions
 ---------------------
 * One-sided partials use secants at t = +-h, +-h/2, +-h/4 and Richardson
   extrapolation, clipped into the monotone bracket [s(-h/4), s(h/4)] that
-  convexity guarantees.  One batched routine does this arithmetic for K
-  points and every axis in two field calls; the single-point functions are
-  its batch of one.
+  convexity guarantees.  :func:`_one_sided` does this arithmetic for K
+  points and every axis in two field calls.
 * A non-differentiability witness needs a derivative gap of at least two
   lattice steps; the chosen pair is the widest one whose members sit at
   least half a lattice step inside the estimated gap, which makes the
   choice deterministic and robust to estimation error.
 * Marginal infima expand a symmetric bracket by doubling until both ends
   exceed the center value (guaranteed by strong convexity), then run
-  golden-section search to an absolute coordinate resolution.
+  golden-section search to an absolute coordinate resolution of 1e-7.
   :func:`marginal_inf_rows` runs R such searches in lockstep, one field
   call per step for the rows still open: each row doubles its own bracket
-  and stops on its own (b - a) > xtol test, so it takes exactly the steps
-  of the scalar :func:`marginal_inf` and returns the same float.  The
-  scalar search stays as the reference and for single queries.
+  and stops on its own (b - a) > 1e-7 test, so a row's value does not
+  depend on the other rows of its batch.
 """
 
 from __future__ import annotations
@@ -39,20 +37,13 @@ from .geometry import Window
 
 __all__ = [
     "SlopeLattice",
-    "OneSidedGradient",
-    "SubgradientBox",
     "NondiffWitness",
     "CoercivityError",
     "ProbeReport",
     "CcDecomposition",
-    "one_sided_partials",
-    "subgradient_box",
-    "nondiff_witness",
     "nondiff_witnesses",
-    "marginal_inf",
     "marginal_inf_rows",
     "convexity_probe",
-    "strong_convexity_probe",
     "radial_cutoff",
     "sampled_hessian_bound",
     "cc_decompose_c2",
@@ -65,6 +56,8 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # Marginal-infimum bracket: half-width at the start, doublings before giving up.
 _INITIAL_HALFWIDTH = 1.0
 _MAX_DOUBLINGS = 60
+# Golden-section resolution of every marginal infimum.
+_MARGINAL_XTOL = 1e-7
 
 
 class CoercivityError(RuntimeError):
@@ -102,33 +95,6 @@ class SlopeLattice:
 
 
 @dataclass(frozen=True)
-class OneSidedGradient:
-    """Estimated left/right partial derivatives along one axis."""
-
-    axis: int
-    minus: float
-    plus: float
-    step: float
-
-    @property
-    def gap(self) -> float:
-        return self.plus - self.minus
-
-
-@dataclass(frozen=True)
-class SubgradientBox:
-    """Per-axis intervals [minus_i, plus_i]; an outer box around the subdifferential."""
-
-    intervals: np.ndarray  # shape (n, 2)
-
-    def minus(self, axis: int) -> float:
-        return float(self.intervals[axis, 0])
-
-    def plus(self, axis: int) -> float:
-        return float(self.intervals[axis, 1])
-
-
-@dataclass(frozen=True)
 class NondiffWitness:
     """A lattice pair (alpha, beta) certifying a one-sided derivative gap on an axis."""
 
@@ -142,8 +108,10 @@ class NondiffWitness:
 def _one_sided(field: ScalarField, points: np.ndarray, axes, step: float) -> tuple[np.ndarray, np.ndarray]:
     """(minus, plus) partials, each (K, len(axes)), at the K rows of ``points``.
 
-    The arithmetic of :func:`one_sided_partials`, in two field calls: one for
-    the K base values, one for the 6 * len(axes) * K shifted points.
+    For a convex field the secant (f(x + t e) - f(x)) / t is nondecreasing in
+    t, so the samples bracket the one-sided limits; the extrapolated values
+    are clipped back into that bracket.  Two field calls: one for the K base
+    values, one for the 6 * len(axes) * K shifted points.
     """
     if step <= 0:
         raise ValueError("step must be positive")
@@ -167,36 +135,20 @@ def _one_sided(field: ScalarField, points: np.ndarray, axes, step: float) -> tup
     return clip(minus), clip(plus)
 
 
-def one_sided_partials(field: ScalarField, x, axis: int, step: float = DEFAULT_PARTIAL_STEP) -> OneSidedGradient:
-    """Estimate the left and right partial derivatives along ``axis``.
-
-    For a convex field the secant (f(x + t e) - f(x)) / t is nondecreasing in
-    t, so the samples bracket the one-sided limits; the extrapolated values
-    are clipped back into that bracket.
-    """
-    minus, plus = _one_sided(field, np.asarray(x, dtype=float)[None], [axis], step)
-    return OneSidedGradient(axis=axis, minus=float(minus[0, 0]), plus=float(plus[0, 0]), step=step)
-
-
-def subgradient_box(field: ScalarField, x, step: float = DEFAULT_PARTIAL_STEP) -> SubgradientBox:
-    """Per-axis one-sided derivative intervals at ``x``.
-
-    For each axis i and any s in [minus_i, plus_i], the supporting-line
-    inequality f(x + t e_i) >= f(x) + s t holds for all t when the field is
-    convex.
-    """
-    minus, plus = _one_sided(field, np.asarray(x, dtype=float)[None], range(field.dimension), step)
-    return SubgradientBox(intervals=np.stack([minus[0], plus[0]], axis=1))
-
-
-def _witnesses(
-    field: ScalarField, points: np.ndarray, lattice: SlopeLattice, step: float, margin: float | None
+def nondiff_witnesses(
+    field: ScalarField, points, lattice: SlopeLattice, step: float = DEFAULT_PARTIAL_STEP
 ) -> list[NondiffWitness | None]:
-    """The witness of each row of ``points``; the rule is :func:`nondiff_witness`'s."""
+    """The witness of each row of a (K, n) batch, in two field calls.
+
+    A row's witness is on its first axis with a derivative gap resolvable on
+    the lattice: the widest lattice pair alpha < beta lying at least half a
+    lattice step inside [minus, plus].  It is None when no axis has a gap of
+    at least two lattice steps.
+    """
+    points = np.asarray(points, dtype=float)
     if not len(points):
         return []
-    if margin is None:
-        margin = lattice.step / 2.0
+    margin = lattice.step / 2.0
     k_max = lattice.max_index
     minus, plus = _one_sided(field, points, range(field.dimension), step)
     lo = np.maximum(np.ceil((minus + margin) / lattice.step - 1e-12), -k_max)
@@ -219,107 +171,17 @@ def _witnesses(
     return witnesses
 
 
-def nondiff_witnesses(
-    field: ScalarField, points, lattice: SlopeLattice, step: float = DEFAULT_PARTIAL_STEP
-) -> list[NondiffWitness | None]:
-    """:func:`nondiff_witness` at each row of a (K, n) batch, in two field calls."""
-    return _witnesses(field, np.asarray(points, dtype=float), lattice, step, None)
+def marginal_inf_rows(field: ScalarField, axes, slopes, points) -> np.ndarray:
+    """inf over t of  field(x) - slope * t  for R rows at once, one field call per search step.
 
-
-def nondiff_witness(
-    field: ScalarField,
-    x,
-    lattice: SlopeLattice,
-    step: float = DEFAULT_PARTIAL_STEP,
-    margin: float | None = None,
-) -> NondiffWitness | None:
-    """Find the first axis with a derivative gap resolvable on the lattice.
-
-    Returns the widest lattice pair alpha < beta lying at least ``margin``
-    (default: half a lattice step) inside [minus, plus], or None when no axis
-    has a gap of at least two lattice steps.
-    """
-    return _witnesses(field, np.asarray(x, dtype=float)[None], lattice, step, margin)[0]
-
-
-def _golden_min(phi, a: float, b: float, xtol: float) -> float:
-    """Golden-section minimum value of a unimodal function on [a, b]."""
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = phi(c), phi(d)
-    while (b - a) > xtol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = phi(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = phi(d)
-    return min(fc, fd)
-
-
-def marginal_inf(
-    field: ScalarField,
-    axis: int,
-    slope: float,
-    x_rest,
-    *,
-    xtol: float = 1e-7,
-    initial_halfwidth: float = _INITIAL_HALFWIDTH,
-    max_doublings: int = _MAX_DOUBLINGS,
-) -> float:
-    """inf over the ``axis`` coordinate of  field(x) - slope * x_axis.
-
-    Requires a strongly convex field, which makes the objective coercive for
-    every slope: the bracket [-w, w] is doubled until both ends exceed the
-    value at the center, then golden-section search localizes the minimizer
-    to ``xtol``.  Raises :class:`CoercivityError` if the bracket never
-    closes, which signals a precondition violation.
-    """
-    x_rest = np.atleast_1d(np.asarray(x_rest, dtype=float))
-    if x_rest.shape != (field.dimension - 1,):
-        raise ValueError(f"x_rest must have shape ({field.dimension - 1},), got {x_rest.shape}")
-    rest_axes = [i for i in range(field.dimension) if i != axis]
-    template = np.empty(field.dimension)
-    template[rest_axes] = x_rest
-
-    def phi(t: float) -> float:
-        point = template.copy()
-        point[axis] = t
-        return float(field(point)) - slope * t
-
-    half = float(initial_halfwidth)
-    f_center = phi(0.0)
-    fa, fb = phi(-half), phi(half)
-    doublings = 0
-    while not (fa > f_center and fb > f_center):
-        doublings += 1
-        if doublings > max_doublings:
-            raise CoercivityError(
-                f"bracket for axis {axis}, slope {slope} still open after {max_doublings} doublings; "
-                "the field does not look strongly convex"
-            )
-        half *= 2.0
-        fa, fb = phi(-half), phi(half)
-    return _golden_min(phi, -half, half, xtol)
-
-
-def marginal_inf_rows(
-    field: ScalarField,
-    axes,
-    slopes,
-    points,
-    *,
-    xtol: float = 1e-7,
-) -> np.ndarray:
-    """:func:`marginal_inf` for R rows at once, one field call per search step.
-
-    Row r is the infimum over t of  field(points[r] with coordinate
-    ``axes[r]`` set to t) - slopes[r] * t; the ``axes[r]`` coordinate of
-    ``points[r]`` is ignored.  Every row doubles its own bracket and stops
-    its own golden-section search, taking the same steps as the scalar
-    search at its default bracket, so each value equals the scalar one.
+    In row r, x is ``points[r]`` with coordinate ``axes[r]`` set to t (the
+    given ``axes[r]`` coordinate is ignored) and the slope is ``slopes[r]``.
+    Requires a strongly convex field, which makes every objective coercive:
+    each row doubles its bracket [-w, w] until both ends exceed the value at
+    the center, then golden-section search localizes the minimizer to
+    ``_MARGINAL_XTOL``.  Raises :class:`CoercivityError`, naming the first
+    row still open, if a bracket never closes, which signals a precondition
+    violation.
     """
     points = np.array(points, dtype=float)
     axes = np.asarray(axes, dtype=int)
@@ -362,7 +224,7 @@ def marginal_inf_rows(
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = phi_rows(rows, c, d)
-    active = rows[(b - a) > xtol]
+    active = rows[(b - a) > _MARGINAL_XTOL]
     while active.size:
         left = fc[active] <= fd[active]
         lo, hi = active[left], active[~left]
@@ -372,8 +234,8 @@ def marginal_inf_rows(
         d[hi] = a[hi] + _INVPHI * (b[hi] - a[hi])
         f = phi(np.concatenate([lo, hi]), np.concatenate([c[lo], d[hi]]))
         fc[lo], fd[hi] = f[: len(lo)], f[len(lo) :]
-        active = active[(b[active] - a[active]) > xtol]
-    return np.where(fd < fc, fd, fc)  # min(fc, fd) as the scalar search takes it, signed zeros included
+        active = active[(b[active] - a[active]) > _MARGINAL_XTOL]
+    return np.where(fd < fc, fd, fc)  # Python's min(fc, fd): fc on ties, signed zeros included
 
 
 @dataclass(frozen=True)
@@ -387,7 +249,10 @@ class ProbeReport:
     seed: int
 
 
-def _probe_samples(field: ScalarField, window: Window, num_samples: int, seed: int):
+def convexity_probe(field: ScalarField, window: Window, num_samples: int = 10000, seed: int = 0) -> ProbeReport:
+    """Sample the midpoint inequality f(lx + (1-l)y) <= l f(x) + (1-l) f(y)."""
+    if num_samples < 1:
+        raise ValueError("num_samples must be at least 1")
     rng = np.random.default_rng(seed)
     x = window.sample(rng, num_samples)
     y = window.sample(rng, num_samples)
@@ -395,34 +260,7 @@ def _probe_samples(field: ScalarField, window: Window, num_samples: int, seed: i
     fx = np.asarray(field(x), dtype=float)
     fy = np.asarray(field(y), dtype=float)
     mid = np.asarray(field(lam[:, None] * x + (1.0 - lam[:, None]) * y), dtype=float)
-    return x, y, lam, fx, fy, mid
-
-
-def convexity_probe(field: ScalarField, window: Window, num_samples: int = 10000, seed: int = 0) -> ProbeReport:
-    """Sample the midpoint inequality f(lx + (1-l)y) <= l f(x) + (1-l) f(y)."""
-    if num_samples < 1:
-        raise ValueError("num_samples must be at least 1")
-    _, _, lam, fx, fy, mid = _probe_samples(field, window, num_samples, seed)
     violation = float(np.max(mid - (lam * fx + (1.0 - lam) * fy)))
-    scale = float(max(np.abs(fx).max(), np.abs(fy).max()))
-    tol = 1e-9 * (1.0 + scale)
-    return ProbeReport(violation, tol, violation <= tol, num_samples, seed)
-
-
-def strong_convexity_probe(
-    field: ScalarField,
-    window: Window,
-    num_samples: int = 10000,
-    seed: int = 0,
-    modulus: float = 1.0,
-) -> ProbeReport:
-    """Like :func:`convexity_probe` with the quadratic improvement term of modulus ``modulus``."""
-    if num_samples < 1:
-        raise ValueError("num_samples must be at least 1")
-    x, y, lam, fx, fy, mid = _probe_samples(field, window, num_samples, seed)
-    gap = np.sum((x - y) ** 2, axis=1)
-    bound = lam * fx + (1.0 - lam) * fy - modulus * lam * (1.0 - lam) * gap
-    violation = float(np.max(mid - bound))
     scale = float(max(np.abs(fx).max(), np.abs(fy).max()))
     tol = 1e-9 * (1.0 + scale)
     return ProbeReport(violation, tol, violation <= tol, num_samples, seed)

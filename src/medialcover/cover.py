@@ -9,8 +9,7 @@ The evaluator is a difference of two convex functions of x_rest.
 Graphs of one family share their marginal rows: over a rest grid,
 :func:`cover_family_to_dict` computes g_s once per (axis, slope), all of
 them in one batched search (:func:`medialcover.convex.marginal_inf_rows`),
-and every graph with that slope reads its row.  ``CcGraph.marginal_values``
-keeps the scalar search for single nodes.
+and every graph with that slope reads its row.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import SlopeLattice, marginal_inf, marginal_inf_rows
+from .convex import SlopeLattice, marginal_inf_rows
 from .fields import ScalarField
 
 __all__ = [
@@ -48,7 +47,6 @@ class CcGraph:
     alpha: float
     beta: float
     base: ScalarField
-    xtol: float = 1e-7
     bias: float = 0.0
 
     def __post_init__(self):
@@ -61,13 +59,6 @@ class CcGraph:
     def key(self) -> str:
         return f"axis{self.axis}:{self.alpha:g}:{self.beta:g}"
 
-    def marginal_values(self, x_rest) -> tuple[float, float]:
-        """(g_alpha, g_beta) at one x_rest node."""
-        return (
-            marginal_inf(self.base, self.axis, self.alpha, x_rest, xtol=self.xtol),
-            marginal_inf(self.base, self.axis, self.beta, x_rest, xtol=self.xtol),
-        )
-
     def value(self, value_alpha: float, value_beta: float) -> float:
         """The graph coordinate x_axis from the two marginal values at a node."""
         return (value_alpha - value_beta) / (self.beta - self.alpha) + self.bias
@@ -79,7 +70,6 @@ class CoverFamily:
 
     graphs: tuple[CcGraph, ...]
     provenance: str
-    lattice: SlopeLattice
     axes: tuple[int, ...]
 
 
@@ -88,7 +78,6 @@ def enumerate_cover(
     axes,
     lattice: SlopeLattice,
     cap: int,
-    xtol: float = 1e-7,
 ) -> CoverFamily:
     """All (axis, alpha < beta) combinations, axis-major then alpha then beta ascending."""
     axes = tuple(int(a) for a in axes)
@@ -100,34 +89,34 @@ def enumerate_cover(
         raise FamilyBudgetError(f"family would need {total} graphs, exceeding the cap of {cap}")
     slopes = lattice.points()
     graphs = [
-        CcGraph(axis=a, alpha=float(alpha), beta=float(beta), base=base, xtol=xtol)
+        CcGraph(axis=a, alpha=float(alpha), beta=float(beta), base=base)
         for a in axes
         for alpha, beta in itertools.combinations(slopes, 2)
     ]
-    return CoverFamily(graphs=tuple(graphs), provenance=base.tag, lattice=lattice, axes=axes)
+    return CoverFamily(graphs=tuple(graphs), provenance=base.tag, axes=axes)
 
 
 def cover_family_to_dict(family: CoverFamily, rest_nodes: np.ndarray) -> list[dict]:
     """Serialize each graph with its values over the given x_rest nodes."""
     rest_nodes = np.atleast_2d(np.asarray(rest_nodes, dtype=float))
-    # (axis, slope) keys in first-use order, per (base, xtol) search setting
-    groups: dict[tuple, dict[tuple[int, float], None]] = {}
+    # (axis, slope) keys in first-use order, per base field
+    groups: dict[ScalarField, dict[tuple[int, float], None]] = {}
     for graph in family.graphs:
-        keys = groups.setdefault((graph.base, graph.xtol), {})
+        keys = groups.setdefault(graph.base, {})
         for slope in (graph.alpha, graph.beta):
             keys[graph.axis, slope] = None
     count = len(rest_nodes)
     rows: dict[tuple, list[float]] = {}
-    for (base, xtol), keys in groups.items():
+    for base, keys in groups.items():
         points = np.concatenate([np.insert(rest_nodes, axis, 0.0, axis=1) for axis, _ in keys])
         axes = np.repeat([axis for axis, _ in keys], count)
         slopes = np.repeat([slope for _, slope in keys], count)
-        values = marginal_inf_rows(base, axes, slopes, points, xtol=xtol).reshape(len(keys), count).tolist()
-        rows.update(((base, xtol, *key), row) for key, row in zip(keys, values))
+        values = marginal_inf_rows(base, axes, slopes, points).reshape(len(keys), count).tolist()
+        rows.update(((base, *key), row) for key, row in zip(keys, values))
 
     out = []
     for graph in family.graphs:
-        setting = (graph.base, graph.xtol, graph.axis)
+        setting = (graph.base, graph.axis)
         pairs = zip(rest_nodes, rows[(*setting, graph.alpha)], rows[(*setting, graph.beta)])
         grid = [[*node.tolist(), graph.value(va, vb)] for node, va, vb in pairs]
         out.append({"axis": graph.axis, "alpha": graph.alpha, "beta": graph.beta, "grid": grid})

@@ -14,10 +14,9 @@ first.
 ``nearest_points`` is the scalar reference for the same rule: it asks each
 primitive on its own for its nearest points and keeps the separated ones.
 
-``grad_distance_fd`` estimates the gradient of the distance field by central
-finite differences and reports whether the field looks differentiable at the
-query point; where it does, ``reconstruct_nearest`` recovers the unique
-nearest point from the identity  p = x - d(x) * grad d(x).
+``grid_sweep`` adds, on every grid node, the gradient of the distance field
+by central finite differences and whether the field looks differentiable
+there; where it does, the unique nearest point is  x - d(x) * grad d(x).
 
 ``write_grid_csv`` writes a sweep through ``write_csv``, a columnar writer
 that works one block of ``CSV_BLOCK_ROWS`` rows at a time and does not use
@@ -32,20 +31,17 @@ from enum import Enum
 
 import numpy as np
 
-from .geometry import ClosedSetSpec, Window
+from .geometry import ClosedSetSpec, Window, _batch
 
 __all__ = [
     "Classification",
     "NearestResult",
-    "GradientEstimate",
     "GridSweep",
     "Survey",
     "distance",
     "project",
     "survey",
     "nearest_points",
-    "grad_distance_fd",
-    "reconstruct_nearest",
     "grid_sweep",
     "write_csv",
     "write_grid_csv",
@@ -76,38 +72,16 @@ class NearestResult:
     infinite_set: bool = False
 
 
-@dataclass(frozen=True)
-class GradientEstimate:
-    """Central finite-difference gradient with a differentiability verdict.
-
-    ``differentiable`` holds when, on every axis, forward and backward
-    one-sided differences agree within 10*step, central differences at step
-    and step/2 agree within 10*step, and the gradient norm does not exceed
-    1 + 10*step (the field is 1-Lipschitz).
-    """
-
-    vector: np.ndarray
-    step: float
-    differentiable: bool
-    agreement_residual: float
-
-
-def _as_batch(x) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(x, dtype=float)
-    single = arr.ndim == 1
-    return (arr[None, :] if single else arr), single
-
-
 def distance(spec: ClosedSetSpec, x) -> float | np.ndarray:
     """dist(x, E): minimum over the set's packed rows.  Vectorized over points."""
-    pts, single = _as_batch(x)
+    pts, single = _batch(x, spec.dimension)
     d = spec.row_distances(pts).min(axis=0)
     return float(d[0]) if single else d
 
 
 def project(spec: ClosedSetSpec, x) -> np.ndarray:
     """One representative nearest point per query point (the first nearest row)."""
-    pts, single = _as_batch(x)
+    pts, single = _batch(x, spec.dimension)
     out = spec.project_rows(pts, spec.row_distances(pts).argmin(axis=0))
     return out[0] if single else out
 
@@ -229,42 +203,16 @@ def _fd_tables(spec: ClosedSetSpec, pts: np.ndarray, d0: np.ndarray, step: float
     return central_h, central_h2, gap
 
 
-def grad_distance_fd(
-    spec: ClosedSetSpec,
-    x,
-    step: float = DEFAULT_FD_STEP,
-    tie_tolerance: float = DEFAULT_TIE_TOLERANCE,
-) -> GradientEstimate:
-    """Finite-difference gradient of the distance field at a point outside the set."""
-    if step <= 0:
-        raise ValueError("step must be positive")
-    x = np.asarray(x, dtype=float)
-    d0 = distance(spec, x[None, :])
-    if float(d0[0]) <= tie_tolerance:
-        raise ValueError("gradient of the distance field is undefined on the set itself")
-    c1, c2, gap = _fd_tables(spec, x[None, :], d0, step)
-    vector = c2[0]
-    residual = float(max(gap[0].max(), np.abs(c1[0] - c2[0]).max()))
-    ok = residual <= 10.0 * step and float(np.linalg.norm(vector)) <= 1.0 + 10.0 * step
-    return GradientEstimate(vector=vector, step=step, differentiable=bool(ok), agreement_residual=residual)
-
-
-def reconstruct_nearest(spec: ClosedSetSpec, x, step: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """Recover the unique nearest point as x - d(x) * grad d(x).
-
-    Refuses when the differentiability check fails: a non-differentiable
-    distance field means the nearest point may not be unique.
-    """
-    x = np.asarray(x, dtype=float)
-    est = grad_distance_fd(spec, x, step=step)
-    if not est.differentiable:
-        raise ValueError("distance field not differentiable here; nearest point may be ambiguous")
-    return x - float(distance(spec, x)) * est.vector
-
-
 @dataclass(frozen=True)
 class GridSweep:
-    """Vectorized distance-field evaluation over a full window grid."""
+    """Vectorized distance-field evaluation over a full window grid.
+
+    ``differentiable`` holds at a node outside the set when, on every axis,
+    forward and backward one-sided differences agree within 10*step, central
+    differences at step and step/2 agree within 10*step, and the gradient
+    norm does not exceed 1 + 10*step (the field is 1-Lipschitz).  Nodes in
+    the set have NaN gradients.
+    """
 
     points: np.ndarray
     values: np.ndarray

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import SlopeLattice, nondiff_witnesses, DEFAULT_PARTIAL_STEP
+from .convex import SlopeLattice, marginal_inf_rows, nondiff_witnesses, DEFAULT_PARTIAL_STEP
 from .cover import CcGraph
 from .distance import DEFAULT_SEPARATION, DEFAULT_TIE_TOLERANCE, project, survey, write_csv
-from .fields import ScalarField, asplund_field, strongify
+from .fields import asplund_field, strongify
 from .geometry import Ball, ClosedSetSpec, Point, Segment, Window
 
 __all__ = [
@@ -31,24 +31,26 @@ __all__ = [
     "write_samples_csv",
     "write_overlay_svg",
     "DEFAULT_JUMP_FRACTION",
-    "DEFAULT_SEPARATION_FACTOR",
     "DEFAULT_REFINE_TOL",
     "DEFAULT_COVERAGE_TOL",
 ]
 
 DEFAULT_JUMP_FRACTION = 0.25
-DEFAULT_SEPARATION_FACTOR = 4.0
 DEFAULT_REFINE_TOL = 1e-8
 DEFAULT_COVERAGE_TOL = 1e-6
+# A flagged edge's two projections lie more than this many edge lengths apart.
+_SEPARATION_FACTOR = 4.0
+# At most this many bisection steps per flagged edge.
+_MAX_BISECTIONS = 64
 
 
-def _flagged_edges(spec, window, resolution, jump_fraction, tie_tolerance, separation, separation_factor):
+def _flagged_edges(spec, window, resolution, jump_fraction, tie_tolerance, separation):
     """Grid survey returning directly ambiguous nodes and branch-crossing edges.
 
     An edge is a branch crossing when each endpoint's projection is clearly
     suboptimal for the other endpoint (more than ``jump_fraction`` edge
     lengths) AND the two projections are separated by more than
-    ``separation_factor`` edge lengths.  The second condition rejects the
+    ``_SEPARATION_FACTOR`` edge lengths.  The second condition rejects the
     tangential projection drift that any curve primitive induces on edges
     running parallel to it, which is not a branch change.
     """
@@ -78,7 +80,7 @@ def _flagged_edges(spec, window, resolution, jump_fraction, tie_tolerance, separ
         sub_ba = np.linalg.norm(xa - pb, axis=-1) - da
         step = axes[k][1] - axes[k][0]
         branch_gap = np.linalg.norm(pa - pb, axis=-1)
-        flag = (np.maximum(sub_ab, sub_ba) > jump_fraction * step) & (branch_gap > separation_factor * step)
+        flag = (np.maximum(sub_ab, sub_ba) > jump_fraction * step) & (branch_gap > _SEPARATION_FACTOR * step)
         mask = flag.ravel()
         if mask.any():
             edges.append(
@@ -92,12 +94,12 @@ def _flagged_edges(spec, window, resolution, jump_fraction, tie_tolerance, separ
     return direct, edges
 
 
-def _refine_edges(spec, edges, refine_tol, max_iterations=64):
+def _refine_edges(spec, edges, refine_tol):
     """Lockstep bisection of all flagged edges down to ``refine_tol``."""
     refined = []
     for a, b, pa, pb in edges:
         a, b, pa, pb = a.copy(), b.copy(), pa.copy(), pb.copy()
-        for _ in range(max_iterations):
+        for _ in range(_MAX_BISECTIONS):
             if np.max(np.linalg.norm(b - a, axis=1)) <= refine_tol:
                 break
             mid = 0.5 * (a + b)
@@ -119,7 +121,6 @@ def detect_ambiguous(
     tie_tolerance: float = DEFAULT_TIE_TOLERANCE,
     separation: float = DEFAULT_SEPARATION,
     jump_fraction: float = DEFAULT_JUMP_FRACTION,
-    separation_factor: float = DEFAULT_SEPARATION_FACTOR,
     refine_tol: float = DEFAULT_REFINE_TOL,
 ) -> np.ndarray:
     """Sample points of the ambiguous locus found on a window grid.
@@ -130,9 +131,7 @@ def detect_ambiguous(
     """
     if resolution < 8:
         raise ValueError("grid resolution must be at least 8 per axis")
-    direct, edges = _flagged_edges(
-        spec, window, resolution, jump_fraction, tie_tolerance, separation, separation_factor
-    )
+    direct, edges = _flagged_edges(spec, window, resolution, jump_fraction, tie_tolerance, separation)
     refined = _refine_edges(spec, edges, refine_tol)
     chunks = [c for c in (direct, *refined) if len(c)]
     if not chunks:
@@ -205,10 +204,8 @@ def certify_cover(
     tie_tolerance: float = DEFAULT_TIE_TOLERANCE,
     separation: float = DEFAULT_SEPARATION,
     jump_fraction: float = DEFAULT_JUMP_FRACTION,
-    separation_factor: float = DEFAULT_SEPARATION_FACTOR,
     refine_tol: float = DEFAULT_REFINE_TOL,
     partial_step: float = DEFAULT_PARTIAL_STEP,
-    marginal_xtol: float = 1e-7,
     fault_offset: float = 0.0,
 ) -> CoverageReport:
     """Detect the ambiguous locus and certify that covering graphs pass through it.
@@ -229,7 +226,6 @@ def certify_cover(
         tie_tolerance=tie_tolerance,
         separation=separation,
         jump_fraction=jump_fraction,
-        separation_factor=separation_factor,
         refine_tol=refine_tol,
     )
     lift = strongify(asplund_field(spec))
@@ -239,16 +235,11 @@ def certify_cover(
         if witness is None:
             unresolved.append(point)
             continue
-        graph = CcGraph(
-            axis=witness.axis,
-            alpha=witness.alpha,
-            beta=witness.beta,
-            base=lift,
-            xtol=marginal_xtol,
-            bias=fault_offset,
-        )
+        graph = CcGraph(axis=witness.axis, alpha=witness.alpha, beta=witness.beta, base=lift, bias=fault_offset)
         coord = float(point[witness.axis])
-        value_alpha, value_beta = graph.marginal_values(np.delete(point, witness.axis))
+        value_alpha, value_beta = marginal_inf_rows(
+            lift, [witness.axis] * 2, [witness.alpha, witness.beta], [point, point]
+        ).tolist()
         lift_value = float(lift(point))
         records.append(
             SampleRecord(

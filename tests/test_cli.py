@@ -53,6 +53,7 @@ GOLDEN = {
     ("verify", "verify_two_point_corrupt"): "4f58976d16c5ddf309280c0601171b4c6987197f1f5ab1add15abfc4e999a021",
     ("cover", "cover_two_point"): "9fd6f25d84666c6d4538c9436a46e6516cdcef65147a2c4c398e5c6b640806a4",
     ("cover", "cover_sq_norm"): "163f731c983d361c478831e3d6149a12dc03bd5abb951c0be379b658d214097e",
+    ("decompose", "decompose_sin1"): "fcca6546b20c586bd31473830f795a14ca056952b17b50347d767a2ca0adbaf6",
 }
 
 
@@ -73,6 +74,15 @@ GOLDEN_CSV = {
 def test_csv_bytes_match_their_golden_digest(command, fixture, tmp_path, capsys):
     _, (_, table) = run(command, fixture, tmp_path)
     assert hashlib.sha256(table).hexdigest() == GOLDEN_CSV[command, fixture]
+
+
+def test_overlay_svg_bytes_match_their_golden_digest(tmp_path, capsys):
+    report, svg = tmp_path / "report.json", tmp_path / "overlay.svg"
+    argv = [str(FIXTURES / "verify_two_point.json"), "--output", str(report), "--svg", str(svg)]
+    assert main(["verify", *argv]) == 0
+    text = svg.read_bytes()
+    assert text.count(b"<circle") == 66  # the two points and 64 samples
+    assert hashlib.sha256(text).hexdigest() == "326525a30d47970dba72d19e748716466040e7fad486a60b6068d33b7f448f43"
 
 
 def csv_table(data: bytes) -> tuple[list[str], list[list[str]]]:

@@ -59,3 +59,22 @@ def test_non_finite_number_exits_2_through_main(name, member, tmp_path, capsys):
     assert main(["analyze", str(config), "--output", str(report), "--csv", str(table)]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith(f"config error: {name}: must be finite, got ")
     assert not report.exists() and not table.exists()
+
+
+# Counts that were once truncated to an integer, and an axis list that once meant every axis.
+NOT_A_COUNT = [
+    ("cover.rest_resolution", {"cover": {"rest_resolution": 2.5}}, "must be an integer"),
+    ("cover.cap", {"cover": {"cap": 6.7}}, "must be an integer"),
+    ("decompose.samples", {"decompose": {"samples": 10.9}}, "must be an integer"),
+    ("cover.axes", {"cover": {"axes": []}}, "expected a non-empty list"),
+]
+
+
+@pytest.mark.parametrize("name, patch, message", NOT_A_COUNT, ids=[name for name, _, _ in NOT_A_COUNT])
+def test_fractional_count_or_empty_axes_exits_2_through_main(name, patch, message, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"set": TWO_POINTS, "grid_resolution": 17, **patch}))
+    report = tmp_path / "report.json"
+    assert main(["cover", str(config), "--output", str(report)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: {name}: {message}")
+    assert not report.exists()

@@ -16,16 +16,12 @@ from medialcover import (
     asplund_field,
     cc_decompose_c2,
     convexity_probe,
-    marginal_inf,
     marginal_inf_rows,
     named_field,
-    nondiff_witness,
     nondiff_witnesses,
-    one_sided_partials,
-    strong_convexity_probe,
     strongify,
-    subgradient_box,
 )
+from medialcover.convex import _one_sided
 
 WINDOW2 = Window([-2, -2], [2, 2])
 WINDOW1 = Window([-2], [2])
@@ -54,57 +50,66 @@ def kinked_1d() -> ScalarField:
     return ScalarField(lambda x: np.abs(x[..., 0]), 1, tag="abs")
 
 
+def box(field, x, step=1e-4):
+    """Per-axis [minus, plus] partials at one point, shape (n, 2), from the batched kernel."""
+    minus, plus = _one_sided(field, np.asarray(x, dtype=float)[None], range(field.dimension), step)
+    return np.stack([minus[0], plus[0]], axis=1)
+
+
+def witness(field, x, lattice):
+    """The witness search on a batch of one point."""
+    return nondiff_witnesses(field, [x], lattice)[0]
+
+
+def marginal_inf_at(field, axis, slope, x_rest):
+    """The marginal infimum at one x_rest node: a batch of one row."""
+    point = np.insert(np.asarray(x_rest, dtype=float), axis, 0.0)
+    return float(marginal_inf_rows(field, [axis], [slope], [point])[0])
+
+
 class TestOneSidedPartials:
     def test_abs_kink_at_origin(self):
-        g = one_sided_partials(kinked_1d(), [0.0], 0)
-        assert g.minus == pytest.approx(-1.0, abs=1e-9)
-        assert g.plus == pytest.approx(1.0, abs=1e-9)
+        minus, plus = box(kinked_1d(), [0.0])[0]
+        assert minus == pytest.approx(-1.0, abs=1e-9)
+        assert plus == pytest.approx(1.0, abs=1e-9)
 
     def test_lift_kink(self):
         # subgradient of 2|t| + t^2 at t = 0 is [-2, 2]
-        g = one_sided_partials(LIFT, [0.0, 0.5], 0)
-        assert g.minus == pytest.approx(-2.0, abs=1e-8)
-        assert g.plus == pytest.approx(2.0, abs=1e-8)
+        minus, plus = box(LIFT, [0.0, 0.5])[0]
+        assert minus == pytest.approx(-2.0, abs=1e-8)
+        assert plus == pytest.approx(2.0, abs=1e-8)
 
     def test_smooth_field(self):
-        g = one_sided_partials(named_field("sq_norm", 2), [1.0, 0.0], 0)
-        assert g.minus == pytest.approx(2.0, abs=1e-9)
-        assert g.plus == pytest.approx(2.0, abs=1e-9)
+        minus, plus = box(named_field("sq_norm", 2), [1.0, 0.0])[0]
+        assert minus == pytest.approx(2.0, abs=1e-9)
+        assert plus == pytest.approx(2.0, abs=1e-9)
 
     def test_order_invariant_on_random_points(self):
-        rng = np.random.default_rng(0)
-        for x in rng.uniform(-2, 2, size=(100, 2)):
-            for axis in range(2):
-                g = one_sided_partials(LIFT, x, axis)
-                assert g.minus <= g.plus + 1e-8
+        points = np.random.default_rng(0).uniform(-2, 2, size=(100, 2))
+        minus, plus = _one_sided(LIFT, points, range(2), 1e-4)
+        assert np.all(minus <= plus + 1e-8)
 
 
 class TestSubgradientBox:
     def test_abs_interval(self):
-        box = subgradient_box(kinked_1d(), [0.0])
-        assert box.minus(0) == pytest.approx(-1.0, abs=1e-9)
-        assert box.plus(0) == pytest.approx(1.0, abs=1e-9)
+        assert box(kinked_1d(), [0.0]) == pytest.approx(np.array([[-1.0, 1.0]]), abs=1e-9)
 
     def test_smooth_point_box_collapses(self):
-        box = subgradient_box(named_field("sq_norm", 2), [1.0, 2.0])
-        assert box.minus(0) == pytest.approx(2.0, abs=1e-8)
-        assert box.plus(0) == pytest.approx(2.0, abs=1e-8)
-        assert box.minus(1) == pytest.approx(4.0, abs=1e-8)
-        assert box.plus(1) == pytest.approx(4.0, abs=1e-8)
+        assert box(named_field("sq_norm", 2), [1.0, 2.0]) == pytest.approx(np.array([[2.0, 2.0], [4.0, 4.0]]), abs=1e-8)
 
     def test_lift_box_at_origin(self):
-        box = subgradient_box(LIFT, [0.0, 0.0])
-        assert box.intervals[0] == pytest.approx([-2.0, 2.0], abs=1e-8)
-        assert box.intervals[1] == pytest.approx([0.0, 0.0], abs=1e-8)
+        intervals = box(LIFT, [0.0, 0.0])
+        assert intervals[0] == pytest.approx([-2.0, 2.0], abs=1e-8)
+        assert intervals[1] == pytest.approx([0.0, 0.0], abs=1e-8)
 
     def test_supporting_line_inequality(self):
         # for every s in the axis interval: f(x + t e_i) >= f(x) + s t - 1e-8
         rng = np.random.default_rng(1)
         x = np.array([0.0, 0.5])
         f0 = LIFT(x)
+        intervals = box(LIFT, x)
         for axis in range(2):
-            box = subgradient_box(LIFT, x)
-            slopes = rng.uniform(box.minus(axis), box.plus(axis), size=10)
+            slopes = rng.uniform(*intervals[axis], size=10)
             steps = rng.uniform(-2, 2, size=10)
             for s in slopes:
                 for t in steps:
@@ -116,29 +121,29 @@ class TestSubgradientBox:
 class TestWitness:
     def test_widest_interior_pair_on_coarse_lattice(self):
         # derivative gap (-2, 2); half-step margin leaves {-1.5, ..., 1.5}
-        w = nondiff_witness(LIFT, [0.0, 0.5], SlopeLattice(step=0.5, bound=4.0))
+        w = witness(LIFT, [0.0, 0.5], SlopeLattice(step=0.5, bound=4.0))
         assert w is not None
         assert w.axis == 0
         assert w.alpha == pytest.approx(-1.5)
         assert w.beta == pytest.approx(1.5)
 
     def test_smooth_field_has_no_witness(self):
-        assert nondiff_witness(named_field("sq_norm", 2), [0.7, -0.3], SlopeLattice(0.5, 4.0)) is None
+        assert witness(named_field("sq_norm", 2), [0.7, -0.3], SlopeLattice(0.5, 4.0)) is None
 
     def test_abs_smooth_away_from_kink(self):
-        assert nondiff_witness(kinked_1d(), [0.3], SlopeLattice(0.5, 4.0)) is None
+        assert witness(kinked_1d(), [0.3], SlopeLattice(0.5, 4.0)) is None
 
     def test_gap_below_two_steps_is_unresolved(self):
         # sites 0.1 apart give a derivative gap of 0.2 on the bisector
         narrow = strongify(asplund_field(ClosedSetSpec([Point([-0.05, 0]), Point([0.05, 0])], 2)))
-        assert nondiff_witness(narrow, [0.0, 0.4], SlopeLattice(step=0.125, bound=64)) is None
-        finer = nondiff_witness(narrow, [0.0, 0.4], SlopeLattice(step=0.0625, bound=64))
+        assert witness(narrow, [0.0, 0.4], SlopeLattice(step=0.125, bound=64)) is None
+        finer = witness(narrow, [0.0, 0.4], SlopeLattice(step=0.0625, bound=64))
         assert finer is not None
         assert finer.alpha == pytest.approx(-0.0625)
         assert finer.beta == pytest.approx(0.0625)
 
     def test_bound_clamps_the_pair(self):
-        w = nondiff_witness(LIFT, [0.0, 0.5], SlopeLattice(step=0.5, bound=1.0))
+        w = witness(LIFT, [0.0, 0.5], SlopeLattice(step=0.5, bound=1.0))
         assert w is not None
         assert (w.alpha, w.beta) == (-1.0, 1.0)
 
@@ -193,7 +198,7 @@ class TestBatchedWitnesses:
         lattice = SlopeLattice(0.5, 4.0)
         batch = nondiff_witnesses(KINKS, self.POINTS, lattice)
         assert [w.axis if w else None for w in batch] == [0, 1, 2, None, 1, None, 2, None, None]
-        assert batch == [nondiff_witness(KINKS, p, lattice) for p in self.POINTS]
+        assert batch == [witness(KINKS, p, lattice) for p in self.POINTS]
         assert batch == [reference_witness(KINKS, p, lattice) for p in self.POINTS]
 
     @pytest.mark.parametrize("lattice", [SlopeLattice(0.125, 64.0), SlopeLattice(1.0, 1.0)])
@@ -211,15 +216,45 @@ class TestBatchedWitnesses:
         "field", [KINKS, ScalarField(lambda x: -np.sum(x * x, axis=-1), 3, tag="concave")], ids=["kinks", "concave"]
     )
     def test_partials_equal_the_scalar_loop(self, field):
-        for x in self.POINTS:
-            box = subgradient_box(field, x)
+        minus, plus = _one_sided(field, np.array(self.POINTS), range(3), 1e-4)
+        for k, x in enumerate(self.POINTS):
             for axis in range(3):
-                g = one_sided_partials(field, x, axis)
-                assert (g.minus, g.plus) == reference_partials(field, x, axis)
-                assert tuple(box.intervals[axis]) == (g.minus, g.plus)
+                assert (minus[k, axis], plus[k, axis]) == reference_partials(field, x, axis)
+                assert box(field, x)[axis].tolist() == [minus[k, axis], plus[k, axis]]
 
     def test_empty_batch(self):
         assert nondiff_witnesses(KINKS, np.empty((0, 3)), SlopeLattice(0.5, 4.0)) == []
+
+
+def reference_marginal_inf(field, axis, slope, x_rest, xtol=1e-7):
+    """The scalar bracket doubling and golden-section search that the batched kernel replaced."""
+    point = np.insert(np.asarray(x_rest, dtype=float), axis, 0.0)
+
+    def phi(t):
+        point[axis] = t
+        return float(field(point)) - slope * t
+
+    half, f_center = 1.0, phi(0.0)
+    for _ in range(1 + 60):  # the first bracket, then up to 60 doublings
+        if phi(-half) > f_center and phi(half) > f_center:
+            break
+        half *= 2.0
+    else:
+        raise CoercivityError(f"bracket for axis {axis}, slope {slope} still open")
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = -half, half
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = phi(c), phi(d)
+    while (b - a) > xtol:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = phi(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = phi(d)
+    return min(fc, fd)
 
 
 def mixed_rows(dimension, count, seed):
@@ -237,13 +272,16 @@ class TestMarginalInfRows:
         [SHELLS_LIFT, LIFT, strongify(named_field("blend:3", 3))],
         ids=["shells3d", "two_point", "blend"],
     )
-    @pytest.mark.parametrize("options", [{}, {"xtol": 1e-9}], ids=["default", "tight"])
-    def test_rows_equal_scalar_marginal_inf(self, field, options):
+    @pytest.mark.parametrize("order", ["default", "shuffled"])
+    def test_rows_equal_scalar_marginal_inf(self, field, order):
         axes, slopes, points = mixed_rows(field.dimension, 48, seed=field.dimension)
-        values = marginal_inf_rows(field, axes, slopes, points, **options)
+        if order == "shuffled":  # other neighbours in every lockstep field call
+            perm = np.random.default_rng(7).permutation(48)
+            axes, slopes, points = axes[perm], slopes[perm], points[perm]
+        values = marginal_inf_rows(field, axes, slopes, points)
         assert values.shape == (48,)
         for value, axis, slope, point in zip(values.tolist(), axes.tolist(), slopes.tolist(), points):
-            assert value == marginal_inf(field, axis, slope, np.delete(point, axis), **options)
+            assert value == reference_marginal_inf(field, axis, slope, np.delete(point, axis))
 
     def test_one_open_row_fails_the_batch_and_is_named(self):
         # |x2| - 2 x2 has no minimum; every other row is coercive
@@ -252,7 +290,7 @@ class TestMarginalInfRows:
         with pytest.raises(CoercivityError, match=r"axis 1, slope 2\.0 still open after 60 doublings"):
             marginal_inf_rows(half_open, axes, slopes, np.zeros((4, 2)))
         values = marginal_inf_rows(half_open, axes[:3], slopes[:3], np.zeros((3, 2)))
-        assert values.tolist() == [marginal_inf(half_open, a, s, [0.0]) for a, s in zip(axes[:3], slopes[:3])]
+        assert values.tolist() == [reference_marginal_inf(half_open, a, s, [0.0]) for a, s in zip(axes[:3], slopes[:3])]
 
     def test_shapes_are_validated(self):
         with pytest.raises(ValueError, match="R axes"):
@@ -263,49 +301,49 @@ class TestMarginalInfRows:
 class TestMarginalInf:
     def test_kink_minimizer(self):
         # inf over t of 2|t| + t^2 + x2^2 - 1 at x2 = 0
-        assert marginal_inf(LIFT, 0, 0.0, [0.0]) == pytest.approx(-1.0, abs=1e-6)
+        assert marginal_inf_at(LIFT, 0, 0.0, [0.0]) == pytest.approx(-1.0, abs=1e-6)
 
     def test_slope_inside_the_kink_keeps_the_minimizer(self):
-        assert marginal_inf(LIFT, 0, 1.0, [0.5]) == pytest.approx(-0.75, abs=1e-6)
+        assert marginal_inf_at(LIFT, 0, 1.0, [0.5]) == pytest.approx(-0.75, abs=1e-6)
 
     def test_complete_the_square_1d(self):
         f = named_field("sq_norm", 1)
-        assert marginal_inf(f, 0, 2.0, []) == pytest.approx(-1.0, abs=1e-10)
+        assert marginal_inf_at(f, 0, 2.0, []) == pytest.approx(-1.0, abs=1e-10)
 
     def test_far_minimizer_through_bracket_expansion(self):
         f = named_field("sq_norm", 1)
         # inf(x^2 - 40 x) = -400 at x = 20, far outside the initial bracket
-        assert marginal_inf(f, 0, 40.0, []) == pytest.approx(-400.0, abs=1e-6)
+        assert marginal_inf_at(f, 0, 40.0, []) == pytest.approx(-400.0, abs=1e-6)
 
     def test_non_coercive_input_fails_with_diagnostic(self):
         hollow = ScalarField(lambda x: -np.sum(x * x, axis=-1), 1, tag="concave")
         with pytest.raises(CoercivityError, match="strongly convex"):
-            marginal_inf(hollow, 0, 0.0, [], max_doublings=10)
+            marginal_inf_at(hollow, 0, 0.0, [])
 
     def test_marginal_function_is_convex(self):
-        values = ScalarField(
-            lambda x: np.array([marginal_inf(LIFT, 0, 0.5, [t]) for t in np.atleast_1d(x[..., 0])]).reshape(
-                x.shape[:-1]
-            ),
-            1,
-            tag="marginal",
-        )
+        def g(x):
+            rest = np.atleast_1d(x[..., 0])
+            points = np.column_stack([np.zeros_like(rest), rest])
+            return marginal_inf_rows(LIFT, np.zeros(len(rest), dtype=int), np.full(len(rest), 0.5), points)
+
+        values = ScalarField(lambda x: g(x).reshape(x.shape[:-1]), 1, tag="marginal")
         report = convexity_probe(values, WINDOW1, num_samples=200, seed=0)
         assert report.max_violation <= 1e-6
 
     def test_identity_at_witnessed_point(self):
         # at a kink point the marginal infimum is attained at the point itself
         a = np.array([0.0, 0.37])
-        w = nondiff_witness(LIFT, a, SlopeLattice(0.125, 64))
+        w = witness(LIFT, a, SlopeLattice(0.125, 64))
         assert w is not None
         lift_at_a = LIFT(a)
         for slope in (w.alpha, w.beta):
-            g = marginal_inf(LIFT, w.axis, slope, [a[1]])
+            g = marginal_inf_at(LIFT, w.axis, slope, [a[1]])
             assert g == pytest.approx(lift_at_a - slope * a[0], abs=1e-6)
 
     def test_rest_shape_validated(self):
-        with pytest.raises(ValueError, match="x_rest"):
-            marginal_inf(LIFT, 0, 0.0, [1.0, 2.0])
+        # a 3-D point for a 2-D field
+        with pytest.raises(ValueError, match="expects dimension 2"):
+            marginal_inf_at(LIFT, 0, 0.0, [1.0, 2.0])
 
 
 class TestProbes:
@@ -333,19 +371,22 @@ class TestProbes:
             report = convexity_probe(asplund_field(spec), WINDOW2, 10_000, seed=3)
             assert report.max_violation <= 1e-9
 
+    # F is strongly convex with modulus 1 exactly when F - |x|^2 is convex.
+    @staticmethod
+    def strong_convexity_probe(field):
+        less_sq = ScalarField(lambda x: field(x) - np.sum(x * x, axis=-1), field.dimension, tag="less-sq")
+        return convexity_probe(less_sq, WINDOW2, 10_000, seed=0)
+
     def test_strongified_zero_passes_with_equality(self):
         zero = ScalarField(lambda x: np.zeros(x.shape[:-1]), 2, tag="zero")
-        report = strong_convexity_probe(strongify(zero), WINDOW2, 10_000, seed=0)
-        assert report.passed
+        assert self.strong_convexity_probe(strongify(zero)).passed
 
     def test_strongified_lift_passes(self):
-        report = strong_convexity_probe(LIFT, WINDOW2, 10_000, seed=0)
-        assert report.passed
+        assert self.strong_convexity_probe(LIFT).passed
 
     def test_half_modulus_fails(self):
         half = ScalarField(lambda x: 0.5 * np.sum(x * x, axis=-1), 2, tag="half")
-        report = strong_convexity_probe(half, WINDOW2, 10_000, seed=0)
-        assert not report.passed
+        assert not self.strong_convexity_probe(half).passed
 
     def test_sample_count_validated(self):
         with pytest.raises(ValueError, match="num_samples"):
@@ -404,4 +445,4 @@ def test_ambiguous_points_have_witnesses():
     for y in (-1.5, -0.2, 0.8, 1.9):
         point = np.array([0.0, y])
         assert nearest_points(TWO_POINTS, point).classification is Classification.AMBIGUOUS
-        assert nondiff_witness(LIFT, point, lattice) is not None
+        assert witness(LIFT, point, lattice) is not None

@@ -5,7 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
-from medialcover.convex import SlopeLattice, marginal_inf
+from test_convex import reference_marginal_inf
+
+from medialcover.convex import SlopeLattice
 from medialcover.cover import CcGraph, CoverFamily, FamilyBudgetError, cover_family_to_dict, enumerate_cover
 from medialcover.fields import asplund_field, strongify
 from medialcover.geometry import Ball, ClosedSetSpec, Point, Window
@@ -27,8 +29,8 @@ def test_grid_values_are_the_graph_formula_on_direct_marginal_infima():
         for graph, entry in zip(family.graphs, entries):
             assert (entry["axis"], entry["alpha"], entry["beta"]) == (graph.axis, graph.alpha, graph.beta)
             for node, (*coords, value) in zip(rest_nodes, entry["grid"]):
-                va = marginal_inf(lift, graph.axis, graph.alpha, node)
-                vb = marginal_inf(lift, graph.axis, graph.beta, node)
+                va = reference_marginal_inf(lift, graph.axis, graph.alpha, node)
+                vb = reference_marginal_inf(lift, graph.axis, graph.beta, node)
                 assert coords == node.tolist()
                 assert value == (va - vb) / (graph.beta - graph.alpha)
 
@@ -55,12 +57,15 @@ def test_graph_rejects_bad_slopes_and_axes(axis, alpha, beta):
 
 
 def test_a_family_that_mixes_search_settings_reads_each_graphs_own_rows():
-    family = enumerate_cover(LIFT, (0,), LATTICE, cap=64)
-    first = family.graphs[0]
-    # the same slopes at a tighter xtol must not reuse the first graph's rows
-    tight = CcGraph(axis=0, alpha=first.alpha, beta=first.beta, base=LIFT, xtol=1e-9)
-    mixed = CoverFamily(graphs=(first, tight), provenance=family.provenance, lattice=LATTICE, axes=(0,))
+    first = enumerate_cover(LIFT, (0,), LATTICE, cap=64).graphs[0]
+    # the same axis and slopes on another base field must not reuse the first graph's rows
+    other = CcGraph(axis=0, alpha=first.alpha, beta=first.beta, base=strongify(LIFT))
+    mixed = CoverFamily(graphs=(first, other), provenance="mixed", axes=(0,))
     rest_nodes = np.linspace(-2.0, 2.0, 5)[:, None]
     for graph, entry in zip(mixed.graphs, cover_family_to_dict(mixed, rest_nodes)):
-        assert [value for _, value in entry["grid"]] == [graph.value(*graph.marginal_values(n)) for n in rest_nodes]
-    assert cover_family_to_dict(CoverFamily((), "empty", LATTICE, ()), np.zeros((1, 1))) == []
+        expected = [
+            graph.value(*(reference_marginal_inf(graph.base, 0, s, node) for s in (graph.alpha, graph.beta)))
+            for node in rest_nodes
+        ]
+        assert [value for _, value in entry["grid"]] == expected
+    assert cover_family_to_dict(CoverFamily((), "empty", ()), np.zeros((1, 1))) == []

@@ -13,11 +13,9 @@ from medialcover import (
     Segment,
     Window,
     distance,
-    grad_distance_fd,
     grid_sweep,
     nearest_points,
     project,
-    reconstruct_nearest,
     write_grid_csv,
 )
 
@@ -40,6 +38,11 @@ class TestDistance:
     def test_batch_evaluation(self):
         vals = distance(TWO_POINTS, np.array([[0.0, 0.0], [0.5, 0.0]]))
         assert np.allclose(vals, [1.0, 0.5])
+
+    def test_points_of_the_wrong_dimension_are_refused(self):
+        for query in (distance, project):
+            with pytest.raises(ValueError, match="dimension 2"):
+                query(TWO_POINTS, [[0.5], [0.3]])
 
 
 class TestNearestPoints:
@@ -79,71 +82,87 @@ class TestNearestPoints:
             assert abs(np.linalg.norm(np.array([0.5, 0.5]) - p) - res.distance) <= res.tie_tolerance
 
 
+def differentiable_nodes(spec, window=WINDOW, resolution=17):
+    """The grid sweep's nodes where the distance field looks differentiable, with d and grad d there."""
+    sweep = grid_sweep(spec, window, resolution)
+    keep = sweep.differentiable
+    return sweep.points[keep], sweep.values[keep], sweep.gradients[keep]
+
+
+def reconstruct(spec, window=WINDOW, resolution=17):
+    """x - d(x) grad d(x) at every differentiable node, with the nodes and their projections."""
+    x, d, grad = differentiable_nodes(spec, window, resolution)
+    return x, x - d[:, None] * grad, project(spec, x)
+
+
 class TestGradient:
     def test_single_point_gradient(self):
-        est = grad_distance_fd(ClosedSetSpec([Point([0, 0])], 2), [3.0, 4.0], step=1e-5)
-        assert est.differentiable
-        assert np.allclose(est.vector, [0.6, 0.8], atol=1e-6)
+        x, _, grad = differentiable_nodes(ClosedSetSpec([Point([0, 0])], 2), Window([-5, -5], [5, 5]), 11)
+        at = np.flatnonzero(np.all(x == [3.0, 4.0], axis=1))
+        assert len(at) == 1
+        assert np.allclose(grad[at[0]], [0.6, 0.8], atol=1e-6)
 
     def test_bisector_point_is_not_differentiable(self):
-        est = grad_distance_fd(TWO_POINTS, [0.0, 1.0], step=1e-5)
-        assert not est.differentiable
-        # the one-sided x1 slopes are +-1/sqrt(2), so the residual is about sqrt(2)
-        assert est.agreement_residual > 1.0
+        # resolution 17 puts grid lines exactly on the bisector x1 = 0
+        sweep = grid_sweep(TWO_POINTS, WINDOW, 17)
+        on_bisector = sweep.points[:, 0] == 0.0
+        assert on_bisector.sum() == 17
+        assert not sweep.differentiable[on_bisector].any()
 
     def test_unique_point_gradient_matches_closed_form(self):
-        x = np.array([0.5, 0.5])
-        est = grad_distance_fd(TWO_POINTS, x, step=1e-5)
-        p = np.array([1.0, 0.0])
-        expected = (x - p) / np.linalg.norm(x - p)
-        assert est.differentiable
-        assert np.allclose(est.vector, expected, atol=1e-6)
+        x, _, grad = differentiable_nodes(TWO_POINTS)
+        p = np.where(x[:, :1] > 0, [1.0, 0.0], [-1.0, 0.0])
+        expected = (x - p) / np.linalg.norm(x - p, axis=1)[:, None]
+        assert len(x) == 17 * 17 - 17 - 2  # every node off the bisector and off the set
+        assert np.allclose(grad, expected, atol=1e-6)
 
     def test_rejects_points_on_the_set(self):
-        with pytest.raises(ValueError, match="on the set"):
-            grad_distance_fd(TWO_POINTS, [1.0, 0.0])
+        sweep = grid_sweep(TWO_POINTS, WINDOW, 9)
+        on_set = np.flatnonzero([c is Classification.IN_SET for c in sweep.classifications])
+        assert len(on_set) == 2
+        assert not sweep.differentiable[on_set].any()
 
     def test_ambiguous_implies_not_differentiable(self):
-        for y in (0.5, 1.0, 1.5):
-            res = nearest_points(TWO_POINTS, [0.0, y])
-            assert res.classification is Classification.AMBIGUOUS
-            assert not grad_distance_fd(TWO_POINTS, [0.0, y]).differentiable
+        for spec in (TWO_POINTS, THREE_POINTS, CIRCLE):
+            sweep = grid_sweep(spec, WINDOW, 17)
+            ambiguous = [c is Classification.AMBIGUOUS for c in sweep.classifications]
+            assert any(ambiguous)
+            assert not sweep.differentiable[ambiguous].any()
 
 
 class TestReconstruction:
     def test_point_site(self):
-        rec = reconstruct_nearest(ClosedSetSpec([Point([0, 0])], 2), [3.0, 4.0])
-        assert np.linalg.norm(rec) < 1e-4
+        _, rec, proj = reconstruct(ClosedSetSpec([Point([0, 0])], 2))
+        assert np.allclose(rec, proj, atol=1e-4) and np.all(proj == 0.0)
 
     def test_segment_foot(self):
-        spec = ClosedSetSpec([Segment([0, 0], [2, 0])], 2)
-        rec = reconstruct_nearest(spec, [1.0, 1.0])
-        assert np.allclose(rec, [1.0, 0.0], atol=1e-4)
+        x, rec, proj = reconstruct(ClosedSetSpec([Segment([0, 0], [2, 0])], 2))
+        assert np.allclose(rec, proj, atol=1e-4)
+        at = np.all(x == [1.0, 1.0], axis=1)
+        assert at.sum() == 1 and np.allclose(rec[at], [[1.0, 0.0]], atol=1e-4)
 
     def test_circle_radial_projection(self):
-        rec = reconstruct_nearest(CIRCLE, [2.0, 0.0])
-        # radial oracle: the projection of (2, 0) onto the unit circle
-        assert np.allclose(rec, [1.0, 0.0], atol=1e-4)
+        x, rec, proj = reconstruct(CIRCLE)
+        # radial oracle: the projection onto the unit circle
+        assert np.allclose(rec, x / np.linalg.norm(x, axis=1)[:, None], atol=1e-4)
+        assert np.allclose(rec, proj, atol=1e-4)
 
     def test_refuses_ambiguous_points(self):
-        with pytest.raises(ValueError, match="not differentiable"):
-            reconstruct_nearest(TWO_POINTS, [0.0, 1.0])
+        # no reconstruction is offered on the bisector, where the nearest point is not unique
+        x, _, _ = reconstruct(TWO_POINTS)
+        assert len(x) and not np.any(x[:, 0] == 0.0)
 
     def test_matches_nearest_points_on_random_samples(self):
+        # the nodes of grids over randomly drawn windows
         rng = np.random.default_rng(3)
-        checked = 0
-        while checked < 50:
-            x = WINDOW.sample(rng, 1)[0]
-            if distance(TWO_POINTS, x) < 1e-3:
-                continue
-            est = grad_distance_fd(TWO_POINTS, x, step=1e-5)
-            if not est.differentiable:
-                continue
-            res = nearest_points(TWO_POINTS, x)
-            assert res.classification is Classification.UNIQUE
-            rec = reconstruct_nearest(TWO_POINTS, x, step=1e-5)
-            assert np.linalg.norm(rec - res.nearest[0]) <= 100 * 1e-5
-            checked += 1
+        for lower in rng.uniform(-2.5, -0.5, size=(3, 2)):
+            window = Window(lower, lower + rng.uniform(1.0, 4.0, size=2))
+            x, rec, _ = reconstruct(TWO_POINTS, window, 9)
+            assert len(x) > 40
+            for node, point in zip(x, rec):
+                res = nearest_points(TWO_POINTS, node)
+                assert res.classification is Classification.UNIQUE
+                assert np.linalg.norm(point - res.nearest[0]) <= 100 * 1e-5
 
 
 def test_distance_decays_linearly_toward_nearest_point():

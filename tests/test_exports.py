@@ -1,7 +1,9 @@
-"""Every exported name of the package and its submodules resolves."""
+"""Every exported name of the package and its submodules resolves, and has a caller."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -9,9 +11,37 @@ import medialcover
 
 MODULES = ["medialcover"] + [f"medialcover.{m.name}" for m in pkgutil.iter_modules(medialcover.__path__)]
 
+# Exported names that no module of the package uses, each with the reason it stays.
+WITHOUT_CALLER = {
+    "nearest_points": "the exact per-primitive query: the reference of the tests and of perfbench/run.py",
+}
+
 
 @pytest.mark.parametrize("module_name", MODULES)
 def test_every_exported_name_resolves(module_name):
     module = importlib.import_module(module_name)
     missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert missing == []
+
+
+def test_every_exported_name_has_a_caller_in_the_package():
+    sources = {path: ast.parse(path.read_text()) for path in Path(medialcover.__file__).parent.glob("*.py")}
+    used = set()
+    for path, tree in sources.items():
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    exported = set()
+    for path, tree in sources.items():
+        if path.name == "__init__.py":
+            continue
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                exported.update(ast.literal_eval(node.value))
+    assert exported, "no module declares __all__"
+    assert sorted(exported - used - set(WITHOUT_CALLER)) == []
+    assert sorted(set(WITHOUT_CALLER) - exported) == []  # the allowlist names only exported names
