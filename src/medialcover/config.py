@@ -152,8 +152,14 @@ def parse_config(data: dict, base_dir: Path | None = None) -> ScenarioConfig:
     if not isinstance(cover, dict):
         raise ConfigError("cover: expected an object")
     axes = cover.get("axes", list(range(dimension)))
-    if not isinstance(axes, list) or not axes or not all(isinstance(a, int) and 0 <= a < dimension for a in axes):
-        raise ConfigError(f"cover.axes: expected a non-empty list of axis indices in [0, {dimension - 1}]")
+    # A repeated axis would enumerate its graphs twice; JSON true and false are not axis indices.
+    if (
+        not isinstance(axes, list)
+        or not axes
+        or not all(isinstance(a, int) and not isinstance(a, bool) and 0 <= a < dimension for a in axes)
+        or len(set(axes)) != len(axes)
+    ):
+        raise ConfigError(f"cover.axes: expected a non-empty list of distinct axis indices in [0, {dimension - 1}]")
     cap = _get_count(cover, "cover.cap", 64, minimum=1)
     rest_resolution = _get_count(cover, "cover.rest_resolution", 9, minimum=1)
 

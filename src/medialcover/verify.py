@@ -4,7 +4,10 @@
 :func:`medialcover.distance.survey` (polygon loops are already edge segments
 there), keeps the grid nodes it classifies as ambiguous, flags edges whose
 endpoints project to genuinely different branches of the set, and localizes
-each branch crossing by bisection on the kernel's projections.
+each branch crossing by bisection on the kernel's projections.  The flagged
+edges of all axes share one lockstep bisection, so each step costs one
+distance and one projection call of the packed kernel, while each axis keeps
+its own stopping test.
 ``certify_cover`` then runs every detected sample through the convex-lift
 pipeline: derivative-gap witness, covering graph, vertical deviation, and
 the marginal-value identities.  Samples whose derivative gap is too small
@@ -19,7 +22,7 @@ import numpy as np
 
 from .convex import SlopeLattice, marginal_inf_rows, nondiff_witnesses, DEFAULT_PARTIAL_STEP
 from .cover import CcGraph
-from .distance import DEFAULT_SEPARATION, DEFAULT_TIE_TOLERANCE, project, survey, write_csv
+from .distance import DEFAULT_SEPARATION, DEFAULT_TIE_TOLERANCE, survey, write_csv
 from .fields import asplund_field, strongify
 from .geometry import Ball, ClosedSetSpec, Point, Segment, Window
 
@@ -95,21 +98,49 @@ def _flagged_edges(spec, window, resolution, jump_fraction, tie_tolerance, separ
 
 
 def _refine_edges(spec, edges, refine_tol):
-    """Lockstep bisection of all flagged edges down to ``refine_tol``."""
-    refined = []
-    for a, b, pa, pb in edges:
-        a, b, pa, pb = a.copy(), b.copy(), pa.copy(), pb.copy()
-        for _ in range(_MAX_BISECTIONS):
-            if np.max(np.linalg.norm(b - a, axis=1)) <= refine_tol:
+    """Bisect the flagged edges of every axis in one lockstep loop.
+
+    ``edges`` holds one group ``(a, b, proj_a, proj_b)`` per axis, each with
+    at least one edge.  Every step bisects all edges still in the loop with
+    one ``row_distances`` and one ``project_rows`` call, however many axes
+    there are.  Each group keeps its own stopping test: it leaves the loop
+    once its widest bracket is at most ``refine_tol``, or after
+    ``_MAX_BISECTIONS`` steps.  So every bracket ends where bisecting its
+    group alone would leave it, bit for bit, also when the axes have
+    different grid steps.  Returns the bracket midpoints, one (K_k, n) array
+    per group in the order given.
+    """
+    if not edges:
+        return []
+    refined = [None] * len(edges)
+    a, b, pa, pb = (np.concatenate(parts) for parts in zip(*edges))
+    groups = list(range(len(edges)))  # the groups still in the loop, in order
+    sizes = np.array([len(group[0]) for group in edges])
+    starts = np.cumsum(sizes) - sizes
+    for step in range(_MAX_BISECTIONS + 1):
+        # sqrt of a group's largest squared width is its largest width, as sqrt is monotone.
+        w = b - a
+        done = np.sqrt(np.maximum.reduceat(np.add.reduce(w * w, axis=1), starts)) <= refine_tol
+        mid = 0.5 * (a + b)
+        if step == _MAX_BISECTIONS:
+            done[:] = True
+        if done.any():
+            for g in np.flatnonzero(done).tolist():
+                refined[groups[g]] = mid[starts[g] : starts[g] + sizes[g]]
+            if done.all():
                 break
-            mid = 0.5 * (a + b)
-            pm = project(spec, mid)
-            on_a_branch = np.linalg.norm(pm - pa, axis=1) <= np.linalg.norm(pm - pb, axis=1)
-            a[on_a_branch] = mid[on_a_branch]
-            pa[on_a_branch] = pm[on_a_branch]
-            b[~on_a_branch] = mid[~on_a_branch]
-            pb[~on_a_branch] = pm[~on_a_branch]
-        refined.append(0.5 * (a + b))
+            keep = np.repeat(~done, sizes)
+            a, b, pa, pb, mid = a[keep], b[keep], pa[keep], pb[keep], mid[keep]
+            groups = [group for group, stop in zip(groups, done.tolist()) if not stop]
+            sizes = sizes[~done]
+            starts = np.cumsum(sizes) - sizes
+        pm = spec.project_rows(mid, spec.row_distances(mid).argmin(axis=0))
+        # Norms, not squared norms: two squared norms that differ can round to one norm.
+        to_a, to_b = pm - pa, pm - pb
+        on_a = np.sqrt(np.add.reduce(to_a * to_a, axis=1)) <= np.sqrt(np.add.reduce(to_b * to_b, axis=1))
+        on_a = on_a[:, None]
+        a, pa = np.where(on_a, mid, a), np.where(on_a, pm, pa)
+        b, pb = np.where(on_a, b, mid), np.where(on_a, pb, pm)
     return refined
 
 

@@ -54,6 +54,10 @@ GOLDEN = {
     ("cover", "cover_two_point"): "9fd6f25d84666c6d4538c9436a46e6516cdcef65147a2c4c398e5c6b640806a4",
     ("cover", "cover_sq_norm"): "163f731c983d361c478831e3d6149a12dc03bd5abb951c0be379b658d214097e",
     ("decompose", "decompose_sin1"): "fcca6546b20c586bd31473830f795a14ca056952b17b50347d767a2ca0adbaf6",
+    # A 3-D set, and a window whose two axes have different grid steps.
+    ("verify", "verify_shells"): "121b8e6dd140453c72d7d839f0cd4fdee6889597432c97e2361b813fc53f7189",
+    ("cover", "cover_shells"): "8341a96f19e531073038f32f1211b2d45be27ec5b5eecf0b36ad22c9d882baf1",
+    ("verify", "verify_wide_window"): "613c0956fb7791e61b68b11d33c89ec08ef45187281ac888e3550b04130b124f",
 }
 
 

@@ -78,3 +78,22 @@ def test_fractional_count_or_empty_axes_exits_2_through_main(name, patch, messag
     assert main(["cover", str(config), "--output", str(report)]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith(f"config error: {name}: {message}")
     assert not report.exists()
+
+
+# A repeated axis once listed its graphs twice and credited every witness to
+# the second copy; JSON true once passed as axis 1.
+BAD_AXES = {"repeated": [0, 0], "repeated-apart": [1, 0, 1], "true": [True], "false-and-1": [False, 1]}
+
+
+@pytest.mark.parametrize("axes", list(BAD_AXES.values()), ids=list(BAD_AXES))
+def test_repeated_or_boolean_axis_exits_2_through_main(axes, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"set": TWO_POINTS, "grid_resolution": 17, "cover": {"axes": axes}}))
+    report = tmp_path / "report.json"
+    assert main(["cover", str(config), "--output", str(report)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: cover.axes: expected a non-empty list of distinct axis")
+    assert not report.exists()
+
+
+def test_distinct_axes_in_any_order_are_accepted():
+    assert parse_config({"set": TWO_POINTS, "cover": {"axes": [1, 0]}}).cover_axes == (1, 0)
