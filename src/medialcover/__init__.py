@@ -34,7 +34,6 @@ from .distance import (
     distance,
     grid_sweep,
     nearest_points,
-    project,
     survey,
     write_grid_csv,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "named_field",
     "nearest_points",
     "nondiff_witnesses",
-    "project",
     "quadratic_sine_blend",
     "squared_norm",
     "strongify",

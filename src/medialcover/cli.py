@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 coverage failure, 2 config error, 3 I/O error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -66,6 +67,19 @@ def _base_field(config: ScenarioConfig):
         raise ConfigError(f"field: {exc}") from None
 
 
+def _samples(config: ScenarioConfig) -> np.ndarray:
+    """The ambiguous samples that the config's detection grid and tolerances find on its set."""
+    return detect_ambiguous(
+        config.set_spec,
+        config.window,
+        config.grid_resolution,
+        tie_tolerance=config.tie_tolerance,
+        separation=config.separation,
+        jump_fraction=config.jump_fraction,
+        refine_tol=config.refine_tol,
+    )
+
+
 def _cmd_analyze(config: ScenarioConfig, raw: dict, args) -> int:
     if config.set_spec is None:
         raise ConfigError("set: the analyze command needs a set description")
@@ -80,7 +94,7 @@ def _cmd_analyze(config: ScenarioConfig, raw: dict, args) -> int:
     csv_path = args.csv or config.outputs.get("csv", "analyze_grid.csv")
     write_grid_csv(sweep, csv_path)
     tally = {cls.value: sweep.classifications.count(cls) for cls in Classification}
-    summary = _envelope(raw, args.seed if args.seed is not None else config.seed)
+    summary = _envelope(raw, config.seed)
     summary.update({"command": "analyze", "rows": len(sweep.classifications), "classification_counts": tally, "csv": str(csv_path)})
     _emit_json(summary, args.output)
     return EXIT_OK
@@ -96,15 +110,7 @@ def _cmd_cover(config: ScenarioConfig, raw: dict, args) -> int:
 
     witness_counts = [0] * len(graphs)
     if config.set_spec is not None:
-        samples = detect_ambiguous(
-            config.set_spec,
-            config.window,
-            config.grid_resolution,
-            tie_tolerance=config.tie_tolerance,
-            separation=config.separation,
-            jump_fraction=config.jump_fraction,
-            refine_tol=config.refine_tol,
-        )
+        samples = _samples(config)
         index = {(g.axis, g.alpha, g.beta): k for k, g in enumerate(family.graphs)}
         for witness in nondiff_witnesses(lift, samples, config.lattice, step=config.partial_step):
             if witness is not None:
@@ -114,7 +120,7 @@ def _cmd_cover(config: ScenarioConfig, raw: dict, args) -> int:
     for entry, count in zip(graphs, witness_counts):
         entry["witness_points"] = count
 
-    document = _envelope(raw, args.seed if args.seed is not None else config.seed)
+    document = _envelope(raw, config.seed)
     document.update(
         {
             "command": "cover",
@@ -143,18 +149,13 @@ def _cmd_verify(config: ScenarioConfig, raw: dict, args) -> int:
         raise ConfigError(f"svg: the SVG overlay needs a 2-D set, got dimension {config.dimension}")
     report = certify_cover(
         config.set_spec,
-        config.window,
-        config.grid_resolution,
+        _samples(config),
         config.lattice,
         coverage_tolerance=config.coverage_tolerance,
-        tie_tolerance=config.tie_tolerance,
-        separation=config.separation,
-        jump_fraction=config.jump_fraction,
-        refine_tol=config.refine_tol,
         partial_step=config.partial_step,
         fault_offset=config.fault_offset,
     )
-    document = _envelope(raw, args.seed if args.seed is not None else config.seed)
+    document = _envelope(raw, config.seed)
     document.update({"command": "verify", "report": report.to_dict()})
     _emit_json(document, args.output or config.outputs.get("report"))
 
@@ -180,8 +181,7 @@ def _cmd_decompose(config: ScenarioConfig, raw: dict, args) -> int:
         raise ConfigError(f"field: {config.field_name!r} does not have a C^2 evaluator")
     decomposition = cc_decompose_c2(field, config.decompose_radius)
 
-    seed = args.seed if args.seed is not None else config.seed
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(config.seed)
     radius = config.decompose_radius
     samples = _ball_samples(rng, config.dimension, radius, config.decompose_samples)
     g_vals = np.asarray(decomposition.convex_part(samples), dtype=float)
@@ -190,9 +190,9 @@ def _cmd_decompose(config: ScenarioConfig, raw: dict, args) -> int:
     residuals = np.abs(g_vals - h_vals - f_vals)
 
     probe_window = Window([-2.0 * radius] * config.dimension, [2.0 * radius] * config.dimension)
-    probe = convexity_probe(decomposition.convex_part, probe_window, num_samples=10000, seed=seed)
+    probe = convexity_probe(decomposition.convex_part, probe_window, num_samples=10000, seed=config.seed)
 
-    document = _envelope(raw, seed)
+    document = _envelope(raw, config.seed)
     document.update(
         {
             "command": "decompose",
@@ -255,7 +255,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"seed: must be >= 0, got {args.seed}")
         config, raw = load_config(args.config)
+        if args.seed is not None:
+            config = dataclasses.replace(config, seed=args.seed)
         return _COMMANDS[args.command](config, raw, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -9,11 +9,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
-from .convex import SlopeLattice
+from .convex import DEFAULT_PARTIAL_STEP, SlopeLattice
+from .distance import DEFAULT_FD_STEP, DEFAULT_SEPARATION, DEFAULT_TIE_TOLERANCE
 from .geometry import ClosedSetSpec, Window
+from .verify import DEFAULT_COVERAGE_TOL, DEFAULT_JUMP_FRACTION, DEFAULT_REFINE_TOL
 
 __all__ = ["ConfigError", "ScenarioConfig", "load_config", "config_digest"]
 
@@ -28,23 +30,23 @@ class ScenarioConfig:
     window: Window
     grid_resolution: int
     lattice: SlopeLattice
-    set_spec: ClosedSetSpec | None = None
-    field_name: str | None = None
-    tie_tolerance: float = 1e-9
-    separation: float = 1e-6
-    coverage_tolerance: float = 1e-6
-    fd_step: float = 1e-5
-    partial_step: float = 1e-4
-    refine_tol: float = 1e-8
-    jump_fraction: float = 0.25
-    cover_axes: tuple[int, ...] = ()
-    cover_cap: int = 64
-    cover_rest_resolution: int = 9
-    decompose_radius: float = 1.0
-    decompose_samples: int = 1000
-    fault_offset: float = 0.0
-    seed: int = 0
-    outputs: dict = field(default_factory=dict)
+    set_spec: ClosedSetSpec | None
+    field_name: str | None
+    tie_tolerance: float
+    separation: float
+    coverage_tolerance: float
+    fd_step: float
+    partial_step: float
+    refine_tol: float
+    jump_fraction: float
+    cover_axes: tuple[int, ...]
+    cover_cap: int
+    cover_rest_resolution: int
+    decompose_radius: float
+    decompose_samples: int
+    fault_offset: float
+    seed: int
+    outputs: dict
 
 
 def _require(condition: bool, name: str, message: str) -> None:
@@ -130,8 +132,8 @@ def parse_config(data: dict, base_dir: Path | None = None) -> ScenarioConfig:
     lattice_data = data.get("lattice", {})
     if not isinstance(lattice_data, dict):
         raise ConfigError("lattice: expected an object with 'step' and 'bound'")
-    step = _get_number(lattice_data, "lattice.step", 0.125, positive=True)
-    bound = _get_number(lattice_data, "lattice.bound", 64.0, positive=True)
+    step = _get_number(lattice_data, "lattice.step", SlopeLattice.step, positive=True)
+    bound = _get_number(lattice_data, "lattice.bound", SlopeLattice.bound, positive=True)
     try:
         lattice = SlopeLattice(step=float(step), bound=float(bound))
     except ValueError as exc:
@@ -140,13 +142,13 @@ def parse_config(data: dict, base_dir: Path | None = None) -> ScenarioConfig:
     tol = data.get("tolerances", {})
     if not isinstance(tol, dict):
         raise ConfigError("tolerances: expected an object")
-    tie = _get_number(tol, "tolerances.tie", 1e-9, positive=True)
-    separation = _get_number(tol, "tolerances.separation", 1e-6, positive=True)
-    coverage = _get_number(tol, "tolerances.coverage", 1e-6, positive=True)
-    fd_step = _get_number(tol, "tolerances.fd_step", 1e-5, positive=True)
-    partial_step = _get_number(tol, "tolerances.partial_step", 1e-4, positive=True)
-    refine = _get_number(tol, "tolerances.refine", 1e-8, positive=True)
-    jump_fraction = _get_number(tol, "tolerances.jump_fraction", 0.25, positive=True)
+    tie = _get_number(tol, "tolerances.tie", DEFAULT_TIE_TOLERANCE, positive=True)
+    separation = _get_number(tol, "tolerances.separation", DEFAULT_SEPARATION, positive=True)
+    coverage = _get_number(tol, "tolerances.coverage", DEFAULT_COVERAGE_TOL, positive=True)
+    fd_step = _get_number(tol, "tolerances.fd_step", DEFAULT_FD_STEP, positive=True)
+    partial_step = _get_number(tol, "tolerances.partial_step", DEFAULT_PARTIAL_STEP, positive=True)
+    refine = _get_number(tol, "tolerances.refine", DEFAULT_REFINE_TOL, positive=True)
+    jump_fraction = _get_number(tol, "tolerances.jump_fraction", DEFAULT_JUMP_FRACTION, positive=True)
 
     cover = data.get("cover", {})
     if not isinstance(cover, dict):
@@ -171,6 +173,7 @@ def parse_config(data: dict, base_dir: Path | None = None) -> ScenarioConfig:
 
     seed = data.get("seed", 0)
     _require(isinstance(seed, int) and not isinstance(seed, bool), "seed", "must be an integer")
+    _require(seed >= 0, "seed", f"must be >= 0, got {seed}")
 
     fault_offset = _get_number(data, "fault_offset", 0.0)
 

@@ -273,15 +273,18 @@ def radial_cutoff(x: np.ndarray, radius: float) -> np.ndarray:
     return 1.0 - u * u * u * (10.0 - 15.0 * u + 6.0 * u * u)
 
 
-def sampled_hessian_bound(
-    field: ScalarField,
-    radius: float,
-    grid_resolution: int = 17,
-    step: float = 1e-3,
-) -> float:
+# Hessian sampling of `cc_decompose_c2`: grid nodes per axis, difference
+# step, and the factor on the sampled bound.
+_HESSIAN_GRID = 17
+_HESSIAN_STEP = 1e-3
+_HESSIAN_SAFETY = 1.5
+
+
+def sampled_hessian_bound(field: ScalarField, radius: float) -> float:
     """Max spectral norm of the finite-difference Hessian over a grid on [-radius, radius]^n."""
     n = field.dimension
-    axes = [np.linspace(-radius, radius, grid_resolution)] * n
+    step = _HESSIAN_STEP
+    axes = [np.linspace(-radius, radius, _HESSIAN_GRID)] * n
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
     hess = np.empty((pts.shape[0], n, n))
@@ -316,20 +319,12 @@ class CcDecomposition:
     radius: float
 
 
-def cc_decompose_c2(
-    field: ScalarField,
-    radius: float,
-    hessian_bound: float | None = None,
-    *,
-    safety: float = 1.5,
-    grid_resolution: int = 17,
-    fd_step: float = 1e-3,
-) -> CcDecomposition:
+def cc_decompose_c2(field: ScalarField, radius: float) -> CcDecomposition:
     """Split a C^2 field into a difference of two convex C^2 fields on |x| <= radius.
 
     The field is multiplied by a radial cutoff that is 1 on |x| <= radius and
     0 outside |x| <= 2*radius; a quadratic C|x|^2 with C at least half the
-    sampled Hessian spectral bound (times ``safety``) is added to make the
+    sampled Hessian spectral bound (times a safety factor) is added to make the
     windowed product convex.  The decomposition reproduces the field exactly
     inside the radius: (cutoff*f + C|x|^2) - C|x|^2 = f there.
     """
@@ -342,11 +337,7 @@ def cc_decompose_c2(
         return radial_cutoff(x, radius) * field.evaluator(x)
 
     windowed_field = ScalarField(windowed, field.dimension, tag=f"cutoff({field.tag})", smooth_c2=True)
-    if hessian_bound is None:
-        hessian_bound = sampled_hessian_bound(
-            windowed_field, 2.0 * radius, grid_resolution=grid_resolution, step=fd_step
-        )
-    coefficient = 0.5 * float(hessian_bound) * safety
+    coefficient = 0.5 * sampled_hessian_bound(windowed_field, 2.0 * radius) * _HESSIAN_SAFETY
 
     def convex_part(x: np.ndarray) -> np.ndarray:
         return windowed(x) + coefficient * np.sum(np.square(x), axis=-1)

@@ -1,18 +1,15 @@
 """Distance field of a closed set: evaluation, classification, reconstruction.
 
-Every batch query runs on the set's packed capsule rows (see
-:mod:`medialcover.geometry`).  ``distance`` and ``project`` are vectorized
-over query points.  ``survey`` is the one kernel behind the grid sweep and
-the ambiguity detector: per query point it returns the distance, one nearest
-point, and the classification as lying in the set, having a unique nearest
-point, or being ambiguous.  It measures every row; only query points with
-two or more rows within ``tie_tolerance`` of the minimum, or at the exact
-centre of a shell, get projections onto those rows, and such a point is
-ambiguous when one tied projection lies more than ``separation`` from the
-first.
-
-``nearest_points`` is the scalar reference for the same rule: it asks each
-primitive on its own for its nearest points and keeps the separated ones.
+Every query runs on the set's packed capsule rows (see
+:mod:`medialcover.geometry`).  ``distance`` is vectorized over query points.
+``survey`` is the one kernel behind the grid sweep, the ambiguity detector
+and the single-point query ``nearest_points``: per query point it returns
+the distance, one nearest point, and the classification as lying in the set,
+having a unique nearest point, or being ambiguous.  It measures every row;
+only query points with two or more rows within ``tie_tolerance`` of the
+minimum, or at the exact centre of a shell, get projections onto those rows,
+and such a point is ambiguous when one tied projection lies more than
+``separation`` from the first.
 
 ``grid_sweep`` adds, on every grid node, the gradient of the distance field
 by central finite differences and whether the field looks differentiable
@@ -39,7 +36,6 @@ __all__ = [
     "GridSweep",
     "Survey",
     "distance",
-    "project",
     "survey",
     "nearest_points",
     "grid_sweep",
@@ -63,13 +59,10 @@ class Classification(str, Enum):
 
 @dataclass(frozen=True)
 class NearestResult:
-    """Distance plus all (deduplicated) nearest points and their classification."""
+    """Distance and classification of one query point."""
 
     distance: float
-    nearest: tuple[np.ndarray, ...]
     classification: Classification
-    tie_tolerance: float
-    infinite_set: bool = False
 
 
 def distance(spec: ClosedSetSpec, x) -> float | np.ndarray:
@@ -77,13 +70,6 @@ def distance(spec: ClosedSetSpec, x) -> float | np.ndarray:
     pts, single = _batch(x, spec.dimension)
     d = spec.row_distances(pts).min(axis=0)
     return float(d[0]) if single else d
-
-
-def project(spec: ClosedSetSpec, x) -> np.ndarray:
-    """One representative nearest point per query point (the first nearest row)."""
-    pts, single = _batch(x, spec.dimension)
-    out = spec.project_rows(pts, spec.row_distances(pts).argmin(axis=0))
-    return out[0] if single else out
 
 
 @dataclass(frozen=True)
@@ -109,7 +95,7 @@ def survey(
     tie_tolerance: float = DEFAULT_TIE_TOLERANCE,
     separation: float = DEFAULT_SEPARATION,
 ) -> Survey:
-    """Classify a batch of query points (N, n) by the rule of :func:`nearest_points`."""
+    """Classify a batch of query points (N, n) by the tie rule of the module docstring."""
     table = spec.row_distances(pts)
     best = table.argmin(axis=0)
     d = table.min(axis=0)
@@ -137,45 +123,9 @@ def nearest_points(
     tie_tolerance: float = DEFAULT_TIE_TOLERANCE,
     separation: float = DEFAULT_SEPARATION,
 ) -> NearestResult:
-    """Collect every nearest-point candidate within ``tie_tolerance`` of the minimum.
-
-    Candidates closer than ``separation`` to an already kept point are treated
-    as floating-point duplicates and dropped.  Classification:
-
-    * ``IN_SET``     -- distance <= tie_tolerance;
-    * ``AMBIGUOUS``  -- at least two kept points (pairwise separation is then
-      > ``separation`` by construction), or an infinite nearest set was
-      flagged (a shell queried exactly at its center);
-    * ``UNIQUE``     -- otherwise.
-    """
-    if tie_tolerance <= 0:
-        raise ValueError("tie_tolerance must be positive")
-    x = np.asarray(x, dtype=float)
-    per = [(float(p.distance(x)[0]), p) for p in spec.primitives]
-    dmin = min(d for d, _ in per)
-    kept: list[np.ndarray] = []
-    infinite = False
-    for d, p in per:
-        if d > dmin + tie_tolerance:
-            continue
-        points, inf_flag = p.nearest(x)
-        infinite = infinite or inf_flag
-        for cand in points:
-            if all(np.linalg.norm(cand - q) > separation for q in kept):
-                kept.append(np.asarray(cand, dtype=float))
-    if dmin <= tie_tolerance:
-        cls = Classification.IN_SET
-    elif infinite or len(kept) >= 2:
-        cls = Classification.AMBIGUOUS
-    else:
-        cls = Classification.UNIQUE
-    return NearestResult(
-        distance=dmin,
-        nearest=tuple(kept),
-        classification=cls,
-        tie_tolerance=tie_tolerance,
-        infinite_set=infinite,
-    )
+    """:func:`survey` of the one query point ``x``."""
+    surveyed = survey(spec, _batch(x, spec.dimension)[0], tie_tolerance, separation)
+    return NearestResult(float(surveyed.distance[0]), surveyed.classifications()[0])
 
 
 def _fd_tables(spec: ClosedSetSpec, pts: np.ndarray, d0: np.ndarray, step: float):

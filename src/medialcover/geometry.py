@@ -15,9 +15,9 @@ nearest point of one chosen row per query point; the distance field, its
 projection and the tie classification in :mod:`medialcover.distance` are all
 built on these two.
 
-The per-primitive ``distance``, ``project`` and ``nearest`` methods answer
-the same questions one primitive at a time; they are the reference the
-packed form is checked against and the query behind ``nearest_points``.
+:class:`Point`, :class:`Segment` and :class:`Ball`, like
+:class:`PolygonBoundary`, are input records: they validate their fields and
+report their dimension, and every query goes through the packed rows.
 
 All coordinates are double precision.  Instances are frozen and their arrays
 are marked read-only, so they are safe to share across threads.
@@ -78,17 +78,6 @@ class Point:
     def dimension(self) -> int:
         return self.coords.shape[0]
 
-    def distance(self, x: np.ndarray) -> np.ndarray:
-        x, _ = _batch(x, self.dimension)
-        return np.linalg.norm(x - self.coords, axis=1)
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        x, _ = _batch(x, self.dimension)
-        return np.broadcast_to(self.coords, x.shape).copy()
-
-    def nearest(self, x: np.ndarray) -> tuple[list[np.ndarray], bool]:
-        return [self.coords.copy()], False
-
 
 @dataclass(frozen=True)
 class Segment:
@@ -108,26 +97,6 @@ class Segment:
     @property
     def dimension(self) -> int:
         return self.a.shape[0]
-
-    def _params(self, x: np.ndarray) -> np.ndarray:
-        d = self.b - self.a
-        t = (x - self.a) @ d / (d @ d)
-        return np.clip(t, 0.0, 1.0)
-
-    def distance(self, x: np.ndarray) -> np.ndarray:
-        x, _ = _batch(x, self.dimension)
-        t = self._params(x)
-        foot = self.a + t[:, None] * (self.b - self.a)
-        return np.linalg.norm(x - foot, axis=1)
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        x, _ = _batch(x, self.dimension)
-        t = self._params(x)
-        return self.a + t[:, None] * (self.b - self.a)
-
-    def nearest(self, x: np.ndarray) -> tuple[list[np.ndarray], bool]:
-        # A segment is convex, so the nearest point is always unique.
-        return [self.project(x)[0]], False
 
 
 @dataclass(frozen=True)
@@ -163,11 +132,8 @@ class PolygonBoundary:
 class Ball:
     """The shell {x : |x - c| = r}, i.e. a circle in 2-D or a sphere in 3-D.
 
-    Distance from a query point is ``| |x - c| - r |``.  Radius 0 degenerates
-    to the center point.  Querying exactly at the center of a positive-radius
-    shell is the one configuration where the nearest set is infinite (the
-    whole shell); :meth:`nearest` then returns a single witness point plus an
-    infinite-set flag.
+    Radius 0 degenerates to the center point.  In the packed form a shell is a
+    row with a centre and a radius and no direction.
     """
 
     center: np.ndarray
@@ -185,36 +151,6 @@ class Ball:
     @property
     def dimension(self) -> int:
         return self.center.shape[0]
-
-    def distance(self, x: np.ndarray) -> np.ndarray:
-        x, _ = _batch(x, self.dimension)
-        return np.abs(np.linalg.norm(x - self.center, axis=1) - self.radius)
-
-    def _witness(self) -> np.ndarray:
-        w = self.center.copy()
-        w[0] += self.radius
-        return w
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        x, _ = _batch(x, self.dimension)
-        u = x - self.center
-        rho = np.linalg.norm(u, axis=1)
-        out = np.empty_like(x)
-        degenerate = rho == 0.0
-        safe = ~degenerate
-        out[safe] = self.center + (self.radius / rho[safe])[:, None] * u[safe]
-        out[degenerate] = self._witness()
-        return out
-
-    def nearest(self, x: np.ndarray) -> tuple[list[np.ndarray], bool]:
-        if self.radius == 0.0:
-            return [self.center.copy()], False
-        x1, _ = _batch(x, self.dimension)
-        u = x1[0] - self.center
-        rho = float(np.linalg.norm(u))
-        if rho == 0.0:
-            return [self._witness()], True
-        return [self.center + (self.radius / rho) * u], False
 
 
 Primitive = Union[Point, Segment, PolygonBoundary, Ball]
@@ -324,7 +260,7 @@ class ClosedSetSpec:
         """The nearest point of row ``rows[k]`` to ``pts[k]``, as a (K, n) array.
 
         At the exact centre of a shell every shell point is nearest; the
-        witness centre + R e_1 stands for all of them, as in :meth:`Ball.project`.
+        witness centre + R e_1 stands for all of them.
         """
         foot = self.starts[rows]
         if self._has_segments:

@@ -8,7 +8,7 @@ each branch crossing by bisection on the kernel's projections.  The flagged
 edges of all axes share one lockstep bisection, so each step costs one
 distance and one projection call of the packed kernel, while each axis keeps
 its own stopping test.
-``certify_cover`` then runs every detected sample through the convex-lift
+``certify_cover`` then runs the detected samples through the convex-lift
 pipeline: derivative-gap witness, covering graph, vertical deviation, and
 the marginal-value identities.  Samples whose derivative gap is too small
 for the slope lattice are reported as unresolved rather than failed.
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import SlopeLattice, marginal_inf_rows, nondiff_witnesses, DEFAULT_PARTIAL_STEP
+from .convex import SlopeLattice, marginal_inf_rows, nondiff_witnesses
 from .cover import CcGraph
 from .distance import DEFAULT_SEPARATION, DEFAULT_TIE_TOLERANCE, survey, write_csv
 from .fields import asplund_field, strongify
@@ -227,38 +227,25 @@ class CoverageReport:
 
 def certify_cover(
     spec: ClosedSetSpec,
-    window: Window,
-    resolution: int,
+    samples: np.ndarray,
     lattice: SlopeLattice,
     *,
-    coverage_tolerance: float = DEFAULT_COVERAGE_TOL,
-    tie_tolerance: float = DEFAULT_TIE_TOLERANCE,
-    separation: float = DEFAULT_SEPARATION,
-    jump_fraction: float = DEFAULT_JUMP_FRACTION,
-    refine_tol: float = DEFAULT_REFINE_TOL,
-    partial_step: float = DEFAULT_PARTIAL_STEP,
-    fault_offset: float = 0.0,
+    coverage_tolerance: float,
+    partial_step: float,
+    fault_offset: float,
 ) -> CoverageReport:
-    """Detect the ambiguous locus and certify that covering graphs pass through it.
+    """Certify that covering graphs pass through the detected samples (K, n).
 
-    Pipeline per detected sample: estimate the one-sided derivative gap of
-    the strongly convex lift |x|^2 - d^2 + |x|^2, pick a lattice slope pair
-    inside the gap, build the corresponding covering graph, and
-    record the vertical deviation plus the two marginal-value identities.
-    Samples without a resolvable gap are reported as unresolved.
+    Pipeline per sample, as :func:`detect_ambiguous` returns them: estimate
+    the one-sided derivative gap of the strongly convex lift
+    |x|^2 - d^2 + |x|^2, pick a lattice slope pair inside the gap, build the
+    corresponding covering graph, and record the vertical deviation plus the
+    two marginal-value identities.  Samples without a resolvable gap are
+    reported as unresolved.
 
     ``fault_offset`` biases every graph evaluation and exists solely so the
     negative-control test can prove the certification can fail.
     """
-    samples = detect_ambiguous(
-        spec,
-        window,
-        resolution,
-        tie_tolerance=tie_tolerance,
-        separation=separation,
-        jump_fraction=jump_fraction,
-        refine_tol=refine_tol,
-    )
     lift = strongify(asplund_field(spec))
     records: list[SampleRecord] = []
     unresolved: list[np.ndarray] = []
@@ -308,17 +295,15 @@ def write_samples_csv(points, path) -> None:
     write_csv(path, header, len(pts) if pts.size else 0, columns)
 
 
-def write_overlay_svg(
-    spec: ClosedSetSpec,
-    window: Window,
-    samples,
-    path=None,
-    size: int = 640,
-) -> str:
-    """Render the set and the detected samples as SVG."""
+# Width and height of the SVG overlay, in pixels.
+_SVG_SIZE = 640
+
+
+def write_overlay_svg(spec: ClosedSetSpec, window: Window, samples, path) -> None:
+    """Render the set and the detected samples as SVG to ``path``."""
     if spec.dimension != 2:
         raise ValueError("SVG overlay is only available in two dimensions")
-    lo, span = window.lower, window.extent
+    lo, span, size = window.lower, window.extent, _SVG_SIZE
 
     def to_px(p):
         x = (p[0] - lo[0]) / span[0] * size
@@ -345,8 +330,5 @@ def write_overlay_svg(
         cx, cy = to_px(p)
         parts.append(f'<circle cx="{cx}" cy="{cy}" r="1.5" fill="#c03030"/>')
     parts.append("</svg>")
-    text = "\n".join(parts)
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
+    with open(path, "w") as fh:
+        fh.write("\n".join(parts))

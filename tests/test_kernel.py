@@ -1,4 +1,4 @@
-"""The packed survey kernel against the per-primitive reference queries."""
+"""The packed survey kernel against the per-primitive queries of `tests/reference.py`."""
 
 import numpy as np
 import pytest
@@ -15,9 +15,9 @@ from medialcover import (
     distance,
     grid_sweep,
     nearest_points,
-    project,
     survey,
 )
+import reference
 
 TIE = 1e-9
 
@@ -41,7 +41,7 @@ def queries(spec, rng):
 
 
 def reference_table(spec, pts):
-    return np.stack([p.distance(pts) for p in spec.primitives])
+    return np.stack([reference.distance(p, pts) for p in spec.primitives])
 
 
 MIXED = [random_set(np.random.default_rng(seed), n) for n in (2, 3) for seed in range(6)]
@@ -68,8 +68,8 @@ def test_projections_match_where_the_runner_up_is_clear(spec):
     ranked = np.sort(ref, axis=0)
     clear = ranked[1] - ranked[0] > TIE
     best = ref.argmin(axis=0)
-    expected = np.array([spec.primitives[j].project(x)[0] for j, x in zip(best, pts)])
-    got = project(spec, pts)
+    expected = np.array([reference.project(spec.primitives[j], x)[0] for j, x in zip(best, pts)])
+    got = spec.project_rows(pts, best)
     assert clear.sum() > len(pts) // 2
     assert np.allclose(got[clear], expected[clear], rtol=0.0, atol=1e-12)
     assert np.allclose(survey(spec, pts).projection[clear], expected[clear], rtol=0.0, atol=1e-12)
@@ -81,7 +81,7 @@ def test_classes_match_nearest_points_row_by_row(spec):
     if spec is SQUARE or spec is STAR:
         pts = np.vstack([pts, Window([-2, -2], [2, 2]).grid_points(17), [[0.0, 0.0], [0.3, 0.3]]])
     got = survey(spec, pts, TIE).classifications()
-    expected = [nearest_points(spec, x, TIE).classification for x in pts]
+    expected = [reference.nearest_points(spec, x, TIE).classification for x in pts]
     assert got == expected
 
 
@@ -92,7 +92,7 @@ def test_shell_centre_is_ambiguous_only_when_the_shell_is_nearest():
     centre = np.zeros((1, 3))
     assert survey(alone, centre).ambiguous.tolist() == [True]
     assert survey(with_point, centre).ambiguous.tolist() == [False]
-    assert np.allclose(project(alone, centre[0]), [1.0, 0.0, 0.0])
+    assert np.allclose(survey(alone, centre).projection[0], [1.0, 0.0, 0.0])
 
 
 def test_square_bisector_nodes_are_ambiguous():

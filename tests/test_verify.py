@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from medialcover.config import load_config
-from medialcover.distance import project
+from medialcover.distance import survey
 from medialcover.geometry import ClosedSetSpec, Point, Window
 from medialcover.verify import _MAX_BISECTIONS, _flagged_edges, _refine_edges
 from test_voronoi_oracle import SEEDS, WINDOW, random_sites
@@ -23,7 +23,7 @@ def reference_refine_edges(spec, edges, refine_tol):
             if np.max(np.linalg.norm(b - a, axis=1)) <= refine_tol:
                 break
             mid = 0.5 * (a + b)
-            pm = project(spec, mid)
+            pm = survey(spec, mid).projection
             on_a_branch = np.linalg.norm(pm - pa, axis=1) <= np.linalg.norm(pm - pb, axis=1)
             a[on_a_branch] = mid[on_a_branch]
             pa[on_a_branch] = pm[on_a_branch]
