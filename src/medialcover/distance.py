@@ -11,9 +11,16 @@ minimum, or at the exact centre of a shell, get projections onto those rows,
 and such a point is ambiguous when one tied projection lies more than
 ``separation`` from the first.
 
+``distance`` and ``survey`` take the minimum over rows with
+``np.minimum.reduce``, not ``ndarray.min``: the lift of
+:mod:`medialcover.fields` calls ``distance`` on a few points at a time, where
+the Python wrapper is a large share of each call.
+
 ``grid_sweep`` adds, on every grid node, the gradient of the distance field
 by central finite differences and whether the field looks differentiable
 there; where it does, the unique nearest point is  x - d(x) * grad d(x).
+It works in blocks of ``SWEEP_BLOCK_NODES`` nodes written into preallocated
+arrays, so its temporaries do not grow with the grid.
 
 ``write_grid_csv`` writes a sweep through ``write_csv``, a columnar writer
 that works one block of ``CSV_BLOCK_ROWS`` rows at a time and does not use
@@ -68,7 +75,7 @@ class NearestResult:
 def distance(spec: ClosedSetSpec, x) -> float | np.ndarray:
     """dist(x, E): minimum over the set's packed rows.  Vectorized over points."""
     pts, single = _batch(x, spec.dimension)
-    d = spec.row_distances(pts).min(axis=0)
+    d = np.minimum.reduce(spec.row_distances(pts), axis=0)
     return float(d[0]) if single else d
 
 
@@ -98,7 +105,7 @@ def survey(
     """Classify a batch of query points (N, n) by the tie rule of the module docstring."""
     table = spec.row_distances(pts)
     best = table.argmin(axis=0)
-    d = table.min(axis=0)
+    d = np.minimum.reduce(table, axis=0)
     in_set = d <= tie_tolerance
     tied = table <= d + tie_tolerance
     centre = np.zeros_like(tied)
@@ -172,6 +179,12 @@ class GridSweep:
     resolution: int
 
 
+# At most this many nodes per block of the grid sweep.  The survey and the
+# finite-difference tables of a block hold a few (M, block) and (block, n)
+# temporaries, so the sweep's transient memory stays flat as the grid grows.
+SWEEP_BLOCK_NODES = 4096
+
+
 def grid_sweep(
     spec: ClosedSetSpec,
     window: Window,
@@ -181,22 +194,40 @@ def grid_sweep(
     tie_tolerance: float = DEFAULT_TIE_TOLERANCE,
     separation: float = DEFAULT_SEPARATION,
 ) -> GridSweep:
+    """Survey the grid nodes block by block into preallocated arrays.
+
+    A block is the largest whole number of the kernel's row blocks (see
+    ``ClosedSetSpec.row_distances``) that holds at most ``SWEEP_BLOCK_NODES``
+    nodes, so no block leaves a short row block behind.  Each node's values
+    depend on that node alone, so the block size does not change a bit of
+    the result.
+    """
     if resolution < 2:
         raise ValueError("grid resolution must be at least 2")
     pts = window.grid_points(resolution)
-    surveyed = survey(spec, pts, tie_tolerance, separation)
-    d, in_set = surveyed.distance, surveyed.in_set
-    c1, c2, gap = _fd_tables(spec, pts, d, step)
-    residual = np.maximum(gap.max(axis=1), np.abs(c1 - c2).max(axis=1))
-    norms = np.linalg.norm(c2, axis=1)
-    diff = (residual <= 10.0 * step) & (norms <= 1.0 + 10.0 * step) & ~in_set
-    grads = np.where(in_set[:, None], np.nan, c2)
+    count, n = pts.shape
+    values = np.empty(count)
+    gradients = np.empty((count, n))
+    differentiable = np.empty(count, dtype=bool)
+    classifications: list[Classification] = []
+    size = max(1, SWEEP_BLOCK_NODES // spec._block) * spec._block
+    for lo in range(0, count, size):
+        block = slice(lo, lo + size)
+        surveyed = survey(spec, pts[block], tie_tolerance, separation)
+        d, in_set = surveyed.distance, surveyed.in_set
+        c1, c2, gap = _fd_tables(spec, pts[block], d, step)
+        residual = np.maximum(gap.max(axis=1), np.abs(c1 - c2).max(axis=1))
+        norms = np.linalg.norm(c2, axis=1)
+        values[block] = d
+        gradients[block] = np.where(in_set[:, None], np.nan, c2)
+        differentiable[block] = (residual <= 10.0 * step) & (norms <= 1.0 + 10.0 * step) & ~in_set
+        classifications += surveyed.classifications()
     return GridSweep(
         points=pts,
-        values=d,
-        classifications=surveyed.classifications(),
-        gradients=grads,
-        differentiable=diff,
+        values=values,
+        classifications=classifications,
+        gradients=gradients,
+        differentiable=differentiable,
         resolution=resolution,
     )
 

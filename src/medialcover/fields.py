@@ -5,6 +5,13 @@ coordinate axis: input shape (..., n), output shape (...).  ``asplund_field``
 builds the convex function |x|^2 - dist(x, E)^2 of a closed set;
 ``strongify`` adds |x|^2, which makes any convex field strongly convex with
 modulus 1.
+
+``verify`` evaluates the lift some ten thousand times, a few points each, so
+its path is a straight run of ufunc calls (``np.add.reduce`` here,
+``np.minimum.reduce`` in :func:`~medialcover.distance.distance`, in-place
+``np.maximum``/``np.minimum`` clamps in the packed kernel) without NumPy's
+Python-level wrappers such as ``np.sum`` or ``np.clip``.  The arithmetic and
+its order are those of the wrappers, so the values are the same bits.
 """
 
 from __future__ import annotations
@@ -56,7 +63,7 @@ class ScalarField:
 
 
 def _sq(x: np.ndarray) -> np.ndarray:
-    return np.sum(x * x, axis=-1)
+    return np.add.reduce(x * x, axis=-1)
 
 
 def asplund_field(spec: ClosedSetSpec) -> ScalarField:
@@ -111,14 +118,14 @@ def quadratic_sine_blend(dimension: int, seed: int = 0) -> ScalarField:
     return ScalarField(evaluate, dimension, tag=f"blend:{seed}", smooth_c2=True)
 
 
-NAMED_FIELDS = ("abs", "norm", "sq_norm", "sin1", "blend:<seed>", "asplund:<set-ref>")
+NAMED_FIELDS = ("abs", "norm", "sq_norm", "sin1", "blend:<seed>", "asplund[:set]")
 
 
 def named_field(name: str, dimension: int, set_spec: ClosedSetSpec | None = None) -> ScalarField:
     """Resolve a field by its config name.
 
-    ``asplund`` / ``asplund:set`` require ``set_spec``; path-style references
-    must be resolved to a :class:`ClosedSetSpec` by the caller beforehand.
+    ``asplund`` and ``asplund:set`` name the lift of ``set_spec``, the config's
+    own set, and require it; ``asplund`` with any other reference is refused.
     """
     if name == "abs":
         return coordinate_abs(dimension)
@@ -130,7 +137,7 @@ def named_field(name: str, dimension: int, set_spec: ClosedSetSpec | None = None
         return first_coordinate_sine(dimension)
     if name.startswith("blend:"):
         return quadratic_sine_blend(dimension, seed=int(name.split(":", 1)[1]))
-    if name == "asplund" or name.startswith("asplund:"):
+    if name in ("asplund", "asplund:set"):
         if set_spec is None:
             raise ValueError(f"field {name!r} needs a set description")
         return asplund_field(set_spec)

@@ -247,7 +247,8 @@ class ClosedSetSpec:
         if self._has_segments:
             t = np.add.reduce(diff * self._directions_t, axis=0)
             t /= self._lengths2[:, None]
-            np.clip(t, 0.0, 1.0, out=t)
+            np.maximum(0.0, t, out=t)  # np.clip(t, 0, 1) bit for bit, -0.0 included
+            np.minimum(t, 1.0, out=t)
             diff -= t * self._directions_t  # x - (A + t D)
         diff *= diff
         rho = np.sqrt(np.add.reduce(diff, axis=0))
@@ -266,7 +267,8 @@ class ClosedSetSpec:
         if self._has_segments:
             d = self.directions[rows]
             t = np.add.reduce((pts - foot) * d, axis=1) / self._lengths2[rows]
-            np.clip(t, 0.0, 1.0, out=t)
+            np.maximum(0.0, t, out=t)
+            np.minimum(t, 1.0, out=t)
             foot += t[:, None] * d
         if self._has_shells:
             r = self.radii[rows]

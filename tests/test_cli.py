@@ -58,6 +58,9 @@ GOLDEN = {
     ("verify", "verify_shells"): "121b8e6dd140453c72d7d839f0cd4fdee6889597432c97e2361b813fc53f7189",
     ("cover", "cover_shells"): "8341a96f19e531073038f32f1211b2d45be27ec5b5eecf0b36ad22c9d882baf1",
     ("verify", "verify_wide_window"): "613c0956fb7791e61b68b11d33c89ec08ef45187281ac888e3550b04130b124f",
+    # A polygon loop: a six-vertex star, whose rows are all segments.
+    ("verify", "verify_star"): "d5406706bf6d79e26a4daed1fc6ae69f9ee5d09e43c7d6fcdb4d31e31dee8bbb",
+    ("cover", "cover_star"): "79b2f06f5867f39759268f7d1c8f2e9f9616e1ec727300e2b923c8b5235cbf11",
 }
 
 
@@ -71,6 +74,9 @@ def test_report_bytes_match_their_golden_digest(command, fixture, tmp_path, caps
 GOLDEN_CSV = {
     ("analyze", "analyze_two_point"): "13a3056377497cabbd726f4becc178807b6211d368552f42fe8ee93612325ca6",
     ("verify", "verify_two_point"): "e08d01a408cec091cf9f729974e3debb276cfad51b1b5ac92878f331e25da0e2",
+    ("verify", "verify_star"): "f9e5f81721d445a916645103bcc7064e5e0bc641c9f26aecc0063d212267100c",
+    # A 3-D sweep: shell, point and segment rows, three gradient columns.
+    ("analyze", "analyze_shells"): "b655d50fe8c28de9d8ec30b99230a307e96dcd610776b3200fe495e2e8a63faf",
 }
 
 
@@ -87,6 +93,39 @@ def test_overlay_svg_bytes_match_their_golden_digest(tmp_path, capsys):
     text = svg.read_bytes()
     assert text.count(b"<circle") == 66  # the two points and 64 samples
     assert hashlib.sha256(text).hexdigest() == "326525a30d47970dba72d19e748716466040e7fad486a60b6068d33b7f448f43"
+
+
+def test_overlay_svg_of_a_polygon_matches_its_golden_digest(tmp_path, capsys):
+    report, svg = tmp_path / "report.json", tmp_path / "overlay.svg"
+    argv = [str(FIXTURES / "verify_star.json"), "--output", str(report), "--svg", str(svg)]
+    assert main(["verify", *argv]) == 0
+    text = svg.read_bytes()
+    assert text.count(b"<circle") == 25  # the 25 samples; the star's edges are lines
+    assert hashlib.sha256(text).hexdigest() == "848cf06e8d4a7ab19ca924de81ff8e1b06bd539efad35d45cc2dc1df869956a9"
+
+
+# Each path a command writes, placed under a directory that does not exist.
+MISSING_DIRECTORY = [
+    ("verify", "verify_two_point", "--output"),
+    ("verify", "verify_two_point", "--csv"),
+    ("verify", "verify_two_point", "--svg"),
+    ("analyze", "analyze_two_point", "--output"),
+    ("analyze", "analyze_two_point", "--csv"),
+    ("cover", "cover_two_point", "--output"),
+]
+
+
+@pytest.mark.parametrize("command, fixture, flag", MISSING_DIRECTORY, ids=[f"{c}{f}" for c, _, f in MISSING_DIRECTORY])
+def test_output_under_a_missing_directory_exits_3(command, fixture, flag, tmp_path, capsys):
+    paths = {"--output": tmp_path / "report.json", "--csv": tmp_path / "table.csv", "--svg": tmp_path / "overlay.svg"}
+    paths[flag] = tmp_path / "missing" / paths[flag].name
+    argv = [command, str(FIXTURES / f"{fixture}.json")]
+    for name, path in paths.items():
+        if name != "--svg" or command == "verify":
+            argv += [name, str(path)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("i/o error: ")
+    assert not paths[flag].parent.exists()
 
 
 def csv_table(data: bytes) -> tuple[list[str], list[list[str]]]:

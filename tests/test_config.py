@@ -117,3 +117,23 @@ def test_negative_seed_exits_2_through_main(command, patch, flags, seed, tmp_pat
     assert main([command, str(config), "--output", str(report), *flags]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith(f"config error: seed: must be >= 0, got {seed}")
     assert not report.exists()
+
+
+# `asplund:<path>` once ignored its path and lifted the config's own set.
+@pytest.mark.parametrize("field", ["asplund:/does/not/exist.json", "asplund:", "asplund:Set"])
+def test_asplund_with_a_reference_other_than_set_exits_2_through_main(field, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"set": TWO_POINTS, "grid_resolution": 17, "field": field}))
+    report = tmp_path / "report.json"
+    assert main(["cover", str(config), "--output", str(report)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: field: unknown field name {field!r}")
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("field", ["asplund", "asplund:set"])
+def test_asplund_of_the_configs_own_set_is_accepted(field, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"set": TWO_POINTS, "grid_resolution": 17, "lattice": {"step": 1.0, "bound": 2.0}, "field": field}))
+    report = tmp_path / "report.json"
+    assert main(["cover", str(config), "--output", str(report)]) == 0
+    assert json.loads(report.read_text())["provenance"] == "asplund+sq"

@@ -1,4 +1,7 @@
 import csv
+import importlib
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +28,10 @@ TWO_POINTS = ClosedSetSpec([Point([-1, 0]), Point([1, 0])], 2)
 CIRCLE = ClosedSetSpec([Ball([0, 0], 1.0)], 2)
 THREE_POINTS = ClosedSetSpec([Point([0, 0]), Point([1, 0]), Point([0, 1])], 2)
 WINDOW = Window([-2, -2], [2, 2])
+SHELLS = ClosedSetSpec.from_json((Path(__file__).parent / "fixtures" / "shells_set.json").read_text())
+WINDOW3 = Window([-2.0] * 3, [2.0] * 3)
+# The package exports the function ``distance`` under the module's name.
+distance_module = importlib.import_module("medialcover.distance")
 
 
 class TestDistance:
@@ -221,6 +228,30 @@ class TestGridSweep:
             rows = list(csv.reader(fh))
         assert rows[0] == ["x1", "x2", "d", "classification", "grad_1", "grad_2", "differentiable_flag"]
         assert len(rows) == 1 + 81
+
+    def test_transient_memory_does_not_grow_with_the_grid(self):
+        # 48**3 nodes: the whole-grid sweep held about 20 MB of temporaries
+        # on top of the arrays it returns; the blocked one holds about 2 MB.
+        tracemalloc.start()
+        try:
+            sweep = grid_sweep(SHELLS, WINDOW3, 48)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        returned = sum(a.nbytes for a in (sweep.points, sweep.values, sweep.gradients, sweep.differentiable))
+        assert peak - returned < 6e6
+
+    @pytest.mark.parametrize("spec, window, resolution", [(SHELLS, WINDOW3, 13), (THREE_POINTS, WINDOW, 60)], ids=["3d", "2d"])
+    def test_block_size_does_not_change_a_bit(self, spec, window, resolution, monkeypatch):
+        monkeypatch.setattr(distance_module, "SWEEP_BLOCK_NODES", 1 << 30)
+        whole = grid_sweep(spec, window, resolution)
+        # One kernel row block per sweep block; it does not divide the node count.
+        monkeypatch.setattr(distance_module, "SWEEP_BLOCK_NODES", 1)
+        blocked = grid_sweep(spec, window, resolution)
+        assert len(whole.points) % spec._block and len(whole.points) > spec._block
+        assert blocked.classifications == whole.classifications
+        for name in ("points", "values", "gradients", "differentiable"):
+            assert getattr(blocked, name).tobytes() == getattr(whole, name).tobytes()
 
 
 def test_project_returns_a_nearest_point():

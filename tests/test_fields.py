@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from medialcover import (
     Ball,
     ClosedSetSpec,
     Point,
+    PolygonBoundary,
+    Segment,
     Window,
     asplund_field,
     named_field,
@@ -101,3 +105,29 @@ def test_lift_is_vectorized_consistently():
     batch = f(pts)
     single = np.array([f(p) for p in pts])
     assert np.allclose(batch, single)
+
+
+# A 2-D set with every row kind (a star loop's edges, a circle, a point, a
+# segment) and the 3-D shells fixture (sphere, point, segment).
+MIXED_2D = ClosedSetSpec(
+    [
+        PolygonBoundary([[1.4, 0.0], [0.4, 0.7], [-0.7, 1.2], [-0.8, 0.0], [-0.7, -1.2], [0.4, -0.7]]),
+        Ball([0.3, -0.2], 0.5),
+        Point([1.5, 1.5]),
+        Segment([-1.8, -1.5], [-1.0, -1.9]),
+    ],
+    2,
+)
+SHELLS = ClosedSetSpec.from_json((Path(__file__).parent / "fixtures" / "shells_set.json").read_text())
+
+
+@pytest.mark.parametrize("spec", [MIXED_2D, SHELLS], ids=["2d", "3d"])
+def test_lift_gives_the_same_bits_whatever_the_batch_size(spec):
+    # More points than one kernel block, so the batch runs through several.
+    count = 2 * spec._block + 2
+    pts = Window([-2.0] * spec.dimension, [2.0] * spec.dimension).sample(np.random.default_rng(7), count)
+    pts[0] = spec.starts[np.flatnonzero(spec.radii)[0]]  # a shell centre
+    lift = strongify(asplund_field(spec))
+    batch = lift(pts)
+    assert np.array_equal(batch, np.array([lift(p) for p in pts]))
+    assert np.array_equal(batch, np.concatenate([lift(pts[k : k + 2]) for k in range(0, count, 2)]))

@@ -111,6 +111,18 @@ def test_separation_decides_between_close_feet():
     assert survey(spec, x, TIE, 1e-3).ambiguous.tolist() == [False]
 
 
+def test_segment_clamp_keeps_the_sign_of_a_zero_parameter():
+    # x - A = (-5e-324, 0) along D = (2, 0) gives t = -1e-323 / 4, which
+    # rounds to -0.0.  np.clip(t, 0, 1) keeps -0.0, so the foot A + t D of a
+    # start at (-0.0, -0.0) stays (-0.0, -0.0); a clamp that turned t into
+    # +0.0 would give (0.0, 0.0).
+    spec = ClosedSetSpec([Segment([-0.0, -0.0], [2.0, -0.0])], 2)
+    x = np.array([[-5e-324, 0.0]])
+    t = np.add.reduce((x - spec.starts) * spec.directions, axis=1) / 4.0
+    assert t[0] == 0.0 and np.signbit(np.clip(t, 0.0, 1.0)[0])
+    assert np.signbit(spec.project_rows(x, np.array([0]))).tolist() == [[True, True]]
+
+
 eighths = st.integers(-12, 12).map(lambda k: k / 8.0)
 
 
