@@ -20,13 +20,7 @@ from .convex import (
     marginal_inf_rows,
     nondiff_witnesses,
 )
-from .cover import (
-    CcGraph,
-    CoverFamily,
-    FamilyBudgetError,
-    cover_family_to_dict,
-    enumerate_cover,
-)
+from .cover import FamilyBudgetError, cover_family_to_dict, enumerate_cover
 from .distance import (
     Classification,
     NearestResult,
@@ -46,24 +40,15 @@ from .fields import (
     strongify,
 )
 from .geometry import Ball, ClosedSetSpec, Point, PolygonBoundary, Primitive, Segment, Window
-from .verify import (
-    CoverageReport,
-    certify_cover,
-    detect_ambiguous,
-    write_overlay_svg,
-    write_samples_csv,
-)
+from .verify import certify_cover, detect_ambiguous, write_overlay_svg, write_samples_csv
 
 __all__ = [
     "__version__",
     "Ball",
     "CcDecomposition",
-    "CcGraph",
     "Classification",
     "ClosedSetSpec",
     "CoercivityError",
-    "CoverFamily",
-    "CoverageReport",
     "FamilyBudgetError",
     "NearestResult",
     "NondiffWitness",

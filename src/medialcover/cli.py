@@ -1,7 +1,11 @@
 """Scenario-driven command line: analyze | cover | verify | decompose.
 
 Each subcommand takes one JSON scenario config; flags only override output
-paths, the seed, and the unresolved-sample policy.  Reports are serialized
+paths, the seed, and the unresolved-sample policy.  A command takes only the
+path flags of the files it writes: ``--csv`` for analyze and verify,
+``--svg`` for verify; argparse refuses any other with exit code 2.  Without
+``--output`` the report goes to the config's ``outputs.report``, or else to
+stdout.  Reports are serialized
 deterministically (sorted keys, fixed float repr) and stamped with the tool
 version, the seed, and a digest of the config document, so identical runs
 produce byte-identical files.
@@ -16,6 +20,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -96,35 +101,29 @@ def _cmd_analyze(config: ScenarioConfig, raw: dict, args) -> int:
     tally = {cls.value: sweep.classifications.count(cls) for cls in Classification}
     summary = _envelope(raw, config.seed)
     summary.update({"command": "analyze", "rows": len(sweep.classifications), "classification_counts": tally, "csv": str(csv_path)})
-    _emit_json(summary, args.output)
+    _emit_json(summary, args.output or config.outputs.get("report"))
     return EXIT_OK
 
 
 def _cmd_cover(config: ScenarioConfig, raw: dict, args) -> int:
-    base = _base_field(config)
-    lift = strongify(base)
+    lift = strongify(_base_field(config))
     family = enumerate_cover(lift, config.cover_axes, config.lattice, config.cover_cap)
 
     rest_nodes = _rest_grid(config.window, config.cover_rest_resolution, config.dimension)
-    graphs = cover_family_to_dict(family, rest_nodes)
+    graphs = cover_family_to_dict(lift, family, rest_nodes)
 
-    witness_counts = [0] * len(graphs)
+    witness_counts = Counter()
     if config.set_spec is not None:
-        samples = _samples(config)
-        index = {(g.axis, g.alpha, g.beta): k for k, g in enumerate(family.graphs)}
-        for witness in nondiff_witnesses(lift, samples, config.lattice, step=config.partial_step):
-            if witness is not None:
-                k = index.get((witness.axis, witness.alpha, witness.beta))
-                if k is not None:
-                    witness_counts[k] += 1
-    for entry, count in zip(graphs, witness_counts):
-        entry["witness_points"] = count
+        witnesses = nondiff_witnesses(lift, _samples(config), config.lattice, step=config.partial_step)
+        witness_counts.update((w.axis, w.alpha, w.beta) for w in witnesses if w is not None)
+    for entry, graph in zip(graphs, family):
+        entry["witness_points"] = witness_counts[graph]
 
     document = _envelope(raw, config.seed)
     document.update(
         {
             "command": "cover",
-            "provenance": family.provenance,
+            "provenance": lift.tag,
             "graph_count": len(graphs),
             "lattice": {"step": config.lattice.step, "bound": config.lattice.bound},
             "graphs": graphs,
@@ -156,19 +155,19 @@ def _cmd_verify(config: ScenarioConfig, raw: dict, args) -> int:
         fault_offset=config.fault_offset,
     )
     document = _envelope(raw, config.seed)
-    document.update({"command": "verify", "report": report.to_dict()})
+    document.update({"command": "verify", "report": report})
     _emit_json(document, args.output or config.outputs.get("report"))
 
-    points = [r.point for r in report.records] + list(report.unresolved_points)
+    points = [r["point"] for r in report["records"]] + report["unresolved_points"]
     csv_path = args.csv or config.outputs.get("csv")
     if csv_path:
         write_samples_csv(np.asarray(points) if points else np.empty((0, config.dimension)), csv_path)
     if svg_path:
         write_overlay_svg(config.set_spec, config.window, np.asarray(points) if points else [], svg_path)
 
-    if not report.passed:
+    if not report["pass"]:
         return EXIT_COVERAGE
-    if report.unresolved and not args.allow_unresolved:
+    if report["unresolved"] and not args.allow_unresolved:
         return EXIT_COVERAGE
     return EXIT_OK
 
@@ -244,10 +243,11 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config", help="path to the scenario config JSON")
         p.add_argument("--output", help="write the JSON report here instead of stdout")
-        p.add_argument("--csv", help="override the CSV output path")
-        p.add_argument("--svg", help="override the SVG overlay path (verify only)")
+        if name in ("analyze", "verify"):
+            p.add_argument("--csv", help="override the CSV output path")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         if name == "verify":
+            p.add_argument("--svg", help="override the SVG overlay path")
             p.add_argument("--allow-unresolved", action="store_true", help="do not fail on unresolved samples")
     return parser
 

@@ -105,22 +105,21 @@ class NondiffWitness:
     plus: float
 
 
-def _one_sided(field: ScalarField, points: np.ndarray, axes, step: float) -> tuple[np.ndarray, np.ndarray]:
-    """(minus, plus) partials, each (K, len(axes)), at the K rows of ``points``.
+def _one_sided(field: ScalarField, points: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
+    """(minus, plus) partials, each (K, n), along every axis at the K rows of ``points``.
 
     For a convex field the secant (f(x + t e) - f(x)) / t is nondecreasing in
     t, so the samples bracket the one-sided limits; the extrapolated values
     are clipped back into that bracket.  Two field calls: one for the K base
-    values, one for the 6 * len(axes) * K shifted points.
+    values, one for the 6 * n * K shifted points.
     """
     if step <= 0:
         raise ValueError("step must be positive")
     count, n = points.shape
-    units = np.eye(n)[list(axes)]  # (A, n)
     ts = np.array([sign * step / div for sign in (1.0, -1.0) for div in (1, 2, 4)])  # h, h/2, h/4, -h, ...
-    offsets = ts[None, :, None] * units[:, None, :]  # (A, 6, n): t * e
+    offsets = ts[None, :, None] * np.eye(n)[:, None, :]  # (n, 6, n): t * e
     f0 = field(points)
-    shifted = field((points[:, None, None, :] + offsets).reshape(-1, n)).reshape(count, len(units), 6)
+    shifted = field((points[:, None, None, :] + offsets).reshape(-1, n)).reshape(count, n, 6)
     s = (shifted - f0[:, None, None]) / ts
     # Eliminates the O(t) and O(t^2) terms of the secant expansion.
     plus = (8.0 * s[..., 2] - 6.0 * s[..., 1] + s[..., 0]) / 3.0
@@ -150,7 +149,7 @@ def nondiff_witnesses(
         return []
     margin = lattice.step / 2.0
     k_max = lattice.max_index
-    minus, plus = _one_sided(field, points, range(field.dimension), step)
+    minus, plus = _one_sided(field, points, step)
     lo = np.maximum(np.ceil((minus + margin) / lattice.step - 1e-12), -k_max)
     hi = np.minimum(np.floor((plus - margin) / lattice.step + 1e-12), k_max)
     resolved = hi > lo
@@ -245,8 +244,6 @@ class ProbeReport:
     max_violation: float
     tolerance: float
     passed: bool
-    samples: int
-    seed: int
 
 
 def convexity_probe(field: ScalarField, window: Window, num_samples: int = 10000, seed: int = 0) -> ProbeReport:
@@ -263,7 +260,7 @@ def convexity_probe(field: ScalarField, window: Window, num_samples: int = 10000
     violation = float(np.max(mid - (lam * fx + (1.0 - lam) * fy)))
     scale = float(max(np.abs(fx).max(), np.abs(fy).max()))
     tol = 1e-9 * (1.0 + scale)
-    return ProbeReport(violation, tol, violation <= tol, num_samples, seed)
+    return ProbeReport(violation, tol, violation <= tol)
 
 
 def radial_cutoff(x: np.ndarray, radius: float) -> np.ndarray:
@@ -316,7 +313,6 @@ class CcDecomposition:
     convex_part: ScalarField
     subtracted_quadratic: ScalarField
     coefficient: float
-    radius: float
 
 
 def cc_decompose_c2(field: ScalarField, radius: float) -> CcDecomposition:
@@ -347,4 +343,4 @@ def cc_decompose_c2(field: ScalarField, radius: float) -> CcDecomposition:
 
     g = ScalarField(convex_part, field.dimension, tag=f"cc-convex({field.tag})", smooth_c2=True)
     h = ScalarField(quadratic, field.dimension, tag=f"cc-quadratic({field.tag})", smooth_c2=True)
-    return CcDecomposition(convex_part=g, subtracted_quadratic=h, coefficient=coefficient, radius=radius)
+    return CcDecomposition(convex_part=g, subtracted_quadratic=h, coefficient=coefficient)

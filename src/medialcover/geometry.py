@@ -365,8 +365,3 @@ class Window:
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         return rng.uniform(self.lower, self.upper, size=(count, self.dimension))
-
-    def contains(self, x: np.ndarray) -> np.ndarray:
-        x, single = _batch(x, self.dimension)
-        inside = np.all((x >= self.lower) & (x <= self.upper), axis=1)
-        return bool(inside[0]) if single else inside

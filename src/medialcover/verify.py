@@ -9,27 +9,25 @@ edges of all axes share one lockstep bisection, so each step costs one
 distance and one projection call of the packed kernel, while each axis keeps
 its own stopping test.
 ``certify_cover`` then runs the detected samples through the convex-lift
-pipeline: derivative-gap witness, covering graph, vertical deviation, and
-the marginal-value identities.  Samples whose derivative gap is too small
-for the slope lattice are reported as unresolved rather than failed.
+pipeline: derivative-gap witness, covering graph (axis, alpha, beta),
+vertical deviation, and the marginal-value identities, and returns the
+report dict that the ``verify`` command serializes.  Samples whose
+derivative gap is too small for the slope lattice are reported as
+unresolved rather than failed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .convex import SlopeLattice, marginal_inf_rows, nondiff_witnesses
-from .cover import CcGraph
+from .cover import graph_coordinate, graph_key
 from .distance import DEFAULT_SEPARATION, DEFAULT_TIE_TOLERANCE, survey, write_csv
 from .fields import asplund_field, strongify
 from .geometry import Ball, ClosedSetSpec, Point, Segment, Window
 
 __all__ = [
     "detect_ambiguous",
-    "SampleRecord",
-    "CoverageReport",
     "certify_cover",
     "write_samples_csv",
     "write_overlay_svg",
@@ -170,61 +168,6 @@ def detect_ambiguous(
     return np.vstack(chunks)
 
 
-@dataclass(frozen=True)
-class SampleRecord:
-    """Per-sample certification outcome."""
-
-    point: np.ndarray
-    axis: int
-    alpha: float
-    beta: float
-    deviation: float
-    graph_key: str
-    residual_alpha: float
-    residual_beta: float
-
-
-@dataclass(frozen=True)
-class CoverageReport:
-    """Coverage of the detected ambiguous locus by witness-built covering graphs."""
-
-    samples: int
-    covered: int
-    max_deviation: float
-    tolerance: float
-    records: tuple[SampleRecord, ...]
-    unresolved_points: tuple[np.ndarray, ...]
-    passed: bool
-
-    @property
-    def unresolved(self) -> int:
-        return len(self.unresolved_points)
-
-    def to_dict(self) -> dict:
-        return {
-            "samples": self.samples,
-            "covered": self.covered,
-            "max_deviation": self.max_deviation,
-            "tolerance": self.tolerance,
-            "unresolved": self.unresolved,
-            "pass": self.passed,
-            "records": [
-                {
-                    "point": r.point.tolist(),
-                    "axis": r.axis,
-                    "alpha": r.alpha,
-                    "beta": r.beta,
-                    "deviation": r.deviation,
-                    "graph": r.graph_key,
-                    "residual_alpha": r.residual_alpha,
-                    "residual_beta": r.residual_beta,
-                }
-                for r in self.records
-            ],
-            "unresolved_points": [p.tolist() for p in self.unresolved_points],
-        }
-
-
 def certify_cover(
     spec: ClosedSetSpec,
     samples: np.ndarray,
@@ -233,56 +176,56 @@ def certify_cover(
     coverage_tolerance: float,
     partial_step: float,
     fault_offset: float,
-) -> CoverageReport:
+) -> dict:
     """Certify that covering graphs pass through the detected samples (K, n).
 
     Pipeline per sample, as :func:`detect_ambiguous` returns them: estimate
     the one-sided derivative gap of the strongly convex lift
-    |x|^2 - d^2 + |x|^2, pick a lattice slope pair inside the gap, build the
-    corresponding covering graph, and record the vertical deviation plus the
-    two marginal-value identities.  Samples without a resolvable gap are
-    reported as unresolved.
+    |x|^2 - d^2 + |x|^2, pick a lattice slope pair inside the gap, and
+    record the vertical deviation of the covering graph (axis, alpha, beta)
+    plus the two marginal-value identities.  Samples without a resolvable
+    gap are reported as unresolved.  Returns the report as the ``verify``
+    command writes it: the counts, the per-sample ``records`` and the
+    ``unresolved_points``.
 
-    ``fault_offset`` biases every graph evaluation and exists solely so the
+    ``fault_offset`` shifts every graph coordinate and exists solely so the
     negative-control test can prove the certification can fail.
     """
     lift = strongify(asplund_field(spec))
-    records: list[SampleRecord] = []
-    unresolved: list[np.ndarray] = []
+    records: list[dict] = []
+    unresolved: list[list[float]] = []
     for point, witness in zip(samples, nondiff_witnesses(lift, samples, lattice, step=partial_step)):
         if witness is None:
-            unresolved.append(point)
+            unresolved.append(point.tolist())
             continue
-        graph = CcGraph(axis=witness.axis, alpha=witness.alpha, beta=witness.beta, base=lift, bias=fault_offset)
-        coord = float(point[witness.axis])
-        value_alpha, value_beta = marginal_inf_rows(
-            lift, [witness.axis] * 2, [witness.alpha, witness.beta], [point, point]
-        ).tolist()
+        axis, alpha, beta = witness.axis, witness.alpha, witness.beta
+        coord = float(point[axis])
+        value_alpha, value_beta = marginal_inf_rows(lift, [axis] * 2, [alpha, beta], [point, point]).tolist()
         lift_value = float(lift(point))
         records.append(
-            SampleRecord(
-                point=point,
-                axis=witness.axis,
-                alpha=witness.alpha,
-                beta=witness.beta,
-                deviation=abs(coord - graph.value(value_alpha, value_beta)),
-                graph_key=graph.key,
-                residual_alpha=abs(value_alpha - (lift_value - witness.alpha * coord)),
-                residual_beta=abs(value_beta - (lift_value - witness.beta * coord)),
-            )
+            {
+                "point": point.tolist(),
+                "axis": axis,
+                "alpha": alpha,
+                "beta": beta,
+                "deviation": abs(coord - graph_coordinate(alpha, beta, value_alpha, value_beta, fault_offset)),
+                "graph": graph_key(axis, alpha, beta),
+                "residual_alpha": abs(value_alpha - (lift_value - alpha * coord)),
+                "residual_beta": abs(value_beta - (lift_value - beta * coord)),
+            }
         )
-    max_deviation = max((r.deviation for r in records), default=0.0)
-    covered = sum(1 for r in records if r.deviation <= coverage_tolerance)
-    passed = covered == len(records) and max_deviation <= coverage_tolerance
-    return CoverageReport(
-        samples=len(records),
-        covered=covered,
-        max_deviation=max_deviation,
-        tolerance=coverage_tolerance,
-        records=tuple(records),
-        unresolved_points=tuple(unresolved),
-        passed=passed,
-    )
+    max_deviation = max((r["deviation"] for r in records), default=0.0)
+    covered = sum(1 for r in records if r["deviation"] <= coverage_tolerance)
+    return {
+        "samples": len(records),
+        "covered": covered,
+        "max_deviation": max_deviation,
+        "tolerance": coverage_tolerance,
+        "unresolved": len(unresolved),
+        "pass": covered == len(records) and max_deviation <= coverage_tolerance,
+        "records": records,
+        "unresolved_points": unresolved,
+    }
 
 
 def write_samples_csv(points, path) -> None:

@@ -29,12 +29,19 @@ CASES = [
 ]
 
 
+# The commands that write a table, and so take --csv.
+CSV_COMMANDS = ("analyze", "verify")
+
+
 def run(command, fixture, tmp_path):
     """Exit code plus the bytes of every file the run wrote."""
     report, table = tmp_path / "report.json", tmp_path / "table.csv"
     for path in (report, table):
         path.unlink(missing_ok=True)
-    code = main([command, str(FIXTURES / f"{fixture}.json"), "--output", str(report), "--csv", str(table)])
+    argv = [command, str(FIXTURES / f"{fixture}.json"), "--output", str(report)]
+    if command in CSV_COMMANDS:
+        argv += ["--csv", str(table)]
+    code = main(argv)
     return code, [p.read_bytes() if p.exists() else None for p in (report, table)]
 
 
@@ -120,8 +127,9 @@ def test_output_under_a_missing_directory_exits_3(command, fixture, flag, tmp_pa
     paths = {"--output": tmp_path / "report.json", "--csv": tmp_path / "table.csv", "--svg": tmp_path / "overlay.svg"}
     paths[flag] = tmp_path / "missing" / paths[flag].name
     argv = [command, str(FIXTURES / f"{fixture}.json")]
+    takes = {"--output": True, "--csv": command in CSV_COMMANDS, "--svg": command == "verify"}
     for name, path in paths.items():
-        if name != "--svg" or command == "verify":
+        if takes[name]:
             argv += [name, str(path)]
     assert main(argv) == 3
     assert capsys.readouterr().err.startswith("i/o error: ")
@@ -215,3 +223,36 @@ def test_verify_svg_on_a_3d_set_is_a_config_error(via, tmp_path, capsys):
     config.write_text(json.dumps(document))
     assert main(["verify", str(config), *argv]) == 2
     assert not report.exists() and not svg.exists()
+
+
+# A flag that the command does not take, and a fixture the command accepts.
+FOREIGN_FLAGS = [
+    ("cover", "cover_two_point", "--csv"),
+    ("cover", "cover_two_point", "--svg"),
+    ("analyze", "analyze_two_point", "--svg"),
+    ("decompose", "decompose_sin1", "--csv"),
+]
+
+
+@pytest.mark.parametrize("command, fixture, flag", FOREIGN_FLAGS, ids=[f"{c}{f}" for c, _, f in FOREIGN_FLAGS])
+def test_a_flag_the_command_does_not_take_exits_2_and_writes_nothing(command, fixture, flag, tmp_path, capsys):
+    report, extra = tmp_path / "report.json", tmp_path / "extra.out"
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, str(FIXTURES / f"{fixture}.json"), "--output", str(report), flag, str(extra)])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_analyze_writes_its_summary_to_the_configured_report(tmp_path, capsys, monkeypatch):
+    document = json.loads((FIXTURES / "analyze_two_point.json").read_text())
+    document["set"] = str(FIXTURES / document["set"])
+    document["outputs"] = {"report": "rep.json", "csv": "grid.csv"}
+    config = tmp_path / "analyze.json"
+    config.write_text(json.dumps(document))
+    monkeypatch.chdir(tmp_path)
+    assert main(["analyze", str(config)]) == 0
+    assert capsys.readouterr().out == ""
+    summary = json.loads((tmp_path / "rep.json").read_text())
+    assert summary["command"] == "analyze" and summary["csv"] == "grid.csv"
+    assert summary["rows"] == 17 * 17 and (tmp_path / "grid.csv").exists()

@@ -52,7 +52,7 @@ def kinked_1d() -> ScalarField:
 
 def box(field, x, step=1e-4):
     """Per-axis [minus, plus] partials at one point, shape (n, 2), from the batched kernel."""
-    minus, plus = _one_sided(field, np.asarray(x, dtype=float)[None], range(field.dimension), step)
+    minus, plus = _one_sided(field, np.asarray(x, dtype=float)[None], step)
     return np.stack([minus[0], plus[0]], axis=1)
 
 
@@ -86,7 +86,7 @@ class TestOneSidedPartials:
 
     def test_order_invariant_on_random_points(self):
         points = np.random.default_rng(0).uniform(-2, 2, size=(100, 2))
-        minus, plus = _one_sided(LIFT, points, range(2), 1e-4)
+        minus, plus = _one_sided(LIFT, points, 1e-4)
         assert np.all(minus <= plus + 1e-8)
 
 
@@ -216,7 +216,7 @@ class TestBatchedWitnesses:
         "field", [KINKS, ScalarField(lambda x: -np.sum(x * x, axis=-1), 3, tag="concave")], ids=["kinks", "concave"]
     )
     def test_partials_equal_the_scalar_loop(self, field):
-        minus, plus = _one_sided(field, np.array(self.POINTS), range(3), 1e-4)
+        minus, plus = _one_sided(field, np.array(self.POINTS), 1e-4)
         for k, x in enumerate(self.POINTS):
             for axis in range(3):
                 assert (minus[k, axis], plus[k, axis]) == reference_partials(field, x, axis)

@@ -1,16 +1,22 @@
-"""Covering-graph families: enumeration order, budget, and serialized values."""
+"""Covering-graph families: enumeration order, budget, serialized values, and agreement with verify."""
 
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from test_convex import reference_marginal_inf
 
+from medialcover.cli import main
+from medialcover.config import load_config
 from medialcover.convex import SlopeLattice
-from medialcover.cover import CcGraph, CoverFamily, FamilyBudgetError, cover_family_to_dict, enumerate_cover
+from medialcover.cover import FamilyBudgetError, cover_family_to_dict, enumerate_cover, graph_key
 from medialcover.fields import asplund_field, strongify
 from medialcover.geometry import Ball, ClosedSetSpec, Point, Window
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 LIFT = strongify(asplund_field(ClosedSetSpec([Point([-1.0, 0.0]), Point([1.0, 0.0])], 2)))
 LATTICE = SlopeLattice(step=1.0, bound=2.0)
@@ -23,49 +29,53 @@ def test_grid_values_are_the_graph_formula_on_direct_marginal_infima():
         (LIFT_3D, (0, 1, 2), SlopeLattice(step=1.0, bound=1.0), Window([-2.0, -2.0], [2.0, 2.0]).grid_points(3)),
     ]
     for lift, axes, lattice, rest_nodes in cases:
-        family = enumerate_cover(lift, axes, lattice, cap=64)
-        entries = cover_family_to_dict(family, rest_nodes)
-        assert len(entries) == len(family.graphs)
-        for graph, entry in zip(family.graphs, entries):
-            assert (entry["axis"], entry["alpha"], entry["beta"]) == (graph.axis, graph.alpha, graph.beta)
+        graphs = enumerate_cover(lift, axes, lattice, cap=64)
+        entries = cover_family_to_dict(lift, graphs, rest_nodes)
+        assert len(entries) == len(graphs)
+        for (axis, alpha, beta), entry in zip(graphs, entries):
+            assert (entry["axis"], entry["alpha"], entry["beta"]) == (axis, alpha, beta)
             for node, (*coords, value) in zip(rest_nodes, entry["grid"]):
-                va = reference_marginal_inf(lift, graph.axis, graph.alpha, node)
-                vb = reference_marginal_inf(lift, graph.axis, graph.beta, node)
+                va = reference_marginal_inf(lift, axis, alpha, node)
+                vb = reference_marginal_inf(lift, axis, beta, node)
                 assert coords == node.tolist()
-                assert value == (va - vb) / (graph.beta - graph.alpha)
+                assert value == (va - vb) / (beta - alpha)
 
 
 def test_enumeration_is_axis_major_then_alpha_then_beta():
-    family = enumerate_cover(LIFT, (1, 0), LATTICE, cap=64)
     slopes = LATTICE.points().tolist()
     expected = [(a, lo, hi) for a in (1, 0) for lo, hi in itertools.combinations(slopes, 2)]
-    assert [(g.axis, g.alpha, g.beta) for g in family.graphs] == expected
-    assert family.axes == (1, 0)
+    assert enumerate_cover(LIFT, (1, 0), LATTICE, cap=64) == expected
 
 
 def test_family_one_graph_over_the_cap_is_refused():
     total = 2 * LATTICE.pair_count()
-    assert len(enumerate_cover(LIFT, (0, 1), LATTICE, cap=total).graphs) == total
+    assert len(enumerate_cover(LIFT, (0, 1), LATTICE, cap=total)) == total
     with pytest.raises(FamilyBudgetError):
         enumerate_cover(LIFT, (0, 1), LATTICE, cap=total - 1)
 
 
-@pytest.mark.parametrize("axis, alpha, beta", [(0, 1.0, 1.0), (0, 2.0, 1.0), (-1, 0.0, 1.0), (2, 0.0, 1.0)])
-def test_graph_rejects_bad_slopes_and_axes(axis, alpha, beta):
-    with pytest.raises(ValueError):
-        CcGraph(axis=axis, alpha=alpha, beta=beta, base=LIFT)
+@pytest.mark.parametrize("axis", [-1, 2])
+def test_enumerate_cover_rejects_an_axis_out_of_range(axis):
+    with pytest.raises(ValueError, match="out of range"):
+        enumerate_cover(LIFT, (0, axis), LATTICE, cap=64)
 
 
-def test_a_family_that_mixes_search_settings_reads_each_graphs_own_rows():
-    first = enumerate_cover(LIFT, (0,), LATTICE, cap=64).graphs[0]
-    # the same axis and slopes on another base field must not reuse the first graph's rows
-    other = CcGraph(axis=0, alpha=first.alpha, beta=first.beta, base=strongify(LIFT))
-    mixed = CoverFamily(graphs=(first, other), provenance="mixed", axes=(0,))
-    rest_nodes = np.linspace(-2.0, 2.0, 5)[:, None]
-    for graph, entry in zip(mixed.graphs, cover_family_to_dict(mixed, rest_nodes)):
-        expected = [
-            graph.value(*(reference_marginal_inf(graph.base, 0, s, node) for s in (graph.alpha, graph.beta)))
-            for node in rest_nodes
-        ]
-        assert [value for _, value in entry["grid"]] == expected
-    assert cover_family_to_dict(CoverFamily((), "empty", ()), np.zeros((1, 1))) == []
+def test_an_empty_family_serializes_to_nothing():
+    assert cover_family_to_dict(LIFT, [], np.zeros((1, 1))) == []
+
+
+@pytest.mark.parametrize("fixture", ["verify_two_point", "verify_shells"])
+def test_the_cover_graph_of_each_certified_sample_is_off_it_by_the_reported_deviation(fixture, tmp_path, capsys):
+    report_path = tmp_path / "report.json"
+    assert main(["verify", str(FIXTURES / f"{fixture}.json"), "--output", str(report_path), "--allow-unresolved"]) == 0
+    records = json.loads(report_path.read_text())["report"]["records"]
+    assert records
+    config, _ = load_config(FIXTURES / f"{fixture}.json")
+    lift = strongify(asplund_field(config.set_spec))
+    for record in records:
+        point, axis, alpha, beta = record["point"], record["axis"], record["alpha"], record["beta"]
+        (entry,) = cover_family_to_dict(lift, [(axis, alpha, beta)], np.delete(point, axis))
+        *rest, coordinate = entry["grid"][0]
+        assert rest == np.delete(point, axis).tolist()
+        assert abs(point[axis] - coordinate) == record["deviation"]
+        assert record["graph"] == graph_key(axis, alpha, beta)

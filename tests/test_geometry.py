@@ -234,4 +234,5 @@ def test_window_grid_and_sampling():
     assert np.allclose(pts[0], [-2, -2]) and np.allclose(pts[-1], [2, 2])
     rng = np.random.default_rng(0)
     sample = w.sample(rng, 100)
-    assert np.all(w.contains(sample))
+    assert sample.shape == (100, 2)
+    assert np.all((sample >= w.lower) & (sample <= w.upper))
