@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .convex import (
     CcDecomposition,
     CoercivityError,
-    NondiffWitness,
     ProbeReport,
     SlopeLattice,
     cc_decompose_c2,
@@ -51,7 +50,6 @@ __all__ = [
     "CoercivityError",
     "FamilyBudgetError",
     "NearestResult",
-    "NondiffWitness",
     "Point",
     "PolygonBoundary",
     "Primitive",

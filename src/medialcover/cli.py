@@ -73,7 +73,7 @@ def _base_field(config: ScenarioConfig):
 
 
 def _samples(config: ScenarioConfig) -> np.ndarray:
-    """The ambiguous samples that the config's detection grid and tolerances find on its set."""
+    """The ambiguous samples, with their feet, that the config's detection grid and tolerances find on its set."""
     return detect_ambiguous(
         config.set_spec,
         config.window,
@@ -92,7 +92,6 @@ def _cmd_analyze(config: ScenarioConfig, raw: dict, args) -> int:
         config.set_spec,
         config.window,
         config.grid_resolution,
-        step=config.fd_step,
         tie_tolerance=config.tie_tolerance,
         separation=config.separation,
     )
@@ -106,7 +105,10 @@ def _cmd_analyze(config: ScenarioConfig, raw: dict, args) -> int:
 
 
 def _cmd_cover(config: ScenarioConfig, raw: dict, args) -> int:
-    lift = strongify(_base_field(config))
+    base = _base_field(config)
+    if config.set_spec is not None and base.tag != "asplund":  # the feet give witnesses of the set's lift only
+        raise ConfigError(f"field: {config.field_name!r} is not the lift of the config's set, whose witnesses cover counts")
+    lift = strongify(base)
     family = enumerate_cover(lift, config.cover_axes, config.lattice, config.cover_cap)
 
     rest_nodes = _rest_grid(config.window, config.cover_rest_resolution, config.dimension)
@@ -114,8 +116,7 @@ def _cmd_cover(config: ScenarioConfig, raw: dict, args) -> int:
 
     witness_counts = Counter()
     if config.set_spec is not None:
-        witnesses = nondiff_witnesses(lift, _samples(config), config.lattice, step=config.partial_step)
-        witness_counts.update((w.axis, w.alpha, w.beta) for w in witnesses if w is not None)
+        witness_counts.update(w for w in nondiff_witnesses(_samples(config), config.lattice) if w is not None)
     for entry, graph in zip(graphs, family):
         entry["witness_points"] = witness_counts[graph]
 
@@ -151,7 +152,6 @@ def _cmd_verify(config: ScenarioConfig, raw: dict, args) -> int:
         _samples(config),
         config.lattice,
         coverage_tolerance=config.coverage_tolerance,
-        partial_step=config.partial_step,
         fault_offset=config.fault_offset,
     )
     document = _envelope(raw, config.seed)

@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .convex import DEFAULT_PARTIAL_STEP, SlopeLattice
-from .distance import DEFAULT_FD_STEP, DEFAULT_SEPARATION, DEFAULT_TIE_TOLERANCE
+from .convex import SlopeLattice
+from .distance import DEFAULT_SEPARATION, DEFAULT_TIE_TOLERANCE
 from .geometry import ClosedSetSpec, Window
 from .verify import DEFAULT_COVERAGE_TOL, DEFAULT_JUMP_FRACTION, DEFAULT_REFINE_TOL
 
@@ -35,8 +35,6 @@ class ScenarioConfig:
     tie_tolerance: float
     separation: float
     coverage_tolerance: float
-    fd_step: float
-    partial_step: float
     refine_tol: float
     jump_fraction: float
     cover_axes: tuple[int, ...]
@@ -145,8 +143,6 @@ def parse_config(data: dict, base_dir: Path | None = None) -> ScenarioConfig:
     tie = _get_number(tol, "tolerances.tie", DEFAULT_TIE_TOLERANCE, positive=True)
     separation = _get_number(tol, "tolerances.separation", DEFAULT_SEPARATION, positive=True)
     coverage = _get_number(tol, "tolerances.coverage", DEFAULT_COVERAGE_TOL, positive=True)
-    fd_step = _get_number(tol, "tolerances.fd_step", DEFAULT_FD_STEP, positive=True)
-    partial_step = _get_number(tol, "tolerances.partial_step", DEFAULT_PARTIAL_STEP, positive=True)
     refine = _get_number(tol, "tolerances.refine", DEFAULT_REFINE_TOL, positive=True)
     jump_fraction = _get_number(tol, "tolerances.jump_fraction", DEFAULT_JUMP_FRACTION, positive=True)
 
@@ -191,8 +187,6 @@ def parse_config(data: dict, base_dir: Path | None = None) -> ScenarioConfig:
         tie_tolerance=float(tie),
         separation=float(separation),
         coverage_tolerance=float(coverage),
-        fd_step=float(fd_step),
-        partial_step=float(partial_step),
         refine_tol=float(refine),
         jump_fraction=float(jump_fraction),
         cover_axes=tuple(axes),

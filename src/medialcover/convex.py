@@ -1,21 +1,21 @@
 """Convex-analysis machinery for scalar fields.
 
-This module estimates one-sided partial derivatives of convex fields by
-monotone secant extrapolation, detects non-differentiability witnesses on a
-lattice of candidate slopes, computes marginal infima of strongly convex
+This module reads non-differentiability witnesses of the distance lift off
+a lattice of candidate slopes, computes marginal infima of strongly convex
 fields by bracketed golden-section search, and provides a randomized
 convexity probe plus the C^2 difference-of-convex decomposition.
 
 Numerical conventions
 ---------------------
-* One-sided partials use secants at t = +-h, +-h/2, +-h/4 and Richardson
-  extrapolation, clipped into the monotone bracket [s(-h/4), s(h/4)] that
-  convexity guarantees.  :func:`_one_sided` does this arithmetic for K
-  points and every axis in two field calls.
+* The one-sided partials of the lift F = 2|x|^2 - d(x, E)^2 are exact: F is
+  convex (Asplund 1973) with the subdifferential conv{2x + 2q : q a nearest
+  point of x} (Danskin's theorem), so along axis i they are
+  2(x_i + min q_i) and 2(x_i + max q_i) over the feet q of x.  No field is
+  evaluated for them.
 * A non-differentiability witness needs a derivative gap of at least two
   lattice steps; the chosen pair is the widest one whose members sit at
-  least half a lattice step inside the estimated gap, which makes the
-  choice deterministic and robust to estimation error.
+  least half a lattice step inside the gap, which makes the choice
+  deterministic and robust to rounding.
 * Marginal infima expand a symmetric bracket by doubling until both ends
   exceed the center value (guaranteed by strong convexity), then run
   golden-section search to an absolute coordinate resolution of 1e-7.
@@ -37,7 +37,6 @@ from .geometry import Window
 
 __all__ = [
     "SlopeLattice",
-    "NondiffWitness",
     "CoercivityError",
     "ProbeReport",
     "CcDecomposition",
@@ -47,10 +46,7 @@ __all__ = [
     "radial_cutoff",
     "sampled_hessian_bound",
     "cc_decompose_c2",
-    "DEFAULT_PARTIAL_STEP",
 ]
-
-DEFAULT_PARTIAL_STEP = 1e-4
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # Marginal-infimum bracket: half-width at the start, doublings before giving up.
@@ -94,79 +90,33 @@ class SlopeLattice:
         return m * (m - 1) // 2
 
 
-@dataclass(frozen=True)
-class NondiffWitness:
-    """A lattice pair (alpha, beta) certifying a one-sided derivative gap on an axis."""
+def nondiff_witnesses(found, lattice: SlopeLattice) -> list[tuple[int, float, float] | None]:
+    """The witness (axis, alpha, beta) of each sample of the lift 2|x|^2 - d(x, E)^2.
 
-    axis: int
-    alpha: float
-    beta: float
-    minus: float
-    plus: float
-
-
-def _one_sided(field: ScalarField, points: np.ndarray, step: float) -> tuple[np.ndarray, np.ndarray]:
-    """(minus, plus) partials, each (K, n), along every axis at the K rows of ``points``.
-
-    For a convex field the secant (f(x + t e) - f(x)) / t is nondecreasing in
-    t, so the samples bracket the one-sided limits; the extrapolated values
-    are clipped back into that bracket.  Two field calls: one for the K base
-    values, one for the 6 * n * K shifted points.
+    ``found`` is the (K, 3, n) stack that ``detect_ambiguous`` returns: each
+    sample x with the coordinatewise minimum and maximum of its feet.  Along
+    axis i the lift's one-sided partials at x are 2(x_i + foot_lo_i) and
+    2(x_i + foot_hi_i).  A sample's witness is on its first axis with a
+    derivative gap resolvable on the lattice: the widest lattice pair
+    alpha < beta lying at least half a lattice step inside that gap.  It is
+    None when no axis has a gap of at least two lattice steps.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    count, n = points.shape
-    ts = np.array([sign * step / div for sign in (1.0, -1.0) for div in (1, 2, 4)])  # h, h/2, h/4, -h, ...
-    offsets = ts[None, :, None] * np.eye(n)[:, None, :]  # (n, 6, n): t * e
-    f0 = field(points)
-    shifted = field((points[:, None, None, :] + offsets).reshape(-1, n)).reshape(count, n, 6)
-    s = (shifted - f0[:, None, None]) / ts
-    # Eliminates the O(t) and O(t^2) terms of the secant expansion.
-    plus = (8.0 * s[..., 2] - 6.0 * s[..., 1] + s[..., 0]) / 3.0
-    minus = (8.0 * s[..., 5] - 6.0 * s[..., 4] + s[..., 3]) / 3.0
-    sp_h4, sm_h4 = s[..., 2], s[..., 5]
-    monotone = sm_h4 <= sp_h4  # skip the clip for non-convex diagnostics
-
-    def clip(v):
-        v = np.where(monotone & (sm_h4 > v), sm_h4, v)
-        return np.where(monotone & (sp_h4 < v), sp_h4, v)
-
-    return clip(minus), clip(plus)
-
-
-def nondiff_witnesses(
-    field: ScalarField, points, lattice: SlopeLattice, step: float = DEFAULT_PARTIAL_STEP
-) -> list[NondiffWitness | None]:
-    """The witness of each row of a (K, n) batch, in two field calls.
-
-    A row's witness is on its first axis with a derivative gap resolvable on
-    the lattice: the widest lattice pair alpha < beta lying at least half a
-    lattice step inside [minus, plus].  It is None when no axis has a gap of
-    at least two lattice steps.
-    """
-    points = np.asarray(points, dtype=float)
-    if not len(points):
+    found = np.asarray(found, dtype=float)
+    if not len(found):
         return []
     margin = lattice.step / 2.0
     k_max = lattice.max_index
-    minus, plus = _one_sided(field, points, step)
+    x, foot_lo, foot_hi = found[:, 0], found[:, 1], found[:, 2]
+    minus, plus = 2.0 * (x + foot_lo), 2.0 * (x + foot_hi)
     lo = np.maximum(np.ceil((minus + margin) / lattice.step - 1e-12), -k_max)
     hi = np.minimum(np.floor((plus - margin) / lattice.step + 1e-12), k_max)
     resolved = hi > lo
-    witnesses: list[NondiffWitness | None] = []
+    witnesses: list[tuple[int, float, float] | None] = []
     for r, axis in enumerate(np.argmax(resolved, axis=1).tolist()):
-        if not resolved[r, axis]:
+        if resolved[r, axis]:
+            witnesses.append((axis, int(lo[r, axis]) * lattice.step, int(hi[r, axis]) * lattice.step))
+        else:
             witnesses.append(None)
-            continue
-        witnesses.append(
-            NondiffWitness(
-                axis=axis,
-                alpha=int(lo[r, axis]) * lattice.step,
-                beta=int(hi[r, axis]) * lattice.step,
-                minus=float(minus[r, axis]),
-                plus=float(plus[r, axis]),
-            )
-        )
     return witnesses
 
 

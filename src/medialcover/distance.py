@@ -11,16 +11,22 @@ minimum, or at the exact centre of a shell, get projections onto those rows,
 and such a point is ambiguous when one tied projection lies more than
 ``separation`` from the first.
 
+Each query point also gets its foot box: the coordinatewise minimum and
+maximum of its nearest points.  Where no row ties it is the one projection;
+at the exact centre of a shell it spans centre -+ R on every axis, because
+the whole shell is nearest.
+
 ``distance`` and ``survey`` take the minimum over rows with
 ``np.minimum.reduce``, not ``ndarray.min``: the lift of
 :mod:`medialcover.fields` calls ``distance`` on a few points at a time, where
 the Python wrapper is a large share of each call.
 
-``grid_sweep`` adds, on every grid node, the gradient of the distance field
-by central finite differences and whether the field looks differentiable
-there; where it does, the unique nearest point is  x - d(x) * grad d(x).
-It works in blocks of ``SWEEP_BLOCK_NODES`` nodes written into preallocated
-arrays, so its temporaries do not grow with the grid.
+``grid_sweep`` adds, on every grid node off the set, the gradient
+(x - q) / d(x) of the distance field, q being the survey's projection, and
+flags the node differentiable exactly when it is UNIQUE: off the set, d is
+differentiable where the nearest point is unique.  The sweep works in blocks
+of ``SWEEP_BLOCK_NODES`` nodes written into preallocated arrays, so its
+temporaries do not grow with the grid.
 
 ``write_grid_csv`` writes a sweep through ``write_csv``, a columnar writer
 that works one block of ``CSV_BLOCK_ROWS`` rows at a time and does not use
@@ -50,12 +56,10 @@ __all__ = [
     "write_grid_csv",
     "DEFAULT_TIE_TOLERANCE",
     "DEFAULT_SEPARATION",
-    "DEFAULT_FD_STEP",
 ]
 
 DEFAULT_TIE_TOLERANCE = 1e-9
 DEFAULT_SEPARATION = 1e-6
-DEFAULT_FD_STEP = 1e-5
 
 
 class Classification(str, Enum):
@@ -81,10 +85,12 @@ def distance(spec: ClosedSetSpec, x) -> float | np.ndarray:
 
 @dataclass(frozen=True)
 class Survey:
-    """Distance, one nearest point and the classification of each query point."""
+    """Distance, one nearest point, the foot box (``foot_lo``, ``foot_hi``) and the class of each query point."""
 
     distance: np.ndarray
     projection: np.ndarray
+    foot_lo: np.ndarray
+    foot_hi: np.ndarray
     in_set: np.ndarray
     ambiguous: np.ndarray
 
@@ -113,6 +119,8 @@ def survey(
         centre[k] = np.all(pts == spec.starts[k], axis=1)
     check = np.flatnonzero(((tied.sum(axis=0) >= 2) | (tied & centre).any(axis=0)) & ~in_set)
     ambiguous = np.zeros(len(d), dtype=bool)
+    projection = spec.project_rows(pts, best)
+    foot_lo, foot_hi = projection.copy(), projection.copy()
     if len(check):
         # (query, row) pairs in query order, rows ascending within each query.
         query, rows = np.nonzero(tied[:, check].T)
@@ -120,8 +128,15 @@ def survey(
         first = np.flatnonzero(np.r_[True, query[1:] != query[:-1]])
         ref = np.repeat(cands[first], np.diff(np.r_[first, len(query)]), axis=0)
         apart = np.linalg.norm(cands - ref, axis=1) > separation
-        ambiguous[check] = np.logical_or.reduceat(apart | centre[rows, check[query]], first)
-    return Survey(distance=d, projection=spec.project_rows(pts, best), in_set=in_set, ambiguous=ambiguous)
+        at_centre = centre[rows, check[query]]
+        ambiguous[check] = np.logical_or.reduceat(apart | at_centre, first)
+        foot_lo[check] = np.minimum.reduceat(cands, first)
+        foot_hi[check] = np.maximum.reduceat(cands, first)
+        hit, shell = check[query[at_centre]], rows[at_centre]
+        radius = spec.radii[shell][:, None]
+        np.minimum.at(foot_lo, hit, spec.starts[shell] - radius)
+        np.maximum.at(foot_hi, hit, spec.starts[shell] + radius)
+    return Survey(d, projection, foot_lo, foot_hi, in_set, ambiguous)
 
 
 def nearest_points(
@@ -135,40 +150,15 @@ def nearest_points(
     return NearestResult(float(surveyed.distance[0]), surveyed.classifications()[0])
 
 
-def _fd_tables(spec: ClosedSetSpec, pts: np.ndarray, d0: np.ndarray, step: float):
-    """Per-axis one-sided and central differences of the distance field around ``d0``.
-
-    Returns (central_h, central_h2, onesided_gap) arrays of shape (N, n).
-    """
-    n = spec.dimension
-    N = pts.shape[0]
-    central_h = np.empty((N, n))
-    central_h2 = np.empty((N, n))
-    gap = np.empty((N, n))
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = 1.0
-        dp = distance(spec, pts + step * e)
-        dm = distance(spec, pts - step * e)
-        dp2 = distance(spec, pts + 0.5 * step * e)
-        dm2 = distance(spec, pts - 0.5 * step * e)
-        central_h[:, i] = (dp - dm) / (2.0 * step)
-        central_h2[:, i] = (dp2 - dm2) / step
-        fwd = (dp - d0) / step
-        bwd = (d0 - dm) / step
-        gap[:, i] = np.abs(fwd - bwd)
-    return central_h, central_h2, gap
-
-
 @dataclass(frozen=True)
 class GridSweep:
     """Vectorized distance-field evaluation over a full window grid.
 
-    ``differentiable`` holds at a node outside the set when, on every axis,
-    forward and backward one-sided differences agree within 10*step, central
-    differences at step and step/2 agree within 10*step, and the gradient
-    norm does not exceed 1 + 10*step (the field is 1-Lipschitz).  Nodes in
-    the set have NaN gradients.
+    ``gradients`` holds (x - q) / d(x) at every node outside the set, q being
+    the node's survey projection; nodes in the set have NaN gradients.
+    ``differentiable`` holds exactly at the UNIQUE nodes.  At an ambiguous
+    node the gradient is the one-sided gradient toward q, and the flag is
+    false.
     """
 
     points: np.ndarray
@@ -179,9 +169,9 @@ class GridSweep:
     resolution: int
 
 
-# At most this many nodes per block of the grid sweep.  The survey and the
-# finite-difference tables of a block hold a few (M, block) and (block, n)
-# temporaries, so the sweep's transient memory stays flat as the grid grows.
+# At most this many nodes per block of the grid sweep.  The survey of a block
+# holds a few (M, block) and (block, n) temporaries, so the sweep's transient
+# memory stays flat as the grid grows.
 SWEEP_BLOCK_NODES = 4096
 
 
@@ -190,7 +180,6 @@ def grid_sweep(
     window: Window,
     resolution: int,
     *,
-    step: float = DEFAULT_FD_STEP,
     tie_tolerance: float = DEFAULT_TIE_TOLERANCE,
     separation: float = DEFAULT_SEPARATION,
 ) -> GridSweep:
@@ -214,13 +203,12 @@ def grid_sweep(
     for lo in range(0, count, size):
         block = slice(lo, lo + size)
         surveyed = survey(spec, pts[block], tie_tolerance, separation)
-        d, in_set = surveyed.distance, surveyed.in_set
-        c1, c2, gap = _fd_tables(spec, pts[block], d, step)
-        residual = np.maximum(gap.max(axis=1), np.abs(c1 - c2).max(axis=1))
-        norms = np.linalg.norm(c2, axis=1)
-        values[block] = d
-        gradients[block] = np.where(in_set[:, None], np.nan, c2)
-        differentiable[block] = (residual <= 10.0 * step) & (norms <= 1.0 + 10.0 * step) & ~in_set
+        off = ~surveyed.in_set
+        values[block] = surveyed.distance
+        gradients[block] = np.nan
+        offsets = pts[block] - surveyed.projection
+        np.divide(offsets, surveyed.distance[:, None], out=gradients[block], where=off[:, None])
+        differentiable[block] = off & ~surveyed.ambiguous
         classifications += surveyed.classifications()
     return GridSweep(
         points=pts,

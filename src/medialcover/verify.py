@@ -7,12 +7,14 @@ endpoints project to genuinely different branches of the set, and localizes
 each branch crossing by bisection on the kernel's projections.  The flagged
 edges of all axes share one lockstep bisection, so each step costs one
 distance and one projection call of the packed kernel, while each axis keeps
-its own stopping test.
+its own stopping test.  Every sample carries its feet as a box: the
+coordinatewise minimum and maximum of its nearest points, from the survey
+for a grid node and from the final bracket projections for a refined point.
 ``certify_cover`` then runs the detected samples through the convex-lift
-pipeline: derivative-gap witness, covering graph (axis, alpha, beta),
-vertical deviation, and the marginal-value identities, and returns the
-report dict that the ``verify`` command serializes.  Samples whose
-derivative gap is too small for the slope lattice are reported as
+pipeline: the derivative-gap witness read off the feet, covering graph
+(axis, alpha, beta), vertical deviation, and the marginal-value identities,
+and returns the report dict that the ``verify`` command serializes.  Samples
+whose derivative gap is too small for the slope lattice are reported as
 unresolved rather than failed.
 """
 
@@ -46,7 +48,7 @@ _MAX_BISECTIONS = 64
 
 
 def _flagged_edges(spec, window, resolution, jump_fraction, tie_tolerance, separation):
-    """Grid survey returning directly ambiguous nodes and branch-crossing edges.
+    """Grid survey returning directly ambiguous nodes, with their feet, and branch-crossing edges.
 
     An edge is a branch crossing when each endpoint's projection is clearly
     suboptimal for the other endpoint (more than ``jump_fraction`` edge
@@ -59,7 +61,8 @@ def _flagged_edges(spec, window, resolution, jump_fraction, tie_tolerance, separ
     axes = window.axes(resolution)
     pts = window.grid_points(resolution)
     surveyed = survey(spec, pts, tie_tolerance, separation)
-    direct = pts[surveyed.ambiguous]
+    hit = surveyed.ambiguous
+    direct = np.stack([pts[hit], surveyed.foot_lo[hit], surveyed.foot_hi[hit]], axis=1)
 
     shape = (resolution,) * n
     D = surveyed.distance.reshape(shape)
@@ -105,8 +108,9 @@ def _refine_edges(spec, edges, refine_tol):
     once its widest bracket is at most ``refine_tol``, or after
     ``_MAX_BISECTIONS`` steps.  So every bracket ends where bisecting its
     group alone would leave it, bit for bit, also when the axes have
-    different grid steps.  Returns the bracket midpoints, one (K_k, n) array
-    per group in the order given.
+    different grid steps.  Returns, one (K_k, 3, n) array per group in the
+    order given, each bracket's midpoint with the coordinatewise minimum and
+    maximum of its two end projections.
     """
     if not edges:
         return []
@@ -124,7 +128,8 @@ def _refine_edges(spec, edges, refine_tol):
             done[:] = True
         if done.any():
             for g in np.flatnonzero(done).tolist():
-                refined[groups[g]] = mid[starts[g] : starts[g] + sizes[g]]
+                at = slice(starts[g], starts[g] + sizes[g])
+                refined[groups[g]] = np.stack([mid[at], np.minimum(pa[at], pb[at]), np.maximum(pa[at], pb[at])], axis=1)
             if done.all():
                 break
             keep = np.repeat(~done, sizes)
@@ -152,36 +157,34 @@ def detect_ambiguous(
     jump_fraction: float = DEFAULT_JUMP_FRACTION,
     refine_tol: float = DEFAULT_REFINE_TOL,
 ) -> np.ndarray:
-    """Sample points of the ambiguous locus found on a window grid.
+    """Sample points of the ambiguous locus found on a window grid, with their feet.
 
-    Returns directly ambiguous grid nodes plus one bisection-refined point
-    per grid edge whose endpoints project to different branches of the set,
-    as a (K, n) array in deterministic grid order.
+    The samples are the directly ambiguous grid nodes plus one
+    bisection-refined point per grid edge whose endpoints project to
+    different branches of the set, in deterministic grid order.  Returns one
+    (K, 3, n) array: ``[:, 0]`` is the sample, ``[:, 1]`` and ``[:, 2]`` the
+    coordinatewise minimum and maximum of its feet.
     """
     if resolution < 8:
         raise ValueError("grid resolution must be at least 8 per axis")
     direct, edges = _flagged_edges(spec, window, resolution, jump_fraction, tie_tolerance, separation)
-    refined = _refine_edges(spec, edges, refine_tol)
-    chunks = [c for c in (direct, *refined) if len(c)]
-    if not chunks:
-        return np.empty((0, spec.dimension))
-    return np.vstack(chunks)
+    return np.concatenate([direct, *_refine_edges(spec, edges, refine_tol)])
 
 
 def certify_cover(
     spec: ClosedSetSpec,
-    samples: np.ndarray,
+    found: np.ndarray,
     lattice: SlopeLattice,
     *,
     coverage_tolerance: float,
-    partial_step: float,
     fault_offset: float,
 ) -> dict:
-    """Certify that covering graphs pass through the detected samples (K, n).
+    """Certify that covering graphs pass through the detected samples.
 
-    Pipeline per sample, as :func:`detect_ambiguous` returns them: estimate
-    the one-sided derivative gap of the strongly convex lift
-    |x|^2 - d^2 + |x|^2, pick a lattice slope pair inside the gap, and
+    ``found`` is the (K, 3, n) stack of samples and feet that
+    :func:`detect_ambiguous` returns.  Pipeline per sample: read the exact
+    one-sided derivative gap of the strongly convex lift |x|^2 - d^2 + |x|^2
+    off its feet, pick a lattice slope pair inside the gap, and
     record the vertical deviation of the covering graph (axis, alpha, beta)
     plus the two marginal-value identities.  Samples without a resolvable
     gap are reported as unresolved.  Returns the report as the ``verify``
@@ -194,11 +197,11 @@ def certify_cover(
     lift = strongify(asplund_field(spec))
     records: list[dict] = []
     unresolved: list[list[float]] = []
-    for point, witness in zip(samples, nondiff_witnesses(lift, samples, lattice, step=partial_step)):
+    for point, witness in zip(found[:, 0], nondiff_witnesses(found, lattice)):
         if witness is None:
             unresolved.append(point.tolist())
             continue
-        axis, alpha, beta = witness.axis, witness.alpha, witness.beta
+        axis, alpha, beta = witness
         coord = float(point[axis])
         value_alpha, value_beta = marginal_inf_rows(lift, [axis] * 2, [alpha, beta], [point, point]).tolist()
         lift_value = float(lift(point))

@@ -10,15 +10,22 @@ kernel against itself.
 ``nearest_points`` takes a whole set and one query point, keeps every
 primitive whose distance is within ``tie_tolerance`` of the minimum, and
 deduplicates their nearest points at ``separation``.
+
+The finite-difference estimates of first-order data are kept here too, as
+the oracles of the exact values that the package reads off the feet:
+``one_sided`` and ``fd_witnesses`` for the one-sided partials and witnesses
+of a convex field, and ``fd_gradients`` for the gradient of the distance
+field on a grid.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from medialcover import Ball, Classification, ClosedSetSpec, Point, Segment
+from medialcover import Ball, Classification, ClosedSetSpec, Point, Segment, distance as set_distance
 from medialcover.distance import DEFAULT_SEPARATION, DEFAULT_TIE_TOLERANCE
 
 
@@ -136,3 +143,80 @@ def nearest_points(
         tie_tolerance=tie_tolerance,
         infinite_set=infinite,
     )
+
+
+def one_sided(field, points, step=1e-4) -> tuple[np.ndarray, np.ndarray]:
+    """(minus, plus) partials, each (K, n), along every axis at the K rows of ``points``.
+
+    For a convex field the secant (f(x + t e) - f(x)) / t is nondecreasing in
+    t, so the secants at t = +-h, +-h/2, +-h/4 bracket the one-sided limits;
+    their Richardson extrapolations are clipped back into that bracket.  Two
+    field calls: one for the K base values, one for the 6 * n * K shifted
+    points.
+    """
+    points = np.asarray(points, dtype=float)
+    count, n = points.shape
+    ts = np.array([sign * step / div for sign in (1.0, -1.0) for div in (1, 2, 4)])  # h, h/2, h/4, -h, ...
+    offsets = ts[None, :, None] * np.eye(n)[:, None, :]  # (n, 6, n): t * e
+    f0 = field(points)
+    shifted = field((points[:, None, None, :] + offsets).reshape(-1, n)).reshape(count, n, 6)
+    s = (shifted - f0[:, None, None]) / ts
+    # Eliminates the O(t) and O(t^2) terms of the secant expansion.
+    plus = (8.0 * s[..., 2] - 6.0 * s[..., 1] + s[..., 0]) / 3.0
+    minus = (8.0 * s[..., 5] - 6.0 * s[..., 4] + s[..., 3]) / 3.0
+    sp_h4, sm_h4 = s[..., 2], s[..., 5]
+    monotone = sm_h4 <= sp_h4  # skip the clip for non-convex diagnostics
+
+    def clip(v):
+        v = np.where(monotone & (sm_h4 > v), sm_h4, v)
+        return np.where(monotone & (sp_h4 < v), sp_h4, v)
+
+    return clip(minus), clip(plus)
+
+
+def lattice_witness(minus, plus, lattice) -> tuple[int, float, float] | None:
+    """The package's lattice rule on one point's per-axis partials.
+
+    The witness is on the first axis whose gap holds a lattice pair at least
+    half a step inside it, and it is the widest such pair.
+    """
+    margin = lattice.step / 2.0
+    for axis, (m, p) in enumerate(zip(minus, plus)):
+        lo = max(math.ceil((m + margin) / lattice.step - 1e-12), -lattice.max_index)
+        hi = min(math.floor((p - margin) / lattice.step + 1e-12), lattice.max_index)
+        if hi > lo:
+            return (axis, lo * lattice.step, hi * lattice.step)
+    return None
+
+
+def fd_witnesses(field, points, lattice, step=1e-4) -> list[tuple[int, float, float] | None]:
+    """The witness (axis, alpha, beta) of each row of ``points`` from the partials of :func:`one_sided`."""
+    points = np.asarray(points, dtype=float)
+    if not len(points):
+        return []
+    minus, plus = one_sided(field, points, step)
+    return [lattice_witness(m, p, lattice) for m, p in zip(minus.tolist(), plus.tolist())]
+
+
+def fd_gradients(spec, pts, step=1e-5, tie_tolerance=DEFAULT_TIE_TOLERANCE) -> tuple[np.ndarray, np.ndarray]:
+    """Central-difference gradients (N, n) of the distance field, and where the field looks differentiable.
+
+    A node off the set looks differentiable when, on every axis, forward and
+    backward differences agree within 10*step, central differences at step
+    and step/2 agree within 10*step, and the gradient norm is at most
+    1 + 10*step (the field is 1-Lipschitz).  Nodes in the set get NaN.
+    """
+    pts = np.asarray(pts, dtype=float)
+    d0 = set_distance(spec, pts)
+    central_h, central_h2, gap = (np.empty(pts.shape) for _ in range(3))
+    for i, e in enumerate(np.eye(pts.shape[1])):
+        dp, dm = set_distance(spec, pts + step * e), set_distance(spec, pts - step * e)
+        dp2, dm2 = set_distance(spec, pts + 0.5 * step * e), set_distance(spec, pts - 0.5 * step * e)
+        central_h[:, i] = (dp - dm) / (2.0 * step)
+        central_h2[:, i] = (dp2 - dm2) / step
+        gap[:, i] = np.abs((dp - d0) / step - (d0 - dm) / step)
+    in_set = d0 <= tie_tolerance
+    residual = np.maximum(gap.max(axis=1), np.abs(central_h - central_h2).max(axis=1))
+    norms = np.linalg.norm(central_h2, axis=1)
+    differentiable = (residual <= 10.0 * step) & (norms <= 1.0 + 10.0 * step) & ~in_set
+    return np.where(in_set[:, None], np.nan, central_h2), differentiable

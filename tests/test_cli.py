@@ -78,12 +78,13 @@ def test_report_bytes_match_their_golden_digest(command, fixture, tmp_path, caps
 
 
 # sha256 of the CSV bytes, computed with the writer that used the csv module.
+# The analyze gradients are (x - q) / d off the set, q the survey projection.
 GOLDEN_CSV = {
-    ("analyze", "analyze_two_point"): "13a3056377497cabbd726f4becc178807b6211d368552f42fe8ee93612325ca6",
+    ("analyze", "analyze_two_point"): "7f329e0fbeaaea03b42eade36b272b286100b712f8e44dd5fad9b4ff0241c233",
     ("verify", "verify_two_point"): "e08d01a408cec091cf9f729974e3debb276cfad51b1b5ac92878f331e25da0e2",
     ("verify", "verify_star"): "f9e5f81721d445a916645103bcc7064e5e0bc641c9f26aecc0063d212267100c",
     # A 3-D sweep: shell, point and segment rows, three gradient columns.
-    ("analyze", "analyze_shells"): "b655d50fe8c28de9d8ec30b99230a307e96dcd610776b3200fe495e2e8a63faf",
+    ("analyze", "analyze_shells"): "8f8a2a7799f31c5d9afce0d003ec939e630a9082e27f3c2ce187353ad72d3613",
 }
 
 
@@ -152,7 +153,6 @@ def test_analyze_csv_cells_parse_back_to_the_sweep(tmp_path, capsys):
         config.set_spec,
         config.window,
         config.grid_resolution,
-        step=config.fd_step,
         tie_tolerance=config.tie_tolerance,
         separation=config.separation,
     )

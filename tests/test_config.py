@@ -136,4 +136,34 @@ def test_asplund_of_the_configs_own_set_is_accepted(field, tmp_path, capsys):
     config.write_text(json.dumps({"set": TWO_POINTS, "grid_resolution": 17, "lattice": {"step": 1.0, "bound": 2.0}, "field": field}))
     report = tmp_path / "report.json"
     assert main(["cover", str(config), "--output", str(report)]) == 0
-    assert json.loads(report.read_text())["provenance"] == "asplund+sq"
+    document = json.loads(report.read_text())
+    assert document["provenance"] == "asplund+sq"
+    assert sum(graph["witness_points"] for graph in document["graphs"]) > 0
+
+
+# `cover` once counted the witness points of the set's lift against the
+# graphs of another named field.
+@pytest.mark.parametrize("field", ["norm", "sq_norm"])
+def test_a_set_with_another_named_field_exits_2_through_main(field, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"set": TWO_POINTS, "grid_resolution": 17, "field": field}))
+    report = tmp_path / "report.json"
+    assert main(["cover", str(config), "--output", str(report)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: field: {field!r} is not the lift of the config's set")
+    assert not report.exists()
+
+
+# Finite-difference steps that the program no longer has: unknown keys are ignored.
+@pytest.mark.parametrize("command", ["verify", "analyze", "cover"])
+def test_removed_step_knobs_change_nothing_but_the_config_digest(command, tmp_path, capsys):
+    document = {"set": TWO_POINTS, "grid_resolution": 17, "lattice": {"step": 1.0, "bound": 2.0}}
+    outputs = []
+    for name, tolerances in (("plain", {}), ("knobs", {"fd_step": 0.5, "partial_step": 0.25})):
+        config, report, table = (tmp_path / f"{name}.{ext}" for ext in ("json", "report", "csv"))
+        config.write_text(json.dumps({**document, "tolerances": tolerances, "outputs": {"csv": str(table)}}))
+        assert main([command, str(config), "--output", str(report)]) == 0
+        written = json.loads(report.read_text())
+        assert written.pop("config_sha256")
+        written.pop("csv", None)  # analyze names its CSV, whose path differs
+        outputs.append((written, table.read_bytes() if table.exists() else None))
+    assert outputs[0] == outputs[1]

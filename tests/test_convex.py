@@ -1,13 +1,14 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import reference
 from medialcover import (
     Ball,
     ClosedSetSpec,
     CoercivityError,
-    NondiffWitness,
     Point,
     Segment,
     ScalarField,
@@ -20,8 +21,13 @@ from medialcover import (
     named_field,
     nondiff_witnesses,
     strongify,
+    survey,
 )
-from medialcover.convex import _one_sided
+from medialcover.cli import _samples
+from medialcover.config import load_config
+from medialcover.verify import detect_ambiguous
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 WINDOW2 = Window([-2, -2], [2, 2])
 WINDOW1 = Window([-2], [2])
@@ -51,14 +57,20 @@ def kinked_1d() -> ScalarField:
 
 
 def box(field, x, step=1e-4):
-    """Per-axis [minus, plus] partials at one point, shape (n, 2), from the batched kernel."""
-    minus, plus = _one_sided(field, np.asarray(x, dtype=float)[None], step)
+    """Per-axis [minus, plus] finite-difference partials at one point, shape (n, 2), from the batched oracle."""
+    minus, plus = reference.one_sided(field, np.asarray(x, dtype=float)[None], step)
     return np.stack([minus[0], plus[0]], axis=1)
 
 
 def witness(field, x, lattice):
-    """The witness search on a batch of one point."""
-    return nondiff_witnesses(field, [x], lattice)[0]
+    """The finite-difference witness search on a batch of one point."""
+    return reference.fd_witnesses(field, [x], lattice)[0]
+
+
+def exact_witness(x, feet, lattice):
+    """The witness of the distance lift at ``x`` whose nearest points are ``feet``."""
+    feet = np.asarray(feet, dtype=float)
+    return nondiff_witnesses([[x, feet.min(axis=0), feet.max(axis=0)]], lattice)[0]
 
 
 def marginal_inf_at(field, axis, slope, x_rest):
@@ -86,7 +98,7 @@ class TestOneSidedPartials:
 
     def test_order_invariant_on_random_points(self):
         points = np.random.default_rng(0).uniform(-2, 2, size=(100, 2))
-        minus, plus = _one_sided(LIFT, points, 1e-4)
+        minus, plus = reference.one_sided(LIFT, points, 1e-4)
         assert np.all(minus <= plus + 1e-8)
 
 
@@ -118,14 +130,14 @@ class TestSubgradientBox:
                     assert LIFT(y) >= f0 + s * t - 1e-8
 
 
+# The nearest points of the bisector of TWO_POINTS.
+SITES = [[-1.0, 0.0], [1.0, 0.0]]
+
+
 class TestWitness:
     def test_widest_interior_pair_on_coarse_lattice(self):
         # derivative gap (-2, 2); half-step margin leaves {-1.5, ..., 1.5}
-        w = witness(LIFT, [0.0, 0.5], SlopeLattice(step=0.5, bound=4.0))
-        assert w is not None
-        assert w.axis == 0
-        assert w.alpha == pytest.approx(-1.5)
-        assert w.beta == pytest.approx(1.5)
+        assert exact_witness([0.0, 0.5], SITES, SlopeLattice(step=0.5, bound=4.0)) == (0, -1.5, 1.5)
 
     def test_smooth_field_has_no_witness(self):
         assert witness(named_field("sq_norm", 2), [0.7, -0.3], SlopeLattice(0.5, 4.0)) is None
@@ -135,17 +147,12 @@ class TestWitness:
 
     def test_gap_below_two_steps_is_unresolved(self):
         # sites 0.1 apart give a derivative gap of 0.2 on the bisector
-        narrow = strongify(asplund_field(ClosedSetSpec([Point([-0.05, 0]), Point([0.05, 0])], 2)))
-        assert witness(narrow, [0.0, 0.4], SlopeLattice(step=0.125, bound=64)) is None
-        finer = witness(narrow, [0.0, 0.4], SlopeLattice(step=0.0625, bound=64))
-        assert finer is not None
-        assert finer.alpha == pytest.approx(-0.0625)
-        assert finer.beta == pytest.approx(0.0625)
+        narrow = [[-0.05, 0.0], [0.05, 0.0]]
+        assert exact_witness([0.0, 0.4], narrow, SlopeLattice(step=0.125, bound=64)) is None
+        assert exact_witness([0.0, 0.4], narrow, SlopeLattice(step=0.0625, bound=64)) == (0, -0.0625, 0.0625)
 
     def test_bound_clamps_the_pair(self):
-        w = witness(LIFT, [0.0, 0.5], SlopeLattice(step=0.5, bound=1.0))
-        assert w is not None
-        assert (w.alpha, w.beta) == (-1.0, 1.0)
+        assert exact_witness([0.0, 0.5], SITES, SlopeLattice(step=0.5, bound=1.0)) == (0, -1.0, 1.0)
 
 
 def reference_partials(field, x, axis, step=1e-4):
@@ -170,15 +177,9 @@ def reference_partials(field, x, axis, step=1e-4):
 
 
 def reference_witness(field, x, lattice, step=1e-4):
-    """The per-axis witness loop that the batched witness search replaced."""
-    margin = lattice.step / 2.0
-    for axis in range(field.dimension):
-        minus, plus = reference_partials(field, x, axis, step)
-        lo = max(math.ceil((minus + margin) / lattice.step - 1e-12), -lattice.max_index)
-        hi = min(math.floor((plus - margin) / lattice.step + 1e-12), lattice.max_index)
-        if hi > lo:
-            return NondiffWitness(axis, lo * lattice.step, hi * lattice.step, minus, plus)
-    return None
+    """The lattice rule on the scalar partials of every axis."""
+    minus, plus = zip(*(reference_partials(field, x, axis, step) for axis in range(field.dimension)))
+    return reference.lattice_witness(minus, plus, lattice)
 
 
 class TestBatchedWitnesses:
@@ -196,19 +197,17 @@ class TestBatchedWitnesses:
 
     def test_batch_mixes_gaps_on_every_axis_with_none(self):
         lattice = SlopeLattice(0.5, 4.0)
-        batch = nondiff_witnesses(KINKS, self.POINTS, lattice)
-        assert [w.axis if w else None for w in batch] == [0, 1, 2, None, 1, None, 2, None, None]
+        batch = reference.fd_witnesses(KINKS, self.POINTS, lattice)
+        assert [w[0] if w else None for w in batch] == [0, 1, 2, None, 1, None, 2, None, None]
         assert batch == [witness(KINKS, p, lattice) for p in self.POINTS]
         assert batch == [reference_witness(KINKS, p, lattice) for p in self.POINTS]
 
     @pytest.mark.parametrize("lattice", [SlopeLattice(0.125, 64.0), SlopeLattice(1.0, 1.0)])
     def test_batch_equals_the_per_axis_loop_on_a_3d_lift(self, lattice):
-        from medialcover import detect_ambiguous
-
-        samples = detect_ambiguous(SHELLS, Window([-2.0] * 3, [2.0] * 3), 12)
+        samples = detect_ambiguous(SHELLS, Window([-2.0] * 3, [2.0] * 3), 12)[:, 0]
         smooth = np.random.default_rng(5).uniform(-2.0, 2.0, size=(20, 3))
         points = np.vstack([samples, smooth])
-        batch = nondiff_witnesses(SHELLS_LIFT, points, lattice)
+        batch = reference.fd_witnesses(SHELLS_LIFT, points, lattice)
         assert batch == [reference_witness(SHELLS_LIFT, p, lattice) for p in points]
         assert None in batch and any(batch)
 
@@ -216,14 +215,68 @@ class TestBatchedWitnesses:
         "field", [KINKS, ScalarField(lambda x: -np.sum(x * x, axis=-1), 3, tag="concave")], ids=["kinks", "concave"]
     )
     def test_partials_equal_the_scalar_loop(self, field):
-        minus, plus = _one_sided(field, np.array(self.POINTS), 1e-4)
+        minus, plus = reference.one_sided(field, np.array(self.POINTS), 1e-4)
         for k, x in enumerate(self.POINTS):
             for axis in range(3):
                 assert (minus[k, axis], plus[k, axis]) == reference_partials(field, x, axis)
                 assert box(field, x)[axis].tolist() == [minus[k, axis], plus[k, axis]]
 
     def test_empty_batch(self):
-        assert nondiff_witnesses(KINKS, np.empty((0, 3)), SlopeLattice(0.5, 4.0)) == []
+        assert nondiff_witnesses(np.empty((0, 3, 3)), SlopeLattice(0.5, 4.0)) == []
+        assert reference.fd_witnesses(KINKS, np.empty((0, 3)), SlopeLattice(0.5, 4.0)) == []
+
+
+def fixture_found(name):
+    """The set, lattice and detected (K, 3, n) samples with feet of a verify fixture."""
+    config, _ = load_config(FIXTURES / f"{name}.json")
+    return config.set_spec, config.lattice, _samples(config)
+
+
+def shell_centre_found(spec):
+    """The set, the default lattice and the samples on a grid of 9 nodes per axis, centred on the shell's centre."""
+    window = Window([-2.0] * spec.dimension, [2.0] * spec.dimension)
+    found = detect_ambiguous(spec, window, 9)
+    assert np.all(found[:, 0] == 0.0, axis=1).sum() == 1
+    return spec, SlopeLattice(), found
+
+
+CIRCLE = ClosedSetSpec([Ball([0.0, 0.0], 1.0)], 2)
+SPHERE_AND_POINT = ClosedSetSpec([Ball([0.0, 0.0, 0.0], 1.0), Point([-1.4, -1.3, -1.5])], 3)
+EXACT_CASES = {
+    **{
+        name: lambda name=name: fixture_found(name)
+        for name in ("verify_two_point", "verify_star", "verify_shells", "verify_wide_window")
+    },
+    "circle_centre": lambda: shell_centre_found(CIRCLE),
+    "sphere_and_point_centre": lambda: shell_centre_found(SPHERE_AND_POINT),
+}
+
+
+class TestExactWitnesses:
+    """Witnesses read off the feet against the finite-difference oracle of the lift."""
+
+    @pytest.mark.parametrize("case", list(EXACT_CASES))
+    def test_exact_witness_equals_the_oracle(self, case):
+        spec, lattice, found = EXACT_CASES[case]()
+        assert len(found)
+        lift = strongify(asplund_field(spec))
+        assert nondiff_witnesses(found, lattice) == reference.fd_witnesses(lift, found[:, 0], lattice)
+
+    @pytest.mark.parametrize("case", list(EXACT_CASES))
+    def test_exact_partials_lie_within_the_finite_difference_error(self, case):
+        # The largest measured |exact - FD| is about 1.06e-3; the bound is twice that.
+        spec, _, found = EXACT_CASES[case]()
+        minus, plus = reference.one_sided(strongify(asplund_field(spec)), found[:, 0])
+        x, foot_lo, foot_hi = found[:, 0], found[:, 1], found[:, 2]
+        assert np.abs(2.0 * (x + foot_lo) - minus).max() <= 2e-3
+        assert np.abs(2.0 * (x + foot_hi) - plus).max() <= 2e-3
+
+    @pytest.mark.parametrize("case", ["circle_centre", "sphere_and_point_centre"])
+    def test_the_feet_of_a_shell_centre_span_the_shell(self, case):
+        spec, _, found = EXACT_CASES[case]()
+        centre = found[np.all(found[:, 0] == 0.0, axis=1)][0]
+        assert centre[1].tolist() == [-1.0] * spec.dimension
+        assert centre[2].tolist() == [1.0] * spec.dimension
 
 
 def reference_marginal_inf(field, axis, slope, x_rest, xtol=1e-7):
@@ -333,11 +386,12 @@ class TestMarginalInf:
     def test_identity_at_witnessed_point(self):
         # at a kink point the marginal infimum is attained at the point itself
         a = np.array([0.0, 0.37])
-        w = witness(LIFT, a, SlopeLattice(0.125, 64))
+        w = exact_witness(a, SITES, SlopeLattice(0.125, 64))
         assert w is not None
+        axis, alpha, beta = w
         lift_at_a = LIFT(a)
-        for slope in (w.alpha, w.beta):
-            g = marginal_inf_at(LIFT, w.axis, slope, [a[1]])
+        for slope in (alpha, beta):
+            g = marginal_inf_at(LIFT, axis, slope, [a[1]])
             assert g == pytest.approx(lift_at_a - slope * a[0], abs=1e-6)
 
     def test_rest_shape_validated(self):
@@ -439,10 +493,10 @@ class TestDecomposition:
 
 def test_ambiguous_points_have_witnesses():
     # classification says ambiguous => the lift shows a derivative gap there
-    from medialcover import Classification, nearest_points
-
     lattice = SlopeLattice(0.125, 64)
-    for y in (-1.5, -0.2, 0.8, 1.9):
-        point = np.array([0.0, y])
-        assert nearest_points(TWO_POINTS, point).classification is Classification.AMBIGUOUS
-        assert witness(LIFT, point, lattice) is not None
+    points = np.array([[0.0, y] for y in (-1.5, -0.2, 0.8, 1.9)])
+    surveyed = survey(TWO_POINTS, points)
+    assert surveyed.ambiguous.all()
+    found = np.stack([points, surveyed.foot_lo, surveyed.foot_hi], axis=1)
+    assert nondiff_witnesses(found, lattice) == [(0, -1.875, 1.875)] * 4
+    assert all(witness(LIFT, point, lattice) is not None for point in points)

@@ -139,6 +139,34 @@ class TestGradient:
             assert not sweep.differentiable[ambiguous].any()
 
 
+    @pytest.mark.parametrize(
+        "spec, window, resolution",
+        [(TWO_POINTS, WINDOW, 17), (SHELLS, WINDOW3, 16), (THREE_POINTS, WINDOW, 33), (CIRCLE, WINDOW, 33)],
+        ids=["analyze_two_point", "analyze_shells", "three_points", "circle"],
+    )
+    def test_gradients_agree_with_the_finite_difference_oracle(self, spec, window, resolution):
+        sweep = grid_sweep(spec, window, resolution)
+        fd_gradients, fd_differentiable = reference.fd_gradients(spec, sweep.points)
+        assert fd_differentiable.sum() > resolution
+        assert sweep.differentiable[fd_differentiable].all()
+        assert np.abs(sweep.gradients[fd_differentiable] - fd_gradients[fd_differentiable]).max() <= 1e-8
+
+    def test_unique_nodes_next_to_a_site_are_differentiable(self):
+        # Within 0.1 of a site the curvature 1/d of the field pulls forward and
+        # backward differences more than 10 steps apart, so the finite-difference
+        # flag calls such nodes not differentiable.
+        sweep = grid_sweep(TWO_POINTS, WINDOW, 81)
+        sites = np.where(sweep.points[:, :1] > 0, [1.0, 0.0], [-1.0, 0.0])
+        offset = sweep.points - sites
+        r = np.linalg.norm(offset, axis=1)
+        near = (r > 0.0) & (r < 0.1)
+        assert near.sum() >= 16  # at least the eight nodes around each site
+        assert all(sweep.classifications[k] is Classification.UNIQUE for k in np.flatnonzero(near))
+        assert not reference.fd_gradients(TWO_POINTS, sweep.points[near])[1].all()
+        assert sweep.differentiable[near].all()
+        assert np.abs(sweep.gradients[near] - offset[near] / r[near, None]).max() <= 1e-12
+
+
 class TestReconstruction:
     def test_point_site(self):
         _, rec, proj = reconstruct(ClosedSetSpec([Point([0, 0])], 2))

@@ -15,7 +15,11 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def reference_refine_edges(spec, edges, refine_tol):
-    """The per-axis bisection that the lockstep loop replaced: one loop per group."""
+    """The per-axis bisection that the lockstep loop replaced: one loop per group.
+
+    Each group gives its bracket midpoints with the coordinatewise minimum
+    and maximum of the two end projections, a (K, 3, n) stack.
+    """
     refined = []
     for a, b, pa, pb in edges:
         a, b, pa, pb = a.copy(), b.copy(), pa.copy(), pb.copy()
@@ -29,7 +33,7 @@ def reference_refine_edges(spec, edges, refine_tol):
             pa[on_a_branch] = pm[on_a_branch]
             b[~on_a_branch] = mid[~on_a_branch]
             pb[~on_a_branch] = pm[~on_a_branch]
-        refined.append(0.5 * (a + b))
+        refined.append(np.stack([0.5 * (a + b), np.minimum(pa, pb), np.maximum(pa, pb)], axis=1))
     return refined
 
 

@@ -33,7 +33,7 @@ def test_detected_samples_lie_on_the_voronoi_skeleton(seed):
     sites = random_sites(seed)
     spec = ClosedSetSpec([Point(p) for p in sites], 2)
     skeleton = voronoi_medial_axis_2d(sites, WINDOW)
-    samples = detect_ambiguous(spec, WINDOW, 32)
+    samples = detect_ambiguous(spec, WINDOW, 32)[:, 0]
     assert len(samples) > 0
     for x in samples:
         gaps = [seg.distance_to(x) for seg in skeleton]
