@@ -158,12 +158,13 @@ def _cmd_verify(config: ScenarioConfig, raw: dict, args) -> int:
     document.update({"command": "verify", "report": report})
     _emit_json(document, args.output or config.outputs.get("report"))
 
-    points = [r["point"] for r in report["records"]] + report["unresolved_points"]
+    rows = [r["point"] for r in report["records"]] + report["unresolved_points"]
+    points = np.array(rows, dtype=float).reshape(-1, config.dimension)
     csv_path = args.csv or config.outputs.get("csv")
     if csv_path:
-        write_samples_csv(np.asarray(points) if points else np.empty((0, config.dimension)), csv_path)
+        write_samples_csv(points, csv_path)
     if svg_path:
-        write_overlay_svg(config.set_spec, config.window, np.asarray(points) if points else [], svg_path)
+        write_overlay_svg(config.set_spec, config.window, points, svg_path)
 
     if not report["pass"]:
         return EXIT_COVERAGE

@@ -318,17 +318,6 @@ class ClosedSetSpec:
     def from_json(cls, text: str) -> "ClosedSetSpec":
         return cls.from_dict(json.loads(text))
 
-    def to_dict(self) -> dict:
-        out = []
-        for p in self.primitives:
-            if isinstance(p, Point):
-                out.append({"type": "point", "coords": p.coords.tolist()})
-            elif isinstance(p, Segment):
-                out.append({"type": "segment", "a": p.a.tolist(), "b": p.b.tolist()})
-            else:
-                out.append({"type": "ball", "center": p.center.tolist(), "radius": p.radius})
-        return {"dimension": self.dimension, "primitives": out}
-
 
 @dataclass(frozen=True)
 class Window:

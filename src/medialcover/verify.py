@@ -5,11 +5,12 @@
 there), keeps the grid nodes it classifies as ambiguous, flags edges whose
 endpoints project to genuinely different branches of the set, and localizes
 each branch crossing by bisection on the kernel's projections.  The flagged
-edges of all axes share one lockstep bisection, so each step costs one
-distance and one projection call of the packed kernel, while each axis keeps
-its own stopping test.  Every sample carries its feet as a box: the
-coordinatewise minimum and maximum of its nearest points, from the survey
-for a grid node and from the final bracket projections for a refined point.
+edges of all axes form one batch that shares one lockstep bisection, so each
+step costs one distance and one projection call of the packed kernel; each
+bracket stops on its own width, whatever else is in the batch.  Every sample
+carries its feet as a box: the coordinatewise minimum and maximum of its
+nearest points, from the survey for a grid node and from the final bracket
+projections for a refined point.
 ``certify_cover`` then runs the detected samples through the convex-lift
 pipeline: the derivative-gap witness read off the feet, covering graph
 (axis, alpha, beta), vertical deviation, and the marginal-value identities,
@@ -55,7 +56,9 @@ def _flagged_edges(spec, window, resolution, jump_fraction, tie_tolerance, separ
     lengths) AND the two projections are separated by more than
     ``_SEPARATION_FACTOR`` edge lengths.  The second condition rejects the
     tangential projection drift that any curve primitive induces on edges
-    running parallel to it, which is not a branch change.
+    running parallel to it, which is not a branch change.  The edges come as
+    one batch ``(a, b, proj_a, proj_b)`` of (K, n) arrays, axis by axis in
+    grid order; K is 0 when no edge is flagged.
     """
     n = spec.dimension
     axes = window.axes(resolution)
@@ -69,7 +72,7 @@ def _flagged_edges(spec, window, resolution, jump_fraction, tie_tolerance, separ
     P = surveyed.projection.reshape(shape + (n,))
     X = pts.reshape(shape + (n,))
 
-    edges = []  # (a, b, proj_a, proj_b) stacked per axis
+    parts = []  # (a, b, proj_a, proj_b) of each axis
     for k in range(n):
         sl_a = [slice(None)] * n
         sl_b = [slice(None)] * n
@@ -85,58 +88,35 @@ def _flagged_edges(spec, window, resolution, jump_fraction, tie_tolerance, separ
         step = axes[k][1] - axes[k][0]
         branch_gap = np.linalg.norm(pa - pb, axis=-1)
         flag = (np.maximum(sub_ab, sub_ba) > jump_fraction * step) & (branch_gap > _SEPARATION_FACTOR * step)
-        mask = flag.ravel()
-        if mask.any():
-            edges.append(
-                (
-                    xa.reshape(-1, n)[mask],
-                    xb.reshape(-1, n)[mask],
-                    pa.reshape(-1, n)[mask],
-                    pb.reshape(-1, n)[mask],
-                )
-            )
-    return direct, edges
+        parts.append(tuple(v[flag] for v in (xa, xb, pa, pb)))
+    return direct, tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def _refine_edges(spec, edges, refine_tol):
-    """Bisect the flagged edges of every axis in one lockstep loop.
+    """Bisect a batch of flagged edges in one lockstep loop.
 
-    ``edges`` holds one group ``(a, b, proj_a, proj_b)`` per axis, each with
-    at least one edge.  Every step bisects all edges still in the loop with
-    one ``row_distances`` and one ``project_rows`` call, however many axes
-    there are.  Each group keeps its own stopping test: it leaves the loop
-    once its widest bracket is at most ``refine_tol``, or after
-    ``_MAX_BISECTIONS`` steps.  So every bracket ends where bisecting its
-    group alone would leave it, bit for bit, also when the axes have
-    different grid steps.  Returns, one (K_k, 3, n) array per group in the
-    order given, each bracket's midpoint with the coordinatewise minimum and
-    maximum of its two end projections.
+    ``edges`` is the batch ``(a, b, proj_a, proj_b)`` of (K, n) arrays that
+    :func:`_flagged_edges` returns; it is left as it was.  Every step bisects
+    all brackets still open with one ``row_distances`` and one
+    ``project_rows`` call.  A bracket leaves the loop once its own width is
+    at most ``refine_tol``, or after ``_MAX_BISECTIONS`` steps, so its row
+    does not depend on the other brackets of the batch.  Returns one
+    (K, 3, n) array in the order given: each bracket's midpoint with the
+    coordinatewise minimum and maximum of its two end projections.
     """
-    if not edges:
-        return []
-    refined = [None] * len(edges)
-    a, b, pa, pb = (np.concatenate(parts) for parts in zip(*edges))
-    groups = list(range(len(edges)))  # the groups still in the loop, in order
-    sizes = np.array([len(group[0]) for group in edges])
-    starts = np.cumsum(sizes) - sizes
+    a, b, pa, pb = edges
+    refined = np.empty((len(a), 3, spec.dimension))
+    open_rows = np.arange(len(a))  # the rows of ``refined`` whose brackets are still open
     for step in range(_MAX_BISECTIONS + 1):
-        # sqrt of a group's largest squared width is its largest width, as sqrt is monotone.
         w = b - a
-        done = np.sqrt(np.maximum.reduceat(np.add.reduce(w * w, axis=1), starts)) <= refine_tol
         mid = 0.5 * (a + b)
-        if step == _MAX_BISECTIONS:
-            done[:] = True
+        done = (np.sqrt(np.add.reduce(w * w, axis=1)) <= refine_tol) | (step == _MAX_BISECTIONS)
         if done.any():
-            for g in np.flatnonzero(done).tolist():
-                at = slice(starts[g], starts[g] + sizes[g])
-                refined[groups[g]] = np.stack([mid[at], np.minimum(pa[at], pb[at]), np.maximum(pa[at], pb[at])], axis=1)
-            if done.all():
-                break
-            keep = np.repeat(~done, sizes)
-            a, b, pa, pb, mid = a[keep], b[keep], pa[keep], pb[keep], mid[keep]
-            groups = [group for group, stop in zip(groups, done.tolist()) if not stop]
-            sizes = sizes[~done]
-            starts = np.cumsum(sizes) - sizes
+            refined[open_rows[done]] = np.stack([mid[done], np.minimum(pa, pb)[done], np.maximum(pa, pb)[done]], axis=1)
+            keep = ~done
+            open_rows, a, b, pa, pb, mid = open_rows[keep], a[keep], b[keep], pa[keep], pb[keep], mid[keep]
+        if not len(open_rows):
+            break
         pm = spec.project_rows(mid, spec.row_distances(mid).argmin(axis=0))
         # Norms, not squared norms: two squared norms that differ can round to one norm.
         to_a, to_b = pm - pa, pm - pb
@@ -168,7 +148,7 @@ def detect_ambiguous(
     if resolution < 8:
         raise ValueError("grid resolution must be at least 8 per axis")
     direct, edges = _flagged_edges(spec, window, resolution, jump_fraction, tie_tolerance, separation)
-    return np.concatenate([direct, *_refine_edges(spec, edges, refine_tol)])
+    return np.concatenate([direct, _refine_edges(spec, edges, refine_tol)])
 
 
 def certify_cover(
@@ -231,22 +211,26 @@ def certify_cover(
     }
 
 
-def write_samples_csv(points, path) -> None:
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    header = [f"x{i + 1}" for i in range(pts.shape[1])]
+def write_samples_csv(points: np.ndarray, path) -> None:
+    """Write the (K, n) sample points to ``path`` as CSV; K = 0 writes an empty file."""
+    header = [f"x{i + 1}" for i in range(points.shape[1])]
 
     def columns(lo: int, hi: int) -> list[list[str]]:
-        return [list(map(repr, col)) for col in pts[lo:hi].T.tolist()]
+        return [list(map(repr, col)) for col in points[lo:hi].T.tolist()]
 
-    write_csv(path, header, len(pts) if pts.size else 0, columns)
+    write_csv(path, header, len(points), columns)
 
 
 # Width and height of the SVG overlay, in pixels.
 _SVG_SIZE = 640
 
 
-def write_overlay_svg(spec: ClosedSetSpec, window: Window, samples, path) -> None:
-    """Render the set and the detected samples as SVG to ``path``."""
+def write_overlay_svg(spec: ClosedSetSpec, window: Window, samples: np.ndarray, path) -> None:
+    """Render the set and the (K, 2) sample points as SVG to ``path``.
+
+    Each axis of the window is stretched to the full width or height, so a
+    shell is drawn as an ellipse with one radius per axis.
+    """
     if spec.dimension != 2:
         raise ValueError("SVG overlay is only available in two dimensions")
     lo, span, size = window.lower, window.extent, _SVG_SIZE
@@ -270,9 +254,11 @@ def write_overlay_svg(spec: ClosedSetSpec, window: Window, samples, path) -> Non
             parts.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="black" stroke-width="2"/>')
         elif isinstance(p, Ball):
             cx, cy = to_px(p.center)
-            r = p.radius / span[0] * size
-            parts.append(f'<circle cx="{cx}" cy="{cy}" r="{r:.2f}" fill="none" stroke="black" stroke-width="2"/>')
-    for p in np.atleast_2d(np.asarray(samples, dtype=float)) if len(np.atleast_1d(samples)) else []:
+            rx, ry = p.radius / span[0] * size, p.radius / span[1] * size
+            parts.append(
+                f'<ellipse cx="{cx}" cy="{cy}" rx="{rx:.2f}" ry="{ry:.2f}" fill="none" stroke="black" stroke-width="2"/>'
+            )
+    for p in samples:
         cx, cy = to_px(p)
         parts.append(f'<circle cx="{cx}" cy="{cy}" r="1.5" fill="#c03030"/>')
     parts.append("</svg>")

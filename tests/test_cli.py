@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,8 @@ import pytest
 from medialcover.cli import main
 from medialcover.config import load_config
 from medialcover.distance import CSV_BLOCK_ROWS, grid_sweep
-from medialcover.verify import write_samples_csv
+from medialcover.geometry import Ball, ClosedSetSpec, Window
+from medialcover.verify import write_overlay_svg, write_samples_csv
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -110,6 +112,27 @@ def test_overlay_svg_of_a_polygon_matches_its_golden_digest(tmp_path, capsys):
     text = svg.read_bytes()
     assert text.count(b"<circle") == 25  # the 25 samples; the star's edges are lines
     assert hashlib.sha256(text).hexdigest() == "848cf06e8d4a7ab19ca924de81ff8e1b06bd539efad35d45cc2dc1df869956a9"
+
+
+def test_verify_of_a_set_without_samples_writes_an_empty_csv_and_no_sample_circle(tmp_path, capsys):
+    config = tmp_path / "one_point.json"
+    one_point = {"dimension": 2, "primitives": [{"type": "point", "coords": [0.25, -0.5]}]}
+    config.write_text(json.dumps({"set": one_point, "window": {"lower": [-1.0, -1.0], "upper": [1.0, 1.0]}, "grid_resolution": 16}))
+    report, table, svg = tmp_path / "report.json", tmp_path / "samples.csv", tmp_path / "overlay.svg"
+    assert main(["verify", str(config), "--output", str(report), "--csv", str(table), "--svg", str(svg)]) == 0
+    assert json.loads(report.read_text())["report"]["samples"] == 0
+    assert table.read_bytes() == b""
+    text = svg.read_bytes()
+    assert text.count(b"<circle") == 1  # the point of the set
+    assert hashlib.sha256(text).hexdigest() == "7601332789c736e2f3ec7380fdc1c8c8560e4f886f00c08d1846732a685ebf5b"
+
+
+def test_a_shell_on_a_non_square_window_is_drawn_with_one_radius_per_axis(tmp_path):
+    svg = tmp_path / "overlay.svg"
+    write_overlay_svg(ClosedSetSpec([Ball([0.0, 0.0], 0.5)], 2), Window([-2.0, -1.0], [2.0, 1.0]), np.empty((0, 2)), svg)
+    ellipse = re.search(r'<ellipse cx="([^"]+)" cy="([^"]+)" rx="([^"]+)" ry="([^"]+)"', svg.read_text())
+    assert ellipse is not None
+    assert [float(v) for v in ellipse.groups()] == [320.0, 320.0, 80.0, 160.0]  # ry = 2 rx on a window half as high
 
 
 # Each path a command writes, placed under a directory that does not exist.

@@ -1,4 +1,4 @@
-"""Bisection of flagged grid edges: one lockstep loop for every axis, equal to one loop per axis."""
+"""Bisection of flagged grid edges: one lockstep loop over one batch, each bracket stopping on its own width."""
 
 from pathlib import Path
 
@@ -15,26 +15,25 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def reference_refine_edges(spec, edges, refine_tol):
-    """The per-axis bisection that the lockstep loop replaced: one loop per group.
+    """Bisect every bracket on its own; a finished row is frozen by a mask, not removed.
 
-    Each group gives its bracket midpoints with the coordinatewise minimum
-    and maximum of the two end projections, a (K, 3, n) stack.
+    Gives the bracket midpoints with the coordinatewise minimum and maximum
+    of the two end projections, a (K, 3, n) stack.
     """
-    refined = []
-    for a, b, pa, pb in edges:
-        a, b, pa, pb = a.copy(), b.copy(), pa.copy(), pb.copy()
-        for _ in range(_MAX_BISECTIONS):
-            if np.max(np.linalg.norm(b - a, axis=1)) <= refine_tol:
-                break
-            mid = 0.5 * (a + b)
-            pm = survey(spec, mid).projection
-            on_a_branch = np.linalg.norm(pm - pa, axis=1) <= np.linalg.norm(pm - pb, axis=1)
-            a[on_a_branch] = mid[on_a_branch]
-            pa[on_a_branch] = pm[on_a_branch]
-            b[~on_a_branch] = mid[~on_a_branch]
-            pb[~on_a_branch] = pm[~on_a_branch]
-        refined.append(np.stack([0.5 * (a + b), np.minimum(pa, pb), np.maximum(pa, pb)], axis=1))
-    return refined
+    a, b, pa, pb = (v.copy() for v in edges)
+    for _ in range(_MAX_BISECTIONS):
+        open_ = np.linalg.norm(b - a, axis=1) > refine_tol
+        if not open_.any():
+            break
+        mid = 0.5 * (a + b)
+        pm = survey(spec, mid).projection
+        on_a_branch = np.linalg.norm(pm - pa, axis=1) <= np.linalg.norm(pm - pb, axis=1)
+        move_a, move_b = open_ & on_a_branch, open_ & ~on_a_branch
+        a[move_a] = mid[move_a]
+        pa[move_a] = pm[move_a]
+        b[move_b] = mid[move_b]
+        pb[move_b] = pm[move_b]
+    return np.stack([0.5 * (a + b), np.minimum(pa, pb), np.maximum(pa, pb)], axis=1)
 
 
 def fixture_case(name, resolution=None):
@@ -58,36 +57,39 @@ def voronoi_case(seed):
     return spec, edges, 1e-8
 
 
+def bisector_case():
+    """Brackets across the bisector x = 0 of two points: two wide, one narrow and one of middle width."""
+    spec = ClosedSetSpec([Point([-1.0, 0.0]), Point([1.0, 0.0])], 2)
+    a = np.array([[-0.5, 0.25], [-1e-3, 0.25], [-0.01, -0.5], [-0.5, 0.75]])
+    edges = (a, a * [-1.0, 1.0], np.repeat([[-1.0, 0.0]], len(a), axis=0), np.repeat([[1.0, 0.0]], len(a), axis=0))
+    return spec, edges, 1e-8
+
+
+def rows_of(edges, rows):
+    return tuple(v[rows] for v in edges)
+
+
 def assert_bit_identical(got, want):
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        assert g.dtype == w.dtype and g.shape == w.shape
-        assert g.tobytes() == w.tobytes()
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_voronoi_point_sets_refine_as_one_loop_per_axis(seed):
     spec, edges, tol = voronoi_case(seed)
-    assert edges
+    assert len(edges[0])
     assert_bit_identical(_refine_edges(spec, edges, tol), reference_refine_edges(spec, edges, tol))
 
 
 @pytest.mark.parametrize("name, resolution", [("verify_shells", 12), ("verify_shells", 16), ("verify_wide_window", None)])
 def test_fixture_sets_refine_as_one_loop_per_axis(name, resolution):
     spec, edges, tol = fixture_case(name, resolution)
-    assert len(edges) == spec.dimension
-    before = [np.concatenate(group).tobytes() for group in edges]
+    axes = np.argmax(np.abs(edges[1] - edges[0]), axis=1)
+    assert np.unique(axes).tolist() == list(range(spec.dimension))
+    assert np.all(np.diff(axes) >= 0)  # axis by axis
+    before = np.concatenate(edges).tobytes()
     assert_bit_identical(_refine_edges(spec, edges, tol), reference_refine_edges(spec, edges, tol))
-    assert [np.concatenate(group).tobytes() for group in edges] == before  # the input is left as it was
-    assert_bit_identical(_refine_edges(spec, edges[::-1], tol), reference_refine_edges(spec, edges[::-1], tol))
-
-
-def test_a_middle_axis_that_stops_first_leaves_the_others_in_the_loop(monkeypatch):
-    spec, _, tol = fixture_case("verify_shells")
-    _, edges = _flagged_edges(spec, Window([-2.0, -1.0, -2.0], [2.0, 1.0, 2.0]), 12, 0.25, 1e-9, 1e-6)
-    alone = [count_row_distance_calls(monkeypatch, reference_refine_edges, spec, [group], tol) for group in edges]
-    assert alone == [26, 25, 26]
-    assert_bit_identical(_refine_edges(spec, edges, tol), reference_refine_edges(spec, edges, tol))
+    assert np.concatenate(edges).tobytes() == before  # the input is left as it was
 
 
 def test_a_tolerance_no_bracket_reaches_stops_after_the_step_limit():
@@ -95,26 +97,27 @@ def test_a_tolerance_no_bracket_reaches_stops_after_the_step_limit():
     assert_bit_identical(_refine_edges(spec, edges, 1e-300), reference_refine_edges(spec, edges, 1e-300))
 
 
-def test_a_group_stops_at_its_widest_bracket(monkeypatch):
-    # Brackets across the bisector x = 0 of two points, a wide and a narrow
-    # one in the first group and one of middle width in the second.
-    spec = ClosedSetSpec([Point([-1.0, 0.0]), Point([1.0, 0.0])], 2)
-    sites = np.array([[-1.0, 0.0], [1.0, 0.0]])
-
-    def group(half_widths, y):
-        a = np.array([[-h, y] for h in half_widths])
-        return a, -a * [1.0, -1.0], np.repeat(sites[:1], len(a), axis=0), np.repeat(sites[1:], len(a), axis=0)
-
-    edges = [group([0.5, 1e-3], 0.25), group([0.01], -0.5)]
-    assert [count_row_distance_calls(monkeypatch, reference_refine_edges, spec, [g], 1e-8) for g in edges] == [27, 21]
-    assert_bit_identical(_refine_edges(spec, edges, 1e-8), reference_refine_edges(spec, edges, 1e-8))
+@pytest.mark.parametrize(
+    "case",
+    [bisector_case, lambda: fixture_case("verify_wide_window"), lambda: fixture_case("verify_shells", 12)],
+    ids=["bisector", "verify_wide_window", "verify_shells-12"],
+)
+def test_a_bracket_refines_the_same_in_any_subset_or_order_of_its_batch(case):
+    spec, edges, tol = case()
+    whole = _refine_edges(spec, edges, tol)
+    rng = np.random.default_rng(5)
+    k = len(whole)
+    subsets = [rng.choice(k, size=size, replace=False) for size in (1, 1, 2, k // 2, k)]
+    for rows in [np.arange(k)[::-1], *subsets]:
+        assert_bit_identical(_refine_edges(spec, rows_of(edges, rows), tol), whole[rows])
 
 
 def test_no_flagged_edges_refine_to_nothing():
     spec = ClosedSetSpec([Point([0.0, 0.0])], 2)
     _, edges = _flagged_edges(spec, Window([-1.0, -1.0], [1.0, 1.0]), 16, 0.25, 1e-9, 1e-6)
-    assert edges == []
-    assert _refine_edges(spec, edges, 1e-8) == [] == reference_refine_edges(spec, edges, 1e-8)
+    assert [v.shape for v in edges] == [(0, 2)] * 4
+    assert_bit_identical(_refine_edges(spec, edges, 1e-8), np.empty((0, 3, 2)))
+    assert_bit_identical(reference_refine_edges(spec, edges, 1e-8), np.empty((0, 3, 2)))
 
 
 def count_row_distance_calls(monkeypatch, refine, spec, edges, tol):
@@ -131,10 +134,10 @@ def count_row_distance_calls(monkeypatch, refine, spec, edges, tol):
     return len(calls)
 
 
-# Bisection steps of the slowest axis group.  On [-2, 2]^3 every axis has the
-# same grid step, so each group takes as many steps; on [-2, 2] x [-1, 1] the
-# x edges are twice as long and take one step more than the y edges.  A
-# tolerance of 1e-300 stops every group at the step limit.
+# Bisection steps of the slowest bracket of each axis.  On [-2, 2]^3 every
+# axis has the same grid step, so its brackets take as many steps; on
+# [-2, 2] x [-1, 1] the x edges are twice as long and take one step more than
+# the y edges.  A tolerance of 1e-300 stops every bracket at the step limit.
 STEPS = [
     ("verify_shells", 12, None, [26, 26, 26]),
     ("verify_shells", 16, None, [25, 25, 25]),
@@ -147,6 +150,10 @@ STEPS = [
 def test_one_distance_call_per_step_of_the_slowest_axis(name, resolution, tol, per_axis, monkeypatch):
     spec, edges, config_tol = fixture_case(name, resolution)
     tol = tol or config_tol
-    alone = [count_row_distance_calls(monkeypatch, reference_refine_edges, spec, [group], tol) for group in edges]
+    axes = np.argmax(np.abs(edges[1] - edges[0]), axis=1)
+    alone = [
+        count_row_distance_calls(monkeypatch, reference_refine_edges, spec, rows_of(edges, axes == k), tol)
+        for k in range(spec.dimension)
+    ]
     assert alone == per_axis
     assert count_row_distance_calls(monkeypatch, _refine_edges, spec, edges, tol) == max(per_axis)
