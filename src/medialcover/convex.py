@@ -19,10 +19,10 @@ Numerical conventions
 * Marginal infima expand a symmetric bracket by doubling until both ends
   exceed the center value (guaranteed by strong convexity), then run
   golden-section search to an absolute coordinate resolution of 1e-7.
-  :func:`marginal_inf_rows` runs R such searches in lockstep, one field
-  call per step for the rows still open: each row doubles its own bracket
-  and stops on its own (b - a) > 1e-7 test, so a row's value does not
-  depend on the other rows of its batch.
+  :func:`marginal_inf_rows` runs R such searches in lockstep, one evaluator
+  call per step on the rows still open: each row doubles its own bracket and
+  leaves the golden-section arrays once its own b - a is at most 1e-7, so a
+  row's value does not depend on the other rows of its batch.
 """
 
 from __future__ import annotations
@@ -128,7 +128,11 @@ def marginal_inf_rows(field: ScalarField, axes, slopes, points) -> np.ndarray:
     Requires a strongly convex field, which makes every objective coercive:
     each row doubles its bracket [-w, w] until both ends exceed the value at
     the center, then golden-section search localizes the minimizer to
-    ``_MARGINAL_XTOL``.  Raises :class:`CoercivityError`, naming the first
+    ``_MARGINAL_XTOL``.  The field's dimension is checked once; every step
+    then makes one ``field.evaluator`` call on the rows still open.  The
+    golden-section arrays hold only those rows: at the top of each step, a
+    row whose bracket is at most ``_MARGINAL_XTOL`` wide is written to the
+    output and dropped.  Raises :class:`CoercivityError`, naming the first
     row still open, if a bracket never closes, which signals a precondition
     violation.
     """
@@ -139,18 +143,21 @@ def marginal_inf_rows(field: ScalarField, axes, slopes, points) -> np.ndarray:
         raise ValueError(
             f"need (R, n) points with R axes and R slopes, got {points.shape}, {axes.shape}, {slopes.shape}"
         )
+    if points.shape[1] != field.dimension:
+        raise ValueError(f"field {field.tag!r} expects dimension {field.dimension}, got shape {points.shape}")
     rows = np.arange(len(points))
     if not rows.size:
         return np.empty(0)
+    on_axis = np.arange(field.dimension) == axes[:, None]  # each row's search coordinate
 
-    def phi(idx: np.ndarray, t: np.ndarray) -> np.ndarray:
-        x = points[idx]
-        x[np.arange(len(idx)), axes[idx]] = t
-        return field(x) - slopes[idx] * t
+    def phi(x: np.ndarray, on: np.ndarray, sl: np.ndarray, t: np.ndarray) -> np.ndarray:
+        return field.evaluator(np.where(on, t[:, None], x)) - sl * t
 
     def phi_rows(idx: np.ndarray, *ts: np.ndarray) -> list[np.ndarray]:
-        """phi at several abscissae per row of ``idx``, in one field call."""
-        return np.split(phi(np.tile(idx, len(ts)), np.concatenate(ts)), len(ts))
+        """phi at several abscissae per row of ``idx``, as slices of one field call."""
+        k, idx = len(idx), np.concatenate([idx] * len(ts))
+        f = phi(points[idx], on_axis[idx], slopes[idx], np.concatenate(ts))
+        return [f[j * k : (j + 1) * k] for j in range(len(ts))]
 
     half = np.full(len(rows), _INITIAL_HALFWIDTH)
     f_center, fa, fb = phi_rows(rows, np.zeros(len(rows)), -half, half)
@@ -165,26 +172,27 @@ def marginal_inf_rows(field: ScalarField, axes, slopes, points) -> np.ndarray:
                 "doublings; the field does not look strongly convex"
             )
         half[open_rows] *= 2.0
-        fa[open_rows], fb[open_rows] = phi_rows(open_rows, -half[open_rows], half[open_rows])
-        still = ~((fa[open_rows] > f_center[open_rows]) & (fb[open_rows] > f_center[open_rows]))
-        open_rows = open_rows[still]
+        fa, fb = phi_rows(open_rows, -half[open_rows], half[open_rows])
+        open_rows = open_rows[~((fa > f_center[open_rows]) & (fb > f_center[open_rows]))]
 
     a, b = -half, half
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
+    c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
     fc, fd = phi_rows(rows, c, d)
-    active = rows[(b - a) > _MARGINAL_XTOL]
-    while active.size:
-        left = fc[active] <= fd[active]
-        lo, hi = active[left], active[~left]
-        b[lo], d[lo], fd[lo] = d[lo], c[lo], fc[lo]
-        c[lo] = b[lo] - _INVPHI * (b[lo] - a[lo])
-        a[hi], c[hi], fc[hi] = c[hi], d[hi], fd[hi]
-        d[hi] = a[hi] + _INVPHI * (b[hi] - a[hi])
-        f = phi(np.concatenate([lo, hi]), np.concatenate([c[lo], d[hi]]))
-        fc[lo], fd[hi] = f[: len(lo)], f[len(lo) :]
-        active = active[(b[active] - a[active]) > _MARGINAL_XTOL]
-    return np.where(fd < fc, fd, fc)  # Python's min(fc, fd): fc on ties, signed zeros included
+    out = np.empty(len(rows))
+    x, on, sl = points, on_axis, slopes  # from here on, with ``rows``, the open rows only
+    while rows.size:
+        keep = (b - a) > _MARGINAL_XTOL
+        if not keep.all():
+            out[rows[~keep]] = np.where(fd < fc, fd, fc)[~keep]  # Python's min(fc, fd): fc on ties, signed zeros included
+            rows, a, b, c, d, fc, fd, x, on, sl = (v[keep] for v in (rows, a, b, c, d, fc, fd, x, on, sl))
+            continue
+        left = fc <= fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        step = _INVPHI * (b - a)
+        c, d = np.where(left, b - step, d), np.where(left, c, a + step)
+        f = phi(x, on, sl, np.where(left, c, d))
+        fc, fd = np.where(left, f, fd), np.where(left, fc, f)
+    return out
 
 
 @dataclass(frozen=True)

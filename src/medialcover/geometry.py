@@ -275,7 +275,8 @@ class ClosedSetSpec:
             u = pts - foot
             rho = np.sqrt(np.add.reduce(u * u, axis=1))
             radial = (r > 0.0) & (rho > 0.0)
-            foot[radial] += (r[radial] / rho[radial])[:, None] * u[radial]
+            scale = np.divide(r, rho, out=np.zeros_like(r), where=radial)
+            np.copyto(foot, foot + scale[:, None] * u, where=radial[:, None])
             centre = (r > 0.0) & (rho == 0.0)
             foot[centre, 0] += r[centre]
         return foot

@@ -164,27 +164,32 @@ def certify_cover(
     ``found`` is the (K, 3, n) stack of samples and feet that
     :func:`detect_ambiguous` returns.  Pipeline per sample: read the exact
     one-sided derivative gap of the strongly convex lift |x|^2 - d^2 + |x|^2
-    off its feet, pick a lattice slope pair inside the gap, and
-    record the vertical deviation of the covering graph (axis, alpha, beta)
-    plus the two marginal-value identities.  Samples without a resolvable
-    gap are reported as unresolved.  Returns the report as the ``verify``
-    command writes it: the counts, the per-sample ``records`` and the
-    ``unresolved_points``.
+    off its feet, pick a lattice slope pair inside the gap, and record the
+    vertical deviation of the covering graph (axis, alpha, beta) plus the two
+    marginal-value identities.  One lift call evaluates all resolved samples
+    and one two-row search gives each sample's two marginal infima, so a
+    sample's record does not depend on the other samples.  Samples without a
+    resolvable gap are reported as unresolved.  Returns the report as the
+    ``verify`` command writes it: the counts, the per-sample ``records`` and
+    the ``unresolved_points``.
 
     ``fault_offset`` shifts every graph coordinate and exists solely so the
     negative-control test can prove the certification can fail.
     """
     lift = strongify(asplund_field(spec))
+    witnesses = nondiff_witnesses(found, lattice)
+    resolved = [w is not None for w in witnesses]
+    lift_values = iter(lift(found[resolved, 0]).tolist())
     records: list[dict] = []
     unresolved: list[list[float]] = []
-    for point, witness in zip(found[:, 0], nondiff_witnesses(found, lattice)):
+    for point, witness in zip(found[:, 0], witnesses):
         if witness is None:
             unresolved.append(point.tolist())
             continue
         axis, alpha, beta = witness
         coord = float(point[axis])
         value_alpha, value_beta = marginal_inf_rows(lift, [axis] * 2, [alpha, beta], [point, point]).tolist()
-        lift_value = float(lift(point))
+        lift_value = next(lift_values)
         records.append(
             {
                 "point": point.tolist(),

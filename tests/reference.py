@@ -11,6 +11,10 @@ kernel against itself.
 primitive whose distance is within ``tie_tolerance`` of the minimum, and
 deduplicates their nearest points at ``separation``.
 
+``project_rows`` keeps the boolean-mask form of
+:meth:`ClosedSetSpec.project_rows` on the packed rows, the byte-level oracle of
+the masked-write form that the package uses.
+
 The finite-difference estimates of first-order data are kept here too, as
 the oracles of the exact values that the package reads off the feet:
 ``one_sided`` and ``fd_witnesses`` for the one-sided partials and witnesses
@@ -68,6 +72,26 @@ def project(p, x) -> np.ndarray:
     out[safe] = p.center + (p.radius / rho[safe])[:, None] * u[safe]
     out[degenerate] = _ball_witness(p)
     return out
+
+
+def project_rows(spec: ClosedSetSpec, pts: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The nearest point of packed row ``rows[k]`` to ``pts[k]``, with boolean-mask gathers and scatters."""
+    foot = spec.starts[rows]
+    if spec._has_segments:
+        d = spec.directions[rows]
+        t = np.add.reduce((pts - foot) * d, axis=1) / spec._lengths2[rows]
+        np.maximum(0.0, t, out=t)
+        np.minimum(t, 1.0, out=t)
+        foot += t[:, None] * d
+    if spec._has_shells:
+        r = spec.radii[rows]
+        u = pts - foot
+        rho = np.sqrt(np.add.reduce(u * u, axis=1))
+        radial = (r > 0.0) & (rho > 0.0)
+        foot[radial] += (r[radial] / rho[radial])[:, None] * u[radial]
+        centre = (r > 0.0) & (rho == 0.0)
+        foot[centre, 0] += r[centre]
+    return foot
 
 
 def nearest(p, x) -> tuple[list[np.ndarray], bool]:

@@ -319,6 +319,18 @@ def mixed_rows(dimension, count, seed):
     return axes, slopes, points
 
 
+def evaluator_calls(field, axes, slopes, points):
+    """The row count of each evaluator call that one ``marginal_inf_rows`` batch makes."""
+    calls = []
+
+    def counting(x):
+        calls.append(len(x))
+        return field.evaluator(x)
+
+    marginal_inf_rows(ScalarField(counting, field.dimension, tag="counting"), axes, slopes, points)
+    return calls
+
+
 class TestMarginalInfRows:
     @pytest.mark.parametrize(
         "field",
@@ -344,6 +356,34 @@ class TestMarginalInfRows:
             marginal_inf_rows(half_open, axes, slopes, np.zeros((4, 2)))
         values = marginal_inf_rows(half_open, axes[:3], slopes[:3], np.zeros((3, 2)))
         assert values.tolist() == [reference_marginal_inf(half_open, a, s, [0.0]) for a, s in zip(axes[:3], slopes[:3])]
+
+    @pytest.mark.parametrize("field", [SHELLS_LIFT, LIFT], ids=["shells3d", "two_point"])
+    def test_one_evaluator_call_per_step_on_the_rows_still_open(self, field):
+        axes, slopes, points = mixed_rows(field.dimension, 48, seed=field.dimension)
+        doublings, steps = [], []
+        for r in range(48):
+            # a row alone: 3 rows, 2 per doubling, 2 for the golden-section start, then 1 per step
+            alone = evaluator_calls(field, axes[r : r + 1], slopes[r : r + 1], points[r : r + 1])
+            assert alone == [3] + [2] * alone.count(2) + [1] * alone.count(1)
+            doublings.append(alone.count(2) - 1)
+            steps.append(alone.count(1))
+        doublings, steps = np.array(doublings), np.array(steps)
+        assert len(set(doublings.tolist())) > 2 and len(set(steps.tolist())) > 2
+        calls = evaluator_calls(field, axes, slopes, points)
+        assert calls == (
+            [3 * 48]
+            + [2 * int(np.sum(doublings >= k)) for k in range(1, doublings.max() + 1)]
+            + [2 * 48]
+            + [int(np.sum(steps >= k)) for k in range(1, steps.max() + 1)]
+        )
+        assert len(calls) == 2 + doublings.max() + steps.max()  # the maximum over the rows, not the sum
+
+    def test_a_wrong_dimension_is_refused_before_any_evaluation(self):
+        calls = []
+        counting = ScalarField(lambda x: calls.append(len(x)) or LIFT.evaluator(x), 2, tag="counting")
+        with pytest.raises(ValueError, match="expects dimension 2"):
+            marginal_inf_rows(counting, [0, 1], [0.0, 1.0], np.zeros((2, 3)))
+        assert calls == []
 
     def test_shapes_are_validated(self):
         with pytest.raises(ValueError, match="R axes"):

@@ -75,6 +75,21 @@ def test_projections_match_where_the_runner_up_is_clear(spec):
     assert np.allclose(survey(spec, pts).projection[clear], expected[clear], rtol=0.0, atol=1e-12)
 
 
+# Point feet of -0.0 that no segment part rounds to +0.0, next to a shell.
+SIGNED_ZEROS = ClosedSetSpec([Point([-0.0, 0.5]), Point([0.5, -0.0]), Ball([-0.0, 0.0], 1.0)], 2)
+
+
+@pytest.mark.parametrize("spec", MIXED + [SIGNED_ZEROS])
+def test_project_rows_gives_the_bytes_of_the_mask_form(spec):
+    rng = np.random.default_rng(4)
+    pts = queries(spec, rng)  # the shell centres are the last rows
+    pts = np.vstack([pts, np.where(rng.random(pts.shape) < 0.3, -0.0, pts)])
+    rows = np.repeat(np.arange(len(spec.primitives)), len(pts))  # every packed row at every point
+    pts = np.tile(pts, (len(spec.primitives), 1))
+    assert np.any((spec.radii[rows] > 0.0) & np.all(pts == spec.starts[rows], axis=1))  # exact shell centres
+    assert spec.project_rows(pts, rows).tobytes() == reference.project_rows(spec, pts, rows).tobytes()
+
+
 @pytest.mark.parametrize("spec", MIXED + [SQUARE, STAR])
 def test_classes_match_nearest_points_row_by_row(spec):
     pts = queries(spec, np.random.default_rng(3))

@@ -1,14 +1,20 @@
-"""Bisection of flagged grid edges: one lockstep loop over one batch, each bracket stopping on its own width."""
+"""Bisection of flagged grid edges: one lockstep loop over one batch, each bracket stopping on its own width.
 
+Also: a certified sample's record does not depend on the other samples of its batch.
+"""
+
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from medialcover.cli import _samples
 from medialcover.config import load_config
+from medialcover.convex import nondiff_witnesses
 from medialcover.distance import survey
 from medialcover.geometry import ClosedSetSpec, Point, Window
-from medialcover.verify import _MAX_BISECTIONS, _flagged_edges, _refine_edges
+from medialcover.verify import _MAX_BISECTIONS, _flagged_edges, _refine_edges, certify_cover
 from test_voronoi_oracle import SEEDS, WINDOW, random_sites
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -157,3 +163,31 @@ def test_one_distance_call_per_step_of_the_slowest_axis(name, resolution, tol, p
     ]
     assert alone == per_axis
     assert count_row_distance_calls(monkeypatch, _refine_edges, spec, edges, tol) == max(per_axis)
+
+
+def per_sample(config, found):
+    """Each sample's record, or its point when it is unresolved, as JSON text in the order of ``found``."""
+    report = certify_cover(
+        config.set_spec,
+        found,
+        config.lattice,
+        coverage_tolerance=config.coverage_tolerance,
+        fault_offset=config.fault_offset,
+    )
+    records, unresolved = iter(report["records"]), iter(report["unresolved_points"])
+    return [json.dumps(next(unresolved if w is None else records)) for w in nondiff_witnesses(found, config.lattice)]
+
+
+@pytest.mark.parametrize("name", ["verify_shells", "verify_star"])
+def test_a_sample_certifies_the_same_in_any_subset_or_order_of_its_batch(name):
+    config, _ = load_config(FIXTURES / f"{name}.json")
+    found = _samples(config)
+    smooth = found[:4].copy()
+    smooth[:, 2] = smooth[:, 1]  # a single foot: no derivative gap, so the sample is unresolved
+    found = np.concatenate([found, smooth])
+    whole = per_sample(config, found)
+    assert len(whole) == len(found) > 10
+    assert sum(w is None for w in nondiff_witnesses(found, config.lattice)) == 4
+    rows = np.random.default_rng(11).choice(len(found), size=len(found) // 3, replace=False)
+    for order in (np.arange(len(found))[::-1], rows):
+        assert per_sample(config, found[order]) == [whole[k] for k in order]
