@@ -3,12 +3,18 @@
 Each subcommand takes one JSON scenario config; flags only override output
 paths, the seed, and the unresolved-sample policy.  A command takes only the
 path flags of the files it writes: ``--csv`` for analyze and verify,
-``--svg`` for verify; argparse refuses any other with exit code 2.  Without
-``--output`` the report goes to the config's ``outputs.report``, or else to
-stdout.  Reports are serialized
-deterministically (sorted keys, fixed float repr) and stamped with the tool
-version, the seed, and a digest of the config document, so identical runs
-produce byte-identical files.
+``--svg`` for verify; argparse refuses any other with exit code 2.
+
+``main`` merges the flags into the config once: ``--seed`` replaces the
+config's seed, and ``--output``, ``--csv`` and ``--svg`` replace its
+``outputs.report``, ``outputs.csv`` and ``outputs.svg``.  A command then
+reads every path from ``config.outputs``, writes its own CSV or SVG, and
+returns its part of the report with its exit code.  ``main`` stamps the
+report with the tool version, the seed, a digest of the config document and
+the command name, and writes it last: to ``outputs.report``, or else to
+stdout.  So a run that fails to write a table or an overlay leaves no
+report.  Reports are serialized deterministically (sorted keys, fixed float
+repr), so identical runs produce byte-identical files.
 
 Exit codes: 0 success, 1 coverage failure, 2 config error, 3 I/O error,
 4 cover-family budget exceeded, 5 decomposition convexity failure.
@@ -41,12 +47,13 @@ EXIT_BUDGET = 4
 EXIT_NONCONVEX = 5
 
 
-def _envelope(raw_config: dict, seed: int) -> dict:
+def _envelope(raw_config: dict, seed: int, command: str) -> dict:
     return {
         "tool": "medialcover",
         "version": __version__,
         "seed": seed,
         "config_sha256": config_digest(raw_config),
+        "command": command,
     }
 
 
@@ -85,7 +92,7 @@ def _samples(config: ScenarioConfig) -> np.ndarray:
     )
 
 
-def _cmd_analyze(config: ScenarioConfig, raw: dict, args) -> int:
+def _cmd_analyze(config: ScenarioConfig) -> tuple[dict, int]:
     if config.set_spec is None:
         raise ConfigError("set: the analyze command needs a set description")
     sweep = grid_sweep(
@@ -95,24 +102,19 @@ def _cmd_analyze(config: ScenarioConfig, raw: dict, args) -> int:
         tie_tolerance=config.tie_tolerance,
         separation=config.separation,
     )
-    csv_path = args.csv or config.outputs.get("csv", "analyze_grid.csv")
+    csv_path = config.outputs.get("csv", "analyze_grid.csv")
     write_grid_csv(sweep, csv_path)
     tally = {cls.value: sweep.classifications.count(cls) for cls in Classification}
-    summary = _envelope(raw, config.seed)
-    summary.update({"command": "analyze", "rows": len(sweep.classifications), "classification_counts": tally, "csv": str(csv_path)})
-    _emit_json(summary, args.output or config.outputs.get("report"))
-    return EXIT_OK
+    return {"rows": len(sweep.classifications), "classification_counts": tally, "csv": str(csv_path)}, EXIT_OK
 
 
-def _cmd_cover(config: ScenarioConfig, raw: dict, args) -> int:
+def _cmd_cover(config: ScenarioConfig) -> tuple[dict, int]:
     base = _base_field(config)
     if config.set_spec is not None and base.tag != "asplund":  # the feet give witnesses of the set's lift only
         raise ConfigError(f"field: {config.field_name!r} is not the lift of the config's set, whose witnesses cover counts")
     lift = strongify(base)
     family = enumerate_cover(lift, config.cover_axes, config.lattice, config.cover_cap)
-
-    rest_nodes = _rest_grid(config.window, config.cover_rest_resolution, config.dimension)
-    graphs = cover_family_to_dict(lift, family, rest_nodes)
+    graphs = cover_family_to_dict(lift, family, config.window, config.cover_rest_resolution)
 
     witness_counts = Counter()
     if config.set_spec is not None:
@@ -120,31 +122,14 @@ def _cmd_cover(config: ScenarioConfig, raw: dict, args) -> int:
     for entry, graph in zip(graphs, family):
         entry["witness_points"] = witness_counts[graph]
 
-    document = _envelope(raw, config.seed)
-    document.update(
-        {
-            "command": "cover",
-            "provenance": lift.tag,
-            "graph_count": len(graphs),
-            "lattice": {"step": config.lattice.step, "bound": config.lattice.bound},
-            "graphs": graphs,
-        }
-    )
-    _emit_json(document, args.output or config.outputs.get("report"))
-    return EXIT_OK
+    lattice = {"step": config.lattice.step, "bound": config.lattice.bound}
+    return {"provenance": lift.tag, "graph_count": len(graphs), "lattice": lattice, "graphs": graphs}, EXIT_OK
 
 
-def _rest_grid(window: Window, resolution: int, dimension: int) -> np.ndarray:
-    if dimension == 1:
-        return np.empty((1, 0))
-    rest = Window(window.lower[1:], window.upper[1:])
-    return rest.grid_points(resolution)
-
-
-def _cmd_verify(config: ScenarioConfig, raw: dict, args) -> int:
+def _cmd_verify(config: ScenarioConfig, allow_unresolved: bool) -> tuple[dict, int]:
     if config.set_spec is None:
         raise ConfigError("set: the verify command needs a set description")
-    svg_path = args.svg or config.outputs.get("svg")
+    svg_path = config.outputs.get("svg")
     if svg_path and config.dimension != 2:
         raise ConfigError(f"svg: the SVG overlay needs a 2-D set, got dimension {config.dimension}")
     report = certify_cover(
@@ -154,26 +139,19 @@ def _cmd_verify(config: ScenarioConfig, raw: dict, args) -> int:
         coverage_tolerance=config.coverage_tolerance,
         fault_offset=config.fault_offset,
     )
-    document = _envelope(raw, config.seed)
-    document.update({"command": "verify", "report": report})
-    _emit_json(document, args.output or config.outputs.get("report"))
-
     rows = [r["point"] for r in report["records"]] + report["unresolved_points"]
     points = np.array(rows, dtype=float).reshape(-1, config.dimension)
-    csv_path = args.csv or config.outputs.get("csv")
+    csv_path = config.outputs.get("csv")
     if csv_path:
         write_samples_csv(points, csv_path)
     if svg_path:
         write_overlay_svg(config.set_spec, config.window, points, svg_path)
 
-    if not report["pass"]:
-        return EXIT_COVERAGE
-    if report["unresolved"] and not args.allow_unresolved:
-        return EXIT_COVERAGE
-    return EXIT_OK
+    covered = report["pass"] and (allow_unresolved or not report["unresolved"])
+    return {"report": report}, EXIT_OK if covered else EXIT_COVERAGE
 
 
-def _cmd_decompose(config: ScenarioConfig, raw: dict, args) -> int:
+def _cmd_decompose(config: ScenarioConfig) -> tuple[dict, int]:
     if config.field_name is None:
         raise ConfigError("field: the decompose command needs an analytic field name")
     field = _base_field(config)
@@ -192,27 +170,22 @@ def _cmd_decompose(config: ScenarioConfig, raw: dict, args) -> int:
     probe_window = Window([-2.0 * radius] * config.dimension, [2.0 * radius] * config.dimension)
     probe = convexity_probe(decomposition.convex_part, probe_window, num_samples=10000, seed=config.seed)
 
-    document = _envelope(raw, config.seed)
-    document.update(
-        {
-            "command": "decompose",
-            "field": config.field_name,
-            "radius": radius,
-            "coefficient": decomposition.coefficient,
-            "max_residual": float(residuals.max()),
-            "convexity_probe": {
-                "max_violation": probe.max_violation,
-                "tolerance": probe.tolerance,
-                "pass": probe.passed,
-            },
-            "table": [
-                {"point": samples[k].tolist(), "g": float(g_vals[k]), "h": float(h_vals[k]), "residual": float(residuals[k])}
-                for k in range(0, samples.shape[0], max(1, samples.shape[0] // 50))
-            ],
-        }
-    )
-    _emit_json(document, args.output or config.outputs.get("report"))
-    return EXIT_OK if probe.passed else EXIT_NONCONVEX
+    document = {
+        "field": config.field_name,
+        "radius": radius,
+        "coefficient": decomposition.coefficient,
+        "max_residual": float(residuals.max()),
+        "convexity_probe": {
+            "max_violation": probe.max_violation,
+            "tolerance": probe.tolerance,
+            "pass": probe.passed,
+        },
+        "table": [
+            {"point": samples[k].tolist(), "g": float(g_vals[k]), "h": float(h_vals[k]), "residual": float(residuals[k])}
+            for k in range(0, samples.shape[0], max(1, samples.shape[0] // 50))
+        ],
+    }
+    return document, EXIT_OK if probe.passed else EXIT_NONCONVEX
 
 
 def _ball_samples(rng: np.random.Generator, dimension: int, radius: float, count: int) -> np.ndarray:
@@ -230,6 +203,8 @@ _COMMANDS = {
     "verify": _cmd_verify,
     "decompose": _cmd_decompose,
 }
+# Each path flag and the key of ``config.outputs`` that it overrides.
+_PATH_FLAGS = {"output": "report", "csv": "csv", "svg": "svg"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -259,9 +234,13 @@ def main(argv=None) -> int:
         if args.seed is not None and args.seed < 0:
             raise ConfigError(f"seed: must be >= 0, got {args.seed}")
         config, raw = load_config(args.config)
-        if args.seed is not None:
-            config = dataclasses.replace(config, seed=args.seed)
-        return _COMMANDS[args.command](config, raw, args)
+        paths = {key: getattr(args, flag) for flag, key in _PATH_FLAGS.items() if getattr(args, flag, None)}
+        seed = config.seed if args.seed is None else args.seed
+        config = dataclasses.replace(config, seed=seed, outputs={**config.outputs, **paths})
+        policy = {"allow_unresolved": args.allow_unresolved} if args.command == "verify" else {}
+        document, code = _COMMANDS[args.command](config, **policy)
+        _emit_json({**_envelope(raw, seed, args.command), **document}, config.outputs.get("report"))
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

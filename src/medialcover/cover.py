@@ -8,9 +8,9 @@ The evaluator is a difference of two convex functions of x_rest.
 
 A graph is its triple ``(axis, alpha, beta)`` over one field F:
 :func:`graph_key` names it in reports and :func:`graph_coordinate` computes
-its x_i from the two marginal values.  Over a rest grid,
-:func:`cover_family_to_dict` computes g_s once per (axis, slope) of a
-family, all of them in one batched search
+its x_i from the two marginal values.  On the window grid with the graph's
+axis left out, :func:`cover_family_to_dict` computes g_s once per (axis,
+slope) of a family, all of them in one batched search
 (:func:`medialcover.convex.marginal_inf_rows`), and every graph with that
 slope reads its row.
 """
@@ -23,6 +23,7 @@ import numpy as np
 
 from .convex import SlopeLattice, marginal_inf_rows
 from .fields import ScalarField
+from .geometry import Window
 
 __all__ = [
     "FamilyBudgetError",
@@ -70,15 +71,20 @@ def enumerate_cover(
     return [(a, float(alpha), float(beta)) for a in axes for alpha, beta in itertools.combinations(slopes, 2)]
 
 
-def cover_family_to_dict(base: ScalarField, graphs, rest_nodes: np.ndarray) -> list[dict]:
-    """Serialize each (axis, alpha, beta) graph of ``base`` with its values over the x_rest nodes."""
+def cover_family_to_dict(base: ScalarField, graphs, window: Window, resolution: int) -> list[dict]:
+    """Serialize each (axis, alpha, beta) graph of ``base`` with its values over the x_rest grid of its axis.
+
+    The x_rest grid of axis i is the window's ``resolution`` grid with axis i left out.
+    """
     if not graphs:
         return []
-    rest_nodes = np.atleast_2d(np.asarray(rest_nodes, dtype=float))
     # (axis, slope) keys in first-use order
     keys = list(dict.fromkeys((axis, slope) for axis, alpha, beta in graphs for slope in (alpha, beta)))
-    count = len(rest_nodes)
-    points = np.concatenate([np.insert(rest_nodes, axis, 0.0, axis=1) for axis, _ in keys])
+    ticks = window.axes(resolution)
+    # The rest grid of each axis, last axis fastest; in 1-D, one node with no coordinates.
+    rest = {axis: np.array(list(itertools.product(*ticks[:axis], *ticks[axis + 1 :]))) for axis in {a for a, _, _ in graphs}}
+    count = resolution ** (window.dimension - 1)
+    points = np.concatenate([np.insert(rest[axis], axis, 0.0, axis=1) for axis, _ in keys])
     axes = np.repeat([axis for axis, _ in keys], count)
     slopes = np.repeat([slope for _, slope in keys], count)
     values = marginal_inf_rows(base, axes, slopes, points).reshape(len(keys), count).tolist()
@@ -86,7 +92,7 @@ def cover_family_to_dict(base: ScalarField, graphs, rest_nodes: np.ndarray) -> l
 
     out = []
     for axis, alpha, beta in graphs:
-        pairs = zip(rest_nodes, rows[axis, alpha], rows[axis, beta])
+        pairs = zip(rest[axis], rows[axis, alpha], rows[axis, beta])
         grid = [[*node.tolist(), graph_coordinate(alpha, beta, va, vb)] for node, va, vb in pairs]
         out.append({"axis": axis, "alpha": alpha, "beta": beta, "grid": grid})
     return out

@@ -83,7 +83,7 @@ def distance(spec: ClosedSetSpec, x) -> float | np.ndarray:
     return float(d[0]) if single else d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Survey:
     """Distance, one nearest point, the foot box (``foot_lo``, ``foot_hi``) and the class of each query point."""
 
@@ -150,7 +150,7 @@ def nearest_points(
     return NearestResult(float(surveyed.distance[0]), surveyed.classifications()[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridSweep:
     """Vectorized distance-field evaluation over a full window grid.
 

@@ -19,8 +19,11 @@ built on these two.
 :class:`PolygonBoundary`, are input records: they validate their fields and
 report their dimension, and every query goes through the packed rows.
 
-All coordinates are double precision.  Instances are frozen and their arrays
-are marked read-only, so they are safe to share across threads.
+All coordinates are double precision, and every coordinate, radius and
+dimension must be given as a number: JSON true, false, null and strings are
+refused.  Instances are frozen and their arrays are marked read-only, so they
+are safe to share across threads; they compare and hash by identity, since
+array fields have no single truth value.
 """
 
 from __future__ import annotations
@@ -42,12 +45,31 @@ __all__ = [
 ]
 
 
-def _frozen_array(values, name: str, shape_hint: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+_SHAPES = ("a number", "a vector of numbers", "an (m, n) array of numbers")
+
+
+def _is_real(values) -> bool:
+    """Whether ``values`` is a real number or a nest of lists, tuples or numeric arrays of them.
+
+    NumPy would read ``True``, ``"2"`` and ``None`` as numbers (or NaN); they are not.
+    """
+    if isinstance(values, np.ndarray):
+        return values.dtype.kind in "iuf"
+    if isinstance(values, (list, tuple)):
+        return all(_is_real(v) for v in values)
+    return isinstance(values, (int, float, np.integer, np.floating)) and not isinstance(values, bool)
+
+
+def _frozen_array(values, name: str, ndim: int) -> np.ndarray:
+    """A read-only float copy of ``values`` with ``ndim`` axes: a number (0), a vector (1) or an (m, n) array (2)."""
+    try:
+        arr = np.array(values, dtype=float) if _is_real(values) else None
+    except (ValueError, OverflowError):  # lists of unequal lengths, or an integer beyond the float range
+        arr = None
+    if arr is None or arr.ndim != ndim:
+        raise ValueError(f"{name} must be {_SHAPES[ndim]}, got {values!r}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite, got {values!r}")
-    if arr.ndim == 0:
-        raise ValueError(f"{name} must be {shape_hint}, got a scalar")
     arr.setflags(write=False)
     return arr
 
@@ -63,23 +85,21 @@ def _batch(x: np.ndarray, dimension: int) -> tuple[np.ndarray, bool]:
     return arr, single
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Point:
     """A single point site."""
 
     coords: np.ndarray
 
     def __init__(self, coords):
-        object.__setattr__(self, "coords", _frozen_array(coords, "point coords", "a vector"))
-        if self.coords.ndim != 1:
-            raise ValueError("point coords must be a flat vector")
+        object.__setattr__(self, "coords", _frozen_array(coords, "point coords", 1))
 
     @property
     def dimension(self) -> int:
         return self.coords.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Segment:
     """A closed line segment with distinct endpoints."""
 
@@ -87,9 +107,9 @@ class Segment:
     b: np.ndarray
 
     def __init__(self, a, b):
-        object.__setattr__(self, "a", _frozen_array(a, "segment endpoint a", "a vector"))
-        object.__setattr__(self, "b", _frozen_array(b, "segment endpoint b", "a vector"))
-        if self.a.shape != self.b.shape or self.a.ndim != 1:
+        object.__setattr__(self, "a", _frozen_array(a, "segment endpoint a", 1))
+        object.__setattr__(self, "b", _frozen_array(b, "segment endpoint b", 1))
+        if self.a.shape != self.b.shape:
             raise ValueError("segment endpoints must be vectors of equal dimension")
         if np.array_equal(self.a, self.b):
             raise ValueError("segment endpoints must be distinct")
@@ -99,7 +119,7 @@ class Segment:
         return self.a.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolygonBoundary:
     """The closed boundary curve of a polygon (the 1-D edge loop, not the filled region).
 
@@ -109,8 +129,8 @@ class PolygonBoundary:
     vertices: np.ndarray
 
     def __init__(self, vertices):
-        verts = _frozen_array(vertices, "polygon vertices", "an (m, n) array")
-        if verts.ndim != 2 or verts.shape[0] < 3:
+        verts = _frozen_array(vertices, "polygon vertices", 2)
+        if verts.shape[0] < 3:
             raise ValueError("polygon boundary needs at least 3 vertices")
         for i in range(verts.shape[0]):
             for j in range(i + 1, verts.shape[0]):
@@ -128,7 +148,7 @@ class PolygonBoundary:
         return tuple(Segment(self.vertices[i], self.vertices[(i + 1) % m]) for i in range(m))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ball:
     """The shell {x : |x - c| = r}, i.e. a circle in 2-D or a sphere in 3-D.
 
@@ -140,12 +160,10 @@ class Ball:
     radius: float
 
     def __init__(self, center, radius):
-        object.__setattr__(self, "center", _frozen_array(center, "ball center", "a vector"))
-        if self.center.ndim != 1:
-            raise ValueError("ball center must be a flat vector")
-        radius = float(radius)
-        if not np.isfinite(radius) or radius < 0:
-            raise ValueError(f"ball radius must be finite and >= 0, got {radius}")
+        object.__setattr__(self, "center", _frozen_array(center, "ball center", 1))
+        radius = float(_frozen_array(radius, "ball radius", 0))
+        if radius < 0:
+            raise ValueError(f"ball radius must be >= 0, got {radius}")
         object.__setattr__(self, "radius", radius)
 
     @property
@@ -161,7 +179,7 @@ Primitive = Union[Point, Segment, PolygonBoundary, Ball]
 _BLOCK_ELEMENTS = 1 << 14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClosedSetSpec:
     """A nonempty closed set, given as a finite union of points, segments and shells.
 
@@ -173,17 +191,18 @@ class ClosedSetSpec:
 
     primitives: tuple[Point | Segment | Ball, ...]
     dimension: int
-    starts: np.ndarray = field(init=False, repr=False, compare=False)
-    directions: np.ndarray = field(init=False, repr=False, compare=False)
-    radii: np.ndarray = field(init=False, repr=False, compare=False)
+    starts: np.ndarray = field(init=False, repr=False)
+    directions: np.ndarray = field(init=False, repr=False)
+    radii: np.ndarray = field(init=False, repr=False)
 
     def __init__(self, primitives, dimension: int):
         primitives = tuple(primitives)
         if not primitives:
             raise ValueError("a closed set needs at least one primitive")
-        dimension = int(dimension)
+        dimension = float(_frozen_array(dimension, "dimension", 0))
         if dimension not in (1, 2, 3):
-            raise ValueError(f"dimension must be 1, 2 or 3, got {dimension}")
+            raise ValueError(f"dimension must be 1, 2 or 3, got {dimension:g}")
+        dimension = int(dimension)
         expanded: list[Point | Segment | Ball] = []
         for k, p in enumerate(primitives):
             if not isinstance(p, (Point, Segment, PolygonBoundary, Ball)):
@@ -320,7 +339,7 @@ class ClosedSetSpec:
         return cls.from_dict(json.loads(text))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Window:
     """An axis-aligned box; all grid sweeps and probes are restricted to one."""
 
@@ -328,9 +347,9 @@ class Window:
     upper: np.ndarray
 
     def __init__(self, lower, upper):
-        lo = _frozen_array(lower, "window lower corner", "a vector")
-        hi = _frozen_array(upper, "window upper corner", "a vector")
-        if lo.shape != hi.shape or lo.ndim != 1:
+        lo = _frozen_array(lower, "window lower corner", 1)
+        hi = _frozen_array(upper, "window upper corner", 1)
+        if lo.shape != hi.shape:
             raise ValueError("window corners must be vectors of equal dimension")
         if not np.all(lo < hi):
             raise ValueError("window must satisfy lower < upper on every axis")

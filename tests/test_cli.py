@@ -160,6 +160,71 @@ def test_output_under_a_missing_directory_exits_3(command, fixture, flag, tmp_pa
     assert not paths[flag].parent.exists()
 
 
+@pytest.mark.parametrize("command, flag", [("verify", "--csv"), ("verify", "--svg"), ("analyze", "--csv")])
+def test_a_table_or_overlay_that_cannot_be_written_leaves_no_report(command, flag, tmp_path, capsys):
+    report = tmp_path / "report.json"
+    argv = [command, str(FIXTURES / f"{command}_two_point.json"), "--output", str(report), flag, str(tmp_path / "missing" / "out")]
+    assert main(argv) == 3
+    assert not report.exists()
+
+
+# The files each command writes, by their key in the config's ``outputs``, and the flag that overrides each.
+WRITES = {"analyze": ("report", "csv"), "verify": ("report", "csv", "svg"), "cover": ("report",), "decompose": ("report",)}
+FLAGS = {"report": "--output", "csv": "--csv", "svg": "--svg"}
+FIXTURE_OF = {"analyze": "analyze_two_point", "verify": "verify_two_point", "cover": "cover_two_point", "decompose": "decompose_sin1"}
+
+
+def configured(command, tmp_path, outputs):
+    """The command's fixture config with these ``outputs``, written to ``tmp_path`` with its set path made absolute."""
+    document = json.loads((FIXTURES / f"{FIXTURE_OF[command]}.json").read_text())
+    if isinstance(document.get("set"), str):
+        document["set"] = str(FIXTURES / document["set"])
+    document["outputs"] = outputs
+    config = tmp_path / f"{command}.json"
+    config.write_text(json.dumps(document))
+    return config
+
+
+OVERRIDES = [(command, name) for command, names in WRITES.items() for name in names]
+
+
+@pytest.mark.parametrize("command, name", OVERRIDES, ids=[f"{c}{FLAGS[n]}" for c, n in OVERRIDES])
+def test_a_flag_overrides_the_configured_path_of_its_file_only(command, name, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    config = configured(command, tmp_path, {n: f"config_{n}" for n in WRITES[command]})
+    assert main([command, str(config), FLAGS[name], f"flag_{name}"]) == 0
+    assert capsys.readouterr().out == ""
+    written = {n: f"flag_{n}" if n == name else f"config_{n}" for n in WRITES[command]}
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([config.name, *written.values()])
+    report = json.loads((tmp_path / written["report"]).read_text())
+    assert report["command"] == command
+    if command == "analyze":
+        assert report["csv"] == written["csv"]
+
+
+@pytest.mark.parametrize("command", list(WRITES))
+def test_without_flags_each_file_goes_to_its_configured_path(command, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    config = configured(command, tmp_path, {n: f"config_{n}" for n in WRITES[command]})
+    assert main([command, str(config)]) == 0
+    assert capsys.readouterr().out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([config.name, *(f"config_{n}" for n in WRITES[command])])
+    assert json.loads((tmp_path / "config_report").read_text())["command"] == command
+
+
+@pytest.mark.parametrize("command", list(WRITES))
+def test_without_a_report_path_the_report_goes_to_stdout(command, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    config = configured(command, tmp_path, {})
+    assert main([command, str(config)]) == 0
+    printed = capsys.readouterr().out
+    # analyze alone has a default table path; verify writes no table or overlay unless asked.
+    extra = ["analyze_grid.csv"] if command == "analyze" else []
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([config.name, *extra])
+    assert main([command, str(config), "--output", "report.json"]) == 0
+    assert printed == (tmp_path / "report.json").read_text()
+
+
 def csv_table(data: bytes) -> tuple[list[str], list[list[str]]]:
     """Header and cells of a CSV whose every line ends in CRLF."""
     lines = data.split(b"\r\n")

@@ -167,3 +167,53 @@ def test_removed_step_knobs_change_nothing_but_the_config_digest(command, tmp_pa
         written.pop("csv", None)  # analyze names its CSV, whose path differs
         outputs.append((written, table.read_bytes() if table.exists() else None))
     assert outputs[0] == outputs[1]
+
+
+def ball(radius):
+    return {"dimension": 2, "primitives": [{"type": "ball", "center": [0.0, 0.0], "radius": radius}]}
+
+
+def point(coords, dimension=2):
+    return {"dimension": dimension, "primitives": [{"type": "point", "coords": coords}]}
+
+
+# Values that were once read as numbers (2.7 as 2, "2" as 2, true as 1) or
+# escaped as a TypeError traceback with exit 1.
+NOT_NUMBERS = {
+    "dimension-2.7": ({"set": {**TWO_POINTS, "dimension": 2.7}}, "set: dimension must be 1, 2 or 3, got 2.7"),
+    "dimension-string": ({"set": {**TWO_POINTS, "dimension": "2"}}, "set: dimension must be a number, got '2'"),
+    "dimension-true": ({"set": point([0.0], dimension=True)}, "set: dimension must be a number, got True"),
+    "dimension-null": ({"set": {**TWO_POINTS, "dimension": None}}, "set: dimension must be a number, got None"),
+    "radius-string": ({"set": ball("1.5")}, "set: primitives[0]: ball radius must be a number, got '1.5'"),
+    "radius-true": ({"set": ball(True)}, "set: primitives[0]: ball radius must be a number, got True"),
+    "radius-null": ({"set": ball(None)}, "set: primitives[0]: ball radius must be a number, got None"),
+    "radius-list": ({"set": ball([1])}, "set: primitives[0]: ball radius must be a number, got [1]"),
+    "coords-strings": ({"set": point(["1", "2"])}, "set: primitives[0]: point coords must be a vector of numbers"),
+    "coords-booleans": ({"set": point([True, False])}, "set: primitives[0]: point coords must be a vector of numbers"),
+    "coords-object": ({"set": point({"x": 1})}, "set: primitives[0]: point coords must be a vector of numbers"),
+    "coords-ragged": ({"set": point([[1.0], [1.0, 2.0]])}, "set: primitives[0]: point coords must be a vector of numbers"),
+    "coords-huge": ({"set": point([10**400, 0])}, "set: primitives[0]: point coords must be a vector of numbers"),
+    "window-strings": (
+        {"set": TWO_POINTS, "window": {"lower": ["-2", "-2"], "upper": [2.0, 2.0]}},
+        "window: window lower corner must be a vector of numbers",
+    ),
+    "window-object": (
+        {"set": TWO_POINTS, "window": {"lower": {"x": 1}, "upper": [2.0, 2.0]}},
+        "window: window lower corner must be a vector of numbers",
+    ),
+}
+
+
+@pytest.mark.parametrize("document, message", list(NOT_NUMBERS.values()), ids=list(NOT_NUMBERS))
+def test_a_non_number_in_a_set_or_window_exits_2_through_main(document, message, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**document, "grid_resolution": 17}))
+    report = tmp_path / "report.json"
+    assert main(["verify", str(config), "--output", str(report)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert not report.exists()
+
+
+def test_configs_compare_without_comparing_arrays():
+    config = parse_config({"set": TWO_POINTS})
+    assert config == config and config != parse_config({"set": TWO_POINTS})

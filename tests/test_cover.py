@@ -24,13 +24,14 @@ LIFT_3D = strongify(asplund_field(ClosedSetSpec([Ball([0.0, 0.0, 0.0], 1.0), Poi
 
 
 def test_grid_values_are_the_graph_formula_on_direct_marginal_infima():
+    # On a square window every axis has the same rest grid.
     cases = [
-        (LIFT, (0, 1), LATTICE, np.linspace(-2.0, 2.0, 5)[:, None]),
-        (LIFT_3D, (0, 1, 2), SlopeLattice(step=1.0, bound=1.0), Window([-2.0, -2.0], [2.0, 2.0]).grid_points(3)),
+        (LIFT, (0, 1), LATTICE, Window([-2.0, -2.0], [2.0, 2.0]), 5, np.linspace(-2.0, 2.0, 5)[:, None]),
+        (LIFT_3D, (0, 1, 2), SlopeLattice(step=1.0, bound=1.0), Window([-2.0] * 3, [2.0] * 3), 3, Window([-2.0, -2.0], [2.0, 2.0]).grid_points(3)),
     ]
-    for lift, axes, lattice, rest_nodes in cases:
+    for lift, axes, lattice, window, resolution, rest_nodes in cases:
         graphs = enumerate_cover(lift, axes, lattice, cap=64)
-        entries = cover_family_to_dict(lift, graphs, rest_nodes)
+        entries = cover_family_to_dict(lift, graphs, window, resolution)
         assert len(entries) == len(graphs)
         for (axis, alpha, beta), entry in zip(graphs, entries):
             assert (entry["axis"], entry["alpha"], entry["beta"]) == (axis, alpha, beta)
@@ -61,7 +62,7 @@ def test_enumerate_cover_rejects_an_axis_out_of_range(axis):
 
 
 def test_an_empty_family_serializes_to_nothing():
-    assert cover_family_to_dict(LIFT, [], np.zeros((1, 1))) == []
+    assert cover_family_to_dict(LIFT, [], Window([-2.0, -2.0], [2.0, 2.0]), 1) == []
 
 
 @pytest.mark.parametrize("fixture", ["verify_two_point", "verify_shells"])
@@ -74,8 +75,55 @@ def test_the_cover_graph_of_each_certified_sample_is_off_it_by_the_reported_devi
     lift = strongify(asplund_field(config.set_spec))
     for record in records:
         point, axis, alpha, beta = record["point"], record["axis"], record["alpha"], record["beta"]
-        (entry,) = cover_family_to_dict(lift, [(axis, alpha, beta)], np.delete(point, axis))
+        # A one-node grid: the window's lower corner is the sample.
+        (entry,) = cover_family_to_dict(lift, [(axis, alpha, beta)], Window(point, np.add(point, 1.0)), 1)
         *rest, coordinate = entry["grid"][0]
         assert rest == np.delete(point, axis).tolist()
         assert abs(point[axis] - coordinate) == record["deviation"]
         assert record["graph"] == graph_key(axis, alpha, beta)
+
+
+# Sets on windows whose axes have different ranges, so each axis has its own rest grid.
+NON_SQUARE = [
+    (
+        {"dimension": 2, "primitives": [{"type": "point", "coords": [-1.0, 0.0]}, {"type": "point", "coords": [1.0, 0.0]}]},
+        [-4.0, -1.0],
+        [4.0, 1.0],
+    ),
+    (
+        {
+            "dimension": 3,
+            "primitives": [
+                {"type": "ball", "center": [0.0, 0.0, 0.0], "radius": 1.0},
+                {"type": "point", "coords": [-1.4, -1.3, -1.5]},
+            ],
+        },
+        [-3.0, -2.0, -1.0],
+        [3.0, 2.0, 1.0],
+    ),
+]
+
+
+@pytest.mark.parametrize("shape, lower, upper", NON_SQUARE, ids=["2d", "3d"])
+def test_the_rest_grid_of_each_axis_is_the_window_grid_without_that_axis(shape, lower, upper, tmp_path, capsys):
+    config, report = tmp_path / "cover.json", tmp_path / "report.json"
+    document = {
+        "set": shape,
+        "window": {"lower": lower, "upper": upper},
+        "grid_resolution": 8,
+        "lattice": {"step": 1.0, "bound": 1.0},
+        "cover": {"rest_resolution": 3},
+    }
+    config.write_text(json.dumps(document))
+    assert main(["cover", str(config), "--output", str(report)]) == 0
+    graphs = json.loads(report.read_text())["graphs"]
+    assert sorted({g["axis"] for g in graphs}) == list(range(len(lower)))
+    lift = strongify(asplund_field(ClosedSetSpec.from_dict(shape)))
+    for graph in graphs:
+        axis, alpha, beta = graph["axis"], graph["alpha"], graph["beta"]
+        ticks = [np.linspace(lo, hi, 3).tolist() for i, (lo, hi) in enumerate(zip(lower, upper)) if i != axis]
+        assert [row[:-1] for row in graph["grid"]] == [list(node) for node in itertools.product(*ticks)]
+        for *node, value in graph["grid"]:
+            va = reference_marginal_inf(lift, axis, alpha, node)
+            vb = reference_marginal_inf(lift, axis, beta, node)
+            assert value == (va - vb) / (beta - alpha)

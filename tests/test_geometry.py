@@ -12,6 +12,7 @@ from medialcover import (
     Segment,
     Window,
     distance,
+    grid_sweep,
     nearest_points,
     survey,
 )
@@ -204,6 +205,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             p.coords[0] = 5.0
 
+    def test_a_record_freezes_its_own_copy_not_the_callers_array(self):
+        coords = np.array([1.0, 2.0])
+        p = Point(coords)
+        coords[0] = 5.0
+        assert p.coords.tolist() == [1.0, 2.0]
+
 
 class TestJson:
     def test_unknown_primitive_type_rejected(self):
@@ -230,3 +237,23 @@ def test_window_grid_and_sampling():
     sample = w.sample(rng, 100)
     assert sample.shape == (100, 2)
     assert np.all((sample >= w.lower) & (sample <= w.upper))
+
+
+def test_records_that_hold_arrays_compare_and_hash_by_identity():
+    def build():
+        spec = ClosedSetSpec([Point([0.0, 0.0]), Ball([0.0, 0.0], 1.0)], 2)
+        window = Window([-1.0, -1.0], [1.0, 1.0])
+        return [
+            Point([0.0, 0.0]),
+            Segment([0.0, 0.0], [1.0, 0.0]),
+            PolygonBoundary([[0, 0], [1, 0], [0, 1]]),
+            Ball([0.0, 0.0], 1.0),
+            spec,
+            window,
+            survey(spec, np.array([[0.5, 0.5]])),
+            grid_sweep(spec, window, 3),
+        ]
+
+    for record, twin in zip(build(), build()):
+        assert record == record and hash(record) == hash(record)
+        assert record != twin and len({record, twin}) == 2
