@@ -33,6 +33,7 @@ from .distance import (
 from .fields import (
     ScalarField,
     asplund_field,
+    asplund_lift,
     named_field,
     quadratic_sine_blend,
     squared_norm,
@@ -60,6 +61,7 @@ __all__ = [
     "Survey",
     "Window",
     "asplund_field",
+    "asplund_lift",
     "cc_decompose_c2",
     "certify_cover",
     "convexity_probe",

@@ -35,7 +35,7 @@ from .config import ConfigError, ScenarioConfig, config_digest, load_config
 from .convex import cc_decompose_c2, convexity_probe, nondiff_witnesses
 from .cover import FamilyBudgetError, cover_family_to_dict, enumerate_cover
 from .distance import Classification, grid_sweep, write_grid_csv
-from .fields import asplund_field, named_field, strongify
+from .fields import asplund_field, asplund_lift, named_field, strongify
 from .geometry import Window
 from .verify import certify_cover, detect_ambiguous, write_overlay_svg, write_samples_csv
 
@@ -112,7 +112,7 @@ def _cmd_cover(config: ScenarioConfig) -> tuple[dict, int]:
     base = _base_field(config)
     if config.set_spec is not None and base.tag != "asplund":  # the feet give witnesses of the set's lift only
         raise ConfigError(f"field: {config.field_name!r} is not the lift of the config's set, whose witnesses cover counts")
-    lift = strongify(base)
+    lift = strongify(base) if config.set_spec is None else asplund_lift(config.set_spec)
     family = enumerate_cover(lift, config.cover_axes, config.lattice, config.cover_cap)
     graphs = cover_family_to_dict(lift, family, config.window, config.cover_rest_resolution)
 

@@ -55,12 +55,17 @@ def _require(condition: bool, name: str, message: str) -> None:
 def _get_number(data: dict, name: str, default, *, positive=False, minimum=None):
     """Read a finite number from ``data``; ``name`` is its dotted path, such as ``lattice.step``.
 
-    Python's ``json`` parses ``NaN`` and ``Infinity``; they are refused here.
+    Python's ``json`` parses ``NaN`` and ``Infinity``, and integers beyond the
+    float range; they are refused here.
     """
     value = data.get(name.rsplit(".", 1)[-1], default)
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"{name}: expected a number, got {value!r}")
-    if isinstance(value, float) and not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        raise ConfigError(f"{name}: must be finite, got an integer beyond the float range") from None
+    if not finite:
         raise ConfigError(f"{name}: must be finite, got {value}")
     if positive and value <= 0:
         raise ConfigError(f"{name}: must be > 0, got {value}")
@@ -82,8 +87,8 @@ def _load_set(entry, base_dir: Path) -> ClosedSetSpec:
         if not path.is_absolute():
             path = base_dir / path
         try:
-            text = path.read_text()
-        except OSError as exc:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"set: cannot read {path}: {exc}") from None
         try:
             return ClosedSetSpec.from_json(text)
@@ -204,13 +209,15 @@ def load_config(path) -> tuple[ScenarioConfig, dict]:
     """Parse a scenario config file; returns the config and the raw document."""
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file: cannot read {path}: {exc}") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    except ValueError as exc:  # an integer with more digits than Python converts
+        raise ConfigError(f"config file: {exc}") from None
     return parse_config(data, base_dir=path.parent), data
 
 

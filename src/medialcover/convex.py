@@ -130,11 +130,14 @@ def marginal_inf_rows(field: ScalarField, axes, slopes, points) -> np.ndarray:
     the center, then golden-section search localizes the minimizer to
     ``_MARGINAL_XTOL``.  The field's dimension is checked once; every step
     then makes one ``field.evaluator`` call on the rows still open.  The
-    golden-section arrays hold only those rows: at the top of each step, a
-    row whose bracket is at most ``_MARGINAL_XTOL`` wide is written to the
-    output and dropped.  Raises :class:`CoercivityError`, naming the first
-    row still open, if a bracket never closes, which signals a precondition
-    violation.
+    golden-section arrays hold only those rows: each step computes the
+    bracket widths once, and when the narrowest is not wider than
+    ``_MARGINAL_XTOL`` (or is NaN), the rows at most that wide are written
+    to the output and dropped.  Otherwise each row moves its bracket and
+    takes its one new abscissa, c when it kept the left part and d when it
+    kept the right, all in one ``field.evaluator`` call.  Raises
+    :class:`CoercivityError`, naming the first row still open, if a bracket
+    never closes, which signals a precondition violation.
     """
     points = np.array(points, dtype=float)
     axes = np.asarray(axes, dtype=int)
@@ -150,13 +153,10 @@ def marginal_inf_rows(field: ScalarField, axes, slopes, points) -> np.ndarray:
         return np.empty(0)
     on_axis = np.arange(field.dimension) == axes[:, None]  # each row's search coordinate
 
-    def phi(x: np.ndarray, on: np.ndarray, sl: np.ndarray, t: np.ndarray) -> np.ndarray:
-        return field.evaluator(np.where(on, t[:, None], x)) - sl * t
-
     def phi_rows(idx: np.ndarray, *ts: np.ndarray) -> list[np.ndarray]:
-        """phi at several abscissae per row of ``idx``, as slices of one field call."""
-        k, idx = len(idx), np.concatenate([idx] * len(ts))
-        f = phi(points[idx], on_axis[idx], slopes[idx], np.concatenate(ts))
+        """The objective at several abscissae per row of ``idx``, as slices of one field call."""
+        k, idx, t = len(idx), np.concatenate([idx] * len(ts)), np.concatenate(ts)
+        f = field.evaluator(np.where(on_axis[idx], t[:, None], points[idx])) - slopes[idx] * t
         return [f[j * k : (j + 1) * k] for j in range(len(ts))]
 
     half = np.full(len(rows), _INITIAL_HALFWIDTH)
@@ -181,16 +181,18 @@ def marginal_inf_rows(field: ScalarField, axes, slopes, points) -> np.ndarray:
     out = np.empty(len(rows))
     x, on, sl = points, on_axis, slopes  # from here on, with ``rows``, the open rows only
     while rows.size:
-        keep = (b - a) > _MARGINAL_XTOL
-        if not keep.all():
+        w = b - a
+        if not np.minimum.reduce(w) > _MARGINAL_XTOL:  # some row is done, or NaN
+            keep = w > _MARGINAL_XTOL
             out[rows[~keep]] = np.where(fd < fc, fd, fc)[~keep]  # Python's min(fc, fd): fc on ties, signed zeros included
             rows, a, b, c, d, fc, fd, x, on, sl = (v[keep] for v in (rows, a, b, c, d, fc, fd, x, on, sl))
             continue
         left = fc <= fd
         a, b = np.where(left, a, c), np.where(left, d, b)
         step = _INVPHI * (b - a)
-        c, d = np.where(left, b - step, d), np.where(left, c, a + step)
-        f = phi(x, on, sl, np.where(left, c, d))
+        t = np.where(left, b - step, a + step)  # the new abscissa: c on the left, d on the right
+        c, d = np.where(left, t, d), np.where(left, c, t)
+        f = field.evaluator(np.where(on, t[:, None], x)) - sl * t
         fc, fd = np.where(left, f, fd), np.where(left, fc, f)
     return out
 

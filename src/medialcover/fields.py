@@ -6,12 +6,16 @@ builds the convex function |x|^2 - dist(x, E)^2 of a closed set;
 ``strongify`` adds |x|^2, which makes any convex field strongly convex with
 modulus 1.
 
-``verify`` evaluates the lift some ten thousand times, a few points each, so
-its path is a straight run of ufunc calls (``np.add.reduce`` here,
-``np.minimum.reduce`` in :func:`~medialcover.distance.distance`, in-place
-``np.maximum``/``np.minimum`` clamps in the packed kernel) without NumPy's
-Python-level wrappers such as ``np.sum`` or ``np.clip``.  The arithmetic and
-its order are those of the wrappers, so the values are the same bits.
+``asplund_lift`` is the strongly convex lift 2|x|^2 - dist(x, E)^2 of a set
+that ``verify`` and ``cover`` search, as one evaluator on the set's packed
+rows.  ``verify`` calls it some ten thousand times, a few points each, so it
+computes |x|^2 once and takes the minimum over ``row_distances`` itself:
+one Python frame per call, and a straight run of ufunc calls
+(``np.add.reduce``, ``np.minimum.reduce``, in-place ``np.maximum``/
+``np.minimum`` clamps in the packed kernel) without NumPy's Python-level
+wrappers such as ``np.sum`` or ``np.clip``.  It forms (|x|^2 - d^2) + |x|^2
+in the order of ``strongify(asplund_field(spec))``, so the values are the
+same bits.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .geometry import ClosedSetSpec
 __all__ = [
     "ScalarField",
     "asplund_field",
+    "asplund_lift",
     "strongify",
     "coordinate_abs",
     "euclidean_norm",
@@ -54,7 +59,7 @@ class ScalarField:
 
     def __call__(self, x) -> float | np.ndarray:
         arr = np.asarray(x, dtype=float)
-        if arr.shape[-1] != self.dimension:
+        if arr.ndim == 0 or arr.shape[-1] != self.dimension:
             raise ValueError(f"field {self.tag!r} expects dimension {self.dimension}, got shape {arr.shape}")
         out = self.evaluator(arr)
         if arr.ndim == 1:
@@ -85,6 +90,18 @@ def strongify(field: ScalarField) -> ScalarField:
         return field.evaluator(x) + _sq(x)
 
     return ScalarField(evaluate, field.dimension, tag=f"{field.tag}+sq", smooth_c2=field.smooth_c2)
+
+
+def asplund_lift(spec: ClosedSetSpec) -> ScalarField:
+    """2|x|^2 - dist(x, E)^2: the bits of ``strongify(asplund_field(spec))`` from one evaluator."""
+
+    def evaluate(x: np.ndarray) -> np.ndarray:
+        flat = x.reshape(-1, spec.dimension)
+        s = np.add.reduce(flat * flat, axis=-1)
+        d = np.minimum.reduce(spec.row_distances(flat), axis=0)
+        return ((s - d * d) + s).reshape(x.shape[:-1])
+
+    return ScalarField(evaluate, spec.dimension, tag="asplund+sq", smooth_c2=False)
 
 
 def coordinate_abs(dimension: int) -> ScalarField:

@@ -26,7 +26,7 @@ import numpy as np
 from .convex import SlopeLattice, marginal_inf_rows, nondiff_witnesses
 from .cover import graph_coordinate, graph_key
 from .distance import DEFAULT_SEPARATION, DEFAULT_TIE_TOLERANCE, survey, write_csv
-from .fields import asplund_field, strongify
+from .fields import asplund_lift
 from .geometry import Ball, ClosedSetSpec, Point, Segment, Window
 
 __all__ = [
@@ -176,7 +176,7 @@ def certify_cover(
     ``fault_offset`` shifts every graph coordinate and exists solely so the
     negative-control test can prove the certification can fail.
     """
-    lift = strongify(asplund_field(spec))
+    lift = asplund_lift(spec)
     witnesses = nondiff_witnesses(found, lattice)
     resolved = [w is not None for w in witnesses]
     lift_values = iter(lift(found[resolved, 0]).tolist())

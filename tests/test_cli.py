@@ -96,6 +96,32 @@ def test_csv_bytes_match_their_golden_digest(command, fixture, tmp_path, capsys)
     assert hashlib.sha256(table).hexdigest() == GOLDEN_CSV[command, fixture]
 
 
+# Exit code and sha256 of the report of each benchmark workload config at
+# seed 303, the configs that `perfbench/run.py` times.  The reports of
+# `verify` and `cover` go through the marginal-infimum searches.
+WORKLOAD_SEED = 303
+GOLDEN_WORKLOADS = {
+    ("verify", "points2d"): (0, "88da2fd17aec39874c5431daa73fa56c38f6dfd9265b9f2fdfd7d89c7d29eac1"),
+    ("verify", "polygon2d"): (0, "0d9af11c34fdc0c261cb58994021b1b78d932eb3bc665cf7b42cd7d816298202"),
+    # 12 unresolved samples near the sphere's centre.
+    ("verify", "shells3d"): (1, "38d32ba84c35fbef42e00a3b484bcc7b895043435cece1a195a93d6f4668f8e3"),
+    ("cover", "points2d"): (0, "b04092eb856652e256dbe06d31abd6c8d66a32c8c479c8bb0a4302f4f33dd45e"),
+    ("cover", "polygon2d"): (0, "2862657c107b349470c3a98f13c1ac313ab08d908b1d245137378128bfab1dbd"),
+    ("cover", "shells3d"): (0, "dcad837dab23c584bfeae461c146f244a119453ad3a34db6a149ded0945d5269"),
+}
+
+
+@pytest.mark.parametrize("command, workload", list(GOLDEN_WORKLOADS), ids=[f"{c}-{w}" for c, w in GOLDEN_WORKLOADS])
+def test_workload_report_bytes_match_their_golden_digest(command, workload, tmp_path, monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent))
+    from perfbench.workloads import WORKLOADS, write_configs
+
+    config = write_configs(WORKLOADS[workload], WORKLOAD_SEED, tmp_path)[command]
+    report = tmp_path / "report.json"
+    code = main([command, str(config), "--output", str(report)])
+    assert (code, hashlib.sha256(report.read_bytes()).hexdigest()) == GOLDEN_WORKLOADS[command, workload]
+
+
 def test_overlay_svg_bytes_match_their_golden_digest(tmp_path, capsys):
     report, svg = tmp_path / "report.json", tmp_path / "overlay.svg"
     argv = [str(FIXTURES / "verify_two_point.json"), "--output", str(report), "--svg", str(svg)]

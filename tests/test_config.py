@@ -44,14 +44,22 @@ def test_malformed_config_exits_2_through_main(tmp_path, capsys):
 
 
 # Python's json parses NaN and Infinity, so these are written as raw JSON text.
+# It also parses integers beyond the float range, which once raised OverflowError.
+HUGE = "1" + "0" * 400
 NON_FINITE = [
     ("lattice.step", '"lattice": {"step": NaN}'),
     ("cover.cap", '"cover": {"cap": Infinity}'),
     ("tolerances.tie", '"tolerances": {"tie": NaN}'),
+    ("grid_resolution", f'"grid_resolution": {HUGE}'),
+    ("lattice.step", f'"lattice": {{"step": {HUGE}}}'),
+    ("tolerances.refine", f'"tolerances": {{"refine": {HUGE}}}'),
+    ("fault_offset", f'"fault_offset": -{HUGE}'),
 ]
 
 
-@pytest.mark.parametrize("name, member", NON_FINITE, ids=[name for name, _ in NON_FINITE])
+@pytest.mark.parametrize(
+    "name, member", NON_FINITE, ids=[f"{name}-huge" if HUGE in member else name for name, member in NON_FINITE]
+)
 def test_non_finite_number_exits_2_through_main(name, member, tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(f'{{"set": {json.dumps(TWO_POINTS)}, "grid_resolution": 17, {member}}}')
@@ -59,6 +67,36 @@ def test_non_finite_number_exits_2_through_main(name, member, tmp_path, capsys):
     assert main(["analyze", str(config), "--output", str(report), "--csv", str(table)]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith(f"config error: {name}: must be finite, got ")
     assert not report.exists() and not table.exists()
+
+
+def test_an_integer_too_long_to_convert_exits_2_through_main(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(f'{{"set": {json.dumps(TWO_POINTS)}, "seed": 1{"0" * 5000}}}')
+    report = tmp_path / "report.json"
+    assert main(["verify", str(config), "--output", str(report)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: config file: ")
+    assert not report.exists()
+
+
+# Not UTF-8: a latin-1 byte in a string.  Reading once depended on the locale
+# and raised UnicodeDecodeError.
+NOT_UTF8 = b'{"dimension": 2, "primitives": [{"type": "point", "coords": [0.0, 0.0], "name": "\xe9"}]}'
+
+
+@pytest.mark.parametrize("which", ["config file", "set"])
+def test_a_file_that_is_not_utf8_exits_2_and_names_itself(which, tmp_path, capsys):
+    config, shape = tmp_path / "config.json", tmp_path / "shape.json"
+    if which == "set":
+        shape.write_bytes(NOT_UTF8)
+        config.write_text(json.dumps({"set": "shape.json"}))
+    else:
+        config.write_bytes(b'{"set": ' + NOT_UTF8 + b"}")
+    report = tmp_path / "report.json"
+    assert main(["verify", str(config), "--output", str(report)]) == EXIT_CONFIG
+    bad = shape if which == "set" else config
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {which}: cannot read {bad}: 'utf-8' codec can't decode byte 0xe9")
+    assert not report.exists()
 
 
 # Counts that were once truncated to an integer, and an axis list that once meant every axis.

@@ -11,11 +11,13 @@ from medialcover import (
     Segment,
     Window,
     asplund_field,
+    asplund_lift,
     named_field,
     quadratic_sine_blend,
     squared_norm,
     strongify,
 )
+from test_kernel import MIXED, queries
 
 TWO_POINTS = ClosedSetSpec([Point([-1, 0]), Point([1, 0])], 2)
 CIRCLE = ClosedSetSpec([Ball([0, 0], 1.0)], 2)
@@ -97,6 +99,8 @@ def test_field_shape_handling():
     assert out.shape == (4, 5)
     with pytest.raises(ValueError, match="dimension"):
         f(np.ones((3, 3)))  # interpreted as 3 points of dimension 3
+    with pytest.raises(ValueError, match="expects dimension 2"):
+        f(5.0)  # a bare number once raised IndexError
 
 
 def test_lift_is_vectorized_consistently():
@@ -131,3 +135,25 @@ def test_lift_gives_the_same_bits_whatever_the_batch_size(spec):
     batch = lift(pts)
     assert np.array_equal(batch, np.array([lift(p) for p in pts]))
     assert np.array_equal(batch, np.concatenate([lift(pts[k : k + 2]) for k in range(0, count, 2)]))
+
+
+@pytest.mark.parametrize(
+    "spec", [MIXED_2D, SHELLS] + MIXED, ids=["2d", "3d"] + [f"mixed{k}" for k in range(len(MIXED))]
+)
+def test_fused_lift_gives_the_bits_of_strongify_of_asplund_field(spec):
+    n = spec.dimension
+    rng = np.random.default_rng(11)
+    # Several kernel blocks, then every shell centre exactly, then the same
+    # points with some coordinates replaced by -0.0.
+    pts = np.vstack([Window([-2.0] * n, [2.0] * n).sample(rng, 2 * spec._block + 2), queries(spec, rng)])
+    pts = np.vstack([pts, np.where(rng.random(pts.shape) < 0.3, -0.0, pts)])
+    fused, reference = asplund_lift(spec), strongify(asplund_field(spec))
+    assert fused.tag == reference.tag == "asplund+sq"
+    assert fused(pts).tobytes() == reference(pts).tobytes()
+    batch = pts[: 4 * 5 * 3].reshape(4, 5, 3, n)
+    assert fused(batch).shape == (4, 5, 3)
+    assert fused(batch).tobytes() == reference(batch).tobytes()
+    for point in (pts[0], pts[-1], spec.starts[np.argmax(spec.radii)]):
+        value = fused(point)
+        assert isinstance(value, float)
+        assert np.float64(value).tobytes() == np.float64(reference(point)).tobytes()
