@@ -24,7 +24,6 @@ from .distance import (
     Classification,
     NearestResult,
     Survey,
-    distance,
     grid_sweep,
     nearest_points,
     survey,
@@ -32,7 +31,6 @@ from .distance import (
 )
 from .fields import (
     ScalarField,
-    asplund_field,
     asplund_lift,
     named_field,
     quadratic_sine_blend,
@@ -60,14 +58,12 @@ __all__ = [
     "SlopeLattice",
     "Survey",
     "Window",
-    "asplund_field",
     "asplund_lift",
     "cc_decompose_c2",
     "certify_cover",
     "convexity_probe",
     "cover_family_to_dict",
     "detect_ambiguous",
-    "distance",
     "enumerate_cover",
     "grid_sweep",
     "marginal_inf_rows",

@@ -17,7 +17,8 @@ report.  Reports are serialized deterministically (sorted keys, fixed float
 repr), so identical runs produce byte-identical files.
 
 Exit codes: 0 success, 1 coverage failure, 2 config error, 3 I/O error,
-4 cover-family budget exceeded, 5 decomposition convexity failure.
+4 cover-family budget exceeded, 5 convexity failure: the decomposition's
+probe fails, or a marginal infimum raises ``CoercivityError`` (no report).
 """
 
 from __future__ import annotations
@@ -32,10 +33,10 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, ScenarioConfig, config_digest, load_config
-from .convex import cc_decompose_c2, convexity_probe, nondiff_witnesses
+from .convex import CoercivityError, cc_decompose_c2, convexity_probe, nondiff_witnesses
 from .cover import FamilyBudgetError, cover_family_to_dict, enumerate_cover
 from .distance import Classification, grid_sweep, write_grid_csv
-from .fields import asplund_field, asplund_lift, named_field, strongify
+from .fields import asplund_lift, named_field, strongify
 from .geometry import Window
 from .verify import certify_cover, detect_ambiguous, write_overlay_svg, write_samples_csv
 
@@ -66,15 +67,20 @@ def _emit_json(document: dict, path: str | None) -> None:
             fh.write(text + "\n")
 
 
-def _base_field(config: ScenarioConfig):
-    """The field a cover pipeline works on, before the strongly convex lift."""
+# Config field names of the lift of the config's own set.
+_LIFT_NAMES = (None, "asplund", "asplund:set")
+
+
+def _field(config: ScenarioConfig):
+    """The config's field: the strongly convex lift of its set, or an analytic field by name."""
     name = config.field_name
-    if name is None:
+    if name in _LIFT_NAMES:
         if config.set_spec is None:
-            raise ConfigError("field: required when no set is given")
-        return asplund_field(config.set_spec)
+            needs = "required when no set is given" if name is None else f"field {name!r} needs a set description"
+            raise ConfigError(f"field: {needs}")
+        return asplund_lift(config.set_spec)
     try:
-        return named_field(name, config.dimension, set_spec=config.set_spec)
+        return named_field(name, config.dimension)
     except ValueError as exc:
         raise ConfigError(f"field: {exc}") from None
 
@@ -87,7 +93,6 @@ def _samples(config: ScenarioConfig) -> np.ndarray:
         config.grid_resolution,
         tie_tolerance=config.tie_tolerance,
         separation=config.separation,
-        jump_fraction=config.jump_fraction,
         refine_tol=config.refine_tol,
     )
 
@@ -109,10 +114,11 @@ def _cmd_analyze(config: ScenarioConfig) -> tuple[dict, int]:
 
 
 def _cmd_cover(config: ScenarioConfig) -> tuple[dict, int]:
-    base = _base_field(config)
-    if config.set_spec is not None and base.tag != "asplund":  # the feet give witnesses of the set's lift only
+    field = _field(config)
+    # The feet give witnesses of the set's lift only.
+    if config.set_spec is not None and config.field_name not in _LIFT_NAMES:
         raise ConfigError(f"field: {config.field_name!r} is not the lift of the config's set, whose witnesses cover counts")
-    lift = strongify(base) if config.set_spec is None else asplund_lift(config.set_spec)
+    lift = strongify(field) if config.set_spec is None else field
     family = enumerate_cover(lift, config.cover_axes, config.lattice, config.cover_cap)
     graphs = cover_family_to_dict(lift, family, config.window, config.cover_rest_resolution)
 
@@ -154,10 +160,13 @@ def _cmd_verify(config: ScenarioConfig, allow_unresolved: bool) -> tuple[dict, i
 def _cmd_decompose(config: ScenarioConfig) -> tuple[dict, int]:
     if config.field_name is None:
         raise ConfigError("field: the decompose command needs an analytic field name")
-    field = _base_field(config)
+    field = _field(config)
     if not field.smooth_c2:
         raise ConfigError(f"field: {config.field_name!r} does not have a C^2 evaluator")
-    decomposition = cc_decompose_c2(field, config.decompose_radius)
+    try:
+        decomposition = cc_decompose_c2(field, config.decompose_radius)
+    except ValueError as exc:  # the sampled Hessian overflowed
+        raise ConfigError(f"decompose.radius: {exc} at radius {config.decompose_radius}") from None
 
     rng = np.random.default_rng(config.seed)
     radius = config.decompose_radius
@@ -247,6 +256,9 @@ def main(argv=None) -> int:
     except FamilyBudgetError as exc:
         print(f"family budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except CoercivityError as exc:
+        print(f"convexity failure: {exc}", file=sys.stderr)
+        return EXIT_NONCONVEX
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -1,7 +1,8 @@
 """Scenario configuration: one self-describing JSON document per CLI run.
 
-Flags on the command line only override output paths and the seed; every
-numerical knob lives in the config so scenarios can be archived as fixtures.
+Flags on the command line override only output paths, the seed and
+``--allow-unresolved``; every numerical knob lives in the config so scenarios
+can be archived as fixtures.  Keys the program does not read are ignored.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 from .convex import SlopeLattice
 from .distance import DEFAULT_SEPARATION, DEFAULT_TIE_TOLERANCE
 from .geometry import ClosedSetSpec, Window
-from .verify import DEFAULT_COVERAGE_TOL, DEFAULT_JUMP_FRACTION, DEFAULT_REFINE_TOL
+from .verify import DEFAULT_COVERAGE_TOL, DEFAULT_REFINE_TOL
 
 __all__ = ["ConfigError", "ScenarioConfig", "load_config", "config_digest"]
 
@@ -36,7 +37,6 @@ class ScenarioConfig:
     separation: float
     coverage_tolerance: float
     refine_tol: float
-    jump_fraction: float
     cover_axes: tuple[int, ...]
     cover_cap: int
     cover_rest_resolution: int
@@ -149,7 +149,6 @@ def parse_config(data: dict, base_dir: Path | None = None) -> ScenarioConfig:
     separation = _get_number(tol, "tolerances.separation", DEFAULT_SEPARATION, positive=True)
     coverage = _get_number(tol, "tolerances.coverage", DEFAULT_COVERAGE_TOL, positive=True)
     refine = _get_number(tol, "tolerances.refine", DEFAULT_REFINE_TOL, positive=True)
-    jump_fraction = _get_number(tol, "tolerances.jump_fraction", DEFAULT_JUMP_FRACTION, positive=True)
 
     cover = data.get("cover", {})
     if not isinstance(cover, dict):
@@ -170,6 +169,9 @@ def parse_config(data: dict, base_dir: Path | None = None) -> ScenarioConfig:
     if not isinstance(decompose, dict):
         raise ConfigError("decompose: expected an object")
     radius = _get_number(decompose, "decompose.radius", 1.0, positive=True)
+    # `decompose` probes [-2r, 2r]^n, whose squared norms must be finite; `*` overflows to inf where `**` raises.
+    finite = math.isfinite(dimension * (2.0 * radius) * (2.0 * radius))
+    _require(finite, "decompose.radius", f"too large: a squared norm on [-2r, 2r]^{dimension} overflows, got {radius}")
     dec_samples = _get_count(decompose, "decompose.samples", 1000, minimum=1)
 
     seed = data.get("seed", 0)
@@ -193,7 +195,6 @@ def parse_config(data: dict, base_dir: Path | None = None) -> ScenarioConfig:
         separation=float(separation),
         coverage_tolerance=float(coverage),
         refine_tol=float(refine),
-        jump_fraction=float(jump_fraction),
         cover_axes=tuple(axes),
         cover_cap=cap,
         cover_rest_resolution=rest_resolution,

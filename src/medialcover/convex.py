@@ -54,10 +54,16 @@ _INITIAL_HALFWIDTH = 1.0
 _MAX_DOUBLINGS = 60
 # Golden-section resolution of every marginal infimum.
 _MARGINAL_XTOL = 1e-7
+# Golden-section steps that the widest bracket needs to shrink to _MARGINAL_XTOL,
+# plus one for rounding; a row still open after them sits where one ulp of t
+# exceeds _MARGINAL_XTOL, so its bracket would never close.
+_MAX_GOLDEN_STEPS = 1 + math.ceil(
+    math.log(2.0 * _INITIAL_HALFWIDTH * 2.0**_MAX_DOUBLINGS / _MARGINAL_XTOL) / -math.log(_INVPHI)
+)
 
 
 class CoercivityError(RuntimeError):
-    """Bracket expansion failed: the objective does not look coercive."""
+    """A marginal-infimum bracket never closed: the objective does not look strongly convex at its scale."""
 
 
 @dataclass(frozen=True)
@@ -137,7 +143,9 @@ def marginal_inf_rows(field: ScalarField, axes, slopes, points) -> np.ndarray:
     takes its one new abscissa, c when it kept the left part and d when it
     kept the right, all in one ``field.evaluator`` call.  Raises
     :class:`CoercivityError`, naming the first row still open, if a bracket
-    never closes, which signals a precondition violation.
+    does not close within ``_MAX_DOUBLINGS`` doublings or
+    ``_MAX_GOLDEN_STEPS`` golden-section steps, which signals a precondition
+    violation or values too large for the resolution.
     """
     points = np.array(points, dtype=float)
     axes = np.asarray(axes, dtype=int)
@@ -180,6 +188,7 @@ def marginal_inf_rows(field: ScalarField, axes, slopes, points) -> np.ndarray:
     fc, fd = phi_rows(rows, c, d)
     out = np.empty(len(rows))
     x, on, sl = points, on_axis, slopes  # from here on, with ``rows``, the open rows only
+    steps = 0  # taken by every row still open
     while rows.size:
         w = b - a
         if not np.minimum.reduce(w) > _MARGINAL_XTOL:  # some row is done, or NaN
@@ -187,6 +196,14 @@ def marginal_inf_rows(field: ScalarField, axes, slopes, points) -> np.ndarray:
             out[rows[~keep]] = np.where(fd < fc, fd, fc)[~keep]  # Python's min(fc, fd): fc on ties, signed zeros included
             rows, a, b, c, d, fc, fd, x, on, sl = (v[keep] for v in (rows, a, b, c, d, fc, fd, x, on, sl))
             continue
+        if steps == _MAX_GOLDEN_STEPS:
+            r = rows[0]
+            raise CoercivityError(
+                f"golden-section bracket for axis {int(axes[r])}, slope {float(slopes[r])} still wider than "
+                f"{_MARGINAL_XTOL} after {_MAX_GOLDEN_STEPS} steps, at t = {float(a[0])}; "
+                "the field does not look strongly convex at this scale"
+            )
+        steps += 1
         left = fc <= fd
         a, b = np.where(left, a, c), np.where(left, d, b)
         step = _INVPHI * (b - a)

@@ -1,25 +1,20 @@
 """Distance field of a closed set: evaluation, classification, reconstruction.
 
 Every query runs on the set's packed capsule rows (see
-:mod:`medialcover.geometry`).  ``distance`` is vectorized over query points.
-``survey`` is the one kernel behind the grid sweep, the ambiguity detector
-and the single-point query ``nearest_points``: per query point it returns
-the distance, one nearest point, and the classification as lying in the set,
-having a unique nearest point, or being ambiguous.  It measures every row;
-only query points with two or more rows within ``tie_tolerance`` of the
-minimum, or at the exact centre of a shell, get projections onto those rows,
-and such a point is ambiguous when one tied projection lies more than
-``separation`` from the first.
+:mod:`medialcover.geometry`).  ``survey`` is the package's one distance query,
+behind the grid sweep, the ambiguity detector and the single-point query
+``nearest_points``: per query point it returns the distance, one nearest
+point, and the classification as lying in the set, having a unique nearest
+point, or being ambiguous.  It measures every row; only query points with
+two or more rows within ``tie_tolerance`` of the minimum, or at the exact
+centre of a shell, get projections onto those rows, and such a point is
+ambiguous when one tied projection lies more than ``separation`` from the
+first.
 
 Each query point also gets its foot box: the coordinatewise minimum and
 maximum of its nearest points.  Where no row ties it is the one projection;
 at the exact centre of a shell it spans centre -+ R on every axis, because
 the whole shell is nearest.
-
-``distance`` and ``survey`` take the minimum over rows with
-``np.minimum.reduce``, not ``ndarray.min``: the lift of
-:mod:`medialcover.fields` calls ``distance`` on a few points at a time, where
-the Python wrapper is a large share of each call.
 
 ``grid_sweep`` adds, on every grid node off the set, the gradient
 (x - q) / d(x) of the distance field, q being the survey's projection, and
@@ -48,7 +43,6 @@ __all__ = [
     "NearestResult",
     "GridSweep",
     "Survey",
-    "distance",
     "survey",
     "nearest_points",
     "grid_sweep",
@@ -74,13 +68,6 @@ class NearestResult:
 
     distance: float
     classification: Classification
-
-
-def distance(spec: ClosedSetSpec, x) -> float | np.ndarray:
-    """dist(x, E): minimum over the set's packed rows.  Vectorized over points."""
-    pts, single = _batch(x, spec.dimension)
-    d = np.minimum.reduce(spec.row_distances(pts), axis=0)
-    return float(d[0]) if single else d
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,21 +1,21 @@
-"""Scalar fields: the convex lift of a distance field and analytic test fields.
+"""Scalar fields: the strongly convex lift of a set and analytic test fields.
 
 Every field is a plain evaluator over points, vectorized over a trailing
-coordinate axis: input shape (..., n), output shape (...).  ``asplund_field``
-builds the convex function |x|^2 - dist(x, E)^2 of a closed set;
-``strongify`` adds |x|^2, which makes any convex field strongly convex with
-modulus 1.
+coordinate axis: input shape (..., n), output shape (...).  ``strongify``
+adds |x|^2, which makes any convex field strongly convex with modulus 1.
 
-``asplund_lift`` is the strongly convex lift 2|x|^2 - dist(x, E)^2 of a set
-that ``verify`` and ``cover`` search, as one evaluator on the set's packed
-rows.  ``verify`` calls it some ten thousand times, a few points each, so it
-computes |x|^2 once and takes the minimum over ``row_distances`` itself:
-one Python frame per call, and a straight run of ufunc calls
-(``np.add.reduce``, ``np.minimum.reduce``, in-place ``np.maximum``/
-``np.minimum`` clamps in the packed kernel) without NumPy's Python-level
-wrappers such as ``np.sum`` or ``np.clip``.  It forms (|x|^2 - d^2) + |x|^2
-in the order of ``strongify(asplund_field(spec))``, so the values are the
-same bits.
+``asplund_lift`` is the one evaluator of the lift 2|x|^2 - dist(x, E)^2 of
+a set that ``verify`` and ``cover`` search: |x|^2 - dist(x, E)^2 is convex
+for any nonempty closed E, and the lift adds |x|^2.  ``verify`` calls it some
+ten thousand times, a few points each, so it computes |x|^2 once and takes
+the minimum over ``row_distances`` itself: one Python frame per call, and a
+straight run of ufunc calls (``np.add.reduce``, ``np.minimum.reduce``,
+in-place ``np.maximum``/``np.minimum`` clamps in the packed kernel) without
+NumPy's Python-level wrappers such as ``np.sum`` or ``np.clip``.  It forms
+(|x|^2 - d^2) + |x|^2, the order in which ``strongify`` adds |x|^2.
+
+``named_field`` resolves the analytic fields; the command line resolves
+``asplund[:set]`` to the lift of the config's set.
 """
 
 from __future__ import annotations
@@ -25,12 +25,10 @@ from typing import Callable
 
 import numpy as np
 
-from .distance import distance
 from .geometry import ClosedSetSpec
 
 __all__ = [
     "ScalarField",
-    "asplund_field",
     "asplund_lift",
     "strongify",
     "coordinate_abs",
@@ -71,18 +69,6 @@ def _sq(x: np.ndarray) -> np.ndarray:
     return np.add.reduce(x * x, axis=-1)
 
 
-def asplund_field(spec: ClosedSetSpec) -> ScalarField:
-    """|x|^2 - dist(x, E)^2, convex for any nonempty closed E."""
-
-    def evaluate(x: np.ndarray) -> np.ndarray:
-        flat = x.reshape(-1, spec.dimension)
-        d = distance(spec, flat)
-        out = _sq(flat) - d * d
-        return out.reshape(x.shape[:-1])
-
-    return ScalarField(evaluate, spec.dimension, tag="asplund", smooth_c2=False)
-
-
 def strongify(field: ScalarField) -> ScalarField:
     """Add |x|^2; for convex input the result is strongly convex with modulus 1."""
 
@@ -93,7 +79,7 @@ def strongify(field: ScalarField) -> ScalarField:
 
 
 def asplund_lift(spec: ClosedSetSpec) -> ScalarField:
-    """2|x|^2 - dist(x, E)^2: the bits of ``strongify(asplund_field(spec))`` from one evaluator."""
+    """2|x|^2 - dist(x, E)^2: ``strongify`` of the convex |x|^2 - dist(x, E)^2, as one evaluator."""
 
     def evaluate(x: np.ndarray) -> np.ndarray:
         flat = x.reshape(-1, spec.dimension)
@@ -135,15 +121,12 @@ def quadratic_sine_blend(dimension: int, seed: int = 0) -> ScalarField:
     return ScalarField(evaluate, dimension, tag=f"blend:{seed}", smooth_c2=True)
 
 
+# The field names a config may give; the command line resolves ``asplund[:set]``.
 NAMED_FIELDS = ("abs", "norm", "sq_norm", "sin1", "blend:<seed>", "asplund[:set]")
 
 
-def named_field(name: str, dimension: int, set_spec: ClosedSetSpec | None = None) -> ScalarField:
-    """Resolve a field by its config name.
-
-    ``asplund`` and ``asplund:set`` name the lift of ``set_spec``, the config's
-    own set, and require it; ``asplund`` with any other reference is refused.
-    """
+def named_field(name: str, dimension: int) -> ScalarField:
+    """Resolve an analytic field by its config name."""
     if name == "abs":
         return coordinate_abs(dimension)
     if name == "norm":
@@ -154,8 +137,4 @@ def named_field(name: str, dimension: int, set_spec: ClosedSetSpec | None = None
         return first_coordinate_sine(dimension)
     if name.startswith("blend:"):
         return quadratic_sine_blend(dimension, seed=int(name.split(":", 1)[1]))
-    if name in ("asplund", "asplund:set"):
-        if set_spec is None:
-            raise ValueError(f"field {name!r} needs a set description")
-        return asplund_field(set_spec)
     raise ValueError(f"unknown field name {name!r}; known names: {', '.join(NAMED_FIELDS)}")

@@ -34,25 +34,26 @@ __all__ = [
     "certify_cover",
     "write_samples_csv",
     "write_overlay_svg",
-    "DEFAULT_JUMP_FRACTION",
     "DEFAULT_REFINE_TOL",
     "DEFAULT_COVERAGE_TOL",
 ]
 
-DEFAULT_JUMP_FRACTION = 0.25
 DEFAULT_REFINE_TOL = 1e-8
 DEFAULT_COVERAGE_TOL = 1e-6
-# A flagged edge's two projections lie more than this many edge lengths apart.
+# A flagged edge has an endpoint whose projection is suboptimal for the other
+# endpoint by more than _JUMP_FRACTION edge lengths, and its two projections
+# lie more than _SEPARATION_FACTOR edge lengths apart.
+_JUMP_FRACTION = 0.25
 _SEPARATION_FACTOR = 4.0
 # At most this many bisection steps per flagged edge.
 _MAX_BISECTIONS = 64
 
 
-def _flagged_edges(spec, window, resolution, jump_fraction, tie_tolerance, separation):
+def _flagged_edges(spec, window, resolution, tie_tolerance, separation):
     """Grid survey returning directly ambiguous nodes, with their feet, and branch-crossing edges.
 
-    An edge is a branch crossing when each endpoint's projection is clearly
-    suboptimal for the other endpoint (more than ``jump_fraction`` edge
+    An edge is a branch crossing when one endpoint's projection is clearly
+    suboptimal for the other endpoint (more than ``_JUMP_FRACTION`` edge
     lengths) AND the two projections are separated by more than
     ``_SEPARATION_FACTOR`` edge lengths.  The second condition rejects the
     tangential projection drift that any curve primitive induces on edges
@@ -87,7 +88,7 @@ def _flagged_edges(spec, window, resolution, jump_fraction, tie_tolerance, separ
         sub_ba = np.linalg.norm(xa - pb, axis=-1) - da
         step = axes[k][1] - axes[k][0]
         branch_gap = np.linalg.norm(pa - pb, axis=-1)
-        flag = (np.maximum(sub_ab, sub_ba) > jump_fraction * step) & (branch_gap > _SEPARATION_FACTOR * step)
+        flag = (np.maximum(sub_ab, sub_ba) > _JUMP_FRACTION * step) & (branch_gap > _SEPARATION_FACTOR * step)
         parts.append(tuple(v[flag] for v in (xa, xb, pa, pb)))
     return direct, tuple(np.concatenate(column) for column in zip(*parts))
 
@@ -134,7 +135,6 @@ def detect_ambiguous(
     *,
     tie_tolerance: float = DEFAULT_TIE_TOLERANCE,
     separation: float = DEFAULT_SEPARATION,
-    jump_fraction: float = DEFAULT_JUMP_FRACTION,
     refine_tol: float = DEFAULT_REFINE_TOL,
 ) -> np.ndarray:
     """Sample points of the ambiguous locus found on a window grid, with their feet.
@@ -147,7 +147,7 @@ def detect_ambiguous(
     """
     if resolution < 8:
         raise ValueError("grid resolution must be at least 8 per axis")
-    direct, edges = _flagged_edges(spec, window, resolution, jump_fraction, tie_tolerance, separation)
+    direct, edges = _flagged_edges(spec, window, resolution, tie_tolerance, separation)
     return np.concatenate([direct, _refine_edges(spec, edges, refine_tol)])
 
 

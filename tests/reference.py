@@ -15,6 +15,10 @@ deduplicates their nearest points at ``separation``.
 :meth:`ClosedSetSpec.project_rows` on the packed rows, the byte-level oracle of
 the masked-write form that the package uses.
 
+``asplund_field`` is the unfused convex field |x|^2 - dist(x, E)^2 of a set,
+the bit reference of :func:`medialcover.asplund_lift` through
+:func:`medialcover.strongify`.
+
 The finite-difference estimates of first-order data are kept here too, as
 the oracles of the exact values that the package reads off the feet:
 ``one_sided`` and ``fd_witnesses`` for the one-sided partials and witnesses
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from medialcover import Ball, Classification, ClosedSetSpec, Point, Segment, distance as set_distance
+from medialcover import Ball, Classification, ClosedSetSpec, Point, ScalarField, Segment, survey
 from medialcover.distance import DEFAULT_SEPARATION, DEFAULT_TIE_TOLERANCE
 
 
@@ -169,6 +173,18 @@ def nearest_points(
     )
 
 
+def asplund_field(spec: ClosedSetSpec) -> ScalarField:
+    """|x|^2 - dist(x, E)^2, convex for any nonempty closed E."""
+
+    def evaluate(x: np.ndarray) -> np.ndarray:
+        flat = x.reshape(-1, spec.dimension)
+        d = np.minimum.reduce(spec.row_distances(flat), axis=0)
+        out = np.add.reduce(flat * flat, axis=-1) - d * d
+        return out.reshape(x.shape[:-1])
+
+    return ScalarField(evaluate, spec.dimension, tag="asplund", smooth_c2=False)
+
+
 def one_sided(field, points, step=1e-4) -> tuple[np.ndarray, np.ndarray]:
     """(minus, plus) partials, each (K, n), along every axis at the K rows of ``points``.
 
@@ -231,11 +247,15 @@ def fd_gradients(spec, pts, step=1e-5, tie_tolerance=DEFAULT_TIE_TOLERANCE) -> t
     1 + 10*step (the field is 1-Lipschitz).  Nodes in the set get NaN.
     """
     pts = np.asarray(pts, dtype=float)
-    d0 = set_distance(spec, pts)
+
+    def d(x):
+        return survey(spec, x).distance
+
+    d0 = d(pts)
     central_h, central_h2, gap = (np.empty(pts.shape) for _ in range(3))
     for i, e in enumerate(np.eye(pts.shape[1])):
-        dp, dm = set_distance(spec, pts + step * e), set_distance(spec, pts - step * e)
-        dp2, dm2 = set_distance(spec, pts + 0.5 * step * e), set_distance(spec, pts - 0.5 * step * e)
+        dp, dm = d(pts + step * e), d(pts - step * e)
+        dp2, dm2 = d(pts + 0.5 * step * e), d(pts - 0.5 * step * e)
         central_h[:, i] = (dp - dm) / (2.0 * step)
         central_h2[:, i] = (dp2 - dm2) / step
         gap[:, i] = np.abs((dp - d0) / step - (d0 - dm) / step)

@@ -2,13 +2,17 @@
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from medialcover.cli import main
+import medialcover
+from medialcover.cli import EXIT_CONFIG, EXIT_NONCONVEX, main
 from medialcover.config import load_config
 from medialcover.distance import CSV_BLOCK_ROWS, grid_sweep
 from medialcover.geometry import Ball, ClosedSetSpec, Window
@@ -370,3 +374,64 @@ def test_analyze_writes_its_summary_to_the_configured_report(tmp_path, capsys, m
     summary = json.loads((tmp_path / "rep.json").read_text())
     assert summary["command"] == "analyze" and summary["csv"] == "grid.csv"
     assert summary["rows"] == 17 * 17 and (tmp_path / "grid.csv").exists()
+
+
+def main_in_subprocess(command, document, tmp_path, timeout=60):
+    """Exit code, last stderr line and report presence of one command in a fresh interpreter.
+
+    The timeout turns a run that does not end into a failing test.
+    """
+    config, report = tmp_path / "config.json", tmp_path / "report.json"
+    config.write_text(json.dumps(document))
+    src = str(Path(medialcover.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-m", "medialcover.cli", command, str(config), "--output", str(report)]
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=timeout, env=env)
+    return done.returncode, done.stderr.splitlines()[-1], report.exists()
+
+
+def far_points(x):
+    return {"dimension": 2, "primitives": [{"type": "point", "coords": [s * x, 0.0]} for s in (-1.0, 1.0)]}
+
+
+# Two points so far out that rounding swamps the lift on the window.  At 1e30
+# the golden-section search of `verify` once never ended, stuck where one ulp
+# of t exceeds its 1e-7 resolution; at 1e200 the bracket doubling's error
+# escaped `main` as a traceback with exit 1.
+@pytest.mark.parametrize(
+    "command, x, stuck",
+    [
+        ("verify", 1e30, "golden-section bracket for axis 0, slope -2.0 still wider than 1e-07 after 123 steps"),
+        ("verify", 1e200, "bracket for axis 0, slope -2.0 still open after 60 doublings"),
+        ("cover", 1e30, "bracket for axis 1, slope -2.0 still open after 60 doublings"),
+        ("cover", 1e200, "bracket for axis 0, slope -2.0 still open after 60 doublings"),
+    ],
+    ids=["verify-1e30", "verify-1e200", "cover-1e30", "cover-1e200"],
+)
+def test_a_marginal_infimum_that_does_not_close_exits_5_without_a_report(command, x, stuck, tmp_path):
+    document = {"set": far_points(x), "grid_resolution": 16, "lattice": {"step": 1.0, "bound": 2.0}}
+    code, message, reported = main_in_subprocess(command, document, tmp_path)
+    assert (code, reported) == (EXIT_NONCONVEX, False)
+    assert message.startswith(f"convexity failure: {stuck}")
+
+
+# Radii that once ran `decompose` into a loop that rejected every ball sample
+# (1e200: every squared norm overflowed), a ValueError traceback from the
+# Hessian sampling (blend:1 at 1e160) and an OverflowError traceback from the
+# ball sampler (1.7e308).  blend:0 at 4.7e153 passes the radius check, but its
+# sampled Hessian still overflows.
+@pytest.mark.parametrize(
+    "field, radius, message",
+    [
+        ("sin1", 1e200, "too large: a squared norm on [-2r, 2r]^2 overflows, got 1e+200"),
+        ("blend:1", 1e160, "too large: a squared norm on [-2r, 2r]^2 overflows, got 1e+160"),
+        ("sin1", 1.7e308, "too large: a squared norm on [-2r, 2r]^2 overflows, got 1.7e+308"),
+        ("blend:0", 4.7e153, "non-finite second differences while sampling the Hessian at radius 4.7e+153"),
+    ],
+    ids=["sin1-1e200", "blend1-1e160", "sin1-1.7e308", "blend0-4.7e153"],
+)
+def test_a_radius_too_large_for_floats_exits_2_without_a_report(field, radius, message, tmp_path):
+    document = {"dimension": 2, "field": field, "decompose": {"radius": radius}}
+    code, last_line, reported = main_in_subprocess("decompose", document, tmp_path)
+    assert (code, reported) == (EXIT_CONFIG, False)
+    assert last_line == f"config error: decompose.radius: {message}"

@@ -179,6 +179,15 @@ def test_asplund_of_the_configs_own_set_is_accepted(field, tmp_path, capsys):
     assert sum(graph["witness_points"] for graph in document["graphs"]) > 0
 
 
+def test_asplund_without_a_set_exits_2_through_main(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"dimension": 2, "field": "asplund"}))
+    report = tmp_path / "report.json"
+    assert main(["cover", str(config), "--output", str(report)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: field: field 'asplund' needs a set description\n"
+    assert not report.exists()
+
+
 # `cover` once counted the witness points of the set's lift against the
 # graphs of another named field.
 @pytest.mark.parametrize("field", ["norm", "sq_norm"])
@@ -191,12 +200,13 @@ def test_a_set_with_another_named_field_exits_2_through_main(field, tmp_path, ca
     assert not report.exists()
 
 
-# Finite-difference steps that the program no longer has: unknown keys are ignored.
+# Finite-difference steps and a detector fraction that the program no longer
+# reads as knobs: unknown keys are ignored.
 @pytest.mark.parametrize("command", ["verify", "analyze", "cover"])
 def test_removed_step_knobs_change_nothing_but_the_config_digest(command, tmp_path, capsys):
     document = {"set": TWO_POINTS, "grid_resolution": 17, "lattice": {"step": 1.0, "bound": 2.0}}
     outputs = []
-    for name, tolerances in (("plain", {}), ("knobs", {"fd_step": 0.5, "partial_step": 0.25})):
+    for name, tolerances in (("plain", {}), ("knobs", {"fd_step": 0.5, "partial_step": 0.25, "jump_fraction": 0.5})):
         config, report, table = (tmp_path / f"{name}.{ext}" for ext in ("json", "report", "csv"))
         config.write_text(json.dumps({**document, "tolerances": tolerances, "outputs": {"csv": str(table)}}))
         assert main([command, str(config), "--output", str(report)]) == 0

@@ -14,7 +14,7 @@ from medialcover import (
     ScalarField,
     SlopeLattice,
     Window,
-    asplund_field,
+    asplund_lift,
     cc_decompose_c2,
     convexity_probe,
     marginal_inf_rows,
@@ -34,14 +34,14 @@ WINDOW1 = Window([-2], [2])
 
 TWO_POINTS = ClosedSetSpec([Point([-1, 0]), Point([1, 0])], 2)
 # strongly convex lift of the two-point set: 2|x1| + |x|^2 - 1
-LIFT = strongify(asplund_field(TWO_POINTS))
+LIFT = asplund_lift(TWO_POINTS)
 
 
 # a sphere shell, a point and a segment, as in the benchmark's 3-D workload
 SHELLS = ClosedSetSpec(
     [Ball([0.0, 0.0, 0.0], 1.0), Point([-1.4, -1.3, -1.5]), Segment([1.0, 1.6, 1.3], [1.6, 1.0, 1.4])], 3
 )
-SHELLS_LIFT = strongify(asplund_field(SHELLS))
+SHELLS_LIFT = asplund_lift(SHELLS)
 # kinks on the planes x1 = 0, x2 = 1 and x3 = -1
 KINKS = strongify(
     ScalarField(
@@ -259,14 +259,14 @@ class TestExactWitnesses:
     def test_exact_witness_equals_the_oracle(self, case):
         spec, lattice, found = EXACT_CASES[case]()
         assert len(found)
-        lift = strongify(asplund_field(spec))
+        lift = asplund_lift(spec)
         assert nondiff_witnesses(found, lattice) == reference.fd_witnesses(lift, found[:, 0], lattice)
 
     @pytest.mark.parametrize("case", list(EXACT_CASES))
     def test_exact_partials_lie_within_the_finite_difference_error(self, case):
         # The largest measured |exact - FD| is about 1.06e-3; the bound is twice that.
         spec, _, found = EXACT_CASES[case]()
-        minus, plus = reference.one_sided(strongify(asplund_field(spec)), found[:, 0])
+        minus, plus = reference.one_sided(asplund_lift(spec), found[:, 0])
         x, foot_lo, foot_hi = found[:, 0], found[:, 1], found[:, 2]
         assert np.abs(2.0 * (x + foot_lo) - minus).max() <= 2e-3
         assert np.abs(2.0 * (x + foot_hi) - plus).max() <= 2e-3
@@ -356,6 +356,23 @@ class TestMarginalInfRows:
             marginal_inf_rows(half_open, axes, slopes, np.zeros((4, 2)))
         values = marginal_inf_rows(half_open, axes[:3], slopes[:3], np.zeros((3, 2)))
         assert values.tolist() == [reference_marginal_inf(half_open, a, s, [0.0]) for a, s in zip(axes[:3], slopes[:3])]
+
+    def test_a_minimizer_beyond_the_resolution_fails_after_the_step_cap(self):
+        # inf of t^2 - 2**42 t sits at t = 2**41, where one ulp is 2**-11: the
+        # golden-section bracket can never shrink to 1e-7.  The search once ran
+        # forever; the counting field fails the test instead.
+        calls = []
+
+        def counting(x):
+            calls.append(len(x))
+            assert len(calls) < 1000, "the golden-section search does not stop"
+            return np.add.reduce(x * x, axis=-1)
+
+        field = ScalarField(counting, 1, tag="counting")
+        with pytest.raises(CoercivityError, match=r"axis 0, slope 4398046511104\.0 still wider than 1e-07 after 123 steps"):
+            marginal_inf_rows(field, [0, 0], [2.0**42, 1.0], np.zeros((2, 1)))
+        assert calls[-1] == 1  # the coercive row closed; the far one took every step
+        assert len(calls) == 1 + 43 + 1 + 123
 
     @pytest.mark.parametrize("field", [SHELLS_LIFT, LIFT], ids=["shells3d", "two_point"])
     def test_one_evaluator_call_per_step_on_the_rows_still_open(self, field):
@@ -462,7 +479,7 @@ class TestProbes:
             ClosedSetSpec([Point([0, 0]), Ball([1, 1], 0.5), Segment([-1, 1], [-1, -1])], 2),
         ]
         for spec in specs:
-            report = convexity_probe(asplund_field(spec), WINDOW2, 10_000, seed=3)
+            report = convexity_probe(reference.asplund_field(spec), WINDOW2, 10_000, seed=3)
             assert report.max_violation <= 1e-9
 
     # F is strongly convex with modulus 1 exactly when F - |x|^2 is convex.

@@ -13,14 +13,14 @@ from medialcover.cli import main
 from medialcover.config import load_config
 from medialcover.convex import SlopeLattice
 from medialcover.cover import FamilyBudgetError, cover_family_to_dict, enumerate_cover, graph_key
-from medialcover.fields import asplund_field, strongify
+from medialcover.fields import asplund_lift
 from medialcover.geometry import Ball, ClosedSetSpec, Point, Window
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
-LIFT = strongify(asplund_field(ClosedSetSpec([Point([-1.0, 0.0]), Point([1.0, 0.0])], 2)))
+LIFT = asplund_lift(ClosedSetSpec([Point([-1.0, 0.0]), Point([1.0, 0.0])], 2))
 LATTICE = SlopeLattice(step=1.0, bound=2.0)
-LIFT_3D = strongify(asplund_field(ClosedSetSpec([Ball([0.0, 0.0, 0.0], 1.0), Point([-1.4, -1.3, -1.5])], 3)))
+LIFT_3D = asplund_lift(ClosedSetSpec([Ball([0.0, 0.0, 0.0], 1.0), Point([-1.4, -1.3, -1.5])], 3))
 
 
 def test_grid_values_are_the_graph_formula_on_direct_marginal_infima():
@@ -72,7 +72,7 @@ def test_the_cover_graph_of_each_certified_sample_is_off_it_by_the_reported_devi
     records = json.loads(report_path.read_text())["report"]["records"]
     assert records
     config, _ = load_config(FIXTURES / f"{fixture}.json")
-    lift = strongify(asplund_field(config.set_spec))
+    lift = asplund_lift(config.set_spec)
     for record in records:
         point, axis, alpha, beta = record["point"], record["axis"], record["alpha"], record["beta"]
         # A one-node grid: the window's lower corner is the sample.
@@ -118,7 +118,7 @@ def test_the_rest_grid_of_each_axis_is_the_window_grid_without_that_axis(shape, 
     assert main(["cover", str(config), "--output", str(report)]) == 0
     graphs = json.loads(report.read_text())["graphs"]
     assert sorted({g["axis"] for g in graphs}) == list(range(len(lower)))
-    lift = strongify(asplund_field(ClosedSetSpec.from_dict(shape)))
+    lift = asplund_lift(ClosedSetSpec.from_dict(shape))
     for graph in graphs:
         axis, alpha, beta = graph["axis"], graph["alpha"], graph["beta"]
         ticks = [np.linspace(lo, hi, 3).tolist() for i, (lo, hi) in enumerate(zip(lower, upper)) if i != axis]

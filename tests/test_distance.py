@@ -1,5 +1,4 @@
 import csv
-import importlib
 import tracemalloc
 from pathlib import Path
 
@@ -15,12 +14,12 @@ from medialcover import (
     Point,
     Segment,
     Window,
-    distance,
     grid_sweep,
     nearest_points,
     survey,
     write_grid_csv,
 )
+import medialcover.distance
 from medialcover.distance import DEFAULT_TIE_TOLERANCE
 import reference
 
@@ -30,28 +29,34 @@ THREE_POINTS = ClosedSetSpec([Point([0, 0]), Point([1, 0]), Point([0, 1])], 2)
 WINDOW = Window([-2, -2], [2, 2])
 SHELLS = ClosedSetSpec.from_json((Path(__file__).parent / "fixtures" / "shells_set.json").read_text())
 WINDOW3 = Window([-2.0] * 3, [2.0] * 3)
-# The package exports the function ``distance`` under the module's name.
-distance_module = importlib.import_module("medialcover.distance")
+
+
+def distances(spec, *points):
+    """The survey's distances of the given query points."""
+    return survey(spec, np.array(points, dtype=float)).distance
+
+
+def test_the_module_is_not_hidden_by_a_function_of_its_name():
+    assert medialcover.distance.survey is survey
 
 
 class TestDistance:
     def test_two_point_midpoint(self):
-        assert distance(TWO_POINTS, [0.0, 0.0]) == pytest.approx(1.0)
+        assert distances(TWO_POINTS, [0.0, 0.0]) == pytest.approx([1.0])
 
     def test_circle_center(self):
-        assert distance(CIRCLE, [0.0, 0.0]) == pytest.approx(1.0)
+        assert distances(CIRCLE, [0.0, 0.0]) == pytest.approx([1.0])
 
     def test_two_point_offset(self):
-        assert distance(TWO_POINTS, [0.5, 0.0]) == pytest.approx(0.5)
+        assert distances(TWO_POINTS, [0.5, 0.0]) == pytest.approx([0.5])
 
     def test_batch_evaluation(self):
-        vals = distance(TWO_POINTS, np.array([[0.0, 0.0], [0.5, 0.0]]))
+        vals = distances(TWO_POINTS, [0.0, 0.0], [0.5, 0.0])
         assert np.allclose(vals, [1.0, 0.5])
 
     def test_points_of_the_wrong_dimension_are_refused(self):
-        for query in (distance, nearest_points):
-            with pytest.raises(ValueError, match="dimension 2"):
-                query(TWO_POINTS, [[0.5], [0.3]])
+        with pytest.raises(ValueError, match="dimension 2"):
+            nearest_points(TWO_POINTS, [[0.5], [0.3]])
 
 
 class TestNearestPoints:
@@ -214,7 +219,7 @@ def test_distance_decays_linearly_toward_nearest_point():
         p = res.nearest[0]
         for t in (0.1, 0.5, 0.9):
             y = x + t * (p - x)
-            assert abs(distance(spec, y) - (1 - t) * res.distance) <= 1e-12
+            assert abs(distances(spec, y)[0] - (1 - t) * res.distance) <= 1e-12
         checked += 1
 
 
@@ -225,7 +230,8 @@ coords = st.tuples(st.floats(-2, 2, allow_nan=False), st.floats(-2, 2, allow_nan
 @given(x=coords, y=coords)
 def test_distance_field_is_one_lipschitz(x, y):
     x, y = np.array(x), np.array(y)
-    assert abs(distance(THREE_POINTS, x) - distance(THREE_POINTS, y)) <= np.linalg.norm(x - y) + 1e-12
+    dx, dy = distances(THREE_POINTS, x, y)
+    assert abs(dx - dy) <= np.linalg.norm(x - y) + 1e-12
 
 
 class TestGridSweep:
@@ -271,10 +277,10 @@ class TestGridSweep:
 
     @pytest.mark.parametrize("spec, window, resolution", [(SHELLS, WINDOW3, 13), (THREE_POINTS, WINDOW, 60)], ids=["3d", "2d"])
     def test_block_size_does_not_change_a_bit(self, spec, window, resolution, monkeypatch):
-        monkeypatch.setattr(distance_module, "SWEEP_BLOCK_NODES", 1 << 30)
+        monkeypatch.setattr(medialcover.distance, "SWEEP_BLOCK_NODES", 1 << 30)
         whole = grid_sweep(spec, window, resolution)
         # One kernel row block per sweep block; it does not divide the node count.
-        monkeypatch.setattr(distance_module, "SWEEP_BLOCK_NODES", 1)
+        monkeypatch.setattr(medialcover.distance, "SWEEP_BLOCK_NODES", 1)
         blocked = grid_sweep(spec, window, resolution)
         assert len(whole.points) % spec._block and len(whole.points) > spec._block
         assert blocked.classifications == whole.classifications
@@ -286,5 +292,5 @@ def test_project_returns_a_nearest_point():
     rng = np.random.default_rng(5)
     pts = WINDOW.sample(rng, 200)
     proj = survey(THREE_POINTS, pts).projection
-    d = distance(THREE_POINTS, pts)
+    d = survey(THREE_POINTS, pts).distance
     assert np.allclose(np.linalg.norm(pts - proj, axis=1), d, atol=1e-12)

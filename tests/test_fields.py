@@ -10,13 +10,13 @@ from medialcover import (
     PolygonBoundary,
     Segment,
     Window,
-    asplund_field,
     asplund_lift,
     named_field,
     quadratic_sine_blend,
     squared_norm,
     strongify,
 )
+from reference import asplund_field
 from test_kernel import MIXED, queries
 
 TWO_POINTS = ClosedSetSpec([Point([-1, 0]), Point([1, 0])], 2)
@@ -81,12 +81,6 @@ class TestNamedFields:
         assert a(x) == b(x)
         assert a(x) != c(x)
 
-    def test_asplund_reference_needs_a_set(self):
-        with pytest.raises(ValueError, match="needs a set"):
-            named_field("asplund:set", 2)
-        f = named_field("asplund:set", 2, set_spec=TWO_POINTS)
-        assert f([0.5, 0.0]) == pytest.approx(0.0)
-
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown field"):
             named_field("mystery", 2)
@@ -104,7 +98,7 @@ def test_field_shape_handling():
 
 
 def test_lift_is_vectorized_consistently():
-    f = strongify(asplund_field(CIRCLE))
+    f = asplund_lift(CIRCLE)
     pts = Window([-2, -2], [2, 2]).sample(np.random.default_rng(3), 64)
     batch = f(pts)
     single = np.array([f(p) for p in pts])
@@ -131,7 +125,7 @@ def test_lift_gives_the_same_bits_whatever_the_batch_size(spec):
     count = 2 * spec._block + 2
     pts = Window([-2.0] * spec.dimension, [2.0] * spec.dimension).sample(np.random.default_rng(7), count)
     pts[0] = spec.starts[np.flatnonzero(spec.radii)[0]]  # a shell centre
-    lift = strongify(asplund_field(spec))
+    lift = asplund_lift(spec)
     batch = lift(pts)
     assert np.array_equal(batch, np.array([lift(p) for p in pts]))
     assert np.array_equal(batch, np.concatenate([lift(pts[k : k + 2]) for k in range(0, count, 2)]))

@@ -11,7 +11,6 @@ from medialcover import (
     PolygonBoundary,
     Segment,
     Window,
-    distance,
     grid_sweep,
     nearest_points,
     survey,
@@ -75,8 +74,7 @@ def test_ball_center_query_flags_infinite_set():
 
 
 def test_polygon_distance_and_corner_projection():
-    assert distance(SQUARE_SET, [0.5, -1.0]) == pytest.approx(1.0)
-    assert distance(SQUARE_SET, [2.0, 2.0]) == pytest.approx(np.sqrt(2))
+    assert survey(SQUARE_SET, np.array([[0.5, -1.0], [2.0, 2.0]])).distance == pytest.approx([1.0, np.sqrt(2)])
     assert np.allclose(survey(SQUARE_SET, np.array([[2.0, 2.0]])).projection[0], [1.0, 1.0])
 
 
@@ -127,8 +125,8 @@ def test_unit_square_diagonals_are_ambiguous(t):
 def test_nearest_points_attain_the_distance(primitive):
     spec = ClosedSetSpec([primitive], 2)
     rng = np.random.default_rng(42)
-    for x in rng.uniform(-2, 2, size=(50, 2)):
-        d = distance(spec, x)
+    xs = rng.uniform(-2, 2, size=(50, 2))
+    for x, d in zip(xs, survey(spec, xs).distance.tolist()):
         pts = reference.nearest_points(spec, x).nearest
         best = min(np.linalg.norm(x - p) for p in pts)
         assert abs(best - d) <= 1e-12 * (1 + d)
@@ -145,8 +143,8 @@ def test_primitive_distance_is_one_lipschitz(primitive):
     rng = np.random.default_rng(7)
     x = rng.uniform(-3, 3, size=(10_000, 2))
     y = rng.uniform(-3, 3, size=(10_000, 2))
-    dx = distance(spec, x)
-    dy = distance(spec, y)
+    dx = survey(spec, x).distance
+    dy = survey(spec, y).distance
     assert np.all(np.abs(dx - dy) <= np.linalg.norm(x - y, axis=1) + 1e-12)
 
 

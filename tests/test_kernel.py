@@ -12,7 +12,6 @@ from medialcover import (
     PolygonBoundary,
     Segment,
     Window,
-    distance,
     grid_sweep,
     nearest_points,
     survey,
@@ -57,8 +56,8 @@ def test_distances_match_the_primitives(spec):
     ref = reference_table(spec, pts)
     assert np.all(np.abs(spec.row_distances(pts) - ref) <= 1e-12 * (1.0 + ref))
     d = ref.min(axis=0)
-    assert np.all(np.abs(distance(spec, pts) - d) <= 1e-12 * (1.0 + d))
-    assert distance(spec, pts[0]) == pytest.approx(d[0], rel=1e-12, abs=1e-12)
+    assert np.all(np.abs(survey(spec, pts).distance - d) <= 1e-12 * (1.0 + d))
+    assert nearest_points(spec, pts[0]).distance == pytest.approx(d[0], rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize("spec", MIXED)

@@ -50,7 +50,6 @@ def fixture_case(name, resolution=None):
         spec,
         config.window,
         resolution or config.grid_resolution,
-        config.jump_fraction,
         config.tie_tolerance,
         config.separation,
     )
@@ -59,7 +58,7 @@ def fixture_case(name, resolution=None):
 
 def voronoi_case(seed):
     spec = ClosedSetSpec([Point(p) for p in random_sites(seed)], 2)
-    _, edges = _flagged_edges(spec, WINDOW, 32, 0.25, 1e-9, 1e-6)
+    _, edges = _flagged_edges(spec, WINDOW, 32, 1e-9, 1e-6)
     return spec, edges, 1e-8
 
 
@@ -120,7 +119,7 @@ def test_a_bracket_refines_the_same_in_any_subset_or_order_of_its_batch(case):
 
 def test_no_flagged_edges_refine_to_nothing():
     spec = ClosedSetSpec([Point([0.0, 0.0])], 2)
-    _, edges = _flagged_edges(spec, Window([-1.0, -1.0], [1.0, 1.0]), 16, 0.25, 1e-9, 1e-6)
+    _, edges = _flagged_edges(spec, Window([-1.0, -1.0], [1.0, 1.0]), 16, 1e-9, 1e-6)
     assert [v.shape for v in edges] == [(0, 2)] * 4
     assert_bit_identical(_refine_edges(spec, edges, 1e-8), np.empty((0, 3, 2)))
     assert_bit_identical(reference_refine_edges(spec, edges, 1e-8), np.empty((0, 3, 2)))
