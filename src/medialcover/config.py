@@ -2,7 +2,9 @@
 
 Flags on the command line override only output paths, the seed and
 ``--allow-unresolved``; every numerical knob lives in the config so scenarios
-can be archived as fixtures.  Keys the program does not read are ignored.
+can be archived as fixtures.  Keys the program does not read are ignored,
+among them ``tolerances.coverage`` and ``cover.axes``: a sample counts as
+covered within 1e-6 of its graph, and the cover family spans every axis.
 """
 
 from __future__ import annotations
@@ -13,10 +15,12 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .convex import SlopeLattice
 from .distance import DEFAULT_SEPARATION, DEFAULT_TIE_TOLERANCE
 from .geometry import ClosedSetSpec, Window
-from .verify import DEFAULT_COVERAGE_TOL, DEFAULT_REFINE_TOL
+from .verify import DEFAULT_REFINE_TOL
 
 __all__ = ["ConfigError", "ScenarioConfig", "load_config", "config_digest"]
 
@@ -35,9 +39,7 @@ class ScenarioConfig:
     field_name: str | None
     tie_tolerance: float
     separation: float
-    coverage_tolerance: float
     refine_tol: float
-    cover_axes: tuple[int, ...]
     cover_cap: int
     cover_rest_resolution: int
     decompose_radius: float
@@ -81,6 +83,16 @@ def _get_count(data: dict, name: str, default: int, minimum: int) -> int:
     return int(value)
 
 
+def _squares_fit(dimension: int, h: float) -> bool:
+    """Whether n * (2h)^2, the largest squared distance in [-h, h]^n, is finite; ``*`` overflows to inf where ``**`` raises."""
+    return math.isfinite(dimension * (2.0 * h) * (2.0 * h))
+
+
+def _half_width(spec: ClosedSetSpec) -> float:
+    """The largest |coordinate| of a point, segment end or shell centre of the set, plus the largest shell radius."""
+    return float(np.abs([spec.starts, spec.starts + spec.directions]).max()) + float(spec.radii.max())
+
+
 def _load_set(entry, base_dir: Path) -> ClosedSetSpec:
     if isinstance(entry, str):
         path = Path(entry)
@@ -120,6 +132,11 @@ def parse_config(data: dict, base_dir: Path | None = None) -> ScenarioConfig:
     else:
         raise ConfigError("dimension: required when no set is given")
     _require(dimension in (1, 2, 3), "dimension", f"must be 1, 2 or 3, got {dimension}")
+    # Distances are computed from squared coordinate differences.
+    if set_spec is not None:
+        reach = _half_width(set_spec)
+        message = f"too large: a squared distance overflows, with coordinates and radii reaching {reach:g}"
+        _require(_squares_fit(dimension, reach), "set", message)
 
     window_data = data.get("window", {"lower": [-2.0] * dimension, "upper": [2.0] * dimension})
     if not isinstance(window_data, dict) or "lower" not in window_data or "upper" not in window_data:
@@ -129,6 +146,9 @@ def parse_config(data: dict, base_dir: Path | None = None) -> ScenarioConfig:
     except ValueError as exc:
         raise ConfigError(f"window: {exc}") from None
     _require(window.dimension == dimension, "window", f"dimension {window.dimension} != {dimension}")
+    reach = float(np.abs([window.lower, window.upper]).max())
+    message = f"too large: a squared distance overflows, with corners reaching {reach:g}"
+    _require(_squares_fit(dimension, reach), "window", message)
 
     resolution = _get_count(data, "grid_resolution", 64, minimum=8)
 
@@ -147,21 +167,11 @@ def parse_config(data: dict, base_dir: Path | None = None) -> ScenarioConfig:
         raise ConfigError("tolerances: expected an object")
     tie = _get_number(tol, "tolerances.tie", DEFAULT_TIE_TOLERANCE, positive=True)
     separation = _get_number(tol, "tolerances.separation", DEFAULT_SEPARATION, positive=True)
-    coverage = _get_number(tol, "tolerances.coverage", DEFAULT_COVERAGE_TOL, positive=True)
     refine = _get_number(tol, "tolerances.refine", DEFAULT_REFINE_TOL, positive=True)
 
     cover = data.get("cover", {})
     if not isinstance(cover, dict):
         raise ConfigError("cover: expected an object")
-    axes = cover.get("axes", list(range(dimension)))
-    # A repeated axis would enumerate its graphs twice; JSON true and false are not axis indices.
-    if (
-        not isinstance(axes, list)
-        or not axes
-        or not all(isinstance(a, int) and not isinstance(a, bool) and 0 <= a < dimension for a in axes)
-        or len(set(axes)) != len(axes)
-    ):
-        raise ConfigError(f"cover.axes: expected a non-empty list of distinct axis indices in [0, {dimension - 1}]")
     cap = _get_count(cover, "cover.cap", 64, minimum=1)
     rest_resolution = _get_count(cover, "cover.rest_resolution", 9, minimum=1)
 
@@ -169,9 +179,9 @@ def parse_config(data: dict, base_dir: Path | None = None) -> ScenarioConfig:
     if not isinstance(decompose, dict):
         raise ConfigError("decompose: expected an object")
     radius = _get_number(decompose, "decompose.radius", 1.0, positive=True)
-    # `decompose` probes [-2r, 2r]^n, whose squared norms must be finite; `*` overflows to inf where `**` raises.
-    finite = math.isfinite(dimension * (2.0 * radius) * (2.0 * radius))
-    _require(finite, "decompose.radius", f"too large: a squared norm on [-2r, 2r]^{dimension} overflows, got {radius}")
+    # `decompose` probes [-2r, 2r]^n, whose squared norms must be finite.
+    message = f"too large: a squared norm on [-2r, 2r]^{dimension} overflows, got {radius}"
+    _require(_squares_fit(dimension, radius), "decompose.radius", message)
     dec_samples = _get_count(decompose, "decompose.samples", 1000, minimum=1)
 
     seed = data.get("seed", 0)
@@ -193,9 +203,7 @@ def parse_config(data: dict, base_dir: Path | None = None) -> ScenarioConfig:
         field_name=field_name,
         tie_tolerance=float(tie),
         separation=float(separation),
-        coverage_tolerance=float(coverage),
         refine_tol=float(refine),
-        cover_axes=tuple(axes),
         cover_cap=cap,
         cover_rest_resolution=rest_resolution,
         decompose_radius=float(radius),

@@ -248,16 +248,21 @@ def radial_cutoff(x: np.ndarray, radius: float) -> np.ndarray:
 
 
 # Hessian sampling of `cc_decompose_c2`: grid nodes per axis, difference
-# step, and the factor on the sampled bound.
+# step on a box of half-width at least 1, and the factor on the sampled bound.
 _HESSIAN_GRID = 17
 _HESSIAN_STEP = 1e-3
 _HESSIAN_SAFETY = 1.5
 
 
 def sampled_hessian_bound(field: ScalarField, radius: float) -> float:
-    """Max spectral norm of the finite-difference Hessian over a grid on [-radius, radius]^n."""
+    """Max spectral norm of the finite-difference Hessian over a grid on [-radius, radius]^n.
+
+    The difference step shrinks with a box smaller than [-1, 1]^n, so it stays
+    inside the box; it does not grow with a larger box, where a coarse step
+    would miss the curvature between grid nodes.
+    """
     n = field.dimension
-    step = _HESSIAN_STEP
+    step = _HESSIAN_STEP * min(1.0, radius)
     axes = [np.linspace(-radius, radius, _HESSIAN_GRID)] * n
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)

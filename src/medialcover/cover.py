@@ -53,22 +53,13 @@ def graph_coordinate(alpha: float, beta: float, value_alpha: float, value_beta: 
     return (value_alpha - value_beta) / (beta - alpha) + offset
 
 
-def enumerate_cover(
-    base: ScalarField,
-    axes,
-    lattice: SlopeLattice,
-    cap: int,
-) -> list[tuple[int, float, float]]:
-    """All (axis, alpha < beta) triples, axis-major then alpha then beta ascending."""
-    axes = tuple(int(a) for a in axes)
-    for a in axes:
-        if not 0 <= a < base.dimension:
-            raise ValueError(f"axis {a} out of range for dimension {base.dimension}")
-    total = len(axes) * lattice.pair_count()
+def enumerate_cover(dimension: int, lattice: SlopeLattice, cap: int) -> list[tuple[int, float, float]]:
+    """All (axis, alpha < beta) triples over every axis, axis-major then alpha then beta ascending."""
+    total = dimension * lattice.pair_count()
     if total > cap:
         raise FamilyBudgetError(f"family would need {total} graphs, exceeding the cap of {cap}")
     slopes = lattice.points()
-    return [(a, float(alpha), float(beta)) for a in axes for alpha, beta in itertools.combinations(slopes, 2)]
+    return [(a, float(alpha), float(beta)) for a in range(dimension) for alpha, beta in itertools.combinations(slopes, 2)]
 
 
 def cover_family_to_dict(base: ScalarField, graphs, window: Window, resolution: int) -> list[dict]:

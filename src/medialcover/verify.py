@@ -35,11 +35,11 @@ __all__ = [
     "write_samples_csv",
     "write_overlay_svg",
     "DEFAULT_REFINE_TOL",
-    "DEFAULT_COVERAGE_TOL",
 ]
 
 DEFAULT_REFINE_TOL = 1e-8
-DEFAULT_COVERAGE_TOL = 1e-6
+# A sample is covered when its graph passes within this vertical distance of it.
+_COVERAGE_TOL = 1e-6
 # A flagged edge has an endpoint whose projection is suboptimal for the other
 # endpoint by more than _JUMP_FRACTION edge lengths, and its two projections
 # lie more than _SEPARATION_FACTOR edge lengths apart.
@@ -156,7 +156,6 @@ def certify_cover(
     found: np.ndarray,
     lattice: SlopeLattice,
     *,
-    coverage_tolerance: float,
     fault_offset: float,
 ) -> dict:
     """Certify that covering graphs pass through the detected samples.
@@ -169,7 +168,8 @@ def certify_cover(
     marginal-value identities.  One lift call evaluates all resolved samples
     and one two-row search gives each sample's two marginal infima, so a
     sample's record does not depend on the other samples.  Samples without a
-    resolvable gap are reported as unresolved.  Returns the report as the
+    resolvable gap are reported as unresolved.  A record is covered when its
+    deviation is at most ``_COVERAGE_TOL``.  Returns the report as the
     ``verify`` command writes it: the counts, the per-sample ``records`` and
     the ``unresolved_points``.
 
@@ -203,14 +203,14 @@ def certify_cover(
             }
         )
     max_deviation = max((r["deviation"] for r in records), default=0.0)
-    covered = sum(1 for r in records if r["deviation"] <= coverage_tolerance)
+    covered = sum(1 for r in records if r["deviation"] <= _COVERAGE_TOL)
     return {
         "samples": len(records),
         "covered": covered,
         "max_deviation": max_deviation,
-        "tolerance": coverage_tolerance,
+        "tolerance": _COVERAGE_TOL,
         "unresolved": len(unresolved),
-        "pass": covered == len(records) and max_deviation <= coverage_tolerance,
+        "pass": covered == len(records) and max_deviation <= _COVERAGE_TOL,
         "records": records,
         "unresolved_points": unresolved,
     }
@@ -234,7 +234,8 @@ def write_overlay_svg(spec: ClosedSetSpec, window: Window, samples: np.ndarray, 
     """Render the set and the (K, 2) sample points as SVG to ``path``.
 
     Each axis of the window is stretched to the full width or height, so a
-    shell is drawn as an ellipse with one radius per axis.
+    shell is drawn as an ellipse with one radius per axis.  Points and shells
+    of radius 0 are drawn as black dots.
     """
     if spec.dimension != 2:
         raise ValueError("SVG overlay is only available in two dimensions")
@@ -251,18 +252,18 @@ def write_overlay_svg(spec: ClosedSetSpec, window: Window, samples: np.ndarray, 
         f'<rect width="{size}" height="{size}" fill="white" stroke="black"/>',
     ]
     for p in spec.primitives:
-        if isinstance(p, Point):
-            cx, cy = to_px(p.coords)
-            parts.append(f'<circle cx="{cx}" cy="{cy}" r="4" fill="black"/>')
-        elif isinstance(p, Segment):
+        if isinstance(p, Segment):
             (x1, y1), (x2, y2) = to_px(p.a), to_px(p.b)
             parts.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="black" stroke-width="2"/>')
-        elif isinstance(p, Ball):
+        elif isinstance(p, Ball) and p.radius > 0.0:
             cx, cy = to_px(p.center)
             rx, ry = p.radius / span[0] * size, p.radius / span[1] * size
             parts.append(
                 f'<ellipse cx="{cx}" cy="{cy}" rx="{rx:.2f}" ry="{ry:.2f}" fill="none" stroke="black" stroke-width="2"/>'
             )
+        else:  # a point, or a shell of radius 0, which is its centre
+            cx, cy = to_px(p.coords if isinstance(p, Point) else p.center)
+            parts.append(f'<circle cx="{cx}" cy="{cy}" r="4" fill="black"/>')
     for p in samples:
         cx, cy = to_px(p)
         parts.append(f'<circle cx="{cx}" cy="{cy}" r="1.5" fill="#c03030"/>')

@@ -13,9 +13,9 @@ import pytest
 
 import medialcover
 from medialcover.cli import EXIT_CONFIG, EXIT_NONCONVEX, main
-from medialcover.config import load_config
+from medialcover.config import load_config, parse_config
 from medialcover.distance import CSV_BLOCK_ROWS, grid_sweep
-from medialcover.geometry import Ball, ClosedSetSpec, Window
+from medialcover.geometry import Ball, ClosedSetSpec, Point, Window
 from medialcover.verify import write_overlay_svg, write_samples_csv
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -163,6 +163,19 @@ def test_a_shell_on_a_non_square_window_is_drawn_with_one_radius_per_axis(tmp_pa
     ellipse = re.search(r'<ellipse cx="([^"]+)" cy="([^"]+)" rx="([^"]+)" ry="([^"]+)"', svg.read_text())
     assert ellipse is not None
     assert [float(v) for v in ellipse.groups()] == [320.0, 320.0, 80.0, 160.0]  # ry = 2 rx on a window half as high
+
+
+# A shell of radius 0, which the kernel treats as its centre, was once drawn as
+# an ellipse of radii 0.00 that could not be seen.
+def test_a_shell_of_radius_0_is_drawn_as_its_centre_point(tmp_path):
+    window, samples = Window([-2.0, -1.0], [2.0, 1.0]), np.array([[0.0, 0.5]])
+    drawn = []
+    for name, primitive in (("shell", Ball([0.5, 0.25], 0.0)), ("point", Point([0.5, 0.25]))):
+        svg = tmp_path / f"{name}.svg"
+        write_overlay_svg(ClosedSetSpec([primitive], 2), window, samples, svg)
+        drawn.append(svg.read_text())
+    assert drawn[0] == drawn[1]
+    assert '<circle cx="400.00" cy="240.00" r="4" fill="black"/>' in drawn[0] and "<ellipse" not in drawn[0]
 
 
 # Each path a command writes, placed under a directory that does not exist.
@@ -396,17 +409,18 @@ def far_points(x):
 
 # Two points so far out that rounding swamps the lift on the window.  At 1e30
 # the golden-section search of `verify` once never ended, stuck where one ulp
-# of t exceeds its 1e-7 resolution; at 1e200 the bracket doubling's error
-# escaped `main` as a traceback with exit 1.
+# of t exceeds its 1e-7 resolution; at 1e200, which is now refused as a
+# config error, the bracket doubling's error escaped `main` as a traceback
+# with exit 1.  1e100 reaches that error too.
 @pytest.mark.parametrize(
     "command, x, stuck",
     [
         ("verify", 1e30, "golden-section bracket for axis 0, slope -2.0 still wider than 1e-07 after 123 steps"),
-        ("verify", 1e200, "bracket for axis 0, slope -2.0 still open after 60 doublings"),
+        ("verify", 1e100, "bracket for axis 0, slope -2.0 still open after 60 doublings"),
         ("cover", 1e30, "bracket for axis 1, slope -2.0 still open after 60 doublings"),
-        ("cover", 1e200, "bracket for axis 0, slope -2.0 still open after 60 doublings"),
+        ("cover", 1e100, "bracket for axis 0, slope -2.0 still open after 60 doublings"),
     ],
-    ids=["verify-1e30", "verify-1e200", "cover-1e30", "cover-1e200"],
+    ids=["verify-1e30", "verify-1e100", "cover-1e30", "cover-1e100"],
 )
 def test_a_marginal_infimum_that_does_not_close_exits_5_without_a_report(command, x, stuck, tmp_path):
     document = {"set": far_points(x), "grid_resolution": 16, "lattice": {"step": 1.0, "bound": 2.0}}
@@ -435,3 +449,55 @@ def test_a_radius_too_large_for_floats_exits_2_without_a_report(field, radius, m
     code, last_line, reported = main_in_subprocess("decompose", document, tmp_path)
     assert (code, reported) == (EXIT_CONFIG, False)
     assert last_line == f"config error: decompose.radius: {message}"
+
+
+# Coordinates whose squared distances overflow once gave every `analyze` node
+# the distance inf and the class AMBIGUOUS (exit 0), and ended `verify` with
+# exit 5 after overflow warnings.  In 2-D the largest squared distance 2 (2L)^2
+# of the box [-L, L]^2 overflows from L = 4.74e153 on.
+FAR_SHELL = {"type": "ball", "center": [3e153, 0.0], "radius": 3e153}
+SET_TOO_LARGE = "set: too large: a squared distance overflows, with coordinates and radii reaching "
+OVERFLOWING = [
+    ("verify", {"set": far_points(1e200)}, SET_TOO_LARGE + "1e+200"),
+    ("cover", {"set": far_points(1e200)}, SET_TOO_LARGE + "1e+200"),
+    ("analyze", {"set": far_points(1e200)}, SET_TOO_LARGE + "1e+200"),
+    ("verify", {"set": far_points(4.8e153)}, SET_TOO_LARGE + "4.8e+153"),
+    ("verify", {"set": {"dimension": 2, "primitives": [FAR_SHELL]}}, SET_TOO_LARGE + "6e+153"),
+    (
+        "analyze",
+        {"set": far_points(1.0), "window": {"lower": [-1e200, -2.0], "upper": [2.0, 2.0]}},
+        "window: too large: a squared distance overflows, with corners reaching 1e+200",
+    ),
+]
+
+
+OVERFLOWING_IDS = ["verify-1e200", "cover-1e200", "analyze-1e200", "verify-4.8e153", "shell", "window"]
+
+
+@pytest.mark.parametrize("command, document, message", OVERFLOWING, ids=OVERFLOWING_IDS)
+def test_coordinates_whose_squared_distances_overflow_exit_2_without_a_report(command, document, message, tmp_path):
+    table = tmp_path / "grid.csv"
+    document = {**document, "grid_resolution": 16, "outputs": {"csv": str(table)}}
+    code, last_line, reported = main_in_subprocess(command, document, tmp_path)
+    assert (code, reported, table.exists()) == (EXIT_CONFIG, False, False)
+    assert last_line == f"config error: {message}"
+
+
+def test_coordinates_just_inside_the_float_range_are_accepted():
+    assert parse_config({"set": far_points(4.7e153)}).set_spec is not None
+
+
+# At radii below the 1e-3 difference step of the Hessian sampling, the second
+# differences once reached outside the sampled box, and `decompose` exited 5
+# on every C^2 field.
+SMALL = [(field, dimension) for field in ("sin1", "sq_norm", "blend:1") for dimension in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("radius", [1e-4, 1e-12])
+@pytest.mark.parametrize("field, dimension", SMALL, ids=[f"{f}-{d}d" for f, d in SMALL])
+def test_a_small_radius_decomposes_into_a_convex_part_that_passes_the_probe(field, dimension, radius, tmp_path, capsys):
+    config, report = tmp_path / "config.json", tmp_path / "report.json"
+    config.write_text(json.dumps({"dimension": dimension, "field": field, "decompose": {"radius": radius, "samples": 50}}))
+    assert main(["decompose", str(config), "--output", str(report)]) == 0
+    probe = json.loads(report.read_text())["convexity_probe"]
+    assert probe["pass"] and probe["max_violation"] <= probe["tolerance"]

@@ -20,7 +20,7 @@ MALFORMED = [
     ("lattice.step", {"lattice": {"step": -0.5}}),
     ("tolerances.tie", {"tolerances": {"tie": 0.0}}),
     ("tolerances.tie", {"tolerances": {"tie": -1e-9}}),
-    ("cover.axes", {"cover": {"axes": [2]}}),
+    ("cover", {"cover": [2]}),
     ("seed", {"seed": True}),
     ("outputs", {"outputs": {"report": 3}}),
     ("field", {"field": 3}),
@@ -99,12 +99,11 @@ def test_a_file_that_is_not_utf8_exits_2_and_names_itself(which, tmp_path, capsy
     assert not report.exists()
 
 
-# Counts that were once truncated to an integer, and an axis list that once meant every axis.
+# Counts that were once truncated to an integer.
 NOT_A_COUNT = [
     ("cover.rest_resolution", {"cover": {"rest_resolution": 2.5}}, "must be an integer"),
     ("cover.cap", {"cover": {"cap": 6.7}}, "must be an integer"),
     ("decompose.samples", {"decompose": {"samples": 10.9}}, "must be an integer"),
-    ("cover.axes", {"cover": {"axes": []}}, "expected a non-empty list"),
 ]
 
 
@@ -116,25 +115,6 @@ def test_fractional_count_or_empty_axes_exits_2_through_main(name, patch, messag
     assert main(["cover", str(config), "--output", str(report)]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith(f"config error: {name}: {message}")
     assert not report.exists()
-
-
-# A repeated axis once listed its graphs twice and credited every witness to
-# the second copy; JSON true once passed as axis 1.
-BAD_AXES = {"repeated": [0, 0], "repeated-apart": [1, 0, 1], "true": [True], "false-and-1": [False, 1]}
-
-
-@pytest.mark.parametrize("axes", list(BAD_AXES.values()), ids=list(BAD_AXES))
-def test_repeated_or_boolean_axis_exits_2_through_main(axes, tmp_path, capsys):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"set": TWO_POINTS, "grid_resolution": 17, "cover": {"axes": axes}}))
-    report = tmp_path / "report.json"
-    assert main(["cover", str(config), "--output", str(report)]) == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith("config error: cover.axes: expected a non-empty list of distinct axis")
-    assert not report.exists()
-
-
-def test_distinct_axes_in_any_order_are_accepted():
-    assert parse_config({"set": TWO_POINTS, "cover": {"axes": [1, 0]}}).cover_axes == (1, 0)
 
 
 # A negative seed once reached np.random.default_rng in `decompose` and
@@ -200,15 +180,18 @@ def test_a_set_with_another_named_field_exits_2_through_main(field, tmp_path, ca
     assert not report.exists()
 
 
-# Finite-difference steps and a detector fraction that the program no longer
-# reads as knobs: unknown keys are ignored.
+# Finite-difference steps, a detector fraction, the coverage tolerance and the
+# cover axes, which the program no longer reads as knobs: unknown keys are ignored.
+KNOBS = {"tolerances": {"fd_step": 0.5, "partial_step": 0.25, "jump_fraction": 0.5, "coverage": 0.5}, "cover": {"axes": [1]}}
+
+
 @pytest.mark.parametrize("command", ["verify", "analyze", "cover"])
 def test_removed_step_knobs_change_nothing_but_the_config_digest(command, tmp_path, capsys):
     document = {"set": TWO_POINTS, "grid_resolution": 17, "lattice": {"step": 1.0, "bound": 2.0}}
     outputs = []
-    for name, tolerances in (("plain", {}), ("knobs", {"fd_step": 0.5, "partial_step": 0.25, "jump_fraction": 0.5})):
+    for name, knobs in (("plain", {}), ("knobs", KNOBS)):
         config, report, table = (tmp_path / f"{name}.{ext}" for ext in ("json", "report", "csv"))
-        config.write_text(json.dumps({**document, "tolerances": tolerances, "outputs": {"csv": str(table)}}))
+        config.write_text(json.dumps({**document, **knobs, "outputs": {"csv": str(table)}}))
         assert main([command, str(config), "--output", str(report)]) == 0
         written = json.loads(report.read_text())
         assert written.pop("config_sha256")

@@ -9,9 +9,9 @@ import pytest
 
 from test_convex import reference_marginal_inf
 
-from medialcover.cli import main
+from medialcover.cli import _samples, main
 from medialcover.config import load_config
-from medialcover.convex import SlopeLattice
+from medialcover.convex import SlopeLattice, nondiff_witnesses
 from medialcover.cover import FamilyBudgetError, cover_family_to_dict, enumerate_cover, graph_key
 from medialcover.fields import asplund_lift
 from medialcover.geometry import Ball, ClosedSetSpec, Point, Window
@@ -26,11 +26,11 @@ LIFT_3D = asplund_lift(ClosedSetSpec([Ball([0.0, 0.0, 0.0], 1.0), Point([-1.4, -
 def test_grid_values_are_the_graph_formula_on_direct_marginal_infima():
     # On a square window every axis has the same rest grid.
     cases = [
-        (LIFT, (0, 1), LATTICE, Window([-2.0, -2.0], [2.0, 2.0]), 5, np.linspace(-2.0, 2.0, 5)[:, None]),
-        (LIFT_3D, (0, 1, 2), SlopeLattice(step=1.0, bound=1.0), Window([-2.0] * 3, [2.0] * 3), 3, Window([-2.0, -2.0], [2.0, 2.0]).grid_points(3)),
+        (LIFT, LATTICE, Window([-2.0, -2.0], [2.0, 2.0]), 5, np.linspace(-2.0, 2.0, 5)[:, None]),
+        (LIFT_3D, SlopeLattice(step=1.0, bound=1.0), Window([-2.0] * 3, [2.0] * 3), 3, Window([-2.0, -2.0], [2.0, 2.0]).grid_points(3)),
     ]
-    for lift, axes, lattice, window, resolution, rest_nodes in cases:
-        graphs = enumerate_cover(lift, axes, lattice, cap=64)
+    for lift, lattice, window, resolution, rest_nodes in cases:
+        graphs = enumerate_cover(lift.dimension, lattice, cap=64)
         entries = cover_family_to_dict(lift, graphs, window, resolution)
         assert len(entries) == len(graphs)
         for (axis, alpha, beta), entry in zip(graphs, entries):
@@ -44,25 +44,40 @@ def test_grid_values_are_the_graph_formula_on_direct_marginal_infima():
 
 def test_enumeration_is_axis_major_then_alpha_then_beta():
     slopes = LATTICE.points().tolist()
-    expected = [(a, lo, hi) for a in (1, 0) for lo, hi in itertools.combinations(slopes, 2)]
-    assert enumerate_cover(LIFT, (1, 0), LATTICE, cap=64) == expected
+    expected = [(a, lo, hi) for a in (0, 1) for lo, hi in itertools.combinations(slopes, 2)]
+    assert enumerate_cover(2, LATTICE, cap=64) == expected
 
 
 def test_family_one_graph_over_the_cap_is_refused():
     total = 2 * LATTICE.pair_count()
-    assert len(enumerate_cover(LIFT, (0, 1), LATTICE, cap=total)) == total
+    assert len(enumerate_cover(2, LATTICE, cap=total)) == total
     with pytest.raises(FamilyBudgetError):
-        enumerate_cover(LIFT, (0, 1), LATTICE, cap=total - 1)
-
-
-@pytest.mark.parametrize("axis", [-1, 2])
-def test_enumerate_cover_rejects_an_axis_out_of_range(axis):
-    with pytest.raises(ValueError, match="out of range"):
-        enumerate_cover(LIFT, (0, axis), LATTICE, cap=64)
+        enumerate_cover(2, LATTICE, cap=total - 1)
 
 
 def test_an_empty_family_serializes_to_nothing():
     assert cover_family_to_dict(LIFT, [], Window([-2.0, -2.0], [2.0, 2.0]), 1) == []
+
+
+# The family spans every axis, so it holds the witness graph of every sample
+# whose derivative gap the cover lattice resolves.  The fixtures, then the
+# benchmark workloads at seed 303.
+WITNESSES = {"cover_two_point": 64, "cover_star": 1, "cover_shells": 21, "points2d": 33, "polygon2d": 1, "shells3d": 13}
+
+
+@pytest.mark.parametrize("name, count", list(WITNESSES.items()), ids=list(WITNESSES))
+def test_the_witness_counts_add_up_to_the_resolved_samples(name, count, tmp_path, monkeypatch, capsys):
+    config_path = FIXTURES / f"{name}.json"
+    if not config_path.exists():
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent))
+        from perfbench.workloads import WORKLOADS, write_configs
+
+        config_path = write_configs(WORKLOADS[name], 303, tmp_path)["cover"]
+    report = tmp_path / "report.json"
+    assert main(["cover", str(config_path), "--output", str(report)]) == 0
+    config, _ = load_config(config_path)
+    resolved = sum(w is not None for w in nondiff_witnesses(_samples(config), config.lattice))
+    assert sum(graph["witness_points"] for graph in json.loads(report.read_text())["graphs"]) == resolved == count
 
 
 @pytest.mark.parametrize("fixture", ["verify_two_point", "verify_shells"])

@@ -170,7 +170,6 @@ def per_sample(config, found):
         config.set_spec,
         found,
         config.lattice,
-        coverage_tolerance=config.coverage_tolerance,
         fault_offset=config.fault_offset,
     )
     records, unresolved = iter(report["records"]), iter(report["unresolved_points"])
