@@ -25,8 +25,9 @@ temporaries do not grow with the grid.
 
 ``write_grid_csv`` writes a sweep through ``write_csv``, a columnar writer
 that works one block of ``CSV_BLOCK_ROWS`` rows at a time and does not use
-the ``csv`` module.  Each grid coordinate is formatted once per axis value,
-not once per row, and every float is written as its ``repr``.
+the ``csv`` module.  Every float is written as its ``repr``.  Each grid
+coordinate is formatted once per axis value, not once per row, and each
+distinct float of a block's distance and gradient cells once per block.
 """
 
 from __future__ import annotations
@@ -215,12 +216,33 @@ CSV_BLOCK_ROWS = 512
 _FLAGS = ("false", "true")
 
 
+def _float_columns(block: np.ndarray) -> list[list[str]]:
+    """The ``repr`` text of a (rows, k) float block, one list per column.
+
+    Each distinct bit pattern of the block is formatted once: a block with no
+    repeat is formatted cell by cell, any other through ``np.unique``.  Bits,
+    not values, are the key, so ``0.0`` and ``-0.0`` keep their own text;
+    every NaN prints ``nan``.
+    """
+    cols = np.ascontiguousarray(block.T, dtype=np.float64)
+    bits = cols.view(np.int64).ravel()
+    ordered = np.sort(bits)
+    if (ordered[1:] != ordered[:-1]).all():
+        return [list(map(repr, col)) for col in cols.tolist()]
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    text = list(map(repr, distinct.view(np.float64).tolist()))
+    # ``bits`` is flat because NumPy 1.x and 2.x shape the inverse of a 2-D input differently.
+    return [list(map(text.__getitem__, col)) for col in inverse.reshape(cols.shape).tolist()]
+
+
 def write_csv(path, header: list[str], count: int, columns) -> None:
     """Write ``header`` and ``count`` rows as CSV with CRLF line ends.
 
     ``columns(lo, hi)`` returns rows ``lo`` to ``hi - 1`` as one list of
     strings per column; a float cell is the ``repr`` of a Python float,
-    the text the ``csv`` module writes for it.  The writer works one block of
+    the text the ``csv`` module writes for it.  Both table writers format
+    their float cells with ``_float_columns``, which formats each distinct
+    float of a block once.  The writer works one block of
     ``CSV_BLOCK_ROWS`` rows at a time without that module: it joins the
     block's cells with ``","`` and its rows with ``"\r\n"`` and writes the
     block with one call, so the text of the whole table is never held in
@@ -243,6 +265,9 @@ def write_grid_csv(sweep: GridSweep, path) -> None:
     A grid has ``resolution`` values per axis, so each axis value is
     formatted once; a row's value on axis ``i`` is the
     ``(row // resolution**(n - 1 - i)) % resolution``-th, last axis fastest.
+    The distance and gradient cells of a block go through
+    ``_float_columns``, so each distinct float of a block is formatted once;
+    symmetric grids and sets repeat many of them.
     """
     res, n = sweep.resolution, sweep.points.shape[1]
     header = [f"x{i + 1}" for i in range(n)] + ["d", "classification"]
@@ -254,9 +279,9 @@ def write_grid_csv(sweep: GridSweep, path) -> None:
     def columns(lo: int, hi: int) -> list[list[str]]:
         rows = np.arange(lo, hi)
         coords = [list(map(axis.__getitem__, (rows // stride % res).tolist())) for axis, stride in zip(labels, strides)]
-        grads = [list(map(repr, col)) for col in sweep.gradients[lo:hi].T.tolist()]
+        d, *grads = _float_columns(np.column_stack([sweep.values[lo:hi], sweep.gradients[lo:hi]]))
         flags = list(map(_FLAGS.__getitem__, sweep.differentiable[lo:hi].tolist()))
         # Classification members are str, so the join writes their values.
-        return [*coords, list(map(repr, sweep.values[lo:hi].tolist())), sweep.classifications[lo:hi], *grads, flags]
+        return [*coords, d, sweep.classifications[lo:hi], *grads, flags]
 
     write_csv(path, header, len(sweep.points), columns)

@@ -74,6 +74,13 @@ def _frozen_array(values, name: str, ndim: int) -> np.ndarray:
     return arr
 
 
+def _squared_lengths_fit(starts: np.ndarray, ends: np.ndarray) -> bool:
+    """Whether every squared length |end - start|^2 is finite, checked without an overflow warning."""
+    with np.errstate(over="ignore"):
+        diff = ends - starts
+        return bool(np.isfinite(np.add.reduce(diff * diff, axis=-1)).all())
+
+
 def _batch(x: np.ndarray, dimension: int) -> tuple[np.ndarray, bool]:
     """Coerce ``x`` to shape (N, dimension); report whether it was a single point."""
     arr = np.asarray(x, dtype=float)
@@ -113,6 +120,8 @@ class Segment:
             raise ValueError("segment endpoints must be vectors of equal dimension")
         if np.array_equal(self.a, self.b):
             raise ValueError("segment endpoints must be distinct")
+        if not _squared_lengths_fit(self.a, self.b):
+            raise ValueError("segment too long: its squared length overflows")
 
     @property
     def dimension(self) -> int:
@@ -136,6 +145,8 @@ class PolygonBoundary:
             for j in range(i + 1, verts.shape[0]):
                 if np.array_equal(verts[i], verts[j]):
                     raise ValueError(f"polygon vertices {i} and {j} coincide")
+        if not _squared_lengths_fit(verts, np.roll(verts, -1, axis=0)):
+            raise ValueError("polygon edge too long: its squared length overflows")
         object.__setattr__(self, "vertices", verts)
 
     @property

@@ -25,7 +25,7 @@ import numpy as np
 
 from .convex import SlopeLattice, marginal_inf_rows, nondiff_witnesses
 from .cover import graph_coordinate, graph_key
-from .distance import DEFAULT_SEPARATION, DEFAULT_TIE_TOLERANCE, survey, write_csv
+from .distance import DEFAULT_SEPARATION, DEFAULT_TIE_TOLERANCE, _float_columns, survey, write_csv
 from .fields import asplund_lift
 from .geometry import Ball, ClosedSetSpec, Point, Segment, Window
 
@@ -217,13 +217,13 @@ def certify_cover(
 
 
 def write_samples_csv(points: np.ndarray, path) -> None:
-    """Write the (K, n) sample points to ``path`` as CSV; K = 0 writes an empty file."""
+    """Write the (K, n) sample points to ``path`` as CSV; K = 0 writes an empty file.
+
+    Each distinct float of a block of rows is formatted once (see
+    ``distance.write_csv``).
+    """
     header = [f"x{i + 1}" for i in range(points.shape[1])]
-
-    def columns(lo: int, hi: int) -> list[list[str]]:
-        return [list(map(repr, col)) for col in points[lo:hi].T.tolist()]
-
-    write_csv(path, header, len(points), columns)
+    write_csv(path, header, len(points), lambda lo, hi: _float_columns(points[lo:hi]))
 
 
 # Width and height of the SVG overlay, in pixels.

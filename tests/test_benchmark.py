@@ -16,10 +16,22 @@ BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
 # A timed run reports the end-to-end metrics; a traced run the per-layer ones.
-@pytest.mark.parametrize("trace, section", [(0, "end_to_end"), (1, "per_layer")], ids=["trace0", "trace1"])
-def test_a_short_run_is_correct_and_reports_every_declared_metric(trace, section):
+# The timed run goes through the gates of every workload, the 3-D `analyze`
+# grid table included; the traced run uses polygon2d alone.
+RUNS = [
+    (0, "end_to_end", "polygon2d"),
+    (1, "per_layer", "polygon2d"),
+    (0, "end_to_end", "points2d"),
+    (0, "end_to_end", "shells3d"),
+]
+
+
+@pytest.mark.parametrize(
+    "trace, section, workload", RUNS, ids=["trace0", "trace1", "trace0-points2d", "trace0-shells3d"]
+)
+def test_a_short_run_is_correct_and_reports_every_declared_metric(trace, section, workload):
     script = BENCHMARK["command"][1:]
-    argv = [sys.executable, *script, "--workload", "polygon2d", "--seed", "1", "--seconds", "0.2", "--trace", str(trace)]
+    argv = [sys.executable, *script, "--workload", workload, "--seed", "1", "--seconds", "0.2", "--trace", str(trace)]
     done = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])

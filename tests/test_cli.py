@@ -100,8 +100,9 @@ def test_csv_bytes_match_their_golden_digest(command, fixture, tmp_path, capsys)
     assert hashlib.sha256(table).hexdigest() == GOLDEN_CSV[command, fixture]
 
 
-# Exit code and sha256 of the report of each benchmark workload config at
-# seed 303, the configs that `perfbench/run.py` times.  The reports of
+# Exit code and sha256 of the report (and of the `analyze` table) of each
+# benchmark workload config at seed 303, the configs that `perfbench/run.py`
+# times.  The reports of
 # `verify` and `cover` go through the marginal-infimum searches.
 WORKLOAD_SEED = 303
 GOLDEN_WORKLOADS = {
@@ -112,6 +113,25 @@ GOLDEN_WORKLOADS = {
     ("cover", "points2d"): (0, "b04092eb856652e256dbe06d31abd6c8d66a32c8c479c8bb0a4302f4f33dd45e"),
     ("cover", "polygon2d"): (0, "2862657c107b349470c3a98f13c1ac313ab08d908b1d245137378128bfab1dbd"),
     ("cover", "shells3d"): (0, "dcad837dab23c584bfeae461c146f244a119453ad3a34db6a149ded0945d5269"),
+    # `analyze` also pins its grid table.  Its report names the table by the
+    # path given on the command line, so both are written under fixed
+    # relative names.  The shells3d grid, 24**3 = 13,824 rows, is symmetric,
+    # so many of its cells repeat.
+    ("analyze", "points2d"): (
+        0,
+        "67324e7b758f87e0a00bca7bc37c3479808f1a693dec9d44d4d9649b630ca152",
+        "63547b9d4ac2d4afefc4f6411530560a44f1fdbb66aeec3cdaffc2c6fd128dcc",
+    ),
+    ("analyze", "polygon2d"): (
+        0,
+        "68ef7010a308a7b3da7a6a953c89675b7929a100e01a07b7b3921e7c7d56ea61",
+        "656d5dbfd221db18f30d0f693fd81c44a116aac956874f8c5d5897a7e226e449",
+    ),
+    ("analyze", "shells3d"): (
+        0,
+        "866c1e35cfb9a70dc8801048b044ba2753717a6ee773ff59891e587b1df88d5c",
+        "384c68b9839053ba7e7564bef8d1a5dcd4f0c2b0efc2812c5efeff20f4ac4588",
+    ),
 }
 
 
@@ -121,9 +141,14 @@ def test_workload_report_bytes_match_their_golden_digest(command, workload, tmp_
     from perfbench.workloads import WORKLOADS, write_configs
 
     config = write_configs(WORKLOADS[workload], WORKLOAD_SEED, tmp_path)[command]
-    report = tmp_path / "report.json"
-    code = main([command, str(config), "--output", str(report)])
-    assert (code, hashlib.sha256(report.read_bytes()).hexdigest()) == GOLDEN_WORKLOADS[command, workload]
+    monkeypatch.chdir(tmp_path)
+    argv, outputs = [command, str(config), "--output", "report.json"], ["report.json"]
+    if command == "analyze":
+        argv += ["--csv", "table.csv"]
+        outputs.append("table.csv")
+    code = main(argv)
+    digests = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in outputs]
+    assert (code, *digests) == GOLDEN_WORKLOADS[command, workload]
 
 
 def test_overlay_svg_bytes_match_their_golden_digest(tmp_path, capsys):
@@ -389,16 +414,17 @@ def test_analyze_writes_its_summary_to_the_configured_report(tmp_path, capsys, m
     assert summary["rows"] == 17 * 17 and (tmp_path / "grid.csv").exists()
 
 
-def main_in_subprocess(command, document, tmp_path, timeout=60):
+def main_in_subprocess(command, document, tmp_path, timeout=60, python_flags=()):
     """Exit code, last stderr line and report presence of one command in a fresh interpreter.
 
-    The timeout turns a run that does not end into a failing test.
+    The timeout turns a run that does not end into a failing test; ``python_flags``
+    go to the interpreter, before ``-m``.
     """
     config, report = tmp_path / "config.json", tmp_path / "report.json"
     config.write_text(json.dumps(document))
     src = str(Path(medialcover.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    argv = [sys.executable, "-m", "medialcover.cli", command, str(config), "--output", str(report)]
+    argv = [sys.executable, *python_flags, "-m", "medialcover.cli", command, str(config), "--output", str(report)]
     done = subprocess.run(argv, capture_output=True, text=True, timeout=timeout, env=env)
     return done.returncode, done.stderr.splitlines()[-1], report.exists()
 
@@ -481,6 +507,25 @@ def test_coordinates_whose_squared_distances_overflow_exit_2_without_a_report(co
     code, last_line, reported = main_in_subprocess(command, document, tmp_path)
     assert (code, reported, table.exists()) == (EXIT_CONFIG, False, False)
     assert last_line == f"config error: {message}"
+
+
+# A segment or polygon edge whose direction b - a or squared length overflows
+# once printed an overflow RuntimeWarning while the set was packed, before
+# the config error.  It is refused when it is read, with no warning.
+LONG_EDGES = [
+    ({"type": "segment", "a": [-1e308, 0.0], "b": [1e308, 0.0]}, "segment too long: its squared length overflows"),
+    ({"type": "segment", "a": [0.0, 0.0], "b": [1e200, 0.0]}, "segment too long: its squared length overflows"),
+    ({"type": "polygon", "vertices": [[-1e308, 0.0], [1e308, 0.0], [0.0, 1.0]]}, "polygon edge too long: its squared length overflows"),
+]
+
+
+@pytest.mark.parametrize("primitive, message", LONG_EDGES, ids=["segment-1e308", "segment-1e200", "polygon-1e308"])
+def test_an_edge_whose_length_overflows_exits_2_without_a_warning(primitive, message, tmp_path):
+    document = {"set": {"dimension": 2, "primitives": [{"type": "point", "coords": [0.0, 0.0]}, primitive]}, "grid_resolution": 16}
+    flags = ("-W", "error::RuntimeWarning")
+    code, last_line, reported = main_in_subprocess("verify", document, tmp_path, python_flags=flags)
+    assert (code, reported) == (EXIT_CONFIG, False)
+    assert last_line == f"config error: set: primitives[1]: {message}"
 
 
 def test_coordinates_just_inside_the_float_range_are_accepted():

@@ -1,6 +1,7 @@
 """The columnar CSV writer against a ``csv.writer`` oracle, and its memory bound."""
 
 import csv
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -80,6 +81,71 @@ def test_samples_csv_equals_the_csv_module_oracle(tmp_path):
         written.append(ours.read_bytes())
         assert written[-1] == oracle.read_bytes()
     assert b"\r\n-0.0," in written[0] and written[-1] == b""
+
+
+# Float cells that the writers format once per distinct bit pattern of a
+# block, as (rows, 3) arrays: a grid's d and two gradient columns, or three
+# sample coordinates.  Cells are keyed by bits, so the signed zeros must keep
+# their own text, and NaNs of any sign or payload print "nan".
+NAN_PAYLOAD = np.array([0x7FF8000000000001, -0x0008000000000001], dtype=np.int64).view(np.float64)
+EXTREMES = [5e-324, -5e-324, 2.225073858507201e-308, 1e-300, -1e-300, 1e300, -1e300, 1.7976931348623157e308]
+
+
+def edge_cells(name: str, rows: int) -> np.ndarray:
+    rng = np.random.default_rng(11)
+    if name == "signed-zeros":
+        return rng.choice([0.0, -0.0, 1.0, -1.0], size=(rows, 3))
+    if name == "nan-gradients":
+        cells = rng.normal(size=(rows, 3))
+        cells[::2, 1:] = np.nan
+        cells[1::4, 1:] = NAN_PAYLOAD
+        cells[3::4, 2] = -np.nan
+        return cells
+    if name == "extremes":
+        return rng.choice(EXTREMES, size=(rows, 3)) * rng.choice([1.0, 0.75, 1.0 / 3.0], size=(rows, 3))
+    if name == "all-equal":
+        return np.full((rows, 3), 0.1)
+    assert name == "all-distinct"
+    return np.arange(3 * rows).reshape(rows, 3) / 7.0 + 0.1
+
+
+EDGES = ["signed-zeros", "nan-gradients", "extremes", "all-equal", "all-distinct"]
+
+
+@pytest.mark.parametrize("name", EDGES)
+def test_grid_csv_formats_edge_case_floats_like_the_oracle(name, tmp_path):
+    spec, resolution = SWEEPS["2d"]
+    sweep = grid_sweep(spec, Window([-2.0] * 2, [2.0] * 2), resolution)
+    cells = edge_cells(name, len(sweep.points))
+    sweep = dataclasses.replace(sweep, values=cells[:, 0].copy(), gradients=cells[:, 1:].copy())
+    ours, oracle = tmp_path / "ours.csv", tmp_path / "oracle.csv"
+    write_grid_csv(sweep, ours)
+    oracle_grid_csv(sweep, oracle)
+    assert ours.read_bytes() == oracle.read_bytes()
+
+
+@pytest.mark.parametrize("name", EDGES)
+def test_samples_csv_formats_edge_case_floats_like_the_oracle(name, tmp_path):
+    ours, oracle = tmp_path / "ours.csv", tmp_path / "oracle.csv"
+    cells = edge_cells(name, 2 * CSV_BLOCK_ROWS + 100)
+    write_samples_csv(cells, ours)
+    oracle_samples_csv(cells, oracle)
+    assert ours.read_bytes() == oracle.read_bytes()
+
+
+def test_grid_csv_of_a_sphere_on_a_symmetric_window_repeats_most_floats(tmp_path):
+    # Centred on the window, the sphere's distances and gradients repeat under
+    # every reflection and axis swap of the grid.
+    spec = ClosedSetSpec([Ball([0.0, 0.0, 0.0], 1.0)], 3)
+    sweep = grid_sweep(spec, Window([-2.0] * 3, [2.0] * 3), 16)
+    cells = np.column_stack([sweep.values, sweep.gradients])
+    blocks = [cells[lo : lo + CSV_BLOCK_ROWS] for lo in range(0, len(cells), CSV_BLOCK_ROWS)]
+    assert sum(len(np.unique(b.view(np.int64))) for b in blocks) < cells.size / 2
+    for write, oracle_write, table in ((write_grid_csv, oracle_grid_csv, sweep), (write_samples_csv, oracle_samples_csv, cells)):
+        ours, oracle = tmp_path / "ours.csv", tmp_path / "oracle.csv"
+        write(table, ours)
+        oracle_write(table, oracle)
+        assert ours.read_bytes() == oracle.read_bytes()
 
 
 def test_grid_csv_holds_one_block_in_memory(tmp_path):

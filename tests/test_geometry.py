@@ -166,6 +166,16 @@ class TestValidation:
         with pytest.raises(ValueError, match="distinct"):
             Segment([1, 1], [1, 1])
 
+    # Its direction b - a overflows; a segment of length 1e154 squares to 1e308.
+    def test_segment_length_must_square_to_a_float(self):
+        with pytest.raises(ValueError, match="segment too long"):
+            Segment([-1e308, 0.0], [1e308, 0.0])
+        assert Segment([0.0, 0.0], [1e154, 0.0]).dimension == 2
+
+    def test_polygon_edge_length_must_square_to_a_float(self):
+        with pytest.raises(ValueError, match="polygon edge too long"):
+            PolygonBoundary([[0.0, 0.0], [1e200, 0.0], [0.0, 1.0]])
+
     def test_polygon_needs_three_vertices(self):
         with pytest.raises(ValueError, match="3 vertices"):
             PolygonBoundary([[0, 0], [1, 1]])
