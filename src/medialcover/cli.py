@@ -111,8 +111,9 @@ def _cmd_analyze(config: ScenarioConfig) -> tuple[dict, int]:
     )
     csv_path = config.outputs.get("csv", "analyze_grid.csv")
     write_grid_csv(sweep, csv_path)
-    tally = {cls.value: sweep.classifications.count(cls) for cls in Classification}
-    return {"rows": len(sweep.classifications), "classification_counts": tally, "csv": str(csv_path)}, EXIT_OK
+    counts = np.bincount(sweep.classes, minlength=len(Classification)).tolist()
+    tally = {cls.value: k for cls, k in zip(Classification, counts)}
+    return {"rows": len(sweep.classes), "classification_counts": tally, "csv": str(csv_path)}, EXIT_OK
 
 
 def _cmd_cover(config: ScenarioConfig) -> tuple[dict, int]:

@@ -284,6 +284,10 @@ def sampled_hessian_bound(field: ScalarField, radius: float) -> float:
                 hess[:, j, i] = mixed
     if not np.all(np.isfinite(hess)):
         raise ValueError("non-finite second differences while sampling the Hessian")
+    # Where the step is under half an ulp of the box's corner, x + step rounds
+    # to x there and the second differences read 0 however curved the field.
+    if radius + step == radius:
+        raise ValueError(f"the Hessian difference step {step:g} is lost in rounding on the box [-{radius:g}, {radius:g}]^{n}")
     eigs = np.linalg.eigvalsh(hess)
     return float(np.abs(eigs).max())
 

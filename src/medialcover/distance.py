@@ -17,10 +17,11 @@ at the exact centre of a shell it spans centre -+ R on every axis, because
 the whole shell is nearest.
 
 ``grid_sweep`` adds, on every grid node off the set, the gradient
-(x - q) / d(x) of the distance field, q being the survey's projection, and
-flags the node differentiable exactly when it is UNIQUE: off the set, d is
-differentiable where the nearest point is unique.  The sweep works in blocks
-of ``SWEEP_BLOCK_NODES`` nodes written into preallocated arrays, so its
+(x - q) / d(x) of the distance field, q being the survey's projection.  It
+stores each node's class as one int8 code, the index of the class in
+``Classification``; off the set, d is differentiable exactly at the UNIQUE
+nodes, where the nearest point is unique.  The sweep works in blocks of
+``SWEEP_BLOCK_NODES`` nodes written into preallocated arrays, so its
 temporaries do not grow with the grid.
 
 ``write_grid_csv`` writes a sweep through ``write_csv``, a columnar writer
@@ -83,11 +84,15 @@ class Survey:
     ambiguous: np.ndarray
 
     def classifications(self) -> list[Classification]:
-        codes = np.where(self.in_set, 0, np.where(self.ambiguous, 2, 1))
-        return [_BY_CODE[c] for c in codes.tolist()]
+        return [_BY_CODE[c] for c in _class_codes(self).tolist()]
 
 
-_BY_CODE = (Classification.IN_SET, Classification.UNIQUE, Classification.AMBIGUOUS)
+_BY_CODE = tuple(Classification)
+
+
+def _class_codes(surveyed: Survey) -> np.ndarray:
+    """Each query point's index in ``_BY_CODE``, as int8: 0 in the set, 1 unique, 2 ambiguous."""
+    return np.where(surveyed.in_set, 0, np.where(surveyed.ambiguous, 2, 1)).astype(np.int8)
 
 
 def survey(
@@ -142,19 +147,20 @@ def nearest_points(
 class GridSweep:
     """Vectorized distance-field evaluation over a full window grid.
 
-    ``gradients`` holds (x - q) / d(x) at every node outside the set, q being
-    the node's survey projection; nodes in the set have NaN gradients.
-    ``differentiable`` holds exactly at the UNIQUE nodes.  At an ambiguous
-    node the gradient is the one-sided gradient toward q, and the flag is
-    false.
+    Row k of each array is node k of ``window.grid_points(resolution)``.
+    ``classes`` holds each node's class as its index in ``Classification``
+    (0 in the set, 1 unique, 2 ambiguous); the field is differentiable
+    exactly at the unique nodes.  ``gradients`` holds (x - q) / d(x) at every
+    node outside the set, q being the node's survey projection; nodes in the
+    set have NaN gradients.  At an ambiguous node the gradient is the
+    one-sided gradient toward q.
     """
 
-    points: np.ndarray
-    values: np.ndarray
-    classifications: list[Classification]
-    gradients: np.ndarray
-    differentiable: np.ndarray
+    window: Window
     resolution: int
+    values: np.ndarray
+    classes: np.ndarray
+    gradients: np.ndarray
 
 
 # At most this many nodes per block of the grid sweep.  The survey of a block
@@ -185,8 +191,7 @@ def grid_sweep(
     count, n = pts.shape
     values = np.empty(count)
     gradients = np.empty((count, n))
-    differentiable = np.empty(count, dtype=bool)
-    classifications: list[Classification] = []
+    classes = np.empty(count, dtype=np.int8)
     size = max(1, SWEEP_BLOCK_NODES // spec._block) * spec._block
     for lo in range(0, count, size):
         block = slice(lo, lo + size)
@@ -196,16 +201,8 @@ def grid_sweep(
         gradients[block] = np.nan
         offsets = pts[block] - surveyed.projection
         np.divide(offsets, surveyed.distance[:, None], out=gradients[block], where=off[:, None])
-        differentiable[block] = off & ~surveyed.ambiguous
-        classifications += surveyed.classifications()
-    return GridSweep(
-        points=pts,
-        values=values,
-        classifications=classifications,
-        gradients=gradients,
-        differentiable=differentiable,
-        resolution=resolution,
-    )
+        classes[block] = _class_codes(surveyed)
+    return GridSweep(window=window, resolution=resolution, values=values, classes=classes, gradients=gradients)
 
 
 # 512 rows of a 3-D grid are about 75 KB of text.  Blocks of 1,024 rows
@@ -213,7 +210,9 @@ def grid_sweep(
 # about 2 MB more than blocks of 512 did.
 CSV_BLOCK_ROWS = 512
 
-_FLAGS = ("false", "true")
+# The classification and differentiable_flag cells of each class code.
+_CLASS_TEXT = tuple(c.value for c in _BY_CODE)
+_FLAG_TEXT = ("false", "true", "false")
 
 
 def _float_columns(block: np.ndarray) -> list[list[str]]:
@@ -269,19 +268,18 @@ def write_grid_csv(sweep: GridSweep, path) -> None:
     ``_float_columns``, so each distinct float of a block is formatted once;
     symmetric grids and sets repeat many of them.
     """
-    res, n = sweep.resolution, sweep.points.shape[1]
+    res, n = sweep.resolution, sweep.window.dimension
     header = [f"x{i + 1}" for i in range(n)] + ["d", "classification"]
     header += [f"grad_{i + 1}" for i in range(n)] + ["differentiable_flag"]
     strides = [res ** (n - 1 - i) for i in range(n)]
-    # The axis values as they stand in the grid: the node of index k on axis i.
-    labels = [list(map(repr, sweep.points[::stride][:res, i].tolist())) for i, stride in enumerate(strides)]
+    # ``grid_points`` copies these axis values into its nodes unchanged.
+    labels = [list(map(repr, axis.tolist())) for axis in sweep.window.axes(res)]
 
     def columns(lo: int, hi: int) -> list[list[str]]:
         rows = np.arange(lo, hi)
         coords = [list(map(axis.__getitem__, (rows // stride % res).tolist())) for axis, stride in zip(labels, strides)]
         d, *grads = _float_columns(np.column_stack([sweep.values[lo:hi], sweep.gradients[lo:hi]]))
-        flags = list(map(_FLAGS.__getitem__, sweep.differentiable[lo:hi].tolist()))
-        # Classification members are str, so the join writes their values.
-        return [*coords, d, sweep.classifications[lo:hi], *grads, flags]
+        codes = sweep.classes[lo:hi].tolist()
+        return [*coords, d, list(map(_CLASS_TEXT.__getitem__, codes)), *grads, list(map(_FLAG_TEXT.__getitem__, codes))]
 
-    write_csv(path, header, len(sweep.points), columns)
+    write_csv(path, header, len(sweep.values), columns)

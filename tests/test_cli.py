@@ -14,7 +14,7 @@ import pytest
 import medialcover
 from medialcover.cli import EXIT_CONFIG, EXIT_NONCONVEX, main
 from medialcover.config import load_config, parse_config
-from medialcover.distance import CSV_BLOCK_ROWS, grid_sweep
+from medialcover.distance import CSV_BLOCK_ROWS, Classification, grid_sweep
 from medialcover.geometry import Ball, ClosedSetSpec, Point, Window
 from medialcover.verify import write_overlay_svg, write_samples_csv
 
@@ -315,10 +315,11 @@ def test_analyze_csv_cells_parse_back_to_the_sweep(tmp_path, capsys):
     header, rows = csv_table(table)
     assert header == ["x1", "x2", "d", "classification", "grad_1", "grad_2", "differentiable_flag"]
     cells = np.array([[float(c) for c in row[:3] + row[4:6]] for row in rows])
-    expected = np.column_stack([sweep.points, sweep.values, sweep.gradients])
+    expected = np.column_stack([config.window.grid_points(config.grid_resolution), sweep.values, sweep.gradients])
     assert np.array_equal(cells, expected, equal_nan=True)
-    assert [row[3] for row in rows] == [c.value for c in sweep.classifications]
-    assert [row[6] == "true" for row in rows] == sweep.differentiable.tolist()
+    classes = list(map(list(Classification).__getitem__, sweep.classes.tolist()))
+    assert [row[3] for row in rows] == [c.value for c in classes]
+    assert [row[6] == "true" for row in rows] == [c is Classification.UNIQUE for c in classes]
 
 
 def test_samples_csv_is_written_in_blocks_of_plain_floats(tmp_path):
@@ -414,19 +415,35 @@ def test_analyze_writes_its_summary_to_the_configured_report(tmp_path, capsys, m
     assert summary["rows"] == 17 * 17 and (tmp_path / "grid.csv").exists()
 
 
+def in_fresh_interpreter(*args, timeout=60):
+    """``python *args`` in a new interpreter that imports this package's source.
+
+    The timeout turns a run that does not end into a failing test.
+    """
+    src = str(Path(medialcover.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=timeout, env=env)
+
+
 def main_in_subprocess(command, document, tmp_path, timeout=60, python_flags=()):
     """Exit code, last stderr line and report presence of one command in a fresh interpreter.
 
-    The timeout turns a run that does not end into a failing test; ``python_flags``
-    go to the interpreter, before ``-m``.
+    ``python_flags`` go to the interpreter, before ``-m``.
     """
     config, report = tmp_path / "config.json", tmp_path / "report.json"
     config.write_text(json.dumps(document))
-    src = str(Path(medialcover.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    argv = [sys.executable, *python_flags, "-m", "medialcover.cli", command, str(config), "--output", str(report)]
-    done = subprocess.run(argv, capture_output=True, text=True, timeout=timeout, env=env)
+    argv = [*python_flags, "-m", "medialcover.cli", command, str(config), "--output", str(report)]
+    done = in_fresh_interpreter(*argv, timeout=timeout)
     return done.returncode, done.stderr.splitlines()[-1], report.exists()
+
+
+def test_python_dash_m_medialcover_runs_the_command_line(tmp_path, capsys):
+    # `python -m medialcover` runs the package's __main__.py, not medialcover.cli.
+    report = tmp_path / "module.json"
+    done = in_fresh_interpreter("-m", "medialcover", "verify", str(FIXTURES / "verify_two_point.json"), "--output", str(report))
+    assert done.returncode == 0
+    assert report.read_bytes() == run("verify", "verify_two_point", tmp_path)[1][0]
+    assert in_fresh_interpreter("-m", "medialcover", "analyze", str(FIXTURES / "malformed.json")).returncode == EXIT_CONFIG
 
 
 def far_points(x):
@@ -459,7 +476,8 @@ def test_a_marginal_infimum_that_does_not_close_exits_5_without_a_report(command
 # (1e200: every squared norm overflowed), a ValueError traceback from the
 # Hessian sampling (blend:1 at 1e160) and an OverflowError traceback from the
 # ball sampler (1.7e308).  blend:0 at 4.7e153 passes the radius check, but its
-# sampled Hessian still overflows.
+# sampled Hessian still overflows.  At 1e20 and 1e50 the Hessian's difference
+# step rounded away, so the convex sq_norm read as non-convex (exit 5).
 @pytest.mark.parametrize(
     "field, radius, message",
     [
@@ -467,14 +485,24 @@ def test_a_marginal_infimum_that_does_not_close_exits_5_without_a_report(command
         ("blend:1", 1e160, "too large: a squared norm on [-2r, 2r]^2 overflows, got 1e+160"),
         ("sin1", 1.7e308, "too large: a squared norm on [-2r, 2r]^2 overflows, got 1.7e+308"),
         ("blend:0", 4.7e153, "non-finite second differences while sampling the Hessian at radius 4.7e+153"),
+        ("sq_norm", 1e20, "the Hessian difference step 0.001 is lost in rounding on the box [-2e+20, 2e+20]^2 at radius 1e+20"),
+        ("sq_norm", 1e50, "the Hessian difference step 0.001 is lost in rounding on the box [-2e+50, 2e+50]^2 at radius 1e+50"),
     ],
-    ids=["sin1-1e200", "blend1-1e160", "sin1-1.7e308", "blend0-4.7e153"],
+    ids=["sin1-1e200", "blend1-1e160", "sin1-1.7e308", "blend0-4.7e153", "sq_norm-1e20", "sq_norm-1e50"],
 )
 def test_a_radius_too_large_for_floats_exits_2_without_a_report(field, radius, message, tmp_path):
     document = {"dimension": 2, "field": field, "decompose": {"radius": radius}}
     code, last_line, reported = main_in_subprocess("decompose", document, tmp_path)
     assert (code, reported) == (EXIT_CONFIG, False)
     assert last_line == f"config error: decompose.radius: {message}"
+
+
+def test_a_large_radius_whose_hessian_step_survives_rounding_decomposes(tmp_path, capsys):
+    # 2e10 + 1e-3 still rounds above 2e10, unlike the sq_norm radii above.
+    config, report = tmp_path / "config.json", tmp_path / "report.json"
+    config.write_text(json.dumps({"dimension": 2, "field": "sq_norm", "decompose": {"radius": 1e10, "samples": 50}}))
+    assert main(["decompose", str(config), "--output", str(report)]) == 0
+    assert json.loads(report.read_text())["convexity_probe"]["pass"]
 
 
 # Coordinates whose squared distances overflow once gave every `analyze` node

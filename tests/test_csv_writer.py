@@ -22,18 +22,15 @@ def oracle_write_csv(path, header, count, rows) -> None:
 
 
 def oracle_grid_csv(sweep, path) -> None:
-    n = sweep.points.shape[1]
+    """A row per node: its coordinates, d, class, gradient, and whether the class is unique."""
+    points = sweep.window.grid_points(sweep.resolution)
+    n = points.shape[1]
     header = [f"x{i + 1}" for i in range(n)] + ["d", "classification"]
     header += [f"grad_{i + 1}" for i in range(n)] + ["differentiable_flag"]
-    columns = zip(
-        sweep.points.tolist(),
-        sweep.values.tolist(),
-        sweep.classifications,
-        sweep.gradients.tolist(),
-        sweep.differentiable.tolist(),
-    )
-    rows = [[*x, d, c.value, *g, "true" if flag else "false"] for x, d, c, g, flag in columns]
-    oracle_write_csv(path, header, len(sweep.points), rows)
+    classes = list(map(list(Classification).__getitem__, sweep.classes.tolist()))
+    columns = zip(points.tolist(), sweep.values.tolist(), classes, sweep.gradients.tolist())
+    rows = [[*x, d, c.value, *g, "true" if c is Classification.UNIQUE else "false"] for x, d, c, g in columns]
+    oracle_write_csv(path, header, len(points), rows)
 
 
 def oracle_samples_csv(points, path) -> None:
@@ -59,8 +56,8 @@ SWEEPS = {
 def test_grid_csv_equals_the_csv_module_oracle(name, tmp_path):
     spec, resolution = SWEEPS[name]
     sweep = grid_sweep(spec, Window([-2.0] * spec.dimension, [2.0] * spec.dimension), resolution)
-    assert Classification.IN_SET in sweep.classifications and Classification.AMBIGUOUS in sweep.classifications
-    assert np.isnan(sweep.gradients).any() and len(sweep.points) % CSV_BLOCK_ROWS
+    assert set(sweep.classes.tolist()) == {0, 1, 2}  # in the set, unique and ambiguous nodes
+    assert np.isnan(sweep.gradients).any() and len(sweep.values) % CSV_BLOCK_ROWS
     ours, oracle = tmp_path / "ours.csv", tmp_path / "oracle.csv"
     write_grid_csv(sweep, ours)
     oracle_grid_csv(sweep, oracle)
@@ -116,7 +113,7 @@ EDGES = ["signed-zeros", "nan-gradients", "extremes", "all-equal", "all-distinct
 def test_grid_csv_formats_edge_case_floats_like_the_oracle(name, tmp_path):
     spec, resolution = SWEEPS["2d"]
     sweep = grid_sweep(spec, Window([-2.0] * 2, [2.0] * 2), resolution)
-    cells = edge_cells(name, len(sweep.points))
+    cells = edge_cells(name, len(sweep.values))
     sweep = dataclasses.replace(sweep, values=cells[:, 0].copy(), gradients=cells[:, 1:].copy())
     ours, oracle = tmp_path / "ours.csv", tmp_path / "oracle.csv"
     write_grid_csv(sweep, ours)

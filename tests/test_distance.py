@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import tracemalloc
 from pathlib import Path
 
@@ -28,6 +29,8 @@ CIRCLE = ClosedSetSpec([Ball([0, 0], 1.0)], 2)
 THREE_POINTS = ClosedSetSpec([Point([0, 0]), Point([1, 0]), Point([0, 1])], 2)
 WINDOW = Window([-2, -2], [2, 2])
 SHELLS = ClosedSetSpec.from_json((Path(__file__).parent / "fixtures" / "shells_set.json").read_text())
+# The grid sweep's class codes: each class's index in Classification.
+IN_SET, UNIQUE, AMBIGUOUS = range(3)
 WINDOW3 = Window([-2.0] * 3, [2.0] * 3)
 
 
@@ -99,8 +102,8 @@ class TestNearestPoints:
 def differentiable_nodes(spec, window=WINDOW, resolution=17):
     """The grid sweep's nodes where the distance field looks differentiable, with d and grad d there."""
     sweep = grid_sweep(spec, window, resolution)
-    keep = sweep.differentiable
-    return sweep.points[keep], sweep.values[keep], sweep.gradients[keep]
+    keep = sweep.classes == UNIQUE
+    return window.grid_points(resolution)[keep], sweep.values[keep], sweep.gradients[keep]
 
 
 def reconstruct(spec, window=WINDOW, resolution=17):
@@ -119,9 +122,9 @@ class TestGradient:
     def test_bisector_point_is_not_differentiable(self):
         # resolution 17 puts grid lines exactly on the bisector x1 = 0
         sweep = grid_sweep(TWO_POINTS, WINDOW, 17)
-        on_bisector = sweep.points[:, 0] == 0.0
+        on_bisector = WINDOW.grid_points(17)[:, 0] == 0.0
         assert on_bisector.sum() == 17
-        assert not sweep.differentiable[on_bisector].any()
+        assert not (sweep.classes[on_bisector] == UNIQUE).any()
 
     def test_unique_point_gradient_matches_closed_form(self):
         x, _, grad = differentiable_nodes(TWO_POINTS)
@@ -132,16 +135,16 @@ class TestGradient:
 
     def test_rejects_points_on_the_set(self):
         sweep = grid_sweep(TWO_POINTS, WINDOW, 9)
-        on_set = np.flatnonzero([c is Classification.IN_SET for c in sweep.classifications])
+        on_set = np.flatnonzero(sweep.classes == IN_SET)
         assert len(on_set) == 2
-        assert not sweep.differentiable[on_set].any()
+        assert not (sweep.classes[on_set] == UNIQUE).any()
 
     def test_ambiguous_implies_not_differentiable(self):
         for spec in (TWO_POINTS, THREE_POINTS, CIRCLE):
             sweep = grid_sweep(spec, WINDOW, 17)
-            ambiguous = [c is Classification.AMBIGUOUS for c in sweep.classifications]
+            ambiguous = sweep.classes == AMBIGUOUS
             assert any(ambiguous)
-            assert not sweep.differentiable[ambiguous].any()
+            assert not (sweep.classes[ambiguous] == UNIQUE).any()
 
 
     @pytest.mark.parametrize(
@@ -151,9 +154,9 @@ class TestGradient:
     )
     def test_gradients_agree_with_the_finite_difference_oracle(self, spec, window, resolution):
         sweep = grid_sweep(spec, window, resolution)
-        fd_gradients, fd_differentiable = reference.fd_gradients(spec, sweep.points)
+        fd_gradients, fd_differentiable = reference.fd_gradients(spec, window.grid_points(resolution))
         assert fd_differentiable.sum() > resolution
-        assert sweep.differentiable[fd_differentiable].all()
+        assert (sweep.classes[fd_differentiable] == UNIQUE).all()
         assert np.abs(sweep.gradients[fd_differentiable] - fd_gradients[fd_differentiable]).max() <= 1e-8
 
     def test_unique_nodes_next_to_a_site_are_differentiable(self):
@@ -161,14 +164,14 @@ class TestGradient:
         # backward differences more than 10 steps apart, so the finite-difference
         # flag calls such nodes not differentiable.
         sweep = grid_sweep(TWO_POINTS, WINDOW, 81)
-        sites = np.where(sweep.points[:, :1] > 0, [1.0, 0.0], [-1.0, 0.0])
-        offset = sweep.points - sites
+        points = WINDOW.grid_points(81)
+        sites = np.where(points[:, :1] > 0, [1.0, 0.0], [-1.0, 0.0])
+        offset = points - sites
         r = np.linalg.norm(offset, axis=1)
         near = (r > 0.0) & (r < 0.1)
         assert near.sum() >= 16  # at least the eight nodes around each site
-        assert all(sweep.classifications[k] is Classification.UNIQUE for k in np.flatnonzero(near))
-        assert not reference.fd_gradients(TWO_POINTS, sweep.points[near])[1].all()
-        assert sweep.differentiable[near].all()
+        assert (sweep.classes[near] == UNIQUE).all()
+        assert not reference.fd_gradients(TWO_POINTS, points[near])[1].all()
         assert np.abs(sweep.gradients[near] - offset[near] / r[near, None]).max() <= 1e-12
 
 
@@ -238,20 +241,21 @@ class TestGridSweep:
     def test_ambiguous_only_on_the_bisector(self):
         # resolution 17 puts grid lines exactly on x1 = 0
         sweep = grid_sweep(TWO_POINTS, WINDOW, 17)
-        for point, cls in zip(sweep.points, sweep.classifications):
-            if cls is Classification.AMBIGUOUS:
+        points = WINDOW.grid_points(17)
+        for point, cls in zip(points, sweep.classes):
+            if cls == AMBIGUOUS:
                 assert abs(point[0]) < 1e-12
         on_axis = [
             cls
-            for point, cls in zip(sweep.points, sweep.classifications)
+            for point, cls in zip(points, sweep.classes)
             if abs(point[0]) < 1e-12
         ]
-        assert Classification.AMBIGUOUS in on_axis
+        assert AMBIGUOUS in on_axis
 
     def test_in_set_rows_have_nan_gradient(self):
         sweep = grid_sweep(TWO_POINTS, WINDOW, 17)
-        for k, cls in enumerate(sweep.classifications):
-            if cls is Classification.IN_SET:
+        for k, cls in enumerate(sweep.classes):
+            if cls == IN_SET:
                 assert np.isnan(sweep.gradients[k]).all()
 
     def test_csv_export(self, tmp_path):
@@ -272,8 +276,15 @@ class TestGridSweep:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        returned = sum(a.nbytes for a in (sweep.points, sweep.values, sweep.gradients, sweep.differentiable))
+        returned = sum(a.nbytes for a in (sweep.values, sweep.gradients, sweep.classes))
         assert peak - returned < 6e6
+
+    def test_a_3d_sweep_returns_8n_plus_9_bytes_per_node(self):
+        # d and n gradient components as float64, and one int8 class code.
+        sweep = grid_sweep(SHELLS, WINDOW3, 16)
+        assert [f.name for f in dataclasses.fields(sweep)] == ["window", "resolution", "values", "classes", "gradients"]
+        returned = sum(a.nbytes for a in (sweep.values, sweep.gradients, sweep.classes))
+        assert returned == (8 * 3 + 9) * 16**3
 
     @pytest.mark.parametrize("spec, window, resolution", [(SHELLS, WINDOW3, 13), (THREE_POINTS, WINDOW, 60)], ids=["3d", "2d"])
     def test_block_size_does_not_change_a_bit(self, spec, window, resolution, monkeypatch):
@@ -282,9 +293,8 @@ class TestGridSweep:
         # One kernel row block per sweep block; it does not divide the node count.
         monkeypatch.setattr(medialcover.distance, "SWEEP_BLOCK_NODES", 1)
         blocked = grid_sweep(spec, window, resolution)
-        assert len(whole.points) % spec._block and len(whole.points) > spec._block
-        assert blocked.classifications == whole.classifications
-        for name in ("points", "values", "gradients", "differentiable"):
+        assert len(whole.values) % spec._block and len(whole.values) > spec._block
+        for name in ("values", "gradients", "classes"):
             assert getattr(blocked, name).tobytes() == getattr(whole, name).tobytes()
 
 
