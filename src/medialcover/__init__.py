@@ -37,7 +37,7 @@ from .fields import (
     squared_norm,
     strongify,
 )
-from .geometry import Ball, ClosedSetSpec, Point, PolygonBoundary, Primitive, Segment, Window
+from .geometry import Ball, ClosedSetSpec, Point, PolygonBoundary, Segment, Window
 from .verify import certify_cover, detect_ambiguous, write_overlay_svg, write_samples_csv
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "NearestResult",
     "Point",
     "PolygonBoundary",
-    "Primitive",
     "ProbeReport",
     "ScalarField",
     "Segment",

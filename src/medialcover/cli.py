@@ -18,9 +18,14 @@ stdout.  So a run that fails to write a table or an overlay leaves no
 report.  Reports are serialized deterministically (sorted keys, fixed float
 repr), so identical runs produce byte-identical files.
 
-Exit codes: 0 success, 1 coverage failure, 2 config error, 3 I/O error,
-4 cover-family budget exceeded, 5 convexity failure: the decomposition's
-probe fails, or a marginal infimum raises ``CoercivityError`` (no report).
+Exit codes, also listed by ``medialcover --help``:
+
+  0  success
+  1  coverage failure
+  2  config error
+  3  I/O error
+  4  cover-family budget exceeded
+  5  convexity failure: the decomposition's probe fails, or a marginal infimum does not close and no report is written
 """
 
 from __future__ import annotations
@@ -48,6 +53,15 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_BUDGET = 4
 EXIT_NONCONVEX = 5
+# The meaning of each exit code, listed by ``--help`` and in the module docstring.
+_EXIT_MEANINGS = {
+    EXIT_OK: "success",
+    EXIT_COVERAGE: "coverage failure",
+    EXIT_CONFIG: "config error",
+    EXIT_IO: "I/O error",
+    EXIT_BUDGET: "cover-family budget exceeded",
+    EXIT_NONCONVEX: "convexity failure: the decomposition's probe fails, or a marginal infimum does not close and no report is written",
+}
 
 
 def _envelope(raw_config: dict, seed: int, command: str) -> dict:
@@ -219,7 +233,12 @@ _PATH_FLAGS = {"output": "report", "csv": "csv", "svg": "svg"}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="medialcover", description="Distance fields, ambiguous loci, and covering graphs")
+    parser = argparse.ArgumentParser(
+        prog="medialcover",
+        description="Distance fields, ambiguous loci, and covering graphs",
+        epilog="exit codes:\n" + "\n".join(f"  {code}  {meaning}" for code, meaning in _EXIT_MEANINGS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
         ("analyze", "distance-field grid sweep to CSV"),

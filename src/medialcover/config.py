@@ -151,6 +151,10 @@ def parse_config(data: dict, base_dir: Path | None = None) -> ScenarioConfig:
     _require(_squares_fit(dimension, reach), "window", message)
 
     resolution = _get_count(data, "grid_resolution", 64, minimum=8)
+    # A grid sweep lays its resolution^n nodes out in one array.
+    limit = np.iinfo(np.intp).max
+    message = f"too large: {resolution}^{dimension} grid nodes exceed {limit}, the most an array can index"
+    _require(resolution**dimension <= limit, "grid_resolution", message)
 
     lattice_data = data.get("lattice", {})
     if not isinstance(lattice_data, dict):

@@ -78,6 +78,8 @@ class SlopeLattice:
             raise ValueError("lattice step must be positive")
         if self.bound < self.step:
             raise ValueError("lattice bound must be at least one step")
+        if not math.isfinite(self.bound / self.step):
+            raise ValueError(f"lattice bound / step overflows: {self.bound!r} / {self.step!r}")
 
     @property
     def max_index(self) -> int:

@@ -1,13 +1,13 @@
 """Closed-set descriptions, packed into one capsule form for vectorized queries.
 
-A closed set is declared as a finite union of primitives: points, segments,
-polygon boundary loops, and circle/sphere shells.  A polygon loop is only an
-input form: :class:`ClosedSetSpec` expands it into its edge segments when the
-set is built, so every query sees the same set whether a loop was written as
-a polygon or as its edges.
+A closed set is declared as a finite union of records: points, segments,
+polygon boundary loops, and circle/sphere shells.  :class:`ClosedSetSpec`
+validates each record and packs it into capsule rows as it reads it, and
+keeps only the rows: a start A, a direction D (zero for points and shells)
+and a radius R (zero for points and segments).  A polygon loop packs as one
+segment row per edge, so every query sees the same set whether a loop was
+written as a polygon or as its edges.
 
-The spec packs its primitives once into capsule rows: a start A, a direction
-D (zero for points and shells) and a radius R (zero for points and segments).
 The distance from x to a row is | |x - foot| - R |, where foot = A + t D is
 the nearest point of the segment A + [0, 1] D.  ``row_distances`` evaluates
 every row for a batch of query points and ``project_rows`` returns the
@@ -15,9 +15,8 @@ nearest point of one chosen row per query point; the distance field, its
 projection and the tie classification in :mod:`medialcover.distance` are all
 built on these two.
 
-:class:`Point`, :class:`Segment` and :class:`Ball`, like
-:class:`PolygonBoundary`, are input records: they validate their fields and
-report their dimension, and every query goes through the packed rows.
+:class:`Point`, :class:`Segment`, :class:`PolygonBoundary` and :class:`Ball`
+are input records: they validate their fields and report their dimension.
 
 All coordinates are double precision, and every coordinate, radius and
 dimension must be given as a number: JSON true, false, null and strings are
@@ -30,7 +29,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Union
 
 import numpy as np
 
@@ -39,7 +37,6 @@ __all__ = [
     "Segment",
     "PolygonBoundary",
     "Ball",
-    "Primitive",
     "ClosedSetSpec",
     "Window",
 ]
@@ -128,11 +125,31 @@ class Segment:
         return self.a.shape[0]
 
 
+def _first_repeat(rows: np.ndarray) -> tuple[int, int] | None:
+    """The first pair i < j of equal rows in the order of a loop over i, then j > i; None if all differ.
+
+    One stable sort brings equal rows together in index order, so two equal
+    neighbours of the sorted order are a pair (i, j) with j the next index
+    whose row equals row i; the loop meets the pair of smallest i first.
+    ``+ 0.0`` turns -0.0 into 0.0, which it equals, so no sort key tells the
+    two apart.
+    """
+    keys = rows + 0.0
+    order = np.lexsort(keys.T[::-1])
+    ranked = keys[order]
+    equal = np.flatnonzero(np.all(ranked[1:] == ranked[:-1], axis=1))  # sorted rows k and k + 1 are equal
+    if not len(equal):
+        return None
+    k = equal[np.argmin(order[equal])]
+    return int(order[k]), int(order[k + 1])
+
+
 @dataclass(frozen=True, eq=False)
 class PolygonBoundary:
     """The closed boundary curve of a polygon (the 1-D edge loop, not the filled region).
 
-    An input form only: a :class:`ClosedSetSpec` replaces it by its :meth:`edges`.
+    Its edges run from vertex k to vertex k + 1, and from the last vertex back
+    to the first.
     """
 
     vertices: np.ndarray
@@ -141,10 +158,9 @@ class PolygonBoundary:
         verts = _frozen_array(vertices, "polygon vertices", 2)
         if verts.shape[0] < 3:
             raise ValueError("polygon boundary needs at least 3 vertices")
-        for i in range(verts.shape[0]):
-            for j in range(i + 1, verts.shape[0]):
-                if np.array_equal(verts[i], verts[j]):
-                    raise ValueError(f"polygon vertices {i} and {j} coincide")
+        repeat = _first_repeat(verts)
+        if repeat is not None:
+            raise ValueError(f"polygon vertices {repeat[0]} and {repeat[1]} coincide")
         if not _squared_lengths_fit(verts, np.roll(verts, -1, axis=0)):
             raise ValueError("polygon edge too long: its squared length overflows")
         object.__setattr__(self, "vertices", verts)
@@ -152,11 +168,6 @@ class PolygonBoundary:
     @property
     def dimension(self) -> int:
         return self.vertices.shape[1]
-
-    def edges(self) -> tuple[Segment, ...]:
-        """The closed loop as segments: vertex k to vertex k+1, the last back to the first."""
-        m = self.vertices.shape[0]
-        return tuple(Segment(self.vertices[i], self.vertices[(i + 1) % m]) for i in range(m))
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,8 +193,6 @@ class Ball:
         return self.center.shape[0]
 
 
-Primitive = Union[Point, Segment, PolygonBoundary, Ball]
-
 # Large batches go through ``row_distances`` in blocks whose (n, M, block)
 # temporaries hold about 2**14 doubles, so a grid sweep needs no more
 # transient memory than one (M, N) table of distances.
@@ -192,15 +201,15 @@ _BLOCK_ELEMENTS = 1 << 14
 
 @dataclass(frozen=True, eq=False)
 class ClosedSetSpec:
-    """A nonempty closed set, given as a finite union of points, segments and shells.
+    """A nonempty closed set, kept as the capsule rows of the records it was built from.
 
-    Polygon loops passed in are replaced by their edge segments, in place, so
-    ``primitives`` never holds a :class:`PolygonBoundary`.  The primitives are
-    also packed as capsule rows, one per primitive and in the same order:
-    ``starts`` (M, n), ``directions`` (M, n) and ``radii`` (M,).
+    Each record packs, in the order given, into ``starts`` (M, n),
+    ``directions`` (M, n) and ``radii`` (M,): a point is one row (coords, 0,
+    0), a segment one row (a, b - a, 0), a shell one row (center, 0, radius),
+    and a polygon loop one row (v_k, v_{k+1} - v_k, 0) per edge, in loop
+    order.  The records themselves are not kept.
     """
 
-    primitives: tuple[Point | Segment | Ball, ...]
     dimension: int
     starts: np.ndarray = field(init=False, repr=False)
     directions: np.ndarray = field(init=False, repr=False)
@@ -213,37 +222,25 @@ class ClosedSetSpec:
         dimension = float(_frozen_array(dimension, "dimension", 0))
         if dimension not in (1, 2, 3):
             raise ValueError(f"dimension must be 1, 2 or 3, got {dimension:g}")
-        dimension = int(dimension)
-        expanded: list[Point | Segment | Ball] = []
+        n = int(dimension)
+        blocks = []
         for k, p in enumerate(primitives):
             if not isinstance(p, (Point, Segment, PolygonBoundary, Ball)):
                 raise ValueError(f"primitives[{k}]: not a supported primitive: {p!r}")
-            if p.dimension != dimension:
-                raise ValueError(
-                    f"primitives[{k}]: dimension {p.dimension} does not match set dimension {dimension}"
-                )
+            if p.dimension != n:
+                raise ValueError(f"primitives[{k}]: dimension {p.dimension} does not match set dimension {n}")
             if isinstance(p, PolygonBoundary):
-                if dimension < 2:
+                if n < 2:
                     raise ValueError(f"primitives[{k}]: polygon boundary needs dimension >= 2")
-                expanded.extend(p.edges())
-            else:
-                expanded.append(p)
-        object.__setattr__(self, "primitives", tuple(expanded))
-        object.__setattr__(self, "dimension", dimension)
-        self._pack()
-
-    def _pack(self) -> None:
-        m, n = len(self.primitives), self.dimension
-        starts, directions, radii = np.empty((m, n)), np.zeros((m, n)), np.zeros(m)
-        for k, p in enumerate(self.primitives):
-            if isinstance(p, Point):
-                starts[k] = p.coords
+                v = p.vertices
+                blocks.append((v, np.roll(v, -1, axis=0) - v, np.zeros(len(v))))
             elif isinstance(p, Segment):
-                starts[k] = p.a
-                directions[k] = p.b - p.a
+                blocks.append((p.a[None], (p.b - p.a)[None], np.zeros(1)))
+            elif isinstance(p, Ball):
+                blocks.append((p.center[None], np.zeros((1, n)), np.array([p.radius])))
             else:
-                starts[k] = p.center
-                radii[k] = p.radius
+                blocks.append((p.coords[None], np.zeros((1, n)), np.zeros(1)))
+        starts, directions, radii = (np.concatenate(rows) for rows in zip(*blocks))
         lengths2 = np.add.reduce(directions * directions, axis=1)
         lengths2[lengths2 == 0.0] = 1.0  # t = 0 / 1 on rows without a direction
         packed = {
@@ -258,16 +255,17 @@ class ClosedSetSpec:
         for name, arr in packed.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "dimension", n)
         object.__setattr__(self, "_has_segments", bool(np.any(directions)))
         object.__setattr__(self, "_has_shells", bool(np.any(radii)))
-        object.__setattr__(self, "_block", max(1, _BLOCK_ELEMENTS // (m * n)))
+        object.__setattr__(self, "_block", max(1, _BLOCK_ELEMENTS // directions.size))
 
     def row_distances(self, pts: np.ndarray) -> np.ndarray:
         """Distances (M, N) from each of N query points (N, n) to each packed row."""
         count = pts.shape[0]
         if count <= self._block:
             return self._row_block(pts)
-        out = np.empty((len(self.primitives), count))
+        out = np.empty((len(self.radii), count))
         for lo in range(0, count, self._block):
             out[:, lo : lo + self._block] = self._row_block(pts[lo : lo + self._block])
         return out
@@ -322,7 +320,7 @@ class ClosedSetSpec:
         raw = data["primitives"]
         if not isinstance(raw, list) or not raw:
             raise ValueError("'primitives' must be a nonempty list")
-        prims: list[Primitive] = []
+        prims = []
         for k, entry in enumerate(raw):
             where = f"primitives[{k}]"
             if not isinstance(entry, dict) or "type" not in entry:

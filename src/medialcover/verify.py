@@ -1,8 +1,8 @@
 """End-to-end certification that detected ambiguous points are covered.
 
 ``detect_ambiguous`` surveys a window grid with the packed kernel of
-:func:`medialcover.distance.survey` (polygon loops are already edge segments
-there), keeps the grid nodes it classifies as ambiguous, flags edges whose
+:func:`medialcover.distance.survey` (a polygon loop is one segment row per
+edge there), keeps the grid nodes it classifies as ambiguous, flags edges whose
 endpoints project to genuinely different branches of the set, and localizes
 each branch crossing by bisection on the kernel's projections.  The flagged
 edges of all axes form one batch that shares one lockstep bisection, so each
@@ -27,7 +27,7 @@ from .convex import SlopeLattice, marginal_inf_rows, nondiff_witnesses
 from .cover import graph_coordinate, graph_key
 from .distance import DEFAULT_SEPARATION, DEFAULT_TIE_TOLERANCE, _float_columns, survey, write_csv
 from .fields import asplund_lift
-from .geometry import Ball, ClosedSetSpec, Point, Segment, Window
+from .geometry import ClosedSetSpec, Window
 
 __all__ = [
     "detect_ambiguous",
@@ -231,11 +231,12 @@ _SVG_SIZE = 640
 
 
 def write_overlay_svg(spec: ClosedSetSpec, window: Window, samples: np.ndarray, path) -> None:
-    """Render the set and the (K, 2) sample points as SVG to ``path``.
+    """Render the set's packed rows and the (K, 2) sample points as SVG to ``path``.
 
-    Each axis of the window is stretched to the full width or height, so a
-    shell is drawn as an ellipse with one radius per axis.  Points and shells
-    of radius 0 are drawn as black dots.
+    A row with a direction is drawn as a line from its start to start +
+    direction, a row with a radius as a shell, and any other row as a black
+    dot.  Each axis of the window is stretched to the full width or height,
+    so a shell is drawn as an ellipse with one radius per axis.
     """
     if spec.dimension != 2:
         raise ValueError("SVG overlay is only available in two dimensions")
@@ -251,18 +252,18 @@ def write_overlay_svg(spec: ClosedSetSpec, window: Window, samples: np.ndarray, 
         f'viewBox="0 0 {size} {size}">',
         f'<rect width="{size}" height="{size}" fill="white" stroke="black"/>',
     ]
-    for p in spec.primitives:
-        if isinstance(p, Segment):
-            (x1, y1), (x2, y2) = to_px(p.a), to_px(p.b)
+    for start, direction, radius in zip(spec.starts, spec.directions, spec.radii.tolist()):
+        if direction.any():
+            (x1, y1), (x2, y2) = to_px(start), to_px(start + direction)
             parts.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="black" stroke-width="2"/>')
-        elif isinstance(p, Ball) and p.radius > 0.0:
-            cx, cy = to_px(p.center)
-            rx, ry = p.radius / span[0] * size, p.radius / span[1] * size
+        elif radius > 0.0:
+            cx, cy = to_px(start)
+            rx, ry = radius / span[0] * size, radius / span[1] * size
             parts.append(
                 f'<ellipse cx="{cx}" cy="{cy}" rx="{rx:.2f}" ry="{ry:.2f}" fill="none" stroke="black" stroke-width="2"/>'
             )
         else:  # a point, or a shell of radius 0, which is its centre
-            cx, cy = to_px(p.coords if isinstance(p, Point) else p.center)
+            cx, cy = to_px(start)
             parts.append(f'<circle cx="{cx}" cy="{cy}" r="4" fill="black"/>')
     for p in samples:
         cx, cy = to_px(p)

@@ -1,15 +1,19 @@
-"""Scalar nearest-point queries, one primitive at a time: the reference for the packed kernel.
+"""Scalar nearest-point queries, one record at a time: the reference for the packed kernel.
 
 The package answers every distance, projection and classification question
-through the packed capsule rows of :class:`medialcover.ClosedSetSpec`.  This
-module asks each :class:`Point`, :class:`Segment` and :class:`Ball` on its own,
-with its own closed form, so a test that compares the two does not check the
-kernel against itself.
+through the packed capsule rows of :class:`medialcover.ClosedSetSpec`, which
+keeps no records.  This module asks each :class:`Point`, :class:`Segment` and
+:class:`Ball` that a test declared on its own, with its own closed form, so a
+test that compares the two does not check the kernel, or the packing, against
+itself.
 
-``distance``, ``project`` and ``nearest`` take one primitive and query points;
-``nearest_points`` takes a whole set and one query point, keeps every
-primitive whose distance is within ``tie_tolerance`` of the minimum, and
-deduplicates their nearest points at ``separation``.
+``distance``, ``project`` and ``nearest`` take one record and query points.
+``edges`` splits a :class:`PolygonBoundary` into its edge segments, and
+``expand`` does so for every loop of a list of records, in the order of the
+packed rows.  ``nearest_points`` takes the records of a set and one query
+point, keeps every expanded record whose distance is within
+``tie_tolerance`` of the minimum, and deduplicates their nearest points at
+``separation``.
 
 ``project_rows`` keeps the boolean-mask form of
 :meth:`ClosedSetSpec.project_rows` on the packed rows, the byte-level oracle of
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from medialcover import Ball, Classification, ClosedSetSpec, Point, ScalarField, Segment, survey
+from medialcover import Ball, Classification, ClosedSetSpec, Point, PolygonBoundary, ScalarField, Segment, survey
 from medialcover.distance import DEFAULT_SEPARATION, DEFAULT_TIE_TOLERANCE
 
 
@@ -76,6 +80,17 @@ def project(p, x) -> np.ndarray:
     out[safe] = p.center + (p.radius / rho[safe])[:, None] * u[safe]
     out[degenerate] = _ball_witness(p)
     return out
+
+
+def edges(p: PolygonBoundary) -> list[Segment]:
+    """The closed loop as segments: vertex k to vertex k + 1, the last back to the first."""
+    m = len(p.vertices)
+    return [Segment(p.vertices[k], p.vertices[(k + 1) % m]) for k in range(m)]
+
+
+def expand(records) -> list:
+    """The records with each polygon loop replaced by its edges: one record per packed row."""
+    return [q for p in records for q in (edges(p) if isinstance(p, PolygonBoundary) else [p])]
 
 
 def project_rows(spec: ClosedSetSpec, pts: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -129,12 +144,12 @@ class NearestResult:
 
 
 def nearest_points(
-    spec: ClosedSetSpec,
+    records,
     x,
     tie_tolerance: float = DEFAULT_TIE_TOLERANCE,
     separation: float = DEFAULT_SEPARATION,
 ) -> NearestResult:
-    """Collect every nearest-point candidate within ``tie_tolerance`` of the minimum.
+    """Collect every nearest-point candidate of the set ``records`` within ``tie_tolerance`` of the minimum.
 
     Candidates closer than ``separation`` to an already kept point are treated
     as floating-point duplicates and dropped.  Classification:
@@ -146,7 +161,7 @@ def nearest_points(
     * ``UNIQUE``     -- otherwise.
     """
     x = np.asarray(x, dtype=float)
-    per = [(float(distance(p, x)[0]), p) for p in spec.primitives]
+    per = [(float(distance(p, x)[0]), p) for p in expand(records)]
     dmin = min(d for d, _ in per)
     kept: list[np.ndarray] = []
     infinite = False

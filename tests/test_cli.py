@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import medialcover
+import medialcover.cli as cli
 from medialcover.cli import EXIT_CONFIG, EXIT_NONCONVEX, main
 from medialcover.config import load_config, parse_config
 from medialcover.distance import CSV_BLOCK_ROWS, Classification, grid_sweep
@@ -574,3 +575,14 @@ def test_a_small_radius_decomposes_into_a_convex_part_that_passes_the_probe(fiel
     assert main(["decompose", str(config), "--output", str(report)]) == 0
     probe = json.loads(report.read_text())["convexity_probe"]
     assert probe["pass"] and probe["max_violation"] <= probe["tolerance"]
+
+
+def test_help_lists_every_exit_code_with_its_meaning(capsys):
+    codes = {value for name, value in vars(cli).items() if name.startswith("EXIT_")}
+    assert sorted(cli._EXIT_MEANINGS) == sorted(codes) == list(range(6))
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    listing = "".join(f"  {code}  {meaning}\n" for code, meaning in cli._EXIT_MEANINGS.items())
+    assert "exit codes:\n" + listing in capsys.readouterr().out
+    assert "Exit codes, also listed by ``medialcover --help``:\n\n" + listing in cli.__doc__

@@ -1,10 +1,12 @@
 """Malformed scenario configs: each names its offending field and exits 2."""
 
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from medialcover.cli import EXIT_CONFIG, main
+from medialcover.cli import EXIT_BUDGET, EXIT_CONFIG, main
 from medialcover.config import ConfigError, parse_config
 
 TWO_POINTS = {"dimension": 2, "primitives": [{"type": "point", "coords": [-1.0, 0.0]}, {"type": "point", "coords": [1.0, 0.0]}]}
@@ -248,3 +250,43 @@ def test_a_non_number_in_a_set_or_window_exits_2_through_main(document, message,
 def test_configs_compare_without_comparing_arrays():
     config = parse_config({"set": TWO_POINTS})
     assert config == config and config != parse_config({"set": TWO_POINTS})
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def run_main(command, document, tmp_path):
+    """Exit code, stderr and whether a report was written, for one config document."""
+    config, report = tmp_path / "config.json", tmp_path / "report.json"
+    config.write_text(json.dumps(document))
+    argv = [command, str(config), "--output", str(report)]
+    if command != "cover":
+        argv += ["--csv", str(tmp_path / "table.csv")]
+    return main(argv), report.exists()
+
+
+# bound / step is infinite: SlopeLattice.max_index once raised OverflowError, exit 1.
+@pytest.mark.parametrize("command", ["verify", "cover"])
+def test_a_lattice_whose_bound_over_step_overflows_exits_2_without_a_report(command, tmp_path, capsys):
+    document = {"set": str(FIXTURES / "two_point_set.json"), "grid_resolution": 16, "lattice": {"step": 1e-300, "bound": 1e300}}
+    assert run_main(command, document, tmp_path) == (EXIT_CONFIG, False)
+    assert capsys.readouterr().err == "config error: lattice: lattice bound / step overflows: 1e+300 / 1e-300\n"
+
+
+@pytest.mark.parametrize("command, expected", [("verify", 0), ("cover", EXIT_BUDGET)])
+def test_a_lattice_of_tiny_steps_under_a_finite_bound_is_accepted(command, expected, tmp_path, capsys):
+    document = {"set": str(FIXTURES / "two_point_set.json"), "grid_resolution": 16, "lattice": {"step": 1e-300, "bound": 64.0}}
+    assert run_main(command, document, tmp_path) == (expected, expected == 0)
+
+
+# 10^7 nodes per axis in 3-D is 10^21 nodes, beyond the intp range; Window.grid_points
+# once raised "broadcast dimensions too large", exit 1.  Sizes between that limit and
+# the machine's memory are not tried: they allocate.
+@pytest.mark.parametrize("command", ["analyze", "verify"])
+def test_a_grid_with_more_nodes_than_an_array_can_index_exits_2_without_a_report(command, tmp_path, capsys):
+    document = {"set": str(FIXTURES / "shells_set.json"), "grid_resolution": 10_000_000}
+    assert run_main(command, document, tmp_path) == (EXIT_CONFIG, False)
+    limit = np.iinfo(np.intp).max
+    expected = f"config error: grid_resolution: too large: 10000000^3 grid nodes exceed {limit}, the most an array can index\n"
+    assert capsys.readouterr().err == expected
+    assert not (tmp_path / "table.csv").exists()

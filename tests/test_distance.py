@@ -24,9 +24,13 @@ import medialcover.distance
 from medialcover.distance import DEFAULT_TIE_TOLERANCE
 import reference
 
-TWO_POINTS = ClosedSetSpec([Point([-1, 0]), Point([1, 0])], 2)
-CIRCLE = ClosedSetSpec([Ball([0, 0], 1.0)], 2)
-THREE_POINTS = ClosedSetSpec([Point([0, 0]), Point([1, 0]), Point([0, 1])], 2)
+# The records of each set, read by the per-record queries of `reference`.
+TWO_SITES = [Point([-1, 0]), Point([1, 0])]
+UNIT_CIRCLE = [Ball([0, 0], 1.0)]
+THREE_SITES = [Point([0, 0]), Point([1, 0]), Point([0, 1])]
+TWO_POINTS = ClosedSetSpec(TWO_SITES, 2)
+CIRCLE = ClosedSetSpec(UNIT_CIRCLE, 2)
+THREE_POINTS = ClosedSetSpec(THREE_SITES, 2)
 WINDOW = Window([-2, -2], [2, 2])
 SHELLS = ClosedSetSpec.from_json((Path(__file__).parent / "fixtures" / "shells_set.json").read_text())
 # The grid sweep's class codes: each class's index in Classification.
@@ -67,21 +71,21 @@ class TestNearestPoints:
         res = nearest_points(TWO_POINTS, [0.0, 1.0])
         assert res.distance == pytest.approx(np.sqrt(2))
         assert res.classification is Classification.AMBIGUOUS
-        assert len(reference.nearest_points(TWO_POINTS, [0.0, 1.0]).nearest) == 2
+        assert len(reference.nearest_points(TWO_SITES, [0.0, 1.0]).nearest) == 2
 
     def test_off_bisector_is_unique(self):
         res = nearest_points(TWO_POINTS, [0.3, 0.0])
         assert res.classification is Classification.UNIQUE
-        assert np.allclose(reference.nearest_points(TWO_POINTS, [0.3, 0.0]).nearest[0], [1.0, 0.0])
+        assert np.allclose(reference.nearest_points(TWO_SITES, [0.3, 0.0]).nearest[0], [1.0, 0.0])
 
     def test_circumcenter_sees_three_nearest(self):
         # Brute-force check first: the circumcenter is equidistant to all sites.
         center = np.array([0.5, 0.5])
-        dists = [np.linalg.norm(center - p.coords) for p in THREE_POINTS.primitives]
+        dists = [np.linalg.norm(center - p.coords) for p in THREE_SITES]
         assert max(dists) - min(dists) < 1e-15
         res = nearest_points(THREE_POINTS, center)
         assert res.classification is Classification.AMBIGUOUS
-        assert len(reference.nearest_points(THREE_POINTS, center).nearest) == 3
+        assert len(reference.nearest_points(THREE_SITES, center).nearest) == 3
 
     def test_point_on_set_is_in_set(self):
         res = nearest_points(TWO_POINTS, [1.0, 0.0])
@@ -90,11 +94,11 @@ class TestNearestPoints:
 
     def test_shell_center_raises_infinite_flag(self):
         res = nearest_points(CIRCLE, [0.0, 0.0])
-        assert reference.nearest_points(CIRCLE, [0.0, 0.0]).infinite_set
+        assert reference.nearest_points(UNIT_CIRCLE, [0.0, 0.0]).infinite_set
         assert res.classification is Classification.AMBIGUOUS
 
     def test_all_listed_points_attain_distance(self):
-        res = reference.nearest_points(THREE_POINTS, [0.5, 0.5])
+        res = reference.nearest_points(THREE_SITES, [0.5, 0.5])
         for p in res.nearest:
             assert abs(np.linalg.norm(np.array([0.5, 0.5]) - p) - res.distance) <= res.tie_tolerance
 
@@ -205,18 +209,19 @@ class TestReconstruction:
             x, rec, _ = reconstruct(TWO_POINTS, window, 9)
             assert len(x) > 40
             for node, point in zip(x, rec):
-                res = reference.nearest_points(TWO_POINTS, node)
+                res = reference.nearest_points(TWO_SITES, node)
                 assert res.classification is Classification.UNIQUE
                 assert np.linalg.norm(point - res.nearest[0]) <= 100 * 1e-5
 
 
 def test_distance_decays_linearly_toward_nearest_point():
     rng = np.random.default_rng(11)
-    spec = ClosedSetSpec([Point([-1, 0]), Segment([0.5, -1], [0.5, 1])], 2)
+    records = [Point([-1, 0]), Segment([0.5, -1], [0.5, 1])]
+    spec = ClosedSetSpec(records, 2)
     checked = 0
     while checked < 100:
         x = WINDOW.sample(rng, 1)[0]
-        res = reference.nearest_points(spec, x)
+        res = reference.nearest_points(records, x)
         if res.classification is not Classification.UNIQUE or res.distance < 1e-3:
             continue
         p = res.nearest[0]

@@ -1,4 +1,4 @@
-"""Every exported name of the package and its submodules resolves, and has a caller."""
+"""Every exported name of the package and its submodules resolves and has a caller; every import is read."""
 
 import ast
 import importlib
@@ -44,3 +44,25 @@ def test_every_exported_name_has_a_caller_in_the_package():
     assert exported, "no module declares __all__"
     assert sorted(exported - used - set(WITHOUT_CALLER)) == []
     assert sorted(set(WITHOUT_CALLER) - exported) == []  # the allowlist names only exported names
+
+
+def imported_names(tree):
+    """The names that the import statements of a module bind, except ``from __future__`` features."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (alias.asname or alias.name for alias in node.names)
+
+
+def test_every_imported_name_is_read():
+    package = Path(medialcover.__file__).parent
+    unused = {}
+    for path in [*package.glob("*.py"), *Path(__file__).parent.glob("*.py")]:
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        exported = set(medialcover.__all__) if path == package / "__init__.py" else set()  # re-exports
+        names = sorted(set(imported_names(tree)) - read - exported)
+        if names:
+            unused[path.name] = names
+    assert unused == {}

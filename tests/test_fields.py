@@ -17,7 +17,7 @@ from medialcover import (
     strongify,
 )
 from reference import asplund_field
-from test_kernel import MIXED, queries
+from test_kernel import MIXED, packed, queries
 
 TWO_POINTS = ClosedSetSpec([Point([-1, 0]), Point([1, 0])], 2)
 CIRCLE = ClosedSetSpec([Ball([0, 0], 1.0)], 2)
@@ -132,12 +132,12 @@ def test_lift_gives_the_same_bits_whatever_the_batch_size(spec):
 
 
 @pytest.mark.parametrize(
-    "spec", [MIXED_2D, SHELLS] + MIXED, ids=["2d", "3d"] + [f"mixed{k}" for k in range(len(MIXED))]
+    "spec", [MIXED_2D, SHELLS] + [packed(records) for records in MIXED], ids=["2d", "3d"] + [f"mixed{k}" for k in range(len(MIXED))]
 )
 def test_fused_lift_gives_the_bits_of_strongify_of_asplund_field(spec):
     n = spec.dimension
     rng = np.random.default_rng(11)
-    # Several kernel blocks, then every shell centre exactly, then the same
+    # Several kernel blocks, then every point site and shell centre exactly, then the same
     # points with some coordinates replaced by -0.0.
     pts = np.vstack([Window([-2.0] * n, [2.0] * n).sample(rng, 2 * spec._block + 2), queries(spec, rng)])
     pts = np.vstack([pts, np.where(rng.random(pts.shape) < 0.3, -0.0, pts)])

@@ -1,3 +1,7 @@
+import hashlib
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +22,7 @@ from medialcover import (
 import reference
 
 UNIT_SQUARE = PolygonBoundary([[0, 0], [1, 0], [1, 1], [0, 1]])
-# A polygon is answered through the set it expands into: its four edges.
+# A polygon is answered through the rows it packs into: one per edge.
 SQUARE_SET = ClosedSetSpec([UNIT_SQUARE], 2)
 
 
@@ -79,7 +83,7 @@ def test_polygon_distance_and_corner_projection():
 
 
 def test_polygon_center_has_four_nearest_points():
-    res = reference.nearest_points(SQUARE_SET, [0.5, 0.5])
+    res = reference.nearest_points([UNIT_SQUARE], [0.5, 0.5])
     assert not res.infinite_set
     assert len(res.nearest) == 4
     for p in res.nearest:
@@ -92,8 +96,8 @@ def test_polygon_tie_candidate_on_diagonal():
 
 
 def test_polygon_loop_expands_into_its_edges():
-    assert [type(p) for p in SQUARE_SET.primitives] == [Segment] * 4
-    assert [p.b.tolist() for p in SQUARE_SET.primitives] == [[1, 0], [1, 1], [0, 1], [0, 0]]
+    assert len(SQUARE_SET.starts) == 4 and SQUARE_SET.directions.any(axis=1).all()  # four segment rows
+    assert (SQUARE_SET.starts + SQUARE_SET.directions).tolist() == [[1, 0], [1, 1], [0, 1], [0, 0]]
     assert SQUARE_SET.starts.tolist() == [[0, 0], [1, 0], [1, 1], [0, 1]]
     assert SQUARE_SET.directions.tolist() == [[1, 0], [0, 1], [-1, 0], [0, -1]]
     assert SQUARE_SET.radii.tolist() == [0, 0, 0, 0]
@@ -102,6 +106,59 @@ def test_polygon_loop_expands_into_its_edges():
     edges = ClosedSetSpec([Segment(a, b) for a, b in zip(corners, corners[1:] + corners[:1])], 2)
     for rows in ("starts", "directions", "radii"):
         assert getattr(loop, rows).tobytes() == getattr(edges, rows).tobytes()
+
+
+# sha256 of the bytes of `starts`, `directions` and `radii` of each fixture
+# set and of each benchmark workload's set at seed 303, computed when every
+# record was still expanded into per-edge segments before it was packed.
+GOLDEN_ROWS = {
+    "shells_set": (
+        "b0ecdd4d93dad9b90eb0b54ce6431f8c5793f846103a92169a1ee16f0fb3f8f9",
+        "e8090cac11ddc2b5aa8f0cf7b21b2d1284b67e128dd5ba828bea12ddfd4095b1",
+        "725c4777db328932b197731b1c986c84913a069a2090deb3667b697624551c8b",
+    ),
+    "star_set": (
+        "d7ea71efa11c35395cb9c4c3df750bb47d59b5d643a1754d39fa051e90b788fd",
+        "c3cff74fc23c08c346c00437ab10fcd63274c0bb24301c99d7ed1a6eb94fd430",
+        "17b0761f87b081d5cf10757ccc89f12be355c70e2e29df288b65b30710dcbcd1",
+    ),
+    "two_point_set": (
+        "09601fe2fdc09f985d57706d8d8d3100984457940645e3ba3b1bba5c2d15be67",
+        "66687aadf862bd776c8fc18b8e9f8e20089714856ee233b3902a591d0d5f2925",
+        "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb",
+    ),
+    "points2d": (
+        "508fcb3ad0cec7626ab1f366ff703a373667e2bc159afb5b930b5b6757570bd3",
+        "38723a2e5e8a17aa7950dc008209944e898f69a7bd10a23c839d341e935fd5ca",
+        "f5a5fd42d16a20302798ef6ed309979b43003d2320d9f0e8ea9831a92759fb4b",
+    ),
+    "polygon2d": (
+        "de2073841955d7c8d04f0aab4bd0621c5897cf73ef4b9aaa059bf5b640addbc9",
+        "e44a986196ee62b126f82781ff11d94646691721b7331775d57d17af18c20fad",
+        "17b0761f87b081d5cf10757ccc89f12be355c70e2e29df288b65b30710dcbcd1",
+    ),
+    "shells3d": (
+        "87f658cc1c3c45b1b9ea1c3596cc1b3033c6fa956b4a4a64921d8d176be1b0fd",
+        "0d373e62070eb2113309def693411a40de1daa564a619ce0d58d6f251bf82463",
+        "725c4777db328932b197731b1c986c84913a069a2090deb3667b697624551c8b",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_ROWS))
+def test_packed_rows_match_their_golden_digest(name, monkeypatch):
+    path = Path(__file__).parent / "fixtures" / f"{name}.json"
+    if path.exists():
+        spec = ClosedSetSpec.from_json(path.read_text())
+    else:
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent))
+        from perfbench.workloads import WORKLOADS
+
+        workload = WORKLOADS[name]
+        primitives = workload.primitives(np.random.default_rng(303))
+        spec = ClosedSetSpec.from_dict({"dimension": workload.dimension, "primitives": primitives})
+    digests = tuple(hashlib.sha256(getattr(spec, rows).tobytes()).hexdigest() for rows in ("starts", "directions", "radii"))
+    assert digests == GOLDEN_ROWS[name]
 
 
 @pytest.mark.parametrize("t", [0.1, 0.25, 0.4, 0.6, 0.9])
@@ -127,7 +184,7 @@ def test_nearest_points_attain_the_distance(primitive):
     rng = np.random.default_rng(42)
     xs = rng.uniform(-2, 2, size=(50, 2))
     for x, d in zip(xs, survey(spec, xs).distance.tolist()):
-        pts = reference.nearest_points(spec, x).nearest
+        pts = reference.nearest_points([primitive], x).nearest
         best = min(np.linalg.norm(x - p) for p in pts)
         assert abs(best - d) <= 1e-12 * (1 + d)
         for p in pts:
@@ -183,6 +240,30 @@ class TestValidation:
     def test_polygon_rejects_repeated_vertices(self):
         with pytest.raises(ValueError, match="coincide"):
             PolygonBoundary([[0, 0], [1, 0], [0, 0], [0, 1]])
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_repeated_vertices_name_the_first_pair_of_a_pairwise_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n, m = rng.integers(2, 4), rng.integers(3, 30)
+        # Coordinates on a 5-point grid, so that vertices repeat by chance; in
+        # half the loops one vertex is also planted on another.
+        vertices = rng.integers(-2, 3, size=(m, n)).astype(float)
+        if seed % 2:
+            vertices[rng.integers(m)] = vertices[rng.integers(m)]
+        vertices = np.where((vertices == 0.0) & (rng.random(vertices.shape) < 0.5), -0.0, vertices)
+        pairs = [(i, j) for i in range(m) for j in range(i + 1, m) if np.array_equal(vertices[i], vertices[j])]
+        if not pairs:
+            assert PolygonBoundary(vertices).vertices.tobytes() == vertices.tobytes()
+            return
+        with pytest.raises(ValueError) as info:
+            PolygonBoundary(vertices)
+        assert str(info.value) == f"polygon vertices {pairs[0][0]} and {pairs[0][1]} coincide"
+
+    def test_a_5000_vertex_loop_validates_in_under_2_s(self):
+        angles = np.linspace(0.0, 2.0 * np.pi, 5000, endpoint=False)
+        start = time.perf_counter()
+        PolygonBoundary(np.stack([np.cos(angles), np.sin(angles)], axis=1))
+        assert time.perf_counter() - start < 2.0
 
     def test_ball_rejects_negative_radius(self):
         with pytest.raises(ValueError, match="radius"):

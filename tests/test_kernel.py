@@ -21,7 +21,7 @@ import reference
 TIE = 1e-9
 
 
-def random_set(rng, n):
+def random_records(rng, n):
     """Points, segments, a polygon loop and shells of radius 0 and > 0, in random order."""
     prims = [Point(rng.uniform(-1.5, 1.5, n)) for _ in range(rng.integers(1, 4))]
     prims += [Segment(rng.uniform(-1.5, 1.5, n), rng.uniform(-1.5, 1.5, n)) for _ in range(rng.integers(1, 3))]
@@ -29,45 +29,60 @@ def random_set(rng, n):
     prims.append(Ball(rng.uniform(-1.0, 1.0, n), 0.0))
     prims.append(Ball(rng.uniform(-1.0, 1.0, n), rng.uniform(0.2, 1.2)))
     order = rng.permutation(len(prims))
-    return ClosedSetSpec([prims[k] for k in order], n)
+    return [prims[k] for k in order]
+
+
+def packed(records):
+    """The set of the declared records, whose rows the tests check against the records themselves."""
+    return ClosedSetSpec(records, records[0].dimension)
+
+
+def declared(sets):
+    """The declared sets as test parameters with ids spec0, spec1, ..."""
+    return [pytest.param(records, id=f"spec{k}") for k, records in enumerate(sets)]
 
 
 def queries(spec, rng):
+    """300 random points and a 9^n grid on [-2, 2]^n, then the start of every row without a direction.
+
+    Those starts are the point sites and the shell centres, where every shell
+    point is nearest.
+    """
     n = spec.dimension
     window = Window([-2.0] * n, [2.0] * n)
-    centres = [p.center for p in spec.primitives if isinstance(p, Ball)]
-    return np.vstack([window.sample(rng, 300), window.grid_points(9), *centres])
+    return np.vstack([window.sample(rng, 300), window.grid_points(9), spec.starts[~spec.directions.any(axis=1)]])
 
 
-def reference_table(spec, pts):
-    return np.stack([reference.distance(p, pts) for p in spec.primitives])
+def reference_table(records, pts):
+    return np.stack([reference.distance(p, pts) for p in reference.expand(records)])
 
 
-MIXED = [random_set(np.random.default_rng(seed), n) for n in (2, 3) for seed in range(6)]
-SQUARE = ClosedSetSpec([PolygonBoundary([[-1, -1], [1, -1], [1, 1], [-1, 1]])], 2)
-STAR = ClosedSetSpec(
-    [PolygonBoundary([[1.4, 0.0], [0.4, 0.7], [-0.7, 1.2], [-0.8, 0.0], [-0.7, -1.2], [0.4, -0.7]])], 2
-)
+MIXED = [random_records(np.random.default_rng(seed), n) for n in (2, 3) for seed in range(6)]
+SQUARE = [PolygonBoundary([[-1, -1], [1, -1], [1, 1], [-1, 1]])]
+STAR = [PolygonBoundary([[1.4, 0.0], [0.4, 0.7], [-0.7, 1.2], [-0.8, 0.0], [-0.7, -1.2], [0.4, -0.7]])]
 
 
-@pytest.mark.parametrize("spec", MIXED)
-def test_distances_match_the_primitives(spec):
+@pytest.mark.parametrize("records", declared(MIXED))
+def test_distances_match_the_primitives(records):
+    spec = packed(records)
     pts = queries(spec, np.random.default_rng(1))
-    ref = reference_table(spec, pts)
+    ref = reference_table(records, pts)
     assert np.all(np.abs(spec.row_distances(pts) - ref) <= 1e-12 * (1.0 + ref))
     d = ref.min(axis=0)
     assert np.all(np.abs(survey(spec, pts).distance - d) <= 1e-12 * (1.0 + d))
     assert nearest_points(spec, pts[0]).distance == pytest.approx(d[0], rel=1e-12, abs=1e-12)
 
 
-@pytest.mark.parametrize("spec", MIXED)
-def test_projections_match_where_the_runner_up_is_clear(spec):
+@pytest.mark.parametrize("records", declared(MIXED))
+def test_projections_match_where_the_runner_up_is_clear(records):
+    spec = packed(records)
     pts = queries(spec, np.random.default_rng(2))
-    ref = reference_table(spec, pts)
+    ref = reference_table(records, pts)
     ranked = np.sort(ref, axis=0)
     clear = ranked[1] - ranked[0] > TIE
     best = ref.argmin(axis=0)
-    expected = np.array([reference.project(spec.primitives[j], x)[0] for j, x in zip(best, pts)])
+    rows = reference.expand(records)
+    expected = np.array([reference.project(rows[j], x)[0] for j, x in zip(best, pts)])
     got = spec.project_rows(pts, best)
     assert clear.sum() > len(pts) // 2
     assert np.allclose(got[clear], expected[clear], rtol=0.0, atol=1e-12)
@@ -75,27 +90,29 @@ def test_projections_match_where_the_runner_up_is_clear(spec):
 
 
 # Point feet of -0.0 that no segment part rounds to +0.0, next to a shell.
-SIGNED_ZEROS = ClosedSetSpec([Point([-0.0, 0.5]), Point([0.5, -0.0]), Ball([-0.0, 0.0], 1.0)], 2)
+SIGNED_ZEROS = [Point([-0.0, 0.5]), Point([0.5, -0.0]), Ball([-0.0, 0.0], 1.0)]
 
 
-@pytest.mark.parametrize("spec", MIXED + [SIGNED_ZEROS])
-def test_project_rows_gives_the_bytes_of_the_mask_form(spec):
+@pytest.mark.parametrize("records", declared(MIXED + [SIGNED_ZEROS]))
+def test_project_rows_gives_the_bytes_of_the_mask_form(records):
+    spec = packed(records)
     rng = np.random.default_rng(4)
-    pts = queries(spec, rng)  # the shell centres are the last rows
+    pts = queries(spec, rng)  # the point sites and shell centres are the last rows
     pts = np.vstack([pts, np.where(rng.random(pts.shape) < 0.3, -0.0, pts)])
-    rows = np.repeat(np.arange(len(spec.primitives)), len(pts))  # every packed row at every point
-    pts = np.tile(pts, (len(spec.primitives), 1))
+    rows = np.repeat(np.arange(len(spec.radii)), len(pts))  # every packed row at every point
+    pts = np.tile(pts, (len(spec.radii), 1))
     assert np.any((spec.radii[rows] > 0.0) & np.all(pts == spec.starts[rows], axis=1))  # exact shell centres
     assert spec.project_rows(pts, rows).tobytes() == reference.project_rows(spec, pts, rows).tobytes()
 
 
-@pytest.mark.parametrize("spec", MIXED + [SQUARE, STAR])
-def test_classes_match_nearest_points_row_by_row(spec):
+@pytest.mark.parametrize("records", declared(MIXED + [SQUARE, STAR]))
+def test_classes_match_nearest_points_row_by_row(records):
+    spec = packed(records)
     pts = queries(spec, np.random.default_rng(3))
-    if spec is SQUARE or spec is STAR:
+    if records is SQUARE or records is STAR:
         pts = np.vstack([pts, Window([-2, -2], [2, 2]).grid_points(17), [[0.0, 0.0], [0.3, 0.3]]])
     got = survey(spec, pts, TIE).classifications()
-    expected = [reference.nearest_points(spec, x, TIE).classification for x in pts]
+    expected = [reference.nearest_points(records, x, TIE).classification for x in pts]
     assert got == expected
 
 
@@ -114,7 +131,7 @@ def test_square_bisector_nodes_are_ambiguous():
     pts = Window([-2, -2], [2, 2]).grid_points(17)
     inside = np.all(np.abs(pts) < 1.0, axis=1)
     on_diagonal = np.abs(pts[:, 0]) == np.abs(pts[:, 1])
-    assert np.array_equal(survey(SQUARE, pts).ambiguous, inside & on_diagonal)
+    assert np.array_equal(survey(packed(SQUARE), pts).ambiguous, inside & on_diagonal)
 
 
 def test_separation_decides_between_close_feet():
