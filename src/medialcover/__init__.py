@@ -9,16 +9,7 @@ numerically that the detected locus lies on those graphs.
 
 __version__ = "0.1.0"
 
-from .convex import (
-    CcDecomposition,
-    CoercivityError,
-    ProbeReport,
-    SlopeLattice,
-    cc_decompose_c2,
-    convexity_probe,
-    marginal_inf_rows,
-    nondiff_witnesses,
-)
+from .convex import CoercivityError, SlopeLattice, marginal_inf_rows, nondiff_witnesses
 from .cover import FamilyBudgetError, cover_family_to_dict, enumerate_cover
 from .distance import (
     Classification,
@@ -43,7 +34,6 @@ from .verify import certify_cover, detect_ambiguous, write_overlay_svg, write_sa
 __all__ = [
     "__version__",
     "Ball",
-    "CcDecomposition",
     "Classification",
     "ClosedSetSpec",
     "CoercivityError",
@@ -51,16 +41,13 @@ __all__ = [
     "NearestResult",
     "Point",
     "PolygonBoundary",
-    "ProbeReport",
     "ScalarField",
     "Segment",
     "SlopeLattice",
     "Survey",
     "Window",
     "asplund_lift",
-    "cc_decompose_c2",
     "certify_cover",
-    "convexity_probe",
     "cover_family_to_dict",
     "detect_ambiguous",
     "enumerate_cover",

@@ -1,8 +1,9 @@
-"""Scenario-driven command line: analyze | cover | verify | decompose.
+"""Scenario-driven command line with three commands: analyze | cover | verify.
 
 Each subcommand takes one JSON scenario config; flags only override output
-paths, the seed, and the unresolved-sample policy.  A command takes only the
-path flags of the files it writes: ``--csv`` for analyze and verify,
+paths, the seed, and the unresolved-sample policy.  The seed is provenance:
+every report records it, and no computation reads it.  A command takes only
+the path flags of the files it writes: ``--csv`` for analyze and verify,
 ``--svg`` for verify; argparse refuses any other with exit code 2.
 ``cover`` enumerates the graphs of every axis and lattice pair, and
 ``verify`` passes when each resolved sample lies within 1e-6 of its graph.
@@ -25,7 +26,7 @@ Exit codes, also listed by ``medialcover --help``:
   2  config error
   3  I/O error
   4  cover-family budget exceeded
-  5  convexity failure: the decomposition's probe fails, or a marginal infimum does not close and no report is written
+  5  convexity failure: a marginal infimum does not close and no report is written
 """
 
 from __future__ import annotations
@@ -40,11 +41,10 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, ScenarioConfig, config_digest, load_config
-from .convex import CoercivityError, cc_decompose_c2, convexity_probe, nondiff_witnesses
+from .convex import CoercivityError, nondiff_witnesses
 from .cover import FamilyBudgetError, cover_family_to_dict, enumerate_cover
 from .distance import Classification, grid_sweep, write_grid_csv
 from .fields import asplund_lift, named_field, strongify
-from .geometry import Window
 from .verify import certify_cover, detect_ambiguous, write_overlay_svg, write_samples_csv
 
 EXIT_OK = 0
@@ -60,7 +60,7 @@ _EXIT_MEANINGS = {
     EXIT_CONFIG: "config error",
     EXIT_IO: "I/O error",
     EXIT_BUDGET: "cover-family budget exceeded",
-    EXIT_NONCONVEX: "convexity failure: the decomposition's probe fails, or a marginal infimum does not close and no report is written",
+    EXIT_NONCONVEX: "convexity failure: a marginal infimum does not close and no report is written",
 }
 
 
@@ -173,60 +173,10 @@ def _cmd_verify(config: ScenarioConfig, allow_unresolved: bool) -> tuple[dict, i
     return {"report": report}, EXIT_OK if covered else EXIT_COVERAGE
 
 
-def _cmd_decompose(config: ScenarioConfig) -> tuple[dict, int]:
-    if config.field_name is None:
-        raise ConfigError("field: the decompose command needs an analytic field name")
-    field = _field(config)
-    if not field.smooth_c2:
-        raise ConfigError(f"field: {config.field_name!r} does not have a C^2 evaluator")
-    try:
-        decomposition = cc_decompose_c2(field, config.decompose_radius)
-    except ValueError as exc:  # the sampled Hessian overflowed
-        raise ConfigError(f"decompose.radius: {exc} at radius {config.decompose_radius}") from None
-
-    rng = np.random.default_rng(config.seed)
-    radius = config.decompose_radius
-    samples = _ball_samples(rng, config.dimension, radius, config.decompose_samples)
-    g_vals = np.asarray(decomposition.convex_part(samples), dtype=float)
-    h_vals = np.asarray(decomposition.subtracted_quadratic(samples), dtype=float)
-    f_vals = np.asarray(field(samples), dtype=float)
-    residuals = np.abs(g_vals - h_vals - f_vals)
-
-    probe_window = Window([-2.0 * radius] * config.dimension, [2.0 * radius] * config.dimension)
-    probe = convexity_probe(decomposition.convex_part, probe_window, num_samples=10000, seed=config.seed)
-
-    document = {
-        "field": config.field_name,
-        "radius": radius,
-        "coefficient": decomposition.coefficient,
-        "max_residual": float(residuals.max()),
-        "convexity_probe": {
-            "max_violation": probe.max_violation,
-            "tolerance": probe.tolerance,
-            "pass": probe.passed,
-        },
-        "table": [
-            {"point": samples[k].tolist(), "g": float(g_vals[k]), "h": float(h_vals[k]), "residual": float(residuals[k])}
-            for k in range(0, samples.shape[0], max(1, samples.shape[0] // 50))
-        ],
-    }
-    return document, EXIT_OK if probe.passed else EXIT_NONCONVEX
-
-
-def _ball_samples(rng: np.random.Generator, dimension: int, radius: float, count: int) -> np.ndarray:
-    rows = []
-    while len(rows) < count:
-        batch = rng.uniform(-radius, radius, size=(count, dimension))
-        keep = batch[np.linalg.norm(batch, axis=1) <= radius]
-        rows.extend(keep.tolist())
-    return np.asarray(rows[:count])
-
-
 _COMMANDS = {
     "analyze": _cmd_analyze,
     "cover": _cmd_cover,
     "verify": _cmd_verify,
-    "decompose": _cmd_decompose,
 }
 # Each path flag and the key of ``config.outputs`` that it overrides.
 _PATH_FLAGS = {"output": "report", "csv": "csv", "svg": "svg"}
@@ -244,7 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
         ("analyze", "distance-field grid sweep to CSV"),
         ("cover", "enumerate covering graphs and export them as JSON"),
         ("verify", "certify that covering graphs pass through the detected ambiguous locus"),
-        ("decompose", "difference-of-convex decomposition of a C^2 field"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config", help="path to the scenario config JSON")

@@ -3,8 +3,9 @@
 Flags on the command line override only output paths, the seed and
 ``--allow-unresolved``; every numerical knob lives in the config so scenarios
 can be archived as fixtures.  Keys the program does not read are ignored,
-among them ``tolerances.coverage`` and ``cover.axes``: a sample counts as
-covered within 1e-6 of its graph, and the cover family spans every axis.
+among them ``tolerances.coverage``, ``cover.axes`` and the ``decompose``
+block: a sample counts as covered within 1e-6 of its graph, the cover family
+spans every axis, and no command splits a C^2 field.
 """
 
 from __future__ import annotations
@@ -42,8 +43,6 @@ class ScenarioConfig:
     refine_tol: float
     cover_cap: int
     cover_rest_resolution: int
-    decompose_radius: float
-    decompose_samples: int
     fault_offset: float
     seed: int
     outputs: dict
@@ -179,15 +178,6 @@ def parse_config(data: dict, base_dir: Path | None = None) -> ScenarioConfig:
     cap = _get_count(cover, "cover.cap", 64, minimum=1)
     rest_resolution = _get_count(cover, "cover.rest_resolution", 9, minimum=1)
 
-    decompose = data.get("decompose", {})
-    if not isinstance(decompose, dict):
-        raise ConfigError("decompose: expected an object")
-    radius = _get_number(decompose, "decompose.radius", 1.0, positive=True)
-    # `decompose` probes [-2r, 2r]^n, whose squared norms must be finite.
-    message = f"too large: a squared norm on [-2r, 2r]^{dimension} overflows, got {radius}"
-    _require(_squares_fit(dimension, radius), "decompose.radius", message)
-    dec_samples = _get_count(decompose, "decompose.samples", 1000, minimum=1)
-
     seed = data.get("seed", 0)
     _require(isinstance(seed, int) and not isinstance(seed, bool), "seed", "must be an integer")
     _require(seed >= 0, "seed", f"must be >= 0, got {seed}")
@@ -210,8 +200,6 @@ def parse_config(data: dict, base_dir: Path | None = None) -> ScenarioConfig:
         refine_tol=float(refine),
         cover_cap=cap,
         cover_rest_resolution=rest_resolution,
-        decompose_radius=float(radius),
-        decompose_samples=dec_samples,
         fault_offset=float(fault_offset),
         seed=int(seed),
         outputs=dict(outputs),

@@ -1,9 +1,10 @@
 """Convex-analysis machinery for scalar fields.
 
 This module reads non-differentiability witnesses of the distance lift off
-a lattice of candidate slopes, computes marginal infima of strongly convex
-fields by bracketed golden-section search, and provides a randomized
-convexity probe plus the C^2 difference-of-convex decomposition.
+a lattice of candidate slopes and computes marginal infima of strongly convex
+fields by bracketed golden-section search.  It has no convexity probe and no
+split of a C^2 field: the covering graphs carry their own
+difference-of-convex form, built from the marginal infima of the lift.
 
 Numerical conventions
 ---------------------
@@ -33,19 +34,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import ScalarField
-from .geometry import Window
 
 __all__ = [
     "SlopeLattice",
     "CoercivityError",
-    "ProbeReport",
-    "CcDecomposition",
     "nondiff_witnesses",
     "marginal_inf_rows",
-    "convexity_probe",
-    "radial_cutoff",
-    "sampled_hessian_bound",
-    "cc_decompose_c2",
 ]
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -214,121 +208,3 @@ def marginal_inf_rows(field: ScalarField, axes, slopes, points) -> np.ndarray:
         f = field.evaluator(np.where(on, t[:, None], x)) - sl * t
         fc, fd = np.where(left, f, fd), np.where(left, fc, f)
     return out
-
-
-@dataclass(frozen=True)
-class ProbeReport:
-    """Worst sampled violation of a convexity-type inequality."""
-
-    max_violation: float
-    tolerance: float
-    passed: bool
-
-
-def convexity_probe(field: ScalarField, window: Window, num_samples: int = 10000, seed: int = 0) -> ProbeReport:
-    """Sample the midpoint inequality f(lx + (1-l)y) <= l f(x) + (1-l) f(y)."""
-    if num_samples < 1:
-        raise ValueError("num_samples must be at least 1")
-    rng = np.random.default_rng(seed)
-    x = window.sample(rng, num_samples)
-    y = window.sample(rng, num_samples)
-    lam = rng.uniform(0.0, 1.0, size=num_samples)
-    fx = np.asarray(field(x), dtype=float)
-    fy = np.asarray(field(y), dtype=float)
-    mid = np.asarray(field(lam[:, None] * x + (1.0 - lam[:, None]) * y), dtype=float)
-    violation = float(np.max(mid - (lam * fx + (1.0 - lam) * fy)))
-    scale = float(max(np.abs(fx).max(), np.abs(fy).max()))
-    tol = 1e-9 * (1.0 + scale)
-    return ProbeReport(violation, tol, violation <= tol)
-
-
-def radial_cutoff(x: np.ndarray, radius: float) -> np.ndarray:
-    """Quintic-smoothstep cutoff: 1 for |x| <= radius, 0 for |x| >= 2*radius, C^2 throughout."""
-    rho = np.sqrt(np.sum(np.square(x), axis=-1))
-    u = np.clip((rho - radius) / radius, 0.0, 1.0)
-    return 1.0 - u * u * u * (10.0 - 15.0 * u + 6.0 * u * u)
-
-
-# Hessian sampling of `cc_decompose_c2`: grid nodes per axis, difference
-# step on a box of half-width at least 1, and the factor on the sampled bound.
-_HESSIAN_GRID = 17
-_HESSIAN_STEP = 1e-3
-_HESSIAN_SAFETY = 1.5
-
-
-def sampled_hessian_bound(field: ScalarField, radius: float) -> float:
-    """Max spectral norm of the finite-difference Hessian over a grid on [-radius, radius]^n.
-
-    The difference step shrinks with a box smaller than [-1, 1]^n, so it stays
-    inside the box; it does not grow with a larger box, where a coarse step
-    would miss the curvature between grid nodes.
-    """
-    n = field.dimension
-    step = _HESSIAN_STEP * min(1.0, radius)
-    axes = [np.linspace(-radius, radius, _HESSIAN_GRID)] * n
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    hess = np.empty((pts.shape[0], n, n))
-    # Non-finite samples are reported below as an error, not as warnings.
-    with np.errstate(invalid="ignore", over="ignore"):
-        f0 = np.asarray(field(pts), dtype=float)
-        for i in range(n):
-            ei = np.zeros(n)
-            ei[i] = step
-            hess[:, i, i] = (field(pts + ei) - 2.0 * f0 + field(pts - ei)) / step**2
-            for j in range(i + 1, n):
-                ej = np.zeros(n)
-                ej[j] = step
-                mixed = (
-                    field(pts + ei + ej) - field(pts + ei - ej) - field(pts - ei + ej) + field(pts - ei - ej)
-                ) / (4.0 * step**2)
-                hess[:, i, j] = mixed
-                hess[:, j, i] = mixed
-    if not np.all(np.isfinite(hess)):
-        raise ValueError("non-finite second differences while sampling the Hessian")
-    # Where the step is under half an ulp of the box's corner, x + step rounds
-    # to x there and the second differences read 0 however curved the field.
-    if radius + step == radius:
-        raise ValueError(f"the Hessian difference step {step:g} is lost in rounding on the box [-{radius:g}, {radius:g}]^{n}")
-    eigs = np.linalg.eigvalsh(hess)
-    return float(np.abs(eigs).max())
-
-
-@dataclass(frozen=True)
-class CcDecomposition:
-    """f = convex_part - subtracted_quadratic on |x| <= radius, both parts convex and C^2."""
-
-    convex_part: ScalarField
-    subtracted_quadratic: ScalarField
-    coefficient: float
-
-
-def cc_decompose_c2(field: ScalarField, radius: float) -> CcDecomposition:
-    """Split a C^2 field into a difference of two convex C^2 fields on |x| <= radius.
-
-    The field is multiplied by a radial cutoff that is 1 on |x| <= radius and
-    0 outside |x| <= 2*radius; a quadratic C|x|^2 with C at least half the
-    sampled Hessian spectral bound (times a safety factor) is added to make the
-    windowed product convex.  The decomposition reproduces the field exactly
-    inside the radius: (cutoff*f + C|x|^2) - C|x|^2 = f there.
-    """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    if not field.smooth_c2:
-        raise ValueError(f"field {field.tag!r} does not have a C^2 evaluator")
-
-    def windowed(x: np.ndarray) -> np.ndarray:
-        return radial_cutoff(x, radius) * field.evaluator(x)
-
-    windowed_field = ScalarField(windowed, field.dimension, tag=f"cutoff({field.tag})", smooth_c2=True)
-    coefficient = 0.5 * sampled_hessian_bound(windowed_field, 2.0 * radius) * _HESSIAN_SAFETY
-
-    def convex_part(x: np.ndarray) -> np.ndarray:
-        return windowed(x) + coefficient * np.sum(np.square(x), axis=-1)
-
-    def quadratic(x: np.ndarray) -> np.ndarray:
-        return coefficient * np.sum(np.square(x), axis=-1)
-
-    g = ScalarField(convex_part, field.dimension, tag=f"cc-convex({field.tag})", smooth_c2=True)
-    h = ScalarField(quadratic, field.dimension, tag=f"cc-quadratic({field.tag})", smooth_c2=True)
-    return CcDecomposition(convex_part=g, subtracted_quadratic=h, coefficient=coefficient)

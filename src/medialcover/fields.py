@@ -43,17 +43,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ScalarField:
-    """A real-valued field over R^n with a descriptive tag.
-
-    ``smooth_c2`` marks fields whose evaluator is twice continuously
-    differentiable everywhere; only those are eligible for the C^2
-    difference-of-convex decomposition.
-    """
+    """A real-valued field over R^n with a descriptive tag."""
 
     evaluator: Callable[[np.ndarray], np.ndarray]
     dimension: int
     tag: str = ""
-    smooth_c2: bool = False
 
     def __call__(self, x) -> float | np.ndarray:
         arr = np.asarray(x, dtype=float)
@@ -75,7 +69,7 @@ def strongify(field: ScalarField) -> ScalarField:
     def evaluate(x: np.ndarray) -> np.ndarray:
         return field.evaluator(x) + _sq(x)
 
-    return ScalarField(evaluate, field.dimension, tag=f"{field.tag}+sq", smooth_c2=field.smooth_c2)
+    return ScalarField(evaluate, field.dimension, tag=f"{field.tag}+sq")
 
 
 def asplund_lift(spec: ClosedSetSpec) -> ScalarField:
@@ -87,7 +81,7 @@ def asplund_lift(spec: ClosedSetSpec) -> ScalarField:
         d = np.minimum.reduce(spec.row_distances(flat), axis=0)
         return ((s - d * d) + s).reshape(x.shape[:-1])
 
-    return ScalarField(evaluate, spec.dimension, tag="asplund+sq", smooth_c2=False)
+    return ScalarField(evaluate, spec.dimension, tag="asplund+sq")
 
 
 def coordinate_abs(dimension: int) -> ScalarField:
@@ -99,11 +93,11 @@ def euclidean_norm(dimension: int) -> ScalarField:
 
 
 def squared_norm(dimension: int) -> ScalarField:
-    return ScalarField(_sq, dimension, tag="sq_norm", smooth_c2=True)
+    return ScalarField(_sq, dimension, tag="sq_norm")
 
 
 def first_coordinate_sine(dimension: int) -> ScalarField:
-    return ScalarField(lambda x: np.sin(x[..., 0]), dimension, tag="sin1", smooth_c2=True)
+    return ScalarField(lambda x: np.sin(x[..., 0]), dimension, tag="sin1")
 
 
 def quadratic_sine_blend(dimension: int, seed: int = 0) -> ScalarField:
@@ -118,7 +112,7 @@ def quadratic_sine_blend(dimension: int, seed: int = 0) -> ScalarField:
         q = np.einsum("...i,ij,...j->...", x, quad, x)
         return q + np.sum(amps * np.sin(x + phases), axis=-1)
 
-    return ScalarField(evaluate, dimension, tag=f"blend:{seed}", smooth_c2=True)
+    return ScalarField(evaluate, dimension, tag=f"blend:{seed}")
 
 
 # The field names a config may give; the command line resolves ``asplund[:set]``.

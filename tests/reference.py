@@ -28,6 +28,11 @@ the oracles of the exact values that the package reads off the feet:
 ``one_sided`` and ``fd_witnesses`` for the one-sided partials and witnesses
 of a convex field, and ``fd_gradients`` for the gradient of the distance
 field on a grid.
+
+``convexity_probe`` samples the midpoint inequality of a field, the check
+that the lift, its marginal functions and ``strongify`` are convex; and
+``reference_marginal_inf`` is the scalar bracket-doubling and golden-section
+search, the bit reference of :func:`medialcover.marginal_inf_rows`.
 """
 
 from __future__ import annotations
@@ -37,7 +42,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from medialcover import Ball, Classification, ClosedSetSpec, Point, PolygonBoundary, ScalarField, Segment, survey
+from medialcover import (
+    Ball,
+    Classification,
+    ClosedSetSpec,
+    CoercivityError,
+    Point,
+    PolygonBoundary,
+    ScalarField,
+    Segment,
+    survey,
+)
 from medialcover.distance import DEFAULT_SEPARATION, DEFAULT_TIE_TOLERANCE
 
 
@@ -197,7 +212,7 @@ def asplund_field(spec: ClosedSetSpec) -> ScalarField:
         out = np.add.reduce(flat * flat, axis=-1) - d * d
         return out.reshape(x.shape[:-1])
 
-    return ScalarField(evaluate, spec.dimension, tag="asplund", smooth_c2=False)
+    return ScalarField(evaluate, spec.dimension, tag="asplund")
 
 
 def one_sided(field, points, step=1e-4) -> tuple[np.ndarray, np.ndarray]:
@@ -279,3 +294,54 @@ def fd_gradients(spec, pts, step=1e-5, tie_tolerance=DEFAULT_TIE_TOLERANCE) -> t
     norms = np.linalg.norm(central_h2, axis=1)
     differentiable = (residual <= 10.0 * step) & (norms <= 1.0 + 10.0 * step) & ~in_set
     return np.where(in_set[:, None], np.nan, central_h2), differentiable
+
+
+def convexity_probe(field, window, num_samples=10000, seed=0) -> tuple[float, float, bool]:
+    """(violation, tolerance, passed) of the midpoint inequality f(lx + (1-l)y) <= l f(x) + (1-l) f(y).
+
+    The violation is the worst over ``num_samples`` random pairs of the window
+    and random l in [0, 1]; it passes within 1e-9 of the largest |f| sampled.
+    """
+    if num_samples < 1:
+        raise ValueError("num_samples must be at least 1")
+    rng = np.random.default_rng(seed)
+    x = window.sample(rng, num_samples)
+    y = window.sample(rng, num_samples)
+    lam = rng.uniform(0.0, 1.0, size=num_samples)
+    fx = np.asarray(field(x), dtype=float)
+    fy = np.asarray(field(y), dtype=float)
+    mid = np.asarray(field(lam[:, None] * x + (1.0 - lam[:, None]) * y), dtype=float)
+    violation = float(np.max(mid - (lam * fx + (1.0 - lam) * fy)))
+    tolerance = 1e-9 * (1.0 + float(max(np.abs(fx).max(), np.abs(fy).max())))
+    return violation, tolerance, violation <= tolerance
+
+
+def reference_marginal_inf(field, axis, slope, x_rest, xtol=1e-7):
+    """The scalar bracket doubling and golden-section search that the batched kernel replaced."""
+    point = np.insert(np.asarray(x_rest, dtype=float), axis, 0.0)
+
+    def phi(t):
+        point[axis] = t
+        return float(field(point)) - slope * t
+
+    half, f_center = 1.0, phi(0.0)
+    for _ in range(1 + 60):  # the first bracket, then up to 60 doublings
+        if phi(-half) > f_center and phi(half) > f_center:
+            break
+        half *= 2.0
+    else:
+        raise CoercivityError(f"bracket for axis {axis}, slope {slope} still open")
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = -half, half
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = phi(c), phi(d)
+    while (b - a) > xtol:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = phi(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = phi(d)
+    return min(fc, fd)

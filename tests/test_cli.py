@@ -26,10 +26,8 @@ CASES = [
     ("cover", "cover_two_point", 0),
     ("cover", "cover_sq_norm", 0),
     ("analyze", "analyze_two_point", 0),
-    ("decompose", "decompose_sin1", 0),
     ("verify", "verify_circle", 1),
     ("verify", "verify_two_point_corrupt", 1),
-    ("decompose", "decompose_norm", 2),
     ("verify", "bad_primitive", 2),
     ("analyze", "malformed", 2),
     ("cover", "cover_budget", 4),
@@ -67,7 +65,6 @@ GOLDEN = {
     ("verify", "verify_two_point_corrupt"): "4f58976d16c5ddf309280c0601171b4c6987197f1f5ab1add15abfc4e999a021",
     ("cover", "cover_two_point"): "9fd6f25d84666c6d4538c9436a46e6516cdcef65147a2c4c398e5c6b640806a4",
     ("cover", "cover_sq_norm"): "163f731c983d361c478831e3d6149a12dc03bd5abb951c0be379b658d214097e",
-    ("decompose", "decompose_sin1"): "fcca6546b20c586bd31473830f795a14ca056952b17b50347d767a2ca0adbaf6",
     # A 3-D set, and a window whose two axes have different grid steps.
     ("verify", "verify_shells"): "121b8e6dd140453c72d7d839f0cd4fdee6889597432c97e2361b813fc53f7189",
     ("cover", "cover_shells"): "8341a96f19e531073038f32f1211b2d45be27ec5b5eecf0b36ad22c9d882baf1",
@@ -238,9 +235,9 @@ def test_a_table_or_overlay_that_cannot_be_written_leaves_no_report(command, fla
 
 
 # The files each command writes, by their key in the config's ``outputs``, and the flag that overrides each.
-WRITES = {"analyze": ("report", "csv"), "verify": ("report", "csv", "svg"), "cover": ("report",), "decompose": ("report",)}
+WRITES = {"analyze": ("report", "csv"), "verify": ("report", "csv", "svg"), "cover": ("report",)}
 FLAGS = {"report": "--output", "csv": "--csv", "svg": "--svg"}
-FIXTURE_OF = {"analyze": "analyze_two_point", "verify": "verify_two_point", "cover": "cover_two_point", "decompose": "decompose_sin1"}
+FIXTURE_OF = {"analyze": "analyze_two_point", "verify": "verify_two_point", "cover": "cover_two_point"}
 
 
 def configured(command, tmp_path, outputs):
@@ -388,7 +385,6 @@ FOREIGN_FLAGS = [
     ("cover", "cover_two_point", "--csv"),
     ("cover", "cover_two_point", "--svg"),
     ("analyze", "analyze_two_point", "--svg"),
-    ("decompose", "decompose_sin1", "--csv"),
 ]
 
 
@@ -473,39 +469,6 @@ def test_a_marginal_infimum_that_does_not_close_exits_5_without_a_report(command
     assert message.startswith(f"convexity failure: {stuck}")
 
 
-# Radii that once ran `decompose` into a loop that rejected every ball sample
-# (1e200: every squared norm overflowed), a ValueError traceback from the
-# Hessian sampling (blend:1 at 1e160) and an OverflowError traceback from the
-# ball sampler (1.7e308).  blend:0 at 4.7e153 passes the radius check, but its
-# sampled Hessian still overflows.  At 1e20 and 1e50 the Hessian's difference
-# step rounded away, so the convex sq_norm read as non-convex (exit 5).
-@pytest.mark.parametrize(
-    "field, radius, message",
-    [
-        ("sin1", 1e200, "too large: a squared norm on [-2r, 2r]^2 overflows, got 1e+200"),
-        ("blend:1", 1e160, "too large: a squared norm on [-2r, 2r]^2 overflows, got 1e+160"),
-        ("sin1", 1.7e308, "too large: a squared norm on [-2r, 2r]^2 overflows, got 1.7e+308"),
-        ("blend:0", 4.7e153, "non-finite second differences while sampling the Hessian at radius 4.7e+153"),
-        ("sq_norm", 1e20, "the Hessian difference step 0.001 is lost in rounding on the box [-2e+20, 2e+20]^2 at radius 1e+20"),
-        ("sq_norm", 1e50, "the Hessian difference step 0.001 is lost in rounding on the box [-2e+50, 2e+50]^2 at radius 1e+50"),
-    ],
-    ids=["sin1-1e200", "blend1-1e160", "sin1-1.7e308", "blend0-4.7e153", "sq_norm-1e20", "sq_norm-1e50"],
-)
-def test_a_radius_too_large_for_floats_exits_2_without_a_report(field, radius, message, tmp_path):
-    document = {"dimension": 2, "field": field, "decompose": {"radius": radius}}
-    code, last_line, reported = main_in_subprocess("decompose", document, tmp_path)
-    assert (code, reported) == (EXIT_CONFIG, False)
-    assert last_line == f"config error: decompose.radius: {message}"
-
-
-def test_a_large_radius_whose_hessian_step_survives_rounding_decomposes(tmp_path, capsys):
-    # 2e10 + 1e-3 still rounds above 2e10, unlike the sq_norm radii above.
-    config, report = tmp_path / "config.json", tmp_path / "report.json"
-    config.write_text(json.dumps({"dimension": 2, "field": "sq_norm", "decompose": {"radius": 1e10, "samples": 50}}))
-    assert main(["decompose", str(config), "--output", str(report)]) == 0
-    assert json.loads(report.read_text())["convexity_probe"]["pass"]
-
-
 # Coordinates whose squared distances overflow once gave every `analyze` node
 # the distance inf and the class AMBIGUOUS (exit 0), and ended `verify` with
 # exit 5 after overflow warnings.  In 2-D the largest squared distance 2 (2L)^2
@@ -561,22 +524,6 @@ def test_coordinates_just_inside_the_float_range_are_accepted():
     assert parse_config({"set": far_points(4.7e153)}).set_spec is not None
 
 
-# At radii below the 1e-3 difference step of the Hessian sampling, the second
-# differences once reached outside the sampled box, and `decompose` exited 5
-# on every C^2 field.
-SMALL = [(field, dimension) for field in ("sin1", "sq_norm", "blend:1") for dimension in (1, 2, 3)]
-
-
-@pytest.mark.parametrize("radius", [1e-4, 1e-12])
-@pytest.mark.parametrize("field, dimension", SMALL, ids=[f"{f}-{d}d" for f, d in SMALL])
-def test_a_small_radius_decomposes_into_a_convex_part_that_passes_the_probe(field, dimension, radius, tmp_path, capsys):
-    config, report = tmp_path / "config.json", tmp_path / "report.json"
-    config.write_text(json.dumps({"dimension": dimension, "field": field, "decompose": {"radius": radius, "samples": 50}}))
-    assert main(["decompose", str(config), "--output", str(report)]) == 0
-    probe = json.loads(report.read_text())["convexity_probe"]
-    assert probe["pass"] and probe["max_violation"] <= probe["tolerance"]
-
-
 def test_help_lists_every_exit_code_with_its_meaning(capsys):
     codes = {value for name, value in vars(cli).items() if name.startswith("EXIT_")}
     assert sorted(cli._EXIT_MEANINGS) == sorted(codes) == list(range(6))
@@ -584,5 +531,18 @@ def test_help_lists_every_exit_code_with_its_meaning(capsys):
         main(["--help"])
     assert info.value.code == 0
     listing = "".join(f"  {code}  {meaning}\n" for code, meaning in cli._EXIT_MEANINGS.items())
-    assert "exit codes:\n" + listing in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "exit codes:\n" + listing in printed
+    assert re.findall(r"\{[a-z,]+\}", printed) == ["{analyze,cover,verify}"] * 2  # the usage line and the command list
     assert "Exit codes, also listed by ``medialcover --help``:\n\n" + listing in cli.__doc__
+
+
+# `decompose` split a C^2 field into a difference of convex functions; the
+# command is gone, and argparse refuses it.
+def test_the_removed_decompose_command_exits_2_and_writes_nothing(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["decompose", str(FIXTURES / "cover_sq_norm.json"), "--output", str(report)])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'decompose'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

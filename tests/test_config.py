@@ -105,7 +105,6 @@ def test_a_file_that_is_not_utf8_exits_2_and_names_itself(which, tmp_path, capsy
 NOT_A_COUNT = [
     ("cover.rest_resolution", {"cover": {"rest_resolution": 2.5}}, "must be an integer"),
     ("cover.cap", {"cover": {"cap": 6.7}}, "must be an integer"),
-    ("decompose.samples", {"decompose": {"samples": 10.9}}, "must be an integer"),
 ]
 
 
@@ -119,10 +118,9 @@ def test_fractional_count_or_empty_axes_exits_2_through_main(name, patch, messag
     assert not report.exists()
 
 
-# A negative seed once reached np.random.default_rng in `decompose` and
-# escaped as a traceback (exit 1); the other commands only stamped it.
+# A negative seed is refused, in the config and as a flag, though every
+# command now only stamps the seed into its report.
 DOCUMENTS = {
-    "decompose": {"dimension": 2, "field": "sin1", "decompose": {"samples": 20}},
     "verify": {"set": TWO_POINTS, "grid_resolution": 17},
 }
 NEGATIVE_SEED = {"in-config": ({"seed": -1}, [], -1), "flag": ({}, ["--seed", "-3"], -3)}
@@ -182,9 +180,14 @@ def test_a_set_with_another_named_field_exits_2_through_main(field, tmp_path, ca
     assert not report.exists()
 
 
-# Finite-difference steps, a detector fraction, the coverage tolerance and the
-# cover axes, which the program no longer reads as knobs: unknown keys are ignored.
-KNOBS = {"tolerances": {"fd_step": 0.5, "partial_step": 0.25, "jump_fraction": 0.5, "coverage": 0.5}, "cover": {"axes": [1]}}
+# Finite-difference steps, a detector fraction, the coverage tolerance, the
+# cover axes and the `decompose` block, which the program no longer reads as
+# knobs: unknown keys are ignored, even with values that were once refused.
+KNOBS = {
+    "tolerances": {"fd_step": 0.5, "partial_step": 0.25, "jump_fraction": 0.5, "coverage": 0.5},
+    "cover": {"axes": [1]},
+    "decompose": {"radius": -1.0, "samples": 10.5},
+}
 
 
 @pytest.mark.parametrize("command", ["verify", "analyze", "cover"])

@@ -1,4 +1,3 @@
-import math
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +14,6 @@ from medialcover import (
     SlopeLattice,
     Window,
     asplund_lift,
-    cc_decompose_c2,
-    convexity_probe,
     marginal_inf_rows,
     named_field,
     nondiff_witnesses,
@@ -279,37 +276,6 @@ class TestExactWitnesses:
         assert centre[2].tolist() == [1.0] * spec.dimension
 
 
-def reference_marginal_inf(field, axis, slope, x_rest, xtol=1e-7):
-    """The scalar bracket doubling and golden-section search that the batched kernel replaced."""
-    point = np.insert(np.asarray(x_rest, dtype=float), axis, 0.0)
-
-    def phi(t):
-        point[axis] = t
-        return float(field(point)) - slope * t
-
-    half, f_center = 1.0, phi(0.0)
-    for _ in range(1 + 60):  # the first bracket, then up to 60 doublings
-        if phi(-half) > f_center and phi(half) > f_center:
-            break
-        half *= 2.0
-    else:
-        raise CoercivityError(f"bracket for axis {axis}, slope {slope} still open")
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = -half, half
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = phi(c), phi(d)
-    while (b - a) > xtol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = phi(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = phi(d)
-    return min(fc, fd)
-
-
 def mixed_rows(dimension, count, seed):
     """Random points, axes and slopes up to +-40, so rows double their brackets unequally."""
     rng = np.random.default_rng(seed)
@@ -346,7 +312,7 @@ class TestMarginalInfRows:
         values = marginal_inf_rows(field, axes, slopes, points)
         assert values.shape == (48,)
         for value, axis, slope, point in zip(values.tolist(), axes.tolist(), slopes.tolist(), points):
-            assert value == reference_marginal_inf(field, axis, slope, np.delete(point, axis))
+            assert value == reference.reference_marginal_inf(field, axis, slope, np.delete(point, axis))
 
     def test_one_open_row_fails_the_batch_and_is_named(self):
         # |x2| - 2 x2 has no minimum; every other row is coercive
@@ -355,7 +321,7 @@ class TestMarginalInfRows:
         with pytest.raises(CoercivityError, match=r"axis 1, slope 2\.0 still open after 60 doublings"):
             marginal_inf_rows(half_open, axes, slopes, np.zeros((4, 2)))
         values = marginal_inf_rows(half_open, axes[:3], slopes[:3], np.zeros((3, 2)))
-        assert values.tolist() == [reference_marginal_inf(half_open, a, s, [0.0]) for a, s in zip(axes[:3], slopes[:3])]
+        assert values.tolist() == [reference.reference_marginal_inf(half_open, a, s, [0.0]) for a, s in zip(axes[:3], slopes[:3])]
 
     def test_a_minimizer_beyond_the_resolution_fails_after_the_step_cap(self):
         # inf of t^2 - 2**42 t sits at t = 2**41, where one ulp is 2**-11: the
@@ -437,8 +403,8 @@ class TestMarginalInf:
             return marginal_inf_rows(LIFT, np.zeros(len(rest), dtype=int), np.full(len(rest), 0.5), points)
 
         values = ScalarField(lambda x: g(x).reshape(x.shape[:-1]), 1, tag="marginal")
-        report = convexity_probe(values, WINDOW1, num_samples=200, seed=0)
-        assert report.max_violation <= 1e-6
+        violation, _, _ = reference.convexity_probe(values, WINDOW1, num_samples=200, seed=0)
+        assert violation <= 1e-6
 
     def test_identity_at_witnessed_point(self):
         # at a kink point the marginal infimum is attained at the point itself
@@ -459,19 +425,17 @@ class TestMarginalInf:
 
 class TestProbes:
     def test_squared_norm_is_convex(self):
-        report = convexity_probe(named_field("sq_norm", 2), WINDOW2, 10_000, seed=0)
-        assert report.passed
-        assert report.max_violation <= 1e-12
+        violation, _, passed = reference.convexity_probe(named_field("sq_norm", 2), WINDOW2, 10_000, seed=0)
+        assert passed
+        assert violation <= 1e-12
 
     def test_concave_field_fails(self):
         hollow = ScalarField(lambda x: -np.sum(x * x, axis=-1), 2, tag="concave")
-        report = convexity_probe(hollow, WINDOW2, 10_000, seed=0)
-        assert not report.passed
-        assert report.max_violation > 0.1
+        violation, _, passed = reference.convexity_probe(hollow, WINDOW2, 10_000, seed=0)
+        assert not passed
+        assert violation > 0.1
 
     def test_distance_lift_is_convex_for_all_primitive_kinds(self):
-        from medialcover import Ball, Segment
-
         specs = [
             TWO_POINTS,
             ClosedSetSpec([Segment([-1, -0.5], [1, 0.5])], 2),
@@ -479,73 +443,30 @@ class TestProbes:
             ClosedSetSpec([Point([0, 0]), Ball([1, 1], 0.5), Segment([-1, 1], [-1, -1])], 2),
         ]
         for spec in specs:
-            report = convexity_probe(reference.asplund_field(spec), WINDOW2, 10_000, seed=3)
-            assert report.max_violation <= 1e-9
+            violation, _, _ = reference.convexity_probe(reference.asplund_field(spec), WINDOW2, 10_000, seed=3)
+            assert violation <= 1e-9
 
     # F is strongly convex with modulus 1 exactly when F - |x|^2 is convex.
     @staticmethod
-    def strong_convexity_probe(field):
+    def passes_strong_convexity_probe(field):
         less_sq = ScalarField(lambda x: field(x) - np.sum(x * x, axis=-1), field.dimension, tag="less-sq")
-        return convexity_probe(less_sq, WINDOW2, 10_000, seed=0)
+        _, _, passed = reference.convexity_probe(less_sq, WINDOW2, 10_000, seed=0)
+        return passed
 
     def test_strongified_zero_passes_with_equality(self):
         zero = ScalarField(lambda x: np.zeros(x.shape[:-1]), 2, tag="zero")
-        assert self.strong_convexity_probe(strongify(zero)).passed
+        assert self.passes_strong_convexity_probe(strongify(zero))
 
     def test_strongified_lift_passes(self):
-        assert self.strong_convexity_probe(LIFT).passed
+        assert self.passes_strong_convexity_probe(LIFT)
 
     def test_half_modulus_fails(self):
         half = ScalarField(lambda x: 0.5 * np.sum(x * x, axis=-1), 2, tag="half")
-        assert not self.strong_convexity_probe(half).passed
+        assert not self.passes_strong_convexity_probe(half)
 
     def test_sample_count_validated(self):
         with pytest.raises(ValueError, match="num_samples"):
-            convexity_probe(named_field("sq_norm", 2), WINDOW2, 0)
-
-
-class TestDecomposition:
-    def sample_ball(self, rng, radius, count=1000):
-        pts = rng.uniform(-radius, radius, size=(3 * count, 2))
-        pts = pts[np.linalg.norm(pts, axis=1) <= radius]
-        return pts[:count]
-
-    @pytest.mark.parametrize("name,radius", [("sin1", 3.0), ("sq_norm", 1.0), ("blend:7", 2.0)])
-    def test_reconstruction_is_exact_inside_radius(self, name, radius):
-        field = named_field(name, 2)
-        dec = cc_decompose_c2(field, radius)
-        pts = self.sample_ball(np.random.default_rng(0), radius)
-        residual = np.abs(dec.convex_part(pts) - dec.subtracted_quadratic(pts) - field(pts))
-        assert residual.max() <= 1e-12
-
-    @pytest.mark.parametrize("name,radius", [("sin1", 3.0), ("sq_norm", 1.0), ("blend:7", 2.0)])
-    def test_convex_part_passes_probe_on_double_radius(self, name, radius):
-        dec = cc_decompose_c2(named_field(name, 2), radius)
-        window = Window([-2 * radius, -2 * radius], [2 * radius, 2 * radius])
-        report = convexity_probe(dec.convex_part, window, 10_000, seed=1)
-        assert report.max_violation <= 1e-9
-
-    def test_linear_field(self):
-        linear = ScalarField(lambda x: 3.0 * x[..., 0] - x[..., 1], 2, tag="linear", smooth_c2=True)
-        dec = cc_decompose_c2(linear, 1.5)
-        pts = self.sample_ball(np.random.default_rng(1), 1.5, 200)
-        residual = np.abs(dec.convex_part(pts) - dec.subtracted_quadratic(pts) - linear(pts))
-        assert residual.max() <= 1e-12
-
-    def test_requires_smooth_evaluator(self):
-        with pytest.raises(ValueError, match="C\\^2"):
-            cc_decompose_c2(named_field("abs", 2), 1.0)
-
-    def test_non_finite_hessian_detected(self):
-        spiky = ScalarField(
-            lambda x: np.where(np.abs(x[..., 0]) < 0.5, np.inf, 0.0), 2, tag="bad", smooth_c2=True
-        )
-        with pytest.raises(ValueError, match="non-finite"):
-            cc_decompose_c2(spiky, 1.0)
-
-    def test_radius_validated(self):
-        with pytest.raises(ValueError, match="radius"):
-            cc_decompose_c2(named_field("sin1", 2), -1.0)
+            reference.convexity_probe(named_field("sq_norm", 2), WINDOW2, 0)
 
 
 def test_ambiguous_points_have_witnesses():

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from test_convex import reference_marginal_inf
+from reference import reference_marginal_inf
 
 from medialcover.cli import _samples, main
 from medialcover.config import load_config

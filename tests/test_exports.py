@@ -1,6 +1,7 @@
-"""Every exported name of the package and its submodules resolves and has a caller; every import is read."""
+"""Every exported name of the package and its submodules resolves and has a caller; every import and config field is read."""
 
 import ast
+import dataclasses
 import importlib
 import pkgutil
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import medialcover
+from medialcover.config import ScenarioConfig
 
 MODULES = ["medialcover"] + [f"medialcover.{m.name}" for m in pkgutil.iter_modules(medialcover.__path__)]
 
@@ -66,3 +68,13 @@ def test_every_imported_name_is_read():
         if names:
             unused[path.name] = names
     assert unused == {}
+
+
+def test_every_config_field_is_read_outside_the_config_module():
+    """A knob that only ``config.py`` parses changes nothing that a command computes or writes."""
+    read = set()
+    for path in Path(medialcover.__file__).parent.glob("*.py"):
+        if path.name != "config.py":
+            tree = ast.parse(path.read_text())
+            read.update(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+    assert sorted(f.name for f in dataclasses.fields(ScenarioConfig) if f.name not in read) == []

@@ -66,13 +66,6 @@ class TestNamedFields:
         assert named_field("sq_norm", 2)([3.0, 4.0]) == pytest.approx(25.0)
         assert named_field("sin1", 2)([np.pi / 2, 9.0]) == pytest.approx(1.0)
 
-    def test_smoothness_flags(self):
-        assert named_field("sq_norm", 2).smooth_c2
-        assert named_field("sin1", 2).smooth_c2
-        assert named_field("blend:3", 2).smooth_c2
-        assert not named_field("abs", 2).smooth_c2
-        assert not named_field("norm", 2).smooth_c2
-
     def test_blend_is_seeded(self):
         a = quadratic_sine_blend(2, seed=5)
         b = quadratic_sine_blend(2, seed=5)
