@@ -20,29 +20,18 @@ from .distance import (
     survey,
     write_grid_csv,
 )
-from .fields import (
-    ScalarField,
-    asplund_lift,
-    named_field,
-    quadratic_sine_blend,
-    squared_norm,
-    strongify,
-)
-from .geometry import Ball, ClosedSetSpec, Point, PolygonBoundary, Segment, Window
+from .fields import ScalarField, asplund_lift, named_field, strongify
+from .geometry import ClosedSetSpec, Window
 from .verify import certify_cover, detect_ambiguous, write_overlay_svg, write_samples_csv
 
 __all__ = [
     "__version__",
-    "Ball",
     "Classification",
     "ClosedSetSpec",
     "CoercivityError",
     "FamilyBudgetError",
     "NearestResult",
-    "Point",
-    "PolygonBoundary",
     "ScalarField",
-    "Segment",
     "SlopeLattice",
     "Survey",
     "Window",
@@ -56,8 +45,6 @@ __all__ = [
     "named_field",
     "nearest_points",
     "nondiff_witnesses",
-    "quadratic_sine_blend",
-    "squared_norm",
     "strongify",
     "survey",
     "write_grid_csv",

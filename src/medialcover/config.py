@@ -23,7 +23,7 @@ from .distance import DEFAULT_SEPARATION, DEFAULT_TIE_TOLERANCE
 from .geometry import ClosedSetSpec, Window
 from .verify import DEFAULT_REFINE_TOL
 
-__all__ = ["ConfigError", "ScenarioConfig", "load_config", "config_digest"]
+__all__ = ["ConfigError", "ScenarioConfig", "parse_config", "load_config", "config_digest"]
 
 
 class ConfigError(ValueError):
@@ -102,8 +102,8 @@ def _load_set(entry, base_dir: Path) -> ClosedSetSpec:
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"set: cannot read {path}: {exc}") from None
         try:
-            return ClosedSetSpec.from_json(text)
-        except (ValueError, json.JSONDecodeError) as exc:
+            return ClosedSetSpec.from_dict(json.loads(text))
+        except ValueError as exc:  # json.JSONDecodeError is a ValueError
             raise ConfigError(f"set ({path}): {exc}") from None
     try:
         return ClosedSetSpec.from_dict(entry)
@@ -177,6 +177,9 @@ def parse_config(data: dict, base_dir: Path | None = None) -> ScenarioConfig:
         raise ConfigError("cover: expected an object")
     cap = _get_count(cover, "cover.cap", 64, minimum=1)
     rest_resolution = _get_count(cover, "cover.rest_resolution", 9, minimum=1)
+    # A cover graph lays the rest_resolution^(n-1) nodes of its rest grid out in one array.
+    message = f"too large: {rest_resolution}^{dimension - 1} rest nodes exceed {limit}, the most an array can index"
+    _require(rest_resolution ** (dimension - 1) <= limit, "cover.rest_resolution", message)
 
     seed = data.get("seed", 0)
     _require(isinstance(seed, int) and not isinstance(seed, bool), "seed", "must be an integer")

@@ -139,7 +139,7 @@ def nearest_points(
     separation: float = DEFAULT_SEPARATION,
 ) -> NearestResult:
     """:func:`survey` of the one query point ``x``."""
-    surveyed = survey(spec, _batch(x, spec.dimension)[0], tie_tolerance, separation)
+    surveyed = survey(spec, _batch(x, spec.dimension), tie_tolerance, separation)
     return NearestResult(float(surveyed.distance[0]), surveyed.classifications()[0])
 
 

@@ -14,7 +14,10 @@ in-place ``np.maximum``/``np.minimum`` clamps in the packed kernel) without
 NumPy's Python-level wrappers such as ``np.sum`` or ``np.clip``.  It forms
 (|x|^2 - d^2) + |x|^2, the order in which ``strongify`` adds |x|^2.
 
-``named_field`` resolves the analytic fields; the command line resolves
+``named_field`` resolves the analytic test fields by their config names:
+``abs`` (|x_1|), ``norm`` (|x|), ``sq_norm`` (|x|^2) and ``sin1`` (sin x_1)
+from one table of evaluators, and ``blend:<seed>``, a seeded quadratic plus
+sine ripples.  Each field's tag is its name.  The command line resolves
 ``asplund[:set]`` to the lift of the config's set.
 """
 
@@ -31,11 +34,6 @@ __all__ = [
     "ScalarField",
     "asplund_lift",
     "strongify",
-    "coordinate_abs",
-    "euclidean_norm",
-    "squared_norm",
-    "first_coordinate_sine",
-    "quadratic_sine_blend",
     "named_field",
     "NAMED_FIELDS",
 ]
@@ -84,23 +82,7 @@ def asplund_lift(spec: ClosedSetSpec) -> ScalarField:
     return ScalarField(evaluate, spec.dimension, tag="asplund+sq")
 
 
-def coordinate_abs(dimension: int) -> ScalarField:
-    return ScalarField(lambda x: np.abs(x[..., 0]), dimension, tag="abs")
-
-
-def euclidean_norm(dimension: int) -> ScalarField:
-    return ScalarField(lambda x: np.sqrt(_sq(x)), dimension, tag="norm")
-
-
-def squared_norm(dimension: int) -> ScalarField:
-    return ScalarField(_sq, dimension, tag="sq_norm")
-
-
-def first_coordinate_sine(dimension: int) -> ScalarField:
-    return ScalarField(lambda x: np.sin(x[..., 0]), dimension, tag="sin1")
-
-
-def quadratic_sine_blend(dimension: int, seed: int = 0) -> ScalarField:
+def _blend(dimension: int, seed: int) -> ScalarField:
     """A seeded C^2 test field: x^T A x plus per-coordinate sine ripples."""
     rng = np.random.default_rng(seed)
     m = rng.uniform(-1.0, 1.0, size=(dimension, dimension))
@@ -115,20 +97,22 @@ def quadratic_sine_blend(dimension: int, seed: int = 0) -> ScalarField:
     return ScalarField(evaluate, dimension, tag=f"blend:{seed}")
 
 
+# The one table of analytic fields: each name is also the field's tag.
+_EVALUATORS = {
+    "abs": lambda x: np.abs(x[..., 0]),
+    "norm": lambda x: np.sqrt(_sq(x)),
+    "sq_norm": _sq,
+    "sin1": lambda x: np.sin(x[..., 0]),
+}
+
 # The field names a config may give; the command line resolves ``asplund[:set]``.
-NAMED_FIELDS = ("abs", "norm", "sq_norm", "sin1", "blend:<seed>", "asplund[:set]")
+NAMED_FIELDS = (*_EVALUATORS, "blend:<seed>", "asplund[:set]")
 
 
 def named_field(name: str, dimension: int) -> ScalarField:
     """Resolve an analytic field by its config name."""
-    if name == "abs":
-        return coordinate_abs(dimension)
-    if name == "norm":
-        return euclidean_norm(dimension)
-    if name == "sq_norm":
-        return squared_norm(dimension)
-    if name == "sin1":
-        return first_coordinate_sine(dimension)
+    if name in _EVALUATORS:
+        return ScalarField(_EVALUATORS[name], dimension, tag=name)
     if name.startswith("blend:"):
-        return quadratic_sine_blend(dimension, seed=int(name.split(":", 1)[1]))
+        return _blend(dimension, int(name.split(":", 1)[1]))
     raise ValueError(f"unknown field name {name!r}; known names: {', '.join(NAMED_FIELDS)}")

@@ -1,8 +1,12 @@
 """Closed-set descriptions, packed into one capsule form for vectorized queries.
 
-A closed set is declared as a finite union of records: points, segments,
-polygon boundary loops, and circle/sphere shells.  :class:`ClosedSetSpec`
-validates each record and packs it into capsule rows as it reads it, and
+A closed set is declared as a finite union of records, the JSON objects of a
+set description: ``{"type": "point", "coords": x}``, ``{"type": "segment",
+"a": a, "b": b}``, ``{"type": "polygon", "vertices": [v_0, v_1, ...]}`` (the
+boundary loop of a polygon, not the filled region) and ``{"type": "ball",
+"center": c, "radius": r}`` (a circle or sphere shell; radius 0 is the
+centre point).  :class:`ClosedSetSpec` checks each record's fields with the
+packer that its type names in one table, packs it into capsule rows, and
 keeps only the rows: a start A, a direction D (zero for points and shells)
 and a radius R (zero for points and segments).  A polygon loop packs as one
 segment row per edge, so every query sees the same set whether a loop was
@@ -15,9 +19,6 @@ nearest point of one chosen row per query point; the distance field, its
 projection and the tie classification in :mod:`medialcover.distance` are all
 built on these two.
 
-:class:`Point`, :class:`Segment`, :class:`PolygonBoundary` and :class:`Ball`
-are input records: they validate their fields and report their dimension.
-
 All coordinates are double precision, and every coordinate, radius and
 dimension must be given as a number: JSON true, false, null and strings are
 refused.  Instances are frozen and their arrays are marked read-only, so they
@@ -27,19 +28,11 @@ array fields have no single truth value.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = [
-    "Point",
-    "Segment",
-    "PolygonBoundary",
-    "Ball",
-    "ClosedSetSpec",
-    "Window",
-]
+__all__ = ["ClosedSetSpec", "Window"]
 
 
 _SHAPES = ("a number", "a vector of numbers", "an (m, n) array of numbers")
@@ -78,51 +71,32 @@ def _squared_lengths_fit(starts: np.ndarray, ends: np.ndarray) -> bool:
         return bool(np.isfinite(np.add.reduce(diff * diff, axis=-1)).all())
 
 
-def _batch(x: np.ndarray, dimension: int) -> tuple[np.ndarray, bool]:
-    """Coerce ``x`` to shape (N, dimension); report whether it was a single point."""
+def _batch(x: np.ndarray, dimension: int) -> np.ndarray:
+    """Coerce ``x`` to shape (N, dimension); a single point becomes one row."""
     arr = np.asarray(x, dtype=float)
-    single = arr.ndim == 1
-    if single:
+    if arr.ndim == 1:
         arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != dimension:
         raise ValueError(f"expected points of dimension {dimension}, got shape {arr.shape}")
-    return arr, single
+    return arr
 
 
-@dataclass(frozen=True, eq=False)
-class Point:
-    """A single point site."""
-
-    coords: np.ndarray
-
-    def __init__(self, coords):
-        object.__setattr__(self, "coords", _frozen_array(coords, "point coords", 1))
-
-    @property
-    def dimension(self) -> int:
-        return self.coords.shape[0]
+def _pack_point(record: dict):
+    coords = _frozen_array(record["coords"], "point coords", 1)
+    return coords[None], np.zeros((1, len(coords))), np.zeros(1)
 
 
-@dataclass(frozen=True, eq=False)
-class Segment:
-    """A closed line segment with distinct endpoints."""
-
-    a: np.ndarray
-    b: np.ndarray
-
-    def __init__(self, a, b):
-        object.__setattr__(self, "a", _frozen_array(a, "segment endpoint a", 1))
-        object.__setattr__(self, "b", _frozen_array(b, "segment endpoint b", 1))
-        if self.a.shape != self.b.shape:
-            raise ValueError("segment endpoints must be vectors of equal dimension")
-        if np.array_equal(self.a, self.b):
-            raise ValueError("segment endpoints must be distinct")
-        if not _squared_lengths_fit(self.a, self.b):
-            raise ValueError("segment too long: its squared length overflows")
-
-    @property
-    def dimension(self) -> int:
-        return self.a.shape[0]
+def _pack_segment(record: dict):
+    a, b = record["a"], record["b"]
+    a = _frozen_array(a, "segment endpoint a", 1)
+    b = _frozen_array(b, "segment endpoint b", 1)
+    if a.shape != b.shape:
+        raise ValueError("segment endpoints must be vectors of equal dimension")
+    if np.array_equal(a, b):
+        raise ValueError("segment endpoints must be distinct")
+    if not _squared_lengths_fit(a, b):
+        raise ValueError("segment too long: its squared length overflows")
+    return a[None], (b - a)[None], np.zeros(1)
 
 
 def _first_repeat(rows: np.ndarray) -> tuple[int, int] | None:
@@ -144,53 +118,49 @@ def _first_repeat(rows: np.ndarray) -> tuple[int, int] | None:
     return int(order[k]), int(order[k + 1])
 
 
-@dataclass(frozen=True, eq=False)
-class PolygonBoundary:
-    """The closed boundary curve of a polygon (the 1-D edge loop, not the filled region).
+def _pack_polygon(record: dict):
+    """One row per edge: vertex k to vertex k + 1, and the last vertex back to the first."""
+    verts = _frozen_array(record["vertices"], "polygon vertices", 2)
+    if verts.shape[0] < 3:
+        raise ValueError("polygon boundary needs at least 3 vertices")
+    repeat = _first_repeat(verts)
+    if repeat is not None:
+        raise ValueError(f"polygon vertices {repeat[0]} and {repeat[1]} coincide")
+    ends = np.roll(verts, -1, axis=0)
+    if not _squared_lengths_fit(verts, ends):
+        raise ValueError("polygon edge too long: its squared length overflows")
+    return verts, ends - verts, np.zeros(len(verts))
 
-    Its edges run from vertex k to vertex k + 1, and from the last vertex back
-    to the first.
+
+def _pack_ball(record: dict):
+    center, radius = record["center"], record["radius"]
+    center = _frozen_array(center, "ball center", 1)
+    radius = float(_frozen_array(radius, "ball radius", 0))
+    if radius < 0:
+        raise ValueError(f"ball radius must be >= 0, got {radius}")
+    return center[None], np.zeros((1, len(center))), np.array([radius])
+
+
+# The one table of primitive kinds: a record's "type" names its packer.
+_PACKERS = {"point": _pack_point, "segment": _pack_segment, "polygon": _pack_polygon, "ball": _pack_ball}
+
+
+def _pack(record) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (starts, directions, radii) rows of one record, after its own fields are checked.
+
+    Each packer looks up all of its fields before it checks any, so a missing
+    field is named before a malformed one.
     """
-
-    vertices: np.ndarray
-
-    def __init__(self, vertices):
-        verts = _frozen_array(vertices, "polygon vertices", 2)
-        if verts.shape[0] < 3:
-            raise ValueError("polygon boundary needs at least 3 vertices")
-        repeat = _first_repeat(verts)
-        if repeat is not None:
-            raise ValueError(f"polygon vertices {repeat[0]} and {repeat[1]} coincide")
-        if not _squared_lengths_fit(verts, np.roll(verts, -1, axis=0)):
-            raise ValueError("polygon edge too long: its squared length overflows")
-        object.__setattr__(self, "vertices", verts)
-
-    @property
-    def dimension(self) -> int:
-        return self.vertices.shape[1]
-
-
-@dataclass(frozen=True, eq=False)
-class Ball:
-    """The shell {x : |x - c| = r}, i.e. a circle in 2-D or a sphere in 3-D.
-
-    Radius 0 degenerates to the center point.  In the packed form a shell is a
-    row with a centre and a radius and no direction.
-    """
-
-    center: np.ndarray
-    radius: float
-
-    def __init__(self, center, radius):
-        object.__setattr__(self, "center", _frozen_array(center, "ball center", 1))
-        radius = float(_frozen_array(radius, "ball radius", 0))
-        if radius < 0:
-            raise ValueError(f"ball radius must be >= 0, got {radius}")
-        object.__setattr__(self, "radius", radius)
-
-    @property
-    def dimension(self) -> int:
-        return self.center.shape[0]
+    if not isinstance(record, dict) or "type" not in record:
+        raise ValueError("each primitive needs a 'type' field")
+    kind = record["type"]
+    packer = _PACKERS.get(kind) if isinstance(kind, str) else None  # a list or dict type cannot be a key
+    if packer is None:
+        raise ValueError(f"unknown primitive type {kind!r}")
+    try:
+        return packer(record)
+    except KeyError as exc:
+        raise ValueError(f"missing field {exc.args[0]!r} for type {kind!r}") from None
 
 
 # Large batches go through ``row_distances`` in blocks whose (n, M, block)
@@ -203,11 +173,14 @@ _BLOCK_ELEMENTS = 1 << 14
 class ClosedSetSpec:
     """A nonempty closed set, kept as the capsule rows of the records it was built from.
 
-    Each record packs, in the order given, into ``starts`` (M, n),
-    ``directions`` (M, n) and ``radii`` (M,): a point is one row (coords, 0,
-    0), a segment one row (a, b - a, 0), a shell one row (center, 0, radius),
-    and a polygon loop one row (v_k, v_{k+1} - v_k, 0) per edge, in loop
-    order.  The records themselves are not kept.
+    ``records`` are the JSON records of a set description's ``primitives``.
+    Each packs, in the order given, into ``starts`` (M, n), ``directions``
+    (M, n) and ``radii`` (M,): a point is one row (coords, 0, 0), a segment
+    one row (a, b - a, 0), a shell one row (center, 0, radius), and a polygon
+    loop one row (v_k, v_{k+1} - v_k, 0) per edge, in loop order.  The
+    records themselves are not kept.  The first error raised is, in this
+    order: a record's own fields, in record order; the set's ``dimension``;
+    a record's dimension, or a polygon in 1-D.
     """
 
     dimension: int
@@ -215,31 +188,25 @@ class ClosedSetSpec:
     directions: np.ndarray = field(init=False, repr=False)
     radii: np.ndarray = field(init=False, repr=False)
 
-    def __init__(self, primitives, dimension: int):
-        primitives = tuple(primitives)
-        if not primitives:
+    def __init__(self, records, dimension):
+        records = tuple(records)
+        if not records:
             raise ValueError("a closed set needs at least one primitive")
+        blocks = []
+        for k, record in enumerate(records):
+            try:
+                blocks.append(_pack(record))
+            except ValueError as exc:
+                raise ValueError(f"primitives[{k}]: {exc}") from None
         dimension = float(_frozen_array(dimension, "dimension", 0))
         if dimension not in (1, 2, 3):
             raise ValueError(f"dimension must be 1, 2 or 3, got {dimension:g}")
         n = int(dimension)
-        blocks = []
-        for k, p in enumerate(primitives):
-            if not isinstance(p, (Point, Segment, PolygonBoundary, Ball)):
-                raise ValueError(f"primitives[{k}]: not a supported primitive: {p!r}")
-            if p.dimension != n:
-                raise ValueError(f"primitives[{k}]: dimension {p.dimension} does not match set dimension {n}")
-            if isinstance(p, PolygonBoundary):
-                if n < 2:
-                    raise ValueError(f"primitives[{k}]: polygon boundary needs dimension >= 2")
-                v = p.vertices
-                blocks.append((v, np.roll(v, -1, axis=0) - v, np.zeros(len(v))))
-            elif isinstance(p, Segment):
-                blocks.append((p.a[None], (p.b - p.a)[None], np.zeros(1)))
-            elif isinstance(p, Ball):
-                blocks.append((p.center[None], np.zeros((1, n)), np.array([p.radius])))
-            else:
-                blocks.append((p.coords[None], np.zeros((1, n)), np.zeros(1)))
+        for k, (record, (starts, _, _)) in enumerate(zip(records, blocks)):
+            if starts.shape[1] != n:
+                raise ValueError(f"primitives[{k}]: dimension {starts.shape[1]} does not match set dimension {n}")
+            if record["type"] == "polygon" and n < 2:
+                raise ValueError(f"primitives[{k}]: polygon boundary needs dimension >= 2")
         starts, directions, radii = (np.concatenate(rows) for rows in zip(*blocks))
         lengths2 = np.add.reduce(directions * directions, axis=1)
         lengths2[lengths2 == 0.0] = 1.0  # t = 0 / 1 on rows without a direction
@@ -320,32 +287,7 @@ class ClosedSetSpec:
         raw = data["primitives"]
         if not isinstance(raw, list) or not raw:
             raise ValueError("'primitives' must be a nonempty list")
-        prims = []
-        for k, entry in enumerate(raw):
-            where = f"primitives[{k}]"
-            if not isinstance(entry, dict) or "type" not in entry:
-                raise ValueError(f"{where}: each primitive needs a 'type' field")
-            kind = entry["type"]
-            try:
-                if kind == "point":
-                    prims.append(Point(entry["coords"]))
-                elif kind == "segment":
-                    prims.append(Segment(entry["a"], entry["b"]))
-                elif kind == "polygon":
-                    prims.append(PolygonBoundary(entry["vertices"]))
-                elif kind == "ball":
-                    prims.append(Ball(entry["center"], entry["radius"]))
-                else:
-                    raise ValueError(f"unknown primitive type {kind!r}")
-            except KeyError as exc:
-                raise ValueError(f"{where}: missing field {exc.args[0]!r} for type {kind!r}") from None
-            except ValueError as exc:
-                raise ValueError(f"{where}: {exc}") from None
-        return cls(prims, data["dimension"])
-
-    @classmethod
-    def from_json(cls, text: str) -> "ClosedSetSpec":
-        return cls.from_dict(json.loads(text))
+        return cls(raw, data["dimension"])
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,18 +2,21 @@
 
 The package answers every distance, projection and classification question
 through the packed capsule rows of :class:`medialcover.ClosedSetSpec`, which
-keeps no records.  This module asks each :class:`Point`, :class:`Segment` and
-:class:`Ball` that a test declared on its own, with its own closed form, so a
-test that compares the two does not check the kernel, or the packing, against
-itself.
+keeps no records.  This module reads the JSON records that a test declares
+(``{"type": "point", "coords": ...}``, ``"segment"`` with ``a`` and ``b``,
+``"polygon"`` with ``vertices``, ``"ball"`` with ``center`` and ``radius``)
+and applies its own closed form to each, without the package's packers, so
+a test that compares the two does not check the kernel, or the packing,
+against itself.
 
-``distance``, ``project`` and ``nearest`` take one record and query points.
-``edges`` splits a :class:`PolygonBoundary` into its edge segments, and
-``expand`` does so for every loop of a list of records, in the order of the
-packed rows.  ``nearest_points`` takes the records of a set and one query
-point, keeps every expanded record whose distance is within
-``tie_tolerance`` of the minimum, and deduplicates their nearest points at
-``separation``.
+``dimension`` reads the number of coordinates of a record.  ``distance``,
+``project`` and ``nearest`` take one point, segment or ball record and query
+points.  ``edges`` splits a polygon record into its edge
+segment records, and ``expand`` does so for every loop of a list of records,
+in the order of the packed rows.  ``nearest_points`` takes the records of a
+set and one query point, keeps every expanded record whose distance is
+within ``tie_tolerance`` of the minimum, and deduplicates their nearest
+points at ``separation``.
 
 ``project_rows`` keeps the boolean-mask form of
 :meth:`ClosedSetSpec.project_rows` on the packed rows, the byte-level oracle of
@@ -42,17 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from medialcover import (
-    Ball,
-    Classification,
-    ClosedSetSpec,
-    CoercivityError,
-    Point,
-    PolygonBoundary,
-    ScalarField,
-    Segment,
-    survey,
-)
+from medialcover import Classification, ClosedSetSpec, CoercivityError, ScalarField, survey
 from medialcover.distance import DEFAULT_SEPARATION, DEFAULT_TIE_TOLERANCE
 
 
@@ -61,51 +54,64 @@ def _rows(x) -> np.ndarray:
     return np.atleast_2d(np.asarray(x, dtype=float))
 
 
-def _ball_witness(b: Ball) -> np.ndarray:
+def _vector(record: dict, key: str) -> np.ndarray:
+    return np.array(record[key], dtype=float)
+
+
+def dimension(p: dict) -> int:
+    """The number of coordinates of a record's points."""
+    key = {"point": "coords", "segment": "a", "polygon": "vertices", "ball": "center"}[p["type"]]
+    return np.shape(p[key])[-1]
+
+
+def _ball_witness(b: dict) -> np.ndarray:
     """The one shell point that stands for the whole shell at its centre: centre + R e_1."""
-    w = b.center.copy()
-    w[0] += b.radius
+    w = _vector(b, "center")
+    w[0] += b["radius"]
     return w
 
 
-def distance(p, x) -> np.ndarray:
-    """Distances (N,) from query points to the primitive ``p``."""
+def distance(p: dict, x) -> np.ndarray:
+    """Distances (N,) from query points to the point, segment or ball record ``p``."""
     x = _rows(x)
-    if isinstance(p, Point):
-        return np.linalg.norm(x - p.coords, axis=1)
-    if isinstance(p, Segment):
+    if p["type"] == "point":
+        return np.linalg.norm(x - _vector(p, "coords"), axis=1)
+    if p["type"] == "segment":
         return np.linalg.norm(x - project(p, x), axis=1)
-    return np.abs(np.linalg.norm(x - p.center, axis=1) - p.radius)
+    return np.abs(np.linalg.norm(x - _vector(p, "center"), axis=1) - p["radius"])
 
 
-def project(p, x) -> np.ndarray:
-    """One nearest point (N, n) of the primitive ``p`` per query point."""
+def project(p: dict, x) -> np.ndarray:
+    """One nearest point (N, n) of the point, segment or ball record ``p`` per query point."""
     x = _rows(x)
-    if isinstance(p, Point):
-        return np.broadcast_to(p.coords, x.shape).copy()
-    if isinstance(p, Segment):
-        d = p.b - p.a
-        t = np.clip((x - p.a) @ d / (d @ d), 0.0, 1.0)
-        return p.a + t[:, None] * d
-    u = x - p.center
+    if p["type"] == "point":
+        return np.broadcast_to(_vector(p, "coords"), x.shape).copy()
+    if p["type"] == "segment":
+        a = _vector(p, "a")
+        d = _vector(p, "b") - a
+        t = np.clip((x - a) @ d / (d @ d), 0.0, 1.0)
+        return a + t[:, None] * d
+    center = _vector(p, "center")
+    u = x - center
     rho = np.linalg.norm(u, axis=1)
     out = np.empty_like(x)
     degenerate = rho == 0.0
     safe = ~degenerate
-    out[safe] = p.center + (p.radius / rho[safe])[:, None] * u[safe]
+    out[safe] = center + (p["radius"] / rho[safe])[:, None] * u[safe]
     out[degenerate] = _ball_witness(p)
     return out
 
 
-def edges(p: PolygonBoundary) -> list[Segment]:
-    """The closed loop as segments: vertex k to vertex k + 1, the last back to the first."""
-    m = len(p.vertices)
-    return [Segment(p.vertices[k], p.vertices[(k + 1) % m]) for k in range(m)]
+def edges(p: dict) -> list[dict]:
+    """The closed loop of a polygon record as segment records: vertex k to vertex k + 1, the last back to the first."""
+    v = _vector(p, "vertices")
+    m = len(v)
+    return [{"type": "segment", "a": v[k], "b": v[(k + 1) % m]} for k in range(m)]
 
 
-def expand(records) -> list:
+def expand(records) -> list[dict]:
     """The records with each polygon loop replaced by its edges: one record per packed row."""
-    return [q for p in records for q in (edges(p) if isinstance(p, PolygonBoundary) else [p])]
+    return [q for p in records for q in (edges(p) if p["type"] == "polygon" else [p])]
 
 
 def project_rows(spec: ClosedSetSpec, pts: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -128,23 +134,24 @@ def project_rows(spec: ClosedSetSpec, pts: np.ndarray, rows: np.ndarray) -> np.n
     return foot
 
 
-def nearest(p, x) -> tuple[list[np.ndarray], bool]:
-    """The nearest points of ``p`` to one query point, and whether there are infinitely many.
+def nearest(p: dict, x) -> tuple[list[np.ndarray], bool]:
+    """The nearest points of the record ``p`` to one query point, and whether there are infinitely many.
 
     A point and a segment (convex) have one; a shell of positive radius queried
     exactly at its centre has the whole shell, given as one witness point.
     """
-    if isinstance(p, Point):
-        return [p.coords.copy()], False
-    if isinstance(p, Segment):
+    if p["type"] == "point":
+        return [_vector(p, "coords")], False
+    if p["type"] == "segment":
         return [project(p, x)[0]], False
-    if p.radius == 0.0:
-        return [p.center.copy()], False
-    u = _rows(x)[0] - p.center
+    center = _vector(p, "center")
+    if p["radius"] == 0.0:
+        return [center], False
+    u = _rows(x)[0] - center
     rho = float(np.linalg.norm(u))
     if rho == 0.0:
         return [_ball_witness(p)], True
-    return [p.center + (p.radius / rho) * u], False
+    return [center + (p["radius"] / rho) * u], False
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import medialcover.cli as cli
 from medialcover.cli import EXIT_CONFIG, EXIT_NONCONVEX, main
 from medialcover.config import load_config, parse_config
 from medialcover.distance import CSV_BLOCK_ROWS, Classification, grid_sweep
-from medialcover.geometry import Ball, ClosedSetSpec, Point, Window
+from medialcover.geometry import ClosedSetSpec, Window
 from medialcover.verify import write_overlay_svg, write_samples_csv
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -182,7 +182,8 @@ def test_verify_of_a_set_without_samples_writes_an_empty_csv_and_no_sample_circl
 
 def test_a_shell_on_a_non_square_window_is_drawn_with_one_radius_per_axis(tmp_path):
     svg = tmp_path / "overlay.svg"
-    write_overlay_svg(ClosedSetSpec([Ball([0.0, 0.0], 0.5)], 2), Window([-2.0, -1.0], [2.0, 1.0]), np.empty((0, 2)), svg)
+    spec = ClosedSetSpec([{"type": "ball", "center": [0.0, 0.0], "radius": 0.5}], 2)
+    write_overlay_svg(spec, Window([-2.0, -1.0], [2.0, 1.0]), np.empty((0, 2)), svg)
     ellipse = re.search(r'<ellipse cx="([^"]+)" cy="([^"]+)" rx="([^"]+)" ry="([^"]+)"', svg.read_text())
     assert ellipse is not None
     assert [float(v) for v in ellipse.groups()] == [320.0, 320.0, 80.0, 160.0]  # ry = 2 rx on a window half as high
@@ -193,7 +194,8 @@ def test_a_shell_on_a_non_square_window_is_drawn_with_one_radius_per_axis(tmp_pa
 def test_a_shell_of_radius_0_is_drawn_as_its_centre_point(tmp_path):
     window, samples = Window([-2.0, -1.0], [2.0, 1.0]), np.array([[0.0, 0.5]])
     drawn = []
-    for name, primitive in (("shell", Ball([0.5, 0.25], 0.0)), ("point", Point([0.5, 0.25]))):
+    shell, point = {"type": "ball", "center": [0.5, 0.25], "radius": 0.0}, {"type": "point", "coords": [0.5, 0.25]}
+    for name, primitive in (("shell", shell), ("point", point)):
         svg = tmp_path / f"{name}.svg"
         write_overlay_svg(ClosedSetSpec([primitive], 2), window, samples, svg)
         drawn.append(svg.read_text())

@@ -293,3 +293,70 @@ def test_a_grid_with_more_nodes_than_an_array_can_index_exits_2_without_a_report
     expected = f"config error: grid_resolution: too large: 10000000^3 grid nodes exceed {limit}, the most an array can index\n"
     assert capsys.readouterr().err == expected
     assert not (tmp_path / "table.csv").exists()
+
+
+def records(*entries, dimension=2):
+    return {"dimension": dimension, "primitives": [{"type": "point", "coords": [0.0, 0.0]}, *entries]}
+
+
+# One bad record of a set per case, always the second, and the exact line it
+# prints.  The fields of every record are checked first, in record order, then
+# the set's dimension, then each record's dimension and the 1-D polygon rule.
+BAD_RECORDS = {
+    "type-unknown": (records({"type": "blob"}), "primitives[1]: unknown primitive type 'blob'"),
+    "type-list": (records({"type": ["point"]}), "primitives[1]: unknown primitive type ['point']"),
+    "type-dict": (records({"type": {"point": 1}}), "primitives[1]: unknown primitive type {'point': 1}"),
+    "type-int": (records({"type": 3}), "primitives[1]: unknown primitive type 3"),
+    "type-missing": (records({"coords": [1.0, 0.0]}), "primitives[1]: each primitive needs a 'type' field"),
+    "not-an-object": (records([1.0, 0.0]), "primitives[1]: each primitive needs a 'type' field"),
+    "missing-field": (records({"type": "ball", "center": [1.0, 0.0]}), "primitives[1]: missing field 'radius' for type 'ball'"),
+    # Every field is looked up before any is checked.
+    "missing-field-after-a-bad-one": (
+        records({"type": "segment", "a": "x"}),
+        "primitives[1]: missing field 'b' for type 'segment'",
+    ),
+    "polygon-1d": (
+        {"dimension": 1, "primitives": [{"type": "point", "coords": [0.0]}, {"type": "polygon", "vertices": [[0.0], [1.0], [2.0]]}]},
+        "primitives[1]: polygon boundary needs dimension >= 2",
+    ),
+    "dimension-mismatch": (
+        records({"type": "point", "coords": [1.0, 0.0, 0.0]}),
+        "primitives[1]: dimension 3 does not match set dimension 2",
+    ),
+    "set-dimension-before-record-dimension": (
+        records({"type": "point", "coords": [1.0, 0.0, 0.0]}, dimension=4),
+        "dimension must be 1, 2 or 3, got 4",
+    ),
+    "record-fields-before-set-dimension": (
+        records({"type": "segment", "a": [1.0, 0.0], "b": [1.0, 0.0]}, dimension=4),
+        "primitives[1]: segment endpoints must be distinct",
+    ),
+}
+
+
+@pytest.mark.parametrize("document, message", list(BAD_RECORDS.values()), ids=list(BAD_RECORDS))
+def test_each_bad_set_record_prints_its_own_line_and_exits_2(document, message, tmp_path, capsys):
+    assert run_main("verify", {"set": document, "grid_resolution": 16}, tmp_path) == (EXIT_CONFIG, False)
+    assert capsys.readouterr().err == f"config error: set: {message}\n"
+    assert not (tmp_path / "table.csv").exists()
+
+
+# 10^19 rest nodes per axis in 2-D is beyond the intp range; np.linspace once
+# raised "Maximum allowed size exceeded", exit 1.
+def test_a_rest_grid_with_more_nodes_than_an_array_can_index_exits_2_without_a_report(tmp_path, capsys):
+    document = {"set": str(FIXTURES / "two_point_set.json"), "grid_resolution": 16, "cover": {"rest_resolution": 10**19}}
+    assert run_main("cover", document, tmp_path) == (EXIT_CONFIG, False)
+    limit = np.iinfo(np.intp).max
+    message = f"too large: {10**19}^1 rest nodes exceed {limit}, the most an array can index"
+    assert capsys.readouterr().err == f"config error: cover.rest_resolution: {message}\n"
+
+
+# 10^10 per axis in 3-D is 10^20 rest nodes; a command once began by allocating
+# one axis of 10^10 ticks, so this size is only parsed, never run.
+def test_a_3d_rest_grid_beyond_the_intp_range_is_refused_when_parsed():
+    document = {"set": str(FIXTURES / "shells_set.json"), "cover": {"rest_resolution": 10**10}}
+    with pytest.raises(ConfigError) as info:
+        parse_config(document)
+    limit = np.iinfo(np.intp).max
+    assert str(info.value) == f"cover.rest_resolution: too large: 10000000000^2 rest nodes exceed {limit}, the most an array can index"
+    assert parse_config({**document, "cover": {"rest_resolution": 3 * 10**9}}).cover_rest_resolution == 3 * 10**9

@@ -5,11 +5,8 @@ import pytest
 
 import reference
 from medialcover import (
-    Ball,
     ClosedSetSpec,
     CoercivityError,
-    Point,
-    Segment,
     ScalarField,
     SlopeLattice,
     Window,
@@ -29,14 +26,19 @@ FIXTURES = Path(__file__).parent / "fixtures"
 WINDOW2 = Window([-2, -2], [2, 2])
 WINDOW1 = Window([-2], [2])
 
-TWO_POINTS = ClosedSetSpec([Point([-1, 0]), Point([1, 0])], 2)
+TWO_POINTS = ClosedSetSpec([{"type": "point", "coords": [-1, 0]}, {"type": "point", "coords": [1, 0]}], 2)
 # strongly convex lift of the two-point set: 2|x1| + |x|^2 - 1
 LIFT = asplund_lift(TWO_POINTS)
 
 
 # a sphere shell, a point and a segment, as in the benchmark's 3-D workload
 SHELLS = ClosedSetSpec(
-    [Ball([0.0, 0.0, 0.0], 1.0), Point([-1.4, -1.3, -1.5]), Segment([1.0, 1.6, 1.3], [1.6, 1.0, 1.4])], 3
+    [
+        {"type": "ball", "center": [0.0, 0.0, 0.0], "radius": 1.0},
+        {"type": "point", "coords": [-1.4, -1.3, -1.5]},
+        {"type": "segment", "a": [1.0, 1.6, 1.3], "b": [1.6, 1.0, 1.4]},
+    ],
+    3,
 )
 SHELLS_LIFT = asplund_lift(SHELLS)
 # kinks on the planes x1 = 0, x2 = 1 and x3 = -1
@@ -237,8 +239,10 @@ def shell_centre_found(spec):
     return spec, SlopeLattice(), found
 
 
-CIRCLE = ClosedSetSpec([Ball([0.0, 0.0], 1.0)], 2)
-SPHERE_AND_POINT = ClosedSetSpec([Ball([0.0, 0.0, 0.0], 1.0), Point([-1.4, -1.3, -1.5])], 3)
+CIRCLE = ClosedSetSpec([{"type": "ball", "center": [0.0, 0.0], "radius": 1.0}], 2)
+SPHERE_AND_POINT = ClosedSetSpec(
+    [{"type": "ball", "center": [0.0, 0.0, 0.0], "radius": 1.0}, {"type": "point", "coords": [-1.4, -1.3, -1.5]}], 3
+)
 EXACT_CASES = {
     **{
         name: lambda name=name: fixture_found(name)
@@ -438,9 +442,16 @@ class TestProbes:
     def test_distance_lift_is_convex_for_all_primitive_kinds(self):
         specs = [
             TWO_POINTS,
-            ClosedSetSpec([Segment([-1, -0.5], [1, 0.5])], 2),
-            ClosedSetSpec([Ball([0.2, -0.1], 0.9)], 2),
-            ClosedSetSpec([Point([0, 0]), Ball([1, 1], 0.5), Segment([-1, 1], [-1, -1])], 2),
+            ClosedSetSpec([{"type": "segment", "a": [-1, -0.5], "b": [1, 0.5]}], 2),
+            ClosedSetSpec([{"type": "ball", "center": [0.2, -0.1], "radius": 0.9}], 2),
+            ClosedSetSpec(
+                [
+                    {"type": "point", "coords": [0, 0]},
+                    {"type": "ball", "center": [1, 1], "radius": 0.5},
+                    {"type": "segment", "a": [-1, 1], "b": [-1, -1]},
+                ],
+                2,
+            ),
         ]
         for spec in specs:
             violation, _, _ = reference.convexity_probe(reference.asplund_field(spec), WINDOW2, 10_000, seed=3)

@@ -14,13 +14,15 @@ from medialcover.config import load_config
 from medialcover.convex import SlopeLattice, nondiff_witnesses
 from medialcover.cover import FamilyBudgetError, cover_family_to_dict, enumerate_cover, graph_key
 from medialcover.fields import asplund_lift
-from medialcover.geometry import Ball, ClosedSetSpec, Point, Window
+from medialcover.geometry import ClosedSetSpec, Window
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
-LIFT = asplund_lift(ClosedSetSpec([Point([-1.0, 0.0]), Point([1.0, 0.0])], 2))
+LIFT = asplund_lift(ClosedSetSpec([{"type": "point", "coords": [-1.0, 0.0]}, {"type": "point", "coords": [1.0, 0.0]}], 2))
 LATTICE = SlopeLattice(step=1.0, bound=2.0)
-LIFT_3D = asplund_lift(ClosedSetSpec([Ball([0.0, 0.0, 0.0], 1.0), Point([-1.4, -1.3, -1.5])], 3))
+LIFT_3D = asplund_lift(
+    ClosedSetSpec([{"type": "ball", "center": [0.0, 0.0, 0.0], "radius": 1.0}, {"type": "point", "coords": [-1.4, -1.3, -1.5]}], 3)
+)
 
 
 def test_grid_values_are_the_graph_formula_on_direct_marginal_infima():

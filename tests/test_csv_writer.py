@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from medialcover.distance import CSV_BLOCK_ROWS, Classification, grid_sweep, write_grid_csv
-from medialcover.geometry import Ball, ClosedSetSpec, Point, Segment, Window
+from medialcover.geometry import ClosedSetSpec, Window
 from medialcover.verify import write_samples_csv
 
 
@@ -42,13 +42,15 @@ def oracle_samples_csv(points, path) -> None:
 # Each set has a segment along a grid line, so some nodes lie in the set and
 # their gradients are NaN, and a shell.  The 2-D and 3-D row counts (33**2 =
 # 1,089 and 11**3 = 1,331) are not multiples of the block size.
+def shell_segment_point(center, radius, a, b, coords):
+    shell = {"type": "ball", "center": center, "radius": radius}
+    return ClosedSetSpec([shell, {"type": "segment", "a": a, "b": b}, {"type": "point", "coords": coords}], len(center))
+
+
 SWEEPS = {
-    "1d": (ClosedSetSpec([Ball([0.0], 1.0), Segment([1.5], [1.8]), Point([-1.7])], 1), 41),
-    "2d": (ClosedSetSpec([Ball([0.5, 0.5], 0.75), Segment([-1.0, 0.0], [1.0, 0.0]), Point([-1.3, 1.1])], 2), 33),
-    "3d": (
-        ClosedSetSpec([Ball([0.0, 0.0, 0.0], 1.0), Segment([-2.0, 0.0, 2.0], [2.0, 0.0, 2.0]), Point([1.5, 1.5, 1.5])], 3),
-        11,
-    ),
+    "1d": (shell_segment_point([0.0], 1.0, [1.5], [1.8], [-1.7]), 41),
+    "2d": (shell_segment_point([0.5, 0.5], 0.75, [-1.0, 0.0], [1.0, 0.0], [-1.3, 1.1]), 33),
+    "3d": (shell_segment_point([0.0, 0.0, 0.0], 1.0, [-2.0, 0.0, 2.0], [2.0, 0.0, 2.0], [1.5, 1.5, 1.5]), 11),
 }
 
 
@@ -133,7 +135,7 @@ def test_samples_csv_formats_edge_case_floats_like_the_oracle(name, tmp_path):
 def test_grid_csv_of_a_sphere_on_a_symmetric_window_repeats_most_floats(tmp_path):
     # Centred on the window, the sphere's distances and gradients repeat under
     # every reflection and axis swap of the grid.
-    spec = ClosedSetSpec([Ball([0.0, 0.0, 0.0], 1.0)], 3)
+    spec = ClosedSetSpec([{"type": "ball", "center": [0.0, 0.0, 0.0], "radius": 1.0}], 3)
     sweep = grid_sweep(spec, Window([-2.0] * 3, [2.0] * 3), 16)
     cells = np.column_stack([sweep.values, sweep.gradients])
     blocks = [cells[lo : lo + CSV_BLOCK_ROWS] for lo in range(0, len(cells), CSV_BLOCK_ROWS)]
@@ -148,7 +150,7 @@ def test_grid_csv_of_a_sphere_on_a_symmetric_window_repeats_most_floats(tmp_path
 def test_grid_csv_holds_one_block_in_memory(tmp_path):
     # 40**3 = 64,000 rows, about 9 MB of text.  A writer that builds whole-table
     # index or string arrays peaks at several MB.
-    spec = ClosedSetSpec([Ball([0.0, 0.0, 0.0], 1.0), Point([1.5, 1.5, 1.5])], 3)
+    spec = ClosedSetSpec([{"type": "ball", "center": [0.0, 0.0, 0.0], "radius": 1.0}, {"type": "point", "coords": [1.5, 1.5, 1.5]}], 3)
     sweep = grid_sweep(spec, Window([-2.0] * 3, [2.0] * 3), 40)
     path = tmp_path / "grid.csv"
     tracemalloc.start()

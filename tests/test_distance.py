@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import json
 import tracemalloc
 from pathlib import Path
 
@@ -9,11 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from medialcover import (
-    Ball,
     Classification,
     ClosedSetSpec,
-    Point,
-    Segment,
     Window,
     grid_sweep,
     nearest_points,
@@ -25,14 +23,14 @@ from medialcover.distance import DEFAULT_TIE_TOLERANCE
 import reference
 
 # The records of each set, read by the per-record queries of `reference`.
-TWO_SITES = [Point([-1, 0]), Point([1, 0])]
-UNIT_CIRCLE = [Ball([0, 0], 1.0)]
-THREE_SITES = [Point([0, 0]), Point([1, 0]), Point([0, 1])]
+TWO_SITES = [{"type": "point", "coords": [-1, 0]}, {"type": "point", "coords": [1, 0]}]
+UNIT_CIRCLE = [{"type": "ball", "center": [0, 0], "radius": 1.0}]
+THREE_SITES = [{"type": "point", "coords": [0, 0]}, {"type": "point", "coords": [1, 0]}, {"type": "point", "coords": [0, 1]}]
 TWO_POINTS = ClosedSetSpec(TWO_SITES, 2)
 CIRCLE = ClosedSetSpec(UNIT_CIRCLE, 2)
 THREE_POINTS = ClosedSetSpec(THREE_SITES, 2)
 WINDOW = Window([-2, -2], [2, 2])
-SHELLS = ClosedSetSpec.from_json((Path(__file__).parent / "fixtures" / "shells_set.json").read_text())
+SHELLS = ClosedSetSpec.from_dict(json.loads((Path(__file__).parent / "fixtures" / "shells_set.json").read_text()))
 # The grid sweep's class codes: each class's index in Classification.
 IN_SET, UNIQUE, AMBIGUOUS = range(3)
 WINDOW3 = Window([-2.0] * 3, [2.0] * 3)
@@ -64,6 +62,9 @@ class TestDistance:
     def test_points_of_the_wrong_dimension_are_refused(self):
         with pytest.raises(ValueError, match="dimension 2"):
             nearest_points(TWO_POINTS, [[0.5], [0.3]])
+        for x in ([0.5, 0.3, 0.1], np.zeros((1, 1, 2))):  # a single point of three coordinates; a 3-D array
+            with pytest.raises(ValueError, match="expected points of dimension 2"):
+                nearest_points(TWO_POINTS, x)
 
 
 class TestNearestPoints:
@@ -81,7 +82,7 @@ class TestNearestPoints:
     def test_circumcenter_sees_three_nearest(self):
         # Brute-force check first: the circumcenter is equidistant to all sites.
         center = np.array([0.5, 0.5])
-        dists = [np.linalg.norm(center - p.coords) for p in THREE_SITES]
+        dists = [np.linalg.norm(center - p["coords"]) for p in THREE_SITES]
         assert max(dists) - min(dists) < 1e-15
         res = nearest_points(THREE_POINTS, center)
         assert res.classification is Classification.AMBIGUOUS
@@ -118,7 +119,7 @@ def reconstruct(spec, window=WINDOW, resolution=17):
 
 class TestGradient:
     def test_single_point_gradient(self):
-        x, _, grad = differentiable_nodes(ClosedSetSpec([Point([0, 0])], 2), Window([-5, -5], [5, 5]), 11)
+        x, _, grad = differentiable_nodes(ClosedSetSpec([{"type": "point", "coords": [0, 0]}], 2), Window([-5, -5], [5, 5]), 11)
         at = np.flatnonzero(np.all(x == [3.0, 4.0], axis=1))
         assert len(at) == 1
         assert np.allclose(grad[at[0]], [0.6, 0.8], atol=1e-6)
@@ -181,11 +182,11 @@ class TestGradient:
 
 class TestReconstruction:
     def test_point_site(self):
-        _, rec, proj = reconstruct(ClosedSetSpec([Point([0, 0])], 2))
+        _, rec, proj = reconstruct(ClosedSetSpec([{"type": "point", "coords": [0, 0]}], 2))
         assert np.allclose(rec, proj, atol=1e-4) and np.all(proj == 0.0)
 
     def test_segment_foot(self):
-        x, rec, proj = reconstruct(ClosedSetSpec([Segment([0, 0], [2, 0])], 2))
+        x, rec, proj = reconstruct(ClosedSetSpec([{"type": "segment", "a": [0, 0], "b": [2, 0]}], 2))
         assert np.allclose(rec, proj, atol=1e-4)
         at = np.all(x == [1.0, 1.0], axis=1)
         assert at.sum() == 1 and np.allclose(rec[at], [[1.0, 0.0]], atol=1e-4)
@@ -216,7 +217,7 @@ class TestReconstruction:
 
 def test_distance_decays_linearly_toward_nearest_point():
     rng = np.random.default_rng(11)
-    records = [Point([-1, 0]), Segment([0.5, -1], [0.5, 1])]
+    records = [{"type": "point", "coords": [-1, 0]}, {"type": "segment", "a": [0.5, -1], "b": [0.5, 1]}]
     spec = ClosedSetSpec(records, 2)
     checked = 0
     while checked < 100:

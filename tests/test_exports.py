@@ -26,6 +26,40 @@ def test_every_exported_name_resolves(module_name):
     assert missing == []
 
 
+# Names that once were public: the record classes the set packs from JSON
+# records, the factories behind the field names, and a set's JSON text reader.
+REMOVED = {
+    "medialcover": ["Ball", "Point", "PolygonBoundary", "Segment", "quadratic_sine_blend", "squared_norm"],
+    "medialcover.geometry": ["Ball", "Point", "PolygonBoundary", "Segment"],
+    "medialcover.fields": ["coordinate_abs", "euclidean_norm", "squared_norm", "first_coordinate_sine", "quadratic_sine_blend"],
+}
+
+
+@pytest.mark.parametrize("module_name", list(REMOVED))
+def test_removed_names_no_longer_resolve(module_name):
+    module = importlib.import_module(module_name)
+    assert [name for name in REMOVED[module_name] if hasattr(module, name)] == []
+    assert not hasattr(medialcover.ClosedSetSpec, "from_json")
+
+
+def test_every_public_top_level_definition_is_exported():
+    """A public ``def`` or ``class`` is in its module's ``__all__``; helpers are named with a leading underscore."""
+    unexported = {}
+    for path in Path(medialcover.__file__).parent.glob("*.py"):
+        if path.stem in ("__init__", "__main__", "cli"):  # the package's re-exports; the command line has no __all__
+            continue
+        module = importlib.import_module(f"medialcover.{path.stem}")
+        defined = [
+            node.name
+            for node in ast.parse(path.read_text()).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        ]
+        names = [name for name in defined if name not in module.__all__]
+        if names:
+            unexported[path.stem] = names
+    assert unexported == {}
+
+
 def test_every_exported_name_has_a_caller_in_the_package():
     sources = {path: ast.parse(path.read_text()) for path in Path(medialcover.__file__).parent.glob("*.py")}
     used = set()

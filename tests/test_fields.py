@@ -1,26 +1,15 @@
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from medialcover import (
-    Ball,
-    ClosedSetSpec,
-    Point,
-    PolygonBoundary,
-    Segment,
-    Window,
-    asplund_lift,
-    named_field,
-    quadratic_sine_blend,
-    squared_norm,
-    strongify,
-)
+from medialcover import ClosedSetSpec, Window, asplund_lift, named_field, strongify
 from reference import asplund_field
 from test_kernel import MIXED, packed, queries
 
-TWO_POINTS = ClosedSetSpec([Point([-1, 0]), Point([1, 0])], 2)
-CIRCLE = ClosedSetSpec([Ball([0, 0], 1.0)], 2)
+TWO_POINTS = ClosedSetSpec([{"type": "point", "coords": [-1, 0]}, {"type": "point", "coords": [1, 0]}], 2)
+CIRCLE = ClosedSetSpec([{"type": "ball", "center": [0, 0], "radius": 1.0}], 2)
 
 
 def test_two_point_convex_lift_has_closed_form():
@@ -32,7 +21,7 @@ def test_two_point_convex_lift_has_closed_form():
 
 
 def test_single_point_lift_vanishes():
-    f = asplund_field(ClosedSetSpec([Point([0, 0])], 2))
+    f = asplund_field(ClosedSetSpec([{"type": "point", "coords": [0, 0]}], 2))
     pts = np.random.default_rng(1).uniform(-2, 2, size=(100, 2))
     assert np.allclose(f(pts), 0.0, atol=1e-12)
 
@@ -65,11 +54,13 @@ class TestNamedFields:
         assert named_field("norm", 2)([3.0, 4.0]) == pytest.approx(5.0)
         assert named_field("sq_norm", 2)([3.0, 4.0]) == pytest.approx(25.0)
         assert named_field("sin1", 2)([np.pi / 2, 9.0]) == pytest.approx(1.0)
+        for name in ("abs", "norm", "sq_norm", "sin1", "blend:7"):
+            assert named_field(name, 3).tag == name and named_field(name, 3).dimension == 3
 
     def test_blend_is_seeded(self):
-        a = quadratic_sine_blend(2, seed=5)
-        b = quadratic_sine_blend(2, seed=5)
-        c = quadratic_sine_blend(2, seed=6)
+        a = named_field("blend:5", 2)
+        b = named_field("blend:5", 2)
+        c = named_field("blend:6", 2)
         x = np.array([0.4, -1.2])
         assert a(x) == b(x)
         assert a(x) != c(x)
@@ -80,7 +71,7 @@ class TestNamedFields:
 
 
 def test_field_shape_handling():
-    f = squared_norm(2)
+    f = named_field("sq_norm", 2)
     assert isinstance(f([1.0, 1.0]), float)
     out = f(np.ones((4, 5, 2)))
     assert out.shape == (4, 5)
@@ -102,14 +93,14 @@ def test_lift_is_vectorized_consistently():
 # segment) and the 3-D shells fixture (sphere, point, segment).
 MIXED_2D = ClosedSetSpec(
     [
-        PolygonBoundary([[1.4, 0.0], [0.4, 0.7], [-0.7, 1.2], [-0.8, 0.0], [-0.7, -1.2], [0.4, -0.7]]),
-        Ball([0.3, -0.2], 0.5),
-        Point([1.5, 1.5]),
-        Segment([-1.8, -1.5], [-1.0, -1.9]),
+        {"type": "polygon", "vertices": [[1.4, 0.0], [0.4, 0.7], [-0.7, 1.2], [-0.8, 0.0], [-0.7, -1.2], [0.4, -0.7]]},
+        {"type": "ball", "center": [0.3, -0.2], "radius": 0.5},
+        {"type": "point", "coords": [1.5, 1.5]},
+        {"type": "segment", "a": [-1.8, -1.5], "b": [-1.0, -1.9]},
     ],
     2,
 )
-SHELLS = ClosedSetSpec.from_json((Path(__file__).parent / "fixtures" / "shells_set.json").read_text())
+SHELLS = ClosedSetSpec.from_dict(json.loads((Path(__file__).parent / "fixtures" / "shells_set.json").read_text()))
 
 
 @pytest.mark.parametrize("spec", [MIXED_2D, SHELLS], ids=["2d", "3d"])

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import time
 from pathlib import Path
 
@@ -7,50 +8,39 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from medialcover import (
-    Ball,
-    Classification,
-    ClosedSetSpec,
-    Point,
-    PolygonBoundary,
-    Segment,
-    Window,
-    grid_sweep,
-    nearest_points,
-    survey,
-)
+from medialcover import Classification, ClosedSetSpec, Window, grid_sweep, nearest_points, survey
 import reference
 
-UNIT_SQUARE = PolygonBoundary([[0, 0], [1, 0], [1, 1], [0, 1]])
+UNIT_SQUARE = {"type": "polygon", "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}
 # A polygon is answered through the rows it packs into: one per edge.
 SQUARE_SET = ClosedSetSpec([UNIT_SQUARE], 2)
 
 
 def test_point_distance():
-    p = Point([0.0, 0.0])
+    p = {"type": "point", "coords": [0.0, 0.0]}
     assert reference.distance(p, np.array([3.0, 4.0]))[0] == pytest.approx(5.0)
 
 
 def test_segment_distance_interior_foot():
-    s = Segment([0, 0], [2, 0])
+    s = {"type": "segment", "a": [0, 0], "b": [2, 0]}
     assert reference.distance(s, np.array([1.0, 1.0]))[0] == pytest.approx(1.0)
 
 
 def test_segment_distance_clamps_to_endpoint():
-    s = Segment([0, 0], [2, 0])
+    s = {"type": "segment", "a": [0, 0], "b": [2, 0]}
     assert reference.distance(s, np.array([3.0, 0.0]))[0] == pytest.approx(1.0)
     assert np.allclose(reference.project(s, np.array([3.0, 4.0]))[0], [2.0, 0.0])
 
 
 def test_ball_radial_distance():
-    b = Ball([0, 0], 1.0)
+    b = {"type": "ball", "center": [0, 0], "radius": 1.0}
     assert reference.distance(b, np.array([3.0, 0.0]))[0] == pytest.approx(2.0)
     # inside the shell the distance is measured to the shell, not zero
     assert reference.distance(b, np.array([0.25, 0.0]))[0] == pytest.approx(0.75)
 
 
 def test_ball_zero_radius_degenerates_to_point():
-    b = Ball([1, 2], 0.0)
+    b = {"type": "ball", "center": [1, 2], "radius": 0.0}
     assert reference.distance(b, np.array([1.0, 0.0]))[0] == pytest.approx(2.0)
     pts, infinite = reference.nearest(b, np.array([5.0, 2.0]))
     assert not infinite
@@ -58,19 +48,19 @@ def test_ball_zero_radius_degenerates_to_point():
 
 
 def test_point_nearest():
-    pts, infinite = reference.nearest(Point([1.0, 0.0]), np.array([0.0, 0.0]))
+    pts, infinite = reference.nearest({"type": "point", "coords": [1.0, 0.0]}, np.array([0.0, 0.0]))
     assert not infinite
     assert np.allclose(pts[0], [1.0, 0.0])
 
 
 def test_segment_nearest_foot():
-    pts, infinite = reference.nearest(Segment([-1, 0], [1, 0]), np.array([0.0, 1.0]))
+    pts, infinite = reference.nearest({"type": "segment", "a": [-1, 0], "b": [1, 0]}, np.array([0.0, 1.0]))
     assert not infinite
     assert np.allclose(pts[0], [0.0, 0.0])
 
 
 def test_ball_center_query_flags_infinite_set():
-    b = Ball([0, 0], 1.0)
+    b = {"type": "ball", "center": [0, 0], "radius": 1.0}
     pts, infinite = reference.nearest(b, np.array([0.0, 0.0]))
     assert infinite
     assert len(pts) == 1
@@ -102,8 +92,8 @@ def test_polygon_loop_expands_into_its_edges():
     assert SQUARE_SET.directions.tolist() == [[1, 0], [0, 1], [-1, 0], [0, -1]]
     assert SQUARE_SET.radii.tolist() == [0, 0, 0, 0]
     corners = [[0, 0], [1, 0], [1, 1], [0, 1]]
-    loop = ClosedSetSpec.from_dict({"dimension": 2, "primitives": [{"type": "polygon", "vertices": corners}]})
-    edges = ClosedSetSpec([Segment(a, b) for a, b in zip(corners, corners[1:] + corners[:1])], 2)
+    loop = ClosedSetSpec([{"type": "polygon", "vertices": corners}], 2)
+    edges = ClosedSetSpec([{"type": "segment", "a": a, "b": b} for a, b in zip(corners, corners[1:] + corners[:1])], 2)
     for rows in ("starts", "directions", "radii"):
         assert getattr(loop, rows).tobytes() == getattr(edges, rows).tobytes()
 
@@ -149,7 +139,7 @@ GOLDEN_ROWS = {
 def test_packed_rows_match_their_golden_digest(name, monkeypatch):
     path = Path(__file__).parent / "fixtures" / f"{name}.json"
     if path.exists():
-        spec = ClosedSetSpec.from_json(path.read_text())
+        spec = ClosedSetSpec.from_dict(json.loads(path.read_text()))
     else:
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent))
         from perfbench.workloads import WORKLOADS
@@ -170,15 +160,15 @@ def test_unit_square_diagonals_are_ambiguous(t):
     assert nearest_points(SQUARE_SET, [1.0 + t, 1.0 + t]).classification is Classification.UNIQUE
 
 
-@pytest.mark.parametrize(
-    "primitive",
-    [
-        Point([0.3, -0.7]),
-        Segment([-1, -1], [1, 0.5]),
-        Ball([0.2, 0.1], 0.8),
-        UNIT_SQUARE,
-    ],
-)
+PRIMITIVES = [
+    {"type": "point", "coords": [0.3, -0.7]},
+    {"type": "segment", "a": [-1, -1], "b": [1, 0.5]},
+    {"type": "ball", "center": [0.2, 0.1], "radius": 0.8},
+    UNIT_SQUARE,
+]
+
+
+@pytest.mark.parametrize("primitive", PRIMITIVES)
 def test_nearest_points_attain_the_distance(primitive):
     spec = ClosedSetSpec([primitive], 2)
     rng = np.random.default_rng(42)
@@ -191,10 +181,7 @@ def test_nearest_points_attain_the_distance(primitive):
             assert abs(np.linalg.norm(x - p) - d) <= 1e-12 * (1 + d)
 
 
-@pytest.mark.parametrize(
-    "primitive",
-    [Point([0.3, -0.7]), Segment([-1, -1], [1, 0.5]), Ball([0.2, 0.1], 0.8), UNIT_SQUARE],
-)
+@pytest.mark.parametrize("primitive", PRIMITIVES)
 def test_primitive_distance_is_one_lipschitz(primitive):
     spec = ClosedSetSpec([primitive], 2)
     rng = np.random.default_rng(7)
@@ -213,33 +200,37 @@ coords = st.tuples(
 @settings(max_examples=100, deadline=None)
 @given(x=coords, y=coords)
 def test_segment_lipschitz_property(x, y):
-    s = Segment([-1, 0], [1, 1])
+    s = {"type": "segment", "a": [-1, 0], "b": [1, 1]}
     x, y = np.array(x), np.array(y)
     assert abs(reference.distance(s, x[None])[0] - reference.distance(s, y[None])[0]) <= np.linalg.norm(x - y) + 1e-12
+
+
+def pack(record, dimension=2):
+    return ClosedSetSpec([record], dimension)
 
 
 class TestValidation:
     def test_segment_endpoints_must_differ(self):
         with pytest.raises(ValueError, match="distinct"):
-            Segment([1, 1], [1, 1])
+            pack({"type": "segment", "a": [1, 1], "b": [1, 1]})
 
     # Its direction b - a overflows; a segment of length 1e154 squares to 1e308.
     def test_segment_length_must_square_to_a_float(self):
         with pytest.raises(ValueError, match="segment too long"):
-            Segment([-1e308, 0.0], [1e308, 0.0])
-        assert Segment([0.0, 0.0], [1e154, 0.0]).dimension == 2
+            pack({"type": "segment", "a": [-1e308, 0.0], "b": [1e308, 0.0]})
+        assert pack({"type": "segment", "a": [0.0, 0.0], "b": [1e154, 0.0]}).directions.tolist() == [[1e154, 0.0]]
 
     def test_polygon_edge_length_must_square_to_a_float(self):
         with pytest.raises(ValueError, match="polygon edge too long"):
-            PolygonBoundary([[0.0, 0.0], [1e200, 0.0], [0.0, 1.0]])
+            pack({"type": "polygon", "vertices": [[0.0, 0.0], [1e200, 0.0], [0.0, 1.0]]})
 
     def test_polygon_needs_three_vertices(self):
         with pytest.raises(ValueError, match="3 vertices"):
-            PolygonBoundary([[0, 0], [1, 1]])
+            pack({"type": "polygon", "vertices": [[0, 0], [1, 1]]})
 
     def test_polygon_rejects_repeated_vertices(self):
         with pytest.raises(ValueError, match="coincide"):
-            PolygonBoundary([[0, 0], [1, 0], [0, 0], [0, 1]])
+            pack({"type": "polygon", "vertices": [[0, 0], [1, 0], [0, 0], [0, 1]]})
 
     @pytest.mark.parametrize("seed", range(24))
     def test_repeated_vertices_name_the_first_pair_of_a_pairwise_loop(self, seed):
@@ -252,26 +243,27 @@ class TestValidation:
             vertices[rng.integers(m)] = vertices[rng.integers(m)]
         vertices = np.where((vertices == 0.0) & (rng.random(vertices.shape) < 0.5), -0.0, vertices)
         pairs = [(i, j) for i in range(m) for j in range(i + 1, m) if np.array_equal(vertices[i], vertices[j])]
+        loop = {"type": "polygon", "vertices": vertices}
         if not pairs:
-            assert PolygonBoundary(vertices).vertices.tobytes() == vertices.tobytes()
+            assert pack(loop, n).starts.tobytes() == vertices.tobytes()
             return
         with pytest.raises(ValueError) as info:
-            PolygonBoundary(vertices)
-        assert str(info.value) == f"polygon vertices {pairs[0][0]} and {pairs[0][1]} coincide"
+            pack(loop, n)
+        assert str(info.value) == f"primitives[0]: polygon vertices {pairs[0][0]} and {pairs[0][1]} coincide"
 
     def test_a_5000_vertex_loop_validates_in_under_2_s(self):
         angles = np.linspace(0.0, 2.0 * np.pi, 5000, endpoint=False)
         start = time.perf_counter()
-        PolygonBoundary(np.stack([np.cos(angles), np.sin(angles)], axis=1))
+        pack({"type": "polygon", "vertices": np.stack([np.cos(angles), np.sin(angles)], axis=1)})
         assert time.perf_counter() - start < 2.0
 
     def test_ball_rejects_negative_radius(self):
         with pytest.raises(ValueError, match="radius"):
-            Ball([0, 0], -1.0)
+            pack({"type": "ball", "center": [0, 0], "radius": -1.0})
 
     def test_nan_coordinates_rejected(self):
         with pytest.raises(ValueError, match="finite"):
-            Point([np.nan, 0.0])
+            pack({"type": "point", "coords": [np.nan, 0.0]})
 
     def test_set_needs_primitives(self):
         with pytest.raises(ValueError, match="at least one"):
@@ -279,26 +271,28 @@ class TestValidation:
 
     def test_set_dimension_mismatch(self):
         with pytest.raises(ValueError, match="does not match"):
-            ClosedSetSpec([Point([0, 0, 0])], 2)
+            pack({"type": "point", "coords": [0, 0, 0]})
 
     def test_set_dimension_range(self):
         with pytest.raises(ValueError, match="1, 2 or 3"):
-            ClosedSetSpec([Point([0])], 4)
+            pack({"type": "point", "coords": [0]}, 4)
 
     def test_window_orders_corners(self):
         with pytest.raises(ValueError, match="lower < upper"):
             Window([1, 0], [0, 1])
 
-    def test_primitive_arrays_are_read_only(self):
-        p = Point([1.0, 2.0])
-        with pytest.raises(ValueError):
-            p.coords[0] = 5.0
+    def test_packed_rows_are_read_only(self):
+        spec = pack({"type": "ball", "center": [1.0, 2.0], "radius": 0.5})
+        for rows in (spec.starts, spec.directions, spec.radii):
+            with pytest.raises(ValueError):
+                rows[0] = 5.0
 
-    def test_a_record_freezes_its_own_copy_not_the_callers_array(self):
-        coords = np.array([1.0, 2.0])
-        p = Point(coords)
-        coords[0] = 5.0
-        assert p.coords.tolist() == [1.0, 2.0]
+    def test_a_set_packs_its_own_copy_not_the_callers_array(self):
+        coords, vertices = np.array([1.0, 2.0]), np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        spec = ClosedSetSpec([{"type": "point", "coords": coords}, {"type": "polygon", "vertices": vertices}], 2)
+        coords[0], vertices[1, 0] = 5.0, 7.0
+        assert spec.starts.tolist() == [[1.0, 2.0], [0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+        assert spec.directions.tolist() == [[0.0, 0.0], [1.0, 0.0], [-1.0, 1.0], [0.0, -1.0]]
 
 
 class TestJson:
@@ -330,13 +324,9 @@ def test_window_grid_and_sampling():
 
 def test_records_that_hold_arrays_compare_and_hash_by_identity():
     def build():
-        spec = ClosedSetSpec([Point([0.0, 0.0]), Ball([0.0, 0.0], 1.0)], 2)
+        spec = ClosedSetSpec([{"type": "point", "coords": [0.0, 0.0]}, {"type": "ball", "center": [0.0, 0.0], "radius": 1.0}], 2)
         window = Window([-1.0, -1.0], [1.0, 1.0])
         return [
-            Point([0.0, 0.0]),
-            Segment([0.0, 0.0], [1.0, 0.0]),
-            PolygonBoundary([[0, 0], [1, 0], [0, 1]]),
-            Ball([0.0, 0.0], 1.0),
             spec,
             window,
             survey(spec, np.array([[0.5, 0.5]])),

@@ -5,17 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from medialcover import (
-    Ball,
-    ClosedSetSpec,
-    Point,
-    PolygonBoundary,
-    Segment,
-    Window,
-    grid_sweep,
-    nearest_points,
-    survey,
-)
+from medialcover import ClosedSetSpec, Window, grid_sweep, nearest_points, survey
 import reference
 
 TIE = 1e-9
@@ -23,18 +13,18 @@ TIE = 1e-9
 
 def random_records(rng, n):
     """Points, segments, a polygon loop and shells of radius 0 and > 0, in random order."""
-    prims = [Point(rng.uniform(-1.5, 1.5, n)) for _ in range(rng.integers(1, 4))]
-    prims += [Segment(rng.uniform(-1.5, 1.5, n), rng.uniform(-1.5, 1.5, n)) for _ in range(rng.integers(1, 3))]
-    prims.append(PolygonBoundary(rng.uniform(-1.5, 1.5, size=(rng.integers(3, 6), n))))
-    prims.append(Ball(rng.uniform(-1.0, 1.0, n), 0.0))
-    prims.append(Ball(rng.uniform(-1.0, 1.0, n), rng.uniform(0.2, 1.2)))
+    prims = [{"type": "point", "coords": rng.uniform(-1.5, 1.5, n)} for _ in range(rng.integers(1, 4))]
+    prims += [{"type": "segment", "a": rng.uniform(-1.5, 1.5, n), "b": rng.uniform(-1.5, 1.5, n)} for _ in range(rng.integers(1, 3))]
+    prims.append({"type": "polygon", "vertices": rng.uniform(-1.5, 1.5, size=(rng.integers(3, 6), n))})
+    prims.append({"type": "ball", "center": rng.uniform(-1.0, 1.0, n), "radius": 0.0})
+    prims.append({"type": "ball", "center": rng.uniform(-1.0, 1.0, n), "radius": rng.uniform(0.2, 1.2)})
     order = rng.permutation(len(prims))
     return [prims[k] for k in order]
 
 
 def packed(records):
     """The set of the declared records, whose rows the tests check against the records themselves."""
-    return ClosedSetSpec(records, records[0].dimension)
+    return ClosedSetSpec(records, reference.dimension(records[0]))
 
 
 def declared(sets):
@@ -58,8 +48,8 @@ def reference_table(records, pts):
 
 
 MIXED = [random_records(np.random.default_rng(seed), n) for n in (2, 3) for seed in range(6)]
-SQUARE = [PolygonBoundary([[-1, -1], [1, -1], [1, 1], [-1, 1]])]
-STAR = [PolygonBoundary([[1.4, 0.0], [0.4, 0.7], [-0.7, 1.2], [-0.8, 0.0], [-0.7, -1.2], [0.4, -0.7]])]
+SQUARE = [{"type": "polygon", "vertices": [[-1, -1], [1, -1], [1, 1], [-1, 1]]}]
+STAR = [{"type": "polygon", "vertices": [[1.4, 0.0], [0.4, 0.7], [-0.7, 1.2], [-0.8, 0.0], [-0.7, -1.2], [0.4, -0.7]]}]
 
 
 @pytest.mark.parametrize("records", declared(MIXED))
@@ -90,7 +80,11 @@ def test_projections_match_where_the_runner_up_is_clear(records):
 
 
 # Point feet of -0.0 that no segment part rounds to +0.0, next to a shell.
-SIGNED_ZEROS = [Point([-0.0, 0.5]), Point([0.5, -0.0]), Ball([-0.0, 0.0], 1.0)]
+SIGNED_ZEROS = [
+    {"type": "point", "coords": [-0.0, 0.5]},
+    {"type": "point", "coords": [0.5, -0.0]},
+    {"type": "ball", "center": [-0.0, 0.0], "radius": 1.0},
+]
 
 
 @pytest.mark.parametrize("records", declared(MIXED + [SIGNED_ZEROS]))
@@ -117,9 +111,9 @@ def test_classes_match_nearest_points_row_by_row(records):
 
 
 def test_shell_centre_is_ambiguous_only_when_the_shell_is_nearest():
-    shell = Ball([0.0, 0.0, 0.0], 1.0)
+    shell = {"type": "ball", "center": [0.0, 0.0, 0.0], "radius": 1.0}
     alone = ClosedSetSpec([shell], 3)
-    with_point = ClosedSetSpec([Point([0.2, 0.0, 0.0]), shell], 3)
+    with_point = ClosedSetSpec([{"type": "point", "coords": [0.2, 0.0, 0.0]}, shell], 3)
     centre = np.zeros((1, 3))
     assert survey(alone, centre).ambiguous.tolist() == [True]
     assert survey(with_point, centre).ambiguous.tolist() == [False]
@@ -136,7 +130,7 @@ def test_square_bisector_nodes_are_ambiguous():
 
 def test_separation_decides_between_close_feet():
     # Two sites 1e-4 apart: ambiguous under a 1e-6 separation, one point under 1e-3.
-    spec = ClosedSetSpec([Point([0.0, -5e-5]), Point([0.0, 5e-5])], 2)
+    spec = ClosedSetSpec([{"type": "point", "coords": [0.0, -5e-5]}, {"type": "point", "coords": [0.0, 5e-5]}], 2)
     x = np.array([[1.0, 0.0]])
     assert survey(spec, x, TIE, 1e-6).ambiguous.tolist() == [True]
     assert survey(spec, x, TIE, 1e-3).ambiguous.tolist() == [False]
@@ -147,7 +141,7 @@ def test_segment_clamp_keeps_the_sign_of_a_zero_parameter():
     # rounds to -0.0.  np.clip(t, 0, 1) keeps -0.0, so the foot A + t D of a
     # start at (-0.0, -0.0) stays (-0.0, -0.0); a clamp that turned t into
     # +0.0 would give (0.0, 0.0).
-    spec = ClosedSetSpec([Segment([-0.0, -0.0], [2.0, -0.0])], 2)
+    spec = ClosedSetSpec([{"type": "segment", "a": [-0.0, -0.0], "b": [2.0, -0.0]}], 2)
     x = np.array([[-5e-324, 0.0]])
     t = np.add.reduce((x - spec.starts) * spec.directions, axis=1) / 4.0
     assert t[0] == 0.0 and np.signbit(np.clip(t, 0.0, 1.0)[0])
@@ -161,13 +155,8 @@ eighths = st.integers(-12, 12).map(lambda k: k / 8.0)
 @given(vertices=st.lists(st.tuples(eighths, eighths), min_size=3, max_size=6, unique=True))
 def test_polygon_classifies_like_its_edges_as_segments(vertices):
     m = len(vertices)
-    loop = ClosedSetSpec.from_dict({"dimension": 2, "primitives": [{"type": "polygon", "vertices": vertices}]})
-    edges = ClosedSetSpec.from_dict(
-        {
-            "dimension": 2,
-            "primitives": [{"type": "segment", "a": vertices[k], "b": vertices[(k + 1) % m]} for k in range(m)],
-        }
-    )
+    loop = ClosedSetSpec([{"type": "polygon", "vertices": vertices}], 2)
+    edges = ClosedSetSpec([{"type": "segment", "a": vertices[k], "b": vertices[(k + 1) % m]} for k in range(m)], 2)
     window = Window([-2, -2], [2, 2])
     for x in np.vstack([window.grid_points(9), np.mean(vertices, axis=0)]):
         assert nearest_points(loop, x).classification is nearest_points(edges, x).classification

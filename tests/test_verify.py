@@ -13,7 +13,7 @@ from medialcover.cli import _samples
 from medialcover.config import load_config
 from medialcover.convex import nondiff_witnesses
 from medialcover.distance import survey
-from medialcover.geometry import ClosedSetSpec, Point, Window
+from medialcover.geometry import ClosedSetSpec, Window
 from medialcover.verify import _MAX_BISECTIONS, _flagged_edges, _refine_edges, certify_cover
 from test_voronoi_oracle import SEEDS, WINDOW, random_sites
 
@@ -57,14 +57,14 @@ def fixture_case(name, resolution=None):
 
 
 def voronoi_case(seed):
-    spec = ClosedSetSpec([Point(p) for p in random_sites(seed)], 2)
+    spec = ClosedSetSpec([{"type": "point", "coords": p} for p in random_sites(seed)], 2)
     _, edges = _flagged_edges(spec, WINDOW, 32, 1e-9, 1e-6)
     return spec, edges, 1e-8
 
 
 def bisector_case():
     """Brackets across the bisector x = 0 of two points: two wide, one narrow and one of middle width."""
-    spec = ClosedSetSpec([Point([-1.0, 0.0]), Point([1.0, 0.0])], 2)
+    spec = ClosedSetSpec([{"type": "point", "coords": [-1.0, 0.0]}, {"type": "point", "coords": [1.0, 0.0]}], 2)
     a = np.array([[-0.5, 0.25], [-1e-3, 0.25], [-0.01, -0.5], [-0.5, 0.75]])
     edges = (a, a * [-1.0, 1.0], np.repeat([[-1.0, 0.0]], len(a), axis=0), np.repeat([[1.0, 0.0]], len(a), axis=0))
     return spec, edges, 1e-8
@@ -118,7 +118,7 @@ def test_a_bracket_refines_the_same_in_any_subset_or_order_of_its_batch(case):
 
 
 def test_no_flagged_edges_refine_to_nothing():
-    spec = ClosedSetSpec([Point([0.0, 0.0])], 2)
+    spec = ClosedSetSpec([{"type": "point", "coords": [0.0, 0.0]}], 2)
     _, edges = _flagged_edges(spec, Window([-1.0, -1.0], [1.0, 1.0]), 16, 1e-9, 1e-6)
     assert [v.shape for v in edges] == [(0, 2)] * 4
     assert_bit_identical(_refine_edges(spec, edges, 1e-8), np.empty((0, 3, 2)))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from medialcover.geometry import ClosedSetSpec, Point, Window
+from medialcover.geometry import ClosedSetSpec, Window
 from medialcover.verify import DEFAULT_REFINE_TOL, detect_ambiguous
 from voronoi_oracle import voronoi_medial_axis_2d
 
@@ -31,7 +31,7 @@ def test_skeleton_points_have_two_nearest_sites(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_detected_samples_lie_on_the_voronoi_skeleton(seed):
     sites = random_sites(seed)
-    spec = ClosedSetSpec([Point(p) for p in sites], 2)
+    spec = ClosedSetSpec([{"type": "point", "coords": p} for p in sites], 2)
     skeleton = voronoi_medial_axis_2d(sites, WINDOW)
     samples = detect_ambiguous(spec, WINDOW, 32)[:, 0]
     assert len(samples) > 0
