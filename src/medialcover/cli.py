@@ -43,7 +43,7 @@ from . import __version__
 from .config import ConfigError, ScenarioConfig, config_digest, load_config
 from .convex import CoercivityError, nondiff_witnesses
 from .cover import FamilyBudgetError, cover_family_to_dict, enumerate_cover
-from .distance import Classification, grid_sweep, write_grid_csv
+from .distance import TIE_TOLERANCE, Classification, grid_sweep, write_grid_csv
 from .fields import asplund_lift, named_field, strongify
 from .verify import certify_cover, detect_ambiguous, write_overlay_svg, write_samples_csv
 
@@ -102,27 +102,34 @@ def _field(config: ScenarioConfig):
 
 
 def _samples(config: ScenarioConfig) -> np.ndarray:
-    """The ambiguous samples, with their feet, that the config's detection grid and tolerances find on its set."""
-    return detect_ambiguous(
-        config.set_spec,
-        config.window,
-        config.grid_resolution,
-        tie_tolerance=config.tie_tolerance,
-        separation=config.separation,
-        refine_tol=config.refine_tol,
-    )
+    """The ambiguous samples, with their feet, that the config's detection grid finds on its set.
+
+    Detection uses the method's constant tolerances: ``distance.TIE_TOLERANCE``,
+    ``distance.SEPARATION`` and ``verify.REFINE_TOL``.
+    """
+    return detect_ambiguous(config.set_spec, config.window, config.grid_resolution)
+
+
+def _require_resolved_distances(config: ScenarioConfig) -> None:
+    """Refuse a set so far from the window that doubles near its distances there lie more than the tie tolerance apart.
+
+    Distance is 1-Lipschitz, so no point of the window lies farther from the
+    set than its centre does plus its half-diagonal.  Past that, rounding
+    makes rows tie that do not, and a sweep would call every node ambiguous.
+    """
+    centre = (config.window.lower + config.window.upper) / 2
+    reach = float(config.set_spec.row_distances(centre[None]).min() + np.linalg.norm(config.window.extent) / 2)
+    gap = float(np.spacing(reach))
+    if gap > TIE_TOLERANCE:
+        message = f"distances there reach {reach:g}, where doubles lie {gap:g} apart, more than the tie tolerance {TIE_TOLERANCE:g}"
+        raise ConfigError(f"set: too far from the window: {message}")
 
 
 def _cmd_analyze(config: ScenarioConfig) -> tuple[dict, int]:
     if config.set_spec is None:
         raise ConfigError("set: the analyze command needs a set description")
-    sweep = grid_sweep(
-        config.set_spec,
-        config.window,
-        config.grid_resolution,
-        tie_tolerance=config.tie_tolerance,
-        separation=config.separation,
-    )
+    _require_resolved_distances(config)
+    sweep = grid_sweep(config.set_spec, config.window, config.grid_resolution)
     csv_path = config.outputs.get("csv", "analyze_grid.csv")
     write_grid_csv(sweep, csv_path)
     counts = np.bincount(sweep.classes, minlength=len(Classification)).tolist()

@@ -3,9 +3,9 @@
 Flags on the command line override only output paths, the seed and
 ``--allow-unresolved``; every numerical knob lives in the config so scenarios
 can be archived as fixtures.  Keys the program does not read are ignored,
-among them ``tolerances.coverage``, ``cover.axes`` and the ``decompose``
-block: a sample counts as covered within 1e-6 of its graph, the cover family
-spans every axis, and no command splits a C^2 field.
+among them the ``tolerances`` block, ``cover.axes`` and the ``decompose``
+block: the method's tolerances are constants (see ``ScenarioConfig``), the
+cover family spans every axis, and no command splits a C^2 field.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from .convex import SlopeLattice
-from .distance import DEFAULT_SEPARATION, DEFAULT_TIE_TOLERANCE
+from .distance import SEPARATION, TIE_TOLERANCE
 from .geometry import ClosedSetSpec, Window
-from .verify import DEFAULT_REFINE_TOL
+from .verify import REFINE_TOL
 
 __all__ = ["ConfigError", "ScenarioConfig", "parse_config", "load_config", "config_digest"]
 
@@ -38,14 +38,16 @@ class ScenarioConfig:
     lattice: SlopeLattice
     set_spec: ClosedSetSpec | None
     field_name: str | None
-    tie_tolerance: float
-    separation: float
-    refine_tol: float
     cover_cap: int
     cover_rest_resolution: int
     fault_offset: float
     seed: int
     outputs: dict
+
+    # The method's constant tolerances, which no config sets; ``perfbench/run.py`` reads them here.
+    tie_tolerance = TIE_TOLERANCE
+    separation = SEPARATION
+    refine_tol = REFINE_TOL
 
 
 def _require(condition: bool, name: str, message: str) -> None:
@@ -165,13 +167,6 @@ def parse_config(data: dict, base_dir: Path | None = None) -> ScenarioConfig:
     except ValueError as exc:
         raise ConfigError(f"lattice: {exc}") from None
 
-    tol = data.get("tolerances", {})
-    if not isinstance(tol, dict):
-        raise ConfigError("tolerances: expected an object")
-    tie = _get_number(tol, "tolerances.tie", DEFAULT_TIE_TOLERANCE, positive=True)
-    separation = _get_number(tol, "tolerances.separation", DEFAULT_SEPARATION, positive=True)
-    refine = _get_number(tol, "tolerances.refine", DEFAULT_REFINE_TOL, positive=True)
-
     cover = data.get("cover", {})
     if not isinstance(cover, dict):
         raise ConfigError("cover: expected an object")
@@ -198,9 +193,6 @@ def parse_config(data: dict, base_dir: Path | None = None) -> ScenarioConfig:
         lattice=lattice,
         set_spec=set_spec,
         field_name=field_name,
-        tie_tolerance=float(tie),
-        separation=float(separation),
-        refine_tol=float(refine),
         cover_cap=cap,
         cover_rest_resolution=rest_resolution,
         fault_offset=float(fault_offset),

@@ -71,8 +71,8 @@ def cover_family_to_dict(base: ScalarField, graphs, window: Window, resolution: 
         return []
     # (axis, slope) keys in first-use order
     keys = list(dict.fromkeys((axis, slope) for axis, alpha, beta in graphs for slope in (alpha, beta)))
-    ticks = window.axes(resolution)
-    # The rest grid of each axis, last axis fastest; in 1-D, one node with no coordinates.
+    # The rest grid of each axis, last axis fastest; in 1-D, one node with no coordinates and no axis ticked.
+    ticks = window.axes(resolution) if window.dimension > 1 else []
     rest = {axis: np.array(list(itertools.product(*ticks[:axis], *ticks[axis + 1 :]))) for axis in {a for a, _, _ in graphs}}
     count = resolution ** (window.dimension - 1)
     points = np.concatenate([np.insert(rest[axis], axis, 0.0, axis=1) for axis, _ in keys])

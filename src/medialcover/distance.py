@@ -6,10 +6,11 @@ behind the grid sweep, the ambiguity detector and the single-point query
 ``nearest_points``: per query point it returns the distance, one nearest
 point, and the classification as lying in the set, having a unique nearest
 point, or being ambiguous.  It measures every row; only query points with
-two or more rows within ``tie_tolerance`` of the minimum, or at the exact
-centre of a shell, get projections onto those rows, and such a point is
-ambiguous when one tied projection lies more than ``separation`` from the
-first.
+two or more rows within ``TIE_TOLERANCE`` (1e-9) of the minimum, or at the
+exact centre of a shell, get projections onto those rows, and such a point
+is ambiguous when one tied projection lies more than ``SEPARATION`` (1e-6)
+from the first.  The two are constants of the method; ``survey`` and
+``nearest_points`` take them as parameters that default to them.
 
 Each query point also gets its foot box: the coordinatewise minimum and
 maximum of its nearest points.  Where no row ties it is the one projection;
@@ -50,12 +51,12 @@ __all__ = [
     "grid_sweep",
     "write_csv",
     "write_grid_csv",
-    "DEFAULT_TIE_TOLERANCE",
-    "DEFAULT_SEPARATION",
+    "TIE_TOLERANCE",
+    "SEPARATION",
 ]
 
-DEFAULT_TIE_TOLERANCE = 1e-9
-DEFAULT_SEPARATION = 1e-6
+TIE_TOLERANCE = 1e-9
+SEPARATION = 1e-6
 
 
 class Classification(str, Enum):
@@ -98,8 +99,8 @@ def _class_codes(surveyed: Survey) -> np.ndarray:
 def survey(
     spec: ClosedSetSpec,
     pts: np.ndarray,
-    tie_tolerance: float = DEFAULT_TIE_TOLERANCE,
-    separation: float = DEFAULT_SEPARATION,
+    tie_tolerance: float = TIE_TOLERANCE,
+    separation: float = SEPARATION,
 ) -> Survey:
     """Classify a batch of query points (N, n) by the tie rule of the module docstring."""
     table = spec.row_distances(pts)
@@ -135,8 +136,8 @@ def survey(
 def nearest_points(
     spec: ClosedSetSpec,
     x,
-    tie_tolerance: float = DEFAULT_TIE_TOLERANCE,
-    separation: float = DEFAULT_SEPARATION,
+    tie_tolerance: float = TIE_TOLERANCE,
+    separation: float = SEPARATION,
 ) -> NearestResult:
     """:func:`survey` of the one query point ``x``."""
     surveyed = survey(spec, _batch(x, spec.dimension), tie_tolerance, separation)
@@ -169,14 +170,7 @@ class GridSweep:
 SWEEP_BLOCK_NODES = 4096
 
 
-def grid_sweep(
-    spec: ClosedSetSpec,
-    window: Window,
-    resolution: int,
-    *,
-    tie_tolerance: float = DEFAULT_TIE_TOLERANCE,
-    separation: float = DEFAULT_SEPARATION,
-) -> GridSweep:
+def grid_sweep(spec: ClosedSetSpec, window: Window, resolution: int) -> GridSweep:
     """Survey the grid nodes block by block into preallocated arrays.
 
     A block is the largest whole number of the kernel's row blocks (see
@@ -195,7 +189,7 @@ def grid_sweep(
     size = max(1, SWEEP_BLOCK_NODES // spec._block) * spec._block
     for lo in range(0, count, size):
         block = slice(lo, lo + size)
-        surveyed = survey(spec, pts[block], tie_tolerance, separation)
+        surveyed = survey(spec, pts[block])
         off = ~surveyed.in_set
         values[block] = surveyed.distance
         gradients[block] = np.nan

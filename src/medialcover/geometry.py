@@ -121,6 +121,8 @@ def _first_repeat(rows: np.ndarray) -> tuple[int, int] | None:
 def _pack_polygon(record: dict):
     """One row per edge: vertex k to vertex k + 1, and the last vertex back to the first."""
     verts = _frozen_array(record["vertices"], "polygon vertices", 2)
+    if not verts.shape[1]:
+        raise ValueError(f"polygon vertices must have coordinates, got {record['vertices']!r}")
     if verts.shape[0] < 3:
         raise ValueError("polygon boundary needs at least 3 vertices")
     repeat = _first_repeat(verts)

@@ -4,13 +4,14 @@
 :func:`medialcover.distance.survey` (a polygon loop is one segment row per
 edge there), keeps the grid nodes it classifies as ambiguous, flags edges whose
 endpoints project to genuinely different branches of the set, and localizes
-each branch crossing by bisection on the kernel's projections.  The flagged
-edges of all axes form one batch that shares one lockstep bisection, so each
-step costs one distance and one projection call of the packed kernel; each
-bracket stops on its own width, whatever else is in the batch.  Every sample
-carries its feet as a box: the coordinatewise minimum and maximum of its
-nearest points, from the survey for a grid node and from the final bracket
-projections for a refined point.
+each branch crossing by bisection on the kernel's projections.  It uses the
+kernel's constant tie tolerance and separation, and bisects a bracket down
+to ``REFINE_TOL`` (1e-8).  The flagged edges of all axes form one batch that
+shares one lockstep bisection, so each step costs one distance and one
+projection call of the packed kernel; each bracket stops on its own width,
+whatever else is in the batch.  Every sample carries its feet as a box: the
+coordinatewise minimum and maximum of its nearest points, from the survey
+for a grid node and from the final bracket projections for a refined point.
 ``certify_cover`` then runs the detected samples through the convex-lift
 pipeline: the derivative-gap witness read off the feet, covering graph
 (axis, alpha, beta), vertical deviation, and the marginal-value identities,
@@ -25,7 +26,7 @@ import numpy as np
 
 from .convex import SlopeLattice, marginal_inf_rows, nondiff_witnesses
 from .cover import graph_coordinate, graph_key
-from .distance import DEFAULT_SEPARATION, DEFAULT_TIE_TOLERANCE, _float_columns, survey, write_csv
+from .distance import _float_columns, survey, write_csv
 from .fields import asplund_lift
 from .geometry import ClosedSetSpec, Window
 
@@ -34,10 +35,11 @@ __all__ = [
     "certify_cover",
     "write_samples_csv",
     "write_overlay_svg",
-    "DEFAULT_REFINE_TOL",
+    "REFINE_TOL",
 ]
 
-DEFAULT_REFINE_TOL = 1e-8
+# A refined sample's bracket is at most this wide.
+REFINE_TOL = 1e-8
 # A sample is covered when its graph passes within this vertical distance of it.
 _COVERAGE_TOL = 1e-6
 # A flagged edge has an endpoint whose projection is suboptimal for the other
@@ -49,7 +51,7 @@ _SEPARATION_FACTOR = 4.0
 _MAX_BISECTIONS = 64
 
 
-def _flagged_edges(spec, window, resolution, tie_tolerance, separation):
+def _flagged_edges(spec, window, resolution):
     """Grid survey returning directly ambiguous nodes, with their feet, and branch-crossing edges.
 
     An edge is a branch crossing when one endpoint's projection is clearly
@@ -64,7 +66,7 @@ def _flagged_edges(spec, window, resolution, tie_tolerance, separation):
     n = spec.dimension
     axes = window.axes(resolution)
     pts = window.grid_points(resolution)
-    surveyed = survey(spec, pts, tie_tolerance, separation)
+    surveyed = survey(spec, pts)
     hit = surveyed.ambiguous
     direct = np.stack([pts[hit], surveyed.foot_lo[hit], surveyed.foot_hi[hit]], axis=1)
 
@@ -93,14 +95,14 @@ def _flagged_edges(spec, window, resolution, tie_tolerance, separation):
     return direct, tuple(np.concatenate(column) for column in zip(*parts))
 
 
-def _refine_edges(spec, edges, refine_tol):
+def _refine_edges(spec, edges):
     """Bisect a batch of flagged edges in one lockstep loop.
 
     ``edges`` is the batch ``(a, b, proj_a, proj_b)`` of (K, n) arrays that
     :func:`_flagged_edges` returns; it is left as it was.  Every step bisects
     all brackets still open with one ``row_distances`` and one
     ``project_rows`` call.  A bracket leaves the loop once its own width is
-    at most ``refine_tol``, or after ``_MAX_BISECTIONS`` steps, so its row
+    at most ``REFINE_TOL``, or after ``_MAX_BISECTIONS`` steps, so its row
     does not depend on the other brackets of the batch.  Returns one
     (K, 3, n) array in the order given: each bracket's midpoint with the
     coordinatewise minimum and maximum of its two end projections.
@@ -111,7 +113,7 @@ def _refine_edges(spec, edges, refine_tol):
     for step in range(_MAX_BISECTIONS + 1):
         w = b - a
         mid = 0.5 * (a + b)
-        done = (np.sqrt(np.add.reduce(w * w, axis=1)) <= refine_tol) | (step == _MAX_BISECTIONS)
+        done = (np.sqrt(np.add.reduce(w * w, axis=1)) <= REFINE_TOL) | (step == _MAX_BISECTIONS)
         if done.any():
             refined[open_rows[done]] = np.stack([mid[done], np.minimum(pa, pb)[done], np.maximum(pa, pb)[done]], axis=1)
             keep = ~done
@@ -128,15 +130,7 @@ def _refine_edges(spec, edges, refine_tol):
     return refined
 
 
-def detect_ambiguous(
-    spec: ClosedSetSpec,
-    window: Window,
-    resolution: int,
-    *,
-    tie_tolerance: float = DEFAULT_TIE_TOLERANCE,
-    separation: float = DEFAULT_SEPARATION,
-    refine_tol: float = DEFAULT_REFINE_TOL,
-) -> np.ndarray:
+def detect_ambiguous(spec: ClosedSetSpec, window: Window, resolution: int) -> np.ndarray:
     """Sample points of the ambiguous locus found on a window grid, with their feet.
 
     The samples are the directly ambiguous grid nodes plus one
@@ -147,8 +141,8 @@ def detect_ambiguous(
     """
     if resolution < 8:
         raise ValueError("grid resolution must be at least 8 per axis")
-    direct, edges = _flagged_edges(spec, window, resolution, tie_tolerance, separation)
-    return np.concatenate([direct, _refine_edges(spec, edges, refine_tol)])
+    direct, edges = _flagged_edges(spec, window, resolution)
+    return np.concatenate([direct, _refine_edges(spec, edges)])
 
 
 def certify_cover(

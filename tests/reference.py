@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from medialcover import Classification, ClosedSetSpec, CoercivityError, ScalarField, survey
-from medialcover.distance import DEFAULT_SEPARATION, DEFAULT_TIE_TOLERANCE
+from medialcover.distance import SEPARATION, TIE_TOLERANCE
 
 
 def _rows(x) -> np.ndarray:
@@ -168,8 +168,8 @@ class NearestResult:
 def nearest_points(
     records,
     x,
-    tie_tolerance: float = DEFAULT_TIE_TOLERANCE,
-    separation: float = DEFAULT_SEPARATION,
+    tie_tolerance: float = TIE_TOLERANCE,
+    separation: float = SEPARATION,
 ) -> NearestResult:
     """Collect every nearest-point candidate of the set ``records`` within ``tie_tolerance`` of the minimum.
 
@@ -275,7 +275,7 @@ def fd_witnesses(field, points, lattice, step=1e-4) -> list[tuple[int, float, fl
     return [lattice_witness(m, p, lattice) for m, p in zip(minus.tolist(), plus.tolist())]
 
 
-def fd_gradients(spec, pts, step=1e-5, tie_tolerance=DEFAULT_TIE_TOLERANCE) -> tuple[np.ndarray, np.ndarray]:
+def fd_gradients(spec, pts, step=1e-5, tie_tolerance=TIE_TOLERANCE) -> tuple[np.ndarray, np.ndarray]:
     """Central-difference gradients (N, n) of the distance field, and where the field looks differentiable.
 
     A node off the set looks differentiable when, on every axis, forward and

@@ -18,6 +18,7 @@ from medialcover.config import load_config, parse_config
 from medialcover.distance import CSV_BLOCK_ROWS, Classification, grid_sweep
 from medialcover.geometry import ClosedSetSpec, Window
 from medialcover.verify import write_overlay_svg, write_samples_csv
+from test_voronoi_oracle import SEEDS, WINDOW, random_sites
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -305,13 +306,7 @@ def test_analyze_csv_cells_parse_back_to_the_sweep(tmp_path, capsys):
     code, (_, table) = run("analyze", "analyze_two_point", tmp_path)
     assert code == 0
     config, _ = load_config(FIXTURES / "analyze_two_point.json")
-    sweep = grid_sweep(
-        config.set_spec,
-        config.window,
-        config.grid_resolution,
-        tie_tolerance=config.tie_tolerance,
-        separation=config.separation,
-    )
+    sweep = grid_sweep(config.set_spec, config.window, config.grid_resolution)
     header, rows = csv_table(table)
     assert header == ["x1", "x2", "d", "classification", "grad_1", "grad_2", "differentiable_flag"]
     cells = np.array([[float(c) for c in row[:3] + row[4:6]] for row in rows])
@@ -333,13 +328,17 @@ def test_samples_csv_is_written_in_blocks_of_plain_floats(tmp_path):
     assert path.read_bytes() == b""
 
 
+# The rest grid of a 1-D cover is one node, whatever its resolution.  A 1-D
+# cover once built the ticks of its one axis, which that node never reads:
+# np.linspace refused 10^19 of them with exit 1.
 def test_cover_of_a_1d_field_has_one_value_per_graph(tmp_path, capsys):
     config, report = tmp_path / "abs.json", tmp_path / "report.json"
-    config.write_text(json.dumps({"dimension": 1, "field": "abs", "lattice": {"step": 0.5, "bound": 1.0}}))
-    assert main(["cover", str(config), "--output", str(report)]) == 0
-    graphs = json.loads(report.read_text())["graphs"]
-    assert len(graphs) == 10
-    assert all(len(g["grid"]) == 1 and len(g["grid"][0]) == 1 and np.isfinite(g["grid"][0][0]) for g in graphs)
+    for cover in ({}, {"rest_resolution": 10**19}):
+        config.write_text(json.dumps({"dimension": 1, "field": "abs", "lattice": {"step": 0.5, "bound": 1.0}, "cover": cover}))
+        assert main(["cover", str(config), "--output", str(report)]) == 0
+        graphs = json.loads(report.read_text())["graphs"]
+        assert len(graphs) == 10
+        assert all(len(g["grid"]) == 1 and len(g["grid"][0]) == 1 and np.isfinite(g["grid"][0][0]) for g in graphs)
 
 
 def test_analyze_writes_its_csv_where_asked(tmp_path, capsys):
@@ -347,23 +346,6 @@ def test_analyze_writes_its_csv_where_asked(tmp_path, capsys):
     assert code == 0
     assert table.count(b"\n") == 1 + 17 * 17
     assert str(tmp_path / "table.csv").encode() in report
-
-
-def test_verify_honours_the_separation_tolerance(tmp_path, capsys):
-    # Two sites 1e-4 apart: the grid nodes on their bisector have nearest
-    # points 1e-4 apart, which is a tie under a 1e-6 separation and one
-    # point under 1e-3.  The lattice cannot resolve so small a gap.
-    close = {"dimension": 2, "primitives": [{"type": "point", "coords": [0.0, y]} for y in (-5e-5, 5e-5)]}
-    reports = []
-    for separation in (1e-6, 1e-3):
-        config = tmp_path / f"close_{separation}.json"
-        config.write_text(json.dumps({"set": close, "grid_resolution": 17, "tolerances": {"separation": separation}}))
-        report = tmp_path / f"report_{separation}.json"
-        code = main(["verify", str(config), "--output", str(report)])
-        reports.append((code, json.loads(report.read_text())["report"]))
-    (tight_code, tight), (loose_code, loose) = reports
-    assert tight_code == 1 and tight["unresolved"] == 17
-    assert loose_code == 0 and loose["unresolved"] == 0 and loose["samples"] == 0
 
 
 @pytest.mark.parametrize("via", ["flag", "outputs"])
@@ -524,6 +506,30 @@ def test_an_edge_whose_length_overflows_exits_2_without_a_warning(primitive, mes
 
 def test_coordinates_just_inside_the_float_range_are_accepted():
     assert parse_config({"set": far_points(4.7e153)}).set_spec is not None
+
+
+# The locus of two points at (-+1e17, 0) is the line x1 = 0, yet their
+# distances from the window round to multiples of 16 apart, so `analyze` once
+# called all 256 nodes of a 16^2 grid ambiguous, with exit 0.
+def test_analyze_of_a_set_too_far_to_tell_a_tie_exits_2_without_a_report(tmp_path, capsys):
+    config, report, table = tmp_path / "far.json", tmp_path / "report.json", tmp_path / "grid.csv"
+    config.write_text(json.dumps({"set": far_points(1e17), "grid_resolution": 16}))
+    assert main(["analyze", str(config), "--output", str(report), "--csv", str(table)]) == EXIT_CONFIG
+    message = "distances there reach 1e+17, where doubles lie 16 apart, more than the tie tolerance 1e-09"
+    assert capsys.readouterr().err == f"config error: set: too far from the window: {message}\n"
+    assert not report.exists() and not table.exists()
+
+
+def test_no_fixture_or_voronoi_set_is_too_far_to_tell_a_tie():
+    parsed = [load_config(path)[0] for path in FIXTURES.glob("*.json") if path.stem.startswith(("analyze_", "cover_", "verify_"))]
+    configs = [config for config in parsed if config.set_spec is not None]
+    for seed in SEEDS:
+        sites = [{"type": "point", "coords": p.tolist()} for p in random_sites(seed)]
+        window = {"lower": WINDOW.lower.tolist(), "upper": WINDOW.upper.tolist()}
+        configs.append(parse_config({"set": {"dimension": 2, "primitives": sites}, "window": window}))
+    assert len(configs) > len(SEEDS) + 10
+    for config in configs:
+        cli._require_resolved_distances(config)  # raises ConfigError when too far
 
 
 def test_help_lists_every_exit_code_with_its_meaning(capsys):

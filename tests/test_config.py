@@ -20,8 +20,8 @@ MALFORMED = [
     ("grid_resolution", {"grid_resolution": 16.5}),
     ("lattice.step", {"lattice": {"step": 0}}),
     ("lattice.step", {"lattice": {"step": -0.5}}),
-    ("tolerances.tie", {"tolerances": {"tie": 0.0}}),
-    ("tolerances.tie", {"tolerances": {"tie": -1e-9}}),
+    ("lattice.bound", {"lattice": {"bound": 0.0}}),
+    ("cover.rest_resolution", {"cover": {"rest_resolution": 0}}),
     ("cover", {"cover": [2]}),
     ("seed", {"seed": True}),
     ("outputs", {"outputs": {"report": 3}}),
@@ -38,10 +38,10 @@ def test_malformed_config_names_its_field(name, patch):
 
 def test_malformed_config_exits_2_through_main(tmp_path, capsys):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"set": TWO_POINTS, "tolerances": {"tie": 0.0}}))
+    config.write_text(json.dumps({"set": TWO_POINTS, "lattice": {"step": -0.5}}))
     report = tmp_path / "report.json"
     assert main(["verify", str(config), "--output", str(report)]) == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith("config error: tolerances.tie:")
+    assert capsys.readouterr().err.startswith("config error: lattice.step:")
     assert not report.exists()
 
 
@@ -51,10 +51,10 @@ HUGE = "1" + "0" * 400
 NON_FINITE = [
     ("lattice.step", '"lattice": {"step": NaN}'),
     ("cover.cap", '"cover": {"cap": Infinity}'),
-    ("tolerances.tie", '"tolerances": {"tie": NaN}'),
+    ("cover.rest_resolution", '"cover": {"rest_resolution": NaN}'),
     ("grid_resolution", f'"grid_resolution": {HUGE}'),
     ("lattice.step", f'"lattice": {{"step": {HUGE}}}'),
-    ("tolerances.refine", f'"tolerances": {{"refine": {HUGE}}}'),
+    ("lattice.bound", f'"lattice": {{"bound": {HUGE}}}'),
     ("fault_offset", f'"fault_offset": -{HUGE}'),
 ]
 
@@ -180,11 +180,20 @@ def test_a_set_with_another_named_field_exits_2_through_main(field, tmp_path, ca
     assert not report.exists()
 
 
-# Finite-difference steps, a detector fraction, the coverage tolerance, the
-# cover axes and the `decompose` block, which the program no longer reads as
-# knobs: unknown keys are ignored, even with values that were once refused.
+# Finite-difference steps, a detector fraction, the coverage, tie, separation
+# and bisection tolerances, the cover axes and the `decompose` block, which the
+# program no longer reads as knobs: unknown keys are ignored, even with values
+# that were once refused.
 KNOBS = {
-    "tolerances": {"fd_step": 0.5, "partial_step": 0.25, "jump_fraction": 0.5, "coverage": 0.5},
+    "tolerances": {
+        "fd_step": 0.5,
+        "partial_step": 0.25,
+        "jump_fraction": 0.5,
+        "coverage": 0.5,
+        "tie": 0.5,
+        "separation": 1e-3,
+        "refine": 1e-3,
+    },
     "cover": {"axes": [1]},
     "decompose": {"radius": -1.0, "samples": 10.5},
 }
@@ -203,6 +212,13 @@ def test_removed_step_knobs_change_nothing_but_the_config_digest(command, tmp_pa
         written.pop("csv", None)  # analyze names its CSV, whose path differs
         outputs.append((written, table.read_bytes() if table.exists() else None))
     assert outputs[0] == outputs[1]
+
+
+# The `tolerances` block, once read, is ignored whatever its value, even when it is not an object.
+@pytest.mark.parametrize("block", [[1e-3], "loose", None, {"tie": float("nan"), "separation": -1.0, "refine": "x"}])
+def test_a_tolerances_block_of_any_value_is_ignored(block):
+    config = parse_config({"set": TWO_POINTS, "tolerances": block})
+    assert (config.tie_tolerance, config.separation, config.refine_tol) == (1e-9, 1e-6, 1e-8)
 
 
 def ball(radius):
@@ -314,6 +330,10 @@ BAD_RECORDS = {
     "missing-field-after-a-bad-one": (
         records({"type": "segment", "a": "x"}),
         "primitives[1]: missing field 'b' for type 'segment'",
+    ),
+    "polygon-no-coordinates": (
+        records({"type": "polygon", "vertices": [[], [], []]}),
+        "primitives[1]: polygon vertices must have coordinates, got [[], [], []]",
     ),
     "polygon-1d": (
         {"dimension": 1, "primitives": [{"type": "point", "coords": [0.0]}, {"type": "polygon", "vertices": [[0.0], [1.0], [2.0]]}]},

@@ -19,7 +19,7 @@ from medialcover import (
     write_grid_csv,
 )
 import medialcover.distance
-from medialcover.distance import DEFAULT_TIE_TOLERANCE
+from medialcover.distance import TIE_TOLERANCE
 import reference
 
 # The records of each set, read by the per-record queries of `reference`.
@@ -91,7 +91,7 @@ class TestNearestPoints:
     def test_point_on_set_is_in_set(self):
         res = nearest_points(TWO_POINTS, [1.0, 0.0])
         assert res.classification is Classification.IN_SET
-        assert res.distance <= DEFAULT_TIE_TOLERANCE
+        assert res.distance <= TIE_TOLERANCE
 
     def test_shell_center_raises_infinite_flag(self):
         res = nearest_points(CIRCLE, [0.0, 0.0])

@@ -14,13 +14,14 @@ from medialcover.config import load_config
 from medialcover.convex import nondiff_witnesses
 from medialcover.distance import survey
 from medialcover.geometry import ClosedSetSpec, Window
-from medialcover.verify import _MAX_BISECTIONS, _flagged_edges, _refine_edges, certify_cover
+from medialcover import verify
+from medialcover.verify import _MAX_BISECTIONS, REFINE_TOL, _flagged_edges, _refine_edges, certify_cover
 from test_voronoi_oracle import SEEDS, WINDOW, random_sites
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-def reference_refine_edges(spec, edges, refine_tol):
+def reference_refine_edges(spec, edges, refine_tol=REFINE_TOL):
     """Bisect every bracket on its own; a finished row is frozen by a mask, not removed.
 
     Gives the bracket midpoints with the coordinatewise minimum and maximum
@@ -43,23 +44,16 @@ def reference_refine_edges(spec, edges, refine_tol):
 
 
 def fixture_case(name, resolution=None):
-    """Set, flagged edges and refine tolerance of a fixture config, at its own or another resolution."""
+    """Set and flagged edges of a fixture config, at its own or another resolution."""
     config, _ = load_config(FIXTURES / f"{name}.json")
-    spec = config.set_spec
-    _, edges = _flagged_edges(
-        spec,
-        config.window,
-        resolution or config.grid_resolution,
-        config.tie_tolerance,
-        config.separation,
-    )
-    return spec, edges, config.refine_tol
+    _, edges = _flagged_edges(config.set_spec, config.window, resolution or config.grid_resolution)
+    return config.set_spec, edges
 
 
 def voronoi_case(seed):
     spec = ClosedSetSpec([{"type": "point", "coords": p} for p in random_sites(seed)], 2)
-    _, edges = _flagged_edges(spec, WINDOW, 32, 1e-9, 1e-6)
-    return spec, edges, 1e-8
+    _, edges = _flagged_edges(spec, WINDOW, 32)
+    return spec, edges
 
 
 def bisector_case():
@@ -67,7 +61,7 @@ def bisector_case():
     spec = ClosedSetSpec([{"type": "point", "coords": [-1.0, 0.0]}, {"type": "point", "coords": [1.0, 0.0]}], 2)
     a = np.array([[-0.5, 0.25], [-1e-3, 0.25], [-0.01, -0.5], [-0.5, 0.75]])
     edges = (a, a * [-1.0, 1.0], np.repeat([[-1.0, 0.0]], len(a), axis=0), np.repeat([[1.0, 0.0]], len(a), axis=0))
-    return spec, edges, 1e-8
+    return spec, edges
 
 
 def rows_of(edges, rows):
@@ -81,25 +75,26 @@ def assert_bit_identical(got, want):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_voronoi_point_sets_refine_as_one_loop_per_axis(seed):
-    spec, edges, tol = voronoi_case(seed)
+    spec, edges = voronoi_case(seed)
     assert len(edges[0])
-    assert_bit_identical(_refine_edges(spec, edges, tol), reference_refine_edges(spec, edges, tol))
+    assert_bit_identical(_refine_edges(spec, edges), reference_refine_edges(spec, edges))
 
 
 @pytest.mark.parametrize("name, resolution", [("verify_shells", 12), ("verify_shells", 16), ("verify_wide_window", None)])
 def test_fixture_sets_refine_as_one_loop_per_axis(name, resolution):
-    spec, edges, tol = fixture_case(name, resolution)
+    spec, edges = fixture_case(name, resolution)
     axes = np.argmax(np.abs(edges[1] - edges[0]), axis=1)
     assert np.unique(axes).tolist() == list(range(spec.dimension))
     assert np.all(np.diff(axes) >= 0)  # axis by axis
     before = np.concatenate(edges).tobytes()
-    assert_bit_identical(_refine_edges(spec, edges, tol), reference_refine_edges(spec, edges, tol))
+    assert_bit_identical(_refine_edges(spec, edges), reference_refine_edges(spec, edges))
     assert np.concatenate(edges).tobytes() == before  # the input is left as it was
 
 
-def test_a_tolerance_no_bracket_reaches_stops_after_the_step_limit():
-    spec, edges, _ = fixture_case("verify_shells")
-    assert_bit_identical(_refine_edges(spec, edges, 1e-300), reference_refine_edges(spec, edges, 1e-300))
+def test_a_tolerance_no_bracket_reaches_stops_after_the_step_limit(monkeypatch):
+    spec, edges = fixture_case("verify_shells")
+    monkeypatch.setattr(verify, "REFINE_TOL", 1e-300)
+    assert_bit_identical(_refine_edges(spec, edges), reference_refine_edges(spec, edges, 1e-300))
 
 
 @pytest.mark.parametrize(
@@ -108,24 +103,24 @@ def test_a_tolerance_no_bracket_reaches_stops_after_the_step_limit():
     ids=["bisector", "verify_wide_window", "verify_shells-12"],
 )
 def test_a_bracket_refines_the_same_in_any_subset_or_order_of_its_batch(case):
-    spec, edges, tol = case()
-    whole = _refine_edges(spec, edges, tol)
+    spec, edges = case()
+    whole = _refine_edges(spec, edges)
     rng = np.random.default_rng(5)
     k = len(whole)
     subsets = [rng.choice(k, size=size, replace=False) for size in (1, 1, 2, k // 2, k)]
     for rows in [np.arange(k)[::-1], *subsets]:
-        assert_bit_identical(_refine_edges(spec, rows_of(edges, rows), tol), whole[rows])
+        assert_bit_identical(_refine_edges(spec, rows_of(edges, rows)), whole[rows])
 
 
 def test_no_flagged_edges_refine_to_nothing():
     spec = ClosedSetSpec([{"type": "point", "coords": [0.0, 0.0]}], 2)
-    _, edges = _flagged_edges(spec, Window([-1.0, -1.0], [1.0, 1.0]), 16, 1e-9, 1e-6)
+    _, edges = _flagged_edges(spec, Window([-1.0, -1.0], [1.0, 1.0]), 16)
     assert [v.shape for v in edges] == [(0, 2)] * 4
-    assert_bit_identical(_refine_edges(spec, edges, 1e-8), np.empty((0, 3, 2)))
-    assert_bit_identical(reference_refine_edges(spec, edges, 1e-8), np.empty((0, 3, 2)))
+    assert_bit_identical(_refine_edges(spec, edges), np.empty((0, 3, 2)))
+    assert_bit_identical(reference_refine_edges(spec, edges), np.empty((0, 3, 2)))
 
 
-def count_row_distance_calls(monkeypatch, refine, spec, edges, tol):
+def count_row_distance_calls(monkeypatch, refine, *args):
     calls = []
     original = ClosedSetSpec.row_distances
 
@@ -135,7 +130,7 @@ def count_row_distance_calls(monkeypatch, refine, spec, edges, tol):
 
     with monkeypatch.context() as patch:
         patch.setattr(ClosedSetSpec, "row_distances", counting)
-        refine(spec, edges, tol)
+        refine(*args)
     return len(calls)
 
 
@@ -153,15 +148,16 @@ STEPS = [
 
 @pytest.mark.parametrize("name, resolution, tol, per_axis", STEPS, ids=[f"{s[0]}-{s[1]}-{s[2]}" for s in STEPS])
 def test_one_distance_call_per_step_of_the_slowest_axis(name, resolution, tol, per_axis, monkeypatch):
-    spec, edges, config_tol = fixture_case(name, resolution)
-    tol = tol or config_tol
+    spec, edges = fixture_case(name, resolution)
+    tol = tol or REFINE_TOL
+    monkeypatch.setattr(verify, "REFINE_TOL", tol)
     axes = np.argmax(np.abs(edges[1] - edges[0]), axis=1)
     alone = [
         count_row_distance_calls(monkeypatch, reference_refine_edges, spec, rows_of(edges, axes == k), tol)
         for k in range(spec.dimension)
     ]
     assert alone == per_axis
-    assert count_row_distance_calls(monkeypatch, _refine_edges, spec, edges, tol) == max(per_axis)
+    assert count_row_distance_calls(monkeypatch, _refine_edges, spec, edges) == max(per_axis)
 
 
 def per_sample(config, found):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from medialcover.geometry import ClosedSetSpec, Window
-from medialcover.verify import DEFAULT_REFINE_TOL, detect_ambiguous
+from medialcover.verify import REFINE_TOL, detect_ambiguous
 from voronoi_oracle import voronoi_medial_axis_2d
 
 WINDOW = Window([-2.0, -2.0], [2.0, 2.0])
@@ -38,6 +38,6 @@ def test_detected_samples_lie_on_the_voronoi_skeleton(seed):
     for x in samples:
         gaps = [seg.distance_to(x) for seg in skeleton]
         nearest = skeleton[int(np.argmin(gaps))]
-        assert min(gaps) <= DEFAULT_REFINE_TOL
+        assert min(gaps) <= REFINE_TOL
         dists = np.linalg.norm(sites - x, axis=1)
         assert np.all(dists[list(nearest.sites)] - dists.min() <= 1e-7)
