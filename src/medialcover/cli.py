@@ -8,6 +8,11 @@ the path flags of the files it writes: ``--csv`` for analyze and verify,
 ``cover`` enumerates the graphs of every axis and lattice pair, and
 ``verify`` passes when each resolved sample lies within 1e-6 of its graph.
 
+``config.parse_config`` refuses every config that no command can run.  The
+rules left here depend on the command: ``analyze`` and ``verify`` need a
+set, ``--svg`` needs a 2-D set, ``cover`` needs a set or a field, and
+``--seed`` must be at least 0.
+
 ``main`` merges the flags into the config once: ``--seed`` replaces the
 config's seed, and ``--output``, ``--csv`` and ``--svg`` replace its
 ``outputs.report``, ``outputs.csv`` and ``outputs.svg``.  A command then
@@ -43,7 +48,7 @@ from . import __version__
 from .config import ConfigError, ScenarioConfig, config_digest, load_config
 from .convex import CoercivityError, nondiff_witnesses
 from .cover import FamilyBudgetError, cover_family_to_dict, enumerate_cover
-from .distance import TIE_TOLERANCE, Classification, grid_sweep, write_grid_csv
+from .distance import Classification, grid_sweep, write_grid_csv
 from .fields import asplund_lift, named_field, strongify
 from .verify import certify_cover, detect_ambiguous, write_overlay_svg, write_samples_csv
 
@@ -83,52 +88,9 @@ def _emit_json(document: dict, path: str | None) -> None:
             fh.write(text + "\n")
 
 
-# Config field names of the lift of the config's own set.
-_LIFT_NAMES = (None, "asplund", "asplund:set")
-
-
-def _field(config: ScenarioConfig):
-    """The config's field: the strongly convex lift of its set, or an analytic field by name."""
-    name = config.field_name
-    if name in _LIFT_NAMES:
-        if config.set_spec is None:
-            needs = "required when no set is given" if name is None else f"field {name!r} needs a set description"
-            raise ConfigError(f"field: {needs}")
-        return asplund_lift(config.set_spec)
-    try:
-        return named_field(name, config.dimension)
-    except ValueError as exc:
-        raise ConfigError(f"field: {exc}") from None
-
-
-def _samples(config: ScenarioConfig) -> np.ndarray:
-    """The ambiguous samples, with their feet, that the config's detection grid finds on its set.
-
-    Detection uses the method's constant tolerances: ``distance.TIE_TOLERANCE``,
-    ``distance.SEPARATION`` and ``verify.REFINE_TOL``.
-    """
-    return detect_ambiguous(config.set_spec, config.window, config.grid_resolution)
-
-
-def _require_resolved_distances(config: ScenarioConfig) -> None:
-    """Refuse a set so far from the window that doubles near its distances there lie more than the tie tolerance apart.
-
-    Distance is 1-Lipschitz, so no point of the window lies farther from the
-    set than its centre does plus its half-diagonal.  Past that, rounding
-    makes rows tie that do not, and a sweep would call every node ambiguous.
-    """
-    centre = (config.window.lower + config.window.upper) / 2
-    reach = float(config.set_spec.row_distances(centre[None]).min() + np.linalg.norm(config.window.extent) / 2)
-    gap = float(np.spacing(reach))
-    if gap > TIE_TOLERANCE:
-        message = f"distances there reach {reach:g}, where doubles lie {gap:g} apart, more than the tie tolerance {TIE_TOLERANCE:g}"
-        raise ConfigError(f"set: too far from the window: {message}")
-
-
 def _cmd_analyze(config: ScenarioConfig) -> tuple[dict, int]:
     if config.set_spec is None:
         raise ConfigError("set: the analyze command needs a set description")
-    _require_resolved_distances(config)
     sweep = grid_sweep(config.set_spec, config.window, config.grid_resolution)
     csv_path = config.outputs.get("csv", "analyze_grid.csv")
     write_grid_csv(sweep, csv_path)
@@ -138,17 +100,20 @@ def _cmd_analyze(config: ScenarioConfig) -> tuple[dict, int]:
 
 
 def _cmd_cover(config: ScenarioConfig) -> tuple[dict, int]:
-    field = _field(config)
-    # The feet give witnesses of the set's lift only.
-    if config.set_spec is not None and config.field_name not in _LIFT_NAMES:
-        raise ConfigError(f"field: {config.field_name!r} is not the lift of the config's set, whose witnesses cover counts")
-    lift = strongify(field) if config.set_spec is None else field
+    # ``parse_config`` admits a named field only without a set, and a set only with its own lift.
+    if config.set_spec is not None:
+        lift = asplund_lift(config.set_spec)
+    elif config.field_name is not None:
+        lift = strongify(named_field(config.field_name, config.dimension))
+    else:
+        raise ConfigError("field: required when no set is given")
     family = enumerate_cover(config.dimension, config.lattice, config.cover_cap)
     graphs = cover_family_to_dict(lift, family, config.window, config.cover_rest_resolution)
 
     witness_counts = Counter()
     if config.set_spec is not None:
-        witness_counts.update(w for w in nondiff_witnesses(_samples(config), config.lattice) if w is not None)
+        found = detect_ambiguous(config.set_spec, config.window, config.grid_resolution)
+        witness_counts.update(w for w in nondiff_witnesses(found, config.lattice) if w is not None)
     for entry, graph in zip(graphs, family):
         entry["witness_points"] = witness_counts[graph]
 
@@ -162,12 +127,8 @@ def _cmd_verify(config: ScenarioConfig, allow_unresolved: bool) -> tuple[dict, i
     svg_path = config.outputs.get("svg")
     if svg_path and config.dimension != 2:
         raise ConfigError(f"svg: the SVG overlay needs a 2-D set, got dimension {config.dimension}")
-    report = certify_cover(
-        config.set_spec,
-        _samples(config),
-        config.lattice,
-        fault_offset=config.fault_offset,
-    )
+    found = detect_ambiguous(config.set_spec, config.window, config.grid_resolution)
+    report = certify_cover(config.set_spec, found, config.lattice, fault_offset=config.fault_offset)
     rows = [r["point"] for r in report["records"]] + report["unresolved_points"]
     points = np.array(rows, dtype=float).reshape(-1, config.dimension)
     csv_path = config.outputs.get("csv")

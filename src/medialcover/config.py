@@ -6,6 +6,14 @@ can be archived as fixtures.  Keys the program does not read are ignored,
 among them the ``tolerances`` block, ``cover.axes`` and the ``decompose``
 block: the method's tolerances are constants (see ``ScenarioConfig``), the
 cover family spans every axis, and no command splits a C^2 field.
+
+``parse_config`` applies every rule that depends on the config alone, so the
+three commands refuse the same configs.  Beyond the type and range of each
+key, it refuses a set so far from its window that doubles near its distances
+there lie more than ``TIE_TOLERANCE`` apart, where rounding makes rows tie
+that do not.  It refuses a ``field`` that names no field, a lift
+(``asplund`` or ``asplund:set``) without a set, and a named field beside a
+set, whose feet give witnesses of its lift only.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ import numpy as np
 
 from .convex import SlopeLattice
 from .distance import SEPARATION, TIE_TOLERANCE
+from .fields import named_field
 from .geometry import ClosedSetSpec, Window
 from .verify import REFINE_TOL
 
@@ -94,6 +103,22 @@ def _half_width(spec: ClosedSetSpec) -> float:
     return float(np.abs([spec.starts, spec.starts + spec.directions]).max()) + float(spec.radii.max())
 
 
+# Config field names of the lift of the config's own set.
+_LIFT_NAMES = (None, "asplund", "asplund:set")
+
+
+def _check_field(name: str | None, set_spec: ClosedSetSpec | None, dimension: int) -> None:
+    """Refuse an unknown field name, a lift without a set, and a named field beside a set."""
+    if name in _LIFT_NAMES:
+        _require(name is None or set_spec is not None, "field", f"field {name!r} needs a set description")
+        return
+    try:
+        named_field(name, dimension)
+    except ValueError as exc:
+        raise ConfigError(f"field: {exc}") from None
+    _require(set_spec is None, "field", f"{name!r} is not the lift of the config's set, whose witnesses cover counts")
+
+
 def _load_set(entry, base_dir: Path) -> ClosedSetSpec:
     if isinstance(entry, str):
         path = Path(entry)
@@ -150,6 +175,13 @@ def parse_config(data: dict, base_dir: Path | None = None) -> ScenarioConfig:
     reach = float(np.abs([window.lower, window.upper]).max())
     message = f"too large: a squared distance overflows, with corners reaching {reach:g}"
     _require(_squares_fit(dimension, reach), "window", message)
+    # Distance is 1-Lipschitz: no window point lies farther from the set than its centre plus its half-diagonal.
+    if set_spec is not None:
+        centre = (window.lower + window.upper) / 2
+        reach = float(set_spec.row_distances(centre[None]).min() + np.linalg.norm(window.extent) / 2)
+        gap = float(np.spacing(reach))
+        message = f"distances there reach {reach:g}, where doubles lie {gap:g} apart, more than the tie tolerance {TIE_TOLERANCE:g}"
+        _require(gap <= TIE_TOLERANCE, "set", f"too far from the window: {message}")
 
     resolution = _get_count(data, "grid_resolution", 64, minimum=8)
     # A grid sweep lays its resolution^n nodes out in one array.
@@ -185,6 +217,7 @@ def parse_config(data: dict, base_dir: Path | None = None) -> ScenarioConfig:
     outputs = data.get("outputs", {})
     if not isinstance(outputs, dict) or not all(isinstance(v, str) for v in outputs.values()):
         raise ConfigError("outputs: expected an object mapping names to paths")
+    _check_field(field_name, set_spec, dimension)
 
     return ScenarioConfig(
         dimension=dimension,

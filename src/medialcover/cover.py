@@ -43,14 +43,9 @@ def graph_key(axis: int, alpha: float, beta: float) -> str:
     return f"axis{axis}:{alpha:g}:{beta:g}"
 
 
-def graph_coordinate(alpha: float, beta: float, value_alpha: float, value_beta: float, offset: float = 0.0) -> float:
-    """The graph coordinate x_axis from the two marginal values at a node.
-
-    ``offset`` shifts the coordinate; it is 0 except in the negative control
-    (the ``fault_offset`` of a verify config), which proves that the
-    certification can fail.  Adding a zero offset turns a -0.0 into 0.0.
-    """
-    return (value_alpha - value_beta) / (beta - alpha) + offset
+def graph_coordinate(alpha: float, beta: float, value_alpha: float, value_beta: float) -> float:
+    """The graph coordinate x_axis from the two marginal values at a node; adding 0.0 turns a -0.0 into 0.0."""
+    return (value_alpha - value_beta) / (beta - alpha) + 0.0
 
 
 def enumerate_cover(dimension: int, lattice: SlopeLattice, cap: int) -> list[tuple[int, float, float]]:

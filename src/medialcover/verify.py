@@ -190,7 +190,7 @@ def certify_cover(
                 "axis": axis,
                 "alpha": alpha,
                 "beta": beta,
-                "deviation": abs(coord - graph_coordinate(alpha, beta, value_alpha, value_beta, fault_offset)),
+                "deviation": abs(coord - (graph_coordinate(alpha, beta, value_alpha, value_beta) + fault_offset)),
                 "graph": graph_key(axis, alpha, beta),
                 "residual_alpha": abs(value_alpha - (lift_value - alpha * coord)),
                 "residual_beta": abs(value_beta - (lift_value - beta * coord)),

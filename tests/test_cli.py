@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 import medialcover
 import medialcover.cli as cli
 from medialcover.cli import EXIT_CONFIG, EXIT_NONCONVEX, main
-from medialcover.config import load_config, parse_config
+from medialcover.config import ConfigError, load_config, parse_config
 from medialcover.distance import CSV_BLOCK_ROWS, Classification, grid_sweep
 from medialcover.geometry import ClosedSetSpec, Window
 from medialcover.verify import write_overlay_svg, write_samples_csv
@@ -431,24 +432,24 @@ def far_points(x):
     return {"dimension": 2, "primitives": [{"type": "point", "coords": [s * x, 0.0]} for s in (-1.0, 1.0)]}
 
 
-# Two points so far out that rounding swamps the lift on the window.  At 1e30
-# the golden-section search of `verify` once never ended, stuck where one ulp
-# of t exceeds its 1e-7 resolution; at 1e200, which is now refused as a
-# config error, the bracket doubling's error escaped `main` as a traceback
-# with exit 1.  1e100 reaches that error too.
+# `cover` of |x|^2 on a window so wide that rounding swamps the field there.
+# At 1e20 the golden-section search cannot narrow its bracket below one ulp
+# of t; at 1e30 the bracket doubling never finds the rising side.  Two points
+# at 1e30 once ended `verify` in the same way; such a set is now refused
+# (`test_a_set_too_far_to_tell_a_tie_exits_2_without_a_report`).
 @pytest.mark.parametrize(
-    "command, x, stuck",
+    "half_width, stuck",
     [
-        ("verify", 1e30, "golden-section bracket for axis 0, slope -2.0 still wider than 1e-07 after 123 steps"),
-        ("verify", 1e100, "bracket for axis 0, slope -2.0 still open after 60 doublings"),
-        ("cover", 1e30, "bracket for axis 1, slope -2.0 still open after 60 doublings"),
-        ("cover", 1e100, "bracket for axis 0, slope -2.0 still open after 60 doublings"),
+        (1e20, "golden-section bracket for axis 0, slope -1.0 still wider than 1e-07 after 123 steps"),
+        (1e30, "bracket for axis 0, slope -1.0 still open after 60 doublings"),
     ],
-    ids=["verify-1e30", "verify-1e100", "cover-1e30", "cover-1e100"],
+    ids=["cover-1e20", "cover-1e30"],
 )
-def test_a_marginal_infimum_that_does_not_close_exits_5_without_a_report(command, x, stuck, tmp_path):
-    document = {"set": far_points(x), "grid_resolution": 16, "lattice": {"step": 1.0, "bound": 2.0}}
-    code, message, reported = main_in_subprocess(command, document, tmp_path)
+def test_a_marginal_infimum_that_does_not_close_exits_5_without_a_report(half_width, stuck, tmp_path):
+    window = {"lower": [-half_width] * 2, "upper": [half_width] * 2}
+    lattice, cover = {"step": 1.0, "bound": 1.0}, {"rest_resolution": 3}
+    document = {"dimension": 2, "field": "sq_norm", "window": window, "lattice": lattice, "cover": cover}
+    code, message, reported = main_in_subprocess("cover", document, tmp_path)
     assert (code, reported) == (EXIT_NONCONVEX, False)
     assert message.startswith(f"convexity failure: {stuck}")
 
@@ -504,23 +505,41 @@ def test_an_edge_whose_length_overflows_exits_2_without_a_warning(primitive, mes
     assert last_line == f"config error: set: primitives[1]: {message}"
 
 
+def segment_to(x):
+    return {"dimension": 2, "primitives": [{"type": "segment", "a": [0.0, 0.0], "b": [x, 0.0]}]}
+
+
 def test_coordinates_just_inside_the_float_range_are_accepted():
-    assert parse_config({"set": far_points(4.7e153)}).set_spec is not None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert parse_config({"set": segment_to(4.7e153)}).set_spec is not None
+    with pytest.raises(ConfigError, match=re.escape(SET_TOO_LARGE + "4.8e+153")):
+        parse_config({"set": segment_to(4.8e153)})
 
 
-# The locus of two points at (-+1e17, 0) is the line x1 = 0, yet their
-# distances from the window round to multiples of 16 apart, so `analyze` once
-# called all 256 nodes of a 16^2 grid ambiguous, with exit 0.
-def test_analyze_of_a_set_too_far_to_tell_a_tie_exits_2_without_a_report(tmp_path, capsys):
-    config, report, table = tmp_path / "far.json", tmp_path / "report.json", tmp_path / "grid.csv"
-    config.write_text(json.dumps({"set": far_points(1e17), "grid_resolution": 16}))
-    assert main(["analyze", str(config), "--output", str(report), "--csv", str(table)]) == EXIT_CONFIG
-    message = "distances there reach 1e+17, where doubles lie 16 apart, more than the tie tolerance 1e-09"
+# The locus of two points at (-+x, 0) is the line x1 = 0, yet from x = 1e17
+# on their distances from the window round to multiples of 16 apart or more.
+# `analyze` once called all 256 nodes of a 16^2 grid ambiguous, with exit 0;
+# `verify` exited 1 with a deviation of 2 at 1e17, and it and `cover` exited
+# 5 from 1e30 on.
+FAR = {"1e17": (1e17, "16"), "1e30": (1e30, "1.40737e+14"), "1e100": (1e100, "1.94267e+84")}
+
+
+@pytest.mark.parametrize("x, gap", list(FAR.values()), ids=list(FAR))
+@pytest.mark.parametrize("command", ["analyze", "verify", "cover"])
+def test_a_set_too_far_to_tell_a_tie_exits_2_without_a_report(command, x, gap, tmp_path, capsys):
+    config, report, table = tmp_path / "far.json", tmp_path / "report.json", tmp_path / "table.csv"
+    outputs = {"report": str(report), "csv": str(table)}
+    lattice = {"step": 1.0, "bound": 2.0}
+    config.write_text(json.dumps({"set": far_points(x), "grid_resolution": 16, "lattice": lattice, "outputs": outputs}))
+    assert main([command, str(config)]) == EXIT_CONFIG
+    message = f"distances there reach {x:g}, where doubles lie {gap} apart, more than the tie tolerance 1e-09"
     assert capsys.readouterr().err == f"config error: set: too far from the window: {message}\n"
     assert not report.exists() and not table.exists()
 
 
 def test_no_fixture_or_voronoi_set_is_too_far_to_tell_a_tie():
+    # Parsing refuses a set too far from its window to tell a tie.
     parsed = [load_config(path)[0] for path in FIXTURES.glob("*.json") if path.stem.startswith(("analyze_", "cover_", "verify_"))]
     configs = [config for config in parsed if config.set_spec is not None]
     for seed in SEEDS:
@@ -528,8 +547,6 @@ def test_no_fixture_or_voronoi_set_is_too_far_to_tell_a_tie():
         window = {"lower": WINDOW.lower.tolist(), "upper": WINDOW.upper.tolist()}
         configs.append(parse_config({"set": {"dimension": 2, "primitives": sites}, "window": window}))
     assert len(configs) > len(SEEDS) + 10
-    for config in configs:
-        cli._require_resolved_distances(config)  # raises ConfigError when too far
 
 
 def test_help_lists_every_exit_code_with_its_meaning(capsys):

@@ -137,15 +137,30 @@ def test_negative_seed_exits_2_through_main(command, patch, flags, seed, tmp_pat
     assert not report.exists()
 
 
+def field_cases(fields):
+    """``(command, field)`` for each command and field, with ids.
+
+    Each command refuses a bad field when the config is parsed.  A cover case
+    keeps the id of its field alone, as when only cover read the field.
+    """
+    cases = [(command, field) for command in ("cover", "analyze", "verify") for field in fields]
+    return {"argnames": "command, field", "argvalues": cases, "ids": [f if c == "cover" else f"{c}-{f}" for c, f in cases]}
+
+
+def refused_field(command, document, tmp_path, capsys):
+    """The stderr of ``command`` on ``document``, which must exit 2 and write neither report nor table."""
+    config, report, table = tmp_path / "config.json", tmp_path / "report.json", tmp_path / "table.csv"
+    config.write_text(json.dumps({**document, "outputs": {"report": str(report), "csv": str(table)}}))
+    assert main([command, str(config)]) == EXIT_CONFIG
+    assert not report.exists() and not table.exists()
+    return capsys.readouterr().err
+
+
 # `asplund:<path>` once ignored its path and lifted the config's own set.
-@pytest.mark.parametrize("field", ["asplund:/does/not/exist.json", "asplund:", "asplund:Set"])
-def test_asplund_with_a_reference_other_than_set_exits_2_through_main(field, tmp_path, capsys):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"set": TWO_POINTS, "grid_resolution": 17, "field": field}))
-    report = tmp_path / "report.json"
-    assert main(["cover", str(config), "--output", str(report)]) == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith(f"config error: field: unknown field name {field!r}")
-    assert not report.exists()
+@pytest.mark.parametrize(**field_cases(["asplund:/does/not/exist.json", "asplund:", "asplund:Set"]))
+def test_asplund_with_a_reference_other_than_set_exits_2_through_main(command, field, tmp_path, capsys):
+    err = refused_field(command, {"set": TWO_POINTS, "grid_resolution": 17, "field": field}, tmp_path, capsys)
+    assert err.startswith(f"config error: field: unknown field name {field!r}")
 
 
 @pytest.mark.parametrize("field", ["asplund", "asplund:set"])
@@ -159,25 +174,18 @@ def test_asplund_of_the_configs_own_set_is_accepted(field, tmp_path, capsys):
     assert sum(graph["witness_points"] for graph in document["graphs"]) > 0
 
 
-def test_asplund_without_a_set_exits_2_through_main(tmp_path, capsys):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"dimension": 2, "field": "asplund"}))
-    report = tmp_path / "report.json"
-    assert main(["cover", str(config), "--output", str(report)]) == EXIT_CONFIG
-    assert capsys.readouterr().err == "config error: field: field 'asplund' needs a set description\n"
-    assert not report.exists()
+@pytest.mark.parametrize("command", ["cover", "analyze", "verify"])
+def test_asplund_without_a_set_exits_2_through_main(command, tmp_path, capsys):
+    err = refused_field(command, {"dimension": 2, "field": "asplund"}, tmp_path, capsys)
+    assert err == "config error: field: field 'asplund' needs a set description\n"
 
 
 # `cover` once counted the witness points of the set's lift against the
 # graphs of another named field.
-@pytest.mark.parametrize("field", ["norm", "sq_norm"])
-def test_a_set_with_another_named_field_exits_2_through_main(field, tmp_path, capsys):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"set": TWO_POINTS, "grid_resolution": 17, "field": field}))
-    report = tmp_path / "report.json"
-    assert main(["cover", str(config), "--output", str(report)]) == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith(f"config error: field: {field!r} is not the lift of the config's set")
-    assert not report.exists()
+@pytest.mark.parametrize(**field_cases(["norm", "sq_norm"]))
+def test_a_set_with_another_named_field_exits_2_through_main(command, field, tmp_path, capsys):
+    err = refused_field(command, {"set": TWO_POINTS, "grid_resolution": 17, "field": field}, tmp_path, capsys)
+    assert err.startswith(f"config error: field: {field!r} is not the lift of the config's set")
 
 
 # Finite-difference steps, a detector fraction, the coverage, tie, separation

@@ -17,7 +17,6 @@ from medialcover import (
     strongify,
     survey,
 )
-from medialcover.cli import _samples
 from medialcover.config import load_config
 from medialcover.verify import detect_ambiguous
 
@@ -228,7 +227,7 @@ class TestBatchedWitnesses:
 def fixture_found(name):
     """The set, lattice and detected (K, 3, n) samples with feet of a verify fixture."""
     config, _ = load_config(FIXTURES / f"{name}.json")
-    return config.set_spec, config.lattice, _samples(config)
+    return config.set_spec, config.lattice, detect_ambiguous(config.set_spec, config.window, config.grid_resolution)
 
 
 def shell_centre_found(spec):

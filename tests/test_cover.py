@@ -9,12 +9,13 @@ import pytest
 
 from reference import reference_marginal_inf
 
-from medialcover.cli import _samples, main
+from medialcover.cli import main
 from medialcover.config import load_config
 from medialcover.convex import SlopeLattice, nondiff_witnesses
 from medialcover.cover import FamilyBudgetError, cover_family_to_dict, enumerate_cover, graph_key
 from medialcover.fields import asplund_lift
 from medialcover.geometry import ClosedSetSpec, Window
+from medialcover.verify import detect_ambiguous
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -78,7 +79,8 @@ def test_the_witness_counts_add_up_to_the_resolved_samples(name, count, tmp_path
     report = tmp_path / "report.json"
     assert main(["cover", str(config_path), "--output", str(report)]) == 0
     config, _ = load_config(config_path)
-    resolved = sum(w is not None for w in nondiff_witnesses(_samples(config), config.lattice))
+    found = detect_ambiguous(config.set_spec, config.window, config.grid_resolution)
+    resolved = sum(w is not None for w in nondiff_witnesses(found, config.lattice))
     assert sum(graph["witness_points"] for graph in json.loads(report.read_text())["graphs"]) == resolved == count
 
 

@@ -9,13 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from medialcover.cli import _samples
 from medialcover.config import load_config
 from medialcover.convex import nondiff_witnesses
 from medialcover.distance import survey
 from medialcover.geometry import ClosedSetSpec, Window
 from medialcover import verify
-from medialcover.verify import _MAX_BISECTIONS, REFINE_TOL, _flagged_edges, _refine_edges, certify_cover
+from medialcover.verify import _MAX_BISECTIONS, REFINE_TOL, _flagged_edges, _refine_edges, certify_cover, detect_ambiguous
 from test_voronoi_oracle import SEEDS, WINDOW, random_sites
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -175,7 +174,7 @@ def per_sample(config, found):
 @pytest.mark.parametrize("name", ["verify_shells", "verify_star"])
 def test_a_sample_certifies_the_same_in_any_subset_or_order_of_its_batch(name):
     config, _ = load_config(FIXTURES / f"{name}.json")
-    found = _samples(config)
+    found = detect_ambiguous(config.set_spec, config.window, config.grid_resolution)
     smooth = found[:4].copy()
     smooth[:, 2] = smooth[:, 1]  # a single foot: no derivative gap, so the sample is unresolved
     found = np.concatenate([found, smooth])
