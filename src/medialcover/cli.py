@@ -1,28 +1,25 @@
 """Scenario-driven command line with three commands: analyze | cover | verify.
 
-Each subcommand takes one JSON scenario config; flags only override output
-paths, the seed, and the unresolved-sample policy.  The seed is provenance:
-every report records it, and no computation reads it.  A command takes only
-the path flags of the files it writes: ``--csv`` for analyze and verify,
-``--svg`` for verify; argparse refuses any other with exit code 2.
-``cover`` enumerates the graphs of every axis and lattice pair, and
+Each subcommand takes one JSON scenario config.  Flags name the files a run
+writes (``--output`` for the report, else stdout; ``--csv``, required by
+analyze; ``--svg`` for verify) and the unresolved-sample policy
+(``--allow-unresolved``); the config holds everything else, the seed
+included.  argparse refuses a flag the command does not take with exit
+code 2.  ``cover`` enumerates the graphs of every axis and lattice pair, and
 ``verify`` passes when each resolved sample lies within 1e-6 of its graph.
 
 ``config.parse_config`` refuses every config that no command can run.  The
-rules left here depend on the command: ``analyze`` and ``verify`` need a
-set, ``--svg`` needs a 2-D set, ``cover`` needs a set or a field, and
-``--seed`` must be at least 0.
+rules left here depend on the command line: no two of ``--output``,
+``--csv`` and ``--svg`` may name one file, ``analyze`` and ``verify`` need a
+set, ``--svg`` needs a 2-D set, and ``cover`` needs a set or a field.
 
-``main`` merges the flags into the config once: ``--seed`` replaces the
-config's seed, and ``--output``, ``--csv`` and ``--svg`` replace its
-``outputs.report``, ``outputs.csv`` and ``outputs.svg``.  A command then
-reads every path from ``config.outputs``, writes its own CSV or SVG, and
-returns its part of the report with its exit code.  ``main`` stamps the
-report with the tool version, the seed, a digest of the config document and
-the command name, and writes it last: to ``outputs.report``, or else to
-stdout.  So a run that fails to write a table or an overlay leaves no
-report.  Reports are serialized deterministically (sorted keys, fixed float
-repr), so identical runs produce byte-identical files.
+A command writes its own CSV or SVG and returns its part of the report with
+its exit code.  ``main`` stamps the report with the tool version, the seed
+(provenance: no computation reads it), a digest of the config document and
+the command name, and writes it last, so a run that fails to write a table
+or an overlay leaves no report.  Reports are serialized deterministically
+(sorted keys, fixed float repr), so identical runs produce byte-identical
+files.
 
 Exit codes, also listed by ``medialcover --help``:
 
@@ -37,10 +34,10 @@ Exit codes, also listed by ``medialcover --help``:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
@@ -88,18 +85,17 @@ def _emit_json(document: dict, path: str | None) -> None:
             fh.write(text + "\n")
 
 
-def _cmd_analyze(config: ScenarioConfig) -> tuple[dict, int]:
+def _cmd_analyze(config: ScenarioConfig, args: argparse.Namespace) -> tuple[dict, int]:
     if config.set_spec is None:
         raise ConfigError("set: the analyze command needs a set description")
     sweep = grid_sweep(config.set_spec, config.window, config.grid_resolution)
-    csv_path = config.outputs.get("csv", "analyze_grid.csv")
-    write_grid_csv(sweep, csv_path)
+    write_grid_csv(sweep, args.csv)
     counts = np.bincount(sweep.classes, minlength=len(Classification)).tolist()
     tally = {cls.value: k for cls, k in zip(Classification, counts)}
-    return {"rows": len(sweep.classes), "classification_counts": tally, "csv": str(csv_path)}, EXIT_OK
+    return {"rows": len(sweep.classes), "classification_counts": tally, "csv": args.csv}, EXIT_OK
 
 
-def _cmd_cover(config: ScenarioConfig) -> tuple[dict, int]:
+def _cmd_cover(config: ScenarioConfig, args: argparse.Namespace) -> tuple[dict, int]:
     # ``parse_config`` admits a named field only without a set, and a set only with its own lift.
     if config.set_spec is not None:
         lift = asplund_lift(config.set_spec)
@@ -121,23 +117,21 @@ def _cmd_cover(config: ScenarioConfig) -> tuple[dict, int]:
     return {"provenance": lift.tag, "graph_count": len(graphs), "lattice": lattice, "graphs": graphs}, EXIT_OK
 
 
-def _cmd_verify(config: ScenarioConfig, allow_unresolved: bool) -> tuple[dict, int]:
+def _cmd_verify(config: ScenarioConfig, args: argparse.Namespace) -> tuple[dict, int]:
     if config.set_spec is None:
         raise ConfigError("set: the verify command needs a set description")
-    svg_path = config.outputs.get("svg")
-    if svg_path and config.dimension != 2:
+    if args.svg and config.dimension != 2:
         raise ConfigError(f"svg: the SVG overlay needs a 2-D set, got dimension {config.dimension}")
     found = detect_ambiguous(config.set_spec, config.window, config.grid_resolution)
     report = certify_cover(config.set_spec, found, config.lattice, fault_offset=config.fault_offset)
     rows = [r["point"] for r in report["records"]] + report["unresolved_points"]
     points = np.array(rows, dtype=float).reshape(-1, config.dimension)
-    csv_path = config.outputs.get("csv")
-    if csv_path:
-        write_samples_csv(points, csv_path)
-    if svg_path:
-        write_overlay_svg(config.set_spec, config.window, points, svg_path)
+    if args.csv:
+        write_samples_csv(points, args.csv)
+    if args.svg:
+        write_overlay_svg(config.set_spec, config.window, points, args.svg)
 
-    covered = report["pass"] and (allow_unresolved or not report["unresolved"])
+    covered = report["pass"] and (args.allow_unresolved or not report["unresolved"])
     return {"report": report}, EXIT_OK if covered else EXIT_COVERAGE
 
 
@@ -146,8 +140,19 @@ _COMMANDS = {
     "cover": _cmd_cover,
     "verify": _cmd_verify,
 }
-# Each path flag and the key of ``config.outputs`` that it overrides.
-_PATH_FLAGS = {"output": "report", "csv": "csv", "svg": "svg"}
+
+
+def _check_distinct_paths(args: argparse.Namespace) -> None:
+    """Refuse two path flags that name one file, which the later write would overwrite."""
+    named = {}
+    for flag in ("output", "csv", "svg"):
+        path = getattr(args, flag, None)
+        if path is None:
+            continue
+        resolved = Path(path).resolve()
+        if resolved in named:
+            raise ConfigError(f"--{flag}: names the same file as --{named[resolved]}: {resolved}")
+        named[resolved] = flag
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -166,11 +171,11 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config", help="path to the scenario config JSON")
         p.add_argument("--output", help="write the JSON report here instead of stdout")
-        if name in ("analyze", "verify"):
-            p.add_argument("--csv", help="override the CSV output path")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        if name == "analyze":
+            p.add_argument("--csv", required=True, help="write the grid CSV here (required)")
         if name == "verify":
-            p.add_argument("--svg", help="override the SVG overlay path")
+            p.add_argument("--csv", help="write the sample CSV here")
+            p.add_argument("--svg", help="write the SVG overlay of a 2-D set here")
             p.add_argument("--allow-unresolved", action="store_true", help="do not fail on unresolved samples")
     return parser
 
@@ -178,15 +183,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.seed is not None and args.seed < 0:
-            raise ConfigError(f"seed: must be >= 0, got {args.seed}")
+        _check_distinct_paths(args)
         config, raw = load_config(args.config)
-        paths = {key: getattr(args, flag) for flag, key in _PATH_FLAGS.items() if getattr(args, flag, None)}
-        seed = config.seed if args.seed is None else args.seed
-        config = dataclasses.replace(config, seed=seed, outputs={**config.outputs, **paths})
-        policy = {"allow_unresolved": args.allow_unresolved} if args.command == "verify" else {}
-        document, code = _COMMANDS[args.command](config, **policy)
-        _emit_json({**_envelope(raw, seed, args.command), **document}, config.outputs.get("report"))
+        document, code = _COMMANDS[args.command](config, args)
+        _emit_json({**_envelope(raw, config.seed, args.command), **document}, args.output)
         return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

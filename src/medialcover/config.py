@@ -1,11 +1,12 @@
 """Scenario configuration: one self-describing JSON document per CLI run.
 
-Flags on the command line override only output paths, the seed and
-``--allow-unresolved``; every numerical knob lives in the config so scenarios
-can be archived as fixtures.  Keys the program does not read are ignored,
-among them the ``tolerances`` block, ``cover.axes`` and the ``decompose``
-block: the method's tolerances are constants (see ``ScenarioConfig``), the
-cover family spans every axis, and no command splits a C^2 field.
+The config holds every setting of a run, the seed included, so scenarios can
+be archived as fixtures; flags name only the files a run writes and the
+unresolved-sample policy.  Keys the program does not read are ignored, among
+them the ``outputs`` and ``tolerances`` blocks, ``cover.axes`` and the
+``decompose`` block: flags name the output files, the method's tolerances are
+constants (see ``ScenarioConfig``), the cover family spans every axis, and no
+command splits a C^2 field.
 
 ``parse_config`` applies every rule that depends on the config alone, so the
 three commands refuse the same configs.  Beyond the type and range of each
@@ -51,7 +52,6 @@ class ScenarioConfig:
     cover_rest_resolution: int
     fault_offset: float
     seed: int
-    outputs: dict
 
     # The method's constant tolerances, which no config sets; ``perfbench/run.py`` reads them here.
     tie_tolerance = TIE_TOLERANCE
@@ -214,9 +214,6 @@ def parse_config(data: dict, base_dir: Path | None = None) -> ScenarioConfig:
 
     fault_offset = _get_number(data, "fault_offset", 0.0)
 
-    outputs = data.get("outputs", {})
-    if not isinstance(outputs, dict) or not all(isinstance(v, str) for v in outputs.values()):
-        raise ConfigError("outputs: expected an object mapping names to paths")
     _check_field(field_name, set_spec, dimension)
 
     return ScenarioConfig(
@@ -230,7 +227,6 @@ def parse_config(data: dict, base_dir: Path | None = None) -> ScenarioConfig:
         cover_rest_resolution=rest_resolution,
         fault_offset=float(fault_offset),
         seed=int(seed),
-        outputs=dict(outputs),
     )
 
 

@@ -238,61 +238,74 @@ def test_a_table_or_overlay_that_cannot_be_written_leaves_no_report(command, fla
     assert not report.exists()
 
 
-# The files each command writes, by their key in the config's ``outputs``, and the flag that overrides each.
-WRITES = {"analyze": ("report", "csv"), "verify": ("report", "csv", "svg"), "cover": ("report",)}
-FLAGS = {"report": "--output", "csv": "--csv", "svg": "--svg"}
 FIXTURE_OF = {"analyze": "analyze_two_point", "verify": "verify_two_point", "cover": "cover_two_point"}
 
 
-def configured(command, tmp_path, outputs):
-    """The command's fixture config with these ``outputs``, written to ``tmp_path`` with its set path made absolute."""
+# A command and the path flags of one run.  A config's ``outputs`` block once
+# named the files that no flag named; every key it names is ignored now.
+NAMED_BY_FLAGS = [
+    ("analyze", ("--output", "--csv")),
+    ("cover", ("--output",)),
+    ("verify", ("--output",)),
+    ("verify", ("--output", "--csv", "--svg")),
+]
+IGNORED_OUTPUTS = {"report": "config_report", "csv": "config_csv", "svg": "config_svg"}
+
+
+@pytest.mark.parametrize("command, flags", NAMED_BY_FLAGS, ids=[c + "".join(f) for c, f in NAMED_BY_FLAGS])
+def test_a_run_writes_exactly_the_files_its_flags_name(command, flags, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     document = json.loads((FIXTURES / f"{FIXTURE_OF[command]}.json").read_text())
     if isinstance(document.get("set"), str):
         document["set"] = str(FIXTURES / document["set"])
-    document["outputs"] = outputs
-    config = tmp_path / f"{command}.json"
-    config.write_text(json.dumps(document))
-    return config
-
-
-OVERRIDES = [(command, name) for command, names in WRITES.items() for name in names]
-
-
-@pytest.mark.parametrize("command, name", OVERRIDES, ids=[f"{c}{FLAGS[n]}" for c, n in OVERRIDES])
-def test_a_flag_overrides_the_configured_path_of_its_file_only(command, name, tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    config = configured(command, tmp_path, {n: f"config_{n}" for n in WRITES[command]})
-    assert main([command, str(config), FLAGS[name], f"flag_{name}"]) == 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**document, "outputs": IGNORED_OUTPUTS}))
+    argv = [command, str(config)]
+    for flag in flags:
+        argv += [flag, f"flag{flag}"]
+    assert main(argv) == 0
     assert capsys.readouterr().out == ""
-    written = {n: f"flag_{n}" if n == name else f"config_{n}" for n in WRITES[command]}
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([config.name, *written.values()])
-    report = json.loads((tmp_path / written["report"]).read_text())
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([config.name, *(f"flag{flag}" for flag in flags)])
+    report = json.loads((tmp_path / "flag--output").read_text())
     assert report["command"] == command
     if command == "analyze":
-        assert report["csv"] == written["csv"]
+        assert report["csv"] == "flag--csv"
 
 
-@pytest.mark.parametrize("command", list(WRITES))
-def test_without_flags_each_file_goes_to_its_configured_path(command, tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    config = configured(command, tmp_path, {n: f"config_{n}" for n in WRITES[command]})
-    assert main([command, str(config)]) == 0
-    assert capsys.readouterr().out == ""
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([config.name, *(f"config_{n}" for n in WRITES[command])])
-    assert json.loads((tmp_path / "config_report").read_text())["command"] == command
-
-
-@pytest.mark.parametrize("command", list(WRITES))
+@pytest.mark.parametrize("command", list(FIXTURE_OF))
 def test_without_a_report_path_the_report_goes_to_stdout(command, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    config = configured(command, tmp_path, {})
-    assert main([command, str(config)]) == 0
+    config = str(FIXTURES / f"{FIXTURE_OF[command]}.json")
+    # analyze needs its table path; verify writes no table or overlay unless asked.
+    table = ["--csv", "table.csv"] if command == "analyze" else []
+    assert main([command, config, *table]) == 0
     printed = capsys.readouterr().out
-    # analyze alone has a default table path; verify writes no table or overlay unless asked.
-    extra = ["analyze_grid.csv"] if command == "analyze" else []
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([config.name, *extra])
-    assert main([command, str(config), "--output", "report.json"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["table.csv"] if table else [])
+    assert main([command, config, *table, "--output", "report.json"]) == 0
     assert printed == (tmp_path / "report.json").read_text()
+
+
+# Two outputs of one run at one path, the second spelled otherwise: the report
+# once overwrote the table or overlay and named a CSV that no longer existed.
+SHARED_PATH = [
+    ("analyze", ("--output", "--csv")),
+    ("verify", ("--output", "--csv")),
+    ("verify", ("--output", "--svg")),
+    ("verify", ("--csv", "--svg")),
+    ("verify", ("--output", "--csv", "--svg")),
+]
+
+
+@pytest.mark.parametrize("command, flags", SHARED_PATH, ids=[c + "".join(f) for c, f in SHARED_PATH])
+def test_two_outputs_at_one_path_exit_2_and_write_nothing(command, flags, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    shared = tmp_path.resolve() / "out"
+    argv = [command, str(FIXTURES / f"{FIXTURE_OF[command]}.json"), flags[0], "out"]
+    for flag in flags[1:]:
+        argv += [flag, str(shared)]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {flags[1]}: names the same file as {flags[0]}: {shared}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def csv_table(data: bytes) -> tuple[list[str], list[list[str]]]:
@@ -349,19 +362,22 @@ def test_analyze_writes_its_csv_where_asked(tmp_path, capsys):
     assert str(tmp_path / "table.csv").encode() in report
 
 
-@pytest.mark.parametrize("via", ["flag", "outputs"])
-def test_verify_svg_on_a_3d_set_is_a_config_error(via, tmp_path, capsys):
+# analyze once wrote its table to analyze_grid.csv in the working directory when no flag named it.
+def test_analyze_without_csv_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["analyze", str(FIXTURES / "analyze_two_point.json"), "--output", "report.json"])
+    assert exit_info.value.code == 2
+    assert "the following arguments are required: --csv" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_verify_svg_on_a_3d_set_is_a_config_error(tmp_path, capsys):
     ball = {"dimension": 3, "primitives": [{"type": "ball", "center": [0.0, 0.0, 0.0], "radius": 1.0}]}
     report, svg = tmp_path / "report.json", tmp_path / "overlay.svg"
-    document = {"set": ball, "grid_resolution": 8}
-    argv = ["--output", str(report)]
-    if via == "flag":
-        argv += ["--svg", str(svg)]
-    else:
-        document["outputs"] = {"svg": str(svg)}
     config = tmp_path / "config.json"
-    config.write_text(json.dumps(document))
-    assert main(["verify", str(config), *argv]) == 2
+    config.write_text(json.dumps({"set": ball, "grid_resolution": 8}))
+    assert main(["verify", str(config), "--output", str(report), "--svg", str(svg)]) == 2
     assert not report.exists() and not svg.exists()
 
 
@@ -376,25 +392,25 @@ FOREIGN_FLAGS = [
 @pytest.mark.parametrize("command, fixture, flag", FOREIGN_FLAGS, ids=[f"{c}{f}" for c, _, f in FOREIGN_FLAGS])
 def test_a_flag_the_command_does_not_take_exits_2_and_writes_nothing(command, fixture, flag, tmp_path, capsys):
     report, extra = tmp_path / "report.json", tmp_path / "extra.out"
+    table = ["--csv", str(tmp_path / "table.csv")] if command == "analyze" else []
     with pytest.raises(SystemExit) as exit_info:
-        main([command, str(FIXTURES / f"{fixture}.json"), "--output", str(report), flag, str(extra)])
+        main([command, str(FIXTURES / f"{fixture}.json"), "--output", str(report), *table, flag, str(extra)])
     assert exit_info.value.code == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
-def test_analyze_writes_its_summary_to_the_configured_report(tmp_path, capsys, monkeypatch):
-    document = json.loads((FIXTURES / "analyze_two_point.json").read_text())
-    document["set"] = str(FIXTURES / document["set"])
-    document["outputs"] = {"report": "rep.json", "csv": "grid.csv"}
-    config = tmp_path / "analyze.json"
-    config.write_text(json.dumps(document))
-    monkeypatch.chdir(tmp_path)
-    assert main(["analyze", str(config)]) == 0
-    assert capsys.readouterr().out == ""
-    summary = json.loads((tmp_path / "rep.json").read_text())
-    assert summary["command"] == "analyze" and summary["csv"] == "grid.csv"
-    assert summary["rows"] == 17 * 17 and (tmp_path / "grid.csv").exists()
+# The seed comes from the config alone; the --seed flag that once replaced it is gone.
+@pytest.mark.parametrize("command", list(FIXTURE_OF))
+def test_the_removed_seed_flag_exits_2_and_writes_nothing(command, tmp_path, capsys):
+    argv = [command, str(FIXTURES / f"{FIXTURE_OF[command]}.json"), "--output", str(tmp_path / "report.json"), "--seed", "3"]
+    if command == "analyze":
+        argv += ["--csv", str(tmp_path / "table.csv")]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def in_fresh_interpreter(*args, timeout=60):
@@ -407,14 +423,14 @@ def in_fresh_interpreter(*args, timeout=60):
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=timeout, env=env)
 
 
-def main_in_subprocess(command, document, tmp_path, timeout=60, python_flags=()):
+def main_in_subprocess(command, document, tmp_path, timeout=60, python_flags=(), flags=()):
     """Exit code, last stderr line and report presence of one command in a fresh interpreter.
 
-    ``python_flags`` go to the interpreter, before ``-m``.
+    ``python_flags`` go to the interpreter, before ``-m``; ``flags`` go to the command.
     """
     config, report = tmp_path / "config.json", tmp_path / "report.json"
     config.write_text(json.dumps(document))
-    argv = [*python_flags, "-m", "medialcover.cli", command, str(config), "--output", str(report)]
+    argv = [*python_flags, "-m", "medialcover.cli", command, str(config), "--output", str(report), *flags]
     done = in_fresh_interpreter(*argv, timeout=timeout)
     return done.returncode, done.stderr.splitlines()[-1], report.exists()
 
@@ -425,7 +441,8 @@ def test_python_dash_m_medialcover_runs_the_command_line(tmp_path, capsys):
     done = in_fresh_interpreter("-m", "medialcover", "verify", str(FIXTURES / "verify_two_point.json"), "--output", str(report))
     assert done.returncode == 0
     assert report.read_bytes() == run("verify", "verify_two_point", tmp_path)[1][0]
-    assert in_fresh_interpreter("-m", "medialcover", "analyze", str(FIXTURES / "malformed.json")).returncode == EXIT_CONFIG
+    table = str(tmp_path / "table.csv")
+    assert in_fresh_interpreter("-m", "medialcover", "analyze", str(FIXTURES / "malformed.json"), "--csv", table).returncode == EXIT_CONFIG
 
 
 def far_points(x):
@@ -480,8 +497,8 @@ OVERFLOWING_IDS = ["verify-1e200", "cover-1e200", "analyze-1e200", "verify-4.8e1
 @pytest.mark.parametrize("command, document, message", OVERFLOWING, ids=OVERFLOWING_IDS)
 def test_coordinates_whose_squared_distances_overflow_exit_2_without_a_report(command, document, message, tmp_path):
     table = tmp_path / "grid.csv"
-    document = {**document, "grid_resolution": 16, "outputs": {"csv": str(table)}}
-    code, last_line, reported = main_in_subprocess(command, document, tmp_path)
+    flags = ["--csv", str(table)] if command in CSV_COMMANDS else []
+    code, last_line, reported = main_in_subprocess(command, {**document, "grid_resolution": 16}, tmp_path, flags=flags)
     assert (code, reported, table.exists()) == (EXIT_CONFIG, False, False)
     assert last_line == f"config error: {message}"
 
@@ -529,10 +546,10 @@ FAR = {"1e17": (1e17, "16"), "1e30": (1e30, "1.40737e+14"), "1e100": (1e100, "1.
 @pytest.mark.parametrize("command", ["analyze", "verify", "cover"])
 def test_a_set_too_far_to_tell_a_tie_exits_2_without_a_report(command, x, gap, tmp_path, capsys):
     config, report, table = tmp_path / "far.json", tmp_path / "report.json", tmp_path / "table.csv"
-    outputs = {"report": str(report), "csv": str(table)}
     lattice = {"step": 1.0, "bound": 2.0}
-    config.write_text(json.dumps({"set": far_points(x), "grid_resolution": 16, "lattice": lattice, "outputs": outputs}))
-    assert main([command, str(config)]) == EXIT_CONFIG
+    config.write_text(json.dumps({"set": far_points(x), "grid_resolution": 16, "lattice": lattice}))
+    flags = ["--csv", str(table)] if command in CSV_COMMANDS else []
+    assert main([command, str(config), "--output", str(report), *flags]) == EXIT_CONFIG
     message = f"distances there reach {x:g}, where doubles lie {gap} apart, more than the tie tolerance 1e-09"
     assert capsys.readouterr().err == f"config error: set: too far from the window: {message}\n"
     assert not report.exists() and not table.exists()
@@ -560,6 +577,12 @@ def test_help_lists_every_exit_code_with_its_meaning(capsys):
     assert "exit codes:\n" + listing in printed
     assert re.findall(r"\{[a-z,]+\}", printed) == ["{analyze,cover,verify}"] * 2  # the usage line and the command list
     assert "Exit codes, also listed by ``medialcover --help``:\n\n" + listing in cli.__doc__
+
+
+def test_readme_lists_every_exit_code_with_its_meaning():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| (\d) \| (.+?) \|$", readme, flags=re.MULTILINE)
+    assert [(int(code), meaning) for code, meaning in rows] == list(cli._EXIT_MEANINGS.items())
 
 
 # `decompose` split a C^2 field into a difference of convex functions; the

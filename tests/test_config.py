@@ -24,7 +24,7 @@ MALFORMED = [
     ("cover.rest_resolution", {"cover": {"rest_resolution": 0}}),
     ("cover", {"cover": [2]}),
     ("seed", {"seed": True}),
-    ("outputs", {"outputs": {"report": 3}}),
+    ("seed", {"seed": 1.5}),
     ("field", {"field": 3}),
 ]
 
@@ -118,21 +118,21 @@ def test_fractional_count_or_empty_axes_exits_2_through_main(name, patch, messag
     assert not report.exists()
 
 
-# A negative seed is refused, in the config and as a flag, though every
-# command now only stamps the seed into its report.
+# A negative seed is refused, though every command only stamps the seed into
+# its report.  The config is its only source.
 DOCUMENTS = {
     "verify": {"set": TWO_POINTS, "grid_resolution": 17},
 }
-NEGATIVE_SEED = {"in-config": ({"seed": -1}, [], -1), "flag": ({}, ["--seed", "-3"], -3)}
+NEGATIVE_SEED = {"in-config": ({"seed": -1}, -1)}
 
 
 @pytest.mark.parametrize("command", list(DOCUMENTS))
-@pytest.mark.parametrize("patch, flags, seed", list(NEGATIVE_SEED.values()), ids=list(NEGATIVE_SEED))
-def test_negative_seed_exits_2_through_main(command, patch, flags, seed, tmp_path, capsys):
+@pytest.mark.parametrize("patch, seed", list(NEGATIVE_SEED.values()), ids=list(NEGATIVE_SEED))
+def test_negative_seed_exits_2_through_main(command, patch, seed, tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({**DOCUMENTS[command], **patch}))
     report = tmp_path / "report.json"
-    assert main([command, str(config), "--output", str(report), *flags]) == EXIT_CONFIG
+    assert main([command, str(config), "--output", str(report)]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith(f"config error: seed: must be >= 0, got {seed}")
     assert not report.exists()
 
@@ -150,8 +150,9 @@ def field_cases(fields):
 def refused_field(command, document, tmp_path, capsys):
     """The stderr of ``command`` on ``document``, which must exit 2 and write neither report nor table."""
     config, report, table = tmp_path / "config.json", tmp_path / "report.json", tmp_path / "table.csv"
-    config.write_text(json.dumps({**document, "outputs": {"report": str(report), "csv": str(table)}}))
-    assert main([command, str(config)]) == EXIT_CONFIG
+    config.write_text(json.dumps(document))
+    flags = ["--csv", str(table)] if command != "cover" else []
+    assert main([command, str(config), "--output", str(report), *flags]) == EXIT_CONFIG
     assert not report.exists() and not table.exists()
     return capsys.readouterr().err
 
@@ -189,9 +190,9 @@ def test_a_set_with_another_named_field_exits_2_through_main(command, field, tmp
 
 
 # Finite-difference steps, a detector fraction, the coverage, tie, separation
-# and bisection tolerances, the cover axes and the `decompose` block, which the
-# program no longer reads as knobs: unknown keys are ignored, even with values
-# that were once refused.
+# and bisection tolerances, the cover axes, the `decompose` block and the
+# `outputs` paths, which the program no longer reads: unknown keys are
+# ignored, even with values that were once refused.
 KNOBS = {
     "tolerances": {
         "fd_step": 0.5,
@@ -204,22 +205,26 @@ KNOBS = {
     },
     "cover": {"axes": [1]},
     "decompose": {"radius": -1.0, "samples": 10.5},
+    "outputs": {"report": "x.json", "csv": "x.csv"},
 }
 
 
 @pytest.mark.parametrize("command", ["verify", "analyze", "cover"])
-def test_removed_step_knobs_change_nothing_but_the_config_digest(command, tmp_path, capsys):
+def test_removed_step_knobs_change_nothing_but_the_config_digest(command, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     document = {"set": TWO_POINTS, "grid_resolution": 17, "lattice": {"step": 1.0, "bound": 2.0}}
     outputs = []
     for name, knobs in (("plain", {}), ("knobs", KNOBS)):
         config, report, table = (tmp_path / f"{name}.{ext}" for ext in ("json", "report", "csv"))
-        config.write_text(json.dumps({**document, **knobs, "outputs": {"csv": str(table)}}))
-        assert main([command, str(config), "--output", str(report)]) == 0
+        config.write_text(json.dumps({**document, **knobs}))
+        flags = ["--csv", str(table)] if command != "cover" else []
+        assert main([command, str(config), "--output", str(report), *flags]) == 0
         written = json.loads(report.read_text())
         assert written.pop("config_sha256")
         written.pop("csv", None)  # analyze names its CSV, whose path differs
         outputs.append((written, table.read_bytes() if table.exists() else None))
     assert outputs[0] == outputs[1]
+    assert not (tmp_path / "x.json").exists() and not (tmp_path / "x.csv").exists()
 
 
 # The `tolerances` block, once read, is ignored whatever its value, even when it is not an object.
