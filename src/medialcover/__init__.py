@@ -20,7 +20,7 @@ from .distance import (
     survey,
     write_grid_csv,
 )
-from .fields import ScalarField, asplund_lift, named_field, strongify
+from .fields import ScalarField, asplund_lift
 from .geometry import ClosedSetSpec, Window
 from .verify import certify_cover, detect_ambiguous, write_overlay_svg, write_samples_csv
 
@@ -42,10 +42,8 @@ __all__ = [
     "enumerate_cover",
     "grid_sweep",
     "marginal_inf_rows",
-    "named_field",
     "nearest_points",
     "nondiff_witnesses",
-    "strongify",
     "survey",
     "write_grid_csv",
     "write_overlay_svg",

@@ -10,8 +10,8 @@ code 2.  ``cover`` enumerates the graphs of every axis and lattice pair, and
 
 ``config.parse_config`` refuses every config that no command can run.  The
 rules left here depend on the command line: no two of ``--output``,
-``--csv`` and ``--svg`` may name one file, ``analyze`` and ``verify`` need a
-set, ``--svg`` needs a 2-D set, and ``cover`` needs a set or a field.
+``--csv`` and ``--svg`` may name one file, none may name the config or the
+set file it names, and ``--svg`` needs a 2-D set.
 
 A command writes its own CSV or SVG and returns its part of the report with
 its exit code.  ``main`` stamps the report with the tool version, the seed
@@ -46,7 +46,7 @@ from .config import ConfigError, ScenarioConfig, config_digest, load_config
 from .convex import CoercivityError, nondiff_witnesses
 from .cover import FamilyBudgetError, cover_family_to_dict, enumerate_cover
 from .distance import Classification, grid_sweep, write_grid_csv
-from .fields import asplund_lift, named_field, strongify
+from .fields import asplund_lift
 from .verify import certify_cover, detect_ambiguous, write_overlay_svg, write_samples_csv
 
 EXIT_OK = 0
@@ -86,8 +86,6 @@ def _emit_json(document: dict, path: str | None) -> None:
 
 
 def _cmd_analyze(config: ScenarioConfig, args: argparse.Namespace) -> tuple[dict, int]:
-    if config.set_spec is None:
-        raise ConfigError("set: the analyze command needs a set description")
     sweep = grid_sweep(config.set_spec, config.window, config.grid_resolution)
     write_grid_csv(sweep, args.csv)
     counts = np.bincount(sweep.classes, minlength=len(Classification)).tolist()
@@ -96,20 +94,12 @@ def _cmd_analyze(config: ScenarioConfig, args: argparse.Namespace) -> tuple[dict
 
 
 def _cmd_cover(config: ScenarioConfig, args: argparse.Namespace) -> tuple[dict, int]:
-    # ``parse_config`` admits a named field only without a set, and a set only with its own lift.
-    if config.set_spec is not None:
-        lift = asplund_lift(config.set_spec)
-    elif config.field_name is not None:
-        lift = strongify(named_field(config.field_name, config.dimension))
-    else:
-        raise ConfigError("field: required when no set is given")
+    lift = asplund_lift(config.set_spec)
     family = enumerate_cover(config.dimension, config.lattice, config.cover_cap)
     graphs = cover_family_to_dict(lift, family, config.window, config.cover_rest_resolution)
 
-    witness_counts = Counter()
-    if config.set_spec is not None:
-        found = detect_ambiguous(config.set_spec, config.window, config.grid_resolution)
-        witness_counts.update(w for w in nondiff_witnesses(found, config.lattice) if w is not None)
+    found = detect_ambiguous(config.set_spec, config.window, config.grid_resolution)
+    witness_counts = Counter(w for w in nondiff_witnesses(found, config.lattice) if w is not None)
     for entry, graph in zip(graphs, family):
         entry["witness_points"] = witness_counts[graph]
 
@@ -118,8 +108,6 @@ def _cmd_cover(config: ScenarioConfig, args: argparse.Namespace) -> tuple[dict, 
 
 
 def _cmd_verify(config: ScenarioConfig, args: argparse.Namespace) -> tuple[dict, int]:
-    if config.set_spec is None:
-        raise ConfigError("set: the verify command needs a set description")
     if args.svg and config.dimension != 2:
         raise ConfigError(f"svg: the SVG overlay needs a 2-D set, got dimension {config.dimension}")
     found = detect_ambiguous(config.set_spec, config.window, config.grid_resolution)
@@ -142,17 +130,21 @@ _COMMANDS = {
 }
 
 
-def _check_distinct_paths(args: argparse.Namespace) -> None:
-    """Refuse two path flags that name one file, which the later write would overwrite."""
-    named = {}
+def _check_distinct_paths(args: argparse.Namespace, raw_config: dict) -> None:
+    """Refuse a path flag that names an input of the run or the file of another flag, which a write would overwrite."""
+    config_path = Path(args.config)
+    named = {config_path.resolve(): "the config"}
+    if isinstance(raw_config["set"], str):
+        # ``/`` keeps an absolute set path and takes a relative one from the config's directory, as the config loader does.
+        named[(config_path.parent / raw_config["set"]).resolve()] = "the set file"
     for flag in ("output", "csv", "svg"):
         path = getattr(args, flag, None)
         if path is None:
             continue
         resolved = Path(path).resolve()
         if resolved in named:
-            raise ConfigError(f"--{flag}: names the same file as --{named[resolved]}: {resolved}")
-        named[resolved] = flag
+            raise ConfigError(f"--{flag}: names the same file as {named[resolved]}: {resolved}")
+        named[resolved] = f"--{flag}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -183,8 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _check_distinct_paths(args)
         config, raw = load_config(args.config)
+        _check_distinct_paths(args, raw)
         document, code = _COMMANDS[args.command](config, args)
         _emit_json({**_envelope(raw, config.seed, args.command), **document}, args.output)
         return code

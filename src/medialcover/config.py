@@ -3,18 +3,18 @@
 The config holds every setting of a run, the seed included, so scenarios can
 be archived as fixtures; flags name only the files a run writes and the
 unresolved-sample policy.  Keys the program does not read are ignored, among
-them the ``outputs`` and ``tolerances`` blocks, ``cover.axes`` and the
-``decompose`` block: flags name the output files, the method's tolerances are
-constants (see ``ScenarioConfig``), the cover family spans every axis, and no
-command splits a C^2 field.
+them the ``outputs`` and ``tolerances`` blocks, ``cover.axes``, the
+``decompose`` block, ``field`` and a top-level ``dimension``: flags name the
+output files, the method's tolerances are constants (see ``ScenarioConfig``),
+the cover family spans every axis, no command splits a C^2 field, every
+command searches the lift of its set, and the set states its dimension.
 
 ``parse_config`` applies every rule that depends on the config alone, so the
-three commands refuse the same configs.  Beyond the type and range of each
-key, it refuses a set so far from its window that doubles near its distances
-there lie more than ``TIE_TOLERANCE`` apart, where rounding makes rows tie
-that do not.  It refuses a ``field`` that names no field, a lift
-(``asplund`` or ``asplund:set``) without a set, and a named field beside a
-set, whose feet give witnesses of its lift only.
+three commands refuse the same configs.  Every command needs a ``set``, and
+its dimension is the run's.  Beyond the type and range of each key, it
+refuses a set so far from its window that doubles near its distances there
+lie more than ``TIE_TOLERANCE`` apart, where rounding makes rows tie that do
+not.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import numpy as np
 
 from .convex import SlopeLattice
 from .distance import SEPARATION, TIE_TOLERANCE
-from .fields import named_field
 from .geometry import ClosedSetSpec, Window
 from .verify import REFINE_TOL
 
@@ -46,8 +45,7 @@ class ScenarioConfig:
     window: Window
     grid_resolution: int
     lattice: SlopeLattice
-    set_spec: ClosedSetSpec | None
-    field_name: str | None
+    set_spec: ClosedSetSpec
     cover_cap: int
     cover_rest_resolution: int
     fault_offset: float
@@ -103,22 +101,6 @@ def _half_width(spec: ClosedSetSpec) -> float:
     return float(np.abs([spec.starts, spec.starts + spec.directions]).max()) + float(spec.radii.max())
 
 
-# Config field names of the lift of the config's own set.
-_LIFT_NAMES = (None, "asplund", "asplund:set")
-
-
-def _check_field(name: str | None, set_spec: ClosedSetSpec | None, dimension: int) -> None:
-    """Refuse an unknown field name, a lift without a set, and a named field beside a set."""
-    if name in _LIFT_NAMES:
-        _require(name is None or set_spec is not None, "field", f"field {name!r} needs a set description")
-        return
-    try:
-        named_field(name, dimension)
-    except ValueError as exc:
-        raise ConfigError(f"field: {exc}") from None
-    _require(set_spec is None, "field", f"{name!r} is not the lift of the config's set, whose witnesses cover counts")
-
-
 def _load_set(entry, base_dir: Path) -> ClosedSetSpec:
     if isinstance(entry, str):
         path = Path(entry)
@@ -143,26 +125,13 @@ def parse_config(data: dict, base_dir: Path | None = None) -> ScenarioConfig:
         raise ConfigError("config: top level must be a JSON object")
     base_dir = base_dir or Path.cwd()
 
-    set_spec = _load_set(data["set"], base_dir) if "set" in data else None
-    field_name = data.get("field")
-    if field_name is not None and not isinstance(field_name, str):
-        raise ConfigError(f"field: expected a string, got {field_name!r}")
-
-    if "dimension" in data:
-        dimension = data["dimension"]
-        _require(isinstance(dimension, int) and not isinstance(dimension, bool), "dimension", "must be an integer")
-        if set_spec is not None:
-            _require(dimension == set_spec.dimension, "dimension", f"does not match the set ({set_spec.dimension})")
-    elif set_spec is not None:
-        dimension = set_spec.dimension
-    else:
-        raise ConfigError("dimension: required when no set is given")
-    _require(dimension in (1, 2, 3), "dimension", f"must be 1, 2 or 3, got {dimension}")
+    _require("set" in data, "set", "required: every command reads the closed set of its config")
+    set_spec = _load_set(data["set"], base_dir)
+    dimension = set_spec.dimension
     # Distances are computed from squared coordinate differences.
-    if set_spec is not None:
-        reach = _half_width(set_spec)
-        message = f"too large: a squared distance overflows, with coordinates and radii reaching {reach:g}"
-        _require(_squares_fit(dimension, reach), "set", message)
+    reach = _half_width(set_spec)
+    message = f"too large: a squared distance overflows, with coordinates and radii reaching {reach:g}"
+    _require(_squares_fit(dimension, reach), "set", message)
 
     window_data = data.get("window", {"lower": [-2.0] * dimension, "upper": [2.0] * dimension})
     if not isinstance(window_data, dict) or "lower" not in window_data or "upper" not in window_data:
@@ -176,12 +145,11 @@ def parse_config(data: dict, base_dir: Path | None = None) -> ScenarioConfig:
     message = f"too large: a squared distance overflows, with corners reaching {reach:g}"
     _require(_squares_fit(dimension, reach), "window", message)
     # Distance is 1-Lipschitz: no window point lies farther from the set than its centre plus its half-diagonal.
-    if set_spec is not None:
-        centre = (window.lower + window.upper) / 2
-        reach = float(set_spec.row_distances(centre[None]).min() + np.linalg.norm(window.extent) / 2)
-        gap = float(np.spacing(reach))
-        message = f"distances there reach {reach:g}, where doubles lie {gap:g} apart, more than the tie tolerance {TIE_TOLERANCE:g}"
-        _require(gap <= TIE_TOLERANCE, "set", f"too far from the window: {message}")
+    centre = (window.lower + window.upper) / 2
+    reach = float(set_spec.row_distances(centre[None]).min() + np.linalg.norm(window.extent) / 2)
+    gap = float(np.spacing(reach))
+    message = f"distances there reach {reach:g}, where doubles lie {gap:g} apart, more than the tie tolerance {TIE_TOLERANCE:g}"
+    _require(gap <= TIE_TOLERANCE, "set", f"too far from the window: {message}")
 
     resolution = _get_count(data, "grid_resolution", 64, minimum=8)
     # A grid sweep lays its resolution^n nodes out in one array.
@@ -214,15 +182,12 @@ def parse_config(data: dict, base_dir: Path | None = None) -> ScenarioConfig:
 
     fault_offset = _get_number(data, "fault_offset", 0.0)
 
-    _check_field(field_name, set_spec, dimension)
-
     return ScenarioConfig(
         dimension=dimension,
         window=window,
         grid_resolution=resolution,
         lattice=lattice,
         set_spec=set_spec,
-        field_name=field_name,
         cover_cap=cap,
         cover_rest_resolution=rest_resolution,
         fault_offset=float(fault_offset),

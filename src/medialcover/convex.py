@@ -1,8 +1,8 @@
-"""Convex-analysis machinery for scalar fields.
+"""Convex-analysis machinery for the lift of a set.
 
 This module reads non-differentiability witnesses of the distance lift off
-a lattice of candidate slopes and computes marginal infima of strongly convex
-fields by bracketed golden-section search.  It has no convexity probe and no
+a lattice of candidate slopes and computes marginal infima of the lift by
+bracketed golden-section search.  It has no convexity probe and no
 split of a C^2 field: the covering graphs carry their own
 difference-of-convex form, built from the marginal infima of the lift.
 

@@ -23,8 +23,10 @@ points at ``separation``.
 the masked-write form that the package uses.
 
 ``asplund_field`` is the unfused convex field |x|^2 - dist(x, E)^2 of a set,
-the bit reference of :func:`medialcover.asplund_lift` through
-:func:`medialcover.strongify`.
+and ``strongify`` adds |x|^2 to a field, which makes a convex field strongly
+convex with modulus 1: ``strongify(asplund_field(spec))`` is the bit
+reference of :func:`medialcover.asplund_lift`.  ``blend`` is a seeded C^2
+test field, a quadratic form plus sine ripples, that is no lift of a set.
 
 The finite-difference estimates of first-order data are kept here too, as
 the oracles of the exact values that the package reads off the feet:
@@ -33,7 +35,7 @@ of a convex field, and ``fd_gradients`` for the gradient of the distance
 field on a grid.
 
 ``convexity_probe`` samples the midpoint inequality of a field, the check
-that the lift, its marginal functions and ``strongify`` are convex; and
+that the lift and its marginal functions are convex; and
 ``reference_marginal_inf`` is the scalar bracket-doubling and golden-section
 search, the bit reference of :func:`medialcover.marginal_inf_rows`.
 """
@@ -220,6 +222,30 @@ def asplund_field(spec: ClosedSetSpec) -> ScalarField:
         return out.reshape(x.shape[:-1])
 
     return ScalarField(evaluate, spec.dimension, tag="asplund")
+
+
+def strongify(field: ScalarField) -> ScalarField:
+    """Add |x|^2; for convex input the result is strongly convex with modulus 1."""
+
+    def evaluate(x: np.ndarray) -> np.ndarray:
+        return field.evaluator(x) + np.add.reduce(x * x, axis=-1)
+
+    return ScalarField(evaluate, field.dimension, tag=f"{field.tag}+sq")
+
+
+def blend(dimension: int, seed: int) -> ScalarField:
+    """A seeded C^2 test field: x^T A x plus per-coordinate sine ripples."""
+    rng = np.random.default_rng(seed)
+    m = rng.uniform(-1.0, 1.0, size=(dimension, dimension))
+    quad = 0.5 * (m + m.T)
+    amps = rng.uniform(-1.0, 1.0, size=dimension)
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=dimension)
+
+    def evaluate(x: np.ndarray) -> np.ndarray:
+        q = np.einsum("...i,ij,...j->...", x, quad, x)
+        return q + np.sum(amps * np.sin(x + phases), axis=-1)
+
+    return ScalarField(evaluate, dimension, tag=f"blend:{seed}")
 
 
 def one_sided(field, points, step=1e-4) -> tuple[np.ndarray, np.ndarray]:

@@ -1,9 +1,11 @@
 """Every scenario fixture through the command line: exit codes and repeatable reports."""
 
+import ast
 import hashlib
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import warnings
@@ -17,6 +19,7 @@ import medialcover.cli as cli
 from medialcover.cli import EXIT_CONFIG, EXIT_NONCONVEX, main
 from medialcover.config import ConfigError, load_config, parse_config
 from medialcover.distance import CSV_BLOCK_ROWS, Classification, grid_sweep
+from medialcover.fields import ScalarField
 from medialcover.geometry import ClosedSetSpec, Window
 from medialcover.verify import write_overlay_svg, write_samples_csv
 from test_voronoi_oracle import SEEDS, WINDOW, random_sites
@@ -26,7 +29,6 @@ FIXTURES = Path(__file__).parent / "fixtures"
 CASES = [
     ("verify", "verify_two_point", 0),
     ("cover", "cover_two_point", 0),
-    ("cover", "cover_sq_norm", 0),
     ("analyze", "analyze_two_point", 0),
     ("verify", "verify_circle", 1),
     ("verify", "verify_two_point_corrupt", 1),
@@ -66,7 +68,6 @@ GOLDEN = {
     ("verify", "verify_circle"): "41a81f7b76b923f325a3a12c11e0d22a817b6e349117e9e49e40aec8afc2b10b",
     ("verify", "verify_two_point_corrupt"): "4f58976d16c5ddf309280c0601171b4c6987197f1f5ab1add15abfc4e999a021",
     ("cover", "cover_two_point"): "9fd6f25d84666c6d4538c9436a46e6516cdcef65147a2c4c398e5c6b640806a4",
-    ("cover", "cover_sq_norm"): "163f731c983d361c478831e3d6149a12dc03bd5abb951c0be379b658d214097e",
     # A 3-D set, and a window whose two axes have different grid steps.
     ("verify", "verify_shells"): "121b8e6dd140453c72d7d839f0cd4fdee6889597432c97e2361b813fc53f7189",
     ("cover", "cover_shells"): "8341a96f19e531073038f32f1211b2d45be27ec5b5eecf0b36ad22c9d882baf1",
@@ -308,6 +309,28 @@ def test_two_outputs_at_one_path_exit_2_and_write_nothing(command, flags, tmp_pa
     assert list(tmp_path.iterdir()) == []
 
 
+# An output flag that names an input of the run: the config, or the set file
+# it names relative to its own directory.  The first command line once
+# replaced the set file with the grid table and the config with the report,
+# with exit 0.
+INPUT_AS_OUTPUT = [
+    (["analyze", "analyze_two_point.json", "--csv", "two_point_set.json", "--output", "analyze_two_point.json"], "--output", "the config"),
+    (["analyze", "analyze_two_point.json", "--csv", "two_point_set.json"], "--csv", "the set file"),
+    (["verify", "verify_two_point.json", "--svg", "verify_two_point.json"], "--svg", "the config"),
+]
+
+
+@pytest.mark.parametrize("argv, flag, role", INPUT_AS_OUTPUT, ids=["analyze-output-csv", "analyze-csv", "verify-svg"])
+def test_an_output_that_names_an_input_exits_2_and_writes_nothing(argv, flag, role, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    shutil.copytree(FIXTURES, tmp_path, dirs_exist_ok=True)
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    assert main(argv) == EXIT_CONFIG
+    named = tmp_path.resolve() / argv[argv.index(flag) + 1]
+    assert capsys.readouterr().err == f"config error: {flag}: names the same file as {role}: {named}\n"
+    assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
 def csv_table(data: bytes) -> tuple[list[str], list[list[str]]]:
     """Header and cells of a CSV whose every line ends in CRLF."""
     lines = data.split(b"\r\n")
@@ -346,9 +369,10 @@ def test_samples_csv_is_written_in_blocks_of_plain_floats(tmp_path):
 # cover once built the ticks of its one axis, which that node never reads:
 # np.linspace refused 10^19 of them with exit 1.
 def test_cover_of_a_1d_field_has_one_value_per_graph(tmp_path, capsys):
-    config, report = tmp_path / "abs.json", tmp_path / "report.json"
+    config, report = tmp_path / "two_point_1d.json", tmp_path / "report.json"
+    two_points = {"dimension": 1, "primitives": [{"type": "point", "coords": [x]} for x in (-1.0, 1.0)]}
     for cover in ({}, {"rest_resolution": 10**19}):
-        config.write_text(json.dumps({"dimension": 1, "field": "abs", "lattice": {"step": 0.5, "bound": 1.0}, "cover": cover}))
+        config.write_text(json.dumps({"set": two_points, "lattice": {"step": 0.5, "bound": 1.0}, "cover": cover}))
         assert main(["cover", str(config), "--output", str(report)]) == 0
         graphs = json.loads(report.read_text())["graphs"]
         assert len(graphs) == 10
@@ -449,26 +473,20 @@ def far_points(x):
     return {"dimension": 2, "primitives": [{"type": "point", "coords": [s * x, 0.0]} for s in (-1.0, 1.0)]}
 
 
-# `cover` of |x|^2 on a window so wide that rounding swamps the field there.
-# At 1e20 the golden-section search cannot narrow its bracket below one ulp
-# of t; at 1e30 the bracket doubling never finds the rising side.  Two points
-# at 1e30 once ended `verify` in the same way; such a set is now refused
-# (`test_a_set_too_far_to_tell_a_tie_exits_2_without_a_report`).
-@pytest.mark.parametrize(
-    "half_width, stuck",
-    [
-        (1e20, "golden-section bracket for axis 0, slope -1.0 still wider than 1e-07 after 123 steps"),
-        (1e30, "bracket for axis 0, slope -1.0 still open after 60 doublings"),
-    ],
-    ids=["cover-1e20", "cover-1e30"],
-)
-def test_a_marginal_infimum_that_does_not_close_exits_5_without_a_report(half_width, stuck, tmp_path):
-    window = {"lower": [-half_width] * 2, "upper": [half_width] * 2}
+# Exit 5 guards a marginal infimum that does not close, which no config of a
+# set reaches: the lift of a set is strongly convex, and a set too far from
+# its window to tell a tie is refused (`test_a_set_too_far_to_tell_a_tie_exits_2_without_a_report`).
+# A concave field in place of the lift reaches it.  Both ways a search sticks
+# are covered in `test_convex.py`: the bracket doubling cap and the
+# golden-section step cap.
+def test_a_marginal_infimum_that_does_not_close_exits_5_without_a_report(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "asplund_lift", lambda spec: ScalarField(lambda x: -np.add.reduce(x * x, axis=-1), spec.dimension, "concave"))
+    config, report = tmp_path / "config.json", tmp_path / "report.json"
     lattice, cover = {"step": 1.0, "bound": 1.0}, {"rest_resolution": 3}
-    document = {"dimension": 2, "field": "sq_norm", "window": window, "lattice": lattice, "cover": cover}
-    code, message, reported = main_in_subprocess("cover", document, tmp_path)
-    assert (code, reported) == (EXIT_NONCONVEX, False)
-    assert message.startswith(f"convexity failure: {stuck}")
+    config.write_text(json.dumps({"set": str(FIXTURES / "two_point_set.json"), "lattice": lattice, "cover": cover}))
+    assert main(["cover", str(config), "--output", str(report)]) == EXIT_NONCONVEX
+    assert capsys.readouterr().err.startswith("convexity failure: bracket for axis 0, slope -1.0 still open after 60 doublings")
+    assert not report.exists()
 
 
 # Coordinates whose squared distances overflow once gave every `analyze` node
@@ -557,8 +575,7 @@ def test_a_set_too_far_to_tell_a_tie_exits_2_without_a_report(command, x, gap, t
 
 def test_no_fixture_or_voronoi_set_is_too_far_to_tell_a_tie():
     # Parsing refuses a set too far from its window to tell a tie.
-    parsed = [load_config(path)[0] for path in FIXTURES.glob("*.json") if path.stem.startswith(("analyze_", "cover_", "verify_"))]
-    configs = [config for config in parsed if config.set_spec is not None]
+    configs = [load_config(path)[0] for path in FIXTURES.glob("*.json") if path.stem.startswith(("analyze_", "cover_", "verify_"))]
     for seed in SEEDS:
         sites = [{"type": "point", "coords": p.tolist()} for p in random_sites(seed)]
         window = {"lower": WINDOW.lower.tolist(), "upper": WINDOW.upper.tolist()}
@@ -585,12 +602,39 @@ def test_readme_lists_every_exit_code_with_its_meaning():
     assert [(int(code), meaning) for code, meaning in rows] == list(cli._EXIT_MEANINGS.items())
 
 
+def config_keys_read():
+    """The top-level keys that ``parse_config`` reads: the string keys of ``data.get``, ``data[...]``, ``in data`` and ``_get_number``/``_get_count(data, ...)``."""
+
+    def is_data(node):
+        return isinstance(node, ast.Name) and node.id == "data"
+
+    keys = []
+    for node in ast.walk(ast.parse(Path(cli.__file__).with_name("config.py").read_text())):
+        if isinstance(node, ast.Subscript) and is_data(node.value):
+            keys.append(node.slice)
+        elif isinstance(node, ast.Compare) and isinstance(node.ops[0], (ast.In, ast.NotIn)) and is_data(node.comparators[0]):
+            keys.append(node.left)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "get" and is_data(node.func.value):
+            keys.append(node.args[0])
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("_get_number", "_get_count") and is_data(node.args[0]):
+            keys.append(node.args[1])
+    return {key.value for key in keys if isinstance(key, ast.Constant)}
+
+
+def test_readme_lists_every_config_key_that_is_read():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("## Config keys", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^\| `([a-z_]+)` \|", table, flags=re.MULTILINE)
+    assert sorted(listed) == sorted(config_keys_read())
+    assert set(listed) == {"set", "window", "grid_resolution", "lattice", "cover", "seed", "fault_offset"}
+
+
 # `decompose` split a C^2 field into a difference of convex functions; the
 # command is gone, and argparse refuses it.
 def test_the_removed_decompose_command_exits_2_and_writes_nothing(tmp_path, capsys):
     report = tmp_path / "report.json"
     with pytest.raises(SystemExit) as exit_info:
-        main(["decompose", str(FIXTURES / "cover_sq_norm.json"), "--output", str(report)])
+        main(["decompose", str(FIXTURES / "cover_two_point.json"), "--output", str(report)])
     assert exit_info.value.code == 2
     assert "invalid choice: 'decompose'" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []

@@ -12,7 +12,6 @@ from medialcover.config import ConfigError, parse_config
 TWO_POINTS = {"dimension": 2, "primitives": [{"type": "point", "coords": [-1.0, 0.0]}, {"type": "point", "coords": [1.0, 0.0]}]}
 
 MALFORMED = [
-    ("dimension", {"dimension": 3}),
     ("window", {"window": {"lower": [-2, -2, -2], "upper": [2, 2, 2]}}),
     ("window", {"window": {"lower": [-2, 1], "upper": [2, 1]}}),
     ("window", {"window": {"lower": [2, -2], "upper": [-2, 2]}}),
@@ -25,11 +24,11 @@ MALFORMED = [
     ("cover", {"cover": [2]}),
     ("seed", {"seed": True}),
     ("seed", {"seed": 1.5}),
-    ("field", {"field": 3}),
 ]
 
 
-@pytest.mark.parametrize("name, patch", MALFORMED, ids=[f"{name}-{k}" for k, (name, _) in enumerate(MALFORMED)])
+# The ids count from 1, the numbers the cases kept when a top-level `dimension` case came first.
+@pytest.mark.parametrize("name, patch", MALFORMED, ids=[f"{name}-{k}" for k, (name, _) in enumerate(MALFORMED, start=1)])
 def test_malformed_config_names_its_field(name, patch):
     with pytest.raises(ConfigError) as info:
         parse_config({"set": TWO_POINTS, **patch})
@@ -137,33 +136,7 @@ def test_negative_seed_exits_2_through_main(command, patch, seed, tmp_path, caps
     assert not report.exists()
 
 
-def field_cases(fields):
-    """``(command, field)`` for each command and field, with ids.
-
-    Each command refuses a bad field when the config is parsed.  A cover case
-    keeps the id of its field alone, as when only cover read the field.
-    """
-    cases = [(command, field) for command in ("cover", "analyze", "verify") for field in fields]
-    return {"argnames": "command, field", "argvalues": cases, "ids": [f if c == "cover" else f"{c}-{f}" for c, f in cases]}
-
-
-def refused_field(command, document, tmp_path, capsys):
-    """The stderr of ``command`` on ``document``, which must exit 2 and write neither report nor table."""
-    config, report, table = tmp_path / "config.json", tmp_path / "report.json", tmp_path / "table.csv"
-    config.write_text(json.dumps(document))
-    flags = ["--csv", str(table)] if command != "cover" else []
-    assert main([command, str(config), "--output", str(report), *flags]) == EXIT_CONFIG
-    assert not report.exists() and not table.exists()
-    return capsys.readouterr().err
-
-
-# `asplund:<path>` once ignored its path and lifted the config's own set.
-@pytest.mark.parametrize(**field_cases(["asplund:/does/not/exist.json", "asplund:", "asplund:Set"]))
-def test_asplund_with_a_reference_other_than_set_exits_2_through_main(command, field, tmp_path, capsys):
-    err = refused_field(command, {"set": TWO_POINTS, "grid_resolution": 17, "field": field}, tmp_path, capsys)
-    assert err.startswith(f"config error: field: unknown field name {field!r}")
-
-
+# A `field` key naming the lift of the config's own set is ignored, like any other `field`.
 @pytest.mark.parametrize("field", ["asplund", "asplund:set"])
 def test_asplund_of_the_configs_own_set_is_accepted(field, tmp_path, capsys):
     config = tmp_path / "config.json"
@@ -175,24 +148,25 @@ def test_asplund_of_the_configs_own_set_is_accepted(field, tmp_path, capsys):
     assert sum(graph["witness_points"] for graph in document["graphs"]) > 0
 
 
+# Every command reads the set.  `cover` once built the graphs of a named field,
+# or with `field: "asplund"` refused the config for want of a set; a `field`
+# and a `dimension` no longer stand in for it.
 @pytest.mark.parametrize("command", ["cover", "analyze", "verify"])
 def test_asplund_without_a_set_exits_2_through_main(command, tmp_path, capsys):
-    err = refused_field(command, {"dimension": 2, "field": "asplund"}, tmp_path, capsys)
-    assert err == "config error: field: field 'asplund' needs a set description\n"
-
-
-# `cover` once counted the witness points of the set's lift against the
-# graphs of another named field.
-@pytest.mark.parametrize(**field_cases(["norm", "sq_norm"]))
-def test_a_set_with_another_named_field_exits_2_through_main(command, field, tmp_path, capsys):
-    err = refused_field(command, {"set": TWO_POINTS, "grid_resolution": 17, "field": field}, tmp_path, capsys)
-    assert err.startswith(f"config error: field: {field!r} is not the lift of the config's set")
+    config, report, table = tmp_path / "config.json", tmp_path / "report.json", tmp_path / "table.csv"
+    flags = ["--csv", str(table)] if command != "cover" else []
+    for document in ({"dimension": 2, "field": "asplund"}, {"dimension": 2, "field": "sq_norm"}, {"grid_resolution": 17}):
+        config.write_text(json.dumps(document))
+        assert main([command, str(config), "--output", str(report), *flags]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: set: required: every command reads the closed set of its config\n"
+        assert not report.exists() and not table.exists()
 
 
 # Finite-difference steps, a detector fraction, the coverage, tie, separation
-# and bisection tolerances, the cover axes, the `decompose` block and the
-# `outputs` paths, which the program no longer reads: unknown keys are
-# ignored, even with values that were once refused.
+# and bisection tolerances, the cover axes, the `decompose` block, the
+# `outputs` paths, a named `field` and a top-level `dimension`, which the
+# program no longer reads: unknown keys are ignored, even with values that
+# were once refused.  Each `field` and `dimension` value gets a run of its own.
 KNOBS = {
     "tolerances": {
         "fd_step": 0.5,
@@ -207,6 +181,7 @@ KNOBS = {
     "decompose": {"radius": -1.0, "samples": 10.5},
     "outputs": {"report": "x.json", "csv": "x.csv"},
 }
+ONE_AT_A_TIME = [{"field": "sq_norm"}, {"field": 3}, {"field": "asplund:Set"}, {"dimension": 3}]
 
 
 @pytest.mark.parametrize("command", ["verify", "analyze", "cover"])
@@ -214,7 +189,8 @@ def test_removed_step_knobs_change_nothing_but_the_config_digest(command, tmp_pa
     monkeypatch.chdir(tmp_path)
     document = {"set": TWO_POINTS, "grid_resolution": 17, "lattice": {"step": 1.0, "bound": 2.0}}
     outputs = []
-    for name, knobs in (("plain", {}), ("knobs", KNOBS)):
+    runs = [("plain", {}), ("knobs", KNOBS)] + [(f"key{k}", {**KNOBS, **key}) for k, key in enumerate(ONE_AT_A_TIME)]
+    for name, knobs in runs:
         config, report, table = (tmp_path / f"{name}.{ext}" for ext in ("json", "report", "csv"))
         config.write_text(json.dumps({**document, **knobs}))
         flags = ["--csv", str(table)] if command != "cover" else []
@@ -223,7 +199,7 @@ def test_removed_step_knobs_change_nothing_but_the_config_digest(command, tmp_pa
         assert written.pop("config_sha256")
         written.pop("csv", None)  # analyze names its CSV, whose path differs
         outputs.append((written, table.read_bytes() if table.exists() else None))
-    assert outputs[0] == outputs[1]
+    assert all(output == outputs[0] for output in outputs[1:])
     assert not (tmp_path / "x.json").exists() and not (tmp_path / "x.csv").exists()
 
 

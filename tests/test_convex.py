@@ -12,9 +12,7 @@ from medialcover import (
     Window,
     asplund_lift,
     marginal_inf_rows,
-    named_field,
     nondiff_witnesses,
-    strongify,
     survey,
 )
 from medialcover.config import load_config
@@ -41,13 +39,17 @@ SHELLS = ClosedSetSpec(
 )
 SHELLS_LIFT = asplund_lift(SHELLS)
 # kinks on the planes x1 = 0, x2 = 1 and x3 = -1
-KINKS = strongify(
+KINKS = reference.strongify(
     ScalarField(
         lambda x: 2.0 * np.abs(x[..., 0]) + 3.0 * np.abs(x[..., 1] - 1.0) + 4.0 * np.abs(x[..., 2] + 1.0),
         3,
         tag="kinks",
     )
 )
+
+
+def sq_norm(dimension) -> ScalarField:
+    return ScalarField(lambda x: np.add.reduce(x * x, axis=-1), dimension, tag="sq_norm")
 
 
 def kinked_1d() -> ScalarField:
@@ -90,7 +92,7 @@ class TestOneSidedPartials:
         assert plus == pytest.approx(2.0, abs=1e-8)
 
     def test_smooth_field(self):
-        minus, plus = box(named_field("sq_norm", 2), [1.0, 0.0])[0]
+        minus, plus = box(sq_norm(2), [1.0, 0.0])[0]
         assert minus == pytest.approx(2.0, abs=1e-9)
         assert plus == pytest.approx(2.0, abs=1e-9)
 
@@ -105,7 +107,7 @@ class TestSubgradientBox:
         assert box(kinked_1d(), [0.0]) == pytest.approx(np.array([[-1.0, 1.0]]), abs=1e-9)
 
     def test_smooth_point_box_collapses(self):
-        assert box(named_field("sq_norm", 2), [1.0, 2.0]) == pytest.approx(np.array([[2.0, 2.0], [4.0, 4.0]]), abs=1e-8)
+        assert box(sq_norm(2), [1.0, 2.0]) == pytest.approx(np.array([[2.0, 2.0], [4.0, 4.0]]), abs=1e-8)
 
     def test_lift_box_at_origin(self):
         intervals = box(LIFT, [0.0, 0.0])
@@ -138,7 +140,7 @@ class TestWitness:
         assert exact_witness([0.0, 0.5], SITES, SlopeLattice(step=0.5, bound=4.0)) == (0, -1.5, 1.5)
 
     def test_smooth_field_has_no_witness(self):
-        assert witness(named_field("sq_norm", 2), [0.7, -0.3], SlopeLattice(0.5, 4.0)) is None
+        assert witness(sq_norm(2), [0.7, -0.3], SlopeLattice(0.5, 4.0)) is None
 
     def test_abs_smooth_away_from_kink(self):
         assert witness(kinked_1d(), [0.3], SlopeLattice(0.5, 4.0)) is None
@@ -303,7 +305,7 @@ def evaluator_calls(field, axes, slopes, points):
 class TestMarginalInfRows:
     @pytest.mark.parametrize(
         "field",
-        [SHELLS_LIFT, LIFT, strongify(named_field("blend:3", 3))],
+        [SHELLS_LIFT, LIFT, reference.strongify(reference.blend(3, 3))],
         ids=["shells3d", "two_point", "blend"],
     )
     @pytest.mark.parametrize("order", ["default", "shuffled"])
@@ -386,11 +388,11 @@ class TestMarginalInf:
         assert marginal_inf_at(LIFT, 0, 1.0, [0.5]) == pytest.approx(-0.75, abs=1e-6)
 
     def test_complete_the_square_1d(self):
-        f = named_field("sq_norm", 1)
+        f = sq_norm(1)
         assert marginal_inf_at(f, 0, 2.0, []) == pytest.approx(-1.0, abs=1e-10)
 
     def test_far_minimizer_through_bracket_expansion(self):
-        f = named_field("sq_norm", 1)
+        f = sq_norm(1)
         # inf(x^2 - 40 x) = -400 at x = 20, far outside the initial bracket
         assert marginal_inf_at(f, 0, 40.0, []) == pytest.approx(-400.0, abs=1e-6)
 
@@ -428,7 +430,7 @@ class TestMarginalInf:
 
 class TestProbes:
     def test_squared_norm_is_convex(self):
-        violation, _, passed = reference.convexity_probe(named_field("sq_norm", 2), WINDOW2, 10_000, seed=0)
+        violation, _, passed = reference.convexity_probe(sq_norm(2), WINDOW2, 10_000, seed=0)
         assert passed
         assert violation <= 1e-12
 
@@ -465,7 +467,7 @@ class TestProbes:
 
     def test_strongified_zero_passes_with_equality(self):
         zero = ScalarField(lambda x: np.zeros(x.shape[:-1]), 2, tag="zero")
-        assert self.passes_strong_convexity_probe(strongify(zero))
+        assert self.passes_strong_convexity_probe(reference.strongify(zero))
 
     def test_strongified_lift_passes(self):
         assert self.passes_strong_convexity_probe(LIFT)
@@ -476,7 +478,7 @@ class TestProbes:
 
     def test_sample_count_validated(self):
         with pytest.raises(ValueError, match="num_samples"):
-            reference.convexity_probe(named_field("sq_norm", 2), WINDOW2, 0)
+            reference.convexity_probe(sq_norm(2), WINDOW2, 0)
 
 
 def test_ambiguous_points_have_witnesses():

@@ -27,11 +27,20 @@ def test_every_exported_name_resolves(module_name):
 
 
 # Names that once were public: the record classes the set packs from JSON
-# records, the factories behind the field names, and a set's JSON text reader.
+# records, the factories behind the field names, the field names themselves
+# with their resolver and ``strongify``, and a set's JSON text reader.
+NAMED_FIELDS = ["named_field", "strongify", "NAMED_FIELDS"]
 REMOVED = {
-    "medialcover": ["Ball", "Point", "PolygonBoundary", "Segment", "quadratic_sine_blend", "squared_norm"],
+    "medialcover": ["Ball", "Point", "PolygonBoundary", "Segment", "quadratic_sine_blend", "squared_norm", *NAMED_FIELDS],
     "medialcover.geometry": ["Ball", "Point", "PolygonBoundary", "Segment"],
-    "medialcover.fields": ["coordinate_abs", "euclidean_norm", "squared_norm", "first_coordinate_sine", "quadratic_sine_blend"],
+    "medialcover.fields": [
+        "coordinate_abs",
+        "euclidean_norm",
+        "squared_norm",
+        "first_coordinate_sine",
+        "quadratic_sine_blend",
+        *NAMED_FIELDS,
+    ],
 }
 
 

@@ -4,8 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from medialcover import ClosedSetSpec, Window, asplund_lift, named_field, strongify
-from reference import asplund_field
+from medialcover import ClosedSetSpec, ScalarField, Window, asplund_lift
+from reference import asplund_field, strongify
 from test_kernel import MIXED, packed, queries
 
 TWO_POINTS = ClosedSetSpec([{"type": "point", "coords": [-1, 0]}, {"type": "point", "coords": [1, 0]}], 2)
@@ -41,37 +41,13 @@ def test_strongify_adds_squared_norm():
 
 
 def test_strongify_of_zero_is_squared_norm():
-    from medialcover import ScalarField
-
     zero = ScalarField(lambda x: np.zeros(x.shape[:-1]), 2, tag="zero")
     g = strongify(zero)
     assert g([1.0, 2.0]) == pytest.approx(5.0)
 
 
-class TestNamedFields:
-    def test_known_names(self):
-        assert named_field("abs", 2)([-3.0, 1.0]) == pytest.approx(3.0)
-        assert named_field("norm", 2)([3.0, 4.0]) == pytest.approx(5.0)
-        assert named_field("sq_norm", 2)([3.0, 4.0]) == pytest.approx(25.0)
-        assert named_field("sin1", 2)([np.pi / 2, 9.0]) == pytest.approx(1.0)
-        for name in ("abs", "norm", "sq_norm", "sin1", "blend:7"):
-            assert named_field(name, 3).tag == name and named_field(name, 3).dimension == 3
-
-    def test_blend_is_seeded(self):
-        a = named_field("blend:5", 2)
-        b = named_field("blend:5", 2)
-        c = named_field("blend:6", 2)
-        x = np.array([0.4, -1.2])
-        assert a(x) == b(x)
-        assert a(x) != c(x)
-
-    def test_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown field"):
-            named_field("mystery", 2)
-
-
 def test_field_shape_handling():
-    f = named_field("sq_norm", 2)
+    f = ScalarField(lambda x: np.add.reduce(x * x, axis=-1), 2, tag="sq_norm")
     assert isinstance(f([1.0, 1.0]), float)
     out = f(np.ones((4, 5, 2)))
     assert out.shape == (4, 5)
