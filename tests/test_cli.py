@@ -476,16 +476,26 @@ def far_points(x):
 # Exit 5 guards a marginal infimum that does not close, which no config of a
 # set reaches: the lift of a set is strongly convex, and a set too far from
 # its window to tell a tie is refused (`test_a_set_too_far_to_tell_a_tie_exits_2_without_a_report`).
-# A concave field in place of the lift reaches it.  Both ways a search sticks
-# are covered in `test_convex.py`: the bracket doubling cap and the
-# golden-section step cap.
-def test_a_marginal_infimum_that_does_not_close_exits_5_without_a_report(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "asplund_lift", lambda spec: ScalarField(lambda x: -np.add.reduce(x * x, axis=-1), spec.dimension, "concave"))
+# In place of the lift, |x|^2 + h^2 stands for |x|^2 seen from a point h
+# away, where rounding swamps the field.  At h = 1e20 the golden-section
+# search cannot narrow its bracket below one ulp of t; at h = 1e30 the
+# bracket doubling never finds the rising side.
+@pytest.mark.parametrize(
+    "half_width, stuck",
+    [
+        (1e20, "golden-section bracket for axis 0, slope -1.0 still wider than 1e-07 after 123 steps"),
+        (1e30, "bracket for axis 0, slope -1.0 still open after 60 doublings"),
+    ],
+    ids=["cover-1e20", "cover-1e30"],
+)
+def test_a_marginal_infimum_that_does_not_close_exits_5_without_a_report(half_width, stuck, tmp_path, capsys, monkeypatch):
+    far = ScalarField(lambda x: np.add.reduce(x * x, axis=-1) + half_width**2, 2, "sq_norm_far")
+    monkeypatch.setattr(cli, "asplund_lift", lambda spec: far)
     config, report = tmp_path / "config.json", tmp_path / "report.json"
     lattice, cover = {"step": 1.0, "bound": 1.0}, {"rest_resolution": 3}
     config.write_text(json.dumps({"set": str(FIXTURES / "two_point_set.json"), "lattice": lattice, "cover": cover}))
     assert main(["cover", str(config), "--output", str(report)]) == EXIT_NONCONVEX
-    assert capsys.readouterr().err.startswith("convexity failure: bracket for axis 0, slope -1.0 still open after 60 doublings")
+    assert capsys.readouterr().err.startswith(f"convexity failure: {stuck}")
     assert not report.exists()
 
 
