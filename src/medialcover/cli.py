@@ -17,9 +17,10 @@ A command writes its own CSV or SVG and returns its part of the report with
 its exit code.  ``main`` stamps the report with the tool version, the seed
 (provenance: no computation reads it), a digest of the config document and
 the command name, and writes it last, so a run that fails to write a table
-or an overlay leaves no report.  Reports are serialized deterministically
-(sorted keys, fixed float repr), so identical runs produce byte-identical
-files.
+or an overlay leaves no report.  A report is one line of JSON in the
+canonical form that ``config.config_digest`` hashes (sorted keys, no
+whitespace between tokens, fixed float repr), so identical runs produce
+byte-identical files; ``python -m json.tool REPORT.json`` prints it indented.
 
 Exit codes, also listed by ``medialcover --help``:
 
@@ -34,6 +35,7 @@ Exit codes, also listed by ``medialcover --help``:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections import Counter
@@ -77,7 +79,8 @@ def _envelope(raw_config: dict, seed: int, command: str) -> dict:
 
 
 def _emit_json(document: dict, path: str | None) -> None:
-    text = json.dumps(document, sort_keys=True, indent=2)
+    # No indent: with one, ``json`` falls back from its C encoder to the pure-Python one.
+    text = json.dumps(document, sort_keys=True, separators=(",", ":"))
     if path is None:
         print(text)
     else:
@@ -95,7 +98,7 @@ def _cmd_analyze(config: ScenarioConfig, args: argparse.Namespace) -> tuple[dict
 
 def _cmd_cover(config: ScenarioConfig, args: argparse.Namespace) -> tuple[dict, int]:
     lift = asplund_lift(config.set_spec)
-    family = enumerate_cover(config.dimension, config.lattice, config.cover_cap)
+    family = enumerate_cover(config.set_spec.dimension, config.lattice, config.cover_cap)
     graphs = cover_family_to_dict(lift, family, config.window, config.cover_rest_resolution)
 
     found = detect_ambiguous(config.set_spec, config.window, config.grid_resolution)
@@ -108,12 +111,12 @@ def _cmd_cover(config: ScenarioConfig, args: argparse.Namespace) -> tuple[dict, 
 
 
 def _cmd_verify(config: ScenarioConfig, args: argparse.Namespace) -> tuple[dict, int]:
-    if args.svg and config.dimension != 2:
-        raise ConfigError(f"svg: the SVG overlay needs a 2-D set, got dimension {config.dimension}")
+    if args.svg and config.set_spec.dimension != 2:
+        raise ConfigError(f"svg: the SVG overlay needs a 2-D set, got dimension {config.set_spec.dimension}")
     found = detect_ambiguous(config.set_spec, config.window, config.grid_resolution)
     report = certify_cover(config.set_spec, found, config.lattice, fault_offset=config.fault_offset)
     rows = [r["point"] for r in report["records"]] + report["unresolved_points"]
-    points = np.array(rows, dtype=float).reshape(-1, config.dimension)
+    points = np.array(rows, dtype=float).reshape(-1, config.set_spec.dimension)
     if args.csv:
         write_samples_csv(points, args.csv)
     if args.svg:
@@ -147,7 +150,9 @@ def _check_distinct_paths(args: argparse.Namespace, raw_config: dict) -> None:
         named[resolved] = f"--{flag}"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: ``parse_args`` leaves it unchanged, so every ``main`` call reuses it."""
     parser = argparse.ArgumentParser(
         prog="medialcover",
         description="Distance fields, ambiguous loci, and covering graphs",

@@ -41,7 +41,6 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    dimension: int
     window: Window
     grid_resolution: int
     lattice: SlopeLattice
@@ -183,7 +182,6 @@ def parse_config(data: dict, base_dir: Path | None = None) -> ScenarioConfig:
     fault_offset = _get_number(data, "fault_offset", 0.0)
 
     return ScenarioConfig(
-        dimension=dimension,
         window=window,
         grid_resolution=resolution,
         lattice=lattice,

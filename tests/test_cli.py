@@ -62,7 +62,22 @@ def test_fixture_exit_code_and_repeatable_report(command, fixture, expected, tmp
     assert run(command, fixture, tmp_path) == (code, outputs)
 
 
-# sha256 of the report bytes; a change that moves one float of a report fails here.
+def report_digest(report: bytes) -> str:
+    """sha256 of a report re-serialized indented, after checking that it is one line in the canonical compact form.
+
+    The golden digests were taken when reports were written with ``indent=2``.
+    The compact check fixes every byte of the report given its document, and
+    the digest fixes the document, so together they pin every byte.
+    """
+    text = report.decode()
+    document = json.loads(text)
+    # Not an assert: pytest's diff of two long one-line strings takes minutes.
+    if text != json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n":
+        pytest.fail(f"report is not one line in the canonical compact form: {text[:80]!r}")
+    return hashlib.sha256((json.dumps(document, sort_keys=True, indent=2) + "\n").encode()).hexdigest()
+
+
+# sha256 of each report, as ``report_digest`` takes it; a change that moves one float of a report fails here.
 GOLDEN = {
     ("verify", "verify_two_point"): "cdf0cc116aba729f91e2286ec480d82c80e19ba3a4a8cf8ce52a36ca83475c20",
     ("verify", "verify_circle"): "41a81f7b76b923f325a3a12c11e0d22a817b6e349117e9e49e40aec8afc2b10b",
@@ -81,7 +96,7 @@ GOLDEN = {
 @pytest.mark.parametrize("command, fixture", list(GOLDEN), ids=[f for _, f in GOLDEN])
 def test_report_bytes_match_their_golden_digest(command, fixture, tmp_path, capsys):
     _, (report, _) = run(command, fixture, tmp_path)
-    assert hashlib.sha256(report).hexdigest() == GOLDEN[command, fixture]
+    assert report_digest(report) == GOLDEN[command, fixture]
 
 
 # sha256 of the CSV bytes, computed with the writer that used the csv module.
@@ -101,7 +116,7 @@ def test_csv_bytes_match_their_golden_digest(command, fixture, tmp_path, capsys)
     assert hashlib.sha256(table).hexdigest() == GOLDEN_CSV[command, fixture]
 
 
-# Exit code and sha256 of the report (and of the `analyze` table) of each
+# Exit code, report digest (``report_digest``) and, for `analyze`, sha256 of the table of each
 # benchmark workload config at seed 303, the configs that `perfbench/run.py`
 # times.  The reports of
 # `verify` and `cover` go through the marginal-infimum searches.
@@ -148,7 +163,8 @@ def test_workload_report_bytes_match_their_golden_digest(command, workload, tmp_
         argv += ["--csv", "table.csv"]
         outputs.append("table.csv")
     code = main(argv)
-    digests = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in outputs]
+    digests = [report_digest((tmp_path / "report.json").read_bytes())]
+    digests += [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in outputs[1:]]
     assert (code, *digests) == GOLDEN_WORKLOADS[command, workload]
 
 
@@ -604,6 +620,33 @@ def test_help_lists_every_exit_code_with_its_meaning(capsys):
     assert "exit codes:\n" + listing in printed
     assert re.findall(r"\{[a-z,]+\}", printed) == ["{analyze,cover,verify}"] * 2  # the usage line and the command list
     assert "Exit codes, also listed by ``medialcover --help``:\n\n" + listing in cli.__doc__
+
+
+# ``main`` builds the parser on its first call and reuses it; a refused call
+# must leave nothing in it that changes the next run.
+def test_the_shared_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    config = str(FIXTURES / "cover_two_point.json")
+    first, last = tmp_path / "first.json", tmp_path / "last.json"
+    assert main(["cover", config, "--output", str(first)]) == 0
+    with pytest.raises(SystemExit) as info:
+        main(["cover", config, "--output", str(tmp_path / "foreign.json"), "--csv", str(tmp_path / "table.csv")])
+    assert info.value.code == 2
+    assert main(["cover", str(tmp_path / "missing.json"), "--output", str(tmp_path / "absent.json")]) == EXIT_CONFIG
+    assert main(["cover", config, "--output", str(last)]) == 0
+    assert last.read_bytes() == first.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["first.json", "last.json"]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    listing = "".join(f"  {code}  {meaning}\n" for code, meaning in cli._EXIT_MEANINGS.items())
+    assert "exit codes:\n" + listing in capsys.readouterr().out
+
+
+def test_importing_the_command_line_builds_no_parser():
+    done = in_fresh_interpreter("-c", "import medialcover.cli as cli; print(cli.build_parser.cache_info().currsize)")
+    assert (done.returncode, done.stdout) == (0, "0\n")
 
 
 def test_readme_lists_every_exit_code_with_its_meaning():
