@@ -9,7 +9,7 @@ numerically that the detected locus lies on those graphs.
 
 __version__ = "0.1.0"
 
-from .convex import CoercivityError, SlopeLattice, marginal_inf_rows, nondiff_witnesses
+from .convex import CoercivityError, SlopeLattice, asplund_lift, marginal_inf_rows, nondiff_witnesses
 from .cover import FamilyBudgetError, cover_family_to_dict, enumerate_cover
 from .distance import (
     Classification,
@@ -20,7 +20,6 @@ from .distance import (
     survey,
     write_grid_csv,
 )
-from .fields import ScalarField, asplund_lift
 from .geometry import ClosedSetSpec, Window
 from .verify import certify_cover, detect_ambiguous, write_overlay_svg, write_samples_csv
 
@@ -31,7 +30,6 @@ __all__ = [
     "CoercivityError",
     "FamilyBudgetError",
     "NearestResult",
-    "ScalarField",
     "SlopeLattice",
     "Survey",
     "Window",

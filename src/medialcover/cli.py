@@ -45,10 +45,9 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, ScenarioConfig, config_digest, load_config
-from .convex import CoercivityError, nondiff_witnesses
+from .convex import CoercivityError, asplund_lift, nondiff_witnesses
 from .cover import FamilyBudgetError, cover_family_to_dict, enumerate_cover
 from .distance import Classification, grid_sweep, write_grid_csv
-from .fields import asplund_lift
 from .verify import certify_cover, detect_ambiguous, write_overlay_svg, write_samples_csv
 
 EXIT_OK = 0
@@ -97,9 +96,8 @@ def _cmd_analyze(config: ScenarioConfig, args: argparse.Namespace) -> tuple[dict
 
 
 def _cmd_cover(config: ScenarioConfig, args: argparse.Namespace) -> tuple[dict, int]:
-    lift = asplund_lift(config.set_spec)
     family = enumerate_cover(config.set_spec.dimension, config.lattice, config.cover_cap)
-    graphs = cover_family_to_dict(lift, family, config.window, config.cover_rest_resolution)
+    graphs = cover_family_to_dict(asplund_lift(config.set_spec), family, config.window, config.cover_rest_resolution)
 
     found = detect_ambiguous(config.set_spec, config.window, config.grid_resolution)
     witness_counts = Counter(w for w in nondiff_witnesses(found, config.lattice) if w is not None)
@@ -107,7 +105,7 @@ def _cmd_cover(config: ScenarioConfig, args: argparse.Namespace) -> tuple[dict, 
         entry["witness_points"] = witness_counts[graph]
 
     lattice = {"step": config.lattice.step, "bound": config.lattice.bound}
-    return {"provenance": lift.tag, "graph_count": len(graphs), "lattice": lattice, "graphs": graphs}, EXIT_OK
+    return {"provenance": "asplund+sq", "graph_count": len(graphs), "lattice": lattice, "graphs": graphs}, EXIT_OK
 
 
 def _cmd_verify(config: ScenarioConfig, args: argparse.Namespace) -> tuple[dict, int]:

@@ -170,6 +170,8 @@ def parse_config(data: dict, base_dir: Path | None = None) -> ScenarioConfig:
     if not isinstance(cover, dict):
         raise ConfigError("cover: expected an object")
     cap = _get_count(cover, "cover.cap", 64, minimum=1)
+    # Under this cap, a lattice of more slopes than an array can index fails the family budget first.
+    _require(cap <= limit, "cover.cap", f"too large: {cap} graphs exceed {limit}, the most an array can index")
     rest_resolution = _get_count(cover, "cover.rest_resolution", 9, minimum=1)
     # A cover graph lays the rest_resolution^(n-1) nodes of its rest grid out in one array.
     message = f"too large: {rest_resolution}^{dimension - 1} rest nodes exceed {limit}, the most an array can index"

@@ -1,18 +1,24 @@
 """Convex-analysis machinery for the lift of a set.
 
-This module reads non-differentiability witnesses of the distance lift off
-a lattice of candidate slopes and computes marginal infima of the lift by
-bracketed golden-section search.  It has no convexity probe and no
-split of a C^2 field: the covering graphs carry their own
-difference-of-convex form, built from the marginal infima of the lift.
+``asplund_lift`` evaluates the lift F = 2|x|^2 - dist(x, E)^2 of a set: the
+convex |x|^2 - dist(x, E)^2 (Asplund 1973) plus |x|^2, strongly convex with
+modulus 1.  ``verify`` calls it some ten thousand times, a few points each,
+so it is fused: one Python frame per call, |x|^2 computed once, and a
+straight run of ufunc calls (``np.add.reduce``, ``np.minimum.reduce``,
+in-place ``np.maximum``/``np.minimum`` clamps in the packed kernel) without
+NumPy's Python-level wrappers such as ``np.sum`` or ``np.clip``.  It forms
+(|x|^2 - d^2) + |x|^2, convex part first.
+
+The module also reads non-differentiability witnesses of the lift off a
+lattice of candidate slopes and computes its marginal infima by bracketed
+golden-section search, from which the covering graphs are built.
 
 Numerical conventions
 ---------------------
-* The one-sided partials of the lift F = 2|x|^2 - d(x, E)^2 are exact: F is
-  convex (Asplund 1973) with the subdifferential conv{2x + 2q : q a nearest
-  point of x} (Danskin's theorem), so along axis i they are
-  2(x_i + min q_i) and 2(x_i + max q_i) over the feet q of x.  No field is
-  evaluated for them.
+* The one-sided partials of F are exact: its subdifferential is
+  conv{2x + 2q : q a nearest point of x} (Danskin's theorem), so along axis
+  i they are 2(x_i + min q_i) and 2(x_i + max q_i) over the feet q of x.
+  No field is evaluated for them.
 * A non-differentiability witness needs a derivative gap of at least two
   lattice steps; the chosen pair is the widest one whose members sit at
   least half a lattice step inside the gap, which makes the choice
@@ -30,15 +36,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .fields import ScalarField
+from .geometry import ClosedSetSpec
 
 __all__ = [
     "SlopeLattice",
     "CoercivityError",
     "nondiff_witnesses",
+    "asplund_lift",
     "marginal_inf_rows",
 ]
 
@@ -122,24 +130,37 @@ def nondiff_witnesses(found, lattice: SlopeLattice) -> list[tuple[int, float, fl
     return witnesses
 
 
-def marginal_inf_rows(field: ScalarField, axes, slopes, points) -> np.ndarray:
+def asplund_lift(spec: ClosedSetSpec) -> Callable[[np.ndarray], np.ndarray]:
+    """2|x|^2 - dist(x, E)^2: the convex |x|^2 - dist(x, E)^2 plus |x|^2, as one evaluator."""
+
+    def evaluate(x: np.ndarray) -> np.ndarray:
+        flat = x.reshape(-1, spec.dimension)
+        s = np.add.reduce(flat * flat, axis=-1)
+        d = np.minimum.reduce(spec.row_distances(flat), axis=0)
+        return ((s - d * d) + s).reshape(x.shape[:-1])
+
+    return evaluate
+
+
+def marginal_inf_rows(field: Callable[[np.ndarray], np.ndarray], axes, slopes, points) -> np.ndarray:
     """inf over t of  field(x) - slope * t  for R rows at once, one field call per search step.
 
-    In row r, x is ``points[r]`` with coordinate ``axes[r]`` set to t (the
-    given ``axes[r]`` coordinate is ignored) and the slope is ``slopes[r]``.
-    Requires a strongly convex field, which makes every objective coercive:
-    each row doubles its bracket [-w, w] until both ends exceed the value at
-    the center, then golden-section search localizes the minimizer to
-    ``_MARGINAL_XTOL``.  The field's dimension is checked once; every step
-    then makes one ``field.evaluator`` call on the rows still open.  The
-    golden-section arrays hold only those rows: each step computes the
-    bracket widths once, and when the narrowest is not wider than
-    ``_MARGINAL_XTOL`` (or is NaN), the rows at most that wide are written
-    to the output and dropped.  Otherwise each row moves its bracket and
-    takes its one new abscissa, c when it kept the left part and d when it
-    kept the right, all in one ``field.evaluator`` call.  Raises
-    :class:`CoercivityError`, naming the first row still open, if a bracket
-    does not close within ``_MAX_DOUBLINGS`` doublings or
+    ``field`` is a plain function from (R, n) points to (R,) values, such as
+    :func:`asplund_lift`; n is the width of ``points``, and nothing checks
+    the field's dimension.  In row r, x is ``points[r]`` with coordinate
+    ``axes[r]`` set to t (the given ``axes[r]`` coordinate is ignored) and
+    the slope is ``slopes[r]``.  Requires a strongly convex field, which
+    makes every objective coercive: each row doubles its bracket [-w, w]
+    until both ends exceed the value at the center, then golden-section
+    search localizes the minimizer to ``_MARGINAL_XTOL``, one ``field`` call
+    per step on the rows still open.  The golden-section arrays hold only
+    those rows: each step computes the bracket widths once, and when the
+    narrowest is not wider than ``_MARGINAL_XTOL`` (or is NaN), the rows at
+    most that wide are written to the output and dropped.  Otherwise each
+    row moves its bracket and takes its one new abscissa, c when it kept the
+    left part and d when it kept the right, all in one ``field`` call.
+    Raises :class:`CoercivityError`, naming the first row still open, if a
+    bracket does not close within ``_MAX_DOUBLINGS`` doublings or
     ``_MAX_GOLDEN_STEPS`` golden-section steps, which signals a precondition
     violation or values too large for the resolution.
     """
@@ -150,17 +171,15 @@ def marginal_inf_rows(field: ScalarField, axes, slopes, points) -> np.ndarray:
         raise ValueError(
             f"need (R, n) points with R axes and R slopes, got {points.shape}, {axes.shape}, {slopes.shape}"
         )
-    if points.shape[1] != field.dimension:
-        raise ValueError(f"field {field.tag!r} expects dimension {field.dimension}, got shape {points.shape}")
     rows = np.arange(len(points))
     if not rows.size:
         return np.empty(0)
-    on_axis = np.arange(field.dimension) == axes[:, None]  # each row's search coordinate
+    on_axis = np.arange(points.shape[1]) == axes[:, None]  # each row's search coordinate
 
     def phi_rows(idx: np.ndarray, *ts: np.ndarray) -> list[np.ndarray]:
         """The objective at several abscissae per row of ``idx``, as slices of one field call."""
         k, idx, t = len(idx), np.concatenate([idx] * len(ts)), np.concatenate(ts)
-        f = field.evaluator(np.where(on_axis[idx], t[:, None], points[idx])) - slopes[idx] * t
+        f = field(np.where(on_axis[idx], t[:, None], points[idx])) - slopes[idx] * t
         return [f[j * k : (j + 1) * k] for j in range(len(ts))]
 
     half = np.full(len(rows), _INITIAL_HALFWIDTH)
@@ -205,6 +224,6 @@ def marginal_inf_rows(field: ScalarField, axes, slopes, points) -> np.ndarray:
         step = _INVPHI * (b - a)
         t = np.where(left, b - step, a + step)  # the new abscissa: c on the left, d on the right
         c, d = np.where(left, t, d), np.where(left, c, t)
-        f = field.evaluator(np.where(on, t[:, None], x)) - sl * t
+        f = field(np.where(on, t[:, None], x)) - sl * t
         fc, fd = np.where(left, f, fd), np.where(left, fc, f)
     return out

@@ -18,11 +18,11 @@ slope reads its row.
 from __future__ import annotations
 
 import itertools
+from typing import Callable
 
 import numpy as np
 
 from .convex import SlopeLattice, marginal_inf_rows
-from .fields import ScalarField
 from .geometry import Window
 
 __all__ = [
@@ -57,9 +57,10 @@ def enumerate_cover(dimension: int, lattice: SlopeLattice, cap: int) -> list[tup
     return [(a, float(alpha), float(beta)) for a in range(dimension) for alpha, beta in itertools.combinations(slopes, 2)]
 
 
-def cover_family_to_dict(base: ScalarField, graphs, window: Window, resolution: int) -> list[dict]:
-    """Serialize each (axis, alpha, beta) graph of ``base`` with its values over the x_rest grid of its axis.
+def cover_family_to_dict(field: Callable[[np.ndarray], np.ndarray], graphs, window: Window, resolution: int) -> list[dict]:
+    """Serialize each (axis, alpha, beta) graph of ``field`` with its values over the x_rest grid of its axis.
 
+    ``field`` is F, a plain function from (R, n) points to (R,) values such as ``convex.asplund_lift``.
     The x_rest grid of axis i is the window's ``resolution`` grid with axis i left out.
     """
     if not graphs:
@@ -73,7 +74,7 @@ def cover_family_to_dict(base: ScalarField, graphs, window: Window, resolution: 
     points = np.concatenate([np.insert(rest[axis], axis, 0.0, axis=1) for axis, _ in keys])
     axes = np.repeat([axis for axis, _ in keys], count)
     slopes = np.repeat([slope for _, slope in keys], count)
-    values = marginal_inf_rows(base, axes, slopes, points).reshape(len(keys), count).tolist()
+    values = marginal_inf_rows(field, axes, slopes, points).reshape(len(keys), count).tolist()
     rows = dict(zip(keys, values))
 
     out = []

@@ -24,10 +24,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .convex import SlopeLattice, marginal_inf_rows, nondiff_witnesses
+from .convex import SlopeLattice, asplund_lift, marginal_inf_rows, nondiff_witnesses
 from .cover import graph_coordinate, graph_key
 from .distance import _float_columns, survey, write_csv
-from .fields import asplund_lift
 from .geometry import ClosedSetSpec, Window
 
 __all__ = [

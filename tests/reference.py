@@ -44,10 +44,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from medialcover import Classification, ClosedSetSpec, CoercivityError, ScalarField, survey
+from medialcover import Classification, ClosedSetSpec, CoercivityError, survey
 from medialcover.distance import SEPARATION, TIE_TOLERANCE
 
 
@@ -212,7 +213,10 @@ def nearest_points(
     )
 
 
-def asplund_field(spec: ClosedSetSpec) -> ScalarField:
+Field = Callable[[np.ndarray], np.ndarray]
+
+
+def asplund_field(spec: ClosedSetSpec) -> Field:
     """|x|^2 - dist(x, E)^2, convex for any nonempty closed E."""
 
     def evaluate(x: np.ndarray) -> np.ndarray:
@@ -221,19 +225,19 @@ def asplund_field(spec: ClosedSetSpec) -> ScalarField:
         out = np.add.reduce(flat * flat, axis=-1) - d * d
         return out.reshape(x.shape[:-1])
 
-    return ScalarField(evaluate, spec.dimension, tag="asplund")
+    return evaluate
 
 
-def strongify(field: ScalarField) -> ScalarField:
+def strongify(field: Field) -> Field:
     """Add |x|^2; for convex input the result is strongly convex with modulus 1."""
 
     def evaluate(x: np.ndarray) -> np.ndarray:
-        return field.evaluator(x) + np.add.reduce(x * x, axis=-1)
+        return field(x) + np.add.reduce(x * x, axis=-1)
 
-    return ScalarField(evaluate, field.dimension, tag=f"{field.tag}+sq")
+    return evaluate
 
 
-def blend(dimension: int, seed: int) -> ScalarField:
+def blend(dimension: int, seed: int) -> Field:
     """A seeded C^2 test field: x^T A x plus per-coordinate sine ripples."""
     rng = np.random.default_rng(seed)
     m = rng.uniform(-1.0, 1.0, size=(dimension, dimension))
@@ -245,7 +249,7 @@ def blend(dimension: int, seed: int) -> ScalarField:
         q = np.einsum("...i,ij,...j->...", x, quad, x)
         return q + np.sum(amps * np.sin(x + phases), axis=-1)
 
-    return ScalarField(evaluate, dimension, tag=f"blend:{seed}")
+    return evaluate
 
 
 def one_sided(field, points, step=1e-4) -> tuple[np.ndarray, np.ndarray]:

@@ -19,7 +19,6 @@ import medialcover.cli as cli
 from medialcover.cli import EXIT_CONFIG, EXIT_NONCONVEX, main
 from medialcover.config import ConfigError, load_config, parse_config
 from medialcover.distance import CSV_BLOCK_ROWS, Classification, grid_sweep
-from medialcover.fields import ScalarField
 from medialcover.geometry import ClosedSetSpec, Window
 from medialcover.verify import write_overlay_svg, write_samples_csv
 from test_voronoi_oracle import SEEDS, WINDOW, random_sites
@@ -505,8 +504,7 @@ def far_points(x):
     ids=["cover-1e20", "cover-1e30"],
 )
 def test_a_marginal_infimum_that_does_not_close_exits_5_without_a_report(half_width, stuck, tmp_path, capsys, monkeypatch):
-    far = ScalarField(lambda x: np.add.reduce(x * x, axis=-1) + half_width**2, 2, "sq_norm_far")
-    monkeypatch.setattr(cli, "asplund_lift", lambda spec: far)
+    monkeypatch.setattr(cli, "asplund_lift", lambda spec: lambda x: np.add.reduce(x * x, axis=-1) + half_width**2)
     config, report = tmp_path / "config.json", tmp_path / "report.json"
     lattice, cover = {"step": 1.0, "bound": 1.0}, {"rest_resolution": 3}
     config.write_text(json.dumps({"set": str(FIXTURES / "two_point_set.json"), "lattice": lattice, "cover": cover}))

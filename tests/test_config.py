@@ -360,6 +360,19 @@ def test_a_rest_grid_with_more_nodes_than_an_array_can_index_exits_2_without_a_r
     assert capsys.readouterr().err == f"config error: cover.rest_resolution: {message}\n"
 
 
+# A cap of 10^60 let a lattice of 2 * 10^20 + 1 slopes pass the family budget;
+# SlopeLattice.points then raised "Maximum allowed size exceeded", exit 1.
+@pytest.mark.parametrize("command", ["cover", "verify"])
+def test_a_cap_beyond_the_intp_range_exits_2_without_a_report(command, tmp_path, capsys):
+    lattice, cover = {"step": 1, "bound": 1e20}, {"cap": 1e60}
+    document = {"set": str(FIXTURES / "two_point_set.json"), "grid_resolution": 16, "lattice": lattice, "cover": cover}
+    assert run_main(command, document, tmp_path) == (EXIT_CONFIG, False)
+    limit = np.iinfo(np.intp).max
+    message = f"too large: {int(1e60)} graphs exceed {limit}, the most an array can index"
+    assert capsys.readouterr().err == f"config error: cover.cap: {message}\n"
+    assert not (tmp_path / "table.csv").exists()
+
+
 # 10^10 per axis in 3-D is 10^20 rest nodes; a command once began by allocating
 # one axis of 10^10 ticks, so this size is only parsed, never run.
 def test_a_3d_rest_grid_beyond_the_intp_range_is_refused_when_parsed():

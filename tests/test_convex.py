@@ -7,7 +7,6 @@ import reference
 from medialcover import (
     ClosedSetSpec,
     CoercivityError,
-    ScalarField,
     SlopeLattice,
     Window,
     asplund_lift,
@@ -40,20 +39,20 @@ SHELLS = ClosedSetSpec(
 SHELLS_LIFT = asplund_lift(SHELLS)
 # kinks on the planes x1 = 0, x2 = 1 and x3 = -1
 KINKS = reference.strongify(
-    ScalarField(
-        lambda x: 2.0 * np.abs(x[..., 0]) + 3.0 * np.abs(x[..., 1] - 1.0) + 4.0 * np.abs(x[..., 2] + 1.0),
-        3,
-        tag="kinks",
-    )
+    lambda x: 2.0 * np.abs(x[..., 0]) + 3.0 * np.abs(x[..., 1] - 1.0) + 4.0 * np.abs(x[..., 2] + 1.0)
 )
 
 
-def sq_norm(dimension) -> ScalarField:
-    return ScalarField(lambda x: np.add.reduce(x * x, axis=-1), dimension, tag="sq_norm")
+def sq_norm(x):
+    return np.add.reduce(x * x, axis=-1)
 
 
-def kinked_1d() -> ScalarField:
-    return ScalarField(lambda x: np.abs(x[..., 0]), 1, tag="abs")
+def concave(x):
+    return -np.sum(x * x, axis=-1)
+
+
+def kinked_1d(x):
+    return np.abs(x[..., 0])
 
 
 def box(field, x, step=1e-4):
@@ -81,7 +80,7 @@ def marginal_inf_at(field, axis, slope, x_rest):
 
 class TestOneSidedPartials:
     def test_abs_kink_at_origin(self):
-        minus, plus = box(kinked_1d(), [0.0])[0]
+        minus, plus = box(kinked_1d, [0.0])[0]
         assert minus == pytest.approx(-1.0, abs=1e-9)
         assert plus == pytest.approx(1.0, abs=1e-9)
 
@@ -92,7 +91,7 @@ class TestOneSidedPartials:
         assert plus == pytest.approx(2.0, abs=1e-8)
 
     def test_smooth_field(self):
-        minus, plus = box(sq_norm(2), [1.0, 0.0])[0]
+        minus, plus = box(sq_norm, [1.0, 0.0])[0]
         assert minus == pytest.approx(2.0, abs=1e-9)
         assert plus == pytest.approx(2.0, abs=1e-9)
 
@@ -104,10 +103,10 @@ class TestOneSidedPartials:
 
 class TestSubgradientBox:
     def test_abs_interval(self):
-        assert box(kinked_1d(), [0.0]) == pytest.approx(np.array([[-1.0, 1.0]]), abs=1e-9)
+        assert box(kinked_1d, [0.0]) == pytest.approx(np.array([[-1.0, 1.0]]), abs=1e-9)
 
     def test_smooth_point_box_collapses(self):
-        assert box(sq_norm(2), [1.0, 2.0]) == pytest.approx(np.array([[2.0, 2.0], [4.0, 4.0]]), abs=1e-8)
+        assert box(sq_norm, [1.0, 2.0]) == pytest.approx(np.array([[2.0, 2.0], [4.0, 4.0]]), abs=1e-8)
 
     def test_lift_box_at_origin(self):
         intervals = box(LIFT, [0.0, 0.0])
@@ -140,10 +139,10 @@ class TestWitness:
         assert exact_witness([0.0, 0.5], SITES, SlopeLattice(step=0.5, bound=4.0)) == (0, -1.5, 1.5)
 
     def test_smooth_field_has_no_witness(self):
-        assert witness(sq_norm(2), [0.7, -0.3], SlopeLattice(0.5, 4.0)) is None
+        assert witness(sq_norm, [0.7, -0.3], SlopeLattice(0.5, 4.0)) is None
 
     def test_abs_smooth_away_from_kink(self):
-        assert witness(kinked_1d(), [0.3], SlopeLattice(0.5, 4.0)) is None
+        assert witness(kinked_1d, [0.3], SlopeLattice(0.5, 4.0)) is None
 
     def test_gap_below_two_steps_is_unresolved(self):
         # sites 0.1 apart give a derivative gap of 0.2 on the bisector
@@ -158,7 +157,7 @@ class TestWitness:
 def reference_partials(field, x, axis, step=1e-4):
     """The scalar loop of secants that the batched partials replaced: (minus, plus)."""
     x = np.asarray(x, dtype=float)
-    e = np.zeros(field.dimension)
+    e = np.zeros(len(x))
     e[axis] = 1.0
     f0 = float(field(x))
 
@@ -178,7 +177,7 @@ def reference_partials(field, x, axis, step=1e-4):
 
 def reference_witness(field, x, lattice, step=1e-4):
     """The lattice rule on the scalar partials of every axis."""
-    minus, plus = zip(*(reference_partials(field, x, axis, step) for axis in range(field.dimension)))
+    minus, plus = zip(*(reference_partials(field, x, axis, step) for axis in range(len(x))))
     return reference.lattice_witness(minus, plus, lattice)
 
 
@@ -211,9 +210,7 @@ class TestBatchedWitnesses:
         assert batch == [reference_witness(SHELLS_LIFT, p, lattice) for p in points]
         assert None in batch and any(batch)
 
-    @pytest.mark.parametrize(
-        "field", [KINKS, ScalarField(lambda x: -np.sum(x * x, axis=-1), 3, tag="concave")], ids=["kinks", "concave"]
-    )
+    @pytest.mark.parametrize("field", [KINKS, concave], ids=["kinks", "concave"])
     def test_partials_equal_the_scalar_loop(self, field):
         minus, plus = reference.one_sided(field, np.array(self.POINTS), 1e-4)
         for k, x in enumerate(self.POINTS):
@@ -296,21 +293,21 @@ def evaluator_calls(field, axes, slopes, points):
 
     def counting(x):
         calls.append(len(x))
-        return field.evaluator(x)
+        return field(x)
 
-    marginal_inf_rows(ScalarField(counting, field.dimension, tag="counting"), axes, slopes, points)
+    marginal_inf_rows(counting, axes, slopes, points)
     return calls
 
 
 class TestMarginalInfRows:
     @pytest.mark.parametrize(
-        "field",
-        [SHELLS_LIFT, LIFT, reference.strongify(reference.blend(3, 3))],
+        "field, dimension",
+        [(SHELLS_LIFT, 3), (LIFT, 2), (reference.strongify(reference.blend(3, 3)), 3)],
         ids=["shells3d", "two_point", "blend"],
     )
     @pytest.mark.parametrize("order", ["default", "shuffled"])
-    def test_rows_equal_scalar_marginal_inf(self, field, order):
-        axes, slopes, points = mixed_rows(field.dimension, 48, seed=field.dimension)
+    def test_rows_equal_scalar_marginal_inf(self, field, dimension, order):
+        axes, slopes, points = mixed_rows(dimension, 48, seed=dimension)
         if order == "shuffled":  # other neighbours in every lockstep field call
             perm = np.random.default_rng(7).permutation(48)
             axes, slopes, points = axes[perm], slopes[perm], points[perm]
@@ -320,8 +317,9 @@ class TestMarginalInfRows:
             assert value == reference.reference_marginal_inf(field, axis, slope, np.delete(point, axis))
 
     def test_one_open_row_fails_the_batch_and_is_named(self):
-        # |x2| - 2 x2 has no minimum; every other row is coercive
-        half_open = ScalarField(lambda x: x[..., 0] ** 2 + np.abs(x[..., 1]), 2, tag="half-open")
+        def half_open(x):  # |x2| - 2 x2 has no minimum; every other row is coercive
+            return x[..., 0] ** 2 + np.abs(x[..., 1])
+
         axes, slopes = [0, 1, 0, 1], [3.0, 0.5, -2.0, 2.0]
         with pytest.raises(CoercivityError, match=r"axis 1, slope 2\.0 still open after 60 doublings"):
             marginal_inf_rows(half_open, axes, slopes, np.zeros((4, 2)))
@@ -339,15 +337,14 @@ class TestMarginalInfRows:
             assert len(calls) < 1000, "the golden-section search does not stop"
             return np.add.reduce(x * x, axis=-1)
 
-        field = ScalarField(counting, 1, tag="counting")
         with pytest.raises(CoercivityError, match=r"axis 0, slope 4398046511104\.0 still wider than 1e-07 after 123 steps"):
-            marginal_inf_rows(field, [0, 0], [2.0**42, 1.0], np.zeros((2, 1)))
+            marginal_inf_rows(counting, [0, 0], [2.0**42, 1.0], np.zeros((2, 1)))
         assert calls[-1] == 1  # the coercive row closed; the far one took every step
         assert len(calls) == 1 + 43 + 1 + 123
 
-    @pytest.mark.parametrize("field", [SHELLS_LIFT, LIFT], ids=["shells3d", "two_point"])
-    def test_one_evaluator_call_per_step_on_the_rows_still_open(self, field):
-        axes, slopes, points = mixed_rows(field.dimension, 48, seed=field.dimension)
+    @pytest.mark.parametrize("field, dimension", [(SHELLS_LIFT, 3), (LIFT, 2)], ids=["shells3d", "two_point"])
+    def test_one_evaluator_call_per_step_on_the_rows_still_open(self, field, dimension):
+        axes, slopes, points = mixed_rows(dimension, 48, seed=dimension)
         doublings, steps = [], []
         for r in range(48):
             # a row alone: 3 rows, 2 per doubling, 2 for the golden-section start, then 1 per step
@@ -366,13 +363,6 @@ class TestMarginalInfRows:
         )
         assert len(calls) == 2 + doublings.max() + steps.max()  # the maximum over the rows, not the sum
 
-    def test_a_wrong_dimension_is_refused_before_any_evaluation(self):
-        calls = []
-        counting = ScalarField(lambda x: calls.append(len(x)) or LIFT.evaluator(x), 2, tag="counting")
-        with pytest.raises(ValueError, match="expects dimension 2"):
-            marginal_inf_rows(counting, [0, 1], [0.0, 1.0], np.zeros((2, 3)))
-        assert calls == []
-
     def test_shapes_are_validated(self):
         with pytest.raises(ValueError, match="R axes"):
             marginal_inf_rows(LIFT, [0, 1], [0.0], np.zeros((2, 2)))
@@ -388,18 +378,17 @@ class TestMarginalInf:
         assert marginal_inf_at(LIFT, 0, 1.0, [0.5]) == pytest.approx(-0.75, abs=1e-6)
 
     def test_complete_the_square_1d(self):
-        f = sq_norm(1)
+        f = sq_norm
         assert marginal_inf_at(f, 0, 2.0, []) == pytest.approx(-1.0, abs=1e-10)
 
     def test_far_minimizer_through_bracket_expansion(self):
-        f = sq_norm(1)
+        f = sq_norm
         # inf(x^2 - 40 x) = -400 at x = 20, far outside the initial bracket
         assert marginal_inf_at(f, 0, 40.0, []) == pytest.approx(-400.0, abs=1e-6)
 
     def test_non_coercive_input_fails_with_diagnostic(self):
-        hollow = ScalarField(lambda x: -np.sum(x * x, axis=-1), 1, tag="concave")
         with pytest.raises(CoercivityError, match="strongly convex"):
-            marginal_inf_at(hollow, 0, 0.0, [])
+            marginal_inf_at(concave, 0, 0.0, [])
 
     def test_marginal_function_is_convex(self):
         def g(x):
@@ -407,8 +396,7 @@ class TestMarginalInf:
             points = np.column_stack([np.zeros_like(rest), rest])
             return marginal_inf_rows(LIFT, np.zeros(len(rest), dtype=int), np.full(len(rest), 0.5), points)
 
-        values = ScalarField(lambda x: g(x).reshape(x.shape[:-1]), 1, tag="marginal")
-        violation, _, _ = reference.convexity_probe(values, WINDOW1, num_samples=200, seed=0)
+        violation, _, _ = reference.convexity_probe(lambda x: g(x).reshape(x.shape[:-1]), WINDOW1, num_samples=200, seed=0)
         assert violation <= 1e-6
 
     def test_identity_at_witnessed_point(self):
@@ -422,21 +410,15 @@ class TestMarginalInf:
             g = marginal_inf_at(LIFT, axis, slope, [a[1]])
             assert g == pytest.approx(lift_at_a - slope * a[0], abs=1e-6)
 
-    def test_rest_shape_validated(self):
-        # a 3-D point for a 2-D field
-        with pytest.raises(ValueError, match="expects dimension 2"):
-            marginal_inf_at(LIFT, 0, 0.0, [1.0, 2.0])
-
 
 class TestProbes:
     def test_squared_norm_is_convex(self):
-        violation, _, passed = reference.convexity_probe(sq_norm(2), WINDOW2, 10_000, seed=0)
+        violation, _, passed = reference.convexity_probe(sq_norm, WINDOW2, 10_000, seed=0)
         assert passed
         assert violation <= 1e-12
 
     def test_concave_field_fails(self):
-        hollow = ScalarField(lambda x: -np.sum(x * x, axis=-1), 2, tag="concave")
-        violation, _, passed = reference.convexity_probe(hollow, WINDOW2, 10_000, seed=0)
+        violation, _, passed = reference.convexity_probe(concave, WINDOW2, 10_000, seed=0)
         assert not passed
         assert violation > 0.1
 
@@ -461,24 +443,21 @@ class TestProbes:
     # F is strongly convex with modulus 1 exactly when F - |x|^2 is convex.
     @staticmethod
     def passes_strong_convexity_probe(field):
-        less_sq = ScalarField(lambda x: field(x) - np.sum(x * x, axis=-1), field.dimension, tag="less-sq")
-        _, _, passed = reference.convexity_probe(less_sq, WINDOW2, 10_000, seed=0)
+        _, _, passed = reference.convexity_probe(lambda x: field(x) - np.sum(x * x, axis=-1), WINDOW2, 10_000, seed=0)
         return passed
 
     def test_strongified_zero_passes_with_equality(self):
-        zero = ScalarField(lambda x: np.zeros(x.shape[:-1]), 2, tag="zero")
-        assert self.passes_strong_convexity_probe(reference.strongify(zero))
+        assert self.passes_strong_convexity_probe(reference.strongify(lambda x: np.zeros(x.shape[:-1])))
 
     def test_strongified_lift_passes(self):
         assert self.passes_strong_convexity_probe(LIFT)
 
     def test_half_modulus_fails(self):
-        half = ScalarField(lambda x: 0.5 * np.sum(x * x, axis=-1), 2, tag="half")
-        assert not self.passes_strong_convexity_probe(half)
+        assert not self.passes_strong_convexity_probe(lambda x: 0.5 * np.sum(x * x, axis=-1))
 
     def test_sample_count_validated(self):
         with pytest.raises(ValueError, match="num_samples"):
-            reference.convexity_probe(sq_norm(2), WINDOW2, 0)
+            reference.convexity_probe(sq_norm, WINDOW2, 0)
 
 
 def test_ambiguous_points_have_witnesses():

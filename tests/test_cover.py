@@ -11,9 +11,8 @@ from reference import reference_marginal_inf
 
 from medialcover.cli import main
 from medialcover.config import load_config
-from medialcover.convex import SlopeLattice, nondiff_witnesses
+from medialcover.convex import SlopeLattice, asplund_lift, nondiff_witnesses
 from medialcover.cover import FamilyBudgetError, cover_family_to_dict, enumerate_cover, graph_key
-from medialcover.fields import asplund_lift
 from medialcover.geometry import ClosedSetSpec, Window
 from medialcover.verify import detect_ambiguous
 
@@ -33,7 +32,7 @@ def test_grid_values_are_the_graph_formula_on_direct_marginal_infima():
         (LIFT_3D, SlopeLattice(step=1.0, bound=1.0), Window([-2.0] * 3, [2.0] * 3), 3, Window([-2.0, -2.0], [2.0, 2.0]).grid_points(3)),
     ]
     for lift, lattice, window, resolution, rest_nodes in cases:
-        graphs = enumerate_cover(lift.dimension, lattice, cap=64)
+        graphs = enumerate_cover(window.dimension, lattice, cap=64)
         entries = cover_family_to_dict(lift, graphs, window, resolution)
         assert len(entries) == len(graphs)
         for (axis, alpha, beta), entry in zip(graphs, entries):

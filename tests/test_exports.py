@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import importlib
+import importlib.util
 import pkgutil
 from pathlib import Path
 
@@ -28,19 +29,22 @@ def test_every_exported_name_resolves(module_name):
 
 # Names that once were public: the record classes the set packs from JSON
 # records, the factories behind the field names, the field names themselves
-# with their resolver and ``strongify``, and a set's JSON text reader.
-NAMED_FIELDS = ["named_field", "strongify", "NAMED_FIELDS"]
+# with their resolver and ``strongify``, the wrapper class of a field, and a
+# set's JSON text reader.
 REMOVED = {
-    "medialcover": ["Ball", "Point", "PolygonBoundary", "Segment", "quadratic_sine_blend", "squared_norm", *NAMED_FIELDS],
-    "medialcover.geometry": ["Ball", "Point", "PolygonBoundary", "Segment"],
-    "medialcover.fields": [
-        "coordinate_abs",
-        "euclidean_norm",
-        "squared_norm",
-        "first_coordinate_sine",
+    "medialcover": [
+        "Ball",
+        "Point",
+        "PolygonBoundary",
+        "Segment",
         "quadratic_sine_blend",
-        *NAMED_FIELDS,
+        "squared_norm",
+        "named_field",
+        "strongify",
+        "NAMED_FIELDS",
+        "ScalarField",
     ],
+    "medialcover.geometry": ["Ball", "Point", "PolygonBoundary", "Segment"],
 }
 
 
@@ -49,6 +53,11 @@ def test_removed_names_no_longer_resolve(module_name):
     module = importlib.import_module(module_name)
     assert [name for name in REMOVED[module_name] if hasattr(module, name)] == []
     assert not hasattr(medialcover.ClosedSetSpec, "from_json")
+
+
+def test_the_fields_module_is_gone():
+    """The module of the field wrapper and the named fields; the lift is a plain function in ``convex``."""
+    assert importlib.util.find_spec("medialcover.fields") is None
 
 
 def test_every_public_top_level_definition_is_exported():
