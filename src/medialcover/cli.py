@@ -112,7 +112,7 @@ def _cmd_verify(config: ScenarioConfig, args: argparse.Namespace) -> tuple[dict,
     if args.svg and config.set_spec.dimension != 2:
         raise ConfigError(f"svg: the SVG overlay needs a 2-D set, got dimension {config.set_spec.dimension}")
     found = detect_ambiguous(config.set_spec, config.window, config.grid_resolution)
-    report = certify_cover(config.set_spec, found, config.lattice, fault_offset=config.fault_offset)
+    report = certify_cover(config.set_spec, found, config.lattice)
     rows = [r["point"] for r in report["records"]] + report["unresolved_points"]
     points = np.array(rows, dtype=float).reshape(-1, config.set_spec.dimension)
     if args.csv:

@@ -4,10 +4,12 @@ The config holds every setting of a run, the seed included, so scenarios can
 be archived as fixtures; flags name only the files a run writes and the
 unresolved-sample policy.  Keys the program does not read are ignored, among
 them the ``outputs`` and ``tolerances`` blocks, ``cover.axes``, the
-``decompose`` block, ``field`` and a top-level ``dimension``: flags name the
-output files, the method's tolerances are constants (see ``ScenarioConfig``),
-the cover family spans every axis, no command splits a C^2 field, every
-command searches the lift of its set, and the set states its dimension.
+``decompose`` block, ``field``, a top-level ``dimension`` and
+``fault_offset``: flags name the output files, the method's tolerances are
+constants (see ``ScenarioConfig``), the cover family spans every axis, no
+command splits a C^2 field, every command searches the lift of its set, the
+set states its dimension, and the negative control of ``verify``, a shift of
+its graph coordinates, is built in the tests.
 
 ``parse_config`` applies every rule that depends on the config alone, so the
 three commands refuse the same configs.  Every command needs a ``set``, and
@@ -47,7 +49,6 @@ class ScenarioConfig:
     set_spec: ClosedSetSpec
     cover_cap: int
     cover_rest_resolution: int
-    fault_offset: float
     seed: int
 
     # The method's constant tolerances, which no config sets; ``perfbench/run.py`` reads them here.
@@ -181,8 +182,6 @@ def parse_config(data: dict, base_dir: Path | None = None) -> ScenarioConfig:
     _require(isinstance(seed, int) and not isinstance(seed, bool), "seed", "must be an integer")
     _require(seed >= 0, "seed", f"must be >= 0, got {seed}")
 
-    fault_offset = _get_number(data, "fault_offset", 0.0)
-
     return ScenarioConfig(
         window=window,
         grid_resolution=resolution,
@@ -190,7 +189,6 @@ def parse_config(data: dict, base_dir: Path | None = None) -> ScenarioConfig:
         set_spec=set_spec,
         cover_cap=cap,
         cover_rest_resolution=rest_resolution,
-        fault_offset=float(fault_offset),
         seed=int(seed),
     )
 

@@ -1,16 +1,20 @@
 """Distance field of a closed set: evaluation, classification, reconstruction.
 
 Every query runs on the set's packed capsule rows (see
-:mod:`medialcover.geometry`).  ``survey`` is the package's one distance query,
-behind the grid sweep, the ambiguity detector and the single-point query
-``nearest_points``: per query point it returns the distance, one nearest
-point, and the classification as lying in the set, having a unique nearest
-point, or being ambiguous.  It measures every row; only query points with
-two or more rows within ``TIE_TOLERANCE`` (1e-9) of the minimum, or at the
-exact centre of a shell, get projections onto those rows, and such a point
-is ambiguous when one tied projection lies more than ``SEPARATION`` (1e-6)
-from the first.  The two are constants of the method; ``survey`` and
-``nearest_points`` take them as parameters that default to them.
+:mod:`medialcover.geometry`).  ``survey`` is the package's classifying
+query, behind the grid sweep, the ambiguity detector's grid and the
+single-point query ``nearest_points``: per query point it returns the
+distance, one nearest point, and the classification as lying in the set,
+having a unique nearest point, or being ambiguous.  Callers that need no
+classification read ``ClosedSetSpec.row_distances`` directly: the
+detector's bisection, the lift of :mod:`medialcover.convex` and
+``parse_config``'s reach check.  ``survey`` measures every row; only query
+points with two or more rows within ``TIE_TOLERANCE`` (1e-9) of the
+minimum, or at the exact centre of a shell, get projections onto those
+rows, and such a point is ambiguous when one tied projection lies more than
+``SEPARATION`` (1e-6) from the first.  The two are constants of the method;
+``survey`` and ``nearest_points`` take them as parameters that default to
+them.
 
 Each query point also gets its foot box: the coordinatewise minimum and
 maximum of its nearest points.  Where no row ties it is the one projection;

@@ -16,6 +16,7 @@ import pytest
 
 import medialcover
 import medialcover.cli as cli
+import medialcover.verify as verify
 from medialcover.cli import EXIT_CONFIG, EXIT_NONCONVEX, main
 from medialcover.config import ConfigError, load_config, parse_config
 from medialcover.distance import CSV_BLOCK_ROWS, Classification, grid_sweep
@@ -41,6 +42,18 @@ CASES = [
 CSV_COMMANDS = ("analyze", "verify")
 
 
+# The negative control of `verify` shifts every graph coordinate by 0.01, far
+# beyond the 1e-6 coverage tolerance.  Run alone, `verify_two_point_corrupt` is
+# `verify_two_point` with a key the program ignores.
+SHIFTED = {"verify_two_point_corrupt": 0.01}
+
+
+def shift_graph_coordinates(monkeypatch, shift):
+    """Make `verify` compare each sample against its graph coordinate plus ``shift``."""
+    computed = verify.graph_coordinate
+    monkeypatch.setattr(verify, "graph_coordinate", lambda *args: computed(*args) + shift)
+
+
 def run(command, fixture, tmp_path):
     """Exit code plus the bytes of every file the run wrote."""
     report, table = tmp_path / "report.json", tmp_path / "table.csv"
@@ -54,7 +67,9 @@ def run(command, fixture, tmp_path):
 
 
 @pytest.mark.parametrize("command, fixture, expected", CASES, ids=[c[1] for c in CASES])
-def test_fixture_exit_code_and_repeatable_report(command, fixture, expected, tmp_path, capsys):
+def test_fixture_exit_code_and_repeatable_report(command, fixture, expected, tmp_path, capsys, monkeypatch):
+    if fixture in SHIFTED:
+        shift_graph_coordinates(monkeypatch, SHIFTED[fixture])
     code, outputs = run(command, fixture, tmp_path)
     assert code == expected
     assert (outputs[0] is not None) == (expected in (0, 1))
@@ -93,7 +108,9 @@ GOLDEN = {
 
 
 @pytest.mark.parametrize("command, fixture", list(GOLDEN), ids=[f for _, f in GOLDEN])
-def test_report_bytes_match_their_golden_digest(command, fixture, tmp_path, capsys):
+def test_report_bytes_match_their_golden_digest(command, fixture, tmp_path, capsys, monkeypatch):
+    if fixture in SHIFTED:
+        shift_graph_coordinates(monkeypatch, SHIFTED[fixture])
     _, (report, _) = run(command, fixture, tmp_path)
     assert report_digest(report) == GOLDEN[command, fixture]
 
@@ -107,6 +124,29 @@ GOLDEN_CSV = {
     # A 3-D sweep: shell, point and segment rows, three gradient columns.
     ("analyze", "analyze_shells"): "8f8a2a7799f31c5d9afce0d003ec939e630a9082e27f3c2ce187353ad72d3613",
 }
+
+
+# Shifts on both sides of the 1e-6 coverage tolerance.  Unshifted, every
+# deviation of `verify_two_point` lies below 1e-8, so the largest deviation
+# reads the shift to within that.
+@pytest.mark.parametrize("shift, expected", [(0.01, 1), (2e-6, 1), (5e-7, 0)])
+def test_verify_fails_exactly_when_a_shift_exceeds_the_coverage_tolerance(shift, expected, tmp_path, capsys, monkeypatch):
+    shift_graph_coordinates(monkeypatch, shift)
+    code, (report, _) = run("verify", "verify_two_point_corrupt", tmp_path)
+    assert code == expected
+    document = json.loads(report)["report"]
+    assert abs(document["max_deviation"] - shift) < 1e-8
+    assert document["samples"] == 64
+    assert document["pass"] == (document["covered"] == 64) == (expected == 0)
+
+
+def test_the_negative_control_fixture_alone_passes_as_verify_two_point(tmp_path, capsys):
+    code, (report, _) = run("verify", "verify_two_point_corrupt", tmp_path)
+    assert code == 0
+    plain = json.loads(run("verify", "verify_two_point", tmp_path)[1][0])
+    document = json.loads(report)
+    assert document.pop("config_sha256") != plain.pop("config_sha256")
+    assert document == plain
 
 
 @pytest.mark.parametrize("command, fixture", list(GOLDEN_CSV), ids=[f for _, f in GOLDEN_CSV])
@@ -196,6 +236,20 @@ def test_verify_of_a_set_without_samples_writes_an_empty_csv_and_no_sample_circl
     text = svg.read_bytes()
     assert text.count(b"<circle") == 1  # the point of the set
     assert hashlib.sha256(text).hexdigest() == "7601332789c736e2f3ec7380fdc1c8c8560e4f886f00c08d1846732a685ebf5b"
+
+
+# A known defect: on a window wide enough, the detector flags no grid edge and
+# `verify` passes with no sample at all, though the bisector x1 = 0 of the two
+# points crosses the whole window.  Grid 32 gives 32, 30, 20 and 0 samples on
+# the windows of half-width 2, 4, 6 and 8.
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="verify passes with samples: 0 when the grid is too coarse")
+def test_a_wide_window_still_yields_a_sample_on_the_bisector(tmp_path, capsys):
+    config, report = tmp_path / "config.json", tmp_path / "report.json"
+    window = {"lower": [-8.0, -8.0], "upper": [8.0, 8.0]}
+    config.write_text(json.dumps({"set": str(FIXTURES / "two_point_set.json"), "window": window, "grid_resolution": 32}))
+    assert main(["verify", str(config), "--output", str(report)]) == 0
+    records = json.loads(report.read_text())["report"]["records"]
+    assert any(abs(record["point"][0]) <= 1e-6 for record in records)
 
 
 def test_a_shell_on_a_non_square_window_is_drawn_with_one_radius_per_axis(tmp_path):
@@ -677,7 +731,7 @@ def test_readme_lists_every_config_key_that_is_read():
     table = readme.split("## Config keys", 1)[1].split("\n## ", 1)[0]
     listed = re.findall(r"^\| `([a-z_]+)` \|", table, flags=re.MULTILINE)
     assert sorted(listed) == sorted(config_keys_read())
-    assert set(listed) == {"set", "window", "grid_resolution", "lattice", "cover", "seed", "fault_offset"}
+    assert set(listed) == {"set", "window", "grid_resolution", "lattice", "cover", "seed"}
 
 
 # `decompose` split a C^2 field into a difference of convex functions; the

@@ -1,6 +1,7 @@
 """Malformed scenario configs: each names its offending field and exits 2."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +55,6 @@ NON_FINITE = [
     ("grid_resolution", f'"grid_resolution": {HUGE}'),
     ("lattice.step", f'"lattice": {{"step": {HUGE}}}'),
     ("lattice.bound", f'"lattice": {{"bound": {HUGE}}}'),
-    ("fault_offset", f'"fault_offset": -{HUGE}'),
 ]
 
 
@@ -164,9 +164,11 @@ def test_asplund_without_a_set_exits_2_through_main(command, tmp_path, capsys):
 
 # Finite-difference steps, a detector fraction, the coverage, tie, separation
 # and bisection tolerances, the cover axes, the `decompose` block, the
-# `outputs` paths, a named `field` and a top-level `dimension`, which the
-# program no longer reads: unknown keys are ignored, even with values that
-# were once refused.  Each `field` and `dimension` value gets a run of its own.
+# `outputs` paths, a named `field`, a top-level `dimension` and the
+# `fault_offset` shift of the graph coordinates, which the program no longer
+# reads: unknown keys are ignored, even with values that were once refused.
+# Each `field` and `dimension` value, and the `fault_offset` beyond the float
+# range, gets a run of its own.
 KNOBS = {
     "tolerances": {
         "fd_step": 0.5,
@@ -180,8 +182,9 @@ KNOBS = {
     "cover": {"axes": [1]},
     "decompose": {"radius": -1.0, "samples": 10.5},
     "outputs": {"report": "x.json", "csv": "x.csv"},
+    "fault_offset": 0.01,
 }
-ONE_AT_A_TIME = [{"field": "sq_norm"}, {"field": 3}, {"field": "asplund:Set"}, {"dimension": 3}]
+ONE_AT_A_TIME = [{"field": "sq_norm"}, {"field": 3}, {"field": "asplund:Set"}, {"dimension": 3}, {"fault_offset": -int(HUGE)}]
 
 
 @pytest.mark.parametrize("command", ["verify", "analyze", "cover"])
@@ -201,6 +204,14 @@ def test_removed_step_knobs_change_nothing_but_the_config_digest(command, tmp_pa
         outputs.append((written, table.read_bytes() if table.exists() else None))
     assert all(output == outputs[0] for output in outputs[1:])
     assert not (tmp_path / "x.json").exists() and not (tmp_path / "x.csv").exists()
+
+
+def test_the_readme_names_exactly_the_ignored_keys_that_are_run():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    sentence = re.search(r"The method's tolerances are constants\. (.+?) are ignored\.", readme, flags=re.DOTALL)
+    run = {f"cover.{key}" for key in KNOBS["cover"]} | {key for key in KNOBS if key != "cover"}
+    run |= {key for knob in ONE_AT_A_TIME for key in knob}
+    assert set(re.findall(r"`([a-z_.]+)`", sentence.group(1))) == run
 
 
 # The `tolerances` block, once read, is ignored whatever its value, even when it is not an object.

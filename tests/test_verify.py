@@ -161,12 +161,7 @@ def test_one_distance_call_per_step_of_the_slowest_axis(name, resolution, tol, p
 
 def per_sample(config, found):
     """Each sample's record, or its point when it is unresolved, as JSON text in the order of ``found``."""
-    report = certify_cover(
-        config.set_spec,
-        found,
-        config.lattice,
-        fault_offset=config.fault_offset,
-    )
+    report = certify_cover(config.set_spec, found, config.lattice)
     records, unresolved = iter(report["records"]), iter(report["unresolved_points"])
     return [json.dumps(next(unresolved if w is None else records)) for w in nondiff_witnesses(found, config.lattice)]
 
