@@ -4,10 +4,11 @@ Every query runs on the set's packed capsule rows (see
 :mod:`medialcover.geometry`).  ``survey`` is the package's classifying
 query, behind the grid sweep, the ambiguity detector's grid and the
 single-point query ``nearest_points``: per query point it returns the
-distance, one nearest point, and the classification as lying in the set,
-having a unique nearest point, or being ambiguous.  Callers that need no
-classification read ``ClosedSetSpec.row_distances`` directly: the
-detector's bisection, the lift of :mod:`medialcover.convex` and
+distance, one nearest point and its packed row (the first row at the
+minimum), and the classification as lying in the set, having a unique
+nearest point, or being ambiguous.  Callers that need no classification
+read ``ClosedSetSpec.row_distances`` directly: the detector's refinement,
+the lift of :mod:`medialcover.convex` and
 ``parse_config``'s reach check.  ``survey`` measures every row; only query
 points with two or more rows within ``TIE_TOLERANCE`` (1e-9) of the
 minimum, or at the exact centre of a shell, get projections onto those
@@ -79,9 +80,14 @@ class NearestResult:
 
 @dataclass(frozen=True, eq=False)
 class Survey:
-    """Distance, one nearest point, the foot box (``foot_lo``, ``foot_hi``) and the class of each query point."""
+    """Distance, one nearest point, the foot box (``foot_lo``, ``foot_hi``) and the class of each query point.
+
+    ``row`` is the packed row of ``projection``: the first row at the minimum
+    distance, the ``row_distances`` argmin.
+    """
 
     distance: np.ndarray
+    row: np.ndarray
     projection: np.ndarray
     foot_lo: np.ndarray
     foot_hi: np.ndarray
@@ -134,7 +140,7 @@ def survey(
         radius = spec.radii[shell][:, None]
         np.minimum.at(foot_lo, hit, spec.starts[shell] - radius)
         np.maximum.at(foot_hi, hit, spec.starts[shell] + radius)
-    return Survey(d, projection, foot_lo, foot_hi, in_set, ambiguous)
+    return Survey(d, best, projection, foot_lo, foot_hi, in_set, ambiguous)
 
 
 def nearest_points(

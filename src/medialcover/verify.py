@@ -2,16 +2,22 @@
 
 ``detect_ambiguous`` surveys a window grid with the packed kernel of
 :func:`medialcover.distance.survey` (a polygon loop is one segment row per
-edge there), keeps the grid nodes it classifies as ambiguous, flags edges whose
-endpoints project to genuinely different branches of the set, and localizes
-each branch crossing by bisection on the kernel's projections.  It uses the
-kernel's constant tie tolerance and separation, and bisects a bracket down
-to ``REFINE_TOL`` (1e-8).  The flagged edges of all axes form one batch that
-shares one lockstep bisection, so each step costs one distance and one
-projection call of the packed kernel; each bracket stops on its own width,
-whatever else is in the batch.  Every sample carries its feet as a box: the
-coordinatewise minimum and maximum of its nearest points, from the survey
-for a grid node and from the final bracket projections for a refined point.
+edge there), keeps the grid nodes it classifies as ambiguous, and flags the
+edges whose endpoints have different nearest rows and project to genuinely
+different branches of the set.  Each flagged edge is bisected on the
+kernel's projections until its bracket is at most ``_FALSI_START`` (1e-2)
+wide, then finished by Illinois regula falsi on the difference of the
+distances to its two end rows, which needs no projection; the sample is the
+point where the two rows tie to within a few ulp.  Where regula falsi hits
+its step cap or a third row is nearer at its point, the bracket is instead
+bisected down to ``REFINE_TOL`` (1e-8), as every bracket once was.  Every
+refined sample lies within ``REFINE_TOL`` / 2 of that bisection's sample
+when its coarse bracket holds one crossing of the two rows.  The flagged edges of all axes form one batch that shares each lockstep
+loop, and each bracket stops on its own tests, whatever else is in the
+batch.  Every sample carries its feet as a box: the coordinatewise minimum
+and maximum of its nearest points, from the survey for a grid node, from
+the projections onto the two rows for a regula falsi point, and from the
+final bracket projections for a bisected one.
 ``certify_cover`` then runs the detected samples through the convex-lift
 pipeline: the derivative-gap witness read off the feet, covering graph
 (axis, alpha, beta), vertical deviation, and the marginal-value identities,
@@ -37,7 +43,7 @@ __all__ = [
     "REFINE_TOL",
 ]
 
-# A refined sample's bracket is at most this wide.
+# A bisected sample's bracket is at most this wide.
 REFINE_TOL = 1e-8
 # A sample is covered when its graph passes within this vertical distance of it.
 _COVERAGE_TOL = 1e-6
@@ -48,19 +54,31 @@ _JUMP_FRACTION = 0.25
 _SEPARATION_FACTOR = 4.0
 # At most this many bisection steps per flagged edge.
 _MAX_BISECTIONS = 64
+# Bisection hands a bracket to regula falsi once it is at most this wide: 4 to
+# 6 steps from the grid edges of the workloads and fixtures.  Every bisection
+# step projects and no regula falsi step does, so a narrower start costs more.
+_FALSI_START = 1e-2
+# At most this many regula falsi steps per bracket.
+_MAX_FALSI_STEPS = 32
+# Regula falsi stops where the two rows' distances differ by at most this many
+# units in the last place of the larger one.
+_FALSI_ULPS = 4
 
 
 def _flagged_edges(spec, window, resolution):
     """Grid survey returning directly ambiguous nodes, with their feet, and branch-crossing edges.
 
-    An edge is a branch crossing when one endpoint's projection is clearly
-    suboptimal for the other endpoint (more than ``_JUMP_FRACTION`` edge
-    lengths) AND the two projections are separated by more than
-    ``_SEPARATION_FACTOR`` edge lengths.  The second condition rejects the
-    tangential projection drift that any curve primitive induces on edges
-    running parallel to it, which is not a branch change.  The edges come as
-    one batch ``(a, b, proj_a, proj_b)`` of (K, n) arrays, axis by axis in
-    grid order; K is 0 when no edge is flagged.
+    An edge is a branch crossing when its two endpoints have different
+    nearest rows, one endpoint's projection is clearly suboptimal for the
+    other endpoint (more than ``_JUMP_FRACTION`` edge lengths) AND the two
+    projections are separated by more than ``_SEPARATION_FACTOR`` edge
+    lengths.  Within one row the foot is unique, except at a shell's centre,
+    so an edge whose ends share a nearest row holds no crossing of two rows.
+    The last condition rejects the tangential projection drift that any curve
+    primitive induces on edges running parallel to it, which is not a branch
+    change.  The edges come as one batch ``(a, b, proj_a, proj_b, row_a,
+    row_b)`` of (K, n) points and (K,) packed rows, axis by axis in grid
+    order; K is 0 when no edge is flagged.
     """
     n = spec.dimension
     axes = window.axes(resolution)
@@ -72,9 +90,10 @@ def _flagged_edges(spec, window, resolution):
     shape = (resolution,) * n
     D = surveyed.distance.reshape(shape)
     P = surveyed.projection.reshape(shape + (n,))
+    R = surveyed.row.reshape(shape)
     X = pts.reshape(shape + (n,))
 
-    parts = []  # (a, b, proj_a, proj_b) of each axis
+    parts = []  # (a, b, proj_a, proj_b, row_a, row_b) of each axis
     for k in range(n):
         sl_a = [slice(None)] * n
         sl_b = [slice(None)] * n
@@ -84,57 +103,144 @@ def _flagged_edges(spec, window, resolution):
         xa, xb = X[sa], X[sb]
         pa, pb = P[sa], P[sb]
         da, db = D[sa], D[sb]
+        ra, rb = R[sa], R[sb]
         # How suboptimal is each endpoint's projection for the other endpoint?
         sub_ab = np.linalg.norm(xb - pa, axis=-1) - db
         sub_ba = np.linalg.norm(xa - pb, axis=-1) - da
         step = axes[k][1] - axes[k][0]
         branch_gap = np.linalg.norm(pa - pb, axis=-1)
         flag = (np.maximum(sub_ab, sub_ba) > _JUMP_FRACTION * step) & (branch_gap > _SEPARATION_FACTOR * step)
-        parts.append(tuple(v[flag] for v in (xa, xb, pa, pb)))
+        flag &= ra != rb
+        parts.append(tuple(v[flag] for v in (xa, xb, pa, pb, ra, rb)))
     return direct, tuple(np.concatenate(column) for column in zip(*parts))
 
 
-def _refine_edges(spec, edges):
-    """Bisect a batch of flagged edges in one lockstep loop.
+def _norms(v):
+    # Norms, not squared norms: two squared norms that differ can round to one norm.
+    return np.sqrt(np.add.reduce(v * v, axis=1))
 
-    ``edges`` is the batch ``(a, b, proj_a, proj_b)`` of (K, n) arrays that
-    :func:`_flagged_edges` returns; it is left as it was.  Every step bisects
-    all brackets still open with one ``row_distances`` and one
-    ``project_rows`` call.  A bracket leaves the loop once its own width is
-    at most ``REFINE_TOL``, or after ``_MAX_BISECTIONS`` steps, so its row
-    does not depend on the other brackets of the batch.  Returns one
-    (K, 3, n) array in the order given: each bracket's midpoint with the
-    coordinatewise minimum and maximum of its two end projections.
+
+def _bisect(spec, brackets, width):
+    """Bisect each bracket until it is at most ``width`` wide or has taken ``_MAX_BISECTIONS`` steps.
+
+    ``brackets`` is ``(a, b, proj_a, proj_b, row_a, row_b, steps)``: the
+    ends, their feet on their nearest rows, and the steps taken so far; it is
+    left as it was.  A step projects the midpoint onto its nearest row and
+    moves the end whose foot lies nearer that projection (end ``a`` on a
+    tie) to the midpoint, with its foot and row.  Each step is one
+    ``row_distances`` and one ``project_rows`` call on every bracket still
+    open, and a bracket stops on its own width and steps, so its result does
+    not depend on the other brackets of the batch.  Returns the final
+    brackets in the same form and order.
     """
-    a, b, pa, pb = edges
-    refined = np.empty((len(a), 3, spec.dimension))
-    open_rows = np.arange(len(a))  # the rows of ``refined`` whose brackets are still open
-    for step in range(_MAX_BISECTIONS + 1):
-        w = b - a
-        mid = 0.5 * (a + b)
-        done = (np.sqrt(np.add.reduce(w * w, axis=1)) <= REFINE_TOL) | (step == _MAX_BISECTIONS)
+    out = tuple(v.copy() for v in brackets)
+    rows = np.arange(len(brackets[0]))  # the rows of ``out`` whose brackets are still open
+    a, b, pa, pb, ra, rb, steps = brackets
+    while True:
+        done = (_norms(b - a) <= width) | (steps >= _MAX_BISECTIONS)
         if done.any():
-            refined[open_rows[done]] = np.stack([mid[done], np.minimum(pa, pb)[done], np.maximum(pa, pb)[done]], axis=1)
+            for column, v in zip(out, (a, b, pa, pb, ra, rb, steps)):
+                column[rows[done]] = v[done]
             keep = ~done
-            open_rows, a, b, pa, pb, mid = open_rows[keep], a[keep], b[keep], pa[keep], pb[keep], mid[keep]
-        if not len(open_rows):
+            rows, a, b, pa, pb, ra, rb, steps = (v[keep] for v in (rows, a, b, pa, pb, ra, rb, steps))
+        if not len(rows):
+            return out
+        mid = 0.5 * (a + b)
+        rm = spec.row_distances(mid).argmin(axis=0)
+        pm = spec.project_rows(mid, rm)
+        on_a = _norms(pm - pa) <= _norms(pm - pb)
+        a, pa, ra = np.where(on_a[:, None], mid, a), np.where(on_a[:, None], pm, pa), np.where(on_a, rm, ra)
+        b, pb, rb = np.where(on_a[:, None], b, mid), np.where(on_a[:, None], pb, pm), np.where(on_a, rb, rm)
+        steps = steps + 1
+
+
+def _regula_falsi(spec, a, b, ra, rb):
+    """Illinois regula falsi on f = d_ra - d_rb along each bracket [a, b].
+
+    ``ra`` is the nearest row at ``a`` and ``rb`` at ``b``, so f <= 0 at
+    ``a`` and f >= 0 at ``b``.  A step moves the end where f has the sign of
+    the new point's value to that point; an end kept twice in a row has its
+    value halved (Dowell & Jarratt 1971).  One ``row_distances`` call
+    measures both ends of every bracket, and every step makes one more on
+    the brackets still open; none projects.  A bracket stops when |f| is at
+    most ``_FALSI_ULPS`` units in the last place of the two distances, or
+    when no float lies strictly between its ends.  Returns the last point of
+    every bracket and whether it is trusted: the bracket stopped within
+    ``_MAX_FALSI_STEPS`` steps and no third row is strictly nearer at that
+    point.  A bracket whose ends share a row is not trusted, and its point
+    is left unset.
+    """
+    point = np.empty_like(a)
+    trusted = np.zeros(len(a), dtype=bool)
+    rows = np.flatnonzero(ra != rb)  # the rows of ``point`` whose brackets are still open
+    a, b, ra, rb = a[rows], b[rows], ra[rows], rb[rows]
+    ends = spec.row_distances(np.concatenate([a, b]))
+    at_a, at_b = np.arange(len(rows)), np.arange(len(rows), 2 * len(rows))
+    fa, fb = ends[ra, at_a] - ends[rb, at_a], ends[ra, at_b] - ends[rb, at_b]
+    kept = np.zeros(len(rows), dtype=int)  # the end kept by the last step: -1 a, 1 b, 0 none yet
+    for _ in range(_MAX_FALSI_STEPS):
+        if not len(rows):
             break
-        pm = spec.project_rows(mid, spec.row_distances(mid).argmin(axis=0))
-        # Norms, not squared norms: two squared norms that differ can round to one norm.
-        to_a, to_b = pm - pa, pm - pb
-        on_a = np.sqrt(np.add.reduce(to_a * to_a, axis=1)) <= np.sqrt(np.add.reduce(to_b * to_b, axis=1))
-        on_a = on_a[:, None]
-        a, pa = np.where(on_a, mid, a), np.where(on_a, pm, pa)
-        b, pb = np.where(on_a, b, mid), np.where(on_a, pb, pm)
+        x = a + (fa / (fa - fb))[:, None] * (b - a)
+        table = spec.row_distances(x)
+        cols = np.arange(len(rows))
+        da, db = table[ra, cols], table[rb, cols]
+        f = da - db
+        to_b = f > 0.0
+        fa, fb = np.where(to_b, np.where(kept == -1, 0.5 * fa, fa), f), np.where(to_b, f, np.where(kept == 1, 0.5 * fb, fb))
+        kept = np.where(to_b, -1, 1)
+        a, b = np.where(to_b[:, None], a, x), np.where(to_b[:, None], x, b)
+        mid = 0.5 * (a + b)
+        unsplit = np.all((mid == a) | (mid == b), axis=1)
+        done = (np.abs(f) <= _FALSI_ULPS * np.spacing(np.maximum(da, db))) | unsplit
+        if done.any():
+            point[rows[done]] = x[done]
+            trusted[rows[done]] = np.minimum.reduce(table[:, done], axis=0) >= np.minimum(da, db)[done]
+            keep = ~done
+            rows, a, b, ra, rb, fa, fb, kept = (v[keep] for v in (rows, a, b, ra, rb, fa, fb, kept))
+    return point, trusted
+
+
+def _refine_edges(spec, edges):
+    """Refine a batch of flagged edges to points where their two nearest rows tie.
+
+    ``edges`` is the batch ``(a, b, proj_a, proj_b, row_a, row_b)`` that
+    :func:`_flagged_edges` returns; it is left as it was.  Every bracket is
+    first bisected (see :func:`_bisect`) until it is at most
+    ``_FALSI_START`` wide, then finished by :func:`_regula_falsi` on the
+    distances to its two end rows ra and rb.  A trusted finish gives the
+    final point, with the coordinatewise minimum and maximum of its
+    projections onto ra and rb: two ``project_rows`` calls per batch.  Any
+    other bracket, where regula falsi hit its step cap or a third row is
+    nearer at its final point, continues the bisection from its coarse
+    bracket down to ``REFINE_TOL``; that is the sample the detector gave
+    before regula falsi, the bracket's midpoint with the coordinatewise
+    minimum and maximum of its two end feet.  When the coarse bracket
+    holds one crossing of ra and rb, that bisection ends within
+    ``REFINE_TOL`` / 2 of the crossing, and so of the regula falsi point.
+    No sample depends on the other brackets of the batch.  Returns one
+    (K, 3, n) array in the order given.
+    """
+    coarse = _bisect(spec, (*edges, np.zeros(len(edges[0]), dtype=int)), _FALSI_START)
+    a, b, _, _, ra, rb, _ = coarse
+    point, trusted = _regula_falsi(spec, a, b, ra, rb)
+    refined = np.empty((len(a), 3, spec.dimension))
+    done = np.flatnonzero(trusted)
+    foot_a, foot_b = spec.project_rows(point[done], ra[done]), spec.project_rows(point[done], rb[done])
+    refined[done] = np.stack([point[done], np.minimum(foot_a, foot_b), np.maximum(foot_a, foot_b)], axis=1)
+    rest = np.flatnonzero(~trusted)
+    a, b, pa, pb, *_ = _bisect(spec, tuple(v[rest] for v in coarse), REFINE_TOL)
+    refined[rest] = np.stack([0.5 * (a + b), np.minimum(pa, pb), np.maximum(pa, pb)], axis=1)
     return refined
 
 
 def detect_ambiguous(spec: ClosedSetSpec, window: Window, resolution: int) -> np.ndarray:
     """Sample points of the ambiguous locus found on a window grid, with their feet.
 
-    The samples are the directly ambiguous grid nodes plus one
-    bisection-refined point per grid edge whose endpoints project to
-    different branches of the set, in deterministic grid order.  Returns one
+    The samples are the directly ambiguous grid nodes plus one refined
+    point per grid edge whose endpoints have different nearest rows and
+    project to different branches of the set, in deterministic grid order
+    (see :func:`_refine_edges`).  Returns one
     (K, 3, n) array: ``[:, 0]`` is the sample, ``[:, 1]`` and ``[:, 2]`` the
     coordinatewise minimum and maximum of its feet.
     """

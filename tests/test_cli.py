@@ -30,7 +30,8 @@ CASES = [
     ("verify", "verify_two_point", 0),
     ("cover", "cover_two_point", 0),
     ("analyze", "analyze_two_point", 0),
-    ("verify", "verify_circle", 1),
+    # Both ends of every grid edge have the circle as nearest row: no sample.
+    ("verify", "verify_circle", 0),
     ("verify", "verify_two_point_corrupt", 1),
     ("verify", "bad_primitive", 2),
     ("analyze", "malformed", 2),
@@ -93,16 +94,16 @@ def report_digest(report: bytes) -> str:
 
 # sha256 of each report, as ``report_digest`` takes it; a change that moves one float of a report fails here.
 GOLDEN = {
-    ("verify", "verify_two_point"): "cdf0cc116aba729f91e2286ec480d82c80e19ba3a4a8cf8ce52a36ca83475c20",
-    ("verify", "verify_circle"): "41a81f7b76b923f325a3a12c11e0d22a817b6e349117e9e49e40aec8afc2b10b",
-    ("verify", "verify_two_point_corrupt"): "4f58976d16c5ddf309280c0601171b4c6987197f1f5ab1add15abfc4e999a021",
+    ("verify", "verify_two_point"): "27f1ba2a429714837613dd9ddc98070edc1fea193de0d46986583806c6ec85e6",
+    ("verify", "verify_circle"): "be801df986e36768888d3f1a92ae0f31300492990ecf3ca35e54c9ea79acb558",
+    ("verify", "verify_two_point_corrupt"): "ea0e92567448959fd1bdf2da344894de989c81fa26e10b4936f423b1f432ddcb",
     ("cover", "cover_two_point"): "9fd6f25d84666c6d4538c9436a46e6516cdcef65147a2c4c398e5c6b640806a4",
     # A 3-D set, and a window whose two axes have different grid steps.
-    ("verify", "verify_shells"): "121b8e6dd140453c72d7d839f0cd4fdee6889597432c97e2361b813fc53f7189",
+    ("verify", "verify_shells"): "0ebe682e65a7d186814397f64c18ea34b9b522fbc4e1740820d99e36eb989a3a",
     ("cover", "cover_shells"): "8341a96f19e531073038f32f1211b2d45be27ec5b5eecf0b36ad22c9d882baf1",
-    ("verify", "verify_wide_window"): "613c0956fb7791e61b68b11d33c89ec08ef45187281ac888e3550b04130b124f",
+    ("verify", "verify_wide_window"): "f25089d27f67c74be2c7c6e946d3e644f7650310e67b4ca57190029523ad6174",
     # A polygon loop: a six-vertex star, whose rows are all segments.
-    ("verify", "verify_star"): "d5406706bf6d79e26a4daed1fc6ae69f9ee5d09e43c7d6fcdb4d31e31dee8bbb",
+    ("verify", "verify_star"): "460024aedec6e8413003211b19b594dc444c5561f45a07676ec7eaadbb4cf263",
     ("cover", "cover_star"): "79b2f06f5867f39759268f7d1c8f2e9f9616e1ec727300e2b923c8b5235cbf11",
 }
 
@@ -119,8 +120,8 @@ def test_report_bytes_match_their_golden_digest(command, fixture, tmp_path, caps
 # The analyze gradients are (x - q) / d off the set, q the survey projection.
 GOLDEN_CSV = {
     ("analyze", "analyze_two_point"): "7f329e0fbeaaea03b42eade36b272b286100b712f8e44dd5fad9b4ff0241c233",
-    ("verify", "verify_two_point"): "e08d01a408cec091cf9f729974e3debb276cfad51b1b5ac92878f331e25da0e2",
-    ("verify", "verify_star"): "f9e5f81721d445a916645103bcc7064e5e0bc641c9f26aecc0063d212267100c",
+    ("verify", "verify_two_point"): "05111a38e4d7c17e40e7d03f10bf63883be70e3bbd6d03ae2425c73c9d584fca",
+    ("verify", "verify_star"): "2158e4ff4af1e810ee2c62bedfea419d5bbbb4ab2d866add08b8c795ca09c38f",
     # A 3-D sweep: shell, point and segment rows, three gradient columns.
     ("analyze", "analyze_shells"): "8f8a2a7799f31c5d9afce0d003ec939e630a9082e27f3c2ce187353ad72d3613",
 }
@@ -161,10 +162,10 @@ def test_csv_bytes_match_their_golden_digest(command, fixture, tmp_path, capsys)
 # `verify` and `cover` go through the marginal-infimum searches.
 WORKLOAD_SEED = 303
 GOLDEN_WORKLOADS = {
-    ("verify", "points2d"): (0, "88da2fd17aec39874c5431daa73fa56c38f6dfd9265b9f2fdfd7d89c7d29eac1"),
-    ("verify", "polygon2d"): (0, "0d9af11c34fdc0c261cb58994021b1b78d932eb3bc665cf7b42cd7d816298202"),
-    # 12 unresolved samples near the sphere's centre.
-    ("verify", "shells3d"): (1, "38d32ba84c35fbef42e00a3b484bcc7b895043435cece1a195a93d6f4668f8e3"),
+    ("verify", "points2d"): (0, "c5e2e7fd502926de4c790a88e083bc2dd1121682d34f06858d1c655eb02d10c5"),
+    ("verify", "polygon2d"): (0, "d30778a3e94b1bc3ad96024066fcd6d7672800b129198961d8e6fbc2080ad276"),
+    # No edge next to the sphere's centre is flagged: both its ends have the sphere as nearest row.
+    ("verify", "shells3d"): (0, "521e40fcd9410dc41981b7453b70353b41e667f754577458d725b48918b0e317"),
     ("cover", "points2d"): (0, "b04092eb856652e256dbe06d31abd6c8d66a32c8c479c8bb0a4302f4f33dd45e"),
     ("cover", "polygon2d"): (0, "2862657c107b349470c3a98f13c1ac313ab08d908b1d245137378128bfab1dbd"),
     ("cover", "shells3d"): (0, "dcad837dab23c584bfeae461c146f244a119453ad3a34db6a149ded0945d5269"),

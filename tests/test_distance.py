@@ -310,3 +310,46 @@ def test_project_returns_a_nearest_point():
     proj = survey(THREE_POINTS, pts).projection
     d = survey(THREE_POINTS, pts).distance
     assert np.allclose(np.linalg.norm(pts - proj, axis=1), d, atol=1e-12)
+
+
+@pytest.mark.parametrize("spec", [TWO_POINTS, THREE_POINTS, CIRCLE, SHELLS], ids=["two-points", "three-points", "circle", "shells"])
+def test_the_survey_row_is_the_first_row_at_the_minimum(spec):
+    rng = np.random.default_rng(7)
+    window = WINDOW if spec.dimension == 2 else WINDOW3
+    # Random points, the grid (whose middle axis value is 0 on both axes:
+    # exact ties on every bisector through the origin) and the set's own rows.
+    pts = np.concatenate([window.sample(rng, 300), window.grid_points(9 if spec.dimension == 2 else 5), spec.starts])
+    surveyed = survey(spec, pts)
+    assert surveyed.row.dtype.kind == "i"
+    assert surveyed.row.tolist() == spec.row_distances(pts).argmin(axis=0).tolist()
+    assert np.array_equal(surveyed.projection, spec.project_rows(pts, surveyed.row))
+
+
+def test_the_survey_row_of_an_exact_tie_is_the_first():
+    assert survey(TWO_POINTS, np.array([[0.0, 0.0], [0.0, 1.5]])).row.tolist() == [0, 0]
+    assert survey(THREE_POINTS, np.array([[0.5, 0.5]])).row.tolist() == [0]
+
+
+# ROADMAP item 3: a tie measured as a length.  At the `polygon2d` node
+# (1.6129, 0.3226) of seed 2, the two edges through vertex 0 are within
+# TIE_TOLERANCE in distance, but their feet are 2.03e-5 apart and the
+# node lies 1.01e-5 from the bisector of the two feet: its nearest point is
+# unique, and `survey` calls it AMBIGUOUS.
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="survey compares distances, not the distance to the feet's bisector")
+def test_a_node_beside_a_polygon_vertex_is_not_a_false_tie(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent))
+    from perfbench.workloads import WORKLOADS
+
+    primitives = WORKLOADS["polygon2d"].primitives(np.random.default_rng(2))
+    spec = ClosedSetSpec(primitives, 2)
+    axis = WINDOW.axes(32)[0]
+    x = np.array([[axis[28], axis[18]]])
+    table = spec.row_distances(x)[:, 0]
+    rows = np.flatnonzero(table <= table.min() + TIE_TOLERANCE)
+    q1, q2 = spec.project_rows(np.repeat(x, len(rows), axis=0), rows)
+    gap = np.linalg.norm(q1 - q2)
+    off_bisector = abs(np.sum((x[0] - q1) ** 2) - np.sum((x[0] - q2) ** 2)) / (2.0 * gap)
+    assert len(rows) == 2
+    assert gap == pytest.approx(2.03e-5, rel=0.01)
+    assert off_bisector == pytest.approx(1.01e-5, rel=0.01)
+    assert not survey(spec, x).ambiguous[0]
