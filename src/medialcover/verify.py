@@ -4,20 +4,15 @@
 :func:`medialcover.distance.survey` (a polygon loop is one segment row per
 edge there), keeps the grid nodes it classifies as ambiguous, and flags the
 edges whose endpoints have different nearest rows and project to genuinely
-different branches of the set.  Each flagged edge is bisected on the
-kernel's projections until its bracket is at most ``_FALSI_START`` (1e-2)
-wide, then finished by Illinois regula falsi on the difference of the
-distances to its two end rows, which needs no projection; the sample is the
-point where the two rows tie to within a few ulp.  Where regula falsi hits
-its step cap or a third row is nearer at its point, the bracket is instead
-bisected down to ``REFINE_TOL`` (1e-8), as every bracket once was.  Every
-refined sample lies within ``REFINE_TOL`` / 2 of that bisection's sample
-when its coarse bracket holds one crossing of the two rows.  The flagged edges of all axes form one batch that shares each lockstep
-loop, and each bracket stops on its own tests, whatever else is in the
-batch.  Every sample carries its feet as a box: the coordinatewise minimum
-and maximum of its nearest points, from the survey for a grid node, from
-the projections onto the two rows for a regula falsi point, and from the
-final bracket projections for a bisected one.
+different branches of the set.  Illinois regula falsi on the difference of
+the distances to its two end rows takes each flagged edge to the point where
+the two rows tie to within a few ulp, with no projection.  Where a third row
+is strictly nearer there, the edge passes through that row's region, and a
+next round follows it on one half of the bracket.  The flagged edges of all
+axes form one batch that shares each lockstep loop, and each bracket stops
+on its own tests.  Every sample carries its feet as a box: the
+coordinatewise minimum and maximum of its nearest points, from the survey
+for a grid node and from its two rows for a refined point.
 ``certify_cover`` then runs the detected samples through the convex-lift
 pipeline: the derivative-gap witness read off the feet, covering graph
 (axis, alpha, beta), vertical deviation, and the marginal-value identities,
@@ -43,7 +38,8 @@ __all__ = [
     "REFINE_TOL",
 ]
 
-# A bisected sample's bracket is at most this wide.
+# The tests' bound on a sample's distance to the locus; ``verify`` does not read
+# it, and ``config.ScenarioConfig.refine_tol`` gives it to the benchmark oracle.
 REFINE_TOL = 1e-8
 # A sample is covered when its graph passes within this vertical distance of it.
 _COVERAGE_TOL = 1e-6
@@ -52,12 +48,9 @@ _COVERAGE_TOL = 1e-6
 # lie more than _SEPARATION_FACTOR edge lengths apart.
 _JUMP_FRACTION = 0.25
 _SEPARATION_FACTOR = 4.0
-# At most this many bisection steps per flagged edge.
-_MAX_BISECTIONS = 64
-# Bisection hands a bracket to regula falsi once it is at most this wide: 4 to
-# 6 steps from the grid edges of the workloads and fixtures.  Every bisection
-# step projects and no regula falsi step does, so a narrower start costs more.
-_FALSI_START = 1e-2
+# At most this many rounds of regula falsi per flagged edge; each round after
+# the first follows a row that is strictly nearer at the last round's finish.
+_MAX_ROUNDS = 16
 # At most this many regula falsi steps per bracket.
 _MAX_FALSI_STEPS = 32
 # Regula falsi stops where the two rows' distances differ by at most this many
@@ -115,72 +108,28 @@ def _flagged_edges(spec, window, resolution):
     return direct, tuple(np.concatenate(column) for column in zip(*parts))
 
 
-def _norms(v):
-    # Norms, not squared norms: two squared norms that differ can round to one norm.
-    return np.sqrt(np.add.reduce(v * v, axis=1))
-
-
-def _bisect(spec, brackets, width):
-    """Bisect each bracket until it is at most ``width`` wide or has taken ``_MAX_BISECTIONS`` steps.
-
-    ``brackets`` is ``(a, b, proj_a, proj_b, row_a, row_b, steps)``: the
-    ends, their feet on their nearest rows, and the steps taken so far; it is
-    left as it was.  A step projects the midpoint onto its nearest row and
-    moves the end whose foot lies nearer that projection (end ``a`` on a
-    tie) to the midpoint, with its foot and row.  Each step is one
-    ``row_distances`` and one ``project_rows`` call on every bracket still
-    open, and a bracket stops on its own width and steps, so its result does
-    not depend on the other brackets of the batch.  Returns the final
-    brackets in the same form and order.
-    """
-    out = tuple(v.copy() for v in brackets)
-    rows = np.arange(len(brackets[0]))  # the rows of ``out`` whose brackets are still open
-    a, b, pa, pb, ra, rb, steps = brackets
-    while True:
-        done = (_norms(b - a) <= width) | (steps >= _MAX_BISECTIONS)
-        if done.any():
-            for column, v in zip(out, (a, b, pa, pb, ra, rb, steps)):
-                column[rows[done]] = v[done]
-            keep = ~done
-            rows, a, b, pa, pb, ra, rb, steps = (v[keep] for v in (rows, a, b, pa, pb, ra, rb, steps))
-        if not len(rows):
-            return out
-        mid = 0.5 * (a + b)
-        rm = spec.row_distances(mid).argmin(axis=0)
-        pm = spec.project_rows(mid, rm)
-        on_a = _norms(pm - pa) <= _norms(pm - pb)
-        a, pa, ra = np.where(on_a[:, None], mid, a), np.where(on_a[:, None], pm, pa), np.where(on_a, rm, ra)
-        b, pb, rb = np.where(on_a[:, None], b, mid), np.where(on_a[:, None], pb, pm), np.where(on_a, rb, rm)
-        steps = steps + 1
-
-
 def _regula_falsi(spec, a, b, ra, rb):
     """Illinois regula falsi on f = d_ra - d_rb along each bracket [a, b].
 
-    ``ra`` is the nearest row at ``a`` and ``rb`` at ``b``, so f <= 0 at
-    ``a`` and f >= 0 at ``b``.  A step moves the end where f has the sign of
-    the new point's value to that point; an end kept twice in a row has its
-    value halved (Dowell & Jarratt 1971).  One ``row_distances`` call
-    measures both ends of every bracket, and every step makes one more on
-    the brackets still open; none projects.  A bracket stops when |f| is at
-    most ``_FALSI_ULPS`` units in the last place of the two distances, or
-    when no float lies strictly between its ends.  Returns the last point of
-    every bracket and whether it is trusted: the bracket stopped within
-    ``_MAX_FALSI_STEPS`` steps and no third row is strictly nearer at that
-    point.  A bracket whose ends share a row is not trusted, and its point
-    is left unset.
+    ``ra`` is the nearest row at ``a`` and ``rb`` at ``b``, two different
+    rows, so f <= 0 at ``a`` and f >= 0 at ``b``.  A step moves the end where
+    f has the sign of the new point's value to that point; an end kept twice
+    in a row has its value halved (Dowell & Jarratt 1971).  One
+    ``row_distances`` call measures both ends of every bracket, and every
+    step makes one more on the brackets still open; none projects.  A bracket
+    stops when |f| is at most ``_FALSI_ULPS`` units in the last place of the
+    two distances, when no float lies strictly between its ends, or after
+    ``_MAX_FALSI_STEPS`` steps.  Returns the last point x of every bracket
+    and the row strictly nearer at x than ra and rb, the nearest row there,
+    or -1 where there is none.
     """
-    point = np.empty_like(a)
-    trusted = np.zeros(len(a), dtype=bool)
-    rows = np.flatnonzero(ra != rb)  # the rows of ``point`` whose brackets are still open
-    a, b, ra, rb = a[rows], b[rows], ra[rows], rb[rows]
+    point, nearer = np.empty_like(a), np.empty(len(a), dtype=int)
+    rows = np.arange(len(a))  # the rows of ``point`` whose brackets are still open
     ends = spec.row_distances(np.concatenate([a, b]))
-    at_a, at_b = np.arange(len(rows)), np.arange(len(rows), 2 * len(rows))
+    at_a, at_b = rows, rows + len(a)
     fa, fb = ends[ra, at_a] - ends[rb, at_a], ends[ra, at_b] - ends[rb, at_b]
-    kept = np.zeros(len(rows), dtype=int)  # the end kept by the last step: -1 a, 1 b, 0 none yet
-    for _ in range(_MAX_FALSI_STEPS):
-        if not len(rows):
-            break
+    kept = np.zeros(len(a), dtype=int)  # the end kept by the last step: -1 a, 1 b, 0 none yet
+    for step in range(1, _MAX_FALSI_STEPS + 1):
         x = a + (fa / (fa - fb))[:, None] * (b - a)
         table = spec.row_distances(x)
         cols = np.arange(len(rows))
@@ -192,46 +141,50 @@ def _regula_falsi(spec, a, b, ra, rb):
         a, b = np.where(to_b[:, None], a, x), np.where(to_b[:, None], x, b)
         mid = 0.5 * (a + b)
         unsplit = np.all((mid == a) | (mid == b), axis=1)
-        done = (np.abs(f) <= _FALSI_ULPS * np.spacing(np.maximum(da, db))) | unsplit
+        done = (np.abs(f) <= _FALSI_ULPS * np.spacing(np.maximum(da, db))) | unsplit | (step == _MAX_FALSI_STEPS)
         if done.any():
+            nearest = table[:, done].argmin(axis=0)
             point[rows[done]] = x[done]
-            trusted[rows[done]] = np.minimum.reduce(table[:, done], axis=0) >= np.minimum(da, db)[done]
+            nearer[rows[done]] = np.where(table[nearest, cols[done]] < np.minimum(da, db)[done], nearest, -1)
             keep = ~done
             rows, a, b, ra, rb, fa, fb, kept = (v[keep] for v in (rows, a, b, ra, rb, fa, fb, kept))
-    return point, trusted
+        if not len(rows):
+            break
+    return point, nearer
 
 
 def _refine_edges(spec, edges):
     """Refine a batch of flagged edges to points where their two nearest rows tie.
 
     ``edges`` is the batch ``(a, b, proj_a, proj_b, row_a, row_b)`` that
-    :func:`_flagged_edges` returns; it is left as it was.  Every bracket is
-    first bisected (see :func:`_bisect`) until it is at most
-    ``_FALSI_START`` wide, then finished by :func:`_regula_falsi` on the
-    distances to its two end rows ra and rb.  A trusted finish gives the
-    final point, with the coordinatewise minimum and maximum of its
-    projections onto ra and rb: two ``project_rows`` calls per batch.  Any
-    other bracket, where regula falsi hit its step cap or a third row is
-    nearer at its final point, continues the bisection from its coarse
-    bracket down to ``REFINE_TOL``; that is the sample the detector gave
-    before regula falsi, the bracket's midpoint with the coordinatewise
-    minimum and maximum of its two end feet.  When the coarse bracket
-    holds one crossing of ra and rb, that bisection ends within
-    ``REFINE_TOL`` / 2 of the crossing, and so of the regula falsi point.
-    No sample depends on the other brackets of the batch.  Returns one
-    (K, 3, n) array in the order given.
+    :func:`_flagged_edges` returns; it is left as it was.  Each round runs
+    :func:`_regula_falsi` on the open brackets.  A finish x with no strictly
+    nearer row is the sample.  Where a row rc is, the bracket continues on
+    [x, b] with rows (rc, rb) and feet (pc, proj_b), pc the foot of x on rc,
+    if pc lies at least as near proj_a as proj_b, else on [a, x] with rows
+    (ra, rc) and feet (proj_a, pc); each end keeps its nearest row.  After
+    ``_MAX_ROUNDS`` rounds the last finish is the sample.  A sample comes
+    with the coordinatewise minimum and maximum of its projections onto its
+    two rows.  No sample depends on the other brackets of the batch.
+    Returns one (K, 3, n) array in the order given.
     """
-    coarse = _bisect(spec, (*edges, np.zeros(len(edges[0]), dtype=int)), _FALSI_START)
-    a, b, _, _, ra, rb, _ = coarse
-    point, trusted = _regula_falsi(spec, a, b, ra, rb)
-    refined = np.empty((len(a), 3, spec.dimension))
-    done = np.flatnonzero(trusted)
-    foot_a, foot_b = spec.project_rows(point[done], ra[done]), spec.project_rows(point[done], rb[done])
-    refined[done] = np.stack([point[done], np.minimum(foot_a, foot_b), np.maximum(foot_a, foot_b)], axis=1)
-    rest = np.flatnonzero(~trusted)
-    a, b, pa, pb, *_ = _bisect(spec, tuple(v[rest] for v in coarse), REFINE_TOL)
-    refined[rest] = np.stack([0.5 * (a + b), np.minimum(pa, pb), np.maximum(pa, pb)], axis=1)
-    return refined
+    a, b, pa, pb, ra, rb = edges
+    point, row_a, row_b = np.empty_like(a), np.empty_like(ra), np.empty_like(rb)
+    rows = np.arange(len(a))  # the rows of ``point`` whose brackets are still open
+    for round_ in range(1, _MAX_ROUNDS + 1):
+        x, rc = _regula_falsi(spec, a, b, ra, rb)
+        done = (rc < 0) | (round_ == _MAX_ROUNDS)
+        point[rows[done]], row_a[rows[done]], row_b[rows[done]] = x[done], ra[done], rb[done]
+        keep = ~done
+        if not keep.any():
+            break
+        rows, a, b, pa, pb, ra, rb, x, rc = (v[keep] for v in (rows, a, b, pa, pb, ra, rb, x, rc))
+        pc = spec.project_rows(x, rc)
+        on_b = np.linalg.norm(pc - pa, axis=1) <= np.linalg.norm(pc - pb, axis=1)  # continue on [x, b]
+        a, pa, ra = np.where(on_b[:, None], x, a), np.where(on_b[:, None], pc, pa), np.where(on_b, rc, ra)
+        b, pb, rb = np.where(on_b[:, None], b, x), np.where(on_b[:, None], pb, pc), np.where(on_b, rb, rc)
+    foot_a, foot_b = spec.project_rows(point, row_a), spec.project_rows(point, row_b)
+    return np.stack([point, np.minimum(foot_a, foot_b), np.maximum(foot_a, foot_b)], axis=1)
 
 
 def detect_ambiguous(spec: ClosedSetSpec, window: Window, resolution: int) -> np.ndarray:

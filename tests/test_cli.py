@@ -94,16 +94,16 @@ def report_digest(report: bytes) -> str:
 
 # sha256 of each report, as ``report_digest`` takes it; a change that moves one float of a report fails here.
 GOLDEN = {
-    ("verify", "verify_two_point"): "27f1ba2a429714837613dd9ddc98070edc1fea193de0d46986583806c6ec85e6",
+    ("verify", "verify_two_point"): "54ee6e14c25216973fde2792d9fb5da0e300e6e77188cd609275ef400c3ae858",
     ("verify", "verify_circle"): "be801df986e36768888d3f1a92ae0f31300492990ecf3ca35e54c9ea79acb558",
-    ("verify", "verify_two_point_corrupt"): "ea0e92567448959fd1bdf2da344894de989c81fa26e10b4936f423b1f432ddcb",
+    ("verify", "verify_two_point_corrupt"): "9c3f6b8ddcca7601c06f9f52e3f687a00698d5608412300bc5782d738ff603d3",
     ("cover", "cover_two_point"): "9fd6f25d84666c6d4538c9436a46e6516cdcef65147a2c4c398e5c6b640806a4",
     # A 3-D set, and a window whose two axes have different grid steps.
-    ("verify", "verify_shells"): "0ebe682e65a7d186814397f64c18ea34b9b522fbc4e1740820d99e36eb989a3a",
+    ("verify", "verify_shells"): "c512c9d0f91239a63edeeb7f11cd2d5a4d1e8289f10cc53e2e9350d71bfac2b5",
     ("cover", "cover_shells"): "8341a96f19e531073038f32f1211b2d45be27ec5b5eecf0b36ad22c9d882baf1",
-    ("verify", "verify_wide_window"): "f25089d27f67c74be2c7c6e946d3e644f7650310e67b4ca57190029523ad6174",
+    ("verify", "verify_wide_window"): "4961541b0b531411f4bbeddfd70c2f134e915901f26c639eefa4a98e9f82d3ea",
     # A polygon loop: a six-vertex star, whose rows are all segments.
-    ("verify", "verify_star"): "460024aedec6e8413003211b19b594dc444c5561f45a07676ec7eaadbb4cf263",
+    ("verify", "verify_star"): "0f2e9385f1ead17b4654bcb0e58652cbc1c3366a3cbec8553de6cadf728132c3",
     ("cover", "cover_star"): "79b2f06f5867f39759268f7d1c8f2e9f9616e1ec727300e2b923c8b5235cbf11",
 }
 
@@ -120,8 +120,8 @@ def test_report_bytes_match_their_golden_digest(command, fixture, tmp_path, caps
 # The analyze gradients are (x - q) / d off the set, q the survey projection.
 GOLDEN_CSV = {
     ("analyze", "analyze_two_point"): "7f329e0fbeaaea03b42eade36b272b286100b712f8e44dd5fad9b4ff0241c233",
-    ("verify", "verify_two_point"): "05111a38e4d7c17e40e7d03f10bf63883be70e3bbd6d03ae2425c73c9d584fca",
-    ("verify", "verify_star"): "2158e4ff4af1e810ee2c62bedfea419d5bbbb4ab2d866add08b8c795ca09c38f",
+    ("verify", "verify_two_point"): "29070a63b900bb5a4fdf7ebeba30168a9ca73379de552352386375b1e20738ab",
+    ("verify", "verify_star"): "d24796e3ff24ddd21fde7f50470e1c8f3fd728657ff73009973d42dc8bb88024",
     # A 3-D sweep: shell, point and segment rows, three gradient columns.
     ("analyze", "analyze_shells"): "8f8a2a7799f31c5d9afce0d003ec939e630a9082e27f3c2ce187353ad72d3613",
 }
@@ -162,10 +162,10 @@ def test_csv_bytes_match_their_golden_digest(command, fixture, tmp_path, capsys)
 # `verify` and `cover` go through the marginal-infimum searches.
 WORKLOAD_SEED = 303
 GOLDEN_WORKLOADS = {
-    ("verify", "points2d"): (0, "c5e2e7fd502926de4c790a88e083bc2dd1121682d34f06858d1c655eb02d10c5"),
-    ("verify", "polygon2d"): (0, "d30778a3e94b1bc3ad96024066fcd6d7672800b129198961d8e6fbc2080ad276"),
+    ("verify", "points2d"): (0, "bad6e433c86785498289e8c621cb1fc16dea3de11f255ecf3fce529be1e92e73"),
+    ("verify", "polygon2d"): (0, "73ad65aeb338bed98203bfbecd2cad2cd69ccec6de6ad36cd3683081294b9341"),
     # No edge next to the sphere's centre is flagged: both its ends have the sphere as nearest row.
-    ("verify", "shells3d"): (0, "521e40fcd9410dc41981b7453b70353b41e667f754577458d725b48918b0e317"),
+    ("verify", "shells3d"): (0, "a2a852fe5e44ca308e760a8cd4faa165d2c069febc9b272afa384228a966eeea"),
     ("cover", "points2d"): (0, "b04092eb856652e256dbe06d31abd6c8d66a32c8c479c8bb0a4302f4f33dd45e"),
     ("cover", "polygon2d"): (0, "2862657c107b349470c3a98f13c1ac313ab08d908b1d245137378128bfab1dbd"),
     ("cover", "shells3d"): (0, "dcad837dab23c584bfeae461c146f244a119453ad3a34db6a149ded0945d5269"),

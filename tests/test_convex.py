@@ -251,6 +251,31 @@ EXACT_CASES = {
 }
 
 
+# ``reference.one_sided`` reads a partial only to within its own rounding
+# error.  A lift value below 16 in magnitude is off by a few units in the last
+# place, about 1e-14, and the Richardson sum of the secants at h/4, h/2 and h
+# multiplies that by 30 / h: about 4e-9 at h = 1e-4.  The largest
+# |exact - FD| partial on EXACT_CASES is 4.6e-10.  An oracle partial that close
+# to a knife edge of the lattice rule, where (partial + step / 2) / step is an
+# integer for a lower partial and (partial - step / 2) / step for an upper one,
+# cannot be told from the edge, and is read as on it.
+ONE_SIDED_ROUNDING = 1e-8
+
+
+def on_knife_edges(partials, shift, step):
+    """``partials`` with each one within ``ONE_SIDED_ROUNDING`` of a knife edge (v + shift) / step in Z put on it."""
+    edge = np.round((partials + shift) / step) * step - shift
+    return np.where(np.abs(partials - edge) <= ONE_SIDED_ROUNDING, edge, partials)
+
+
+def oracle_witnesses(spec, points, lattice):
+    """The finite-difference witnesses of the lift, with the partials on a knife edge put on it."""
+    minus, plus = reference.one_sided(asplund_lift(spec), points)
+    half = lattice.step / 2.0
+    minus, plus = on_knife_edges(minus, half, lattice.step), on_knife_edges(plus, -half, lattice.step)
+    return [reference.lattice_witness(m, p, lattice) for m, p in zip(minus.tolist(), plus.tolist())]
+
+
 class TestExactWitnesses:
     """Witnesses read off the feet against the finite-difference oracle of the lift."""
 
@@ -258,8 +283,30 @@ class TestExactWitnesses:
     def test_exact_witness_equals_the_oracle(self, case):
         spec, lattice, found = EXACT_CASES[case]()
         assert len(found)
-        lift = asplund_lift(spec)
-        assert nondiff_witnesses(found, lattice) == reference.fd_witnesses(lift, found[:, 0], lattice)
+        assert nondiff_witnesses(found, lattice) == oracle_witnesses(spec, found[:, 0], lattice)
+
+    def test_one_oracle_partial_lies_on_a_knife_edge(self):
+        """verify_wide_window's sample (1.80625, 1.0) ties exactly; its lower partial along x0 is 30.5 lattice steps.
+
+        The oracle reads it 5e-11 high, beyond the rule's slack of 1e-12
+        steps, so the unrounded oracle picks alpha = 4.0.  Every other
+        oracle partial of EXACT_CASES lies more than 1e-5 from a knife edge.
+        """
+        near = []
+        for case, build in EXACT_CASES.items():
+            spec, lattice, found = build()
+            minus, plus = reference.one_sided(asplund_lift(spec), found[:, 0])
+            for partials, shift in ((minus, lattice.step / 2.0), (plus, -lattice.step / 2.0)):
+                gap = np.abs(np.round((partials + shift) / lattice.step) * lattice.step - shift - partials)
+                assert np.all((gap <= ONE_SIDED_ROUNDING) | (gap > 1e-5))
+                near += [(case, k, axis) for k, axis in zip(*np.nonzero(gap <= ONE_SIDED_ROUNDING))]
+        assert [(case, axis) for case, _, axis in near] == [("verify_wide_window", 0)]
+        spec, lattice, found = EXACT_CASES["verify_wide_window"]()
+        sample = found[near[0][1]]
+        assert sample[0].tolist() == [1.80625, 1.0]
+        assert 2.0 * (sample[0, 0] + sample[1, 0]) == 3.8125 == 30.5 * lattice.step
+        assert nondiff_witnesses(sample[None], lattice) == [(0, 3.875, 5.25)]
+        assert reference.fd_witnesses(asplund_lift(spec), sample[None, 0], lattice) == [(0, 4.0, 5.25)]
 
     @pytest.mark.parametrize("case", list(EXACT_CASES))
     def test_exact_partials_lie_within_the_finite_difference_error(self, case):

@@ -1,10 +1,14 @@
-"""Refinement of flagged grid edges: coarse bisection, then regula falsi on the two end rows.
+"""Refinement of flagged grid edges: rounds of regula falsi from the grid edge, following a nearer third row.
 
-``reference_refine_edges``, the bisection that refined every edge before
-regula falsi, is the oracle: every refined sample lies within
-``REFINE_TOL`` / 2 of its sample, and equals it bit for bit where the finish
-is not trusted.  Every sample of a trusted finish is AMBIGUOUS under
-``survey``, and no bracket depends on the other brackets of its batch.
+``reference_refine_edges``, a bisection of every edge on the survey's
+projections down to ``REFINE_TOL``, is the oracle: every refined sample lies
+within ``REFINE_TOL`` / 2 of its sample, with its feet within ``REFINE_TOL``
+of the oracle's feet, and is AMBIGUOUS under ``survey``.  No bracket depends
+on the other brackets of its batch, each step cap keeps the last point, and
+a round costs one ``row_distances`` call for both ends and one per step.
+Every certified sample of the fixtures, the workloads, and 40 random sets of
+points, segments, circles and polygon loops is AMBIGUOUS under ``survey`` and
+under ``reference.nearest_points``.
 
 Also: a certified sample's record does not depend on the other samples of its batch.
 """
@@ -15,16 +19,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import reference
+from medialcover import Classification
 from medialcover.config import load_config
-from medialcover.convex import nondiff_witnesses
+from medialcover.convex import SlopeLattice, nondiff_witnesses
 from medialcover.distance import survey
 from medialcover.geometry import ClosedSetSpec, Window
 from medialcover import verify
 from medialcover.verify import (
-    _FALSI_START,
-    _MAX_BISECTIONS,
+    _COVERAGE_TOL,
     REFINE_TOL,
-    _bisect,
     _flagged_edges,
     _refine_edges,
     _regula_falsi,
@@ -39,16 +43,18 @@ ROOT = Path(__file__).resolve().parent.parent
 VERIFY_FIXTURES = sorted(path.stem for path in FIXTURES.glob("verify_*.json"))
 
 
-def reference_refine_edges(spec, edges, refine_tol=REFINE_TOL):
+def reference_refine_edges(spec, edges):
     """Bisect every bracket on its own; a finished row is frozen by a mask, not removed.
 
-    Reads the ends and feet of ``edges`` and ignores their rows.  Gives the
-    bracket midpoints with the coordinatewise minimum and maximum of the two
-    end projections, a (K, 3, n) stack.
+    Reads the ends and feet of ``edges`` and ignores their rows.  A step
+    projects the midpoint onto its nearest point and moves the end whose foot
+    lies nearer that projection.  Gives the bracket midpoints with the
+    coordinatewise minimum and maximum of the two end projections, a
+    (K, 3, n) stack.
     """
     a, b, pa, pb = (v.copy() for v in edges[:4])
-    for _ in range(_MAX_BISECTIONS):
-        open_ = np.linalg.norm(b - a, axis=1) > refine_tol
+    for _ in range(64):
+        open_ = np.linalg.norm(b - a, axis=1) > REFINE_TOL
         if not open_.any():
             break
         mid = 0.5 * (a + b)
@@ -60,12 +66,6 @@ def reference_refine_edges(spec, edges, refine_tol=REFINE_TOL):
         b[move_b] = mid[move_b]
         pb[move_b] = pm[move_b]
     return np.stack([0.5 * (a + b), np.minimum(pa, pb), np.maximum(pa, pb)], axis=1)
-
-
-def trusted_finish(spec, edges):
-    """Whether regula falsi's finish of each bracket is trusted, as ``_refine_edges`` decides it."""
-    coarse = _bisect(spec, (*edges, np.zeros(len(edges[0]), dtype=int)), _FALSI_START)
-    return _regula_falsi(spec, coarse[0], coarse[1], coarse[4], coarse[5])[1]
 
 
 def fixture_case(name, resolution=None):
@@ -109,51 +109,43 @@ def assert_bit_identical(got, want):
 
 
 def assert_refines_like_bisection(spec, edges):
-    """Check every sample against the bisection's; returns which brackets fell back to bisection.
-
-    A sample lies within ``REFINE_TOL`` / 2 of the bisection's sample and
-    its feet within ``REFINE_TOL`` of the bisection's feet.  Where the
-    finish is trusted ``survey`` calls the sample AMBIGUOUS; elsewhere it is
-    the bisection's sample bit for bit, which may lie up to 5e-9 off the
-    locus and so be UNIQUE.
-    """
+    """Every sample lies within ``REFINE_TOL`` / 2 of the bisection's, its feet within ``REFINE_TOL``, and is AMBIGUOUS."""
     got, want = _refine_edges(spec, edges), reference_refine_edges(spec, edges)
     assert got.shape == want.shape
     assert np.all(np.linalg.norm(got[:, 0] - want[:, 0], axis=1) <= REFINE_TOL / 2)
     assert np.all(np.abs(got[:, 1:] - want[:, 1:]) <= REFINE_TOL)
-    fell_back = ~trusted_finish(spec, edges)
-    assert_bit_identical(got[fell_back], want[fell_back])
-    assert survey(spec, got[~fell_back, 0]).ambiguous.all()
-    return fell_back
+    assert survey(spec, got[:, 0]).ambiguous.all()
 
 
-# The one Voronoi set with a bracket whose regula falsi point has a third,
-# nearer site: the finish falls back to bisection there.
+# Three brackets of this Voronoi set end their first round of regula falsi
+# where a third site is strictly nearer, and take a second round.
 THIRD_ROW_SEED = 39
+
+
+def first_round(spec, edges):
+    """Each bracket's first regula falsi finish on its two end rows, and the row strictly nearer there or -1."""
+    return _regula_falsi(spec, edges[0], edges[1], edges[4], edges[5])
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_voronoi_point_sets_refine_as_one_loop_per_axis(seed):
     spec, edges = voronoi_case(seed)
     assert len(edges[0])
-    fell_back = assert_refines_like_bisection(spec, edges)
-    assert fell_back.sum() == (seed == THIRD_ROW_SEED)
+    assert_refines_like_bisection(spec, edges)
 
 
-def test_a_finish_with_a_nearer_third_row_falls_back_to_bisection(monkeypatch):
-    """Trusting every finish puts seed 39's guarded sample far off the Voronoi skeleton."""
-    sites = random_sites(THIRD_ROW_SEED)
+def test_a_finish_with_a_nearer_third_row_continues_to_a_sample_on_the_skeleton():
+    """Seed 39's first finishes lie off the Voronoi skeleton; the next round's samples lie on it."""
     spec, edges = voronoi_case(THIRD_ROW_SEED)
-    fell_back = ~trusted_finish(spec, edges)
-    skeleton = voronoi_medial_axis_2d(sites, WINDOW)
+    skeleton = voronoi_medial_axis_2d(random_sites(THIRD_ROW_SEED), WINDOW)
 
     def off_skeleton(x):
         return min(segment.distance_to(x) for segment in skeleton)
 
-    assert off_skeleton(_refine_edges(spec, edges)[fell_back][0, 0]) <= REFINE_TOL
-    finish = verify._regula_falsi
-    monkeypatch.setattr(verify, "_regula_falsi", lambda *args: (finish(*args)[0], np.ones(len(args[1]), dtype=bool)))
-    assert off_skeleton(_refine_edges(spec, edges)[fell_back][0, 0]) > 1e-5
+    first, nearer = first_round(spec, edges)
+    nearer = nearer >= 0
+    assert min(off_skeleton(x) for x in first[nearer]) > 1e-5
+    assert max(off_skeleton(x) for x in _refine_edges(spec, edges)[nearer, 0]) <= REFINE_TOL
 
 
 @pytest.mark.parametrize("name, resolution", [("verify_shells", 12), ("verify_shells", 16), ("verify_wide_window", None)])
@@ -164,27 +156,51 @@ def test_fixture_sets_refine_as_one_loop_per_axis(name, resolution):
     assert np.all(np.diff(axes) >= 0)  # axis by axis
     assert np.all(edges[4] != edges[5])  # ends on two different rows
     before = [v.tobytes() for v in edges]
-    assert not assert_refines_like_bisection(spec, edges).any()
+    assert_refines_like_bisection(spec, edges)
     assert [v.tobytes() for v in edges] == before  # the input is left as it was
 
 
+def certification_fails(spec, found):
+    """``certify_cover`` keeps every sample and reports a deviation beyond the coverage tolerance."""
+    report = certify_cover(spec, found, SlopeLattice())
+    return report["samples"] == len(found) and not report["pass"] and report["max_deviation"] > _COVERAGE_TOL
+
+
 def test_a_tolerance_no_bracket_reaches_stops_after_the_step_limit(monkeypatch):
-    """A bracket that reaches regula falsi's step cap is bisected, and bisection stops at its own cap."""
-    spec, edges = fixture_case("verify_wide_window")
-    want = reference_refine_edges(spec, edges)
-    monkeypatch.setattr(verify, "_MAX_FALSI_STEPS", 3)
-    monkeypatch.setattr(verify, "REFINE_TOL", 1e-300)
-    fell_back = ~trusted_finish(spec, edges)
-    assert 0 < fell_back.sum() < len(fell_back)
+    """With one regula falsi step allowed, every sample is its bracket's first secant point, off every tie."""
+    spec, edges = voronoi_case(THIRD_ROW_SEED)
+    uncapped = _refine_edges(spec, edges)
+    monkeypatch.setattr(verify, "_MAX_FALSI_STEPS", 1)
+    assert count_kernel_calls(monkeypatch, first_round, spec, edges)[0] == 2
     got = _refine_edges(spec, edges)
-    assert_bit_identical(got[fell_back], reference_refine_edges(spec, edges, 1e-300)[fell_back])
-    assert np.all(np.linalg.norm(got[:, 0] - want[:, 0], axis=1) <= REFINE_TOL / 2)
+    assert np.all(np.linalg.norm(got[:, 0] - uncapped[:, 0], axis=1) > REFINE_TOL)
+    assert not survey(spec, got[:, 0]).ambiguous.any()
+    assert certification_fails(spec, got)
+
+
+def test_a_bracket_at_the_round_cap_keeps_its_last_finish(monkeypatch):
+    """With one round allowed, seed 39's three brackets with a nearer third row keep their first finish."""
+    spec, edges = voronoi_case(THIRD_ROW_SEED)
+    uncapped = _refine_edges(spec, edges)
+    first, nearer = first_round(spec, edges)
+    nearer = nearer >= 0
+    monkeypatch.setattr(verify, "_MAX_ROUNDS", 1)
+    got = _refine_edges(spec, edges)
+    assert_bit_identical(got[:, 0], np.where(nearer[:, None], first, uncapped[:, 0]))
+    assert nearer.sum() == 3 and np.all(np.linalg.norm(got[nearer, 0] - uncapped[nearer, 0], axis=1) > REFINE_TOL)
+    assert not survey(spec, got[nearer, 0]).ambiguous.any()
+    assert certification_fails(spec, got)
 
 
 @pytest.mark.parametrize(
     "case",
-    [bisector_case, lambda: fixture_case("verify_wide_window"), lambda: fixture_case("verify_shells", 12)],
-    ids=["bisector", "verify_wide_window", "verify_shells-12"],
+    [
+        bisector_case,
+        lambda: fixture_case("verify_wide_window"),
+        lambda: fixture_case("verify_shells", 12),
+        lambda: voronoi_case(THIRD_ROW_SEED),
+    ],
+    ids=["bisector", "verify_wide_window", "verify_shells-12", f"voronoi-{THIRD_ROW_SEED}"],
 )
 def test_a_bracket_refines_the_same_in_any_subset_or_order_of_its_batch(case):
     spec, edges = case()
@@ -224,42 +240,34 @@ def count_kernel_calls(monkeypatch, refine, *args):
     return calls["row_distances"], calls["project_rows"]
 
 
-# Coarse bisection steps of each axis: from a grid edge down to _FALSI_START.
-# On [-2, 2]^3 every axis has the same grid step, so its brackets take as
-# many steps; on [-2, 2] x [-1, 1] the x edges are twice as long and take one
-# step more than the y edges.  The lockstep loop takes the steps of the
-# slowest axis, each with one distance and one projection call; regula falsi
-# projects only its final points, with two calls.  A tolerance of 1e-300 and
-# no regula falsi step send every bracket on to the bisection step limit.
-STEPS = [
-    ("verify_shells", 12, None, [6, 6, 6]),
-    ("verify_shells", 16, None, [5, 5, 5]),
-    ("verify_wide_window", None, None, [5, 4]),
-    ("verify_shells", 12, 1e-300, [6, 6, 6]),
-]
+# Regula falsi steps of the slowest bracket of each batch, from its grid edge.
+# A round makes one ``row_distances`` call for both ends of every bracket and
+# one per step of its slowest bracket, and projects nothing; a batch whose
+# finishes have no nearer third row takes one round and then projects each
+# sample onto its two rows.
+STEPS = [("verify_shells", 12, 7), ("verify_shells", 16, 7), ("verify_wide_window", None, 7)]
 
 
-@pytest.mark.parametrize("name, resolution, tol, per_axis", STEPS, ids=[f"{s[0]}-{s[1]}-{s[2]}" for s in STEPS])
-def test_one_distance_call_per_step_of_the_slowest_axis(name, resolution, tol, per_axis, monkeypatch):
+@pytest.mark.parametrize("name, resolution, slowest", STEPS, ids=[f"{s[0]}-{s[1]}" for s in STEPS])
+def test_one_distance_call_per_round_and_per_falsi_step(name, resolution, slowest, monkeypatch):
     spec, edges = fixture_case(name, resolution)
-    axes = np.argmax(np.abs(edges[1] - edges[0]), axis=1)
-    alone = [
-        count_kernel_calls(monkeypatch, reference_refine_edges, spec, rows_of(edges, axes == k), _FALSI_START)[0]
-        for k in range(spec.dimension)
-    ]
-    assert alone == per_axis
-    steps = max(per_axis)
-    brackets = (*edges, np.zeros(len(axes), dtype=int))
-    assert count_kernel_calls(monkeypatch, _bisect, spec, brackets, _FALSI_START) == (steps, steps)
-    coarse = _bisect(spec, brackets, _FALSI_START)
-    falsi = count_kernel_calls(monkeypatch, _regula_falsi, spec, coarse[0], coarse[1], coarse[4], coarse[5])
-    assert falsi[1] == 0  # regula falsi projects nothing
-    if tol:
-        monkeypatch.setattr(verify, "REFINE_TOL", tol)
-        monkeypatch.setattr(verify, "_MAX_FALSI_STEPS", 0)
-        assert count_kernel_calls(monkeypatch, _refine_edges, spec, edges) == (_MAX_BISECTIONS + 1, _MAX_BISECTIONS + 2)
-    else:
-        assert count_kernel_calls(monkeypatch, _refine_edges, spec, edges) == (steps + falsi[0], steps + 2)
+    assert not (first_round(spec, edges)[1] >= 0).any()
+    alone = [count_kernel_calls(monkeypatch, first_round, spec, rows_of(edges, [k])) for k in range(len(edges[0]))]
+    assert all(projected == 0 for _, projected in alone)
+    assert max(calls for calls, _ in alone) == 1 + slowest
+    assert count_kernel_calls(monkeypatch, first_round, spec, edges) == (1 + slowest, 0)
+    assert count_kernel_calls(monkeypatch, _refine_edges, spec, edges) == (1 + slowest, 2)
+
+
+def test_a_second_round_adds_its_own_steps_and_one_projection(monkeypatch):
+    """Seed 39: the second round's calls are those of its three brackets alone, plus the projection onto the nearer row."""
+    spec, edges = voronoi_case(THIRD_ROW_SEED)
+    nearer = rows_of(edges, first_round(spec, edges)[1] >= 0)
+    both_alone = count_kernel_calls(monkeypatch, _refine_edges, spec, nearer)
+    second_round = both_alone[0] - count_kernel_calls(monkeypatch, first_round, spec, nearer)[0]
+    assert both_alone[1] == 1 + 2
+    first = count_kernel_calls(monkeypatch, first_round, spec, edges)[0]
+    assert count_kernel_calls(monkeypatch, _refine_edges, spec, edges) == (first + second_round, 1 + 2)
 
 
 def per_sample(config, found):
@@ -290,6 +298,20 @@ def certified_points(config):
     return np.array([r["point"] for r in report["records"]]).reshape(-1, config.set_spec.dimension), report
 
 
+def set_records(config_path):
+    """The primitive records of a config's set, inline or in the file that it names."""
+    described = json.loads(Path(config_path).read_text())["set"]
+    if isinstance(described, str):
+        described = json.loads((Path(config_path).parent / described).read_text())
+    return described["primitives"]
+
+
+def assert_all_ambiguous(spec, records, points):
+    """``survey`` and the record-by-record ``reference.nearest_points`` both call every point AMBIGUOUS."""
+    assert survey(spec, points).ambiguous.all()
+    assert all(reference.nearest_points(records, x).classification == Classification.AMBIGUOUS for x in points)
+
+
 WORKLOAD_SEEDS = [(w, s) for w in ("points2d", "polygon2d", "shells3d") for s in (1, 303)]
 
 
@@ -297,7 +319,7 @@ WORKLOAD_SEEDS = [(w, s) for w in ("points2d", "polygon2d", "shells3d") for s in
 def test_every_certified_sample_of_a_fixture_is_ambiguous(name):
     config, _ = load_config(FIXTURES / f"{name}.json")
     points, _ = certified_points(config)
-    assert survey(config.set_spec, points).ambiguous.all()
+    assert_all_ambiguous(config.set_spec, set_records(FIXTURES / f"{name}.json"), points)
 
 
 @pytest.mark.parametrize("workload, seed", WORKLOAD_SEEDS, ids=[f"{w}-{s}" for w, s in WORKLOAD_SEEDS])
@@ -305,7 +327,40 @@ def test_every_certified_sample_of_a_workload_is_ambiguous(workload, seed, tmp_p
     config = workload_config(workload, seed, tmp_path, monkeypatch)
     points, _ = certified_points(config)
     assert len(points) > 10
-    assert survey(config.set_spec, points).ambiguous.all()
+    assert_all_ambiguous(config.set_spec, set_records(tmp_path / "verify.json"), points)
+
+
+def random_mixed_set(seed):
+    """2 to 4 points, segments, circles and polygon loops, each around a centre c in [-1.2, 1.2]^2."""
+    rng = np.random.default_rng(seed)
+    records = []
+    for _ in range(int(rng.integers(2, 5))):
+        kind = ("point", "segment", "circle", "polygon")[int(rng.integers(4))]
+        c = rng.uniform(-1.2, 1.2, 2)
+        if kind == "point":
+            records.append({"type": "point", "coords": c.tolist()})
+        elif kind == "segment":
+            records.append({"type": "segment", "a": c.tolist(), "b": (c + rng.uniform(-1.0, 1.0, 2)).tolist()})
+        elif kind == "circle":
+            records.append({"type": "ball", "center": c.tolist(), "radius": float(rng.uniform(0.2, 0.8))})
+        else:
+            count = int(rng.integers(3, 7))
+            angles, radii = np.sort(rng.uniform(0.0, 2.0 * np.pi, count)), rng.uniform(0.3, 0.9, count)
+            vertices = c + radii[:, None] * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+            records.append({"type": "polygon", "vertices": vertices.tolist()})
+    return records
+
+
+# Some edges of these sets cross a third row's region, where their two end
+# rows tie at a point that the third row is nearer to.
+@pytest.mark.parametrize("seed", range(1000, 1040))
+def test_every_certified_sample_of_a_random_mixed_set_is_ambiguous(seed):
+    records = random_mixed_set(seed)
+    spec = ClosedSetSpec(records, 2)
+    found = detect_ambiguous(spec, Window([-2.0, -2.0], [2.0, 2.0]), 33)
+    report = certify_cover(spec, found, SlopeLattice())
+    assert report["samples"] > 10
+    assert_all_ambiguous(spec, records, np.array([r["point"] for r in report["records"]]))
 
 
 # Both ends of an edge next to a shell centre have the shell as their nearest
