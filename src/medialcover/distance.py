@@ -2,25 +2,19 @@
 
 Every query runs on the set's packed capsule rows (see
 :mod:`medialcover.geometry`).  ``survey`` is the package's classifying
-query, behind the grid sweep, the ambiguity detector's grid and the
-single-point query ``nearest_points``: per query point it returns the
-distance, one nearest point and its packed row (the first row at the
-minimum), and the classification as lying in the set, having a unique
-nearest point, or being ambiguous.  Callers that need no classification
-read ``ClosedSetSpec.row_distances`` directly: the detector's refinement,
-the lift of :mod:`medialcover.convex` and
-``parse_config``'s reach check.  ``survey`` measures every row; only query
-points with two or more rows within ``TIE_TOLERANCE`` (1e-9) of the
-minimum, or at the exact centre of a shell, get projections onto those
-rows, and such a point is ambiguous when one tied projection lies more than
-``SEPARATION`` (1e-6) from the first.  The two are constants of the method;
-``survey`` and ``nearest_points`` take them as parameters that default to
-them.
-
-Each query point also gets its foot box: the coordinatewise minimum and
-maximum of its nearest points.  Where no row ties it is the one projection;
-at the exact centre of a shell it spans centre -+ R on every axis, because
-the whole shell is nearest.
+query, behind the grid sweep and the single-point query
+``nearest_points``: per query point it returns the distance, one nearest
+point (its projection onto the first row at the minimum), and the
+classification as lying in the set, having a unique nearest point, or being
+ambiguous.  Callers that need no classification read
+``ClosedSetSpec.row_distances`` directly: the ambiguity detector, the lift
+of :mod:`medialcover.convex` and ``parse_config``'s reach check.
+``survey`` measures every row; only query points with two or more rows
+within ``TIE_TOLERANCE`` (1e-9) of the minimum, or at the exact centre of a
+shell, get projections onto those rows, and such a point is ambiguous when
+one tied projection lies more than ``SEPARATION`` (1e-6) from the first.
+The two are constants of the method; ``survey`` and ``nearest_points`` take
+them as parameters that default to them.
 
 ``grid_sweep`` adds, on every grid node off the set, the gradient
 (x - q) / d(x) of the distance field, q being the survey's projection.  It
@@ -80,17 +74,10 @@ class NearestResult:
 
 @dataclass(frozen=True, eq=False)
 class Survey:
-    """Distance, one nearest point, the foot box (``foot_lo``, ``foot_hi``) and the class of each query point.
-
-    ``row`` is the packed row of ``projection``: the first row at the minimum
-    distance, the ``row_distances`` argmin.
-    """
+    """Distance, one nearest point and the class of each query point."""
 
     distance: np.ndarray
-    row: np.ndarray
     projection: np.ndarray
-    foot_lo: np.ndarray
-    foot_hi: np.ndarray
     in_set: np.ndarray
     ambiguous: np.ndarray
 
@@ -114,7 +101,6 @@ def survey(
 ) -> Survey:
     """Classify a batch of query points (N, n) by the tie rule of the module docstring."""
     table = spec.row_distances(pts)
-    best = table.argmin(axis=0)
     d = np.minimum.reduce(table, axis=0)
     in_set = d <= tie_tolerance
     tied = table <= d + tie_tolerance
@@ -123,8 +109,7 @@ def survey(
         centre[k] = np.all(pts == spec.starts[k], axis=1)
     check = np.flatnonzero(((tied.sum(axis=0) >= 2) | (tied & centre).any(axis=0)) & ~in_set)
     ambiguous = np.zeros(len(d), dtype=bool)
-    projection = spec.project_rows(pts, best)
-    foot_lo, foot_hi = projection.copy(), projection.copy()
+    projection = spec.project_rows(pts, table.argmin(axis=0))
     if len(check):
         # (query, row) pairs in query order, rows ascending within each query.
         query, rows = np.nonzero(tied[:, check].T)
@@ -134,13 +119,7 @@ def survey(
         apart = np.linalg.norm(cands - ref, axis=1) > separation
         at_centre = centre[rows, check[query]]
         ambiguous[check] = np.logical_or.reduceat(apart | at_centre, first)
-        foot_lo[check] = np.minimum.reduceat(cands, first)
-        foot_hi[check] = np.maximum.reduceat(cands, first)
-        hit, shell = check[query[at_centre]], rows[at_centre]
-        radius = spec.radii[shell][:, None]
-        np.minimum.at(foot_lo, hit, spec.starts[shell] - radius)
-        np.maximum.at(foot_hi, hit, spec.starts[shell] + radius)
-    return Survey(d, best, projection, foot_lo, foot_hi, in_set, ambiguous)
+    return Survey(d, projection, in_set, ambiguous)
 
 
 def nearest_points(

@@ -1,18 +1,17 @@
 """End-to-end certification that detected ambiguous points are covered.
 
-``detect_ambiguous`` surveys a window grid with the packed kernel of
-:func:`medialcover.distance.survey` (a polygon loop is one segment row per
-edge there), keeps the grid nodes it classifies as ambiguous, and flags the
-edges whose endpoints have different nearest rows and project to genuinely
-different branches of the set.  Illinois regula falsi on the difference of
-the distances to its two end rows takes each flagged edge to the point where
-the two rows tie to within a few ulp, with no projection.  Where a third row
-is strictly nearer there, the edge passes through that row's region, and a
-next round follows it on one half of the bracket.  The flagged edges of all
-axes form one batch that shares each lockstep loop, and each bracket stops
-on its own tests.  Every sample carries its feet as a box: the
-coordinatewise minimum and maximum of its nearest points, from the survey
-for a grid node and from its two rows for a refined point.
+``detect_ambiguous`` reads the nearest row and its foot at every node of a
+window grid from the set's packed rows (a polygon loop is one segment row
+per edge there), and flags the grid edges whose endpoints have different
+nearest rows with feet on genuinely different branches of the set.
+Illinois regula falsi on the difference of the distances to its two end rows
+takes each flagged edge to the point where the two rows tie to within a few
+ulp, with no projection.  Where a third row is strictly nearer there, the
+edge passes through that row's region, and a next round follows it on one
+half of the bracket.  The flagged edges of all axes form one batch that
+shares each lockstep loop, and each bracket stops on its own tests.  Every
+sample is such a refined point, and carries its feet as a box: the
+coordinatewise minimum and maximum of its projections onto its two rows.
 ``certify_cover`` then runs the detected samples through the convex-lift
 pipeline: the derivative-gap witness read off the feet, covering graph
 (axis, alpha, beta), vertical deviation, and the marginal-value identities,
@@ -27,7 +26,7 @@ import numpy as np
 
 from .convex import SlopeLattice, asplund_lift, marginal_inf_rows, nondiff_witnesses
 from .cover import graph_coordinate, graph_key
-from .distance import _float_columns, survey, write_csv
+from .distance import _float_columns, write_csv
 from .geometry import ClosedSetSpec, Window
 
 __all__ = [
@@ -35,18 +34,12 @@ __all__ = [
     "certify_cover",
     "write_samples_csv",
     "write_overlay_svg",
-    "REFINE_TOL",
 ]
 
-# The tests' bound on a sample's distance to the locus; ``verify`` does not read
-# it, and ``config.ScenarioConfig.refine_tol`` gives it to the benchmark oracle.
-REFINE_TOL = 1e-8
 # A sample is covered when its graph passes within this vertical distance of it.
 _COVERAGE_TOL = 1e-6
-# A flagged edge has an endpoint whose projection is suboptimal for the other
-# endpoint by more than _JUMP_FRACTION edge lengths, and its two projections
-# lie more than _SEPARATION_FACTOR edge lengths apart.
-_JUMP_FRACTION = 0.25
+# The two projections of a flagged edge lie more than _SEPARATION_FACTOR edge
+# lengths apart.
 _SEPARATION_FACTOR = 4.0
 # At most this many rounds of regula falsi per flagged edge; each round after
 # the first follows a row that is strictly nearer at the last round's finish.
@@ -59,31 +52,28 @@ _FALSI_ULPS = 4
 
 
 def _flagged_edges(spec, window, resolution):
-    """Grid survey returning directly ambiguous nodes, with their feet, and branch-crossing edges.
+    """The grid edges that cross from one branch of the set to another, as one batch.
 
-    An edge is a branch crossing when its two endpoints have different
-    nearest rows, one endpoint's projection is clearly suboptimal for the
-    other endpoint (more than ``_JUMP_FRACTION`` edge lengths) AND the two
-    projections are separated by more than ``_SEPARATION_FACTOR`` edge
-    lengths.  Within one row the foot is unique, except at a shell's centre,
-    so an edge whose ends share a nearest row holds no crossing of two rows.
-    The last condition rejects the tangential projection drift that any curve
-    primitive induces on edges running parallel to it, which is not a branch
-    change.  The edges come as one batch ``(a, b, proj_a, proj_b, row_a,
-    row_b)`` of (K, n) points and (K,) packed rows, axis by axis in grid
-    order; K is 0 when no edge is flagged.
+    Each grid node's nearest row is the first row at the minimum of
+    ``row_distances``, and its foot is its projection onto that row.  An edge
+    is flagged when its two endpoints have different nearest rows AND their
+    feet lie more than ``_SEPARATION_FACTOR`` edge lengths apart.  Within one
+    row the foot is unique, except at a shell's centre, so an edge whose ends
+    share a nearest row holds no crossing of two rows.  The separation test
+    rejects the tangential projection drift that any curve primitive induces
+    on edges running parallel to it, which is not a branch change.  The edges
+    come as one batch ``(a, b, proj_a, proj_b, row_a, row_b)`` of (K, n)
+    points and (K,) packed rows, axis by axis in grid order; K is 0 when no
+    edge is flagged.
     """
     n = spec.dimension
     axes = window.axes(resolution)
     pts = window.grid_points(resolution)
-    surveyed = survey(spec, pts)
-    hit = surveyed.ambiguous
-    direct = np.stack([pts[hit], surveyed.foot_lo[hit], surveyed.foot_hi[hit]], axis=1)
+    nearest = spec.row_distances(pts).argmin(axis=0)
 
     shape = (resolution,) * n
-    D = surveyed.distance.reshape(shape)
-    P = surveyed.projection.reshape(shape + (n,))
-    R = surveyed.row.reshape(shape)
+    P = spec.project_rows(pts, nearest).reshape(shape + (n,))
+    R = nearest.reshape(shape)
     X = pts.reshape(shape + (n,))
 
     parts = []  # (a, b, proj_a, proj_b, row_a, row_b) of each axis
@@ -95,17 +85,11 @@ def _flagged_edges(spec, window, resolution):
         sa, sb = tuple(sl_a), tuple(sl_b)
         xa, xb = X[sa], X[sb]
         pa, pb = P[sa], P[sb]
-        da, db = D[sa], D[sb]
         ra, rb = R[sa], R[sb]
-        # How suboptimal is each endpoint's projection for the other endpoint?
-        sub_ab = np.linalg.norm(xb - pa, axis=-1) - db
-        sub_ba = np.linalg.norm(xa - pb, axis=-1) - da
         step = axes[k][1] - axes[k][0]
-        branch_gap = np.linalg.norm(pa - pb, axis=-1)
-        flag = (np.maximum(sub_ab, sub_ba) > _JUMP_FRACTION * step) & (branch_gap > _SEPARATION_FACTOR * step)
-        flag &= ra != rb
+        flag = (ra != rb) & (np.linalg.norm(pa - pb, axis=-1) > _SEPARATION_FACTOR * step)
         parts.append(tuple(v[flag] for v in (xa, xb, pa, pb, ra, rb)))
-    return direct, tuple(np.concatenate(column) for column in zip(*parts))
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def _regula_falsi(spec, a, b, ra, rb):
@@ -190,17 +174,17 @@ def _refine_edges(spec, edges):
 def detect_ambiguous(spec: ClosedSetSpec, window: Window, resolution: int) -> np.ndarray:
     """Sample points of the ambiguous locus found on a window grid, with their feet.
 
-    The samples are the directly ambiguous grid nodes plus one refined
-    point per grid edge whose endpoints have different nearest rows and
-    project to different branches of the set, in deterministic grid order
-    (see :func:`_refine_edges`).  Returns one
-    (K, 3, n) array: ``[:, 0]`` is the sample, ``[:, 1]`` and ``[:, 2]`` the
-    coordinatewise minimum and maximum of its feet.
+    The samples are one refined point per grid edge whose endpoints have
+    different nearest rows and project to different branches of the set, in
+    deterministic grid order (see :func:`_flagged_edges` and
+    :func:`_refine_edges`).  A grid node is never a sample itself, so a
+    shell's centre is not sampled.  Returns one (K, 3, n) array: ``[:, 0]``
+    is the sample, ``[:, 1]`` and ``[:, 2]`` the coordinatewise minimum and
+    maximum of its feet.
     """
     if resolution < 8:
         raise ValueError("grid resolution must be at least 8 per axis")
-    direct, edges = _flagged_edges(spec, window, resolution)
-    return np.concatenate([direct, _refine_edges(spec, edges)])
+    return _refine_edges(spec, _flagged_edges(spec, window, resolution))
 
 
 def certify_cover(spec: ClosedSetSpec, found: np.ndarray, lattice: SlopeLattice) -> dict:

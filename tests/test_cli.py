@@ -99,7 +99,7 @@ GOLDEN = {
     ("verify", "verify_two_point_corrupt"): "9c3f6b8ddcca7601c06f9f52e3f687a00698d5608412300bc5782d738ff603d3",
     ("cover", "cover_two_point"): "9fd6f25d84666c6d4538c9436a46e6516cdcef65147a2c4c398e5c6b640806a4",
     # A 3-D set, and a window whose two axes have different grid steps.
-    ("verify", "verify_shells"): "c512c9d0f91239a63edeeb7f11cd2d5a4d1e8289f10cc53e2e9350d71bfac2b5",
+    ("verify", "verify_shells"): "2b2da0099e02ccc69ac4b2ec6cde11de2d5b7975fb5a57ef99b9fa8a2d692ca4",
     ("cover", "cover_shells"): "8341a96f19e531073038f32f1211b2d45be27ec5b5eecf0b36ad22c9d882baf1",
     ("verify", "verify_wide_window"): "4961541b0b531411f4bbeddfd70c2f134e915901f26c639eefa4a98e9f82d3ea",
     # A polygon loop: a six-vertex star, whose rows are all segments.
@@ -162,13 +162,13 @@ def test_csv_bytes_match_their_golden_digest(command, fixture, tmp_path, capsys)
 # `verify` and `cover` go through the marginal-infimum searches.
 WORKLOAD_SEED = 303
 GOLDEN_WORKLOADS = {
-    ("verify", "points2d"): (0, "bad6e433c86785498289e8c621cb1fc16dea3de11f255ecf3fce529be1e92e73"),
+    ("verify", "points2d"): (0, "6cbab8ce8553277d760f783aab7f425de83fe79ac1085a57de9459394c6423f9"),
     ("verify", "polygon2d"): (0, "73ad65aeb338bed98203bfbecd2cad2cd69ccec6de6ad36cd3683081294b9341"),
     # No edge next to the sphere's centre is flagged: both its ends have the sphere as nearest row.
-    ("verify", "shells3d"): (0, "a2a852fe5e44ca308e760a8cd4faa165d2c069febc9b272afa384228a966eeea"),
-    ("cover", "points2d"): (0, "b04092eb856652e256dbe06d31abd6c8d66a32c8c479c8bb0a4302f4f33dd45e"),
+    ("verify", "shells3d"): (0, "a82cb31e1241c7b8314d7a28d2227d67227680d7e5c9dba9631bed7ffe55e3fe"),
+    ("cover", "points2d"): (0, "a6251b32436ce12e2804fd04c7ba9001c6fa8d8ed5e7d5b972c5b9430012ab6f"),
     ("cover", "polygon2d"): (0, "2862657c107b349470c3a98f13c1ac313ab08d908b1d245137378128bfab1dbd"),
-    ("cover", "shells3d"): (0, "dcad837dab23c584bfeae461c146f244a119453ad3a34db6a149ded0945d5269"),
+    ("cover", "shells3d"): (0, "935de11231e8e24ac8a7e64a27a650adc52255d25d75944db4cb8eff0990c508"),
     # `analyze` also pins its grid table.  Its report names the table by the
     # path given on the command line, so both are written under fixed
     # relative names.  The shells3d grid, 24**3 = 13,824 rows, is symmetric,

@@ -64,7 +64,7 @@ def test_an_empty_family_serializes_to_nothing():
 # The family spans every axis, so it holds the witness graph of every sample
 # whose derivative gap the cover lattice resolves.  The fixtures, then the
 # benchmark workloads at seed 303.
-WITNESSES = {"cover_two_point": 64, "cover_star": 1, "cover_shells": 21, "points2d": 33, "polygon2d": 1, "shells3d": 13}
+WITNESSES = {"cover_two_point": 64, "cover_star": 1, "cover_shells": 21, "points2d": 35, "polygon2d": 1, "shells3d": 14}
 
 
 @pytest.mark.parametrize("name, count", list(WITNESSES.items()), ids=list(WITNESSES))

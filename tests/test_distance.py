@@ -314,20 +314,19 @@ def test_project_returns_a_nearest_point():
 
 @pytest.mark.parametrize("spec", [TWO_POINTS, THREE_POINTS, CIRCLE, SHELLS], ids=["two-points", "three-points", "circle", "shells"])
 def test_the_survey_row_is_the_first_row_at_the_minimum(spec):
+    """The survey's nearest point is the projection onto the first row at the minimum distance."""
     rng = np.random.default_rng(7)
     window = WINDOW if spec.dimension == 2 else WINDOW3
     # Random points, the grid (whose middle axis value is 0 on both axes:
     # exact ties on every bisector through the origin) and the set's own rows.
     pts = np.concatenate([window.sample(rng, 300), window.grid_points(9 if spec.dimension == 2 else 5), spec.starts])
-    surveyed = survey(spec, pts)
-    assert surveyed.row.dtype.kind == "i"
-    assert surveyed.row.tolist() == spec.row_distances(pts).argmin(axis=0).tolist()
-    assert np.array_equal(surveyed.projection, spec.project_rows(pts, surveyed.row))
+    first = spec.row_distances(pts).argmin(axis=0)
+    assert np.array_equal(survey(spec, pts).projection, spec.project_rows(pts, first))
 
 
 def test_the_survey_row_of_an_exact_tie_is_the_first():
-    assert survey(TWO_POINTS, np.array([[0.0, 0.0], [0.0, 1.5]])).row.tolist() == [0, 0]
-    assert survey(THREE_POINTS, np.array([[0.5, 0.5]])).row.tolist() == [0]
+    assert survey(TWO_POINTS, np.array([[0.0, 0.0], [0.0, 1.5]])).projection.tolist() == [[-1.0, 0.0]] * 2
+    assert survey(THREE_POINTS, np.array([[0.5, 0.5]])).projection.tolist() == [THREE_POINTS.starts[0].tolist()]
 
 
 # ROADMAP item 3: a tie measured as a length.  At the `polygon2d` node

@@ -21,14 +21,13 @@ import pytest
 
 import reference
 from medialcover import Classification
-from medialcover.config import load_config
+from medialcover.config import ScenarioConfig, load_config
 from medialcover.convex import SlopeLattice, nondiff_witnesses
 from medialcover.distance import survey
 from medialcover.geometry import ClosedSetSpec, Window
 from medialcover import verify
 from medialcover.verify import (
     _COVERAGE_TOL,
-    REFINE_TOL,
     _flagged_edges,
     _refine_edges,
     _regula_falsi,
@@ -41,6 +40,7 @@ from voronoi_oracle import voronoi_medial_axis_2d
 FIXTURES = Path(__file__).parent / "fixtures"
 ROOT = Path(__file__).resolve().parent.parent
 VERIFY_FIXTURES = sorted(path.stem for path in FIXTURES.glob("verify_*.json"))
+REFINE_TOL = ScenarioConfig.refine_tol
 
 
 def reference_refine_edges(spec, edges):
@@ -71,13 +71,13 @@ def reference_refine_edges(spec, edges):
 def fixture_case(name, resolution=None):
     """Set and flagged edges of a fixture config, at its own or another resolution."""
     config, _ = load_config(FIXTURES / f"{name}.json")
-    _, edges = _flagged_edges(config.set_spec, config.window, resolution or config.grid_resolution)
+    edges = _flagged_edges(config.set_spec, config.window, resolution or config.grid_resolution)
     return config.set_spec, edges
 
 
 def voronoi_case(seed):
     spec = ClosedSetSpec([{"type": "point", "coords": p} for p in random_sites(seed)], 2)
-    _, edges = _flagged_edges(spec, WINDOW, 32)
+    edges = _flagged_edges(spec, WINDOW, 32)
     return spec, edges
 
 
@@ -214,7 +214,7 @@ def test_a_bracket_refines_the_same_in_any_subset_or_order_of_its_batch(case):
 
 def test_no_flagged_edges_refine_to_nothing():
     spec = ClosedSetSpec([{"type": "point", "coords": [0.0, 0.0]}], 2)
-    _, edges = _flagged_edges(spec, Window([-1.0, -1.0], [1.0, 1.0]), 16)
+    edges = _flagged_edges(spec, Window([-1.0, -1.0], [1.0, 1.0]), 16)
     assert [v.shape for v in edges] == [(0, 2)] * 4 + [(0,)] * 2
     assert_bit_identical(_refine_edges(spec, edges), np.empty((0, 3, 2)))
     assert_bit_identical(reference_refine_edges(spec, edges), np.empty((0, 3, 2)))
@@ -374,6 +374,33 @@ def test_no_sample_is_left_unresolved_at_a_shell_centre(case, tmp_path, monkeypa
         config = workload_config("shells3d", 303, tmp_path, monkeypatch)
     _, report = certified_points(config)
     assert (report["unresolved"], report["unresolved_points"]) == (0, [])
+
+
+# At these `polygon2d` grid nodes (indices on the 32-node axes) the two
+# edges through a vertex lie within TIE_TOLERANCE in distance, so `survey`
+# calls each node AMBIGUOUS (see test_distance's false-tie xfail).  No grid
+# node is a sample, so neither node is one, and nothing is left unresolved.
+FALSE_TIES = [(2, (28, 18)), (29, (23, 1))]
+
+
+@pytest.mark.parametrize("seed, node", FALSE_TIES, ids=[f"polygon2d-{seed}" for seed, _ in FALSE_TIES])
+def test_a_false_tie_at_a_grid_node_is_not_a_sample(seed, node, tmp_path, monkeypatch):
+    config = workload_config("polygon2d", seed, tmp_path, monkeypatch)
+    axis = config.window.axes(config.grid_resolution)[0]
+    x = np.array([axis[node[0]], axis[node[1]]])
+    assert survey(config.set_spec, x[None]).ambiguous[0]
+    found = detect_ambiguous(config.set_spec, config.window, config.grid_resolution)
+    assert not np.all(found[:, 0] == x, axis=1).any()
+    report = certify_cover(config.set_spec, found, config.lattice)
+    assert (report["unresolved"], report["unresolved_points"]) == (0, [])
+
+
+def test_each_node_on_a_bisector_is_sampled_once():
+    """Grid 33 puts a node column on the bisector x0 = 0 of (-1, 0) and (1, 0): one sample per node."""
+    spec = ClosedSetSpec([{"type": "point", "coords": [-1.0, 0.0]}, {"type": "point", "coords": [1.0, 0.0]}], 2)
+    samples = detect_ambiguous(spec, Window([-2.0, -2.0], [2.0, 2.0]), 33)[:, 0]
+    assert len(samples) == len(np.unique(samples, axis=0)) == 33
+    assert np.all(samples[:, 0] == 0.0)
 
 
 def test_a_polygon_and_its_edges_as_segments_give_the_same_samples():

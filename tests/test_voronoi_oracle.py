@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from medialcover.geometry import ClosedSetSpec, Window
-from medialcover.verify import REFINE_TOL, detect_ambiguous
+from medialcover.config import ScenarioConfig
+from medialcover.verify import detect_ambiguous
 from voronoi_oracle import voronoi_medial_axis_2d
 
 WINDOW = Window([-2.0, -2.0], [2.0, 2.0])
@@ -38,6 +39,6 @@ def test_detected_samples_lie_on_the_voronoi_skeleton(seed):
     for x in samples:
         gaps = [seg.distance_to(x) for seg in skeleton]
         nearest = skeleton[int(np.argmin(gaps))]
-        assert min(gaps) <= REFINE_TOL
+        assert min(gaps) <= ScenarioConfig.refine_tol
         dists = np.linalg.norm(sites - x, axis=1)
         assert np.all(dists[list(nearest.sites)] - dists.min() <= 1e-7)
