@@ -12,7 +12,8 @@ its x_i from the two marginal values.  On the window grid with the graph's
 axis left out, :func:`cover_family_to_dict` computes g_s once per (axis,
 slope) of a family, all of them in one batched search
 (:func:`medialcover.convex.marginal_inf_rows`), and every graph with that
-slope reads its row.
+slope reads its row; :func:`graph_coordinate` takes a graph's two rows as
+arrays, so each graph's grid is built in one call, with no loop over nodes.
 """
 
 from __future__ import annotations
@@ -43,8 +44,12 @@ def graph_key(axis: int, alpha: float, beta: float) -> str:
     return f"axis{axis}:{alpha:g}:{beta:g}"
 
 
-def graph_coordinate(alpha: float, beta: float, value_alpha: float, value_beta: float) -> float:
-    """The graph coordinate x_axis from the two marginal values at a node; adding 0.0 turns a -0.0 into 0.0."""
+def graph_coordinate(alpha: float, beta: float, value_alpha: float | np.ndarray, value_beta: float | np.ndarray) -> float | np.ndarray:
+    """The graph coordinate x_axis from the two marginal values at a node, or at each node of two arrays.
+
+    Plain float arithmetic, so an array gives the scalar call's bits at every
+    node; adding 0.0 turns a -0.0 into 0.0.
+    """
     return (value_alpha - value_beta) / (beta - alpha) + 0.0
 
 
@@ -74,12 +79,11 @@ def cover_family_to_dict(field: Callable[[np.ndarray], np.ndarray], graphs, wind
     points = np.concatenate([np.insert(rest[axis], axis, 0.0, axis=1) for axis, _ in keys])
     axes = np.repeat([axis for axis, _ in keys], count)
     slopes = np.repeat([slope for _, slope in keys], count)
-    values = marginal_inf_rows(field, axes, slopes, points).reshape(len(keys), count).tolist()
-    rows = dict(zip(keys, values))
+    rows = dict(zip(keys, marginal_inf_rows(field, axes, slopes, points).reshape(len(keys), count)))
 
     out = []
     for axis, alpha, beta in graphs:
-        pairs = zip(rest[axis], rows[axis, alpha], rows[axis, beta])
-        grid = [[*node.tolist(), graph_coordinate(alpha, beta, va, vb)] for node, va, vb in pairs]
+        coordinates = graph_coordinate(alpha, beta, rows[axis, alpha], rows[axis, beta])
+        grid = np.column_stack([rest[axis], coordinates]).tolist()
         out.append({"axis": axis, "alpha": alpha, "beta": beta, "grid": grid})
     return out

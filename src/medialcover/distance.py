@@ -159,14 +159,22 @@ class GridSweep:
 SWEEP_BLOCK_NODES = 4096
 
 
-def grid_sweep(spec: ClosedSetSpec, window: Window, resolution: int) -> GridSweep:
-    """Survey the grid nodes block by block into preallocated arrays.
+def _sweep_blocks(spec: ClosedSetSpec, count: int) -> list[slice]:
+    """The blocks of ``count`` grid nodes that a sweep works on, in node order.
 
     A block is the largest whole number of the kernel's row blocks (see
     ``ClosedSetSpec.row_distances``) that holds at most ``SWEEP_BLOCK_NODES``
-    nodes, so no block leaves a short row block behind.  Each node's values
-    depend on that node alone, so the block size does not change a bit of
-    the result.
+    nodes, so no block leaves a short row block behind.
+    """
+    size = max(1, SWEEP_BLOCK_NODES // spec._block) * spec._block
+    return [slice(lo, lo + size) for lo in range(0, count, size)]
+
+
+def grid_sweep(spec: ClosedSetSpec, window: Window, resolution: int) -> GridSweep:
+    """Survey the grid nodes block by block (see :func:`_sweep_blocks`) into preallocated arrays.
+
+    Each node's values depend on that node alone, so the block size does not
+    change a bit of the result.
     """
     if resolution < 2:
         raise ValueError("grid resolution must be at least 2")
@@ -175,9 +183,7 @@ def grid_sweep(spec: ClosedSetSpec, window: Window, resolution: int) -> GridSwee
     values = np.empty(count)
     gradients = np.empty((count, n))
     classes = np.empty(count, dtype=np.int8)
-    size = max(1, SWEEP_BLOCK_NODES // spec._block) * spec._block
-    for lo in range(0, count, size):
-        block = slice(lo, lo + size)
+    for block in _sweep_blocks(spec, count):
         surveyed = survey(spec, pts[block])
         off = ~surveyed.in_set
         values[block] = surveyed.distance

@@ -1,9 +1,12 @@
 """End-to-end certification that detected ambiguous points are covered.
 
-``detect_ambiguous`` reads the nearest row and its foot at every node of a
-window grid from the set's packed rows (a polygon loop is one segment row
-per edge there), and flags the grid edges whose endpoints have different
-nearest rows with feet on genuinely different branches of the set.
+``detect_ambiguous`` reads the nearest row at every node of a window grid
+from the set's packed rows (a polygon loop is one segment row per edge
+there), one sweep block of nodes at a time as ``grid_sweep`` does, so its
+transient memory stays flat as the grid grows.  Only the edges whose two
+endpoints have different nearest rows cross the locus, so only their ends
+are projected onto their rows, and such an edge is flagged when those feet
+lie on genuinely different branches of the set.
 Illinois regula falsi on the difference of the distances to its two end rows
 takes each flagged edge to the point where the two rows tie to within a few
 ulp, with no projection.  Where a third row is strictly nearer there, the
@@ -26,7 +29,7 @@ import numpy as np
 
 from .convex import SlopeLattice, asplund_lift, marginal_inf_rows, nondiff_witnesses
 from .cover import graph_coordinate, graph_key
-from .distance import _float_columns, write_csv
+from .distance import _float_columns, _sweep_blocks, write_csv
 from .geometry import ClosedSetSpec, Window
 
 __all__ = [
@@ -55,41 +58,44 @@ def _flagged_edges(spec, window, resolution):
     """The grid edges that cross from one branch of the set to another, as one batch.
 
     Each grid node's nearest row is the first row at the minimum of
-    ``row_distances``, and its foot is its projection onto that row.  An edge
-    is flagged when its two endpoints have different nearest rows AND their
-    feet lie more than ``_SEPARATION_FACTOR`` edge lengths apart.  Within one
-    row the foot is unique, except at a shell's centre, so an edge whose ends
-    share a nearest row holds no crossing of two rows.  The separation test
-    rejects the tangential projection drift that any curve primitive induces
-    on edges running parallel to it, which is not a branch change.  The edges
-    come as one batch ``(a, b, proj_a, proj_b, row_a, row_b)`` of (K, n)
-    points and (K,) packed rows, axis by axis in grid order; K is 0 when no
-    edge is flagged.
+    ``row_distances``, read one sweep block at a time (see
+    ``distance._sweep_blocks``), so only the (N,) rows outlive a block.  An
+    edge is flagged when its two endpoints have different nearest rows AND
+    their feet, their projections onto those rows, lie more than
+    ``_SEPARATION_FACTOR`` edge lengths apart.  Within one row the foot is
+    unique, except at a shell's centre, so an edge whose ends share a nearest
+    row holds no crossing of two rows, and only the ends of the edges whose
+    rows differ are projected, in one ``project_rows`` call.  The separation
+    test rejects the tangential projection drift that any curve primitive
+    induces on edges running parallel to it, which is not a branch change.
+    The edges come as one batch ``(a, b, proj_a, proj_b, row_a, row_b)`` of
+    (K, n) points and (K,) packed rows, axis by axis in grid order; K is 0
+    when no edge is flagged.
     """
     n = spec.dimension
-    axes = window.axes(resolution)
     pts = window.grid_points(resolution)
-    nearest = spec.row_distances(pts).argmin(axis=0)
+    nearest = np.empty(len(pts), dtype=np.intp)
+    for block in _sweep_blocks(spec, len(pts)):
+        nearest[block] = spec.row_distances(pts[block]).argmin(axis=0)
 
     shape = (resolution,) * n
-    P = spec.project_rows(pts, nearest).reshape(shape + (n,))
     R = nearest.reshape(shape)
-    X = pts.reshape(shape + (n,))
-
-    parts = []  # (a, b, proj_a, proj_b, row_a, row_b) of each axis
+    lows = []  # the flat index of the lower end of each row-change edge, one array per axis
     for k in range(n):
-        sl_a = [slice(None)] * n
-        sl_b = [slice(None)] * n
-        sl_a[k] = slice(0, -1)
-        sl_b[k] = slice(1, None)
-        sa, sb = tuple(sl_a), tuple(sl_b)
-        xa, xb = X[sa], X[sb]
-        pa, pb = P[sa], P[sb]
-        ra, rb = R[sa], R[sb]
-        step = axes[k][1] - axes[k][0]
-        flag = (ra != rb) & (np.linalg.norm(pa - pb, axis=-1) > _SEPARATION_FACTOR * step)
-        parts.append(tuple(v[flag] for v in (xa, xb, pa, pb, ra, rb)))
-    return tuple(np.concatenate(column) for column in zip(*parts))
+        lower, upper = (slice(None),) * k + (slice(0, -1),), (slice(None),) * k + (slice(1, None),)
+        change = np.zeros(shape, dtype=bool)
+        change[lower] = R[lower] != R[upper]
+        lows.append(np.flatnonzero(change))
+    ia = np.concatenate(lows)
+    ib = np.concatenate([low + resolution ** (n - 1 - k) for k, low in enumerate(lows)])
+    ends, inverse = np.unique(np.concatenate([ia, ib]), return_inverse=True)
+    feet = spec.project_rows(pts[ends], nearest[ends])
+    pa, pb = feet[inverse[: len(ia)]], feet[inverse[len(ia) :]]
+    steps = np.array([axis[1] - axis[0] for axis in window.axes(resolution)])
+    axis = np.repeat(np.arange(n), [len(low) for low in lows])
+    flag = np.linalg.norm(pa - pb, axis=1) > _SEPARATION_FACTOR * steps[axis]
+    ia, ib = ia[flag], ib[flag]
+    return pts[ia], pts[ib], pa[flag], pb[flag], nearest[ia], nearest[ib]
 
 
 def _regula_falsi(spec, a, b, ra, rb):

@@ -38,6 +38,11 @@ field on a grid.
 that the lift and its marginal functions are convex; and
 ``reference_marginal_inf`` is the scalar bracket-doubling and golden-section
 search, the bit reference of :func:`medialcover.marginal_inf_rows`.
+
+``reference_flagged_edges`` is the whole-grid form of the flag rule of
+``verify._flagged_edges``: one (M, N) distance table, every node projected
+and every edge measured.  It is the bit and order reference of the blocked
+form that projects only the ends of edges whose nearest rows differ.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ import numpy as np
 
 from medialcover import Classification, ClosedSetSpec, CoercivityError, survey
 from medialcover.distance import SEPARATION, TIE_TOLERANCE
+from medialcover.verify import _SEPARATION_FACTOR
 
 
 def _rows(x) -> np.ndarray:
@@ -382,3 +388,31 @@ def reference_marginal_inf(field, axis, slope, x_rest, xtol=1e-7):
             d = a + invphi * (b - a)
             fd = phi(d)
     return min(fc, fd)
+
+
+def reference_flagged_edges(spec: ClosedSetSpec, window, resolution: int):
+    """The flag rule of :func:`medialcover.verify._flagged_edges`, on whole-grid arrays.
+
+    Every node's nearest row is the plain ``row_distances`` argmin of the
+    whole (M, N) table, every node is projected onto its row, and every edge
+    of every axis has its feet's distance measured.  An edge is flagged when
+    its end rows differ and its feet lie more than ``_SEPARATION_FACTOR``
+    edge lengths apart.  Returns ``(a, b, proj_a, proj_b, row_a, row_b)``,
+    axis by axis in grid order.
+    """
+    n = spec.dimension
+    axes = window.axes(resolution)
+    pts = window.grid_points(resolution)
+    nearest = spec.row_distances(pts).argmin(axis=0)
+    shape = (resolution,) * n
+    P = spec.project_rows(pts, nearest).reshape(shape + (n,))
+    R = nearest.reshape(shape)
+    X = pts.reshape(shape + (n,))
+    parts = []
+    for k in range(n):
+        sa = (slice(None),) * k + (slice(0, -1),)
+        sb = (slice(None),) * k + (slice(1, None),)
+        step = axes[k][1] - axes[k][0]
+        flag = (R[sa] != R[sb]) & (np.linalg.norm(P[sa] - P[sb], axis=-1) > _SEPARATION_FACTOR * step)
+        parts.append(tuple(v[flag] for v in (X[sa], X[sb], P[sa], P[sb], R[sa], R[sb])))
+    return tuple(np.concatenate(column) for column in zip(*parts))

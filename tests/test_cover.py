@@ -12,7 +12,7 @@ from reference import reference_marginal_inf
 from medialcover.cli import main
 from medialcover.config import load_config
 from medialcover.convex import SlopeLattice, asplund_lift, nondiff_witnesses
-from medialcover.cover import FamilyBudgetError, cover_family_to_dict, enumerate_cover, graph_key
+from medialcover.cover import FamilyBudgetError, cover_family_to_dict, enumerate_cover, graph_coordinate, graph_key
 from medialcover.geometry import ClosedSetSpec, Window
 from medialcover.verify import detect_ambiguous
 
@@ -42,6 +42,21 @@ def test_grid_values_are_the_graph_formula_on_direct_marginal_infima():
                 vb = reference_marginal_inf(lift, axis, beta, node)
                 assert coords == node.tolist()
                 assert value == (va - vb) / (beta - alpha)
+
+
+def test_graph_coordinate_on_arrays_is_the_scalar_call_at_every_node():
+    """Bit for bit, and a -0.0 quotient becomes 0.0 on both paths."""
+    rng = np.random.default_rng(7)
+    value_alpha = np.concatenate([rng.normal(size=50) * 10.0 ** rng.integers(-300, 300, 50), [0.0, -0.0, 1e-320]])
+    value_beta = np.concatenate([rng.normal(size=50), [0.0, 0.0, -3e-320]])
+    for alpha, beta in [(-1.0, 1.0), (0.5, 2.0), (-2.0, -1.0)]:
+        got = graph_coordinate(alpha, beta, value_alpha, value_beta)
+        want = np.array([graph_coordinate(alpha, beta, va, vb) for va, vb in zip(value_alpha.tolist(), value_beta.tolist())])
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+    # (-0.0 - 0.0) / 2.0 is -0.0 before the 0.0 is added.
+    assert np.signbit((-0.0 - 0.0) / 2.0)
+    assert not np.signbit(graph_coordinate(-1.0, 1.0, np.array([-0.0]), np.array([0.0]))).any()
+    assert not np.signbit(graph_coordinate(-1.0, 1.0, -0.0, 0.0))
 
 
 def test_enumeration_is_axis_major_then_alpha_then_beta():
