@@ -5,8 +5,10 @@ writes (``--output`` for the report, else stdout; ``--csv``, required by
 analyze; ``--svg`` for verify) and the unresolved-sample policy
 (``--allow-unresolved``); the config holds everything else, the seed
 included.  argparse refuses a flag the command does not take with exit
-code 2.  ``cover`` enumerates the graphs of every axis and lattice pair, and
-``verify`` passes when each resolved sample lies within 1e-6 of its graph.
+code 2.  ``cover`` enumerates the graphs of every axis and pair of the
+config's lattice, at most 64 of them.  ``verify`` certifies its samples on
+the default lattice and passes when each resolved sample lies within 1e-6
+of its graph.
 
 ``config.parse_config`` refuses every config that no command can run.  The
 rules left here depend on the command line: no two of ``--output``,
@@ -96,7 +98,7 @@ def _cmd_analyze(config: ScenarioConfig, args: argparse.Namespace) -> tuple[dict
 
 
 def _cmd_cover(config: ScenarioConfig, args: argparse.Namespace) -> tuple[dict, int]:
-    family = enumerate_cover(config.set_spec.dimension, config.lattice, config.cover_cap)
+    family = enumerate_cover(config.set_spec.dimension, config.lattice)
     graphs = cover_family_to_dict(asplund_lift(config.set_spec), family, config.window, config.cover_rest_resolution)
 
     found = detect_ambiguous(config.set_spec, config.window, config.grid_resolution)
@@ -112,7 +114,7 @@ def _cmd_verify(config: ScenarioConfig, args: argparse.Namespace) -> tuple[dict,
     if args.svg and config.set_spec.dimension != 2:
         raise ConfigError(f"svg: the SVG overlay needs a 2-D set, got dimension {config.set_spec.dimension}")
     found = detect_ambiguous(config.set_spec, config.window, config.grid_resolution)
-    report = certify_cover(config.set_spec, found, config.lattice)
+    report = certify_cover(config.set_spec, found)
     rows = [r["point"] for r in report["records"]] + report["unresolved_points"]
     points = np.array(rows, dtype=float).reshape(-1, config.set_spec.dimension)
     if args.csv:

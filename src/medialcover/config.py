@@ -2,14 +2,17 @@
 
 The config holds every setting of a run, the seed included, so scenarios can
 be archived as fixtures; flags name only the files a run writes and the
-unresolved-sample policy.  Keys the program does not read are ignored, among
-them the ``outputs`` and ``tolerances`` blocks, ``cover.axes``, the
-``decompose`` block, ``field``, a top-level ``dimension`` and
-``fault_offset``: flags name the output files, the method's tolerances are
-constants (see ``ScenarioConfig``), the cover family spans every axis, no
-command splits a C^2 field, every command searches the lift of its set, the
-set states its dimension, and the negative control of ``verify``, a shift of
-its graph coordinates, is built in the tests.
+unresolved-sample policy.  Only ``cover`` reads the ``lattice`` key: the
+certificate of ``verify`` always uses the default ``SlopeLattice()``.  Keys
+the program does not read are ignored, among them the ``outputs`` and
+``tolerances`` blocks, ``cover.axes``, ``cover.cap``, the ``decompose``
+block, ``field``, a top-level ``dimension`` and ``fault_offset``: flags name
+the output files, the method's tolerances are constants (see
+``ScenarioConfig``), the cover family spans every axis and its budget is a
+constant of ``cover``, no command splits a C^2 field, every command
+searches the lift of its set, the set states its dimension, and the
+negative control of ``verify``, a shift of its graph coordinates, is built
+in the tests.
 
 ``parse_config`` applies every rule that depends on the config alone, so the
 three commands refuse the same configs.  Every command needs a ``set``, and
@@ -46,7 +49,6 @@ class ScenarioConfig:
     grid_resolution: int
     lattice: SlopeLattice
     set_spec: ClosedSetSpec
-    cover_cap: int
     cover_rest_resolution: int
     seed: int
 
@@ -170,9 +172,6 @@ def parse_config(data: dict, base_dir: Path | None = None) -> ScenarioConfig:
     cover = data.get("cover", {})
     if not isinstance(cover, dict):
         raise ConfigError("cover: expected an object")
-    cap = _get_count(cover, "cover.cap", 64, minimum=1)
-    # Under this cap, a lattice of more slopes than an array can index fails the family budget first.
-    _require(cap <= limit, "cover.cap", f"too large: {cap} graphs exceed {limit}, the most an array can index")
     rest_resolution = _get_count(cover, "cover.rest_resolution", 9, minimum=1)
     # A cover graph lays the rest_resolution^(n-1) nodes of its rest grid out in one array.
     message = f"too large: {rest_resolution}^{dimension - 1} rest nodes exceed {limit}, the most an array can index"
@@ -187,7 +186,6 @@ def parse_config(data: dict, base_dir: Path | None = None) -> ScenarioConfig:
         grid_resolution=resolution,
         lattice=lattice,
         set_spec=set_spec,
-        cover_cap=cap,
         cover_rest_resolution=rest_resolution,
         seed=int(seed),
     )

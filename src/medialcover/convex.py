@@ -87,18 +87,6 @@ class SlopeLattice:
     def max_index(self) -> int:
         return int(math.floor(self.bound / self.step + 1e-9))
 
-    def points(self) -> np.ndarray:
-        k = self.max_index
-        return self.step * np.arange(-k, k + 1)
-
-    @property
-    def size(self) -> int:
-        return 2 * self.max_index + 1
-
-    def pair_count(self) -> int:
-        m = self.size
-        return m * (m - 1) // 2
-
 
 def nondiff_witnesses(found, lattice: SlopeLattice) -> list[tuple[int, float, float] | None]:
     """The witness (axis, alpha, beta) of each sample of the lift 2|x|^2 - d(x, E)^2.

@@ -35,8 +35,12 @@ __all__ = [
 ]
 
 
+# The most graphs ``enumerate_cover`` lists.
+_MAX_GRAPHS = 64
+
+
 class FamilyBudgetError(ValueError):
-    """Requested cover family exceeds the configured combination budget."""
+    """The requested cover family has more than ``_MAX_GRAPHS`` graphs."""
 
 
 def graph_key(axis: int, alpha: float, beta: float) -> str:
@@ -53,12 +57,18 @@ def graph_coordinate(alpha: float, beta: float, value_alpha: float | np.ndarray,
     return (value_alpha - value_beta) / (beta - alpha) + 0.0
 
 
-def enumerate_cover(dimension: int, lattice: SlopeLattice, cap: int) -> list[tuple[int, float, float]]:
-    """All (axis, alpha < beta) triples over every axis, axis-major then alpha then beta ascending."""
-    total = dimension * lattice.pair_count()
-    if total > cap:
-        raise FamilyBudgetError(f"family would need {total} graphs, exceeding the cap of {cap}")
-    slopes = lattice.points()
+def enumerate_cover(dimension: int, lattice: SlopeLattice) -> list[tuple[int, float, float]]:
+    """All (axis, alpha < beta) triples over every axis, axis-major then alpha then beta ascending.
+
+    The lattice's 2k + 1 slopes make k(2k + 1) pairs per axis.  The count is
+    a Python integer, so a family above ``_MAX_GRAPHS`` is refused before
+    any slope is allocated, however many there are.
+    """
+    k = lattice.max_index
+    total = dimension * k * (2 * k + 1)
+    if total > _MAX_GRAPHS:
+        raise FamilyBudgetError(f"family would need {total} graphs, exceeding the cap of {_MAX_GRAPHS}")
+    slopes = lattice.step * np.arange(-k, k + 1)
     return [(a, float(alpha), float(beta)) for a in range(dimension) for alpha, beta in itertools.combinations(slopes, 2)]
 
 

@@ -20,9 +20,9 @@ them as parameters that default to them.
 (x - q) / d(x) of the distance field, q being the survey's projection.  It
 stores each node's class as one int8 code, the index of the class in
 ``Classification``; off the set, d is differentiable exactly at the UNIQUE
-nodes, where the nearest point is unique.  The sweep works in blocks of
-``SWEEP_BLOCK_NODES`` nodes written into preallocated arrays, so its
-temporaries do not grow with the grid.
+nodes, where the nearest point is unique.  The sweep works in the row
+blocks of the distance kernel (``ClosedSetSpec.row_distances``), written
+into preallocated arrays, so its temporaries do not grow with the grid.
 
 ``write_grid_csv`` writes a sweep through ``write_csv``, a columnar writer
 that works one block of ``CSV_BLOCK_ROWS`` rows at a time and does not use
@@ -153,28 +153,18 @@ class GridSweep:
     gradients: np.ndarray
 
 
-# At most this many nodes per block of the grid sweep.  The survey of a block
-# holds a few (M, block) and (block, n) temporaries, so the sweep's transient
-# memory stays flat as the grid grows.
-SWEEP_BLOCK_NODES = 4096
-
-
 def _sweep_blocks(spec: ClosedSetSpec, count: int) -> list[slice]:
-    """The blocks of ``count`` grid nodes that a sweep works on, in node order.
-
-    A block is the largest whole number of the kernel's row blocks (see
-    ``ClosedSetSpec.row_distances``) that holds at most ``SWEEP_BLOCK_NODES``
-    nodes, so no block leaves a short row block behind.
-    """
-    size = max(1, SWEEP_BLOCK_NODES // spec._block) * spec._block
-    return [slice(lo, lo + size) for lo in range(0, count, size)]
+    """The blocks of ``count`` grid nodes that a sweep works on, in node order: the kernel's row blocks."""
+    return [slice(lo, lo + spec._block) for lo in range(0, count, spec._block)]
 
 
 def grid_sweep(spec: ClosedSetSpec, window: Window, resolution: int) -> GridSweep:
-    """Survey the grid nodes block by block (see :func:`_sweep_blocks`) into preallocated arrays.
+    """Survey the grid nodes one kernel row block at a time (see :func:`_sweep_blocks`) into preallocated arrays.
 
-    Each node's values depend on that node alone, so the block size does not
-    change a bit of the result.
+    A block's survey holds a few (M, block) and (block, n) temporaries, so
+    the sweep's transient memory stays flat as the grid grows.  Each node's
+    values depend on that node alone, so the block size does not change a
+    bit of the result.
     """
     if resolution < 2:
         raise ValueError("grid resolution must be at least 2")

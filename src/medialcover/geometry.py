@@ -165,9 +165,9 @@ def _pack(record) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ValueError(f"missing field {exc.args[0]!r} for type {kind!r}") from None
 
 
-# Large batches go through ``row_distances`` in blocks whose (n, M, block)
-# temporaries hold about 2**14 doubles, so a grid sweep needs no more
-# transient memory than one (M, N) table of distances.
+# Large batches go through ``row_distances``, and a grid sweep walks its nodes,
+# in blocks whose (n, M, block) temporaries hold about 2**14 doubles, so a
+# sweep's transient memory does not grow with the grid.
 _BLOCK_ELEMENTS = 1 << 14
 
 
@@ -321,9 +321,16 @@ class Window:
         return [np.linspace(self.lower[i], self.upper[i], resolution) for i in range(self.dimension)]
 
     def grid_points(self, resolution: int) -> np.ndarray:
-        """All grid nodes as an (resolution**n, n) array, last axis fastest."""
-        mesh = np.meshgrid(*self.axes(resolution), indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
+        """All grid nodes as an (resolution**n, n) array, last axis fastest.
+
+        Each axis is broadcast into its column of one preallocated array, so
+        no temporary as large as the result is made.
+        """
+        n = self.dimension
+        nodes = np.empty((resolution,) * n + (n,))
+        for i, ticks in enumerate(self.axes(resolution)):
+            nodes[..., i] = ticks.reshape((-1,) + (1,) * (n - 1 - i))
+        return nodes.reshape(-1, n)
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         return rng.uniform(self.lower, self.upper, size=(count, self.dimension))

@@ -19,8 +19,8 @@ coordinatewise minimum and maximum of its projections onto its two rows.
 pipeline: the derivative-gap witness read off the feet, covering graph
 (axis, alpha, beta), vertical deviation, and the marginal-value identities,
 and returns the report dict that the ``verify`` command serializes.  Samples
-whose derivative gap is too small for the slope lattice are reported as
-unresolved rather than failed.
+whose derivative gap is too small for the default slope lattice are
+reported as unresolved rather than failed.
 """
 
 from __future__ import annotations
@@ -193,13 +193,14 @@ def detect_ambiguous(spec: ClosedSetSpec, window: Window, resolution: int) -> np
     return _refine_edges(spec, _flagged_edges(spec, window, resolution))
 
 
-def certify_cover(spec: ClosedSetSpec, found: np.ndarray, lattice: SlopeLattice) -> dict:
+def certify_cover(spec: ClosedSetSpec, found: np.ndarray) -> dict:
     """Certify that covering graphs pass through the detected samples.
 
     ``found`` is the (K, 3, n) stack of samples and feet that
     :func:`detect_ambiguous` returns.  Pipeline per sample: read the exact
     one-sided derivative gap of the strongly convex lift |x|^2 - d^2 + |x|^2
-    off its feet, pick a lattice slope pair inside the gap, and record the
+    off its feet, pick a slope pair inside the gap on the default
+    ``SlopeLattice()`` (step 0.125, bound 64), and record the
     vertical deviation of the covering graph (axis, alpha, beta) plus the two
     marginal-value identities.  One lift call evaluates all resolved samples
     and one two-row search gives each sample's two marginal infima, so a
@@ -210,7 +211,7 @@ def certify_cover(spec: ClosedSetSpec, found: np.ndarray, lattice: SlopeLattice)
     it: the counts, the per-sample ``records`` and the ``unresolved_points``.
     """
     lift = asplund_lift(spec)
-    witnesses = nondiff_witnesses(found, lattice)
+    witnesses = nondiff_witnesses(found, SlopeLattice())
     resolved = [w is not None for w in witnesses]
     lift_values = iter(lift(found[resolved, 0]).tolist())
     records: list[dict] = []

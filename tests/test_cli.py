@@ -18,7 +18,7 @@ import medialcover
 import medialcover.cli as cli
 import medialcover.verify as verify
 from medialcover.cli import EXIT_CONFIG, EXIT_NONCONVEX, main
-from medialcover.config import ConfigError, load_config, parse_config
+from medialcover.config import ConfigError, config_digest, load_config, parse_config
 from medialcover.distance import CSV_BLOCK_ROWS, Classification, grid_sweep
 from medialcover.geometry import ClosedSetSpec, Window
 from medialcover.verify import write_overlay_svg, write_samples_csv
@@ -114,6 +114,19 @@ def test_report_bytes_match_their_golden_digest(command, fixture, tmp_path, caps
         shift_graph_coordinates(monkeypatch, SHIFTED[fixture])
     _, (report, _) = run(command, fixture, tmp_path)
     assert report_digest(report) == GOLDEN[command, fixture]
+
+
+# `verify` certifies on the default lattice (step 0.125, bound 64) and reads no
+# `lattice` key: a lattice of three slopes changes only the config digest.
+def test_verify_writes_its_golden_report_whatever_the_lattice(tmp_path, capsys):
+    document = json.loads((FIXTURES / "verify_star.json").read_text())
+    config, report = tmp_path / "config.json", tmp_path / "report.json"
+    config.write_text(json.dumps({**document, "set": str(FIXTURES / document["set"]), "lattice": {"step": 1, "bound": 1}}))
+    assert main(["verify", str(config), "--output", str(report)]) == 0
+    written = json.loads(report.read_text())
+    assert written.pop("config_sha256") != config_digest(document)
+    canonical = json.dumps({**written, "config_sha256": config_digest(document)}, sort_keys=True, separators=(",", ":"))
+    assert report_digest((canonical + "\n").encode()) == GOLDEN["verify", "verify_star"]
 
 
 # sha256 of the CSV bytes, computed with the writer that used the csv module.

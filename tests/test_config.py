@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +51,6 @@ def test_malformed_config_exits_2_through_main(tmp_path, capsys):
 HUGE = "1" + "0" * 400
 NON_FINITE = [
     ("lattice.step", '"lattice": {"step": NaN}'),
-    ("cover.cap", '"cover": {"cap": Infinity}'),
     ("cover.rest_resolution", '"cover": {"rest_resolution": NaN}'),
     ("grid_resolution", f'"grid_resolution": {HUGE}'),
     ("lattice.step", f'"lattice": {{"step": {HUGE}}}'),
@@ -103,7 +103,6 @@ def test_a_file_that_is_not_utf8_exits_2_and_names_itself(which, tmp_path, capsy
 # Counts that were once truncated to an integer.
 NOT_A_COUNT = [
     ("cover.rest_resolution", {"cover": {"rest_resolution": 2.5}}, "must be an integer"),
-    ("cover.cap", {"cover": {"cap": 6.7}}, "must be an integer"),
 ]
 
 
@@ -163,10 +162,12 @@ def test_asplund_without_a_set_exits_2_through_main(command, tmp_path, capsys):
 
 
 # Finite-difference steps, a detector fraction, the coverage, tie, separation
-# and bisection tolerances, the cover axes, the `decompose` block, the
-# `outputs` paths, a named `field`, a top-level `dimension` and the
-# `fault_offset` shift of the graph coordinates, which the program no longer
-# reads: unknown keys are ignored, even with values that were once refused.
+# and bisection tolerances, the cover axes, the cover cap (a cap of 0 was
+# once refused, and would refuse the family of 20 graphs that `cover` writes
+# here), the `decompose` block, the `outputs` paths, a named `field`, a
+# top-level `dimension` and the `fault_offset` shift of the graph
+# coordinates, which the program no longer reads: unknown keys are ignored,
+# even with values that were once refused.
 # Each `field` and `dimension` value, and the `fault_offset` beyond the float
 # range, gets a run of its own.
 KNOBS = {
@@ -179,7 +180,7 @@ KNOBS = {
         "separation": 1e-3,
         "refine": 1e-3,
     },
-    "cover": {"axes": [1]},
+    "cover": {"axes": [1], "cap": 0},
     "decompose": {"radius": -1.0, "samples": 10.5},
     "outputs": {"report": "x.json", "csv": "x.csv"},
     "fault_offset": 0.01,
@@ -371,17 +372,24 @@ def test_a_rest_grid_with_more_nodes_than_an_array_can_index_exits_2_without_a_r
     assert capsys.readouterr().err == f"config error: cover.rest_resolution: {message}\n"
 
 
-# A cap of 10^60 let a lattice of 2 * 10^20 + 1 slopes pass the family budget;
-# SlopeLattice.points then raised "Maximum allowed size exceeded", exit 1.
-@pytest.mark.parametrize("command", ["cover", "verify"])
-def test_a_cap_beyond_the_intp_range_exits_2_without_a_report(command, tmp_path, capsys):
+# A lattice of 2 * 10^20 + 1 slopes: a cap of 10^60 once let it pass the family
+# budget, and SlopeLattice.points then raised "Maximum allowed size exceeded",
+# exit 1.  `cover` now refuses its 2 * 10^40 graphs before it allocates a
+# slope, and `verify`, which certifies on the default lattice, does not read it.
+@pytest.mark.parametrize("command, expected", [("cover", EXIT_BUDGET), ("verify", 0)], ids=["cover", "verify"])
+def test_a_lattice_beyond_the_intp_range_exits_4_for_cover_and_0_for_verify(command, expected, tmp_path, capsys):
     lattice, cover = {"step": 1, "bound": 1e20}, {"cap": 1e60}
     document = {"set": str(FIXTURES / "two_point_set.json"), "grid_resolution": 16, "lattice": lattice, "cover": cover}
-    assert run_main(command, document, tmp_path) == (EXIT_CONFIG, False)
-    limit = np.iinfo(np.intp).max
-    message = f"too large: {int(1e60)} graphs exceed {limit}, the most an array can index"
-    assert capsys.readouterr().err == f"config error: cover.cap: {message}\n"
-    assert not (tmp_path / "table.csv").exists()
+    tracemalloc.start()
+    try:
+        assert run_main(command, document, tmp_path) == (expected, expected == 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if command == "cover":
+        total = 2 * 10**20 * (2 * 10**20 + 1)
+        assert capsys.readouterr().err == f"family budget exceeded: family would need {total} graphs, exceeding the cap of 64\n"
+        assert peak < 1e6
 
 
 # 10^10 per axis in 3-D is 10^20 rest nodes; a command once began by allocating

@@ -9,6 +9,7 @@ import pytest
 
 from reference import reference_marginal_inf
 
+from medialcover import cover
 from medialcover.cli import main
 from medialcover.config import load_config
 from medialcover.convex import SlopeLattice, asplund_lift, nondiff_witnesses
@@ -32,7 +33,7 @@ def test_grid_values_are_the_graph_formula_on_direct_marginal_infima():
         (LIFT_3D, SlopeLattice(step=1.0, bound=1.0), Window([-2.0] * 3, [2.0] * 3), 3, Window([-2.0, -2.0], [2.0, 2.0]).grid_points(3)),
     ]
     for lift, lattice, window, resolution, rest_nodes in cases:
-        graphs = enumerate_cover(window.dimension, lattice, cap=64)
+        graphs = enumerate_cover(window.dimension, lattice)
         entries = cover_family_to_dict(lift, graphs, window, resolution)
         assert len(entries) == len(graphs)
         for (axis, alpha, beta), entry in zip(graphs, entries):
@@ -60,16 +61,34 @@ def test_graph_coordinate_on_arrays_is_the_scalar_call_at_every_node():
 
 
 def test_enumeration_is_axis_major_then_alpha_then_beta():
-    slopes = LATTICE.points().tolist()
+    slopes = [-2.0, -1.0, 0.0, 1.0, 2.0]
     expected = [(a, lo, hi) for a in (0, 1) for lo, hi in itertools.combinations(slopes, 2)]
-    assert enumerate_cover(2, LATTICE, cap=64) == expected
+    assert enumerate_cover(2, LATTICE) == expected
 
 
-def test_family_one_graph_over_the_cap_is_refused():
-    total = 2 * LATTICE.pair_count()
-    assert len(enumerate_cover(2, LATTICE, cap=total)) == total
-    with pytest.raises(FamilyBudgetError):
-        enumerate_cover(2, LATTICE, cap=total - 1)
+def test_family_one_graph_over_the_cap_is_refused(monkeypatch):
+    # 2 axes of 10 slope pairs each.
+    monkeypatch.setattr(cover, "_MAX_GRAPHS", 20)
+    assert len(enumerate_cover(2, LATTICE)) == 20
+    monkeypatch.setattr(cover, "_MAX_GRAPHS", 19)
+    with pytest.raises(FamilyBudgetError, match="family would need 20 graphs, exceeding the cap of 19"):
+        enumerate_cover(2, LATTICE)
+
+
+# A lattice of 2k + 1 slopes gives n k (2k + 1) graphs, so no family has 64
+# or 65: the nearest sizes are 63 (21 axes of 3 pairs) and 66 (22 axes).
+@pytest.mark.parametrize(
+    "dimension, bound, total",
+    [(21, 1.0, 63), (22, 1.0, 66), (1, 5.0, 55), (2, 4.0, 72), (3, 2.0, 30), (1, 6.0, 78)],
+)
+def test_a_family_of_more_than_64_graphs_is_refused(dimension, bound, total):
+    lattice = SlopeLattice(step=1.0, bound=bound)
+    assert cover._MAX_GRAPHS == 64
+    if total <= 64:
+        assert len(enumerate_cover(dimension, lattice)) == total
+    else:
+        with pytest.raises(FamilyBudgetError, match=f"family would need {total} graphs, exceeding the cap of 64"):
+            enumerate_cover(dimension, lattice)
 
 
 def test_an_empty_family_serializes_to_nothing():

@@ -18,8 +18,10 @@ from medialcover import (
     survey,
     write_grid_csv,
 )
+from medialcover import geometry
 import medialcover.distance
 from medialcover.distance import TIE_TOLERANCE
+from medialcover.verify import _flagged_edges
 import reference
 
 # The records of each set, read by the per-record queries of `reference`.
@@ -30,7 +32,8 @@ TWO_POINTS = ClosedSetSpec(TWO_SITES, 2)
 CIRCLE = ClosedSetSpec(UNIT_CIRCLE, 2)
 THREE_POINTS = ClosedSetSpec(THREE_SITES, 2)
 WINDOW = Window([-2, -2], [2, 2])
-SHELLS = ClosedSetSpec.from_dict(json.loads((Path(__file__).parent / "fixtures" / "shells_set.json").read_text()))
+SHELLS_SET = json.loads((Path(__file__).parent / "fixtures" / "shells_set.json").read_text())
+SHELLS = ClosedSetSpec.from_dict(SHELLS_SET)
 # The grid sweep's class codes: each class's index in Classification.
 IN_SET, UNIQUE, AMBIGUOUS = range(3)
 WINDOW3 = Window([-2.0] * 3, [2.0] * 3)
@@ -292,16 +295,30 @@ class TestGridSweep:
         returned = sum(a.nbytes for a in (sweep.values, sweep.gradients, sweep.classes))
         assert returned == (8 * 3 + 9) * 16**3
 
-    @pytest.mark.parametrize("spec, window, resolution", [(SHELLS, WINDOW3, 13), (THREE_POINTS, WINDOW, 60)], ids=["3d", "2d"])
-    def test_block_size_does_not_change_a_bit(self, spec, window, resolution, monkeypatch):
-        monkeypatch.setattr(medialcover.distance, "SWEEP_BLOCK_NODES", 1 << 30)
-        whole = grid_sweep(spec, window, resolution)
-        # One kernel row block per sweep block; it does not divide the node count.
-        monkeypatch.setattr(medialcover.distance, "SWEEP_BLOCK_NODES", 1)
-        blocked = grid_sweep(spec, window, resolution)
-        assert len(whole.values) % spec._block and len(whole.values) > spec._block
-        for name in ("values", "gradients", "classes"):
-            assert getattr(blocked, name).tobytes() == getattr(whole, name).tobytes()
+    @pytest.mark.parametrize(
+        "description, window, resolution",
+        [(SHELLS_SET, WINDOW3, 13), ({"dimension": 2, "primitives": THREE_SITES}, WINDOW, 60)],
+        ids=["3d", "2d"],
+    )
+    def test_block_size_does_not_change_a_bit(self, description, window, resolution, monkeypatch):
+        """The sweep and the flagged edges of detection, with the kernel block varied before the set is packed."""
+        count, default = resolution ** description["dimension"], geometry._BLOCK_ELEMENTS
+
+        def run(elements):
+            monkeypatch.setattr(geometry, "_BLOCK_ELEMENTS", elements)
+            spec = ClosedSetSpec.from_dict(description)
+            sweep = grid_sweep(spec, window, resolution)
+            edges = _flagged_edges(spec, window, resolution)
+            assert len(edges[0])
+            return spec._block, [a.tobytes() for a in (sweep.values, sweep.gradients, sweep.classes, *edges)]
+
+        whole_block, whole = run(1 << 40)
+        assert whole_block >= count  # one block
+        row_elements = ClosedSetSpec.from_dict(description).directions.size
+        for elements in (default, 7 * row_elements):
+            block, blocked = run(elements)
+            assert count % block and count > block  # blocks that do not divide the node count
+            assert blocked == whole
 
 
 def test_project_returns_a_nearest_point():

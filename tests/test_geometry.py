@@ -1,6 +1,7 @@
 import hashlib
 import json
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -320,6 +321,35 @@ def test_window_grid_and_sampling():
     sample = w.sample(rng, 100)
     assert sample.shape == (100, 2)
     assert np.all((sample >= w.lower) & (sample <= w.upper))
+
+
+# Non-square windows, and a resolution per dimension, so no two axes share ticks.
+GRID_WINDOWS = [
+    (Window([-1.5], [2.5]), 7),
+    (Window([-2.0, -0.5], [3.0, 1.0]), 6),
+    (Window([-2.0, -1.0, 0.25], [2.0, 3.0, 0.5]), 5),
+]
+
+
+@pytest.mark.parametrize("window, resolution", GRID_WINDOWS, ids=["1d", "2d", "3d"])
+def test_grid_points_are_the_meshgrid_layout(window, resolution):
+    mesh = np.meshgrid(*window.axes(resolution), indexing="ij")
+    expected = np.stack([m.ravel() for m in mesh], axis=1)
+    got = window.grid_points(resolution)
+    assert got.shape == expected.shape and got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_grid_points_peak_at_their_own_size():
+    """At 48^3 nodes: stacking the meshgrid copies once peaked at twice the result."""
+    tracemalloc.start()
+    try:
+        pts = Window([-2.0] * 3, [2.0] * 3).grid_points(48)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pts.nbytes == 48**3 * 3 * 8
+    assert peak <= 1.1 * pts.nbytes
 
 
 def test_records_that_hold_arrays_compare_and_hash_by_identity():

@@ -168,7 +168,7 @@ def test_fixture_sets_refine_as_one_loop_per_axis(name, resolution):
 
 def certification_fails(spec, found):
     """``certify_cover`` keeps every sample and reports a deviation beyond the coverage tolerance."""
-    report = certify_cover(spec, found, SlopeLattice())
+    report = certify_cover(spec, found)
     return report["samples"] == len(found) and not report["pass"] and report["max_deviation"] > _COVERAGE_TOL
 
 
@@ -278,9 +278,9 @@ def test_a_second_round_adds_its_own_steps_and_one_projection(monkeypatch):
 
 def per_sample(config, found):
     """Each sample's record, or its point when it is unresolved, as JSON text in the order of ``found``."""
-    report = certify_cover(config.set_spec, found, config.lattice)
+    report = certify_cover(config.set_spec, found)
     records, unresolved = iter(report["records"]), iter(report["unresolved_points"])
-    return [json.dumps(next(unresolved if w is None else records)) for w in nondiff_witnesses(found, config.lattice)]
+    return [json.dumps(next(unresolved if w is None else records)) for w in nondiff_witnesses(found, SlopeLattice())]
 
 
 @pytest.mark.parametrize("name", ["verify_shells", "verify_star"])
@@ -292,7 +292,7 @@ def test_a_sample_certifies_the_same_in_any_subset_or_order_of_its_batch(name):
     found = np.concatenate([found, smooth])
     whole = per_sample(config, found)
     assert len(whole) == len(found) > 10
-    assert sum(w is None for w in nondiff_witnesses(found, config.lattice)) == 4
+    assert sum(w is None for w in nondiff_witnesses(found, SlopeLattice())) == 4
     rows = np.random.default_rng(11).choice(len(found), size=len(found) // 3, replace=False)
     for order in (np.arange(len(found))[::-1], rows):
         assert per_sample(config, found[order]) == [whole[k] for k in order]
@@ -300,7 +300,7 @@ def test_a_sample_certifies_the_same_in_any_subset_or_order_of_its_batch(name):
 
 def certified_points(config):
     found = detect_ambiguous(config.set_spec, config.window, config.grid_resolution)
-    report = certify_cover(config.set_spec, found, config.lattice)
+    report = certify_cover(config.set_spec, found)
     return np.array([r["point"] for r in report["records"]]).reshape(-1, config.set_spec.dimension), report
 
 
@@ -441,7 +441,7 @@ def test_every_certified_sample_of_a_random_mixed_set_is_ambiguous(seed):
     records = random_mixed_set(seed)
     spec = ClosedSetSpec(records, 2)
     found = detect_ambiguous(spec, Window([-2.0, -2.0], [2.0, 2.0]), 33)
-    report = certify_cover(spec, found, SlopeLattice())
+    report = certify_cover(spec, found)
     assert report["samples"] > 10
     assert_all_ambiguous(spec, records, np.array([r["point"] for r in report["records"]]))
 
@@ -474,7 +474,7 @@ def test_a_false_tie_at_a_grid_node_is_not_a_sample(seed, node, tmp_path, monkey
     assert survey(config.set_spec, x[None]).ambiguous[0]
     found = detect_ambiguous(config.set_spec, config.window, config.grid_resolution)
     assert not np.all(found[:, 0] == x, axis=1).any()
-    report = certify_cover(config.set_spec, found, config.lattice)
+    report = certify_cover(config.set_spec, found)
     assert (report["unresolved"], report["unresolved_points"]) == (0, [])
 
 
@@ -496,3 +496,35 @@ def test_a_polygon_and_its_edges_as_segments_give_the_same_samples():
     polygon = detect_ambiguous(ClosedSetSpec(star["primitives"], 2), window, 32)
     assert len(polygon) > 10
     assert_bit_identical(detect_ambiguous(ClosedSetSpec(as_segments, 2), window, 32), polygon)
+
+
+# ROADMAP item 4's symmetry guard.  The window [-2, 2]^n maps onto itself under
+# a reflection in x0 and a swap of x0 and x1, so the samples of the mapped set
+# are the mapped samples of the set, up to the rounding of the grid ticks.
+SYMMETRIES = {
+    "reflect-x0": lambda x: x * np.r_[-1.0, np.ones(x.shape[-1] - 1)],
+    "swap-x0-x1": lambda x: x[..., [1, 0, *range(2, x.shape[-1])]],
+}
+_COORDINATE_FIELDS = {"point": ("coords",), "segment": ("a", "b"), "polygon": ("vertices",), "ball": ("center",)}
+
+
+def mapped_records(records, mapping):
+    return [{**r, **{k: mapping(np.array(r[k], dtype=float)).tolist() for k in _COORDINATE_FIELDS[r["type"]]}} for r in records]
+
+
+@pytest.mark.parametrize("symmetry", list(SYMMETRIES))
+@pytest.mark.parametrize("seed", [1, 303])
+@pytest.mark.parametrize("workload", ["points2d", "polygon2d", "shells3d"])
+def test_a_reflected_or_axis_swapped_workload_maps_its_samples(workload, seed, symmetry, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perfbench.workloads import HALF_WIDTH, WORKLOADS
+
+    chosen = WORKLOADS[workload]
+    records = chosen.primitives(np.random.default_rng(seed))
+    n, resolution, mapping = chosen.dimension, chosen.verify_resolution, SYMMETRIES[symmetry]
+    window = Window([-HALF_WIDTH] * n, [HALF_WIDTH] * n)
+    samples = detect_ambiguous(ClosedSetSpec(records, n), window, resolution)[:, 0]
+    mapped = detect_ambiguous(ClosedSetSpec(mapped_records(records, mapping), n), window, resolution)[:, 0]
+    assert len(mapped) == len(samples) > 10
+    gaps = np.linalg.norm(mapping(samples)[:, None, :] - mapped[None, :, :], axis=2)
+    assert max(gaps.min(axis=0).max(), gaps.min(axis=1).max()) <= 1e-12
