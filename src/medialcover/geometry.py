@@ -99,25 +99,6 @@ def _pack_segment(record: dict):
     return a[None], (b - a)[None], np.zeros(1)
 
 
-def _first_repeat(rows: np.ndarray) -> tuple[int, int] | None:
-    """The first pair i < j of equal rows in the order of a loop over i, then j > i; None if all differ.
-
-    One stable sort brings equal rows together in index order, so two equal
-    neighbours of the sorted order are a pair (i, j) with j the next index
-    whose row equals row i; the loop meets the pair of smallest i first.
-    ``+ 0.0`` turns -0.0 into 0.0, which it equals, so no sort key tells the
-    two apart.
-    """
-    keys = rows + 0.0
-    order = np.lexsort(keys.T[::-1])
-    ranked = keys[order]
-    equal = np.flatnonzero(np.all(ranked[1:] == ranked[:-1], axis=1))  # sorted rows k and k + 1 are equal
-    if not len(equal):
-        return None
-    k = equal[np.argmin(order[equal])]
-    return int(order[k]), int(order[k + 1])
-
-
 def _pack_polygon(record: dict):
     """One row per edge: vertex k to vertex k + 1, and the last vertex back to the first."""
     verts = _frozen_array(record["vertices"], "polygon vertices", 2)
@@ -125,9 +106,14 @@ def _pack_polygon(record: dict):
         raise ValueError(f"polygon vertices must have coordinates, got {record['vertices']!r}")
     if verts.shape[0] < 3:
         raise ValueError("polygon boundary needs at least 3 vertices")
-    repeat = _first_repeat(verts)
-    if repeat is not None:
-        raise ValueError(f"polygon vertices {repeat[0]} and {repeat[1]} coincide")
+    first, repeats = {}, []  # each vertex's first index; -0.0 == 0.0 makes them one key
+    for j, vertex in enumerate(map(tuple, verts.tolist())):
+        i = first.setdefault(vertex, j)
+        if i != j:
+            repeats.append((i, j))
+    if repeats:  # the least pair is the first that a loop over i, then j > i, meets
+        i, j = min(repeats)
+        raise ValueError(f"polygon vertices {i} and {j} coincide")
     ends = np.roll(verts, -1, axis=0)
     if not _squared_lengths_fit(verts, ends):
         raise ValueError("polygon edge too long: its squared length overflows")

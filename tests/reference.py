@@ -1,8 +1,9 @@
 """Scalar nearest-point queries, one record at a time: the reference for the packed kernel.
 
 The package answers every distance, projection and classification question
-through the packed capsule rows of :class:`medialcover.ClosedSetSpec`, which
-keeps no records.  This module reads the JSON records that a test declares
+through the packed capsule rows of
+:class:`medialcover.geometry.ClosedSetSpec`, which keeps no records.  This
+module reads the JSON records that a test declares
 (``{"type": "point", "coords": ...}``, ``"segment"`` with ``a`` and ``b``,
 ``"polygon"`` with ``vertices``, ``"ball"`` with ``center`` and ``radius``)
 and applies its own closed form to each, without the package's packers, so
@@ -25,8 +26,8 @@ the masked-write form that the package uses.
 ``asplund_field`` is the unfused convex field |x|^2 - dist(x, E)^2 of a set,
 and ``strongify`` adds |x|^2 to a field, which makes a convex field strongly
 convex with modulus 1: ``strongify(asplund_field(spec))`` is the bit
-reference of :func:`medialcover.asplund_lift`.  ``blend`` is a seeded C^2
-test field, a quadratic form plus sine ripples, that is no lift of a set.
+reference of :func:`medialcover.convex.asplund_lift`.  ``blend`` is a seeded
+C^2 test field, a quadratic form plus sine ripples, that is no lift of a set.
 
 The finite-difference estimates of first-order data are kept here too, as
 the oracles of the exact values that the package reads off the feet:
@@ -37,7 +38,7 @@ field on a grid.
 ``convexity_probe`` samples the midpoint inequality of a field, the check
 that the lift and its marginal functions are convex; and
 ``reference_marginal_inf`` is the scalar bracket-doubling and golden-section
-search, the bit reference of :func:`medialcover.marginal_inf_rows`.
+search, the bit reference of :func:`medialcover.convex.marginal_inf_rows`.
 
 ``reference_flagged_edges`` is the whole-grid form of the flag rule of
 ``verify._flagged_edges``: one (M, N) distance table, every node projected
@@ -53,8 +54,9 @@ from typing import Callable
 
 import numpy as np
 
-from medialcover import Classification, ClosedSetSpec, CoercivityError, survey
-from medialcover.distance import SEPARATION, TIE_TOLERANCE
+from medialcover.convex import CoercivityError
+from medialcover.distance import SEPARATION, TIE_TOLERANCE, Classification, survey
+from medialcover.geometry import ClosedSetSpec
 from medialcover.verify import _SEPARATION_FACTOR
 
 

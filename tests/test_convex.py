@@ -4,17 +4,10 @@ import numpy as np
 import pytest
 
 import reference
-from medialcover import (
-    ClosedSetSpec,
-    CoercivityError,
-    SlopeLattice,
-    Window,
-    asplund_lift,
-    marginal_inf_rows,
-    nondiff_witnesses,
-    survey,
-)
 from medialcover.config import load_config
+from medialcover.convex import CoercivityError, SlopeLattice, asplund_lift, marginal_inf_rows, nondiff_witnesses
+from medialcover.distance import survey
+from medialcover.geometry import ClosedSetSpec, Window
 from medialcover.verify import detect_ambiguous
 
 FIXTURES = Path(__file__).parent / "fixtures"

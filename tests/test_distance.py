@@ -9,18 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from medialcover import (
-    Classification,
-    ClosedSetSpec,
-    Window,
-    grid_sweep,
-    nearest_points,
-    survey,
-    write_grid_csv,
-)
 from medialcover import geometry
 import medialcover.distance
-from medialcover.distance import TIE_TOLERANCE
+from medialcover.distance import TIE_TOLERANCE, Classification, grid_sweep, nearest_points, survey, write_grid_csv
+from medialcover.geometry import ClosedSetSpec, Window
 from medialcover.verify import _flagged_edges
 import reference
 

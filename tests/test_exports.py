@@ -11,6 +11,7 @@ import pytest
 
 import medialcover
 from medialcover.config import ScenarioConfig
+from medialcover.geometry import ClosedSetSpec
 
 MODULES = ["medialcover"] + [f"medialcover.{m.name}" for m in pkgutil.iter_modules(medialcover.__path__)]
 
@@ -29,8 +30,9 @@ def test_every_exported_name_resolves(module_name):
 
 # Names that once were public: the record classes the set packs from JSON
 # records, the factories behind the field names, the field names themselves
-# with their resolver and ``strongify``, the wrapper class of a field, and a
-# set's JSON text reader.
+# with their resolver and ``strongify``, the wrapper class of a field, a
+# set's JSON text reader, and the package's re-exports of its modules' names,
+# each now imported from the module that defines it.
 REMOVED = {
     "medialcover": [
         "Ball",
@@ -43,6 +45,27 @@ REMOVED = {
         "strongify",
         "NAMED_FIELDS",
         "ScalarField",
+        "Classification",
+        "ClosedSetSpec",
+        "CoercivityError",
+        "FamilyBudgetError",
+        "NearestResult",
+        "SlopeLattice",
+        "Survey",
+        "Window",
+        "asplund_lift",
+        "certify_cover",
+        "cover_family_to_dict",
+        "detect_ambiguous",
+        "enumerate_cover",
+        "grid_sweep",
+        "marginal_inf_rows",
+        "nearest_points",
+        "nondiff_witnesses",
+        "survey",
+        "write_grid_csv",
+        "write_overlay_svg",
+        "write_samples_csv",
     ],
     "medialcover.geometry": ["Ball", "Point", "PolygonBoundary", "Segment"],
 }
@@ -52,7 +75,7 @@ REMOVED = {
 def test_removed_names_no_longer_resolve(module_name):
     module = importlib.import_module(module_name)
     assert [name for name in REMOVED[module_name] if hasattr(module, name)] == []
-    assert not hasattr(medialcover.ClosedSetSpec, "from_json")
+    assert not hasattr(ClosedSetSpec, "from_json")
 
 
 def test_the_fields_module_is_gone():
@@ -64,7 +87,7 @@ def test_every_public_top_level_definition_is_exported():
     """A public ``def`` or ``class`` is in its module's ``__all__``; helpers are named with a leading underscore."""
     unexported = {}
     for path in Path(medialcover.__file__).parent.glob("*.py"):
-        if path.stem in ("__init__", "__main__", "cli"):  # the package's re-exports; the command line has no __all__
+        if path.stem in ("__init__", "__main__", "cli"):  # the package and its entry points have no __all__
             continue
         module = importlib.import_module(f"medialcover.{path.stem}")
         defined = [
@@ -82,16 +105,12 @@ def test_every_exported_name_has_a_caller_in_the_package():
     sources = {path: ast.parse(path.read_text()) for path in Path(medialcover.__file__).parent.glob("*.py")}
     used = set()
     for path, tree in sources.items():
-        if path.name == "__init__.py":
-            continue
         for node in ast.walk(tree):
             # Attributes do not count: a method named like an exported function is not its caller.
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
     exported = set()
     for path, tree in sources.items():
-        if path.name == "__init__.py":
-            continue
         for node in tree.body:
             if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
                 exported.update(ast.literal_eval(node.value))
@@ -115,8 +134,7 @@ def test_every_imported_name_is_read():
     for path in [*package.glob("*.py"), *Path(__file__).parent.glob("*.py")]:
         tree = ast.parse(path.read_text())
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-        exported = set(medialcover.__all__) if path == package / "__init__.py" else set()  # re-exports
-        names = sorted(set(imported_names(tree)) - read - exported)
+        names = sorted(set(imported_names(tree)) - read)
         if names:
             unused[path.name] = names
     assert unused == {}

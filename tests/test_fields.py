@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from medialcover import ClosedSetSpec, Window, asplund_lift
+from medialcover.convex import asplund_lift
+from medialcover.geometry import ClosedSetSpec, Window
 from reference import asplund_field, strongify
 from test_kernel import MIXED, packed, queries
 

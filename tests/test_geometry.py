@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from medialcover import Classification, ClosedSetSpec, Window, grid_sweep, nearest_points, survey
+from medialcover.distance import Classification, grid_sweep, nearest_points, survey
+from medialcover.geometry import ClosedSetSpec, Window
 import reference
 
 UNIT_SQUARE = {"type": "polygon", "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}

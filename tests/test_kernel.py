@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from medialcover import ClosedSetSpec, Window, grid_sweep, nearest_points, survey
+from medialcover.distance import grid_sweep, nearest_points, survey
+from medialcover.geometry import ClosedSetSpec, Window
 import reference
 
 TIE = 1e-9

@@ -26,10 +26,9 @@ import numpy as np
 import pytest
 
 import reference
-from medialcover import Classification
 from medialcover.config import ScenarioConfig, load_config
 from medialcover.convex import SlopeLattice, nondiff_witnesses
-from medialcover.distance import grid_sweep, survey
+from medialcover.distance import Classification, grid_sweep, survey
 from medialcover.geometry import ClosedSetSpec, Window
 from medialcover import verify
 from medialcover.verify import (
