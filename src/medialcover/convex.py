@@ -23,9 +23,11 @@ Numerical conventions
   lattice steps; the chosen pair is the widest one whose members sit at
   least half a lattice step inside the gap, which makes the choice
   deterministic and robust to rounding.
-* Marginal infima expand a symmetric bracket by doubling until both ends
-  exceed the center value (guaranteed by strong convexity), then run
-  golden-section search to an absolute coordinate resolution of 1e-7.
+* Marginal infima expand a bracket centred on the point's own coordinate
+  by doubling until both ends exceed the center value (guaranteed by strong
+  convexity), then run golden-section search to an absolute coordinate
+  resolution of 1e-7.  A search started at its minimizer, as each of
+  ``verify``'s is, closes its first bracket and takes 37 field calls.
   :func:`marginal_inf_rows` runs R such searches in lockstep, one evaluator
   call per step on the rows still open: each row doubles its own bracket and
   leaves the golden-section arrays once its own b - a is at most 1e-7, so a
@@ -136,17 +138,18 @@ def marginal_inf_rows(field: Callable[[np.ndarray], np.ndarray], axes, slopes, p
     ``field`` is a plain function from (R, n) points to (R,) values, such as
     :func:`asplund_lift`; n is the width of ``points``, and nothing checks
     the field's dimension.  In row r, x is ``points[r]`` with coordinate
-    ``axes[r]`` set to t (the given ``axes[r]`` coordinate is ignored) and
-    the slope is ``slopes[r]``.  Requires a strongly convex field, which
-    makes every objective coercive: each row doubles its bracket [-w, w]
-    until both ends exceed the value at the center, then golden-section
-    search localizes the minimizer to ``_MARGINAL_XTOL``, one ``field`` call
-    per step on the rows still open.  The golden-section arrays hold only
-    those rows: each step computes the bracket widths once, and when the
-    narrowest is not wider than ``_MARGINAL_XTOL`` (or is NaN), the rows at
-    most that wide are written to the output and dropped.  Otherwise each
-    row moves its bracket and takes its one new abscissa, c when it kept the
-    left part and d when it kept the right, all in one ``field`` call.
+    ``axes[r]`` set to t, and the slope is ``slopes[r]``.  The given
+    coordinate p = ``points[r, axes[r]]`` is the search's start.  Requires a
+    strongly convex field, which makes every objective coercive: each row
+    doubles its bracket [p - w, p + w], from w = 1, until both ends exceed
+    the value at p, then golden-section search localizes the minimizer to
+    ``_MARGINAL_XTOL``, one ``field`` call per step on the rows still open.
+    The golden-section arrays hold only those rows: each step computes the
+    bracket widths once, and when the narrowest is not wider than
+    ``_MARGINAL_XTOL`` (or is NaN), the rows at most that wide are written to
+    the output and dropped.  Otherwise each row moves its bracket and takes
+    its one new abscissa, c when it kept the left part and d when it kept
+    the right, all in one ``field`` call.
     Raises :class:`CoercivityError`, naming the first row still open, if a
     bracket does not close within ``_MAX_DOUBLINGS`` doublings or
     ``_MAX_GOLDEN_STEPS`` golden-section steps, which signals a precondition
@@ -170,8 +173,9 @@ def marginal_inf_rows(field: Callable[[np.ndarray], np.ndarray], axes, slopes, p
         f = field(np.where(on_axis[idx], t[:, None], points[idx])) - slopes[idx] * t
         return [f[j * k : (j + 1) * k] for j in range(len(ts))]
 
+    start = points[rows, axes]
     half = np.full(len(rows), _INITIAL_HALFWIDTH)
-    f_center, fa, fb = phi_rows(rows, np.zeros(len(rows)), -half, half)
+    f_center, fa, fb = phi_rows(rows, start, start - half, start + half)
     open_rows = rows[~((fa > f_center) & (fb > f_center))]
     doublings = 0
     while open_rows.size:
@@ -183,10 +187,10 @@ def marginal_inf_rows(field: Callable[[np.ndarray], np.ndarray], axes, slopes, p
                 "doublings; the field does not look strongly convex"
             )
         half[open_rows] *= 2.0
-        fa, fb = phi_rows(open_rows, -half[open_rows], half[open_rows])
+        fa, fb = phi_rows(open_rows, start[open_rows] - half[open_rows], start[open_rows] + half[open_rows])
         open_rows = open_rows[~((fa > f_center[open_rows]) & (fb > f_center[open_rows]))]
 
-    a, b = -half, half
+    a, b = start - half, start + half
     c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
     fc, fd = phi_rows(rows, c, d)
     out = np.empty(len(rows))

@@ -11,9 +11,10 @@ A graph is its triple ``(axis, alpha, beta)`` over one field F:
 its x_i from the two marginal values.  On the window grid with the graph's
 axis left out, :func:`cover_family_to_dict` computes g_s once per (axis,
 slope) of a family, all of them in one batched search
-(:func:`medialcover.convex.marginal_inf_rows`), and every graph with that
-slope reads its row; :func:`graph_coordinate` takes a graph's two rows as
-arrays, so each graph's grid is built in one call, with no loop over nodes.
+(:func:`medialcover.convex.marginal_inf_rows`) that starts each node at the
+window's centre on the searched axis, and every graph with that slope reads
+its row; :func:`graph_coordinate` takes a graph's two rows as arrays, so
+each graph's grid is built in one call, with no loop over nodes.
 """
 
 from __future__ import annotations
@@ -86,7 +87,8 @@ def cover_family_to_dict(field: Callable[[np.ndarray], np.ndarray], graphs, wind
     ticks = window.axes(resolution) if window.dimension > 1 else []
     rest = {axis: np.array(list(itertools.product(*ticks[:axis], *ticks[axis + 1 :]))) for axis in {a for a, _, _ in graphs}}
     count = resolution ** (window.dimension - 1)
-    points = np.concatenate([np.insert(rest[axis], axis, 0.0, axis=1) for axis, _ in keys])
+    centre = (window.lower + window.upper) / 2.0  # each search starts at the window's centre on its axis
+    points = np.concatenate([np.insert(rest[axis], axis, centre[axis], axis=1) for axis, _ in keys])
     axes = np.repeat([axis for axis, _ in keys], count)
     slopes = np.repeat([slope for _, slope in keys], count)
     rows = dict(zip(keys, marginal_inf_rows(field, axes, slopes, points).reshape(len(keys), count)))

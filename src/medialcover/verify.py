@@ -12,9 +12,11 @@ takes each flagged edge to the point where the two rows tie to within a few
 ulp, with no projection.  Where a third row is strictly nearer there, the
 edge passes through that row's region, and a next round follows it on one
 half of the bracket.  The flagged edges of all axes form one batch that
-shares each lockstep loop, and each bracket stops on its own tests.  Every
-sample is such a refined point, and carries its feet as a box: the
-coordinatewise minimum and maximum of its projections onto its two rows.
+shares each lockstep loop, and each bracket stops on its own tests.  Such a
+refined point carries its feet as a box: the coordinatewise minimum and
+maximum of its projections onto its two rows.  The other samples are shell
+centres, which no grid edge crosses: the centre of a shell with no nearer
+row, whose feet box is the shell's bounding box.
 ``certify_cover`` then runs the detected samples through the convex-lift
 pipeline: the derivative-gap witness read off the feet, covering graph
 (axis, alpha, beta), vertical deviation, and the marginal-value identities,
@@ -63,11 +65,12 @@ def _flagged_edges(spec, window, resolution):
     edge is flagged when its two endpoints have different nearest rows AND
     their feet, their projections onto those rows, lie more than
     ``_SEPARATION_FACTOR`` edge lengths apart.  Within one row the foot is
-    unique, except at a shell's centre, so an edge whose ends share a nearest
-    row holds no crossing of two rows, and only the ends of the edges whose
-    rows differ are projected, in one ``project_rows`` call.  The separation
-    test rejects the tangential projection drift that any curve primitive
-    induces on edges running parallel to it, which is not a branch change.
+    unique, except at a shell's centre, which ``detect_ambiguous`` adds
+    itself; so an edge whose ends share a nearest row holds no crossing of
+    two rows, and only the ends of the edges whose rows differ are
+    projected, in one ``project_rows`` call.  The separation test rejects
+    the tangential projection drift that any curve primitive induces on
+    edges running parallel to it, which is not a branch change.
     The edges come as one batch ``(a, b, proj_a, proj_b, row_a, row_b)`` of
     (K, n) points and (K,) packed rows, axis by axis in grid order; K is 0
     when no edge is flagged.
@@ -183,14 +186,24 @@ def detect_ambiguous(spec: ClosedSetSpec, window: Window, resolution: int) -> np
     The samples are one refined point per grid edge whose endpoints have
     different nearest rows and project to different branches of the set, in
     deterministic grid order (see :func:`_flagged_edges` and
-    :func:`_refine_edges`).  A grid node is never a sample itself, so a
-    shell's centre is not sampled.  Returns one (K, 3, n) array: ``[:, 0]``
-    is the sample, ``[:, 1]`` and ``[:, 2]`` the coordinatewise minimum and
-    maximum of its feet.
+    :func:`_refine_edges`), then, in row order, the centre c of each shell
+    row of radius r > 0 that lies in the closed window and where no row is
+    strictly nearer than r.  No grid edge finds such a centre, since both
+    ends of an edge beside it have the shell as nearest row; there every
+    point of the shell is a foot, so its feet box is (c - r, c + r).
+    Returns one (K, 3, n) array: ``[:, 0]`` is the sample, ``[:, 1]`` and
+    ``[:, 2]`` the coordinatewise minimum and maximum of its feet.
     """
     if resolution < 8:
         raise ValueError("grid resolution must be at least 8 per axis")
-    return _refine_edges(spec, _flagged_edges(spec, window, resolution))
+    found = _refine_edges(spec, _flagged_edges(spec, window, resolution))
+    shell = spec.radii > 0.0
+    centre, radius = spec.starts[shell], spec.radii[shell]
+    inside = np.all((window.lower <= centre) & (centre <= window.upper), axis=1)
+    centre, radius = centre[inside], radius[inside]
+    alone = spec.row_distances(centre).min(axis=0) >= radius  # a tie with another row still counts
+    centre, radius = centre[alone], radius[alone, None]
+    return np.concatenate([found, np.stack([centre, centre - radius, centre + radius], axis=1)])
 
 
 def certify_cover(spec: ClosedSetSpec, found: np.ndarray) -> dict:
@@ -203,11 +216,11 @@ def certify_cover(spec: ClosedSetSpec, found: np.ndarray) -> dict:
     ``SlopeLattice()`` (step 0.125, bound 64), and record the
     vertical deviation of the covering graph (axis, alpha, beta) plus the two
     marginal-value identities.  One lift call evaluates all resolved samples
-    and one two-row search gives each sample's two marginal infima, so a
-    sample's record does not depend on the other samples.  Samples without a
-    resolvable gap are reported as unresolved.  A record is covered when its
-    deviation is at most ``_COVERAGE_TOL``, and the report passes when every
-    record is covered.  Returns the report as the ``verify`` command writes
+    and one two-row search, started at the sample, gives each sample's two
+    marginal infima, so a sample's record does not depend on the other
+    samples.  Samples without a resolvable gap are reported as unresolved.
+    A record is covered when its deviation is at most ``_COVERAGE_TOL``, and
+    the report passes when every record is covered.  Returns the report as the ``verify`` command writes
     it: the counts, the per-sample ``records`` and the ``unresolved_points``.
     """
     lift = asplund_lift(spec)

@@ -361,23 +361,27 @@ def convexity_probe(field, window, num_samples=10000, seed=0) -> tuple[float, fl
     return violation, tolerance, violation <= tolerance
 
 
-def reference_marginal_inf(field, axis, slope, x_rest, xtol=1e-7):
-    """The scalar bracket doubling and golden-section search that the batched kernel replaced."""
-    point = np.insert(np.asarray(x_rest, dtype=float), axis, 0.0)
+def reference_marginal_inf(field, axis, slope, x_rest, start=0.0, xtol=1e-7):
+    """The scalar bracket doubling and golden-section search that the batched kernel replaced.
+
+    The first bracket is [start - 1, start + 1]; ``marginal_inf_rows`` starts
+    each row at its own coordinate on the searched axis.
+    """
+    point = np.insert(np.asarray(x_rest, dtype=float), axis, start)
 
     def phi(t):
         point[axis] = t
         return float(field(point)) - slope * t
 
-    half, f_center = 1.0, phi(0.0)
+    half, f_center = 1.0, phi(start)
     for _ in range(1 + 60):  # the first bracket, then up to 60 doublings
-        if phi(-half) > f_center and phi(half) > f_center:
+        if phi(start - half) > f_center and phi(start + half) > f_center:
             break
         half *= 2.0
     else:
         raise CoercivityError(f"bracket for axis {axis}, slope {slope} still open")
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = -half, half
+    a, b = start - half, start + half
     c, d = b - invphi * (b - a), a + invphi * (b - a)
     fc, fd = phi(c), phi(d)
     while (b - a) > xtol:

@@ -94,16 +94,16 @@ def report_digest(report: bytes) -> str:
 
 # sha256 of each report, as ``report_digest`` takes it; a change that moves one float of a report fails here.
 GOLDEN = {
-    ("verify", "verify_two_point"): "54ee6e14c25216973fde2792d9fb5da0e300e6e77188cd609275ef400c3ae858",
-    ("verify", "verify_circle"): "be801df986e36768888d3f1a92ae0f31300492990ecf3ca35e54c9ea79acb558",
-    ("verify", "verify_two_point_corrupt"): "9c3f6b8ddcca7601c06f9f52e3f687a00698d5608412300bc5782d738ff603d3",
+    ("verify", "verify_two_point"): "65296a3f1dc00b59aa14478f666d7082167d364cb25c2ed4cbf585be7537d3f0",
+    ("verify", "verify_circle"): "b590b894a5d7a84734ceca8855577539d393b7e182b09430ace1514f5a92db4e",
+    ("verify", "verify_two_point_corrupt"): "d9e812dd904910aabfe54aca364cfc21e27fff0e1fe13cd18ab28f7e7696ef36",
     ("cover", "cover_two_point"): "9fd6f25d84666c6d4538c9436a46e6516cdcef65147a2c4c398e5c6b640806a4",
     # A 3-D set, and a window whose two axes have different grid steps.
-    ("verify", "verify_shells"): "2b2da0099e02ccc69ac4b2ec6cde11de2d5b7975fb5a57ef99b9fa8a2d692ca4",
-    ("cover", "cover_shells"): "8341a96f19e531073038f32f1211b2d45be27ec5b5eecf0b36ad22c9d882baf1",
-    ("verify", "verify_wide_window"): "4961541b0b531411f4bbeddfd70c2f134e915901f26c639eefa4a98e9f82d3ea",
+    ("verify", "verify_shells"): "a41498f2db7be4f50b080af3f59a224a9e717b7839521e992b9f2328a0f0baa8",
+    ("cover", "cover_shells"): "d8f5170cba43c262e0293cc06161abf7f302955907ab20296d5f281dc2c6a590",
+    ("verify", "verify_wide_window"): "0aac179a1c92ac21a3d092d41396e75288f48b6dad259677887f30827aa7334d",
     # A polygon loop: a six-vertex star, whose rows are all segments.
-    ("verify", "verify_star"): "0f2e9385f1ead17b4654bcb0e58652cbc1c3366a3cbec8553de6cadf728132c3",
+    ("verify", "verify_star"): "d0eb8384d2daa4e3cb130d62c0e6a6fead969a55049cfb929df371e2a87062fb",
     ("cover", "cover_star"): "79b2f06f5867f39759268f7d1c8f2e9f9616e1ec727300e2b923c8b5235cbf11",
 }
 
@@ -175,13 +175,14 @@ def test_csv_bytes_match_their_golden_digest(command, fixture, tmp_path, capsys)
 # `verify` and `cover` go through the marginal-infimum searches.
 WORKLOAD_SEED = 303
 GOLDEN_WORKLOADS = {
-    ("verify", "points2d"): (0, "6cbab8ce8553277d760f783aab7f425de83fe79ac1085a57de9459394c6423f9"),
-    ("verify", "polygon2d"): (0, "73ad65aeb338bed98203bfbecd2cad2cd69ccec6de6ad36cd3683081294b9341"),
-    # No edge next to the sphere's centre is flagged: both its ends have the sphere as nearest row.
-    ("verify", "shells3d"): (0, "a82cb31e1241c7b8314d7a28d2227d67227680d7e5c9dba9631bed7ffe55e3fe"),
+    ("verify", "points2d"): (0, "1059bee44af2020aabbccc71b21726ebeee275931231d2cb8544564660cac822"),
+    ("verify", "polygon2d"): (0, "99e0e7dc005d7c55ce6f3a8f718e5c839bd2f92e55a146521ccbdc69ae251d1d"),
+    # No edge next to the sphere's centre is flagged, as both its ends have the sphere as nearest row;
+    # the centre is a sample of its own.
+    ("verify", "shells3d"): (0, "f32d4cd8df317fdc3902531052b343485009f6784fbb79bfbd6ec38aa8cebd43"),
     ("cover", "points2d"): (0, "a6251b32436ce12e2804fd04c7ba9001c6fa8d8ed5e7d5b972c5b9430012ab6f"),
     ("cover", "polygon2d"): (0, "2862657c107b349470c3a98f13c1ac313ab08d908b1d245137378128bfab1dbd"),
-    ("cover", "shells3d"): (0, "935de11231e8e24ac8a7e64a27a650adc52255d25d75944db4cb8eff0990c508"),
+    ("cover", "shells3d"): (0, "f4d743acc2c9ee04eb55641455afcbfd3f3ae444d158f13eaf333b2c8d346233"),
     # `analyze` also pins its grid table.  Its report names the table by the
     # path given on the command line, so both are written under fixed
     # relative names.  The shells3d grid, 24**3 = 13,824 rows, is symmetric,

@@ -223,17 +223,18 @@ def fixture_found(name):
 
 
 def shell_centre_found(spec):
-    """The set, the default lattice, and the samples on a grid of 9 nodes per axis with the shell's centre added.
+    """The set, the default lattice, and the samples on a grid of 9 nodes per axis, the shell's centre last.
 
-    ``detect_ambiguous`` never samples a grid node, so the centre c of the
-    shell of radius R (row 0) comes by hand, with the feet box
-    (c - R, c + R) of the whole shell on every axis.
+    ``detect_ambiguous`` samples the centre c of the shell of radius R
+    (row 0), a grid node of this grid, after the edge samples, with the feet
+    box (c - R, c + R) of the whole shell on every axis.
     """
     window = Window([-2.0] * spec.dimension, [2.0] * spec.dimension)
     found = detect_ambiguous(spec, window, 9)
-    assert not np.all(found[:, 0] == spec.starts[0], axis=1).any()
     centre, radius = spec.starts[0], spec.radii[0]
-    return spec, SlopeLattice(), np.concatenate([found, [[centre, centre - radius, centre + radius]]])
+    assert np.all(found[:, 0] == centre, axis=1).tolist() == [False] * (len(found) - 1) + [True]
+    assert found[-1].tolist() == [centre.tolist(), (centre - radius).tolist(), (centre + radius).tolist()]
+    return spec, SlopeLattice(), found
 
 
 CIRCLE = ClosedSetSpec([{"type": "ball", "center": [0.0, 0.0], "radius": 1.0}], 2)
@@ -353,7 +354,7 @@ class TestMarginalInfRows:
         values = marginal_inf_rows(field, axes, slopes, points)
         assert values.shape == (48,)
         for value, axis, slope, point in zip(values.tolist(), axes.tolist(), slopes.tolist(), points):
-            assert value == reference.reference_marginal_inf(field, axis, slope, np.delete(point, axis))
+            assert value == reference.reference_marginal_inf(field, axis, slope, np.delete(point, axis), point[axis])
 
     def test_one_open_row_fails_the_batch_and_is_named(self):
         def half_open(x):  # |x2| - 2 x2 has no minimum; every other row is coercive

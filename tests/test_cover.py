@@ -98,7 +98,7 @@ def test_an_empty_family_serializes_to_nothing():
 # The family spans every axis, so it holds the witness graph of every sample
 # whose derivative gap the cover lattice resolves.  The fixtures, then the
 # benchmark workloads at seed 303.
-WITNESSES = {"cover_two_point": 64, "cover_star": 1, "cover_shells": 21, "points2d": 35, "polygon2d": 1, "shells3d": 14}
+WITNESSES = {"cover_two_point": 64, "cover_star": 1, "cover_shells": 22, "points2d": 35, "polygon2d": 1, "shells3d": 15}
 
 
 @pytest.mark.parametrize("name, count", list(WITNESSES.items()), ids=list(WITNESSES))
@@ -127,8 +127,12 @@ def test_the_cover_graph_of_each_certified_sample_is_off_it_by_the_reported_devi
     lift = asplund_lift(config.set_spec)
     for record in records:
         point, axis, alpha, beta = record["point"], record["axis"], record["alpha"], record["beta"]
-        # A one-node grid: the window's lower corner is the sample.
-        (entry,) = cover_family_to_dict(lift, [(axis, alpha, beta)], Window(point, np.add(point, 1.0)), 1)
+        # A one-node grid: the window's lower corner is the sample off the searched axis, and its
+        # centre on that axis is the sample too, so both searches start where verify's start.
+        lower, upper = np.array(point), np.add(point, 1.0)
+        lower[axis], upper[axis] = point[axis] - 2.0**-30, point[axis] + 2.0**-30
+        assert (lower[axis] + upper[axis]) / 2.0 == point[axis]
+        (entry,) = cover_family_to_dict(lift, [(axis, alpha, beta)], Window(lower, upper), 1)
         *rest, coordinate = entry["grid"][0]
         assert rest == np.delete(point, axis).tolist()
         assert abs(point[axis] - coordinate) == record["deviation"]

@@ -15,6 +15,10 @@ whole-grid rule ``reference.reference_flagged_edges``, while it reads nearest
 rows in sweep blocks and projects only the ends of edges whose rows differ,
 in one call; its peak memory stays below a grid sweep's.
 
+The centre of a shell is a sample when it lies in the window and no row is
+strictly nearer to it than the shell.  Each resolved sample costs
+``certify_cover`` 37 lift calls, because each search starts at its sample.
+
 Also: a certified sample's record does not depend on the other samples of its batch.
 """
 
@@ -456,6 +460,95 @@ def test_no_sample_is_left_unresolved_at_a_shell_centre(case, tmp_path, monkeypa
         config = workload_config("shells3d", 303, tmp_path, monkeypatch)
     _, report = certified_points(config)
     assert (report["unresolved"], report["unresolved_points"]) == (0, [])
+
+
+def test_verify_circle_reports_one_sample_at_its_centre():
+    config, _ = load_config(FIXTURES / "verify_circle.json")
+    points, report = certified_points(config)
+    assert points.tolist() == [[0.0, 0.0]]
+    (record,) = report["records"]
+    assert (report["samples"], report["pass"], record["deviation"]) == (1, True, 0.0)
+    found = detect_ambiguous(config.set_spec, config.window, config.grid_resolution)
+    assert found.tolist() == [[[0.0, 0.0], [-1.0, -1.0], [1.0, 1.0]]]  # the whole circle's feet box
+
+
+def centres_found(records, window=Window([-2.0, -2.0], [2.0, 2.0])):
+    """The samples of ``detect_ambiguous`` at the centre of a shell of the set."""
+    spec = ClosedSetSpec(records, 2)
+    found = detect_ambiguous(spec, window, 16)
+    centres = spec.starts[spec.radii > 0.0]
+    return found[np.any(np.all(found[:, 0, None] == centres, axis=2), axis=1)]
+
+
+def test_a_shell_centre_outside_the_window_is_not_a_sample():
+    shells = [{"type": "ball", "center": [3.0, 0.0], "radius": 1.5}, {"type": "ball", "center": [0.0, 2.0], "radius": 1.5}]
+    # The window is closed: the second centre lies on its upper edge.
+    assert centres_found(shells)[:, 0].tolist() == [[0.0, 2.0]]
+    assert len(centres_found(shells, Window([-2.0, -2.0], [2.0, 1.9]))) == 0
+
+
+def test_a_shell_centre_that_another_primitive_passes_through_is_not_a_sample():
+    circle = {"type": "ball", "center": [0.0, 0.0], "radius": 1.0}
+    assert len(centres_found([circle])) == 1
+    assert len(centres_found([circle, {"type": "segment", "a": [-0.5, -0.5], "b": [0.5, 0.5]}])) == 0
+    assert len(centres_found([circle, {"type": "point", "coords": [0.0, 0.0]}])) == 0
+    # A smaller concentric shell is nearer at the centre; the larger one's centre is not a sample of its own.
+    assert centres_found([circle, {"type": "ball", "center": [0.0, 0.0], "radius": 0.5}]).tolist() == [
+        [[0.0, 0.0], [-0.5, -0.5], [0.5, 0.5]]
+    ]
+    # A row exactly as near as the shell ties with it, which still counts: each shell lies
+    # at its own radius from the other's centre, so both centres are samples.
+    tie = centres_found([circle, {"type": "ball", "center": [1.5, 0.0], "radius": 0.5}])
+    assert tie.tolist() == [[[0.0, 0.0], [-1.0, -1.0], [1.0, 1.0]], [[1.5, 0.0], [1.0, -0.5], [2.0, 0.5]]]
+
+
+def test_a_shell_of_radius_zero_adds_no_sample():
+    """A shell of radius 0 is its centre, a point, and gives the samples of one."""
+    window = Window([-2.0, -2.0], [2.0, 2.0])
+    other = {"type": "point", "coords": [1.0, 0.5]}
+    shell = ClosedSetSpec([{"type": "ball", "center": [-1.0, 0.0], "radius": 0.0}, other], 2)
+    point = ClosedSetSpec([{"type": "point", "coords": [-1.0, 0.0]}, other], 2)
+    found = detect_ambiguous(shell, window, 16)
+    assert len(found) > 10
+    assert_bit_identical(found, detect_ambiguous(point, window, 16))
+    assert not np.any(np.all(found[:, 0] == [-1.0, 0.0], axis=1))
+
+
+def counted_lift_calls(monkeypatch, spec, found):
+    """The number of lift evaluations that ``certify_cover`` makes on ``found``, and its report."""
+    calls = []
+    lift = verify.asplund_lift
+
+    def counting_lift(spec):
+        evaluate = lift(spec)
+
+        def counting(x):
+            calls.append(len(x))
+            return evaluate(x)
+
+        return counting
+
+    monkeypatch.setattr(verify, "asplund_lift", counting_lift)
+    report = certify_cover(spec, found)
+    return len(calls), report
+
+
+# Each search starts at its sample, where both of its slopes' marginal infima
+# are attained, so its first bracket [x_i - 1, x_i + 1] closes without a
+# doubling.  Golden-section search takes 35 steps to shrink a width of 2 to
+# 1e-7.  A sample's two-row search so makes 37 lift calls: the bracket's
+# centre and ends, then c and d, then one per step.  One more call evaluates
+# the lift at every resolved sample.
+@pytest.mark.parametrize("case", ["verify_shells", "verify_star", "points2d", "polygon2d", "shells3d"])
+def test_each_resolved_sample_costs_37_lift_calls(case, tmp_path, monkeypatch):
+    if case.startswith("verify_"):
+        config, _ = load_config(FIXTURES / f"{case}.json")
+    else:
+        config = workload_config(case, 303, tmp_path, monkeypatch)
+    found = detect_ambiguous(config.set_spec, config.window, config.grid_resolution)
+    calls, report = counted_lift_calls(monkeypatch, config.set_spec, found)
+    assert report["samples"] > 10
+    assert calls == 37 * report["samples"] + 1
 
 
 # At these `polygon2d` grid nodes (indices on the 32-node axes) the two
