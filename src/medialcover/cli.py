@@ -49,8 +49,8 @@ from . import __version__
 from .config import ConfigError, ScenarioConfig, config_digest, load_config
 from .convex import CoercivityError, asplund_lift, nondiff_witnesses
 from .cover import FamilyBudgetError, cover_family_to_dict, enumerate_cover
-from .distance import Classification, grid_sweep, write_grid_csv
-from .verify import certify_cover, detect_ambiguous, write_overlay_svg, write_samples_csv
+from .distance import Classification, grid_sweep, write_grid_csv, write_samples_csv
+from .verify import certify_cover, detect_ambiguous, write_overlay_svg
 
 EXIT_OK = 0
 EXIT_COVERAGE = 1

@@ -20,15 +20,15 @@ them as parameters that default to them.
 (x - q) / d(x) of the distance field, q being the survey's projection.  It
 stores each node's class as one int8 code, the index of the class in
 ``Classification``; off the set, d is differentiable exactly at the UNIQUE
-nodes, where the nearest point is unique.  The sweep works in the row
-blocks of the distance kernel (``ClosedSetSpec.row_distances``), written
-into preallocated arrays, so its temporaries do not grow with the grid.
+nodes, where the nearest point is unique.  The sweep walks the grid in
+``ClosedSetSpec.grid_blocks``, into preallocated arrays, so its nodes and
+temporaries do not grow with the grid.
 
-``write_grid_csv`` writes a sweep through ``write_csv``, a columnar writer
-that works one block of ``CSV_BLOCK_ROWS`` rows at a time and does not use
-the ``csv`` module.  Every float is written as its ``repr``.  Each grid
-coordinate is formatted once per axis value, not once per row, and each
-distinct float of a block's distance and gradient cells once per block.
+``write_grid_csv`` and ``write_samples_csv`` write a sweep and the points of
+a ``verify`` report through ``write_csv``, a columnar writer that works one
+block of ``CSV_BLOCK_ROWS`` rows at a time and does not use the ``csv``
+module.  Every float is written as its ``repr``: each grid coordinate once
+per axis value, and each other distinct float once per block.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from enum import Enum
 
 import numpy as np
 
-from .geometry import ClosedSetSpec, Window, _batch
+from .geometry import ClosedSetSpec, Window
 
 __all__ = [
     "Classification",
@@ -50,6 +50,7 @@ __all__ = [
     "grid_sweep",
     "write_csv",
     "write_grid_csv",
+    "write_samples_csv",
     "TIE_TOLERANCE",
     "SEPARATION",
 ]
@@ -122,6 +123,16 @@ def survey(
     return Survey(d, projection, in_set, ambiguous)
 
 
+def _batch(x: np.ndarray, dimension: int) -> np.ndarray:
+    """Coerce ``x`` to shape (N, dimension); a single point becomes one row."""
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim == 1:
+        arr = arr[None, :]
+    if arr.ndim != 2 or arr.shape[1] != dimension:
+        raise ValueError(f"expected points of dimension {dimension}, got shape {arr.shape}")
+    return arr
+
+
 def nearest_points(
     spec: ClosedSetSpec,
     x,
@@ -137,7 +148,7 @@ def nearest_points(
 class GridSweep:
     """Vectorized distance-field evaluation over a full window grid.
 
-    Row k of each array is node k of ``window.grid_points(resolution)``.
+    Row k of each array is node k of the grid, ``window.nodes(resolution, k)``.
     ``classes`` holds each node's class as its index in ``Classification``
     (0 in the set, 1 unique, 2 ambiguous); the field is differentiable
     exactly at the unique nodes.  ``gradients`` holds (x - q) / d(x) at every
@@ -153,32 +164,26 @@ class GridSweep:
     gradients: np.ndarray
 
 
-def _sweep_blocks(spec: ClosedSetSpec, count: int) -> list[slice]:
-    """The blocks of ``count`` grid nodes that a sweep works on, in node order: the kernel's row blocks."""
-    return [slice(lo, lo + spec._block) for lo in range(0, count, spec._block)]
-
-
 def grid_sweep(spec: ClosedSetSpec, window: Window, resolution: int) -> GridSweep:
-    """Survey the grid nodes one kernel row block at a time (see :func:`_sweep_blocks`) into preallocated arrays.
+    """Survey the grid nodes one kernel row block at a time (see ``ClosedSetSpec.grid_blocks``) into preallocated arrays.
 
-    A block's survey holds a few (M, block) and (block, n) temporaries, so
-    the sweep's transient memory stays flat as the grid grows.  Each node's
-    values depend on that node alone, so the block size does not change a
-    bit of the result.
+    A block's nodes and survey are a few (M, block) and (block, n)
+    temporaries, so the sweep's transient memory stays flat as the grid
+    grows.  Each node's values depend on that node alone, so the block size
+    does not change a bit of the result.
     """
     if resolution < 2:
         raise ValueError("grid resolution must be at least 2")
-    pts = window.grid_points(resolution)
-    count, n = pts.shape
+    count, n = resolution**window.dimension, window.dimension
     values = np.empty(count)
     gradients = np.empty((count, n))
     classes = np.empty(count, dtype=np.int8)
-    for block in _sweep_blocks(spec, count):
-        surveyed = survey(spec, pts[block])
+    for block, nodes in spec.grid_blocks(window, resolution):
+        surveyed = survey(spec, nodes)
         off = ~surveyed.in_set
         values[block] = surveyed.distance
         gradients[block] = np.nan
-        offsets = pts[block] - surveyed.projection
+        offsets = nodes - surveyed.projection
         np.divide(offsets, surveyed.distance[:, None], out=gradients[block], where=off[:, None])
         classes[block] = _class_codes(surveyed)
     return GridSweep(window=window, resolution=resolution, values=values, classes=classes, gradients=gradients)
@@ -238,11 +243,11 @@ def write_csv(path, header: list[str], count: int, columns) -> None:
 
 
 def write_grid_csv(sweep: GridSweep, path) -> None:
-    """Write the sweep one row per grid node, in the order of ``Window.grid_points``.
+    """Write the sweep one row per grid node, in the order of ``Window.nodes``.
 
     A grid has ``resolution`` values per axis, so each axis value is
-    formatted once; a row's value on axis ``i`` is the
-    ``(row // resolution**(n - 1 - i)) % resolution``-th, last axis fastest.
+    formatted once; a row's value on each axis is the tick that
+    ``np.unravel_index`` gives for its flat index, last axis fastest.
     The distance and gradient cells of a block go through
     ``_float_columns``, so each distinct float of a block is formatted once;
     symmetric grids and sets repeat many of them.
@@ -250,15 +255,20 @@ def write_grid_csv(sweep: GridSweep, path) -> None:
     res, n = sweep.resolution, sweep.window.dimension
     header = [f"x{i + 1}" for i in range(n)] + ["d", "classification"]
     header += [f"grad_{i + 1}" for i in range(n)] + ["differentiable_flag"]
-    strides = [res ** (n - 1 - i) for i in range(n)]
-    # ``grid_points`` copies these axis values into its nodes unchanged.
+    # ``Window.nodes`` copies these axis values into its nodes unchanged.
     labels = [list(map(repr, axis.tolist())) for axis in sweep.window.axes(res)]
 
     def columns(lo: int, hi: int) -> list[list[str]]:
-        rows = np.arange(lo, hi)
-        coords = [list(map(axis.__getitem__, (rows // stride % res).tolist())) for axis, stride in zip(labels, strides)]
+        cells = np.unravel_index(np.arange(lo, hi), (res,) * n)
+        coords = [list(map(axis.__getitem__, cell.tolist())) for axis, cell in zip(labels, cells)]
         d, *grads = _float_columns(np.column_stack([sweep.values[lo:hi], sweep.gradients[lo:hi]]))
         codes = sweep.classes[lo:hi].tolist()
         return [*coords, d, list(map(_CLASS_TEXT.__getitem__, codes)), *grads, list(map(_FLAG_TEXT.__getitem__, codes))]
 
     write_csv(path, header, len(sweep.values), columns)
+
+
+def write_samples_csv(points: np.ndarray, path) -> None:
+    """Write the (K, n) sample points to ``path`` as CSV, each distinct float of a block formatted once; K = 0 writes an empty file."""
+    header = [f"x{i + 1}" for i in range(points.shape[1])]
+    write_csv(path, header, len(points), lambda lo, hi: _float_columns(points[lo:hi]))

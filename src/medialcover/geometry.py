@@ -19,6 +19,10 @@ nearest point of one chosen row per query point; the distance field, its
 projection and the tie classification in :mod:`medialcover.distance` are all
 built on these two.
 
+The grid's node layout is decided here alone: ``Window.nodes`` gives the
+nodes at any flat indices, and ``ClosedSetSpec.grid_blocks`` walks a grid in
+the kernel's row blocks, each block building its own nodes.
+
 All coordinates are double precision, and every coordinate, radius and
 dimension must be given as a number: JSON true, false, null and strings are
 refused.  Instances are frozen and their arrays are marked read-only, so they
@@ -28,6 +32,7 @@ array fields have no single truth value.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,16 +74,6 @@ def _squared_lengths_fit(starts: np.ndarray, ends: np.ndarray) -> bool:
     with np.errstate(over="ignore"):
         diff = ends - starts
         return bool(np.isfinite(np.add.reduce(diff * diff, axis=-1)).all())
-
-
-def _batch(x: np.ndarray, dimension: int) -> np.ndarray:
-    """Coerce ``x`` to shape (N, dimension); a single point becomes one row."""
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    if arr.ndim != 2 or arr.shape[1] != dimension:
-        raise ValueError(f"expected points of dimension {dimension}, got shape {arr.shape}")
-    return arr
 
 
 def _pack_point(record: dict):
@@ -151,10 +146,16 @@ def _pack(record) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ValueError(f"missing field {exc.args[0]!r} for type {kind!r}") from None
 
 
-# Large batches go through ``row_distances``, and a grid sweep walks its nodes,
+# Large batches go through ``row_distances``, and ``grid_blocks`` walks a grid,
 # in blocks whose (n, M, block) temporaries hold about 2**14 doubles, so a
 # sweep's transient memory does not grow with the grid.
 _BLOCK_ELEMENTS = 1 << 14
+
+
+def _grid_nodes(ticks: list[np.ndarray], index) -> np.ndarray:
+    """The (K, n) nodes at flat indices ``index`` of the grid on these axis ticks, last axis fastest, copied from the ticks."""
+    cells = np.unravel_index(index, [len(axis) for axis in ticks])
+    return np.stack([axis[cell] for axis, cell in zip(ticks, cells)], axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,6 +265,16 @@ class ClosedSetSpec:
             foot[centre, 0] += r[centre]
         return foot
 
+    def grid_blocks(self, window: Window, resolution: int) -> Iterator[tuple[slice, np.ndarray]]:
+        """Yield each kernel row block of the window grid, in node order, as its slice of flat indices and its nodes.
+
+        The ticks are computed once per walk, and only one block's nodes exist at a time.
+        """
+        ticks, count = window.axes(resolution), resolution**window.dimension
+        for lo in range(0, count, self._block):
+            index = np.arange(lo, min(lo + self._block, count))
+            yield slice(lo, lo + len(index)), _grid_nodes(ticks, index)
+
     @classmethod
     def from_dict(cls, data: dict) -> "ClosedSetSpec":
         if not isinstance(data, dict):
@@ -306,17 +317,6 @@ class Window:
     def axes(self, resolution: int) -> list[np.ndarray]:
         return [np.linspace(self.lower[i], self.upper[i], resolution) for i in range(self.dimension)]
 
-    def grid_points(self, resolution: int) -> np.ndarray:
-        """All grid nodes as an (resolution**n, n) array, last axis fastest.
-
-        Each axis is broadcast into its column of one preallocated array, so
-        no temporary as large as the result is made.
-        """
-        n = self.dimension
-        nodes = np.empty((resolution,) * n + (n,))
-        for i, ticks in enumerate(self.axes(resolution)):
-            nodes[..., i] = ticks.reshape((-1,) + (1,) * (n - 1 - i))
-        return nodes.reshape(-1, n)
-
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        return rng.uniform(self.lower, self.upper, size=(count, self.dimension))
+    def nodes(self, resolution: int, index) -> np.ndarray:
+        """The (K, n) grid nodes at flat indices ``index``, last axis fastest, copied bit for bit from the ticks of :meth:`axes`."""
+        return _grid_nodes(self.axes(resolution), index)

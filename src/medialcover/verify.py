@@ -2,11 +2,11 @@
 
 ``detect_ambiguous`` reads the nearest row at every node of a window grid
 from the set's packed rows (a polygon loop is one segment row per edge
-there), one sweep block of nodes at a time as ``grid_sweep`` does, so its
-transient memory stays flat as the grid grows.  Only the edges whose two
-endpoints have different nearest rows cross the locus, so only their ends
-are projected onto their rows, and such an edge is flagged when those feet
-lie on genuinely different branches of the set.
+there), walking it in ``ClosedSetSpec.grid_blocks`` as ``grid_sweep``
+does, so its transient memory stays flat as the grid grows.  Only the edges
+whose two endpoints have different nearest rows cross the locus, so only
+their ends are built and projected onto their rows, and such an edge is
+flagged when those feet lie on genuinely different branches of the set.
 Illinois regula falsi on the difference of the distances to its two end rows
 takes each flagged edge to the point where the two rows tie to within a few
 ulp, with no projection.  Where a third row is strictly nearer there, the
@@ -31,13 +31,11 @@ import numpy as np
 
 from .convex import SlopeLattice, asplund_lift, marginal_inf_rows, nondiff_witnesses
 from .cover import graph_coordinate, graph_key
-from .distance import _float_columns, _sweep_blocks, write_csv
 from .geometry import ClosedSetSpec, Window
 
 __all__ = [
     "detect_ambiguous",
     "certify_cover",
-    "write_samples_csv",
     "write_overlay_svg",
 ]
 
@@ -60,26 +58,26 @@ def _flagged_edges(spec, window, resolution):
     """The grid edges that cross from one branch of the set to another, as one batch.
 
     Each grid node's nearest row is the first row at the minimum of
-    ``row_distances``, read one sweep block at a time (see
-    ``distance._sweep_blocks``), so only the (N,) rows outlive a block.  An
+    ``row_distances``, read one block of nodes at a time (see
+    ``ClosedSetSpec.grid_blocks``), so only the (N,) rows outlive a block.  An
     edge is flagged when its two endpoints have different nearest rows AND
     their feet, their projections onto those rows, lie more than
     ``_SEPARATION_FACTOR`` edge lengths apart.  Within one row the foot is
     unique, except at a shell's centre, which ``detect_ambiguous`` adds
     itself; so an edge whose ends share a nearest row holds no crossing of
-    two rows, and only the ends of the edges whose rows differ are
-    projected, in one ``project_rows`` call.  The separation test rejects
-    the tangential projection drift that any curve primitive induces on
-    edges running parallel to it, which is not a branch change.
+    two rows, and only the ends of the edges whose rows differ are built
+    (``Window.nodes``) and projected, in one ``project_rows`` call.  The
+    separation test rejects the tangential projection drift that any curve
+    primitive induces on edges running parallel to it, which is not a
+    branch change.
     The edges come as one batch ``(a, b, proj_a, proj_b, row_a, row_b)`` of
     (K, n) points and (K,) packed rows, axis by axis in grid order; K is 0
     when no edge is flagged.
     """
     n = spec.dimension
-    pts = window.grid_points(resolution)
-    nearest = np.empty(len(pts), dtype=np.intp)
-    for block in _sweep_blocks(spec, len(pts)):
-        nearest[block] = spec.row_distances(pts[block]).argmin(axis=0)
+    nearest = np.empty(resolution**n, dtype=np.intp)
+    for block, nodes in spec.grid_blocks(window, resolution):
+        nearest[block] = spec.row_distances(nodes).argmin(axis=0)
 
     shape = (resolution,) * n
     R = nearest.reshape(shape)
@@ -92,13 +90,14 @@ def _flagged_edges(spec, window, resolution):
     ia = np.concatenate(lows)
     ib = np.concatenate([low + resolution ** (n - 1 - k) for k, low in enumerate(lows)])
     ends, inverse = np.unique(np.concatenate([ia, ib]), return_inverse=True)
-    feet = spec.project_rows(pts[ends], nearest[ends])
-    pa, pb = feet[inverse[: len(ia)]], feet[inverse[len(ia) :]]
+    points = window.nodes(resolution, ends)
+    feet = spec.project_rows(points, nearest[ends])
+    ea, eb = inverse[: len(ia)], inverse[len(ia) :]  # each edge's two ends, as rows of ``points``
     steps = np.array([axis[1] - axis[0] for axis in window.axes(resolution)])
     axis = np.repeat(np.arange(n), [len(low) for low in lows])
-    flag = np.linalg.norm(pa - pb, axis=1) > _SEPARATION_FACTOR * steps[axis]
-    ia, ib = ia[flag], ib[flag]
-    return pts[ia], pts[ib], pa[flag], pb[flag], nearest[ia], nearest[ib]
+    flag = np.linalg.norm(feet[ea] - feet[eb], axis=1) > _SEPARATION_FACTOR * steps[axis]
+    ea, eb = ea[flag], eb[flag]
+    return points[ea], points[eb], feet[ea], feet[eb], nearest[ends[ea]], nearest[ends[eb]]
 
 
 def _regula_falsi(spec, a, b, ra, rb):
@@ -261,16 +260,6 @@ def certify_cover(spec: ClosedSetSpec, found: np.ndarray) -> dict:
         "records": records,
         "unresolved_points": unresolved,
     }
-
-
-def write_samples_csv(points: np.ndarray, path) -> None:
-    """Write the (K, n) sample points to ``path`` as CSV; K = 0 writes an empty file.
-
-    Each distinct float of a block of rows is formatted once (see
-    ``distance.write_csv``).
-    """
-    header = [f"x{i + 1}" for i in range(points.shape[1])]
-    write_csv(path, header, len(points), lambda lo, hi: _float_columns(points[lo:hi]))
 
 
 # Width and height of the SVG overlay, in pixels.

@@ -40,10 +40,14 @@ that the lift and its marginal functions are convex; and
 ``reference_marginal_inf`` is the scalar bracket-doubling and golden-section
 search, the bit reference of :func:`medialcover.convex.marginal_inf_rows`.
 
+``grid_nodes`` is every node of a window grid, stacked from
+``np.meshgrid`` on the window's ticks, the layout reference of
+``Window.nodes``; ``uniform_points`` draws seeded points from a window.
 ``reference_flagged_edges`` is the whole-grid form of the flag rule of
-``verify._flagged_edges``: one (M, N) distance table, every node projected
-and every edge measured.  It is the bit and order reference of the blocked
-form that projects only the ends of edges whose nearest rows differ.
+``verify._flagged_edges`` on ``grid_nodes``: one (M, N) distance table,
+every node projected and every edge measured.  It is the bit and order
+reference of the blocked form that projects only the ends of edges whose
+nearest rows differ.
 """
 
 from __future__ import annotations
@@ -67,6 +71,17 @@ def _rows(x) -> np.ndarray:
 
 def _vector(record: dict, key: str) -> np.ndarray:
     return np.array(record[key], dtype=float)
+
+
+def uniform_points(window, rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` points drawn uniformly from the window, as a (count, n) array."""
+    return rng.uniform(window.lower, window.upper, size=(count, window.dimension))
+
+
+def grid_nodes(window, resolution: int) -> np.ndarray:
+    """Every node of the window grid with ``resolution`` ticks per axis, as ``np.meshgrid(indexing="ij")`` rows."""
+    ticks = [np.linspace(lo, hi, resolution) for lo, hi in zip(window.lower, window.upper)]
+    return np.stack([mesh.ravel() for mesh in np.meshgrid(*ticks, indexing="ij")], axis=1)
 
 
 def dimension(p: dict) -> int:
@@ -350,8 +365,8 @@ def convexity_probe(field, window, num_samples=10000, seed=0) -> tuple[float, fl
     if num_samples < 1:
         raise ValueError("num_samples must be at least 1")
     rng = np.random.default_rng(seed)
-    x = window.sample(rng, num_samples)
-    y = window.sample(rng, num_samples)
+    x = uniform_points(window, rng, num_samples)
+    y = uniform_points(window, rng, num_samples)
     lam = rng.uniform(0.0, 1.0, size=num_samples)
     fx = np.asarray(field(x), dtype=float)
     fy = np.asarray(field(y), dtype=float)
@@ -399,8 +414,9 @@ def reference_marginal_inf(field, axis, slope, x_rest, start=0.0, xtol=1e-7):
 def reference_flagged_edges(spec: ClosedSetSpec, window, resolution: int):
     """The flag rule of :func:`medialcover.verify._flagged_edges`, on whole-grid arrays.
 
-    Every node's nearest row is the plain ``row_distances`` argmin of the
-    whole (M, N) table, every node is projected onto its row, and every edge
+    The nodes are :func:`grid_nodes`, not the package's layout.  Every
+    node's nearest row is the plain ``row_distances`` argmin of the whole
+    (M, N) table, every node is projected onto its row, and every edge
     of every axis has its feet's distance measured.  An edge is flagged when
     its end rows differ and its feet lie more than ``_SEPARATION_FACTOR``
     edge lengths apart.  Returns ``(a, b, proj_a, proj_b, row_a, row_b)``,
@@ -408,7 +424,7 @@ def reference_flagged_edges(spec: ClosedSetSpec, window, resolution: int):
     """
     n = spec.dimension
     axes = window.axes(resolution)
-    pts = window.grid_points(resolution)
+    pts = grid_nodes(window, resolution)
     nearest = spec.row_distances(pts).argmin(axis=0)
     shape = (resolution,) * n
     P = spec.project_rows(pts, nearest).reshape(shape + (n,))

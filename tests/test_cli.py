@@ -19,9 +19,10 @@ import medialcover.cli as cli
 import medialcover.verify as verify
 from medialcover.cli import EXIT_CONFIG, EXIT_NONCONVEX, main
 from medialcover.config import ConfigError, config_digest, load_config, parse_config
-from medialcover.distance import CSV_BLOCK_ROWS, Classification, grid_sweep
+from medialcover.distance import CSV_BLOCK_ROWS, Classification, grid_sweep, write_samples_csv
 from medialcover.geometry import ClosedSetSpec, Window
-from medialcover.verify import write_overlay_svg, write_samples_csv
+from medialcover.verify import write_overlay_svg
+import reference
 from test_voronoi_oracle import SEEDS, WINDOW, random_sites
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -431,7 +432,7 @@ def test_analyze_csv_cells_parse_back_to_the_sweep(tmp_path, capsys):
     header, rows = csv_table(table)
     assert header == ["x1", "x2", "d", "classification", "grad_1", "grad_2", "differentiable_flag"]
     cells = np.array([[float(c) for c in row[:3] + row[4:6]] for row in rows])
-    expected = np.column_stack([config.window.grid_points(config.grid_resolution), sweep.values, sweep.gradients])
+    expected = np.column_stack([reference.grid_nodes(config.window, config.grid_resolution), sweep.values, sweep.gradients])
     assert np.array_equal(cells, expected, equal_nan=True)
     classes = list(map(list(Classification).__getitem__, sweep.classes.tolist()))
     assert [row[3] for row in rows] == [c.value for c in classes]

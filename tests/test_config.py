@@ -299,9 +299,10 @@ def test_a_lattice_of_tiny_steps_under_a_finite_bound_is_accepted(command, expec
     assert run_main(command, document, tmp_path) == (expected, expected == 0)
 
 
-# 10^7 nodes per axis in 3-D is 10^21 nodes, beyond the intp range; Window.grid_points
-# once raised "broadcast dimensions too large", exit 1.  Sizes between that limit and
-# the machine's memory are not tried: they allocate.
+# 10^7 nodes per axis in 3-D is 10^21 nodes, beyond the intp range of the sweep's
+# arrays and of the flat node indices of Window.nodes; a whole-grid node array once
+# raised "broadcast dimensions too large", exit 1.  Sizes between that limit and the
+# machine's memory are not tried: they allocate.
 @pytest.mark.parametrize("command", ["analyze", "verify"])
 def test_a_grid_with_more_nodes_than_an_array_can_index_exits_2_without_a_report(command, tmp_path, capsys):
     document = {"set": str(FIXTURES / "shells_set.json"), "grid_resolution": 10_000_000}

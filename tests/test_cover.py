@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reference import reference_marginal_inf
+from reference import grid_nodes, reference_marginal_inf
 
 from medialcover import cover
 from medialcover.cli import main
@@ -30,7 +30,7 @@ def test_grid_values_are_the_graph_formula_on_direct_marginal_infima():
     # On a square window every axis has the same rest grid.
     cases = [
         (LIFT, LATTICE, Window([-2.0, -2.0], [2.0, 2.0]), 5, np.linspace(-2.0, 2.0, 5)[:, None]),
-        (LIFT_3D, SlopeLattice(step=1.0, bound=1.0), Window([-2.0] * 3, [2.0] * 3), 3, Window([-2.0, -2.0], [2.0, 2.0]).grid_points(3)),
+        (LIFT_3D, SlopeLattice(step=1.0, bound=1.0), Window([-2.0] * 3, [2.0] * 3), 3, grid_nodes(Window([-2.0, -2.0], [2.0, 2.0]), 3)),
     ]
     for lift, lattice, window, resolution, rest_nodes in cases:
         graphs = enumerate_cover(window.dimension, lattice)

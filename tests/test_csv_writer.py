@@ -7,9 +7,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from medialcover.distance import CSV_BLOCK_ROWS, Classification, grid_sweep, write_grid_csv
+from medialcover.distance import CSV_BLOCK_ROWS, Classification, grid_sweep, write_grid_csv, write_samples_csv
 from medialcover.geometry import ClosedSetSpec, Window
-from medialcover.verify import write_samples_csv
+import reference
 
 
 def oracle_write_csv(path, header, count, rows) -> None:
@@ -23,7 +23,7 @@ def oracle_write_csv(path, header, count, rows) -> None:
 
 def oracle_grid_csv(sweep, path) -> None:
     """A row per node: its coordinates, d, class, gradient, and whether the class is unique."""
-    points = sweep.window.grid_points(sweep.resolution)
+    points = reference.grid_nodes(sweep.window, sweep.resolution)
     n = points.shape[1]
     header = [f"x{i + 1}" for i in range(n)] + ["d", "classification"]
     header += [f"grad_{i + 1}" for i in range(n)] + ["differentiable_flag"]

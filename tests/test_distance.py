@@ -103,7 +103,7 @@ def differentiable_nodes(spec, window=WINDOW, resolution=17):
     """The grid sweep's nodes where the distance field looks differentiable, with d and grad d there."""
     sweep = grid_sweep(spec, window, resolution)
     keep = sweep.classes == UNIQUE
-    return window.grid_points(resolution)[keep], sweep.values[keep], sweep.gradients[keep]
+    return reference.grid_nodes(window, resolution)[keep], sweep.values[keep], sweep.gradients[keep]
 
 
 def reconstruct(spec, window=WINDOW, resolution=17):
@@ -122,7 +122,7 @@ class TestGradient:
     def test_bisector_point_is_not_differentiable(self):
         # resolution 17 puts grid lines exactly on the bisector x1 = 0
         sweep = grid_sweep(TWO_POINTS, WINDOW, 17)
-        on_bisector = WINDOW.grid_points(17)[:, 0] == 0.0
+        on_bisector = reference.grid_nodes(WINDOW, 17)[:, 0] == 0.0
         assert on_bisector.sum() == 17
         assert not (sweep.classes[on_bisector] == UNIQUE).any()
 
@@ -154,7 +154,7 @@ class TestGradient:
     )
     def test_gradients_agree_with_the_finite_difference_oracle(self, spec, window, resolution):
         sweep = grid_sweep(spec, window, resolution)
-        fd_gradients, fd_differentiable = reference.fd_gradients(spec, window.grid_points(resolution))
+        fd_gradients, fd_differentiable = reference.fd_gradients(spec, reference.grid_nodes(window, resolution))
         assert fd_differentiable.sum() > resolution
         assert (sweep.classes[fd_differentiable] == UNIQUE).all()
         assert np.abs(sweep.gradients[fd_differentiable] - fd_gradients[fd_differentiable]).max() <= 1e-8
@@ -164,7 +164,7 @@ class TestGradient:
         # backward differences more than 10 steps apart, so the finite-difference
         # flag calls such nodes not differentiable.
         sweep = grid_sweep(TWO_POINTS, WINDOW, 81)
-        points = WINDOW.grid_points(81)
+        points = reference.grid_nodes(WINDOW, 81)
         sites = np.where(points[:, :1] > 0, [1.0, 0.0], [-1.0, 0.0])
         offset = points - sites
         r = np.linalg.norm(offset, axis=1)
@@ -216,7 +216,7 @@ def test_distance_decays_linearly_toward_nearest_point():
     spec = ClosedSetSpec(records, 2)
     checked = 0
     while checked < 100:
-        x = WINDOW.sample(rng, 1)[0]
+        x = reference.uniform_points(WINDOW, rng, 1)[0]
         res = reference.nearest_points(records, x)
         if res.classification is not Classification.UNIQUE or res.distance < 1e-3:
             continue
@@ -242,7 +242,7 @@ class TestGridSweep:
     def test_ambiguous_only_on_the_bisector(self):
         # resolution 17 puts grid lines exactly on x1 = 0
         sweep = grid_sweep(TWO_POINTS, WINDOW, 17)
-        points = WINDOW.grid_points(17)
+        points = reference.grid_nodes(WINDOW, 17)
         for point, cls in zip(points, sweep.classes):
             if cls == AMBIGUOUS:
                 assert abs(point[0]) < 1e-12
@@ -280,6 +280,18 @@ class TestGridSweep:
         returned = sum(a.nbytes for a in (sweep.values, sweep.gradients, sweep.classes))
         assert peak - returned < 6e6
 
+    def test_the_sweep_peaks_below_its_arrays_and_half_the_node_array(self):
+        # 48**3 nodes: the sweep that held the whole (N, 3) node array peaked at
+        # about 6.50 MiB; with each block building its own nodes, at about 4.02 MiB.
+        tracemalloc.start()
+        try:
+            sweep = grid_sweep(SHELLS, WINDOW3, 48)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        returned = sum(a.nbytes for a in (sweep.values, sweep.gradients, sweep.classes))
+        assert peak < returned + 48**3 * 3 * 8 / 2
+
     def test_a_3d_sweep_returns_8n_plus_9_bytes_per_node(self):
         # d and n gradient components as float64, and one int8 class code.
         sweep = grid_sweep(SHELLS, WINDOW3, 16)
@@ -315,7 +327,7 @@ class TestGridSweep:
 
 def test_project_returns_a_nearest_point():
     rng = np.random.default_rng(5)
-    pts = WINDOW.sample(rng, 200)
+    pts = reference.uniform_points(WINDOW, rng, 200)
     proj = survey(THREE_POINTS, pts).projection
     d = survey(THREE_POINTS, pts).distance
     assert np.allclose(np.linalg.norm(pts - proj, axis=1), d, atol=1e-12)
@@ -328,7 +340,7 @@ def test_the_survey_row_is_the_first_row_at_the_minimum(spec):
     window = WINDOW if spec.dimension == 2 else WINDOW3
     # Random points, the grid (whose middle axis value is 0 on both axes:
     # exact ties on every bisector through the origin) and the set's own rows.
-    pts = np.concatenate([window.sample(rng, 300), window.grid_points(9 if spec.dimension == 2 else 5), spec.starts])
+    pts = np.concatenate([reference.uniform_points(window, rng, 300), reference.grid_nodes(window, 9 if spec.dimension == 2 else 5), spec.starts])
     first = spec.row_distances(pts).argmin(axis=0)
     assert np.array_equal(survey(spec, pts).projection, spec.project_rows(pts, first))
 

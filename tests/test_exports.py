@@ -1,4 +1,8 @@
-"""Every exported name of the package and its submodules resolves and has a caller; every import and config field is read."""
+"""Every exported name and public method of the package has a caller; every import and config field is read.
+
+Every exported name of the package and its submodules resolves, and no
+module imports a private name of another.
+"""
 
 import ast
 import dataclasses
@@ -68,6 +72,7 @@ REMOVED = {
         "write_samples_csv",
     ],
     "medialcover.geometry": ["Ball", "Point", "PolygonBoundary", "Segment"],
+    "medialcover.verify": ["write_samples_csv"],
 }
 
 
@@ -117,6 +122,38 @@ def test_every_exported_name_has_a_caller_in_the_package():
     assert exported, "no module declares __all__"
     assert sorted(exported - used - set(WITHOUT_CALLER)) == []
     assert sorted(set(WITHOUT_CALLER) - exported) == []  # the allowlist names only exported names
+
+
+def test_every_public_method_has_a_caller_in_the_package():
+    """A public method or property of a package class is read as an attribute somewhere in the package."""
+    trees = [ast.parse(path.read_text()) for path in Path(medialcover.__file__).parent.glob("*.py")]
+    read = {node.attr for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    methods = [
+        (cls.name, node.name)
+        for tree in trees
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
+    assert methods, "no package class has a public method"
+    assert [f"{cls}.{name}" for cls, name in methods if name not in read] == []
+
+
+def test_no_module_imports_a_private_name_of_another():
+    """A name with a leading underscore is used only in its own module; dunder names such as ``__version__`` are public."""
+    private = {}
+    for path in Path(medialcover.__file__).parent.glob("*.py"):
+        names = [
+            alias.name
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ImportFrom) and node.level
+            for alias in node.names
+            if alias.name.startswith("_") and not alias.name.endswith("__")
+        ]
+        if names:
+            private[path.stem] = names
+    assert private == {}
 
 
 def imported_names(tree):

@@ -6,7 +6,7 @@ import pytest
 
 from medialcover.convex import asplund_lift
 from medialcover.geometry import ClosedSetSpec, Window
-from reference import asplund_field, strongify
+from reference import asplund_field, strongify, uniform_points
 from test_kernel import MIXED, packed, queries
 
 TWO_POINTS = ClosedSetSpec([{"type": "point", "coords": [-1, 0]}, {"type": "point", "coords": [1, 0]}], 2)
@@ -48,7 +48,7 @@ def test_strongify_of_zero_is_squared_norm():
 
 def test_lift_is_vectorized_consistently():
     f = asplund_lift(CIRCLE)
-    pts = Window([-2, -2], [2, 2]).sample(np.random.default_rng(3), 64)
+    pts = uniform_points(Window([-2, -2], [2, 2]), np.random.default_rng(3), 64)
     batch = f(pts)
     single = np.array([f(p) for p in pts])
     assert np.allclose(batch, single)
@@ -72,7 +72,7 @@ SHELLS = ClosedSetSpec.from_dict(json.loads((Path(__file__).parent / "fixtures" 
 def test_lift_gives_the_same_bits_whatever_the_batch_size(spec):
     # More points than one kernel block, so the batch runs through several.
     count = 2 * spec._block + 2
-    pts = Window([-2.0] * spec.dimension, [2.0] * spec.dimension).sample(np.random.default_rng(7), count)
+    pts = uniform_points(Window([-2.0] * spec.dimension, [2.0] * spec.dimension), np.random.default_rng(7), count)
     pts[0] = spec.starts[np.flatnonzero(spec.radii)[0]]  # a shell centre
     lift = asplund_lift(spec)
     batch = lift(pts)
@@ -88,7 +88,7 @@ def test_fused_lift_gives_the_bits_of_strongify_of_asplund_field(spec):
     rng = np.random.default_rng(11)
     # Several kernel blocks, then every point site and shell centre exactly, then the same
     # points with some coordinates replaced by -0.0.
-    pts = np.vstack([Window([-2.0] * n, [2.0] * n).sample(rng, 2 * spec._block + 2), queries(spec, rng)])
+    pts = np.vstack([uniform_points(Window([-2.0] * n, [2.0] * n), rng, 2 * spec._block + 2), queries(spec, rng)])
     pts = np.vstack([pts, np.where(rng.random(pts.shape) < 0.3, -0.0, pts)])
     fused, reference = asplund_lift(spec), strongify(asplund_field(spec))
     assert fused(pts).tobytes() == reference(pts).tobytes()

@@ -1,7 +1,6 @@
 import hashlib
 import json
 import time
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -315,11 +314,12 @@ class TestJson:
 
 def test_window_grid_and_sampling():
     w = Window([-2, -2], [2, 2])
-    pts = w.grid_points(5)
+    pts = w.nodes(5, np.arange(25))
     assert pts.shape == (25, 2)
     assert np.allclose(pts[0], [-2, -2]) and np.allclose(pts[-1], [2, 2])
+    assert w.nodes(5, np.arange(0)).shape == (0, 2)
     rng = np.random.default_rng(0)
-    sample = w.sample(rng, 100)
+    sample = reference.uniform_points(w, rng, 100)
     assert sample.shape == (100, 2)
     assert np.all((sample >= w.lower) & (sample <= w.upper))
 
@@ -334,23 +334,14 @@ GRID_WINDOWS = [
 
 @pytest.mark.parametrize("window, resolution", GRID_WINDOWS, ids=["1d", "2d", "3d"])
 def test_grid_points_are_the_meshgrid_layout(window, resolution):
-    mesh = np.meshgrid(*window.axes(resolution), indexing="ij")
-    expected = np.stack([m.ravel() for m in mesh], axis=1)
-    got = window.grid_points(resolution)
-    assert got.shape == expected.shape and got.dtype == expected.dtype
-    assert got.tobytes() == expected.tobytes()
-
-
-def test_grid_points_peak_at_their_own_size():
-    """At 48^3 nodes: stacking the meshgrid copies once peaked at twice the result."""
-    tracemalloc.start()
-    try:
-        pts = Window([-2.0] * 3, [2.0] * 3).grid_points(48)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert pts.nbytes == 48**3 * 3 * 8
-    assert peak <= 1.1 * pts.nbytes
+    """``Window.nodes`` at every flat index, and at a shuffled part of them, against ``np.meshgrid`` rows, bit for bit."""
+    expected = reference.grid_nodes(window, resolution)
+    count = len(expected)
+    part = np.random.default_rng(resolution).permutation(count)[: count // 3]
+    for index in (np.arange(count), part):
+        got = window.nodes(resolution, index)
+        assert got.shape == expected[index].shape and got.dtype == expected.dtype
+        assert got.tobytes() == expected[index].tobytes()
 
 
 def test_records_that_hold_arrays_compare_and_hash_by_identity():

@@ -41,7 +41,7 @@ def queries(spec, rng):
     """
     n = spec.dimension
     window = Window([-2.0] * n, [2.0] * n)
-    return np.vstack([window.sample(rng, 300), window.grid_points(9), spec.starts[~spec.directions.any(axis=1)]])
+    return np.vstack([reference.uniform_points(window, rng, 300), reference.grid_nodes(window, 9), spec.starts[~spec.directions.any(axis=1)]])
 
 
 def reference_table(records, pts):
@@ -105,7 +105,7 @@ def test_classes_match_nearest_points_row_by_row(records):
     spec = packed(records)
     pts = queries(spec, np.random.default_rng(3))
     if records is SQUARE or records is STAR:
-        pts = np.vstack([pts, Window([-2, -2], [2, 2]).grid_points(17), [[0.0, 0.0], [0.3, 0.3]]])
+        pts = np.vstack([pts, reference.grid_nodes(Window([-2, -2], [2, 2]), 17), [[0.0, 0.0], [0.3, 0.3]]])
     got = survey(spec, pts, TIE).classifications()
     expected = [reference.nearest_points(records, x, TIE).classification for x in pts]
     assert got == expected
@@ -123,7 +123,7 @@ def test_shell_centre_is_ambiguous_only_when_the_shell_is_nearest():
 
 def test_square_bisector_nodes_are_ambiguous():
     # The loop's medial axis is its two diagonals inside the square; outside it is empty.
-    pts = Window([-2, -2], [2, 2]).grid_points(17)
+    pts = reference.grid_nodes(Window([-2, -2], [2, 2]), 17)
     inside = np.all(np.abs(pts) < 1.0, axis=1)
     on_diagonal = np.abs(pts[:, 0]) == np.abs(pts[:, 1])
     assert np.array_equal(survey(packed(SQUARE), pts).ambiguous, inside & on_diagonal)
@@ -159,7 +159,7 @@ def test_polygon_classifies_like_its_edges_as_segments(vertices):
     loop = ClosedSetSpec([{"type": "polygon", "vertices": vertices}], 2)
     edges = ClosedSetSpec([{"type": "segment", "a": vertices[k], "b": vertices[(k + 1) % m]} for k in range(m)], 2)
     window = Window([-2, -2], [2, 2])
-    for x in np.vstack([window.grid_points(9), np.mean(vertices, axis=0)]):
+    for x in np.vstack([reference.grid_nodes(window, 9), np.mean(vertices, axis=0)]):
         assert nearest_points(loop, x).classification is nearest_points(edges, x).classification
     counts = [np.bincount(s.classes, minlength=3).tolist() for s in (grid_sweep(loop, window, 17), grid_sweep(edges, window, 17))]
     assert counts[0] == counts[1]

@@ -353,7 +353,7 @@ def test_a_voronoi_set_flags_the_edges_of_the_whole_grid_rule(seed):
 def row_change_ends(spec, window, resolution):
     """The distinct grid nodes at either end of an edge whose two nearest rows differ, and the count of such edges."""
     n = spec.dimension
-    rows = spec.row_distances(window.grid_points(resolution)).argmin(axis=0).reshape((resolution,) * n)
+    rows = spec.row_distances(reference.grid_nodes(window, resolution)).argmin(axis=0).reshape((resolution,) * n)
     nodes = np.arange(rows.size).reshape(rows.shape)
     ends, edges = [], 0
     for k in range(n):
@@ -392,13 +392,21 @@ def peak_memory(run):
         tracemalloc.stop()
 
 
+SHELLS = ClosedSetSpec.from_dict(json.loads((FIXTURES / "shells_set.json").read_text()))
+CUBE = Window([-2.0] * 3, [2.0] * 3)
+
+
 def test_detection_peaks_below_a_grid_sweep_of_the_same_grid():
     # 48**3 nodes: whole-grid detection held the (M, N) distance table, every
     # node's foot and every edge's feet at once, about 17.9 MB against the
     # sweep's 7.3 MB; the blocked form peaks at about 5.3 MB.
-    spec = ClosedSetSpec.from_dict(json.loads((FIXTURES / "shells_set.json").read_text()))
-    window = Window([-2.0] * 3, [2.0] * 3)
-    assert peak_memory(lambda: detect_ambiguous(spec, window, 48)) < peak_memory(lambda: grid_sweep(spec, window, 48))
+    assert peak_memory(lambda: detect_ambiguous(SHELLS, CUBE, 48)) < peak_memory(lambda: grid_sweep(SHELLS, CUBE, 48))
+
+
+def test_detection_peaks_below_the_whole_node_array():
+    # 48**3 nodes: detection that held the whole (N, 3) node array peaked at
+    # about 4.19 MiB; with each block building its own nodes, at about 1.82 MiB.
+    assert peak_memory(lambda: detect_ambiguous(SHELLS, CUBE, 48)) < 48**3 * 3 * 8
 
 
 @pytest.mark.parametrize("name", VERIFY_FIXTURES)
